@@ -1,17 +1,22 @@
-"""ABL18 — partition-parallel execution, measured.
+"""ABL18 — partition-parallel execution: modelled makespan, measured wall.
 
-The sharding subsystem claims that a certified distribution policy buys
-real parallelism: with every relation of a join chain co-partitioned on
-its join key, each shard runs a plan over ~1/k of the data and the
-query's *makespan* (the slowest shard — the parallel completion time)
-drops accordingly, while the merged result stays byte-identical to
-single-copy execution with zero audit violations.
+With every relation of a join chain co-partitioned on its join key,
+each shard runs a plan over ~1/k of the data.  Two different numbers
+come out of that, and this bench reports both side by side:
 
-This bench builds a large 3-join chain (four relations, near-unique
-keys), certifies a 4-shard hash co-partitioning, proves parity before
-timing anything, and then **asserts the headline number**: the
-partition-parallel makespan must beat the single-copy wall time by at
-least 2x.  Results land in ``BENCH_ABL18.json``.
+* the **modelled makespan** — ``ShardedResult.makespan``, the slowest
+  shard's time.  It is what k truly parallel workers would take and
+  leaves out split, certification, planning and merge.  This is the
+  gated number (>=2x single-copy at 4 shards), and it is a model: the
+  shards run serially in one process.
+* the **measured wall-clock** of ``execute_sharded`` itself, everything
+  included — the first call (cold: splits every relation, plans every
+  shard) and later calls (resident shards, memoized shard plans) —
+  beside single-copy ``execute``.  Reported, not gated.
+
+Parity is proven before anything is timed: the merged result equals
+single-copy execution with zero audit violations.  Results land in
+``BENCH_ABL18.json``.
 """
 
 import random
@@ -30,7 +35,7 @@ from repro.sharding import (
 from repro.analysis.reporting import write_bench_json
 from repro.testing import grant, quick_catalog
 
-#: the acceptance floor for the partition-parallel makespan speedup.
+#: the acceptance floor for the *modelled* makespan speedup.
 MIN_MAKESPAN_SPEEDUP = 2.0
 
 SHARDS = 4
@@ -105,7 +110,7 @@ def _time_best(fn, repeats=5):
     return best
 
 
-def test_abl18_makespan_speedup(benchmark):
+def test_abl18_modelled_makespan_speedup(benchmark):
     catalog, closed = _world()
     system = DistributedSystem(catalog, closed, apply_closure=False)
     system.load_instances(_instances())
@@ -115,9 +120,12 @@ def test_abl18_makespan_speedup(benchmark):
     assert certificate.certified, certificate.reason
     assert certificate.mode == "hypercube"
 
-    # Parity before timing: identical relation, no violations, really
-    # partitioned (not a silent fallback).
+    # Parity before the lanes: identical relation, no violations, really
+    # partitioned (not a silent fallback).  This first call is also the
+    # cold wall-clock sample — nothing is resident yet.
+    start = time.perf_counter()
     sharded = system.execute_sharded(QUERY, schemes)
+    cold_wall = time.perf_counter() - start
     single = system.execute(QUERY)
     assert sharded.mode == EXEC_PARTITIONED
     assert not sharded.fallback_reason
@@ -134,25 +142,30 @@ def test_abl18_makespan_speedup(benchmark):
         return system.execute(QUERY)
 
     benchmark(sharded_lane)
-    # The speedup is a ratio of identical hand-rolled timings: the
-    # single-copy lane's wall time over the sharded lane's *makespan*
-    # (slowest shard = parallel completion time), both best-of-5 on
-    # warm plan caches.
+    # Identical hand-rolled timings, best-of-5 on warm plan caches: the
+    # single-copy lane's wall time against the sharded lane's modelled
+    # makespan (slowest shard) and against its real wall-clock.
     single_time = _time_best(single_lane)
+    resident_wall = _time_best(sharded_lane)
     best_makespan = float("inf")
     for _ in range(5):
         result = sharded_lane()
         best_makespan = min(best_makespan, result.makespan)
     speedup = single_time / best_makespan
+    wall_ratio = single_time / resident_wall
     print(
         f"\n3-join chain, {out_rows} output rows at {SHARDS} shards: "
-        f"single-copy {single_time * 1e3:.1f}ms, "
-        f"parallel makespan {best_makespan * 1e3:.1f}ms -> {speedup:.1f}x"
+        f"single-copy {single_time * 1e3:.1f}ms\n"
+        f"  modelled makespan (slowest shard) {best_makespan * 1e3:.1f}ms "
+        f"-> {speedup:.1f}x [gated >= {MIN_MAKESPAN_SPEEDUP}x]\n"
+        f"  measured wall-clock, resident shards {resident_wall * 1e3:.1f}ms "
+        f"-> {wall_ratio:.2f}x; first call (cold split + planning) "
+        f"{cold_wall * 1e3:.1f}ms [reported, not gated]"
     )
     write_bench_json(
         "ABL18",
         {
-            "makespan": {
+            "modelled_makespan": {
                 "shards": SHARDS,
                 "input_rows_per_table": 4000,
                 "output_rows": out_rows,
@@ -163,11 +176,18 @@ def test_abl18_makespan_speedup(benchmark):
                 "speedup": round(speedup, 2),
                 "acceptance_floor": MIN_MAKESPAN_SPEEDUP,
                 "violations": 0,
-            }
+            },
+            "wall_clock": {
+                "single_copy_seconds": round(single_time, 6),
+                "sharded_resident_seconds": round(resident_wall, 6),
+                "sharded_cold_seconds": round(cold_wall, 6),
+                "resident_vs_single_copy": round(wall_ratio, 2),
+                "gated": False,
+            },
         },
     )
     assert speedup >= MIN_MAKESPAN_SPEEDUP, (
-        f"partition-parallel makespan speedup {speedup:.2f}x below the "
+        f"modelled makespan speedup {speedup:.2f}x below the "
         f"{MIN_MAKESPAN_SPEEDUP}x acceptance floor at {SHARDS} shards"
     )
 

@@ -128,9 +128,12 @@ def first_covering_authorization(
 
     With a :class:`~repro.obs.trace.TraceContext`, the answer is cached
     per ``(server, profile)`` so the audit and explain paths compute the
-    covering rule once and agree by construction.
+    covering rule once and agree by construction.  The cache is pinned
+    to the policy epoch: a grant or revoke drops it, so a withdrawn rule
+    is never "found" again and a fresh grant is never a cached denial.
     """
     if trace is not None:
+        trace.pin_covering_epoch(policy.epoch)
         cached = trace.covering_for(server, profile)
         if cached is not MISSING:
             return cached

@@ -115,6 +115,12 @@ class DistributedSystem:
             server.host_relation(schema)
         for name in self._third_parties:
             self._servers.setdefault(name, Server(name))
+        # Resident shards: relation -> (the instance that was split,
+        # scheme routing key -> its shards).  An entry is only ever
+        # served for the very ``Table`` object it was split from.
+        self._resident_shards: Dict[str, Tuple[Table, Dict[object, List[Table]]]] = {}
+        # Scheme-set key -> the long-lived sharding coordinator.
+        self._coordinators: Dict[object, object] = {}
 
     def _make_planner(
         self,
@@ -264,6 +270,7 @@ class DistributedSystem:
             schema = self._catalog.relation(relation_name)
             table = Table.from_rows(schema.attributes, rows)
             self._servers[schema.server].load_table(relation_name, table)
+            self._resident_shards.pop(relation_name, None)
 
     def tables(self) -> Dict[str, Table]:
         """Every loaded instance, keyed by relation name."""
@@ -539,6 +546,53 @@ class DistributedSystem:
     # Sharded execution
     # ------------------------------------------------------------------
 
+    #: Distinct schemes kept resident per relation, and coordinators
+    #: kept per system; the oldest is dropped beyond either bound.
+    _RESIDENT_LIMIT = 8
+
+    def shards_of(self, scheme, trace=None) -> List[Table]:
+        """The loaded instance of ``scheme.relation`` split by ``scheme``.
+
+        Shards are **resident**: split once per (loaded instance,
+        scheme) and reused by every later request.  Residency is
+        validated by ``Table`` identity — a reload swaps the instance
+        object, so a stale split can never be served — and schemes are
+        keyed by value (:meth:`~repro.sharding.PartitionScheme.routing_key`),
+        so equal schemes built twice share one split.  With a trace,
+        counts ``repro_shard_split_total{outcome="hit"|"miss"}``.
+        """
+        relation = scheme.relation
+        table = self._servers[self._catalog.relation(relation).server].table(relation)
+        resident = self._resident_shards.get(relation)
+        if resident is None or resident[0] is not table:
+            resident = self._resident_shards[relation] = (table, {})
+        by_scheme = resident[1]
+        key = scheme.routing_key()
+        shards = by_scheme.get(key)
+        if trace is not None:
+            trace.count(
+                "repro_shard_split_total",
+                outcome="miss" if shards is None else "hit",
+            )
+        if shards is None:
+            if len(by_scheme) >= self._RESIDENT_LIMIT:
+                del by_scheme[next(iter(by_scheme))]
+            shards = by_scheme[key] = scheme.split(table)
+        return shards
+
+    def _shard_coordinator(self, schemes):
+        """The long-lived :class:`~repro.sharding.ShardedExecutor` for
+        this scheme set (by value), built on first use."""
+        from repro.sharding.executor import ShardedExecutor, scheme_set_key
+
+        key = scheme_set_key(schemes)
+        coordinator = self._coordinators.get(key)
+        if coordinator is None:
+            if len(self._coordinators) >= self._RESIDENT_LIMIT:
+                del self._coordinators[next(iter(self._coordinators))]
+            coordinator = self._coordinators[key] = ShardedExecutor(self, schemes)
+        return coordinator
+
     def certify_sharding(self, query: Query, schemes, trace=None):
         """Run the parallel-correctness checker for ``schemes`` alone.
 
@@ -547,12 +601,9 @@ class DistributedSystem:
         and ``certificate.mode`` to learn whether a partitioned run is
         provably equivalent to single-copy execution.
         """
-        from repro.sharding import ShardedExecutor
-
-        coordinator = ShardedExecutor(
-            self, schemes, trace=trace if trace is not None else self._trace
+        return self._shard_coordinator(schemes).certify(
+            query, trace if trace is not None else self._trace
         )
-        return coordinator.certify(query)
 
     def execute_sharded(
         self,
@@ -576,6 +627,12 @@ class DistributedSystem:
         cannot prove equivalent to single-copy execution falls back to
         plain :meth:`execute` — the result is *always* produced.
 
+        Every call goes through the system's long-lived coordinator for
+        ``schemes`` (one per scheme set, by value), so shards stay
+        resident (:meth:`shards_of`) and per-shard plans are reused
+        within a policy epoch; certification, plan verification and the
+        per-shard audit still run on every call.
+
         Args:
             query: SQL text or bound spec (left-deep joins only).
             schemes: mapping of relation name to
@@ -593,11 +650,10 @@ class DistributedSystem:
             a :class:`~repro.sharding.ShardedResult`.
         """
         from repro.engine.operators import DEFAULT_BATCH_SIZE
-        from repro.sharding import ShardedExecutor
 
-        coordinator = ShardedExecutor(
-            self,
-            schemes,
+        return self._shard_coordinator(schemes).execute(
+            query,
+            recipient=recipient,
             trace=trace if trace is not None else self._trace,
             batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
             allow_multiround=allow_multiround,
@@ -605,7 +661,6 @@ class DistributedSystem:
             retry=retry,
             health=health,
         )
-        return coordinator.execute(query, recipient=recipient)
 
     def simulate_concurrent(
         self,

@@ -652,6 +652,29 @@ class ColumnarTable:
         columns = [list(mine) + list(theirs) for mine, theirs in zip(self._columns, aligned)]
         return Table._from_columns(self._attributes, columns, self._pool)
 
+    def partition(self, targets: Sequence[int], parts: int) -> List["Table"]:
+        """Split into ``parts`` disjoint tables: the row at storage
+        position ``i`` goes to table ``targets[i]``.
+
+        Each part is an order-preserving subset of deduplicated rows, so
+        it adopts its id columns as they are — nothing is re-interned,
+        re-deduplicated or re-sorted, and a canonical input yields
+        canonical parts.
+        """
+        positions: List[List[int]] = [[] for _ in range(parts)]
+        for position, target in enumerate(targets):
+            positions[target].append(position)
+        return [
+            Table._from_columns(
+                self._attributes,
+                [[column[p] for p in chosen] for column in self._columns],
+                self._pool,
+                deduped=True,
+                canonical=self._canonical,
+            )
+            for chosen in positions
+        ]
+
 
 def _dedup_id_rows(id_rows: List[Tuple[int, ...]], pool: InternPool) -> List[Tuple[int, ...]]:
     """Deduplicate id rows by value-equivalence, keeping each class's

@@ -152,6 +152,7 @@ class TraceContext:
         self._next_id = 1
         self._next_seq = 1
         self._covering: Dict[Tuple[str, object], object] = {}
+        self._covering_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -295,6 +296,13 @@ class TraceContext:
     # ------------------------------------------------------------------
     # Covering-authorization reuse (audit <-> explain)
     # ------------------------------------------------------------------
+
+    def pin_covering_epoch(self, epoch: int) -> None:
+        """Drop every cached covering rule computed under another policy
+        epoch."""
+        if epoch != self._covering_epoch:
+            self._covering.clear()
+            self._covering_epoch = epoch
 
     def record_covering(self, server: str, profile: object, rule: object) -> None:
         """Remember the covering authorization computed for

@@ -24,7 +24,8 @@ The pieces:
 * :mod:`~repro.sharding.cost` — partition-aware sizing fed by the PR 9
   statistics store, for the partitioned-vs-single-copy decision.
 * :mod:`~repro.sharding.executor` — :class:`ShardedExecutor`, the
-  coordinator that certifies, plans per shard with the real
+  long-lived coordinator (one per system and scheme set, over the
+  system's resident shards) that certifies, plans per shard with the real
   :class:`~repro.core.planner.SafePlanner`, executes each shard through
   the real :class:`~repro.engine.executor.DistributedExecutor` (audit,
   retry, breaker and deadline machinery intact per shard), and merges.

@@ -24,9 +24,16 @@ fallback ladder (each rung provably no wider than the one below):
    trace carries a ``shard_fallback`` event and no ``shard`` span, the
    property the differential suite asserts.
 
+The coordinator is **long-lived**: a system keeps one per scheme set,
+shards stay resident with the loaded instances
+(:meth:`DistributedSystem.shards_of
+<repro.distributed.system.DistributedSystem.shards_of>`), and only the
+per-request work — certify, verify, execute, audit, merge — runs per
+request.
+
 Observability: ``repro_shard_*`` counters (queries by mode, partitions,
-rows, fallbacks by reason) and a ``shard_execute`` span wrapping one
-``shard`` span per partition.
+rows, fallbacks by reason, resident-split hits and misses) and a
+``shard_execute`` span wrapping one ``shard`` span per partition.
 """
 
 from __future__ import annotations
@@ -228,8 +235,43 @@ def shard_catalog(
     return shifted
 
 
+def scheme_set_key(schemes: Mapping[str, PartitionScheme]) -> Tuple[object, ...]:
+    """A scheme set's identity by value: equal for two mappings whose
+    schemes route and place identically, however many times they were
+    built.  :class:`~repro.distributed.system.DistributedSystem` keys
+    its long-lived coordinators on it.
+
+    Raises:
+        PartitionSchemeError: a value that is not a scheme, or a scheme
+            keyed under a different relation's name.
+    """
+    for name, scheme in schemes.items():
+        if not isinstance(scheme, PartitionScheme):
+            raise PartitionSchemeError(
+                f"scheme for {name!r} is not a PartitionScheme: {scheme!r}"
+            )
+        if scheme.relation != name:
+            raise PartitionSchemeError(
+                f"scheme keyed under {name!r} partitions {scheme.relation!r}"
+            )
+    return tuple(
+        (name, scheme.routing_key(), scheme.group)
+        for name, scheme in sorted(schemes.items())
+    )
+
+
 class ShardedExecutor:
-    """Coordinate partition-parallel execution over one system.
+    """The long-lived coordinator of one system under one scheme set.
+
+    :class:`~repro.distributed.system.DistributedSystem` keeps one per
+    distinct scheme set, so what depends only on (catalog, schemes) —
+    the per-shard catalogs — is built once, and per-shard plans are
+    memoized per policy epoch.  What can change between two requests is
+    read at call time: ``system.policy`` (revocation swaps the object),
+    the loaded instances (through the system's resident shards) and
+    every per-request option of :meth:`execute`.  Each request is still
+    certified, each adopted shard plan re-verified and each shard run
+    audited, exactly as a coordinator built for that one request would.
 
     Args:
         system: the :class:`~repro.distributed.system.DistributedSystem`
@@ -237,96 +279,98 @@ class ShardedExecutor:
         schemes: the candidate distribution policy, ``relation name ->
             PartitionScheme``.  Validated eagerly: a scheme keyed under
             a different relation's name is a configuration error.
-        trace: optional :class:`~repro.obs.trace.TraceContext`.
-        batch_size: block size for the per-shard executors.
-        allow_multiround: whether rung 2 of the ladder is available
-            (off forces unaligned-but-compatible schemes straight to
-            single-copy).
-        faults: optional fault injector shared by every shard's
-            executor — each shard's shipments then retry under
-            ``retry`` independently.
-        retry: retry policy for fault-aware shard runs.
-        health: optional health tracker shared across shards (one
-            breaker state per link, fed by every shard).
     """
 
-    def __init__(
-        self,
-        system,
-        schemes: Mapping[str, PartitionScheme],
-        trace=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        allow_multiround: bool = True,
-        faults=None,
-        retry=None,
-        health=None,
-    ) -> None:
-        for name, scheme in schemes.items():
-            if not isinstance(scheme, PartitionScheme):
-                raise PartitionSchemeError(
-                    f"scheme for {name!r} is not a PartitionScheme: {scheme!r}"
-                )
-            if scheme.relation != name:
-                raise PartitionSchemeError(
-                    f"scheme keyed under {name!r} partitions {scheme.relation!r}"
-                )
+    #: Shard plans kept per epoch; the oldest is evicted beyond this.
+    PLAN_MEMO_LIMIT = 1024
+
+    def __init__(self, system, schemes: Mapping[str, PartitionScheme]) -> None:
+        scheme_set_key(schemes)  # validates
         self._system = system
         self._schemes = dict(schemes)
-        self._trace = trace
-        self._batch_size = batch_size
-        self._allow_multiround = allow_multiround
-        self._faults = faults
-        self._retry = retry
-        self._health = health
-        self._checker = ParallelCorrectnessChecker(
-            system.policy, system.catalog, assume_closed=True, trace=trace
-        )
-        # shard -> (tree, assignment) memo, keyed by query fingerprint
-        # and policy epoch (re-planned after any grant/revoke).
-        self._plan_memo: Dict[Tuple[object, int, int], Tuple[object, object]] = {}
+        self._catalogs: Dict[int, Catalog] = {}
+        # (fingerprint, shard) -> (tree, assignment), all planned under
+        # ``_memo_epoch``; dropped whole when the policy epoch moves.
+        self._plan_memo: Dict[Tuple[object, int], Tuple[object, object]] = {}
+        self._memo_epoch: Optional[int] = None
 
     @property
     def schemes(self) -> Dict[str, PartitionScheme]:
         """The distribution policy under coordination."""
         return dict(self._schemes)
 
-    def certify(self, query) -> ShardCertificate:
-        """The checker's verdict for ``query`` under these schemes."""
-        return self._checker.certify(self._system.parse(query), self._schemes)
+    def certify(self, query, trace=None) -> ShardCertificate:
+        """The checker's verdict for ``query`` under these schemes and
+        the system's *current* policy."""
+        system = self._system
+        checker = ParallelCorrectnessChecker(
+            system.policy, system.catalog, assume_closed=True, trace=trace
+        )
+        return checker.certify(system.parse(query), self._schemes)
 
     # ------------------------------------------------------------------
     # The fallback ladder
     # ------------------------------------------------------------------
 
-    def execute(self, query, recipient: Optional[str] = None) -> ShardedResult:
+    def execute(
+        self,
+        query,
+        recipient: Optional[str] = None,
+        trace=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        allow_multiround: bool = True,
+        faults=None,
+        retry=None,
+        health=None,
+    ) -> ShardedResult:
         """Run ``query`` partition-parallel when certified, single-copy
-        otherwise (see the module docstring for the ladder)."""
+        otherwise (see the module docstring for the ladder).
+
+        Args:
+            query: SQL text or bound spec.
+            recipient: optional final consumer; audited per shard.
+            trace: optional :class:`~repro.obs.trace.TraceContext`.
+            batch_size: block size for the per-shard executors.
+            allow_multiround: whether rung 2 of the ladder is available
+                (off forces unaligned-but-compatible schemes straight to
+                single-copy).
+            faults: optional fault injector shared by every shard's
+                executor — each shard's shipments then retry under
+                ``retry`` independently.
+            retry: retry policy for fault-aware shard runs.
+            health: optional health tracker shared across shards (one
+                breaker state per link, fed by every shard).
+        """
         spec = self._system.parse(query)
-        certificate = self._checker.certify(spec, self._schemes)
-        trace = self._trace
+        certificate = self.certify(spec, trace)
         if not certificate.certified or not certificate.sharded:
             reason = certificate.reason or "query touches no sharded relation"
-            return self._fallback(query, recipient, certificate, reason)
+            return self._fallback(query, recipient, certificate, reason, trace)
         if certificate.mode == MODE_HYPERCUBE:
             try:
-                return self._execute_hypercube(spec, recipient, certificate)
+                return self._execute_hypercube(
+                    spec, recipient, certificate, trace,
+                    dict(batch_size=batch_size, faults=faults, retry=retry, health=health),
+                )
             except InfeasiblePlanError as error:
                 return self._fallback(
-                    query, recipient, certificate, f"infeasible shard plan: {error}"
+                    query, recipient, certificate,
+                    f"infeasible shard plan: {error}", trace,
                 )
-        if certificate.mode == MODE_MULTIROUND and self._allow_multiround:
+        if certificate.mode == MODE_MULTIROUND and allow_multiround:
             try:
-                return self._execute_multiround(spec, recipient, certificate)
+                return self._execute_multiround(
+                    spec, recipient, certificate, trace, batch_size
+                )
             except ShardingError as error:
-                return self._fallback(query, recipient, certificate, str(error))
+                return self._fallback(query, recipient, certificate, str(error), trace)
         return self._fallback(
-            query, recipient, certificate, f"mode {certificate.mode!r} disabled"
+            query, recipient, certificate, f"mode {certificate.mode!r} disabled", trace
         )
 
     def _fallback(
-        self, query, recipient, certificate: ShardCertificate, reason: str
+        self, query, recipient, certificate: ShardCertificate, reason: str, trace
     ) -> ShardedResult:
-        trace = self._trace
         if trace is not None:
             trace.event("shard_fallback", "sharding", reason=reason)
             trace.count("repro_shard_fallback_total")
@@ -346,15 +390,25 @@ class ShardedExecutor:
         )
 
     def _execute_hypercube(
-        self, spec: QuerySpec, recipient: Optional[str], certificate: ShardCertificate
+        self,
+        spec: QuerySpec,
+        recipient: Optional[str],
+        certificate: ShardCertificate,
+        trace,
+        engine_options: dict,
     ) -> ShardedResult:
         system = self._system
-        trace = self._trace
         schemes = {name: self._schemes[name] for name in certificate.sharded}
-        shards = schemes[certificate.sharded[0]].shards
+        first = schemes[certificate.sharded[0]]
+        shards = first.shards
         shuffle = plan_shuffle(spec, schemes, certificate)
-        tables = system.tables()
-        splits = {name: scheme.split(tables[name]) for name, scheme in schemes.items()}
+        splits = {
+            name: system.shards_of(scheme, trace=trace)
+            for name, scheme in schemes.items()
+        }
+        # One working copy: each shard overwrites the sharded relations'
+        # entries, and every executor snapshots the mapping it is given.
+        shard_tables = system.tables()
 
         span = None
         if trace is not None:
@@ -362,19 +416,17 @@ class ShardedExecutor:
                 "shard_execute", "sharding", shards=shards, mode=EXEC_PARTITIONED
             )
         try:
-            plans = [self._shard_plan(spec, shard, schemes) for shard in range(shards)]
+            plans = [self._shard_plan(spec, shard, trace) for shard in range(shards)]
             results: List[ExecutionResult] = []
             makespan = 0.0
             elapsed = 0.0
             for shard, (tree, assignment) in enumerate(plans):
-                shard_tables = dict(tables)
                 for name in splits:
                     shard_tables[name] = splits[name][shard]
                 shard_span = None
                 if trace is not None:
                     shard_span = trace.begin(
-                        "shard", "sharding", shard=shard,
-                        server=schemes[certificate.sharded[0]].placement(shard),
+                        "shard", "sharding", shard=shard, server=first.placement(shard)
                     )
                 start = time.perf_counter()
                 try:
@@ -383,20 +435,17 @@ class ShardedExecutor:
                         shard_tables,
                         policy=system.policy,
                         enforce=True,
-                        faults=self._faults,
-                        retry=self._retry,
-                        health=self._health,
                         trace=trace,
-                        batch_size=self._batch_size,
+                        **engine_options,
                     )
                     result = executor.run(recipient=recipient)
                 finally:
                     took = time.perf_counter() - start
-                    if trace is not None and shard_span is not None:
+                    if shard_span is not None:
                         trace.end(shard_span)
                 makespan = max(makespan, took)
                 elapsed += took
-                if trace is not None and shard_span is not None:
+                if shard_span is not None:
                     shard_span.attrs["rows"] = len(result.table)
                 results.append(result)
             merged = merge_shards(result.table for result in results)
@@ -415,7 +464,7 @@ class ShardedExecutor:
                     mode=EXEC_PARTITIONED,
                 )
         finally:
-            if trace is not None and span is not None:
+            if span is not None:
                 trace.end(span)
         return ShardedResult(
             EXEC_PARTITIONED,
@@ -428,39 +477,49 @@ class ShardedExecutor:
             elapsed=elapsed,
         )
 
-    def _shard_plan(
-        self,
-        spec: QuerySpec,
-        shard: int,
-        schemes: Mapping[str, PartitionScheme],
-    ) -> Tuple[object, object]:
-        """Plan one shard's tree under the shared policy.
+    def _shard_plan(self, spec: QuerySpec, shard: int, trace) -> Tuple[object, object]:
+        """One shard's verified ``(tree, assignment)`` under the current
+        policy.
 
         Each shard sees its own catalog (shifted placements) but plans
-        under the *same* chase-closed policy; the resulting assignment
-        passes the independent verifier before anything runs, so shard
-        placement cannot relax Definition 4.3.
+        under the *same* chase-closed policy.  Every plan handed out —
+        freshly planned or adopted from the memo — passes the
+        independent verifier against the policy in force *now*, so
+        neither shard placement nor residency can relax Definition 4.3.
         """
-        system = self._system
-        epoch = getattr(system.policy, "epoch", 0)
-        key = (spec.fingerprint(), shard, epoch)
-        memo = self._plan_memo.get(key)
-        if memo is not None:
-            return memo
-        catalog = shard_catalog(system.catalog, schemes, shard)
+        policy = self._system.policy
+        epoch = getattr(policy, "epoch", 0)
+        memo = self._plan_memo
+        if epoch != self._memo_epoch:
+            memo.clear()
+            self._memo_epoch = epoch
+        key = (spec.fingerprint(), shard)
+        product = memo.get(key)
+        if product is not None:
+            verify_assignment(policy, product[1])
+            return product
+        catalog = self._catalogs.get(shard)
+        if catalog is None:
+            catalog = self._catalogs[shard] = shard_catalog(
+                self._system.catalog, self._schemes, shard
+            )
         tree = build_plan(catalog, spec)
-        planner = SafePlanner(system.policy, obs=self._trace)
-        assignment, _ = planner.plan(tree)
-        verify_assignment(system.policy, assignment)
-        if len(self._plan_memo) < 1024:
-            self._plan_memo[key] = (tree, assignment)
+        assignment, _ = SafePlanner(policy, obs=trace).plan(tree)
+        verify_assignment(policy, assignment)
+        if len(memo) >= self.PLAN_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        memo[key] = (tree, assignment)
         return tree, assignment
 
     def _execute_multiround(
-        self, spec: QuerySpec, recipient: Optional[str], certificate: ShardCertificate
+        self,
+        spec: QuerySpec,
+        recipient: Optional[str],
+        certificate: ShardCertificate,
+        trace,
+        batch_size: int,
     ) -> ShardedResult:
         system = self._system
-        trace = self._trace
         schemes = {name: self._schemes[name] for name in certificate.sharded}
         shuffle = plan_shuffle(spec, schemes, certificate)
         if recipient is not None:
@@ -491,10 +550,10 @@ class ShardedExecutor:
                 system.policy,
                 system.catalog,
                 trace=trace,
-                batch_size=self._batch_size,
+                batch_size=batch_size,
             )
         finally:
-            if trace is not None and span is not None:
+            if span is not None:
                 trace.end(span)
         elapsed = time.perf_counter() - start
         if trace is not None:

@@ -269,32 +269,48 @@ class PartitionScheme:
         """
         raise NotImplementedError
 
+    def routing_key(self) -> Tuple[object, ...]:
+        """What :meth:`split` depends on, by value: two schemes with
+        equal routing keys split any table identically (the group only
+        says where the shards live), so resident shards are shared
+        between equal schemes built twice."""
+        return (self.compatibility_signature(), self._attributes)
+
     def split(self, table: Table) -> List[Table]:
         """Partition ``table`` into ``shards`` disjoint tables.
 
         Routing reads the partition attributes of each (deduplicated)
         row, so the shards are pairwise disjoint and their union is
         exactly the input — the algebraic fact the differential suite
-        leans on.
+        leans on.  The kernel is columnar: each *distinct* key (as
+        interned ids) goes through :meth:`shard_of` once, and the id
+        columns are bucketed by :meth:`Table.partition
+        <repro.engine.data.ColumnarTable.partition>` without
+        materializing rows.
 
         Raises:
             PartitionSchemeError: if the table lacks a partition
                 attribute.
         """
         columns = table.attributes
-        try:
-            positions = [columns.index(a) for a in self._attributes]
-        except ValueError:
-            missing = [a for a in self._attributes if a not in columns]
+        missing = [a for a in self._attributes if a not in columns]
+        if missing:
             raise PartitionSchemeError(
                 f"table for {self._relation!r} is missing partition "
                 f"attributes {missing} (has {list(columns)})"
-            ) from None
-        buckets: List[List[tuple]] = [[] for _ in range(self._shards)]
+            )
+        key_columns = [table.column_ids(a) for a in self._attributes]
+        value = table.pool.value
         shard_of = self.shard_of
-        for row in table.rows:
-            buckets[shard_of(tuple(row[p] for p in positions))].append(row)
-        return [Table(columns, bucket) for bucket in buckets]
+        if len(key_columns) == 1:
+            keys: Sequence = key_columns[0]
+            route = {i: shard_of((value(i),)) for i in set(keys)}
+        else:
+            keys = list(zip(*key_columns))
+            route = {
+                key: shard_of(tuple(value(i) for i in key)) for key in set(keys)
+            }
+        return table.partition([route[key] for key in keys], self._shards)
 
     def validate_against(self, catalog: Catalog) -> None:
         """Check the scheme names a real relation and real attributes.

@@ -492,6 +492,7 @@ class TestCoveringAuthorizationReuse:
         trace = TraceContext()
         profile = RelationProfile(["Holder", "Plan"])
         sentinel = object()
+        trace.pin_covering_epoch(policy.epoch)
         trace.record_covering("S_I", profile, sentinel)
         found = first_covering_authorization(policy, profile, "S_I", trace=trace)
         assert found is sentinel

@@ -22,13 +22,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.access import first_covering_authorization
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy, extend_closure
 from repro.core.plancache import PLAN_CACHE_KEYS, PlanCache, fingerprint_tree
+from repro.core.profile import RelationProfile
 from repro.distributed.system import DistributedSystem
 from repro.exceptions import InfeasiblePlanError, PolicyError
 from repro.obs import TraceContext
 from repro.testing import grant, quick_catalog
+from repro.workloads.coalition import (
+    coalition_authorization,
+    coalition_catalog,
+    coalition_policy,
+    generate_coalition_instances,
+    inspection_query,
+)
 from repro.workloads.medical import (
     generate_instances,
     medical_catalog,
@@ -421,3 +430,43 @@ class TestSimulateConcurrent:
         stats = system.plan_cache.stats
         assert stats.misses == 1
         assert stats.hits == 3
+
+
+# ---------------------------------------------------------------------------
+# Traced systems: the covering-rule cache follows the policy epoch
+# ---------------------------------------------------------------------------
+
+
+class TestTracedRevocation:
+    """With a ``TraceContext`` installed, audit and plan-cache re-audit
+    share a per-trace covering-rule cache; it must not outlive the
+    policy epoch it was filled under."""
+
+    def test_traced_revoke_evicts_the_plan_and_never_cites_the_rule(self):
+        system = DistributedSystem(
+            coalition_catalog(), coalition_policy(), trace=TraceContext()
+        )
+        system.load_instances(generate_coalition_instances(seed=3))
+        revoked = coalition_authorization(4)
+        first = system.execute(inspection_query())
+        # The cached plan leans on rule 4 (the regular-join strategy).
+        assert revoked in [t.authorized_by for t in first.audit.checked]
+        system.revoke_authorization(revoked)
+        second = system.execute(inspection_query())
+        stats = system.plan_cache.stats
+        assert stats.revalidations == 1
+        assert stats.revalidation_failures == 1
+        # Replanned onto the semi-join strategy (rules 2/15); no audited
+        # transfer is accounted to the withdrawn rule.
+        assert second.audit.all_authorized()
+        assert revoked not in [t.authorized_by for t in second.audit.checked]
+        assert second.table.rows == first.table.rows
+
+    def test_traced_grant_is_not_a_cached_denial(self):
+        policy = close_policy(Policy([grant("S1", "a b")]), _toy_catalog())
+        trace = TraceContext()
+        profile = RelationProfile(["c", "d"])
+        assert first_covering_authorization(policy, profile, "S1", trace=trace) is None
+        rule = grant("S1", "c d")
+        policy.add(rule)
+        assert first_covering_authorization(policy, profile, "S1", trace=trace) == rule

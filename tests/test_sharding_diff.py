@@ -17,7 +17,12 @@ across shards and silently drop join matches.
 The shard/merge plumbing is additionally pinned against the frozen
 row-at-a-time oracle (:mod:`tests._row_oracle`): routing and merging
 through ``repro.sharding`` must agree with the reference implementation
-row for row on exactly those corners.
+row for row on exactly those corners — including the columnar split
+kernel on multi-attribute keys.
+
+Residency is held to the same standard: any interleaving of execute /
+reload / grant / revoke on one long-lived system must answer exactly
+what a brand-new system over the same rules and rows answers.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.distributed.system import DistributedSystem
 from repro.engine.data import Table
+from repro.exceptions import ReproError
 from repro.obs import TraceContext
 from repro.sharding import (
     EXEC_SINGLE_COPY,
@@ -232,8 +238,8 @@ def test_sharded_matches_single_copy(world):
     _load(system, r_rows, t_rows, u_rows)
     single = system.execute(query)
     trace = TraceContext()
-    executor = ShardedExecutor(system, schemes, trace=trace)
-    result = executor.execute(query)
+    executor = ShardedExecutor(system, schemes)
+    result = executor.execute(query, trace=trace)
     _assert_byte_identical(result.table, single.table)
     assert result.violations() == 0
     assert len(single.audit.violations) == 0
@@ -257,11 +263,11 @@ def test_copartitioned_hash_is_partitioned_and_identical(r_rows, t_rows, shards)
         "T": HashPartitionScheme("T", ["c"], shards, GROUP),
     }
     trace = TraceContext()
-    executor = ShardedExecutor(system, schemes, trace=trace)
+    executor = ShardedExecutor(system, schemes)
     certificate = executor.certify(ONE_JOIN)
     assert certificate.certified
     assert certificate.mode == "hypercube"
-    result = executor.execute(ONE_JOIN)
+    result = executor.execute(ONE_JOIN, trace=trace)
     assert result.mode == "partitioned"
     assert result.shards == shards
     single = system.execute(ONE_JOIN)
@@ -308,8 +314,8 @@ def test_rejected_scheme_never_partitions_even_when_forced():
         "T": HashPartitionScheme("T", ["c"], 4, GROUP, function="fnv"),
     }
     trace = TraceContext()
-    executor = ShardedExecutor(system, schemes, trace=trace)
-    result = executor.execute(ONE_JOIN)
+    executor = ShardedExecutor(system, schemes)
+    result = executor.execute(ONE_JOIN, trace=trace)
     assert not result.certificate.certified
     _assert_gating(trace, result)
     _assert_byte_identical(result.table, system.execute(ONE_JOIN).table)
@@ -378,3 +384,161 @@ def test_range_split_matches_row_oracle(rows):
     for shard_table, shard_oracle in zip(split, reference):
         _assert_table_parity(shard_table, shard_oracle)
     _assert_table_parity(merge_shards(split), oracle_merge(reference))
+
+
+# ---------------------------------------------------------------------------
+# The columnar split kernel equals the row split
+# ---------------------------------------------------------------------------
+
+
+def _class_key(row, positions):
+    """A row's partition key as ``==``-classes (``None`` is its own)."""
+    return tuple(
+        ("none",) if row[p] is None else ("value", row[p]) for p in positions
+    )
+
+
+@st.composite
+def split_cases(draw):
+    """``(scheme, key attributes, rows)`` over hash schemes on one or
+    two attributes (either order) and range schemes on one."""
+    if draw(st.booleans()):
+        cuts = draw(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=7, unique=True)
+        )
+        rows = draw(_rows(ORACLE_NUMERIC, max_rows=14))
+        return RangePartitionScheme("R", "a", sorted(cuts), GROUP), ["a"], rows
+    attributes = draw(st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"]]))
+    shards = draw(st.integers(min_value=2, max_value=8))
+    function = draw(st.sampled_from(["crc32", "adler32"]))
+    rows = draw(_rows(ORACLE_KEYS, max_rows=14))
+    return HashPartitionScheme("R", attributes, shards, GROUP, function=function), attributes, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=split_cases(), observed=st.booleans())
+def test_columnar_split_matches_row_split(case, observed):
+    """The id-column kernel places every row where the row-at-a-time
+    reference does — on multi-attribute keys, ``None`` keys and the
+    ``1 / 1.0 / True`` aliases, whose members hold different intern ids
+    but must share a shard — and never re-sorts: a canonical input gives
+    canonical shards whose stored order *is* the reference order."""
+    scheme, attributes, rows = case
+    table = Table(("a", "b"), rows)
+    oracle = OracleTable(("a", "b"), rows)
+    if observed:
+        assert table.rows == oracle.rows  # materializes canonical order
+    split = scheme.split(table)
+    reference = oracle_shard(oracle, attributes, scheme.shards, scheme.shard_of)
+    assert len(split) == len(reference) == scheme.shards
+    for shard_table, shard_oracle in zip(split, reference):
+        if observed:
+            assert shard_table._canonical
+        _assert_table_parity(shard_table, shard_oracle)
+    # Pairwise disjoint and exhaustive, and no equality class of keys
+    # straddles two shards.
+    assert sum(len(shard) for shard in split) == len(table)
+    _assert_table_parity(merge_shards(split), oracle)
+    positions = [("a", "b").index(a) for a in attributes]
+    homes = {}
+    for index, shard_table in enumerate(split):
+        for row in shard_table.rows:
+            assert homes.setdefault(_class_key(row, positions), index) == index
+
+
+# ---------------------------------------------------------------------------
+# Residency is never stale: one long-lived system vs a fresh world per call
+# ---------------------------------------------------------------------------
+
+#: Always granted: each relation at home, every base view at G2.
+CHURN_BASE = [
+    grant("S1", "a b"),
+    grant("S2", "c d"),
+    grant("S3", "e f"),
+    grant("G2", "a b"),
+    grant("G2", "c d"),
+    grant("G2", "e f"),
+]
+#: Toggled by grant/revoke steps.  G1's views of R and T gate
+#: certification, its view of U gates the two-join shard plans, S2's
+#: views gate the single-copy fallback, and S3's view of R changes
+#: nothing but the epoch.
+CHURN_POOL = [
+    grant("G1", "a b"),
+    grant("G1", "c d"),
+    grant("G1", "e f"),
+    grant("S2", "a b"),
+    grant("S2", "e f"),
+    grant("S3", "a b"),
+]
+
+_step = st.one_of(
+    st.tuples(st.just("execute"), st.sampled_from([ONE_JOIN, TWO_JOIN])),
+    st.tuples(st.just("reload"), _rows(ALIAS_KEYS, max_rows=8)),
+    st.tuples(st.just("toggle"), st.integers(min_value=0, max_value=len(CHURN_POOL) - 1)),
+)
+
+
+def _outcome(run):
+    """``("raised", type)`` or the run's comparable facts."""
+    try:
+        result = run()
+    except ReproError as error:
+        return ("raised", type(error))
+    return (
+        result.mode,
+        result.fallback_reason,
+        result.certificate.certified,
+        result.violations(),
+        canonical_bytes(result.table),
+        result.table.byte_size(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(_step, min_size=2, max_size=10),
+    withheld=st.sets(st.sampled_from(CHURN_POOL), max_size=2),
+    shards=st.integers(min_value=2, max_value=4),
+)
+def test_resident_coordinator_matches_a_fresh_one_under_churn(steps, withheld, shards):
+    """Any interleaving of execute / reload / grant / revoke on one
+    long-lived system answers exactly what a brand-new system (fresh
+    closure, fresh coordinator, cold split) over the same rules and
+    rows answers — mode, fallback reason, error type and bytes."""
+    schemes = {
+        "R": HashPartitionScheme("R", ["a"], shards, GROUP),
+        "T": HashPartitionScheme("T", ["c"], shards, GROUP),
+        "U": HashPartitionScheme("U", ["e"], shards, GROUP),
+    }
+    explicit = CHURN_BASE + [rule for rule in CHURN_POOL if rule not in withheld]
+    rows = {"R": [(1, "p"), (2, "q")], "T": [(1, "x"), (True, "y")], "U": [("x", 1)]}
+
+    def world():
+        system = DistributedSystem(CATALOG, Policy(explicit))
+        _load(system, rows["R"], rows["T"], rows["U"])
+        return system
+
+    resident = world()
+    for kind, argument in steps + [("execute", ONE_JOIN), ("execute", TWO_JOIN)]:
+        if kind == "execute":
+            fresh = world()
+            assert _outcome(
+                lambda: resident.execute_sharded(argument, schemes)
+            ) == _outcome(
+                lambda: ShardedExecutor(fresh, schemes).execute(argument)
+            )
+        elif kind == "reload":
+            relation, columns = [("R", "ab"), ("T", "cd"), ("U", "ef")][len(argument) % 3]
+            rows[relation] = argument
+            resident.load_instances(
+                {relation: [dict(zip(columns, row)) for row in argument]}
+            )
+        else:
+            rule = CHURN_POOL[argument]
+            if rule in explicit:
+                explicit.remove(rule)
+                resident.revoke_authorization(rule)
+            else:
+                explicit.append(rule)
+                resident.add_authorization(rule)

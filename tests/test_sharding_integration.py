@@ -18,19 +18,25 @@ from __future__ import annotations
 import asyncio
 import io
 
+import pytest
+
 from repro.cli import main
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.costplanner import CostAwareSafePlanner
 from repro.distributed.system import DistributedSystem
 from repro.engine.coster import TableStats
+from repro.engine.data import Table
+from repro.exceptions import InfeasiblePlanError
 from repro.obs import TraceContext
 from repro.sharding import (
     EXEC_PARTITIONED,
     EXEC_SINGLE_COPY,
     HashPartitionScheme,
     PartitionGroup,
+    ShardedExecutor,
 )
+from repro.sharding import executor as sharding_executor
 from repro.service import QueryService
 from repro.testing import grant, quick_catalog
 
@@ -126,6 +132,158 @@ class TestSystemSeam:
         names = [event.name for event in trace.events]
         assert "shard_certified" in names
         assert "shard_parallel_commit" in names
+
+
+# ---------------------------------------------------------------------------
+# Resident shards: one long-lived coordinator, never stale
+# ---------------------------------------------------------------------------
+
+
+def _minimal_system(single_copy_feasible, trace=None):
+    """Closure on, only the grants sharding needs: every group member
+    holds both base views (the chase derives their join views), and S2
+    may absorb R only when ``single_copy_feasible``."""
+    rules = [grant("S1", "a b"), grant("S2", "c d")]
+    for member in GROUP.servers:
+        rules += [grant(member, "a b"), grant(member, "c d")]
+    if single_copy_feasible:
+        rules.append(grant("S2", "a b"))
+    system = DistributedSystem(_catalog(), Policy(rules), trace=trace)
+    system.load_instances(INSTANCES)
+    return system
+
+
+def _fresh(system, schemes, **options):
+    """What a coordinator built for this one request answers."""
+    return ShardedExecutor(system, schemes).execute(QUERY, **options)
+
+
+class TestResidentShards:
+    def test_shards_split_once_and_equal_schemes_share_them(self):
+        trace = TraceContext()
+        system = _system()
+        first = system.shards_of(_good_schemes()["R"], trace=trace)
+        again = system.shards_of(_good_schemes()["R"], trace=trace)
+        assert again is first
+        # The group is placement, not routing: same split.
+        elsewhere = HashPartitionScheme("R", ["a"], 4, PartitionGroup("h", ["G2"]))
+        assert system.shards_of(elsewhere, trace=trace) is first
+        assert system.shards_of(_good_schemes(shards=2)["R"], trace=trace) is not first
+        series = trace.metrics.snapshot()["repro_shard_split_total"]["series"]
+        assert series == {'{outcome="hit"}': 2, '{outcome="miss"}': 2}
+
+    def test_equal_scheme_sets_share_one_coordinator(self):
+        system = _system()
+        system.execute_sharded(QUERY, _good_schemes())
+        system.certify_sharding(QUERY, _good_schemes())
+        system.execute_sharded(QUERY, _bad_schemes())
+        assert len(system._coordinators) == 2
+
+    def test_reload_between_runs_serves_the_new_rows(self):
+        system = _system()
+        schemes = _good_schemes()
+        before = system.execute_sharded(QUERY, schemes)
+        stale = system.shards_of(schemes["R"])
+        system.load_instances(
+            {"R": [{"a": i % 5, "b": f"new{i}"} for i in range(30)]}
+        )
+        after = system.execute_sharded(QUERY, schemes)
+        assert after.mode == EXEC_PARTITIONED
+        assert after.table == system.execute(QUERY).table
+        assert after.table != before.table
+        assert system.shards_of(schemes["R"]) is not stale
+        # T was not reloaded: its shards stayed resident.
+        trace = TraceContext()
+        system.shards_of(schemes["T"], trace=trace)
+        series = trace.metrics.snapshot()["repro_shard_split_total"]["series"]
+        assert series == {'{outcome="hit"}': 1}
+
+    def test_direct_table_swap_is_caught_by_identity(self):
+        system = _system()
+        schemes = _good_schemes()
+        system.execute_sharded(QUERY, schemes)
+        system.server("S1").load_table(
+            "R", Table(("a", "b"), [(1, "only")])
+        )
+        after = system.execute_sharded(QUERY, schemes)
+        assert after.table == system.execute(QUERY).table
+        assert sum(len(shard) for shard in system.shards_of(schemes["R"])) == 1
+
+    def test_revoke_between_runs_falls_back_like_a_fresh_coordinator(self):
+        system = _minimal_system(single_copy_feasible=True)
+        schemes = _good_schemes()
+        assert system.execute_sharded(QUERY, schemes).mode == EXEC_PARTITIONED
+        revoked = grant("G1", "a b")
+        system.revoke_authorization(revoked)
+        after = system.execute_sharded(QUERY, schemes)
+        fresh = _fresh(system, schemes)
+        assert after.certificate.policy_epoch == system.policy.epoch
+        assert not after.certificate.certified
+        assert (after.mode, after.fallback_reason) == (fresh.mode, fresh.fallback_reason)
+        assert after.mode == EXEC_SINGLE_COPY
+        assert after.table == fresh.table
+        assert after.violations() == 0
+        checked = after.single_result.audit.checked
+        assert checked and revoked not in [t.authorized_by for t in checked]
+        assert all(t.receiver != "G1" for t in checked)
+
+    def test_revoke_between_runs_raises_like_a_fresh_coordinator(self):
+        # Single-copy was never feasible here; only the shard placement
+        # at the group made the join plannable.
+        system = _minimal_system(single_copy_feasible=False)
+        schemes = _good_schemes()
+        assert system.execute_sharded(QUERY, schemes).mode == EXEC_PARTITIONED
+        system.revoke_authorization(grant("G1", "a b"))
+        with pytest.raises(InfeasiblePlanError):
+            _fresh(system, schemes)
+        with pytest.raises(InfeasiblePlanError):
+            system.execute_sharded(QUERY, schemes)
+
+    def test_grant_between_runs_reverifies_and_changes_nothing(self, monkeypatch):
+        verified = []
+        real = sharding_executor.verify_assignment
+
+        def counting(policy, assignment, recipient=None):
+            verified.append(policy.epoch)
+            return real(policy, assignment, recipient)
+
+        monkeypatch.setattr(sharding_executor, "verify_assignment", counting)
+        system = _minimal_system(single_copy_feasible=True)
+        schemes = _good_schemes(shards=3)
+        before = system.execute_sharded(QUERY, schemes)
+        system.execute_sharded(QUERY, schemes)  # pure memo hits
+        old_epoch = system.policy.epoch
+        # Fresh plans and adopted ones alike pass the verifier.
+        assert verified == [old_epoch] * 6
+        system.add_authorization(grant("S1", "c d"))
+        after = system.execute_sharded(QUERY, schemes)
+        assert system.policy.epoch > old_epoch
+        assert verified[6:] == [system.policy.epoch] * 3
+        assert after.certificate.policy_epoch == system.policy.epoch
+        assert after.mode == EXEC_PARTITIONED
+        assert after.table == before.table
+        assert [r.result_server for r in after.shard_results] == [
+            r.result_server for r in before.shard_results
+        ]
+
+    def test_plan_memo_is_bounded_by_eviction_and_dropped_with_the_epoch(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(ShardedExecutor, "PLAN_MEMO_LIMIT", 2)
+        system = _minimal_system(single_copy_feasible=True)
+        coordinator = ShardedExecutor(system, _good_schemes(shards=2))
+        coordinator.execute(QUERY)
+        coordinator.execute("SELECT a, d FROM R JOIN T ON a = c")
+        # Full, yet the newest query's plans are the ones kept.
+        newest = system.parse("SELECT a, d FROM R JOIN T ON a = c").fingerprint()
+        assert [key[0] for key in coordinator._plan_memo] == [newest, newest]
+        kept = list(coordinator._plan_memo.values())
+        system.add_authorization(grant("S1", "c d"))
+        coordinator.execute("SELECT a, d FROM R JOIN T ON a = c")
+        # Same keys, but planned again under the new epoch.
+        replanned = list(coordinator._plan_memo.values())
+        assert len(replanned) == 2
+        assert all(new is not old for new, old in zip(replanned, kept))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,9 @@ class TestSplitValidation:
         table = Table(("x", "y"), [(1, 2)])
         with pytest.raises(PartitionSchemeError, match="missing partition"):
             scheme.split(table)
+        partly = HashPartitionScheme("R", ["x", "a"], 2, GROUP)
+        with pytest.raises(PartitionSchemeError, match=r"attributes \['a'\]"):
+            partly.split(table)
 
     def test_split_is_disjoint_and_exhaustive(self):
         scheme = HashPartitionScheme("R", ["a"], 4, GROUP)
