@@ -2,13 +2,22 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-health test-obs test-cache test-service test-vector test-chaos test-profiling test-sharding bench bench-kernel bench-health bench-obs bench-cache bench-service bench-vector bench-chaos bench-profiling bench-sharding bench-e2e-smoke trace-demo examples verify clean
+.PHONY: install test loc test-faults test-health test-obs test-cache test-service test-vector test-chaos test-profiling test-sharding bench bench-kernel bench-health bench-obs bench-cache bench-service bench-vector bench-chaos bench-profiling bench-sharding bench-e2e-smoke trace-demo examples verify clean
 
 install:
 	pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Physical line count of src/ per package and in total — the ROADMAP's
+# tracked size metric (it should go down).
+loc:
+	@for d in src/repro/*/; do \
+		printf '%7d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
+	done
+	@printf '%7d  %s\n' "$$(cat src/repro/*.py | wc -l)" "src/repro/*.py"
+	@printf '%7d  %s\n' "$$(find src -name '*.py' | xargs cat | wc -l)" "src/ total"
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).
@@ -48,10 +57,11 @@ test-vector:
 
 # Chaos suite: the seeded schedule, the write-ahead service journal,
 # kill/restart recovery (in-process and across a process boundary),
-# the online invariant monitor, single-flight leader promotion, and
-# the chaos CLI (run + --replay).
+# the online invariant monitor, single-flight leader promotion, the
+# chaos CLI (run + --replay), and the composition matrix (sharding x
+# chaos x journal x monitor x profiling; CHAOS_SEED picks its seed).
 test-chaos:
-	$(PYTHON) -m pytest tests/test_chaos.py
+	$(PYTHON) -m pytest tests/test_chaos.py tests/test_composition.py
 
 # Profiling suite: profiler/StatsStore unit tests, the exact
 # estimate-vs-actual regression lock, serialization round-trips, the
@@ -62,9 +72,10 @@ test-profiling:
 # Sharding suite: the Hypothesis differential harness (shard-parallel
 # vs single-copy byte identity, rejected schemes never partition), the
 # parallel-correctness checker's property tests, constructor-validation
-# negative paths, and the system/planner/service/CLI seams.
+# negative paths, the system/planner/service/CLI seams, and the
+# composition matrix (sharding x chaos x journal x monitor x profiling).
 test-sharding:
-	$(PYTHON) -m pytest tests/test_sharding_diff.py tests/test_sharding_checker.py tests/test_sharding_validation.py tests/test_sharding_integration.py
+	$(PYTHON) -m pytest tests/test_sharding_diff.py tests/test_sharding_checker.py tests/test_sharding_validation.py tests/test_sharding_integration.py tests/test_composition.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,11 +1,16 @@
-"""The reusable per-query execution pipeline.
+"""The per-query execution pipeline: the only place a query is executed.
 
 One :class:`QueryPipeline` owns the whole lifecycle of a single query —
 plan (through the system's plan cache), verify, execute, and on
-fault-aware runs the retry / failover / checkpoint machinery — exactly
-the body that used to live inline in
-:meth:`~repro.distributed.system.DistributedSystem.execute`.  Extracting
-it buys two things:
+fault-aware runs the retry / failover / checkpoint machinery.  What it
+executes is a list of *units* ``(tree, assignment, tables)``: a
+single-copy query is one unit over ``system.tables()``, a query
+certified under a partition scheme set is one unit per shard over the
+resident shard tables, and the unit results merge by union.  Every
+cross-cutting feature — verification, chaos points, profiling, retry,
+failover, breakers, deadlines, checkpoints — is written once, in the
+unit body (:meth:`QueryPipeline._run_unit`), so it holds for every
+combination of the others.
 
 * **Reuse.**  The asyncio service layer (:mod:`repro.service`) runs
   thousands of concurrent queries; each worker builds one pipeline per
@@ -27,7 +32,8 @@ cache's epoch probe rather than shipping a stale transfer).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple, Union
+import time
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algebra.tree import LeafNode, QueryTreePlan
 from repro.core.assignment import Assignment
@@ -38,41 +44,118 @@ from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.data import Table
 from repro.engine.deadline import DeadlineBudget
 from repro.engine.executor import DistributedExecutor, ExecutionResult
+from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.engine.resilience import RetryPolicy
 from repro.exceptions import (
     ChaosInterrupt,
+    CheckpointError,
     DeadlineExceededError,
     DegradedExecutionError,
     InfeasiblePlanError,
     PlanError,
     ResilienceConfigError,
+    ShardingError,
     TransferFailedError,
     UnsafeAssignmentError,
 )
+from repro.sharding.executor import (
+    EXEC_MULTIROUND,
+    EXEC_SINGLE_COPY,
+    ShardPlan,
+    Unit,
+)
+from repro.sharding.scheme import merge_shards
 
 
 class QueryPipeline:
-    """Plan → verify → execute for one query against one system.
+    """Plan → verify → execute for one query against one system — and
+    the one place the options of ``DistributedSystem.execute`` /
+    ``execute_sharded`` and ``ShardedExecutor.execute`` are declared.
 
     Args:
         system: the owning
             :class:`~repro.distributed.system.DistributedSystem`.
         query: SQL text or bound :class:`~repro.algebra.builder.QuerySpec`.
-        recipient: optional final consumer of the result.
-        search_join_orders / verify / faults / retry / max_failovers /
-            deadline / health / checkpoint / resume_from / trace /
-            profiler: exactly the keyword surface of
-            :meth:`~repro.distributed.system.DistributedSystem.execute`,
-            which now merely builds a pipeline and calls :meth:`run`.
-            With a :class:`~repro.profiling.QueryProfiler` attached,
-            every run opens a profile (estimates from exact table
-            statistics unless the profiler carries its own
-            ``base_stats``), records the executed operators and
+        recipient: optional final consumer of the result; the closing
+            delivery is audited like every other transfer (per shard
+            when the run is partitioned).
+        search_join_orders: when the given join order is infeasible, try
+            the other connected left-deep orders before giving up.
+        verify: re-check each assignment with the independent verifier
+            before running (defense in depth; on by default).
+        faults: optional fault injector; when given, every shipment is
+            retried under ``retry`` and exhausted failures trigger
+            failover — re-planning restricted to surviving servers,
+            reusing completed subtrees whose results survived.  Every
+            re-planned assignment passes the same verifier and audit as
+            the original; when no safe alternative exists the query
+            *degrades* (raises) rather than run unsafely.
+        retry: retry policy for fault-aware runs (default
+            :class:`~repro.engine.resilience.RetryPolicy`).
+        max_failovers: re-planning rounds (per unit) before giving up.
+        deadline: optional simulated-time budget (a number of
+            logical-time units, or a pre-built
+            :class:`~repro.engine.deadline.DeadlineBudget`).  Attempt
+            durations, backoff waits and failover rounds are charged
+            against it; exhaustion raises
+            :class:`~repro.exceptions.DeadlineExceededError` with the
+            run's checkpoint journal attached for resume.  Requires
+            ``faults`` (budgets live in the injector's clock).
+        health: optional
+            :class:`~repro.distributed.health.HealthTracker`.  Every
+            shipment outcome feeds its per-link/per-server circuit
+            breakers; quarantined servers are routed around at planning
+            time and open links fail fast.  Quarantine is *advisory*:
+            when avoiding a quarantined server admits no safe
+            assignment, planning falls back to ignoring it — health
+            never degrades a query that has a safe plan, and never
+            relaxes the policy.  Requires ``faults``.
+        checkpoint: journal every completed, audited subtree so a
+            killed run can resume; the journal rides on the result
+            (``result.checkpoint``) and on deadline/degraded errors.
+            Implied by ``deadline`` and ``resume_from``.  Requires
+            ``faults``.
+        resume_from: a
+            :class:`~repro.engine.checkpoint.CheckpointJournal` from an
+            earlier killed run of the *same* query.  The journal is
+            re-audited against the current policy first — a revoked
+            rule makes resume refuse with
+            :class:`~repro.exceptions.CheckpointError` — then surviving
+            subtrees are pinned and their results reused instead of
+            re-executed.  A journal checkpoints *one* unit: a run that
+            now has several refuses it the same way.  Requires
+            ``faults``.
+        trace: optional :class:`~repro.obs.trace.TraceContext`
+            collecting spans (planning, joins, transfers, failover
+            rounds, shards) and metrics for this run (default: the
+            system's).  With ``faults`` the trace clock is bound to the
+            injector's logical clock (unless the caller pinned an
+            explicit clock), making exported timelines deterministic.
+        chaos: optional :class:`~repro.chaos.ChaosSchedule` fired at
+            the ``pre`` / ``post`` point of every unit.
+        profiler: optional :class:`~repro.profiling.QueryProfiler`;
+            every unit then opens a profile (estimates from exact
+            statistics of the unit's tables unless the profiler carries
+            its own ``base_stats``), records the executed operators and
             transfers, and stamps the finished
-            :class:`~repro.profiling.QueryProfile` onto
+            :class:`~repro.profiling.QueryProfile` onto its
             ``result.profile`` — emitting ``repro_profile_*`` metrics, a
             ``profile`` span and ``plan_misestimate`` events when a
             trace is also installed.
+        schemes: optional distribution policy, ``relation name ->``
+            :class:`~repro.sharding.PartitionScheme` (or the
+            :class:`~repro.sharding.ShardedExecutor` already
+            coordinating one).  The run is then gated by the
+            parallel-correctness checker: certified co-partitioned
+            schemes execute one unit per shard, merely hash-compatible
+            ones the audited multi-round fallback, and anything the
+            checker cannot prove equivalent to single-copy execution
+            one single-copy unit — :meth:`run` returns a
+            :class:`~repro.sharding.ShardedResult` either way.
+        batch_size: rows per block in the engine's batch pipelines
+            (a throughput knob, never semantics).
+        allow_multiround: permit the multi-round mode (disable to force
+            hypercube-or-single-copy).  Only read with ``schemes``.
 
     Raises:
         ResilienceConfigError: resilience options given without a fault
@@ -97,6 +180,9 @@ class QueryPipeline:
         trace=None,
         chaos=None,
         profiler=None,
+        schemes=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        allow_multiround: bool = True,
     ) -> None:
         if faults is None and (
             deadline is not None
@@ -126,87 +212,126 @@ class QueryPipeline:
         self._trace = trace if trace is not None else system._trace
         self._chaos = chaos
         self._profiler = profiler
+        self._coordinator = (
+            system._shard_coordinator(schemes) if schemes is not None else None
+        )
+        self._batch_size = batch_size
+        self._allow_multiround = allow_multiround
         self._profile_span = None
-        self._product: Optional[Tuple[QueryTreePlan, Assignment, object]] = None
-        self._coalesced = False
+        # The running unit's tables, for `_begin_profile`'s exact stats.
+        self._unit_tables: Mapping[str, Table] = {}
+        self._product: Optional[tuple] = None
+        # Policy epoch the product was planned under (None: adopted
+        # from another pipeline, so unknown).
+        self._planned_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
 
-    @property
-    def planned(self) -> bool:
-        """Whether a plan product is already attached."""
-        return self._product is not None
-
-    @property
-    def coalesced(self) -> bool:
-        """Whether the attached plan came from another request's fill."""
-        return self._coalesced
-
-    def plan(self) -> Tuple[QueryTreePlan, Assignment, object]:
-        """The query's ``(tree, assignment, planner trace)``, computed
-        through the system's plan cache on first call and memoized on
-        the pipeline afterwards.
+    def plan(self) -> tuple:
+        """The query's plan product, computed on first call and memoized
+        on the pipeline afterwards: ``(tree, assignment, planner
+        trace)`` through the system's plan cache, or — with ``schemes``
+        — the coordinator's :class:`~repro.sharding.executor.ShardPlan`
+        (certificate, ladder rung, one verified plan per unit), so a
+        query feasible only when sharded never needs a single-copy plan.
 
         Raises:
             InfeasiblePlanError: when no safe assignment exists.
         """
         if self._product is None:
-            self._product = self._system.plan(
-                self._query,
-                search_join_orders=self._search_join_orders,
-                trace=self._trace,
-            )
+            self._planned_epoch = self._system.policy.epoch
+            if self._coordinator is None:
+                self._product = self._system.plan(
+                    self._query,
+                    search_join_orders=self._search_join_orders,
+                    trace=self._trace,
+                )
+            else:
+                self._product = self._coordinator.plan(
+                    self._query,
+                    search_join_orders=self._search_join_orders,
+                    allow_multiround=self._allow_multiround,
+                    trace=self._trace,
+                )
         return self._product
 
-    def use_plan(self, tree, assignment, planner_trace) -> None:
-        """Attach a plan product computed by another pipeline.
+    def use_plan(self, *product) -> None:
+        """Attach a plan product computed by another pipeline over the
+        same query and options: ``use_plan(*other.plan())``.
 
         Single-flight coalescing: a follower request whose fingerprint
         matched an in-flight leader adopts the leader's product instead
-        of planning.  :meth:`run` still re-verifies the assignment
-        against the *current* policy before anything ships, so adopting
-        a product can never relax safety — at worst a policy mutation
-        since the leader planned forces this pipeline to replan.
+        of planning.  :meth:`run` still re-verifies the product against
+        the *current* policy before anything ships, so adopting one can
+        never relax safety — at worst a policy mutation since the
+        leader planned forces this pipeline to replan.
 
         Raises:
             PlanError: when this pipeline already planned.
         """
         if self._product is not None:
             raise PlanError("pipeline already holds a plan product")
-        self._product = (tree, assignment, planner_trace)
-        self._coalesced = True
+        self._product = product if self._coordinator is None else ShardPlan(*product)
+        self._planned_epoch = None
 
-    def _current_plan(self) -> Tuple[QueryTreePlan, Assignment, object]:
+    def _current_plan(self) -> tuple:
         """The attached product, revalidated against the current policy.
 
-        An adopted (coalesced) product may predate a policy mutation;
-        the independent verifier decides, and on failure the pipeline
-        replans through the system's plan cache — whose epoch probe has
-        by then evicted the stale entry — instead of shipping a revoked
-        transfer.
+        A product adopted from another pipeline, or planned here under
+        an earlier policy epoch, may predate a policy mutation.  For a
+        single-copy product the independent verifier decides; a
+        :class:`~repro.sharding.executor.ShardPlan` carries a
+        certificate pinned to its policy epoch, so any mutation since
+        re-certifies.  On failure the pipeline replans — the plan
+        cache's epoch probe has by then evicted the stale entry —
+        instead of shipping a revoked transfer.
         """
-        tree, assignment, planner_trace = self.plan()
-        if self._coalesced:
-            try:
-                verify_assignment(
-                    self._system.policy, assignment, recipient=self._recipient
-                )
-            except UnsafeAssignmentError:
-                self._product = None
-                self._coalesced = False
-                tree, assignment, planner_trace = self.plan()
-        return tree, assignment, planner_trace
+        product = self.plan()
+        if self._planned_epoch != self._system.policy.epoch and not self._still_safe(
+            product
+        ):
+            self._product = None
+            product = self.plan()
+        return product
+
+    def _still_safe(self, product: tuple) -> bool:
+        policy = self._system.policy
+        if self._coordinator is not None:
+            return product.certificate.policy_epoch == policy.epoch
+        try:
+            verify_assignment(policy, product[1], recipient=self._recipient)
+        except UnsafeAssignmentError:
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self) -> ExecutionResult:
-        """Execute end-to-end, audited (see
-        :meth:`~repro.distributed.system.DistributedSystem.execute` for
-        the full behavior and error contract)."""
+    def run(self):
+        """Execute end-to-end, audited: the plan's units — one over
+        ``system.tables()``, or one per shard — each through
+        :meth:`_run_unit`, merged by union.
+
+        Returns:
+            the :class:`~repro.engine.executor.ExecutionResult`, or with
+            ``schemes`` a :class:`~repro.sharding.ShardedResult`.
+
+        Raises:
+            InfeasiblePlanError: when no safe assignment exists.
+            UnsafeAssignmentError: if verification fails (planner bug).
+            AuditViolationError: if a runtime transfer escapes the policy
+                (engine bug — verification should have caught it).
+            DegradedExecutionError: fault-aware runs only — retries and
+                failover are exhausted, or no safe assignment survives
+                the crashed servers.
+            DeadlineExceededError: the budget ran out; carries the
+                checkpoint journal for resume.
+            CheckpointError: ``resume_from`` failed re-audit (plan shape
+                mismatch, revoked authorization, or a multi-unit run).
+        """
         system = self._system
         trace = self._trace
         faults = self._faults
@@ -222,26 +347,97 @@ class QueryPipeline:
             self._deadline.bind_trace(trace)
         if trace is not None and self._health is not None:
             self._health.bind_trace(trace)
-        tree, assignment, _ = self._current_plan()
-        if faults is None:
-            if self._verify:
-                verify_assignment(
-                    system.policy, assignment, recipient=self._recipient
-                )
-            self._fire_chaos("pre", None)
-            self._begin_profile(assignment)
-            executor = DistributedExecutor(
-                assignment,
-                system.tables(),
-                policy=system.policy,
-                enforce=True,
-                trace=trace,
-                profiler=self._profiler,
+        plan = self._current_plan()
+        coordinator = self._coordinator
+        if coordinator is None:
+            tree, assignment, _ = plan
+            results, _ = self._run_units([(tree, assignment, system.tables(), None)])
+            self._stamp(results)
+            return results[0]
+        span = None
+        if trace is not None and plan.mode != EXEC_SINGLE_COPY:
+            span = trace.begin(
+                "shard_execute", "sharding", shards=len(plan.units), mode=plan.mode
             )
-            result = executor.run(recipient=self._recipient)
-            self._fire_chaos("post", None)
-            return self._stamp(self._finish_profile(result))
+        try:
+            if plan.mode == EXEC_MULTIROUND:
+                # An engine-level call, not an assignment, so not a
+                # unit: it keeps its own audited shuffle, inside the
+                # same chaos points.
+                try:
+                    self._fire_chaos("pre", None)
+                    result = coordinator.run_multiround(
+                        self._query, plan, self._recipient, trace, self._batch_size
+                    )
+                    self._fire_chaos("post", None)
+                    return result
+                except ShardingError as error:
+                    # An unauthorized shuffle moved nothing: single-copy.
+                    plan = coordinator.fallback(
+                        self._query, plan.certificate, str(error),
+                        self._search_join_orders, trace,
+                    )
+            results, took = self._run_units(coordinator.units(plan, trace))
+            self._stamp(results)
+            table = merge_shards(result.table for result in results)
+            return coordinator.package(
+                plan, table, results, took, self._recipient, trace
+            )
+        finally:
+            if span is not None:
+                trace.end(span)
+
+    def _run_units(
+        self, units: Sequence[Unit]
+    ) -> Tuple[List[ExecutionResult], List[float]]:
+        """Run every unit in order; returns the results and each unit's
+        wall time.
+
+        Checkpoints are per unit, so only a one-unit run parks or
+        resumes one: a journal handed to a multi-unit run is refused,
+        and an interrupted multi-unit run restarts from scratch (its
+        errors carry no checkpoint).
+        """
+        if self._resume_from is not None and len(units) != 1:
+            raise CheckpointError(
+                f"checkpoint journal covers one unit but the plan now has "
+                f"{len(units)}; refusing to resume"
+            )
+        trace = self._trace
+        results: List[ExecutionResult] = []
+        took: List[float] = []
+        for tree, assignment, tables, shard in units:
+            span = None
+            if trace is not None and shard is not None:
+                span = trace.begin("shard", "sharding", **shard)
+            start = time.perf_counter()
+            try:
+                result = self._run_unit(tree, assignment, tables)
+            except (ChaosInterrupt, DeadlineExceededError, DegradedExecutionError) as error:
+                if len(units) > 1:
+                    error.checkpoint = None
+                raise
+            finally:
+                took.append(time.perf_counter() - start)
+                if span is not None:
+                    trace.end(span)
+            if span is not None:
+                span.attrs["rows"] = len(result.table)
+            results.append(result)
+        return results, took
+
+    def _run_unit(
+        self, tree: QueryTreePlan, assignment: Assignment, tables: Mapping[str, Table]
+    ) -> ExecutionResult:
+        """The unit body — where every cross-cutting feature lives,
+        once: checkpoint re-audit and health-aware refinement, verify,
+        chaos ``pre``, profile, plain or resilient execution (retry /
+        failover / breakers / deadline), chaos ``post``."""
+        system = self._system
+        trace = self._trace
+        faults = self._faults
         journal: Optional[CheckpointJournal] = None
+        reuse: Dict[int, Table] = {}
         resume_from = self._resume_from
         if resume_from is not None:
             if trace is not None:
@@ -254,7 +450,6 @@ class QueryPipeline:
             journal = CheckpointJournal.for_plan(tree)
             if trace is not None:
                 journal.bind_trace(trace)
-        reuse: Dict[int, Table] = {}
         if self._health is not None or resume_from is not None:
             assignment = self._initial_assignment(
                 tree, assignment, faults, self._health, resume_from
@@ -269,15 +464,27 @@ class QueryPipeline:
         if self._verify:
             verify_assignment(system.policy, assignment, recipient=self._recipient)
         self._fire_chaos("pre", journal)
+        self._unit_tables = tables
         self._begin_profile(assignment)
-        result = self._execute_resilient(
-            tree, assignment, journal=journal, reuse=reuse
-        )
+        if faults is None:
+            result = DistributedExecutor(
+                assignment,
+                tables,
+                policy=system.policy,
+                enforce=True,
+                trace=trace,
+                batch_size=self._batch_size,
+                profiler=self._profiler,
+            ).run(recipient=self._recipient)
+        else:
+            result = self._execute_resilient(
+                tree, assignment, tables, journal=journal, reuse=reuse
+            )
         # The "post" stage models the crash-consistency window: the run
         # completed but its completion was never recorded, so a recovery
         # must resume from the journal without double-shipping subtrees.
         self._fire_chaos("post", journal)
-        return self._stamp(self._finish_profile(result))
+        return self._finish_profile(result)
 
     def _fire_chaos(self, stage: str, journal: Optional[CheckpointJournal]) -> None:
         if self._chaos is None:
@@ -288,10 +495,12 @@ class QueryPipeline:
             interrupt.checkpoint = journal
             raise
 
-    def _stamp(self, result: ExecutionResult) -> ExecutionResult:
+    def _stamp(self, results: List[ExecutionResult]) -> None:
+        """One plan-cache snapshot per request, on every unit result."""
         cache = self._system.plan_cache
-        result.plan_cache = cache.snapshot() if cache is not None else None
-        return result
+        snapshot = cache.snapshot() if cache is not None else None
+        for result in results:
+            result.plan_cache = snapshot
 
     # ------------------------------------------------------------------
     # Profiling (no-ops without an attached profiler)
@@ -305,12 +514,12 @@ class QueryPipeline:
 
         base = profiler.base_stats
         if base is None:
-            # Exact statistics of the live instances: the estimate then
-            # isolates the coster's *model* error (System-R selectivity
-            # assumptions), not stale-input error.
+            # Exact statistics of the unit's instances: the estimate
+            # then isolates the coster's *model* error (System-R
+            # selectivity assumptions), not stale-input error.
             base = {
                 name: TableStats.of_table(table)
-                for name, table in self._system.tables().items()
+                for name, table in self._unit_tables.items()
             }
         estimate = estimate_assignment_detail(
             assignment, base, selectivities=profiler.selectivities
@@ -358,7 +567,7 @@ class QueryPipeline:
         return result
 
     # ------------------------------------------------------------------
-    # Fault-aware machinery (moved verbatim from DistributedSystem)
+    # Fault-aware machinery
     # ------------------------------------------------------------------
 
     def _initial_assignment(
@@ -424,6 +633,7 @@ class QueryPipeline:
         self,
         tree: QueryTreePlan,
         assignment: Assignment,
+        tables: Mapping[str, Table],
         journal: Optional[CheckpointJournal] = None,
         reuse: Optional[Dict[int, Table]] = None,
     ) -> ExecutionResult:
@@ -462,7 +672,7 @@ class QueryPipeline:
                 gate = ObserveOnlyHealth(health)
             executor = DistributedExecutor(
                 assignment,
-                system.tables(),
+                tables,
                 policy=system.policy,
                 enforce=True,
                 faults=faults,
@@ -472,6 +682,7 @@ class QueryPipeline:
                 deadline=self._deadline,
                 checkpoint=journal,
                 trace=trace,
+                batch_size=self._batch_size,
                 profiler=self._profiler,
             )
             round_span = None

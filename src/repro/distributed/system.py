@@ -36,14 +36,9 @@ from repro.core.closure import close_policy, extend_closure
 from repro.core.plancache import PlanCache, fingerprint_tree
 from repro.core.planner import PlannerTrace, SafePlanner
 from repro.core.thirdparty import ThirdPartyPlanner
-from repro.distributed.faults import FaultInjector
-from repro.distributed.health import HealthTracker
 from repro.distributed.server import Server
-from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.data import Table
-from repro.engine.deadline import DeadlineBudget
-from repro.engine.executor import DistributedExecutor, ExecutionResult
-from repro.engine.resilience import RetryPolicy
+from repro.engine.executor import ExecutionResult
 from repro.exceptions import ExecutionError, InfeasiblePlanError
 
 Query = Union[str, QuerySpec]
@@ -417,111 +412,18 @@ class DistributedSystem:
         return True
 
     def execute(
-        self,
-        query: Query,
-        recipient: Optional[str] = None,
-        search_join_orders: bool = False,
-        verify: bool = True,
-        faults: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
-        max_failovers: int = 3,
-        deadline: Optional[Union[float, DeadlineBudget]] = None,
-        health: Optional[HealthTracker] = None,
-        checkpoint: bool = False,
-        resume_from: Optional[CheckpointJournal] = None,
-        trace=None,
-        profiler=None,
+        self, query: Query, recipient: Optional[str] = None, **options
     ) -> ExecutionResult:
-        """Plan and run a query end-to-end, audited.
+        """Plan and run a query end-to-end, audited:
+        ``self.pipeline(query, recipient=recipient, **options).run()``.
 
-        Args:
-            query: SQL text or bound spec.
-            recipient: optional final consumer of the result; the closing
-                delivery is audited like every other transfer.
-            search_join_orders: see :meth:`plan`.
-            verify: re-check the assignment with the independent verifier
-                before running (defense in depth; on by default).
-            faults: optional fault injector; when given, every shipment
-                is retried under ``retry`` and exhausted failures trigger
-                failover — re-planning restricted to surviving servers,
-                reusing completed subtrees whose results survived.  Every
-                re-planned assignment passes the same verifier and audit
-                as the original; when no safe alternative exists the
-                query *degrades* (raises) rather than run unsafely.
-            retry: retry policy for fault-aware runs (default
-                :class:`~repro.engine.resilience.RetryPolicy`).
-            max_failovers: re-planning rounds before giving up.
-            deadline: optional simulated-time budget (a number of
-                logical-time units, or a pre-built
-                :class:`~repro.engine.deadline.DeadlineBudget`).  Attempt
-                durations, backoff waits and failover rounds are charged
-                against it; exhaustion raises
-                :class:`~repro.exceptions.DeadlineExceededError` with the
-                run's checkpoint journal attached for resume.  Requires
-                ``faults`` (budgets live in the injector's clock).
-            health: optional
-                :class:`~repro.distributed.health.HealthTracker`.  Every
-                shipment outcome feeds its per-link/per-server circuit
-                breakers; quarantined servers are routed around at
-                planning time and open links fail fast.  Quarantine is
-                *advisory*: when avoiding a quarantined server admits no
-                safe assignment, planning falls back to ignoring it —
-                health never degrades a query that has a safe plan, and
-                never relaxes the policy.  Requires ``faults``.
-            checkpoint: journal every completed, audited subtree so a
-                killed run can resume; the journal rides on the result
-                (``result.checkpoint``) and on deadline/degraded errors.
-                Implied by ``deadline`` and ``resume_from``.  Requires
-                ``faults``.
-            resume_from: a
-                :class:`~repro.engine.checkpoint.CheckpointJournal` from
-                an earlier killed run of the *same* query.  The journal
-                is re-audited against the current policy first —
-                a revoked rule makes resume refuse with
-                :class:`~repro.exceptions.CheckpointError` — then
-                surviving subtrees are pinned and their results reused
-                instead of re-executed.  Requires ``faults``.
-            trace: optional :class:`~repro.obs.trace.TraceContext`
-                collecting spans (planning, joins, transfers, failover
-                rounds) and metrics for this run.  With ``faults`` the
-                trace clock is bound to the injector's logical clock
-                (unless the caller pinned an explicit clock), making
-                exported timelines deterministic.
-            profiler: optional :class:`~repro.profiling.QueryProfiler`;
-                the run then records a full operator/transfer profile
-                with estimated-vs-actual byte accounting, stamped onto
-                ``result.profile`` (see :mod:`repro.profiling`).
-
-        Raises:
-            InfeasiblePlanError: when no safe assignment exists.
-            UnsafeAssignmentError: if verification fails (planner bug).
-            AuditViolationError: if a runtime transfer escapes the policy
-                (engine bug — verification should have caught it).
-            DegradedExecutionError: fault-aware runs only — retries and
-                failover are exhausted, or no safe assignment survives
-                the crashed servers.
-            DeadlineExceededError: the budget ran out; carries the
-                checkpoint journal for resume.
-            CheckpointError: ``resume_from`` failed re-audit (plan shape
-                mismatch or revoked authorization).
-            ResilienceConfigError: health/deadline/checkpoint options
-                given without a fault injector, or a malformed budget.
+        The options (``search_join_orders``, ``verify``, ``faults``,
+        ``retry``, ``max_failovers``, ``deadline``, ``health``,
+        ``checkpoint``, ``resume_from``, ``trace``, ``profiler``, ...)
+        and the error contract are documented once, on
+        :class:`~repro.distributed.pipeline.QueryPipeline`.
         """
-        return self.pipeline(
-            query,
-            recipient=recipient,
-            search_join_orders=search_join_orders,
-            verify=verify,
-            faults=faults,
-            retry=retry,
-            max_failovers=max_failovers,
-            deadline=deadline,
-            health=health,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            trace=trace,
-            profiler=profiler,
-        ).run()
+        return self.pipeline(query, recipient=recipient, **options).run()
 
     def pipeline(self, query: Query, **options) -> "QueryPipeline":
         """A per-query :class:`~repro.distributed.pipeline.QueryPipeline`.
@@ -536,7 +438,7 @@ class DistributedSystem:
 
         Args:
             query: SQL text or bound spec.
-            **options: the keyword surface of :meth:`execute`.
+            **options: see :class:`~repro.distributed.pipeline.QueryPipeline`.
         """
         from repro.distributed.pipeline import QueryPipeline
 
@@ -582,9 +484,12 @@ class DistributedSystem:
 
     def _shard_coordinator(self, schemes):
         """The long-lived :class:`~repro.sharding.ShardedExecutor` for
-        this scheme set (by value), built on first use."""
+        this scheme set (by value), built on first use; a coordinator
+        passed in place of a scheme set is used as it is."""
         from repro.sharding.executor import ShardedExecutor, scheme_set_key
 
+        if isinstance(schemes, ShardedExecutor):
+            return schemes
         key = scheme_set_key(schemes)
         coordinator = self._coordinators.get(key)
         if coordinator is None:
@@ -606,26 +511,16 @@ class DistributedSystem:
         )
 
     def execute_sharded(
-        self,
-        query: Query,
-        schemes,
-        recipient: Optional[str] = None,
-        trace=None,
-        allow_multiround: bool = True,
-        faults: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
-        health: Optional[HealthTracker] = None,
-        batch_size: Optional[int] = None,
+        self, query: Query, schemes, recipient: Optional[str] = None, **options
     ):
-        """Run ``query`` partition-parallel under ``schemes``, gated.
+        """Run ``query`` partition-parallel under ``schemes``, gated:
+        ``self.pipeline(query, recipient=recipient, schemes=schemes,
+        **options).run()``.
 
-        The distribution policy is certified by the
-        :class:`~repro.sharding.ParallelCorrectnessChecker` first; only
-        certified schemes execute partitioned (HyperCube-style
-        single-round when co-partitioned, the audited multi-round
-        fallback when merely hash-compatible), and anything the checker
-        cannot prove equivalent to single-copy execution falls back to
-        plain :meth:`execute` — the result is *always* produced.
+        Only schemes the parallel-correctness checker certifies execute
+        partitioned; anything else runs as one single-copy unit — the
+        result is *always* produced (see the ``schemes`` option of
+        :class:`~repro.distributed.pipeline.QueryPipeline`).
 
         Every call goes through the system's long-lived coordinator for
         ``schemes`` (one per scheme set, by value), so shards stay
@@ -638,29 +533,15 @@ class DistributedSystem:
             schemes: mapping of relation name to
                 :class:`~repro.sharding.PartitionScheme`.
             recipient: optional final consumer; audited per shard.
-            trace: optional trace context (overrides the system trace).
-            allow_multiround: permit the multi-round fallback mode
-                (disable to force hypercube-or-single-copy).
-            faults: optional fault injector, applied per shard run.
-            retry: retry policy for fault-aware shard runs.
-            health: optional health tracker shared across shard runs.
-            batch_size: engine batch size for shard pipelines.
+            **options: see :class:`~repro.distributed.pipeline.QueryPipeline`
+                (``allow_multiround``, ``batch_size``, ``faults``, ...).
 
         Returns:
             a :class:`~repro.sharding.ShardedResult`.
         """
-        from repro.engine.operators import DEFAULT_BATCH_SIZE
-
-        return self._shard_coordinator(schemes).execute(
-            query,
-            recipient=recipient,
-            trace=trace if trace is not None else self._trace,
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
-            allow_multiround=allow_multiround,
-            faults=faults,
-            retry=retry,
-            health=health,
-        )
+        return self.pipeline(
+            query, recipient=recipient, schemes=schemes, **options
+        ).run()
 
     def simulate_concurrent(
         self,

@@ -298,8 +298,11 @@ def estimate_assignment_detail(
         node_stats = _node_stats(node, base_stats, selectivities)
         stats[node.node_id] = node_stats
         estimate.node_rows[node.node_id] = node_stats.rows
+    # A resumed run pins materialized subtrees: they and everything
+    # below them ship nothing (and carry no executor to ask).
+    resumed = assignment.skipped_node_ids().union(assignment.materialized_nodes())
     for node in plan:
-        if not isinstance(node, JoinNode):
+        if not isinstance(node, JoinNode) or node.node_id in resumed:
             continue
         node_id = node.node_id
         left_id = node.left.node_id

@@ -91,6 +91,11 @@ class ServiceError(ReproError):
     """Misuse of the service lifecycle (submit before start, ...)."""
 
 
+def _failure_status(error: ReproError) -> str:
+    """``infeasible`` for a policy refusal, ``failed`` for anything else."""
+    return INFEASIBLE if isinstance(error, InfeasiblePlanError) else FAILED
+
+
 class QueryOutcome:
     """The service's answer to one submitted request.
 
@@ -266,10 +271,12 @@ class QueryService:
             checker certifies the schemes per query, certified queries
             execute sharded, and everything else transparently falls
             back to single-copy execution — outcomes carry a
-            :class:`~repro.sharding.ShardedResult` either way.  Chaos
-            and journaling stay on the single-copy path: a service
-            configured with both runs sharded only when no chaos
-            schedule is installed.
+            :class:`~repro.sharding.ShardedResult` either way.  It is
+            a property of the plan the one pipeline executes, so it
+            composes with every other option here: chaos points fire
+            per shard, the journal recovers sharded requests, the
+            monitor re-probes every shard's transfers and profiled
+            tenants harvest every shard's profile.
     """
 
     def __init__(
@@ -320,7 +327,11 @@ class QueryService:
         self._journal = journal
         self._monitor = monitor
         self._stats_store = stats_store
-        self._shard_schemes = dict(shard_schemes) if shard_schemes else None
+        # Resolved once: the system's long-lived coordinator for the
+        # scheme set (validates it; pipelines take it as ``schemes``).
+        self._shard_schemes = (
+            system._shard_coordinator(shard_schemes) if shard_schemes else None
+        )
         self._max_chaos_retries = max_chaos_retries
         if monitor is not None and chaos is not None:
             monitor.bind_chaos(chaos)
@@ -418,15 +429,7 @@ class QueryService:
         if self._queue is not None:
             while not self._queue.empty():
                 _, _, item = self._queue.get_nowait()
-                self._finish_shed(
-                    item,
-                    Rejection(
-                        REJECT_SHUTDOWN,
-                        item.ticket.tenant.name,
-                        detail="service stopped before the request ran",
-                        queue_depth=self._queue.qsize(),
-                    ),
-                )
+                self._shed_unrun(item, "stopped")
                 self._queue.task_done()
         self._workers = []
         self._running = False
@@ -459,15 +462,7 @@ class QueryService:
                 while not self._queue.empty():
                     _, _, item = self._queue.get_nowait()
                     if self._journal is None:
-                        self._finish_shed(
-                            item,
-                            Rejection(
-                                REJECT_SHUTDOWN,
-                                item.ticket.tenant.name,
-                                detail="service killed before the request ran",
-                                queue_depth=self._queue.qsize(),
-                            ),
-                        )
+                        self._shed_unrun(item, "killed")
                     self._queue.task_done()
             self._workers = []
             self._running = False
@@ -505,18 +500,12 @@ class QueryService:
         outcomes: List[QueryOutcome] = []
         for entry in self._journal.incomplete():
             outcome = await self._recover_entry(entry)
-            self._journal.record_completed(entry.request_id, outcome.status)
-            if self._monitor is not None:
-                self._monitor.on_outcome(entry.request_id, outcome.status)
-                if outcome.ok:
-                    self._monitor.on_result(entry.request_id, outcome.result)
             self._counts["recovered"] += 1
-            self._counts[SHED if outcome.status == SHED else outcome.status] += 1
+            self._counts[outcome.status] += 1
             self.metrics.inc(
                 "repro_service_recovered_total", disposition=outcome.status
             )
-            if entry.future is not None and not entry.future.done():
-                entry.future.set_result(outcome)
+            self._resolve(entry.request_id, entry.future, outcome)
             outcomes.append(outcome)
             await asyncio.sleep(0)
         return outcomes
@@ -539,38 +528,22 @@ class QueryService:
             faults = fault_free()
         # Note: no ``chaos=`` — recovery itself is fenced from injected
         # worker deaths, as a real recovery pass would be.
-        pipeline = self._system.pipeline(
-            entry.query,
-            recipient=entry.recipient,
-            search_join_orders=False,
-            trace=self._trace,
-            faults=faults,
-            resume_from=entry.checkpoint,
+        pipeline = self._pipeline(
+            entry.query, entry.recipient,
+            faults=faults, resume_from=entry.checkpoint,
         )
-        exec_key = (key, entry.recipient, epoch)
-        if self._monitor is not None:
-            self._monitor.on_execution_start(exec_key)
         try:
-            self._counts["executions"] += 1
-            result = pipeline.run()
+            result = self._run(pipeline, (key, entry.recipient, epoch))
         except CheckpointError as error:
             return self._recovery_rejection(
                 entry, started,
                 f"checkpoint no longer verifies at epoch {epoch}: {error}",
             )
-        except InfeasiblePlanError as error:
-            return QueryOutcome(
-                INFEASIBLE, entry.tenant, error=str(error),
-                latency=self._clock() - started,
-            )
         except ReproError as error:
             return QueryOutcome(
-                FAILED, entry.tenant, error=str(error),
+                _failure_status(error), entry.tenant, error=str(error),
                 latency=self._clock() - started,
             )
-        finally:
-            if self._monitor is not None:
-                self._monitor.on_execution_end(exec_key)
         return QueryOutcome(
             OK, entry.tenant, result=result,
             latency=self._clock() - started,
@@ -823,27 +796,20 @@ class QueryService:
                 # hand — it can only land at a pre-execution await, so
                 # resolve the submitter with a shed (never a partial
                 # execution) before going down.
-                self._finish_shed(
-                    item,
-                    Rejection(
-                        REJECT_SHUTDOWN,
-                        item.ticket.tenant.name,
-                        detail="service stopped before the request ran",
-                        queue_depth=self._queue.qsize(),
-                    ),
-                )
+                self._shed_unrun(item, "stopped")
                 raise
             except BaseException as error:  # noqa: BLE001 - never kill the pool
-                self._finish(
-                    item,
-                    QueryOutcome(
-                        FAILED,
-                        item.ticket.tenant.name,
-                        error=f"worker error: {error!r}",
-                        latency=self._clock() - item.submitted_at,
-                        degrade_level=item.ticket.degrade_level,
-                    ),
-                )
+                if not item.future.done():
+                    self._finish(
+                        item,
+                        QueryOutcome(
+                            FAILED,
+                            item.ticket.tenant.name,
+                            error=f"worker error: {error!r}",
+                            latency=self._clock() - item.submitted_at,
+                            degrade_level=item.ticket.degrade_level,
+                        ),
+                    )
             finally:
                 self._queue.task_done()
                 self.metrics.set_gauge(
@@ -878,11 +844,6 @@ class QueryService:
                     ),
                 )
                 return
-        if self._shard_schemes is not None and self._chaos is None:
-            # Partition-parallel route: certification + execution live
-            # in the coordinator; chaos/journal runs stay single-copy.
-            await self._process_sharded(item)
-            return
         search = self._search_join_orders and (
             ticket.degrade_level < DEGRADE_PLANNING
         )
@@ -894,11 +855,10 @@ class QueryService:
             from repro.profiling import QueryProfiler
 
             profiler = QueryProfiler(selectivities=self._stats_store)
-        pipeline = self._system.pipeline(
+        pipeline = self._pipeline(
             item.query,
-            recipient=item.recipient,
-            search_join_orders=search,
-            trace=self._trace,
+            item.recipient,
+            search,
             faults=self._chaos,
             checkpoint=self._chaos is not None and self._journal is not None,
             resume_from=resume,
@@ -918,27 +878,12 @@ class QueryService:
             await asyncio.sleep(0)
             if self._chaos is not None:
                 self._chaos.fire("leader")
-            return self._system.plan(
-                item.query, search_join_orders=search, trace=self._trace
-            )
+            return pipeline.plan()
 
-        try:
-            product, coalesced = await self._singleflight.run(key, compute)
-        except asyncio.CancelledError as error:
-            if getattr(error, "chaos", None) is None:
-                raise
-            # Injected leader crash: a waiting follower was promoted to
-            # rerun the flight; this request goes back in the queue.
-            self._requeue_after_chaos(
-                item, "single-flight leader crashed mid-plan"
-            )
+        flown = await self._fly(item, self._singleflight, key, compute, "plan")
+        if flown is None:
             return
-        except InfeasiblePlanError as error:
-            self._finish_failure(item, INFEASIBLE, str(error))
-            return
-        except ReproError as error:
-            self._finish_failure(item, FAILED, str(error))
-            return
+        product, coalesced = flown
         if coalesced:
             self._counts["coalesced"] += 1
             self.metrics.inc("repro_service_coalesced_total")
@@ -962,62 +907,32 @@ class QueryService:
             await asyncio.sleep(0)
             if self._chaos is not None:
                 self._chaos.fire("leader")
-            # Leader adopts the product: the pipeline re-verifies an
-            # adopted plan against the then-current policy before
-            # anything ships, which is what makes the
+            # A plan follower adopts the leader's product.  The
+            # pipeline re-verifies an adopted plan — and its own, once
+            # the policy epoch has moved — against the then-current
+            # policy before anything ships, which is what makes the
             # admission-to-execution window safe under policy churn.
-            pipeline.use_plan(*product)
-            self._counts["executions"] += 1
-            if self._monitor is not None:
-                self._monitor.on_execution_start(exec_key)
-            try:
-                result = pipeline.run()
-            finally:
-                if self._monitor is not None:
-                    self._monitor.on_execution_end(exec_key)
+            if coalesced:
+                pipeline.use_plan(*product)
+            result = self._run(pipeline, exec_key)
             if profiler is not None:
                 # Leader-only: followers share the leader's result (and
-                # its profile) without double-harvesting.
-                self._harvest_profile(tenant.name, result)
+                # its profiles) without double-harvesting.
+                for unit in getattr(result, "unit_results", (result,)):
+                    self._harvest_profile(tenant.name, unit)
             return result
 
-        try:
-            result, result_shared = await self._resultflight.run(
-                exec_key, run_shared
-            )
-        except asyncio.CancelledError as error:
-            if getattr(error, "chaos", None) is None:
-                raise
-            self._requeue_after_chaos(
-                item, "single-flight leader crashed mid-execution"
-            )
+        flown = await self._fly(
+            item, self._resultflight, exec_key, run_shared, "execution"
+        )
+        if flown is None:
             return
-        except ChaosInterrupt as error:
-            # The worker "died" mid-query.  Park whatever completed,
-            # audited subtrees the run checkpointed and retry.
-            self._requeue_after_chaos(
-                item, str(error), checkpoint=error.checkpoint
-            )
-            return
-        except CheckpointError as error:
-            # A parked checkpoint no longer verifies (policy churn
-            # revoked a subtree, or the replan changed shape): drop it
-            # and retry from scratch rather than replaying stale state.
-            if self._journal is not None and item.request_id is not None:
-                self._journal.get(item.request_id).checkpoint = None
-            self._requeue_after_chaos(item, f"checkpoint refused: {error}")
-            return
-        except InfeasiblePlanError as error:
-            # Churn between planning and execution withdrew the route
-            # and no alternative exists under the reduced policy.
-            self._finish_failure(item, INFEASIBLE, str(error))
-            return
-        except ReproError as error:
-            self._finish_failure(item, FAILED, str(error))
-            return
+        result, result_shared = flown
         if result_shared:
             self._counts["result_coalesced"] += 1
             self.metrics.inc("repro_service_result_coalesced_total")
+        if self._shard_schemes is not None:
+            self.metrics.inc("repro_service_sharded_total", mode=result.mode)
         latency = self._clock() - item.submitted_at
         breaker = self._breaker(tenant.name)
         if breaker is not None:
@@ -1034,63 +949,64 @@ class QueryService:
             ),
         )
 
-    async def _process_sharded(self, item: _WorkItem) -> None:
-        """Serve one request through the partition-parallel coordinator.
-
-        Identical in-flight requests still coalesce onto one execution
-        (the key pins the policy epoch and recipient exactly as the
-        single-copy path does); the coordinator's own certify-or-fall-
-        back ladder guarantees an uncertified scheme never runs
-        partitioned.
-        """
-        tenant = item.ticket.tenant
-        try:
-            key = self._plan_key(item.query, False)
-        except ReproError as error:
-            self._finish_failure(item, INFEASIBLE, f"unbindable query: {error}")
-            return
-        exec_key = (
-            "sharded", key, item.recipient, self._system.policy.epoch,
+    def _pipeline(self, query, recipient, search: bool = False, **options):
+        """The one place the service builds a pipeline: every request —
+        planned, served or recovered — runs under the service's trace
+        and scheme set."""
+        return self._system.pipeline(
+            query,
+            recipient=recipient,
+            search_join_orders=search,
+            trace=self._trace,
+            schemes=self._shard_schemes,
+            **options,
         )
 
-        async def run_shared():
-            await asyncio.sleep(0)
-            self._counts["executions"] += 1
-            return self._system.execute_sharded(
-                item.query,
-                self._shard_schemes,
-                recipient=item.recipient,
-                trace=self._trace,
-            )
-
+    def _run(self, pipeline, exec_key):
+        """One counted pipeline run inside the monitor's execution hooks."""
+        self._counts["executions"] += 1
+        if self._monitor is not None:
+            self._monitor.on_execution_start(exec_key)
         try:
-            result, result_shared = await self._resultflight.run(
-                exec_key, run_shared
+            return pipeline.run()
+        finally:
+            if self._monitor is not None:
+                self._monitor.on_execution_end(exec_key)
+
+    async def _fly(self, item: _WorkItem, flight, key, compute, stage: str):
+        """Run one single-flight stage of ``item``; ``None`` when the
+        stage already disposed of it (requeued or finished) — the one
+        error-to-outcome ladder of the serving path."""
+        try:
+            return await flight.run(key, compute)
+        except asyncio.CancelledError as error:
+            if getattr(error, "chaos", None) is None:
+                raise
+            # Injected leader crash: a waiting follower was promoted to
+            # rerun the flight; this request goes back in the queue.
+            self._requeue_after_chaos(
+                item, f"single-flight leader crashed mid-{stage}"
             )
-        except InfeasiblePlanError as error:
-            self._finish_failure(item, INFEASIBLE, str(error))
-            return
+        except ChaosInterrupt as error:
+            # The worker "died" mid-query.  Park whatever completed,
+            # audited subtrees the run checkpointed (none for a
+            # multi-unit run: it restarts from scratch) and retry.
+            self._requeue_after_chaos(
+                item, str(error), checkpoint=error.checkpoint
+            )
+        except CheckpointError as error:
+            # A parked checkpoint no longer verifies (policy churn
+            # revoked a subtree, or the replan changed shape or unit
+            # count): drop it and retry from scratch rather than
+            # replaying stale state.
+            if self._journal is not None and item.request_id is not None:
+                self._journal.get(item.request_id).checkpoint = None
+            self._requeue_after_chaos(item, f"checkpoint refused: {error}")
         except ReproError as error:
-            self._finish_failure(item, FAILED, str(error))
-            return
-        if result_shared:
-            self._counts["result_coalesced"] += 1
-            self.metrics.inc("repro_service_result_coalesced_total")
-        self.metrics.inc("repro_service_sharded_total", mode=result.mode)
-        latency = self._clock() - item.submitted_at
-        breaker = self._breaker(tenant.name)
-        if breaker is not None:
-            breaker.record_success(self._clock())
-        self._finish(
-            item,
-            QueryOutcome(
-                OK,
-                tenant.name,
-                result=result,
-                latency=latency,
-                degrade_level=item.ticket.degrade_level,
-            ),
-        )
+            # Infeasible also covers churn between planning and
+            # execution that withdrew the route with no alternative.
+            self._finish_failure(item, _failure_status(error), str(error))
+        return None
 
     def _harvest_profile(self, tenant_name: str, result) -> None:
         """Fold one profiled execution back into the feedback loop:
@@ -1183,29 +1099,54 @@ class QueryService:
                 outcome.latency,
                 tenant=outcome.tenant,
             )
-        self._record_terminal(item, outcome)
-        if not item.future.done():
-            item.future.set_result(outcome)
+        self._resolve(item.request_id, item.future, outcome)
 
     def _finish_shed(self, item: _WorkItem, rejection: Rejection) -> None:
         self._admission.release(item.ticket)
-        outcome = self._shed_outcome(
-            rejection.tenant, rejection, item.submitted_at
+        self._resolve(
+            item.request_id,
+            item.future,
+            self._shed_outcome(rejection.tenant, rejection, item.submitted_at),
         )
-        self._record_terminal(item, outcome)
-        if not item.future.done():
-            item.future.set_result(outcome)
 
-    def _record_terminal(self, item: _WorkItem, outcome: QueryOutcome) -> None:
-        """Journal + monitor bookkeeping for one terminal outcome."""
-        if item.request_id is None:
-            return
-        if self._journal is not None:
-            self._journal.record_completed(item.request_id, outcome.status)
-        if self._monitor is not None:
-            self._monitor.on_outcome(item.request_id, outcome.status)
-            if outcome.status == OK:
-                self._monitor.on_result(item.request_id, outcome.result)
+    def _shed_unrun(self, item: _WorkItem, how: str) -> None:
+        """Shed an admitted request the service went down before running."""
+        self._finish_shed(
+            item,
+            Rejection(
+                REJECT_SHUTDOWN,
+                item.ticket.tenant.name,
+                detail=f"service {how} before the request ran",
+                queue_depth=self._queue.qsize(),
+            ),
+        )
+
+    def _resolve(self, request_id, future, outcome: QueryOutcome) -> None:
+        """Tell the journal and the monitor, then the submitter.
+
+        The ticket is released and the counters are bumped by now, so a
+        raising observer must not send the request round again (a second
+        release would subtract another request's bytes): it is counted
+        in ``repro_service_observer_errors_total`` and the submitter
+        still gets the outcome the request actually had.
+        """
+        try:
+            if request_id is not None:
+                if self._journal is not None:
+                    self._journal.record_completed(request_id, outcome.status)
+                if self._monitor is not None:
+                    self._monitor.on_outcome(request_id, outcome.status)
+                    if outcome.status == OK:
+                        self._monitor.on_result(request_id, outcome.result)
+        except Exception as error:  # noqa: BLE001 - observers never own the outcome
+            self.metrics.inc("repro_service_observer_errors_total")
+            if self._trace is not None:
+                self._trace.event(
+                    "observer_error", "service",
+                    request=request_id, error=repr(error),
+                )
+        if future is not None and not future.done():
+            future.set_result(outcome)
 
     def _finish_failure(self, item: _WorkItem, status: str, error: str) -> None:
         breaker = self._breaker(item.ticket.tenant.name)

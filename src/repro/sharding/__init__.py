@@ -26,9 +26,10 @@ The pieces:
 * :mod:`~repro.sharding.executor` — :class:`ShardedExecutor`, the
   long-lived coordinator (one per system and scheme set, over the
   system's resident shards) that certifies, plans per shard with the real
-  :class:`~repro.core.planner.SafePlanner`, executes each shard through
-  the real :class:`~repro.engine.executor.DistributedExecutor` (audit,
-  retry, breaker and deadline machinery intact per shard), and merges.
+  :class:`~repro.core.planner.SafePlanner` and hands the units to
+  :class:`~repro.distributed.pipeline.QueryPipeline`, which runs each
+  shard exactly as it runs a single-copy query (audit, retry, failover,
+  breaker, deadline, chaos and profiling per shard) and merges.
 
 Uncertifiable schemes **never** execute partitioned: the coordinator
 falls back to plain single-copy execution and says so in the trace.

@@ -1,28 +1,28 @@
 """Partition-parallel execution, certified or not at all.
 
-:class:`ShardedExecutor` is the coordinator that turns a certified
-partition scheme set into a partition-parallel run of an existing
-:class:`~repro.distributed.system.DistributedSystem` query.  Its
+:class:`ShardedExecutor` is the coordinator that decides *what* a query
+under a partition scheme set executes; the execution itself is the one
+unit loop of :class:`~repro.distributed.pipeline.QueryPipeline`.  Its
 fallback ladder (each rung provably no wider than the one below):
 
 1. **hypercube** — the checker certified co-partitioned schemes: one
-   full distributed execution *per shard*.  Each shard gets its own
-   catalog (sharded relations re-placed at their group member), its own
-   Figure 6 safe assignment planned under the shared chase-closed
-   policy, the standard independent verifier, and its own
-   :class:`~repro.engine.executor.DistributedExecutor` — so the
-   audit-before-ship invariant, retry, breaker and batch-streaming
-   machinery all apply *per shard*.  Shard results merge by union,
-   which is exactly single-copy semantics for certified schemes.
+   pipeline *unit per shard*.  Each shard gets its own catalog (sharded
+   relations re-placed at their group member) and its own Figure 6 safe
+   assignment planned under the shared chase-closed policy and checked
+   by the standard independent verifier; the pipeline then runs each
+   unit over the resident shard tables exactly as it runs a single-copy
+   query — audit-before-ship, retry, failover, breakers, chaos points,
+   profiling — and the shard results merge by union, which is exactly
+   single-copy semantics for certified schemes.
 2. **multiround** — compatible but unaligned schemes: the engine-level
    repartitioning fallback of :func:`~repro.sharding.shuffle.execute_multiround`,
    every shuffle audited with the group-lifted CanView first.
 3. **single_copy** — anything else (uncertified schemes, an infeasible
-   shard plan, an unauthorized shuffle): the ordinary
-   :meth:`~repro.distributed.system.DistributedSystem.execute` path.
-   Uncertified schemes therefore *never* execute partitioned — the
-   trace carries a ``shard_fallback`` event and no ``shard`` span, the
-   property the differential suite asserts.
+   shard plan, an unauthorized shuffle): one unit over the system's own
+   tables, planned through the plan cache.  Uncertified schemes
+   therefore *never* execute partitioned — the trace carries a
+   ``shard_fallback`` event and no ``shard`` span, the property the
+   differential suite asserts.
 
 The coordinator is **long-lived**: a system keeps one per scheme set,
 shards stay resident with the loaded instances
@@ -39,15 +39,17 @@ rows, fallbacks by reason, resident-split hits and misses) and a
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.schema import Catalog
+from repro.algebra.tree import QueryTreePlan
+from repro.core.assignment import Assignment
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
 from repro.core.safety import verify_assignment
 from repro.engine.data import Table
-from repro.engine.executor import DistributedExecutor, ExecutionResult
+from repro.engine.executor import ExecutionResult
 from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.exceptions import (
     InfeasiblePlanError,
@@ -60,7 +62,7 @@ from repro.sharding.checker import (
     ParallelCorrectnessChecker,
     ShardCertificate,
 )
-from repro.sharding.scheme import PartitionScheme, merge_shards
+from repro.sharding.scheme import PartitionScheme
 from repro.sharding.shuffle import ShufflePlan, execute_multiround, plan_shuffle
 
 #: Execution modes reported by :class:`ShardedResult`.
@@ -68,12 +70,40 @@ EXEC_PARTITIONED = "partitioned"
 EXEC_MULTIROUND = "multiround"
 EXEC_SINGLE_COPY = "single_copy"
 
+#: What the pipeline executes, one at a time: ``(tree, assignment,
+#: tables, shard span attributes or None)``.
+Unit = Tuple[QueryTreePlan, Assignment, Mapping[str, Table], Optional[dict]]
+
+
+class ShardPlan(NamedTuple):
+    """The ladder's decision for one query — the plan product of a
+    :class:`~repro.distributed.pipeline.QueryPipeline` with ``schemes``.
+
+    Attributes:
+        certificate: the checker's verdict (pins the policy epoch the
+            decision was taken under).
+        mode: ``partitioned``, ``multiround`` or ``single_copy``.
+        fallback_reason: why the ladder fell to single-copy ("" when it
+            did not).
+        shuffle: the shuffle plan (``None`` on single-copy fallback).
+        units: the verified ``(tree, assignment)`` pairs the pipeline
+            executes — one per shard when ``partitioned``, the one
+            single-copy plan when ``single_copy``, none for
+            ``multiround`` (an engine-level call, not an assignment).
+    """
+
+    certificate: ShardCertificate
+    mode: str
+    fallback_reason: str
+    shuffle: Optional[ShufflePlan]
+    units: Tuple[Tuple[QueryTreePlan, Assignment], ...]
+
 
 class ShardedResult:
     """Outcome of one sharded (or fallen-back) execution.
 
     Attributes:
-        mode: ``partitioned`` (hypercube, per-shard distributed runs),
+        mode: ``partitioned`` (hypercube, one pipeline unit per shard),
             ``multiround`` (engine-level repartition fallback) or
             ``single_copy``.
         table: the merged query result (identical to single-copy
@@ -82,10 +112,9 @@ class ShardedResult:
             when one was given).
         certificate: the checker's verdict.
         shuffle: the shuffle plan (``None`` on single-copy fallback).
-        shard_results: per-shard :class:`ExecutionResult` records
-            (``partitioned`` mode only).
-        single_result: the ordinary execution result (``single_copy``
-            mode only).
+        unit_results: the :class:`ExecutionResult` of every pipeline
+            unit that ran — also readable by mode as
+            :attr:`shard_results` / :attr:`single_result`.
         fallback_reason: why the ladder fell to single-copy ("" when it
             did not).
         makespan: simulated parallel completion time — the *slowest
@@ -93,6 +122,12 @@ class ShardedResult:
             otherwise.
         elapsed: total wall time spent executing (all shards summed).
         shuffle_stats: row/byte shuffle accounting (``multiround`` only).
+        audit: merged audit view over every unit, duck-typed like
+            :class:`~repro.engine.audit.AuditLog` for what readers of a
+            delivered result use (``violations``, ``checked``,
+            ``policy``) — so a :class:`ShardedResult` slots into callers
+            that expect an :class:`ExecutionResult`: the service's
+            outcome rendering and the invariant monitor's re-probe.
     """
 
     __slots__ = (
@@ -101,83 +136,65 @@ class ShardedResult:
         "result_server",
         "certificate",
         "shuffle",
-        "shard_results",
-        "single_result",
+        "unit_results",
         "fallback_reason",
         "makespan",
         "elapsed",
         "shuffle_stats",
+        "audit",
     )
 
     def __init__(
         self,
-        mode: str,
+        plan: ShardPlan,
         table: Table,
         result_server: str,
-        certificate: ShardCertificate,
-        shuffle: Optional[ShufflePlan] = None,
-        shard_results: Sequence[ExecutionResult] = (),
-        single_result: Optional[ExecutionResult] = None,
-        fallback_reason: str = "",
-        makespan: float = 0.0,
-        elapsed: float = 0.0,
+        results: Sequence[ExecutionResult] = (),
+        took: Sequence[float] = (),
         shuffle_stats=None,
     ) -> None:
-        self.mode = mode
+        self.mode = plan.mode
+        self.certificate = plan.certificate
+        self.shuffle = plan.shuffle
+        self.fallback_reason = plan.fallback_reason
         self.table = table
         self.result_server = result_server
-        self.certificate = certificate
-        self.shuffle = shuffle
-        self.shard_results = tuple(shard_results)
-        self.single_result = single_result
-        self.fallback_reason = fallback_reason
-        self.makespan = makespan
-        self.elapsed = elapsed
+        self.unit_results = tuple(results)
+        self.makespan = max(took, default=0.0)
+        self.elapsed = sum(took)
         self.shuffle_stats = shuffle_stats
+        self.audit = _MergedAudit(self.unit_results)
+
+    @property
+    def shard_results(self) -> Tuple[ExecutionResult, ...]:
+        """Per-shard results (``partitioned`` mode only)."""
+        return self.unit_results if self.mode == EXEC_PARTITIONED else ()
+
+    @property
+    def single_result(self) -> Optional[ExecutionResult]:
+        """The ordinary execution result (``single_copy`` mode only)."""
+        return self.unit_results[0] if self.mode == EXEC_SINGLE_COPY else None
 
     @property
     def shards(self) -> int:
         """Partitions executed (0 outside ``partitioned`` mode)."""
         return len(self.shard_results)
 
-    @property
-    def audit(self):
-        """Merged audit view over every underlying run.
-
-        Duck-typed like :class:`~repro.core.safety.AuditLog` (exposes
-        ``violations``), so a :class:`ShardedResult` slots into
-        callers — the service layer's outcome rendering, notably — that
-        expect an :class:`~repro.engine.executor.ExecutionResult`.
-        """
-        if self.single_result is not None:
-            return self.single_result.audit
-        return _MergedAudit(self)
-
     def violations(self) -> int:
         """Total audit violations across every underlying run (0 on a
         healthy system — enforcement raises before recording)."""
-        total = 0
-        for result in self.shard_results:
-            if result.audit is not None:
-                total += len(result.audit.violations)
-        if self.single_result is not None and self.single_result.audit is not None:
-            total += len(self.single_result.audit.violations)
-        return total
+        return len(self.audit.violations)
 
     def transfers(self) -> int:
         """Cross-server shipments across every underlying run."""
-        total = sum(len(r.transfers) for r in self.shard_results)
-        if self.single_result is not None:
-            total += len(self.single_result.transfers)
+        total = sum(len(r.transfers) for r in self.unit_results)
         if self.shuffle_stats is not None:
             total += self.shuffle_stats.repartitions + self.shuffle_stats.broadcasts
         return total
 
     def summary_dict(self) -> dict:
         """Stable flat summary; every key always present."""
-        shipped = sum(r.transfers.total_bytes() for r in self.shard_results)
-        if self.single_result is not None:
-            shipped += self.single_result.transfers.total_bytes()
+        shipped = sum(r.transfers.total_bytes() for r in self.unit_results)
         if self.shuffle_stats is not None:
             shipped += self.shuffle_stats.shipped_bytes
         return {
@@ -203,16 +220,17 @@ class ShardedResult:
 
 
 class _MergedAudit:
-    """Read-only audit facade concatenating per-shard violation lists."""
+    """Read-only audit facade concatenating the unit runs' audit logs
+    (one run is synchronous, so every unit was audited under the same
+    policy object)."""
 
-    __slots__ = ("violations",)
+    __slots__ = ("violations", "checked", "policy")
 
-    def __init__(self, result: "ShardedResult") -> None:
-        merged = []
-        for shard_result in result.shard_results:
-            if shard_result.audit is not None:
-                merged.extend(shard_result.audit.violations)
-        self.violations = merged
+    def __init__(self, results: Sequence[ExecutionResult]) -> None:
+        audits = [r.audit for r in results if r.audit is not None]
+        self.violations = [v for audit in audits for v in audit.violations]
+        self.checked = [t for audit in audits for t in audit.checked]
+        self.policy = audits[0].policy if audits else None
 
 
 def shard_catalog(
@@ -267,11 +285,12 @@ class ShardedExecutor:
     distinct scheme set, so what depends only on (catalog, schemes) —
     the per-shard catalogs — is built once, and per-shard plans are
     memoized per policy epoch.  What can change between two requests is
-    read at call time: ``system.policy`` (revocation swaps the object),
-    the loaded instances (through the system's resident shards) and
-    every per-request option of :meth:`execute`.  Each request is still
-    certified, each adopted shard plan re-verified and each shard run
-    audited, exactly as a coordinator built for that one request would.
+    read at call time: ``system.policy`` (revocation swaps the object)
+    and the loaded instances (through the system's resident shards).
+    Each request is still certified and each adopted shard plan
+    re-verified, exactly as a coordinator built for that one request
+    would; running the units — and auditing every transfer — is the
+    pipeline's job.
 
     Args:
         system: the :class:`~repro.distributed.system.DistributedSystem`
@@ -294,11 +313,6 @@ class ShardedExecutor:
         self._plan_memo: Dict[Tuple[object, int], Tuple[object, object]] = {}
         self._memo_epoch: Optional[int] = None
 
-    @property
-    def schemes(self) -> Dict[str, PartitionScheme]:
-        """The distribution policy under coordination."""
-        return dict(self._schemes)
-
     def certify(self, query, trace=None) -> ShardCertificate:
         """The checker's verdict for ``query`` under these schemes and
         the system's *current* policy."""
@@ -308,176 +322,82 @@ class ShardedExecutor:
         )
         return checker.certify(system.parse(query), self._schemes)
 
+    def execute(self, query, recipient: Optional[str] = None, **options) -> ShardedResult:
+        """Run ``query`` partition-parallel when certified, single-copy
+        otherwise: ``system.pipeline(query, schemes=<this coordinator>,
+        **options).run()`` — see
+        :class:`~repro.distributed.pipeline.QueryPipeline` for the
+        options and the module docstring for the ladder."""
+        return self._system.pipeline(
+            query, recipient=recipient, schemes=self, **options
+        ).run()
+
     # ------------------------------------------------------------------
-    # The fallback ladder
+    # The fallback ladder: what the pipeline will execute
     # ------------------------------------------------------------------
 
-    def execute(
+    def plan(
         self,
         query,
-        recipient: Optional[str] = None,
-        trace=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        search_join_orders: bool = False,
         allow_multiround: bool = True,
-        faults=None,
-        retry=None,
-        health=None,
-    ) -> ShardedResult:
-        """Run ``query`` partition-parallel when certified, single-copy
-        otherwise (see the module docstring for the ladder).
+        trace=None,
+    ) -> ShardPlan:
+        """Certify ``query`` and decide its rung of the ladder.
 
-        Args:
-            query: SQL text or bound spec.
-            recipient: optional final consumer; audited per shard.
-            trace: optional :class:`~repro.obs.trace.TraceContext`.
-            batch_size: block size for the per-shard executors.
-            allow_multiround: whether rung 2 of the ladder is available
-                (off forces unaligned-but-compatible schemes straight to
-                single-copy).
-            faults: optional fault injector shared by every shard's
-                executor — each shard's shipments then retry under
-                ``retry`` independently.
-            retry: retry policy for fault-aware shard runs.
-            health: optional health tracker shared across shards (one
-                breaker state per link, fed by every shard).
+        Raises:
+            InfeasiblePlanError: the ladder fell to single-copy and no
+                safe single-copy assignment exists either.
         """
         spec = self._system.parse(query)
         certificate = self.certify(spec, trace)
+        mode, units, reason = EXEC_SINGLE_COPY, (), ""
         if not certificate.certified or not certificate.sharded:
             reason = certificate.reason or "query touches no sharded relation"
-            return self._fallback(query, recipient, certificate, reason, trace)
-        if certificate.mode == MODE_HYPERCUBE:
+        elif certificate.mode == MODE_HYPERCUBE:
+            shards = self._schemes[certificate.sharded[0]].shards
             try:
-                return self._execute_hypercube(
-                    spec, recipient, certificate, trace,
-                    dict(batch_size=batch_size, faults=faults, retry=retry, health=health),
+                units = tuple(
+                    self._shard_plan(spec, shard, trace) for shard in range(shards)
                 )
+                mode = EXEC_PARTITIONED
             except InfeasiblePlanError as error:
-                return self._fallback(
-                    query, recipient, certificate,
-                    f"infeasible shard plan: {error}", trace,
-                )
-        if certificate.mode == MODE_MULTIROUND and allow_multiround:
-            try:
-                return self._execute_multiround(
-                    spec, recipient, certificate, trace, batch_size
-                )
-            except ShardingError as error:
-                return self._fallback(query, recipient, certificate, str(error), trace)
-        return self._fallback(
-            query, recipient, certificate, f"mode {certificate.mode!r} disabled", trace
-        )
+                reason = f"infeasible shard plan: {error}"
+        elif certificate.mode == MODE_MULTIROUND and allow_multiround:
+            mode = EXEC_MULTIROUND
+        else:
+            reason = f"mode {certificate.mode!r} disabled"
+        if mode == EXEC_SINGLE_COPY:
+            return self.fallback(query, certificate, reason, search_join_orders, trace)
+        shuffle = plan_shuffle(spec, self._sharded(certificate), certificate)
+        return ShardPlan(certificate, mode, "", shuffle, units)
 
-    def _fallback(
-        self, query, recipient, certificate: ShardCertificate, reason: str, trace
-    ) -> ShardedResult:
+    def fallback(
+        self,
+        query,
+        certificate: ShardCertificate,
+        reason: str,
+        search_join_orders: bool = False,
+        trace=None,
+    ) -> ShardPlan:
+        """The bottom rung: ``query``'s ordinary single-copy plan
+        (through the plan cache), tagged with why the ladder fell."""
         if trace is not None:
             trace.event("shard_fallback", "sharding", reason=reason)
             trace.count("repro_shard_fallback_total")
-            trace.count("repro_shard_queries_total", mode=EXEC_SINGLE_COPY)
-        start = time.perf_counter()
-        result = self._system.execute(query, recipient=recipient, trace=trace)
-        elapsed = time.perf_counter() - start
-        return ShardedResult(
-            EXEC_SINGLE_COPY,
-            result.table,
-            result.result_server,
-            certificate,
-            single_result=result,
-            fallback_reason=reason,
-            makespan=elapsed,
-            elapsed=elapsed,
+        tree, assignment, _ = self._system.plan(
+            query, search_join_orders=search_join_orders, trace=trace
+        )
+        return ShardPlan(
+            certificate, EXEC_SINGLE_COPY, reason, None, ((tree, assignment),)
         )
 
-    def _execute_hypercube(
-        self,
-        spec: QuerySpec,
-        recipient: Optional[str],
-        certificate: ShardCertificate,
-        trace,
-        engine_options: dict,
-    ) -> ShardedResult:
-        system = self._system
-        schemes = {name: self._schemes[name] for name in certificate.sharded}
-        first = schemes[certificate.sharded[0]]
-        shards = first.shards
-        shuffle = plan_shuffle(spec, schemes, certificate)
-        splits = {
-            name: system.shards_of(scheme, trace=trace)
-            for name, scheme in schemes.items()
-        }
-        # One working copy: each shard overwrites the sharded relations'
-        # entries, and every executor snapshots the mapping it is given.
-        shard_tables = system.tables()
+    def _sharded(self, certificate: ShardCertificate) -> Dict[str, PartitionScheme]:
+        return {name: self._schemes[name] for name in certificate.sharded}
 
-        span = None
-        if trace is not None:
-            span = trace.begin(
-                "shard_execute", "sharding", shards=shards, mode=EXEC_PARTITIONED
-            )
-        try:
-            plans = [self._shard_plan(spec, shard, trace) for shard in range(shards)]
-            results: List[ExecutionResult] = []
-            makespan = 0.0
-            elapsed = 0.0
-            for shard, (tree, assignment) in enumerate(plans):
-                for name in splits:
-                    shard_tables[name] = splits[name][shard]
-                shard_span = None
-                if trace is not None:
-                    shard_span = trace.begin(
-                        "shard", "sharding", shard=shard, server=first.placement(shard)
-                    )
-                start = time.perf_counter()
-                try:
-                    executor = DistributedExecutor(
-                        assignment,
-                        shard_tables,
-                        policy=system.policy,
-                        enforce=True,
-                        trace=trace,
-                        **engine_options,
-                    )
-                    result = executor.run(recipient=recipient)
-                finally:
-                    took = time.perf_counter() - start
-                    if shard_span is not None:
-                        trace.end(shard_span)
-                makespan = max(makespan, took)
-                elapsed += took
-                if shard_span is not None:
-                    shard_span.attrs["rows"] = len(result.table)
-                results.append(result)
-            merged = merge_shards(result.table for result in results)
-            if merged is None:  # pragma: no cover - shards >= 2 always
-                raise ShardingError("no shard produced a result")
-            result_server = recipient if recipient is not None else results[0].result_server
-            if trace is not None:
-                trace.count("repro_shard_queries_total", mode=EXEC_PARTITIONED)
-                trace.count("repro_shard_partitions_total", shards)
-                trace.count("repro_shard_rows_total", len(merged))
-                trace.event(
-                    "shard_parallel_commit",
-                    "sharding",
-                    shards=shards,
-                    rows=len(merged),
-                    mode=EXEC_PARTITIONED,
-                )
-        finally:
-            if span is not None:
-                trace.end(span)
-        return ShardedResult(
-            EXEC_PARTITIONED,
-            merged,
-            result_server,
-            certificate,
-            shuffle=shuffle,
-            shard_results=results,
-            makespan=makespan,
-            elapsed=elapsed,
-        )
-
-    def _shard_plan(self, spec: QuerySpec, shard: int, trace) -> Tuple[object, object]:
+    def _shard_plan(
+        self, spec: QuerySpec, shard: int, trace
+    ) -> Tuple[QueryTreePlan, Assignment]:
         """One shard's verified ``(tree, assignment)`` under the current
         policy.
 
@@ -511,17 +431,49 @@ class ShardedExecutor:
         memo[key] = (tree, assignment)
         return tree, assignment
 
-    def _execute_multiround(
+    # ------------------------------------------------------------------
+    # Residency, the multiround call, packaging
+    # ------------------------------------------------------------------
+
+    def units(self, plan: ShardPlan, trace=None) -> List[Unit]:
+        """``plan``'s units as the pipeline runs them.  One
+        ``system.tables()`` snapshot per request; a shard's unit sees
+        the sharded relations swapped for their resident splits."""
+        tables = self._system.tables()
+        if plan.mode != EXEC_PARTITIONED:
+            return [(tree, assignment, tables, None) for tree, assignment in plan.units]
+        schemes = self._sharded(plan.certificate)
+        splits = {
+            name: self._system.shards_of(scheme, trace=trace)
+            for name, scheme in schemes.items()
+        }
+        first = schemes[plan.certificate.sharded[0]]
+        return [
+            (
+                tree,
+                assignment,
+                {**tables, **{name: split[shard] for name, split in splits.items()}},
+                {"shard": shard, "server": first.placement(shard)},
+            )
+            for shard, (tree, assignment) in enumerate(plan.units)
+        ]
+
+    def run_multiround(
         self,
-        spec: QuerySpec,
-        recipient: Optional[str],
-        certificate: ShardCertificate,
-        trace,
-        batch_size: int,
+        query,
+        plan: ShardPlan,
+        recipient: Optional[str] = None,
+        trace=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> ShardedResult:
+        """The multi-round rung: the engine-level repartitioning run.
+
+        Raises:
+            ShardingError: the recipient or a shuffle is not authorized
+                — nothing moved; the pipeline falls back to single-copy.
+        """
         system = self._system
-        schemes = {name: self._schemes[name] for name in certificate.sharded}
-        shuffle = plan_shuffle(spec, schemes, certificate)
+        spec = system.parse(query)
         if recipient is not None:
             # The final delivery is a shipment like any other: audit it
             # against the result's profile before running anything.
@@ -538,35 +490,44 @@ class ShardedExecutor:
                 raise ShardingError(
                     f"recipient {recipient!r} is not authorized for the result view"
                 )
-        span = None
-        if trace is not None:
-            span = trace.begin("shard_execute", "sharding", mode=EXEC_MULTIROUND)
         start = time.perf_counter()
-        try:
-            table, stats = execute_multiround(
-                system.tables(),
-                spec,
-                schemes,
-                system.policy,
-                system.catalog,
-                trace=trace,
-                batch_size=batch_size,
-            )
-        finally:
-            if span is not None:
-                trace.end(span)
-        elapsed = time.perf_counter() - start
-        if trace is not None:
-            trace.count("repro_shard_queries_total", mode=EXEC_MULTIROUND)
-            trace.count("repro_shard_rows_total", len(table))
-        result_server = recipient if recipient is not None else "coordinator"
-        return ShardedResult(
-            EXEC_MULTIROUND,
-            table,
-            result_server,
-            certificate,
-            shuffle=shuffle,
-            makespan=elapsed,
-            elapsed=elapsed,
-            shuffle_stats=stats,
+        table, stats = execute_multiround(
+            system.tables(),
+            spec,
+            self._sharded(plan.certificate),
+            system.policy,
+            system.catalog,
+            trace=trace,
+            batch_size=batch_size,
         )
+        took = [time.perf_counter() - start]
+        return self.package(plan, table, (), took, recipient, trace, stats)
+
+    def package(
+        self,
+        plan: ShardPlan,
+        table: Table,
+        results: Sequence[ExecutionResult],
+        took: Sequence[float],
+        recipient: Optional[str] = None,
+        trace=None,
+        shuffle_stats=None,
+    ) -> ShardedResult:
+        """One finished run as a :class:`ShardedResult`: ``table`` is
+        the merged result, ``took`` each unit's wall time."""
+        if trace is not None:
+            trace.count("repro_shard_queries_total", mode=plan.mode)
+            if plan.mode == EXEC_PARTITIONED:
+                trace.count("repro_shard_partitions_total", len(results))
+                trace.event(
+                    "shard_parallel_commit",
+                    "sharding",
+                    shards=len(results),
+                    rows=len(table),
+                    mode=EXEC_PARTITIONED,
+                )
+            if plan.mode != EXEC_SINGLE_COPY:
+                trace.count("repro_shard_rows_total", len(table))
+        if recipient is None:
+            recipient = results[0].result_server if results else "coordinator"
+        return ShardedResult(plan, table, recipient, results, took, shuffle_stats)

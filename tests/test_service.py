@@ -601,6 +601,46 @@ class TestQueryService:
         shed = series["repro_service_shed_total"]
         assert sum(shed.values()) == 3
 
+    def test_raising_observer_never_finishes_a_request_twice(self):
+        """A monitor whose ``on_result`` raises is reported, not
+        re-finished: the ticket is released once (a second release
+        would subtract another request's bytes from the admission
+        accounting), the request is counted once, and the submitter
+        keeps the ``ok`` its query earned."""
+        from repro.chaos import InvariantMonitor
+
+        class Raising(InvariantMonitor):
+            def on_result(self, request_id, result):
+                raise RuntimeError("observer bug")
+
+        system = chain_system(BASE_RULES + S0_ROUTE)
+        releases = []
+
+        async def scenario():
+            service = QueryService(
+                system, workers=1, capacity_bytes=1e9, monitor=Raising()
+            )
+            real = service._admission.release
+            service._admission.release = lambda ticket: (
+                releases.append(ticket), real(ticket)
+            )
+            await service.start()
+            outcome = await service.submit(PAIR_QUERY)
+            await service.stop()
+            return service, outcome
+
+        service, outcome = run(scenario())
+        assert outcome.status == "ok"
+        assert len(releases) == 1
+        assert service._admission.inflight_bytes == 0
+        snapshot = service.snapshot()
+        assert (snapshot["ok"], snapshot["failed"]) == (1, 0)
+        metrics = service.metrics.snapshot()
+        completed = metrics["repro_service_completed_total"]["series"]
+        assert sum(completed.values()) == 1
+        errors = metrics["repro_service_observer_errors_total"]["series"]
+        assert sum(errors.values()) == 1
+
 
 # ---------------------------------------------------------------------------
 # Policy churn racing admission: the regression the service must survive

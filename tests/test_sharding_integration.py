@@ -20,14 +20,17 @@ import io
 
 import pytest
 
+from repro.chaos import InvariantMonitor, ServiceJournal
 from repro.cli import main
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.costplanner import CostAwareSafePlanner
+from repro.distributed.faults import FaultInjector
 from repro.distributed.system import DistributedSystem
 from repro.engine.coster import TableStats
 from repro.engine.data import Table
-from repro.exceptions import InfeasiblePlanError
+from repro.engine.resilience import RetryPolicy
+from repro.exceptions import DegradedExecutionError, InfeasiblePlanError
 from repro.obs import TraceContext
 from repro.sharding import (
     EXEC_PARTITIONED,
@@ -35,6 +38,7 @@ from repro.sharding import (
     HashPartitionScheme,
     PartitionGroup,
     ShardedExecutor,
+    ShardedResult,
 )
 from repro.sharding import executor as sharding_executor
 from repro.service import QueryService
@@ -132,6 +136,61 @@ class TestSystemSeam:
         names = [event.name for event in trace.events]
         assert "shard_certified" in names
         assert "shard_parallel_commit" in names
+
+
+# ---------------------------------------------------------------------------
+# Fault contract: a sharded run fails over and degrades like `execute`
+# ---------------------------------------------------------------------------
+
+RETRY = RetryPolicy(max_attempts=2, base_delay=0.1, jitter=0.0)
+
+
+class TestFaultContract:
+    def test_unreachable_recipient_degrades_after_failover_rounds(self):
+        system = _system()
+        faults = FaultInjector(seed=1)
+        faults.partition("G2", "S1")
+        with pytest.raises(DegradedExecutionError) as exc:
+            system.execute_sharded(
+                QUERY, _good_schemes(), recipient="S1",
+                faults=faults, retry=RETRY, max_failovers=2,
+            )
+        assert exc.value.failovers == 2
+        assert exc.value.excluded_servers == ()
+        # One unit's journal is not a checkpoint of the request.
+        assert exc.value.checkpoint is None
+
+    def test_crashed_member_degrades_naming_it(self):
+        system = _system()
+        faults = FaultInjector(seed=1)
+        faults.crash("G1")
+        with pytest.raises(DegradedExecutionError) as exc:
+            system.execute_sharded(
+                QUERY, _good_schemes(), recipient="S1", faults=faults, retry=RETRY
+            )
+        assert exc.value.excluded_servers == ("G1",)
+
+    def test_failover_round_succeeds_once_the_member_is_back(self):
+        """A shard lives only at its group member, so the one crash a
+        shard plan can route around is one that ends: G1 stays down for
+        exactly as long as round 0 and its retries take, and the
+        failover round re-plans onto it."""
+        probe = FaultInjector(seed=1)
+        probe.crash("G1")
+        with pytest.raises(DegradedExecutionError):
+            _system().execute_sharded(
+                QUERY, _good_schemes(), recipient="S1", faults=probe, retry=RETRY
+            )
+        faults = FaultInjector(seed=1)
+        faults.crash("G1", 0.0, probe.clock)
+        system = _system()
+        result = system.execute_sharded(
+            QUERY, _good_schemes(), recipient="S1", faults=faults, retry=RETRY
+        )
+        assert result.mode == EXEC_PARTITIONED
+        assert [unit.failovers for unit in result.shard_results] == [1, 0, 0, 0]
+        assert result.table == system.execute(QUERY).table
+        assert result.violations() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +433,58 @@ class TestServiceSeam:
         outcome = run(scenario())
         assert outcome.ok
         assert outcome.result.mode == EXEC_SINGLE_COPY
+        assert outcome.result.table == system.execute(QUERY).table
+
+    def test_monitor_reprobes_every_shard_transfer(self):
+        """Regression: the monitor read ``audit.checked`` / ``.policy``
+        off a merged audit that had neither, failing every partitioned
+        request of a monitored service."""
+        system = _system()
+        monitor = InvariantMonitor()
+
+        async def scenario():
+            service = QueryService(
+                system, workers=2, shard_schemes=_good_schemes(), monitor=monitor
+            )
+            await service.start()
+            outcome = await service.submit(QUERY, recipient="S1")
+            await service.stop()
+            return outcome
+
+        outcome = run(scenario())
+        assert outcome.ok, outcome.error
+        assert outcome.result.mode == EXEC_PARTITIONED
+        monitor.assert_quiescent()
+        assert monitor.ok, monitor.violations
+        shipped = sum(len(r.transfers) for r in outcome.result.shard_results)
+        assert shipped >= len(outcome.result.shard_results)  # the delivery hops
+        assert monitor.report()["transfers_probed"] == shipped
+
+    def test_recover_returns_a_sharded_result(self):
+        system = _system()
+        journal = ServiceJournal()
+
+        async def scenario():
+            first = QueryService(
+                system, workers=1, shard_schemes=_good_schemes(), journal=journal
+            )
+            await first.start()
+            task = asyncio.ensure_future(first.submit(QUERY, recipient="S1"))
+            await asyncio.sleep(0)  # admitted and journaled, not yet run
+            await first.kill()
+            successor = QueryService(
+                system, workers=1, shard_schemes=_good_schemes(), journal=journal
+            )
+            await successor.start()
+            recovered = await successor.recover()
+            outcome = await task
+            await successor.stop()
+            return recovered, outcome
+
+        recovered, outcome = run(scenario())
+        assert recovered == [outcome] and outcome.ok
+        assert isinstance(outcome.result, ShardedResult)
+        assert outcome.result.mode == EXEC_PARTITIONED
         assert outcome.result.table == system.execute(QUERY).table
 
 
