@@ -1,19 +1,19 @@
-"""ABL15 — the batch-first execution core, measured.
+"""ABL15 — the columnar table kernels, measured.
 
 The columnar refactor claims the local evaluation hot path got fast:
 interned id columns, class-id hash joins that skip the per-step
-dedup-and-sort, and lazy canonical ordering mean a join pipeline touches
-Python objects per *block*, not per cell.  This bench measures it and
-*asserts* the headline number — the streamed 3-join pipeline must beat a
-faithful inline transcription of the seed's row-at-a-time evaluation by
-at least 3x in rows/sec on the same data.
+dedup-and-sort, and lazy canonical ordering.  This bench measures it and
+*asserts* the headline number — a 3-join chain of ``Table.equi_join``
+(the kernel the executor and ``evaluate_plan`` run) must beat a faithful
+inline transcription of the seed's row-at-a-time evaluation by at least
+3x in rows/sec on the same data.
 
 The legacy lane is the seed's ``Table`` transcribed verbatim — tuple
 rows, a ``set`` for dedup, the eager canonical sort in the constructor,
 and an ``equi_join`` that materializes (re-dedups, re-sorts) a full
-table per step — no interning, no columns, no streaming.  Both lanes
-consume identical generated data and must produce identical result rows
-before anything is timed.
+table per step — no interning, no columns.  Both lanes consume
+identical generated data and must produce identical result rows before
+anything is timed.
 
 The second test sweeps the batched ``CanView`` kernel across batch
 sizes 1/64/4096 on a replayed planner probe trace (fresh policy per
@@ -34,10 +34,9 @@ from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
 from repro.engine.data import Table
-from repro.engine.operators import HashJoinOperator, TableScan, materialize
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
-#: the acceptance floor for the batch-first pipeline speedup.
+#: the acceptance floor for the kernel-chain speedup.
 MIN_PIPELINE_SPEEDUP = 3.0
 
 #: the canonical batch sizes of the CanView sweep (the ``batch_sweep``
@@ -152,10 +151,10 @@ def test_abl15_pipeline_throughput(benchmark):
     legacy = [_LegacyTable(attrs, rows) for attrs, rows in raw]
 
     def kernel_lane():
-        op = TableScan(columnar[0])
+        result = columnar[0]
         for right, path in zip(columnar[1:], paths):
-            op = HashJoinOperator(op, TableScan(right), path)
-        return materialize(op)
+            result = result.equi_join(right, path)
+        return result
 
     def legacy_lane():
         result = legacy[0]
@@ -196,7 +195,7 @@ def test_abl15_pipeline_throughput(benchmark):
         },
     )
     assert speedup >= MIN_PIPELINE_SPEEDUP, (
-        f"batch pipeline speedup {speedup:.2f}x below the "
+        f"kernel chain speedup {speedup:.2f}x below the "
         f"{MIN_PIPELINE_SPEEDUP}x acceptance floor"
     )
 

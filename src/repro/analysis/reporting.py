@@ -94,7 +94,7 @@ def render_profile_report(profile) -> str:
     Two tables — the operator tree (estimated vs observed cardinality,
     observed join selectivity, per-operator time on the run's clock) and
     the transfers (estimated vs shipped bytes with the actual/estimate
-    ratio) — followed by block-throughput and summary footer lines.
+    ratio) — followed by a summary footer line.
     Transfers whose actual bytes overshot the estimate by the profile's
     misestimate factor are flagged ``!!``; operators whose cardinality
     did the same are flagged ``!``.  Deterministic under a pinned clock
@@ -163,13 +163,6 @@ def render_profile_report(profile) -> str:
         )
     else:
         lines.append("(all flows local — nothing shipped)")
-    if profile.block_counts:
-        blocks = " ".join(
-            f"{kind}={counts[0]}/{counts[1]}"
-            for kind, counts in sorted(profile.block_counts.items())
-        )
-        lines.append("")
-        lines.append(f"blocks (batches/rows): {blocks}")
     lines.append(
         f"summary: estimated {profile.estimated_bytes:.1f} B, "
         f"actual {profile.actual_bytes:.1f} B (plan flows) | "

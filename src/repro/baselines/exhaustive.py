@@ -118,7 +118,7 @@ def _branches(
                 yield executors, executor.master
 
 
-def _materialize(
+def _assemble(
     plan: QueryTreePlan,
     profiles: Mapping[int, RelationProfile],
     executors: Mapping[int, Executor],
@@ -134,7 +134,7 @@ def enumerate_structural_assignments(plan: QueryTreePlan) -> Iterator[Assignment
     """Every Definition 4.1 assignment of ``plan``, safety ignored."""
     profiles = _profiles(plan)
     for executors, _ in _branches(plan.root, profiles, None, check_safety=False):
-        yield _materialize(plan, profiles, executors)
+        yield _assemble(plan, profiles, executors)
 
 
 def enumerate_safe_assignments(policy, plan: QueryTreePlan) -> Iterator[Assignment]:
@@ -142,7 +142,7 @@ def enumerate_safe_assignments(policy, plan: QueryTreePlan) -> Iterator[Assignme
     ``policy``, pruning unsafe joins during enumeration."""
     profiles = _profiles(plan)
     for executors, _ in _branches(plan.root, profiles, policy, check_safety=True):
-        yield _materialize(plan, profiles, executors)
+        yield _assemble(plan, profiles, executors)
 
 
 def optimal_safe_assignment(

@@ -44,7 +44,6 @@ from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.data import Table
 from repro.engine.deadline import DeadlineBudget
 from repro.engine.executor import DistributedExecutor, ExecutionResult
-from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.engine.resilience import RetryPolicy
 from repro.exceptions import (
     ChaosInterrupt,
@@ -152,8 +151,6 @@ class QueryPipeline:
             checker cannot prove equivalent to single-copy execution
             one single-copy unit — :meth:`run` returns a
             :class:`~repro.sharding.ShardedResult` either way.
-        batch_size: rows per block in the engine's batch pipelines
-            (a throughput knob, never semantics).
         allow_multiround: permit the multi-round mode (disable to force
             hypercube-or-single-copy).  Only read with ``schemes``.
 
@@ -181,7 +178,6 @@ class QueryPipeline:
         chaos=None,
         profiler=None,
         schemes=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         allow_multiround: bool = True,
     ) -> None:
         if faults is None and (
@@ -215,7 +211,6 @@ class QueryPipeline:
         self._coordinator = (
             system._shard_coordinator(schemes) if schemes is not None else None
         )
-        self._batch_size = batch_size
         self._allow_multiround = allow_multiround
         self._profile_span = None
         # The running unit's tables, for `_begin_profile`'s exact stats.
@@ -367,7 +362,7 @@ class QueryPipeline:
                 try:
                     self._fire_chaos("pre", None)
                     result = coordinator.run_multiround(
-                        self._query, plan, self._recipient, trace, self._batch_size
+                        self._query, plan, self._recipient, trace
                     )
                     self._fire_chaos("post", None)
                     return result
@@ -473,7 +468,6 @@ class QueryPipeline:
                 policy=system.policy,
                 enforce=True,
                 trace=trace,
-                batch_size=self._batch_size,
                 profiler=self._profiler,
             ).run(recipient=self._recipient)
         else:
@@ -682,7 +676,6 @@ class QueryPipeline:
                 deadline=self._deadline,
                 checkpoint=journal,
                 trace=trace,
-                batch_size=self._batch_size,
                 profiler=self._profiler,
             )
             round_span = None

@@ -280,12 +280,19 @@ class DistributedSystem:
     # ------------------------------------------------------------------
 
     def parse(self, query: Query) -> QuerySpec:
-        """SQL text (or a pre-bound spec, returned as-is) to a QuerySpec."""
+        """SQL text (or a pre-bound spec, returned as-is) to a QuerySpec;
+        text that bound to a spec is served from the parse memo."""
         if isinstance(query, QuerySpec):
             return query
+        cached = self._parse_memo.get(query)
+        if cached is not None and cached[0] == "spec":
+            return cached[1]
         from repro.sql import parse_query  # deferred: sql depends on algebra only
 
-        return parse_query(query, self._catalog)
+        spec = parse_query(query, self._catalog)
+        if self._plan_cache is not None:
+            self._remember(query, ("spec", spec))
+        return spec
 
     def plan(
         self,
@@ -356,16 +363,20 @@ class DistributedSystem:
         cached = self._parse_memo.get(query)
         if cached is not None:
             return cached
-        from repro.sql import bind_plan, parse, parse_query
+        from repro.sql import bind, bind_plan, parse
 
         parsed = parse(query)
         if not parsed.is_left_deep:
             result: Tuple[str, object] = ("tree", bind_plan(parsed, self._catalog))
         else:
-            result = ("spec", parse_query(query, self._catalog))
-        if memoize and len(self._parse_memo) < 1024:
-            self._parse_memo[query] = result
+            result = ("spec", bind(parsed, self._catalog))
+        if memoize:
+            self._remember(query, result)
         return result
+
+    def _remember(self, query: str, result: Tuple[str, object]) -> None:
+        if len(self._parse_memo) < 1024:
+            self._parse_memo[query] = result
 
     def _plan_parsed(
         self,
@@ -534,7 +545,7 @@ class DistributedSystem:
                 :class:`~repro.sharding.PartitionScheme`.
             recipient: optional final consumer; audited per shard.
             **options: see :class:`~repro.distributed.pipeline.QueryPipeline`
-                (``allow_multiround``, ``batch_size``, ``faults``, ...).
+                (``allow_multiround``, ``faults``, ...).
 
         Returns:
             a :class:`~repro.sharding.ShardedResult`.

@@ -7,9 +7,8 @@ makes both claims executable:
 
 * :mod:`repro.engine.data` — immutable set-semantics tables, stored
   columnar over a shared intern pool;
-* :mod:`repro.engine.operators` — the batch-first operator interface
-  (blocks, open/next-batch/close) and centralized plan evaluation (the
-  correctness oracle);
+* :mod:`repro.engine.operators` — centralized plan evaluation over the
+  table kernels (the correctness oracle);
 * :mod:`repro.engine.transfers` — transfer records and logs;
 * :mod:`repro.engine.audit` — runtime authorization enforcement on every
   transfer;
@@ -19,19 +18,8 @@ makes both claims executable:
   cost estimation.
 """
 
-from repro.engine.data import ColumnarTable, InternPool, Table, cell_width, shared_pool
-from repro.engine.operators import (
-    DEFAULT_BATCH_SIZE,
-    BatchOperator,
-    Block,
-    FilterOperator,
-    HashJoinOperator,
-    ProjectOperator,
-    TableScan,
-    compile_plan,
-    evaluate_plan,
-    materialize,
-)
+from repro.engine.data import InternPool, Table, cell_width, shared_pool
+from repro.engine.operators import evaluate_plan
 from repro.engine.transfers import Transfer, TransferLog
 from repro.engine.audit import AuditLog
 from repro.engine.executor import DistributedExecutor, ExecutionResult
@@ -62,20 +50,10 @@ __all__ = [
     "TimelineEvent",
     "simulate_timeline",
     "Table",
-    "ColumnarTable",
     "InternPool",
     "cell_width",
     "shared_pool",
     "evaluate_plan",
-    "compile_plan",
-    "materialize",
-    "Block",
-    "BatchOperator",
-    "TableScan",
-    "ProjectOperator",
-    "FilterOperator",
-    "HashJoinOperator",
-    "DEFAULT_BATCH_SIZE",
     "Transfer",
     "TransferLog",
     "AuditLog",

@@ -14,18 +14,17 @@ byte accounting honest.
 Storage model
 -------------
 
-Since the batch-first refactor the engine is **columnar**: a
-:class:`ColumnarTable` holds one value array per attribute, where each
-cell is a small integer id interned in a process-wide
-:class:`InternPool`.  :class:`Table` is the thin public view over it —
-the constructor, equality, iteration, and every operator keep exactly
-the row-at-a-time semantics of the seed implementation (the frozen
-oracle in ``tests/_row_oracle.py`` documents them, and the Hypothesis
-differential suite asserts row-for-row identity), but the operators run
-on column arrays and selection masks:
+The engine is **columnar**: a :class:`Table` holds one value array per
+attribute, where each cell is a small integer id interned in a
+process-wide :class:`InternPool`.  The constructor, equality,
+iteration, and every operator keep exactly the row-at-a-time semantics
+of the seed implementation (the frozen oracle in
+``tests/_row_oracle.py`` documents them, and the Hypothesis differential
+suite asserts row-for-row identity), but the operators run on column
+arrays and selection masks:
 
-* ``select``/``semi_join_filter`` compute a boolean mask and compress
-  the columns — no re-validation, no re-deduplication, no re-sort;
+* ``select`` computes a boolean mask and compresses the columns — no
+  re-validation, no re-deduplication, no re-sort;
 * ``project``/``union`` deduplicate on interned id keys;
 * ``equi_join``/``natural_join`` build hash buckets on interned key
   columns and emit id rows directly (their outputs are duplicate-free
@@ -158,8 +157,8 @@ class InternPool:
 
 
 #: The shared pool every table interns into.  One pool means interned
-#: ids are comparable across tables, which is what lets joins and
-#: semi-join filters match keys with integer equality.
+#: ids are comparable across tables, which is what lets joins match
+#: keys with integer equality.
 _POOL = InternPool()
 
 
@@ -168,7 +167,7 @@ def shared_pool() -> InternPool:
     return _POOL
 
 
-class ColumnarTable:
+class Table:
     """An immutable relation instance stored as per-attribute id arrays.
 
     Args:
@@ -180,7 +179,7 @@ class ColumnarTable:
 
     The public API is row-shaped (``rows``, iteration, ``row_dicts``)
     and byte-identical to the seed engine; the storage and the
-    operators are columnar.  :class:`Table` is the public name.
+    operators are columnar.
     """
 
     __slots__ = (
@@ -364,7 +363,7 @@ class ColumnarTable:
         """One column as interned ids, in current storage order.
 
         Storage order is only guaranteed canonical after something
-        observed the row order; batch operators that don't care about
+        observed the row order; kernels that don't care about
         order read this directly."""
         return self._columns[self._column_index(attribute)]
 
@@ -396,7 +395,7 @@ class ColumnarTable:
         return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnarTable):
+        if not isinstance(other, Table):
             return NotImplemented
         if frozenset(self._attributes) != frozenset(other._attributes):
             return False
@@ -522,7 +521,7 @@ class ColumnarTable:
             mask.append(evaluate(row))
         return mask
 
-    def equi_join(self, other: "ColumnarTable", conditions: JoinPath) -> "Table":
+    def equi_join(self, other: "Table", conditions: JoinPath) -> "Table":
         """Hash equi-join on a join path's conditions.
 
         Every condition must have one attribute in each table.  The
@@ -570,7 +569,7 @@ class ColumnarTable:
             self._attributes + other._attributes, joined, self._pool, deduped=True
         )
 
-    def natural_join(self, other: "ColumnarTable") -> "Table":
+    def natural_join(self, other: "Table") -> "Table":
         """Join on all shared column names (used by the semi-join's final
         recombination step, Figure 5 step 5).
 
@@ -615,36 +614,7 @@ class ColumnarTable:
             self._attributes + tuple(other_extra), joined, self._pool, deduped=True
         )
 
-    def semi_join_filter(self, probe: "ColumnarTable") -> "Table":
-        """Rows of this table matching the probe on its shared columns —
-        classic semi-join reduction (kept for cost experiments).
-
-        Rows whose shared-column key contains ``None`` never match, on
-        either side — the same null-key semantics as ``equi_join`` and
-        ``natural_join``.
-        """
-        shared = [a for a in self._attributes if a in probe._index]
-        if not shared:
-            raise ExecutionError("semi-join filter requires shared columns")
-        none_class = _none_class(self._pool)
-        probe_keys = {
-            key
-            for key in zip(
-                *[probe._class_view(probe._columns[probe._index[a]]) for a in shared]
-            )
-            if none_class not in key
-        }
-        self_keys = zip(*[self._class_view(self._columns[self._index[a]]) for a in shared])
-        mask = [key in probe_keys for key in self_keys]
-        columns = [
-            [v for v, keep in zip(column, mask) if keep] for column in self._columns
-        ]
-        return Table._from_columns(
-            self._attributes, columns, self._pool,
-            deduped=True, canonical=self._canonical,
-        )
-
-    def union(self, other: "ColumnarTable") -> "Table":
+    def union(self, other: "Table") -> "Table":
         """Set union of two same-schema tables."""
         if frozenset(self._attributes) != frozenset(other._attributes):
             raise ExecutionError("union requires identical column sets")
@@ -733,15 +703,3 @@ def _compare_column(column: List[int], pool: InternPool, comp) -> List[bool]:
             answers[interned] = answer
         mask.append(answer)
     return mask
-
-
-class Table(ColumnarTable):
-    """The public relation type: a thin view over :class:`ColumnarTable`.
-
-    Everything — constructor, equality, hashing, iteration, operators —
-    is inherited; the subclass exists so the columnar machinery has its
-    own name while every existing caller keeps constructing and
-    receiving ``Table``.
-    """
-
-    __slots__ = ()

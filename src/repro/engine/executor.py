@@ -29,15 +29,6 @@ from repro.core.flows import semi_join_probe_profile, semi_join_result_profile
 from repro.core.profile import RelationProfile
 from repro.engine.audit import AuditLog
 from repro.engine.data import Table
-from repro.engine.operators import (
-    DEFAULT_BATCH_SIZE,
-    BatchOperator,
-    FilterOperator,
-    HashJoinOperator,
-    ProjectOperator,
-    TableScan,
-    materialize,
-)
 from repro.engine.resilience import RetryPolicy, attempt_shipment
 from repro.engine.transfers import Transfer, TransferLog
 from repro.exceptions import ExecutionError, TransferFailedError
@@ -243,13 +234,9 @@ class DistributedExecutor:
             cross-server shipment then opens one ``transfer`` span
             stamped with the covering-authorization id, joins open
             ``join`` spans, and bytes/retries feed the metrics registry.
-        batch_size: rows per block in the local batch pipelines (joins,
-            projections, selections all stream blocks of this size).
-            Purely a throughput knob — results, transfers, audit entries
-            and spans are identical at any batch size.
         profiler: optional :class:`~repro.profiling.QueryProfiler` with
             an **active profile** (``start()`` called); every operator,
-            transfer, drained block and CanView probe is then recorded
+            transfer and CanView probe is then recorded
             into it.  The hooks are bound onto the instance only when a
             profiler is attached — the same structural trick as the
             tracer — so the unprofiled path stays byte-for-byte the
@@ -269,7 +256,6 @@ class DistributedExecutor:
         deadline=None,
         checkpoint=None,
         trace=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         profiler=None,
     ) -> None:
         assignment.validate_structure()
@@ -288,16 +274,14 @@ class DistributedExecutor:
         self._health = health
         self._deadline = deadline
         self._checkpoint = checkpoint
-        self._batch_size = batch_size
         self._completed: Dict[int, Tuple[str, Table]] = {}
         self._profiler = profiler
         if profiler is not None:
             # Structural binding: shadow the hot methods on *this
             # instance* only, so unprofiled executors never pay even an
-            # `if self._profiler` per node/shipment/block.
+            # `if self._profiler` per node/shipment.
             self._execute_node = self._profiled_execute_node
             self._ship_once = self._profiled_ship_once
-            self._drain = self._profiled_drain
 
     def completed_subtrees(self) -> Dict[int, Tuple[str, Table]]:
         """Node results that materialized before a failure, keyed by node
@@ -376,30 +360,12 @@ class DistributedExecutor:
             return self._tables[name]
         if isinstance(node, UnaryNode):
             child = self._execute(node.left)
-            scan = TableScan(child, self._batch_size)
             if node.operator == PROJECT:
-                return self._drain(
-                    ProjectOperator(scan, sorted(node.projection_attributes)),
-                    "project",
-                )
-            return self._drain(FilterOperator(scan, node.predicate), "filter")
+                return child.project(node.projection_attributes)
+            return child.select(node.predicate)
         if isinstance(node, JoinNode):
             return self._execute_join(node)
         raise ExecutionError(f"unknown node kind: {type(node).__name__}")
-
-    def _drain(self, operator: BatchOperator, kind: str) -> Table:
-        """Materialize a batch pipeline, feeding block/row counts into the
-        ``repro_exec_batch_*`` metric families (metrics only — no spans,
-        so trace goldens are untouched)."""
-        trace = self._trace
-        if trace is None:
-            return materialize(operator)
-
-        def observer(blocks: int, rows: int) -> None:
-            trace.count("repro_exec_batch_blocks_total", blocks, op=kind)
-            trace.count("repro_exec_batch_rows_total", rows, op=kind)
-
-        return materialize(operator, observer)
 
     # ------------------------------------------------------------------
     # Profiled variants, bound per-instance when a profiler is attached
@@ -443,23 +409,6 @@ class DistributedExecutor:
             )
         return table
 
-    def _profiled_drain(self, operator: BatchOperator, kind: str) -> Table:
-        profiler = self._profiler
-        trace = self._trace
-        if trace is None:
-
-            def observer(blocks: int, rows: int) -> None:
-                profiler.record_blocks(kind, blocks, rows)
-
-        else:
-
-            def observer(blocks: int, rows: int) -> None:
-                profiler.record_blocks(kind, blocks, rows)
-                trace.count("repro_exec_batch_blocks_total", blocks, op=kind)
-                trace.count("repro_exec_batch_rows_total", rows, op=kind)
-
-        return materialize(operator, observer)
-
     def _profiled_ship_once(
         self,
         table: Table,
@@ -482,15 +431,6 @@ class DistributedExecutor:
             node_id, sender, receiver, len(table), table.byte_size(), description
         )
         return result
-
-    def _join_tables(self, left: Table, right: Table, path) -> Table:
-        """Stream an equi-join of two local tables (left = probe side)."""
-        operator = HashJoinOperator(
-            TableScan(left, self._batch_size),
-            TableScan(right, self._batch_size),
-            path,
-        )
-        return self._drain(operator, "hash_join")
 
     def _execute_join(self, node: JoinNode) -> Table:
         if self._trace is None:
@@ -527,7 +467,7 @@ class DistributedExecutor:
                 right_table, right_profile, right_server, coordinator,
                 f"{where}: R_r -> coordinator", node.node_id,
             )
-            return self._join_tables(shipped_left, shipped_right, node.path)
+            return shipped_left.equi_join(shipped_right, node.path)
 
         if executor.slave is None:
             # Regular join at the master (local when both operands are
@@ -537,13 +477,13 @@ class DistributedExecutor:
                     right_table, right_profile, right_server, executor.master,
                     f"{where}: R_r -> master", node.node_id,
                 )
-                return self._join_tables(left_table, shipped, node.path)
+                return left_table.equi_join(shipped, node.path)
             if executor.master == right_server:
                 shipped = self._ship(
                     left_table, left_profile, left_server, executor.master,
                     f"{where}: R_l -> master", node.node_id,
                 )
-                return self._join_tables(shipped, right_table, node.path)
+                return shipped.equi_join(right_table, node.path)
             raise ExecutionError(
                 f"{where}: master {executor.master} holds neither operand"
             )
@@ -568,12 +508,7 @@ class DistributedExecutor:
 
         # Step 1-2: project the master operand on its join attributes and
         # ship the probe to the slave.
-        probe = self._drain(
-            ProjectOperator(
-                TableScan(master_table, self._batch_size), join_attributes
-            ),
-            "project",
-        )
+        probe = master_table.project(join_attributes)
         probe_profile = semi_join_probe_profile(master_profile, frozenset(join_attributes))
         probe = self._ship(
             probe, probe_profile, executor.master, executor.slave,
@@ -581,7 +516,7 @@ class DistributedExecutor:
         )
         # Step 3-4: the slave joins the probe with its operand and ships
         # the (reduced) result back.
-        slave_join = self._join_tables(probe, slave_table, node.path)
+        slave_join = probe.equi_join(slave_table, node.path)
         slave_operand_profile = right_profile if master_is_left else left_profile
         back_profile = semi_join_result_profile(
             master_profile, slave_operand_profile, frozenset(join_attributes), node.path

@@ -1,45 +1,22 @@
-"""Batch-first operators and centralized plan evaluation.
+"""Centralized plan evaluation — the correctness oracle.
 
-Since the batch-first refactor, local evaluation streams **blocks**
-through a minimal operator interface instead of materializing a new
-table per algebra step:
+The relational operators themselves are
+:class:`~repro.engine.data.Table`'s columnar kernels (``project``,
+``select``, ``equi_join``); they are the only operator implementation
+in the engine, and the distributed executor calls the same ones.
 
-* a :class:`Block` is a horizontal slice of a columnar relation —
-  per-attribute arrays of interned ids sharing the table pool;
-* a :class:`BatchOperator` exposes ``open()`` / ``next_batch()`` /
-  ``close()``; ``next_batch`` returns ``None`` at exhaustion;
-* :class:`TableScan`, :class:`ProjectOperator`,
-  :class:`FilterOperator` and :class:`HashJoinOperator` cover the plan
-  algebra; :func:`materialize` drains any operator into a
-  :class:`~repro.engine.data.Table` (deduplicating across blocks, so
-  set semantics hold globally no matter how the stream was sliced).
-
-The operators work on id columns only — values are never decoded on the
-hot path — and every validation error matches the corresponding
-table-level operator byte for byte, so the streamed pipeline is
-observationally identical to the one-table-per-step seed evaluator (the
-Hypothesis differential suite asserts this row for row).  One documented
-exception: when a projection over a *join stream* collapses value-equal
-rows whose cells differ only in type (``1`` vs ``True``), the surviving
-representative is the first in stream order rather than the first in
-canonical order — the resulting relations are still equal under value
-semantics, which is all set semantics promises.
-
-:func:`evaluate_plan` remains the correctness oracle: it evaluates a
-query tree plan against a set of base tables *in one place*, ignoring
-servers, authorizations and communication entirely.  The distributed
-executor must produce exactly this result (a property the test suite
-checks under random workloads); the oracle is also what a trusted
-warehouse would compute, making it the natural baseline for the
-communication-cost benchmarks.
+:func:`evaluate_plan` evaluates a query tree plan against a set of base
+tables *in one place*, ignoring servers, authorizations and
+communication entirely.  The distributed executor must produce exactly
+this result (a property the test suite checks under random workloads);
+the oracle is also what a trusted warehouse would compute, making it the
+natural baseline for the communication-cost benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Mapping
 
-from repro.algebra.joins import JoinPath
-from repro.algebra.predicates import Predicate
 from repro.algebra.tree import (
     PROJECT,
     JoinNode,
@@ -48,350 +25,25 @@ from repro.algebra.tree import (
     QueryTreePlan,
     UnaryNode,
 )
-from repro.engine.data import InternPool, Table, _none_class
+from repro.engine.data import Table
 from repro.exceptions import ExecutionError
 
-#: Rows per block when scanning a stored table.  Large enough that the
-#: per-block bookkeeping amortizes away, small enough that pipelines
-#: keep a bounded working set per step.
-DEFAULT_BATCH_SIZE = 1024
 
-
-class Block:
-    """One batch of rows: per-attribute id arrays over a shared pool.
-
-    Blocks are produced and consumed by :class:`BatchOperator`
-    implementations; they are plain containers with no set semantics of
-    their own — deduplication happens when a stream is materialized
-    into a :class:`~repro.engine.data.Table`.
-    """
-
-    __slots__ = ("attributes", "columns", "pool")
-
-    def __init__(
-        self,
-        attributes: Tuple[str, ...],
-        columns: List[List[int]],
-        pool: InternPool,
-    ) -> None:
-        self.attributes = attributes
-        self.columns = columns
-        self.pool = pool
-
-    @property
-    def row_count(self) -> int:
-        """Number of rows in the block."""
-        return len(self.columns[0]) if self.columns else 0
-
-    def to_table(self) -> Table:
-        """The block's rows as a (deduplicated) table."""
-        return Table._from_columns(
-            self.attributes, [list(c) for c in self.columns], self.pool
-        )
-
-    def __repr__(self) -> str:
-        return f"Block({list(self.attributes)}, {self.row_count} rows)"
-
-
-class BatchOperator:
-    """Base class of the streaming operator interface.
-
-    Lifecycle: ``open()`` once, ``next_batch()`` until it returns
-    ``None``, ``close()`` once (also safe after an error).  ``attributes``
-    is the output schema and is known before ``open`` — plan validation
-    happens at construction time so a mis-wired pipeline fails fast with
-    the same errors the table-level operators raise.
-    """
-
-    __slots__ = ("attributes",)
-
-    def __init__(self, attributes: Tuple[str, ...]) -> None:
-        self.attributes = attributes
-
-    def open(self) -> None:
-        """Acquire inputs (build hash tables, open children)."""
-
-    def next_batch(self) -> Optional[Block]:
-        """The next non-empty block, or ``None`` when exhausted."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release inputs; idempotent."""
-
-
-class TableScan(BatchOperator):
-    """Stream a stored table in blocks of ``batch_size`` rows."""
-
-    __slots__ = ("_table", "_batch_size", "_offset")
-
-    def __init__(self, table: Table, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        super().__init__(table.attributes)
-        if batch_size < 1:
-            raise ExecutionError(f"batch size must be positive, got {batch_size}")
-        self._table = table
-        self._batch_size = batch_size
-        self._offset = 0
-
-    def open(self) -> None:
-        if self._table._pool.has_aliases:
-            # With cross-type aliases (1 vs True) in the pool, stream in
-            # canonical order so downstream keep-first deduplication
-            # picks the same representatives the table-level operators
-            # do.  Without aliases order cannot affect any result.
-            self._table._ensure_canonical()
-        self._offset = 0
-
-    def next_batch(self) -> Optional[Block]:
-        table = self._table
-        offset = self._offset
-        if offset >= len(table):
-            return None
-        end = offset + self._batch_size
-        self._offset = end
-        columns = [column[offset:end] for column in table._columns]
-        return Block(self.attributes, columns, table._pool)
-
-
-class ProjectOperator(BatchOperator):
-    """:math:`\\pi_X` over a stream.
-
-    Column selection and the projection contract (duplicates rejected,
-    output follows the child's attribute order) are enforced up front;
-    per block only the kept columns are forwarded.  Cross-block
-    duplicate collapse is deferred to :func:`materialize`.
-    """
-
-    __slots__ = ("_child", "_indices")
-
-    def __init__(self, child: BatchOperator, attributes) -> None:
-        requested = list(attributes)
-        requested_set = set(requested)
-        if len(requested_set) != len(requested):
-            seen: set = set()
-            duplicates = sorted({a for a in requested if a in seen or seen.add(a)})
-            raise ExecutionError(f"cannot project on duplicated columns: {duplicates}")
-        missing = requested_set - set(child.attributes)
-        if missing:
-            raise ExecutionError(
-                f"cannot project on missing columns: {sorted(missing)}"
-            )
-        kept = [a for a in child.attributes if a in requested_set]
-        super().__init__(tuple(kept))
-        self._child = child
-        index = {name: i for i, name in enumerate(child.attributes)}
-        self._indices = [index[a] for a in kept]
-
-    def open(self) -> None:
-        self._child.open()
-
-    def next_batch(self) -> Optional[Block]:
-        block = self._child.next_batch()
-        if block is None:
-            return None
-        columns = [block.columns[i] for i in self._indices]
-        return Block(self.attributes, columns, block.pool)
-
-    def close(self) -> None:
-        self._child.close()
-
-
-class FilterOperator(BatchOperator):
-    """:math:`\\sigma_C` over a stream — mask-and-compress per block."""
-
-    __slots__ = ("_child", "_predicate")
-
-    def __init__(self, child: BatchOperator, predicate: Predicate) -> None:
-        super().__init__(child.attributes)
-        self._child = child
-        self._predicate = predicate
-
-    def open(self) -> None:
-        self._child.open()
-
-    def next_batch(self) -> Optional[Block]:
-        predicate = self._predicate
-        while True:
-            block = self._child.next_batch()
-            if block is None:
-                return None
-            if predicate.is_true():
-                return block
-            # Borrow the table-level mask kernel (vectorized single-atom
-            # fast path, row-dict fallback with the seed's exact error
-            # semantics).  The wrapper adopts the block's columns without
-            # copying or re-deduplicating.
-            view = Table._from_columns(
-                block.attributes, block.columns, block.pool,
-                deduped=True, canonical=True,
-            )
-            mask = view._predicate_mask(predicate)
-            if all(mask):
-                return block
-            columns = [
-                [v for v, keep in zip(column, mask) if keep]
-                for column in block.columns
-            ]
-            if columns and columns[0]:
-                return Block(block.attributes, columns, block.pool)
-            # Entire block filtered out — pull the next one.
-
-    def close(self) -> None:
-        self._child.close()
-
-
-class HashJoinOperator(BatchOperator):
-    """Streaming hash equi-join: buffer the build side, stream the probe.
-
-    The right child is the build side — it is drained at ``open()``
-    into class-id hash buckets (rows whose key contains ``None`` never
-    enter, matching the table-level null-key semantics).  Probe blocks
-    then stream through, each emitting one joined block.  Output columns
-    are the probe (left) child's followed by the build (right) child's —
-    the same orientation as ``left.equi_join(right, path)``.
-    """
-
-    __slots__ = ("_left", "_right", "_pairs", "_buckets", "_none_class")
-
-    def __init__(
-        self, left: BatchOperator, right: BatchOperator, conditions: JoinPath
-    ) -> None:
-        left_index = {name: i for i, name in enumerate(left.attributes)}
-        right_index = {name: i for i, name in enumerate(right.attributes)}
-        pairs: List[Tuple[int, int]] = []
-        for condition in conditions:
-            if condition.first in left_index and condition.second in right_index:
-                pairs.append((left_index[condition.first], right_index[condition.second]))
-            elif condition.second in left_index and condition.first in right_index:
-                pairs.append((left_index[condition.second], right_index[condition.first]))
-            else:
-                raise ExecutionError(
-                    f"join condition {condition} does not bridge the tables"
-                )
-        overlap = set(left.attributes) & set(right.attributes)
-        if overlap:
-            raise ExecutionError(
-                f"equi-join operands share columns {sorted(overlap)}; use "
-                "natural_join for recombination joins"
-            )
-        super().__init__(left.attributes + right.attributes)
-        self._left = left
-        self._right = right
-        self._pairs = pairs
-        self._buckets: Optional[Dict[Tuple[int, ...], List[Tuple[int, ...]]]] = None
-        self._none_class = 0
-
-    def open(self) -> None:
-        self._left.open()
-        self._right.open()
-        pool = None
-        buckets: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        key_indices = [j for _, j in self._pairs]
-        while True:
-            block = self._right.next_batch()
-            if block is None:
-                break
-            pool = block.pool
-            none_class = _none_class(pool)
-            self._none_class = none_class
-            view = Table._from_columns(
-                block.attributes, block.columns, pool, deduped=True, canonical=True
-            )
-            keys = zip(*[view._class_view(block.columns[j]) for j in key_indices])
-            for row, key in zip(zip(*block.columns), keys):
-                if none_class in key:
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
-        self._buckets = buckets
-
-    def next_batch(self) -> Optional[Block]:
-        buckets = self._buckets
-        if buckets is None:
-            raise ExecutionError("HashJoinOperator.next_batch before open()")
-        key_indices = [i for i, _ in self._pairs]
-        width = len(self.attributes)
-        while True:
-            block = self._left.next_batch()
-            if block is None:
-                return None
-            if not buckets:
-                continue
-            pool = block.pool
-            none_class = _none_class(pool)
-            view = Table._from_columns(
-                block.attributes, block.columns, pool, deduped=True, canonical=True
-            )
-            keys = zip(*[view._class_view(block.columns[i]) for i in key_indices])
-            joined: List[Tuple[int, ...]] = []
-            for row, key in zip(zip(*block.columns), keys):
-                if none_class in key:
-                    continue
-                for match in buckets.get(key, ()):
-                    joined.append(row + match)
-            if joined:
-                columns = [list(col) for col in zip(*joined)]
-                return Block(self.attributes, columns, pool)
-            # No matches in this probe block — keep pulling.
-
-    def close(self) -> None:
-        self._left.close()
-        self._right.close()
-        self._buckets = None
-
-
-def materialize(operator: BatchOperator, observer=None) -> Table:
-    """Drain a batch operator into a table.
-
-    Blocks are concatenated column-wise, then deduplicated once (on
-    interned class ids) when the table is formed — set semantics hold
-    regardless of block boundaries.  Row order stays lazy: nothing here
-    sorts.
+def evaluate_plan(plan: QueryTreePlan, tables: Mapping[str, Table]) -> Table:
+    """Evaluate ``plan`` centrally over ``tables``.
 
     Args:
-        operator: the pipeline root.
-        observer: optional callable ``(blocks, rows)`` invoked once with
-            the stream's batch accounting (the executor feeds its
-            ``repro_exec_batch_*`` metrics from this).
+        plan: the query tree plan.
+        tables: base tables keyed by relation name; every leaf relation
+            must be present.
+
+    Raises:
+        ExecutionError: on a missing base table or an operator failure.
     """
-    attrs = operator.attributes
-    columns: List[List[int]] = [[] for _ in attrs]
-    pool = None
-    blocks = 0
-    rows = 0
-    operator.open()
-    try:
-        while True:
-            block = operator.next_batch()
-            if block is None:
-                break
-            blocks += 1
-            rows += block.row_count
-            pool = block.pool
-            for accumulated, produced in zip(columns, block.columns):
-                accumulated.extend(produced)
-    finally:
-        operator.close()
-    if observer is not None:
-        observer(blocks, rows)
-    if pool is None:
-        return Table.empty(attrs)
-    return Table._from_columns(attrs, columns, pool)
+    return _evaluate(plan.root, tables)
 
 
-def compile_plan(
-    node: PlanNode,
-    tables: Mapping[str, Table],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> BatchOperator:
-    """Compile a plan subtree into a batch-operator pipeline.
-
-    Base-table presence and leaf schema coverage are validated during
-    compilation (before any block flows), with the same errors the
-    one-shot evaluator raised.
-    """
+def _evaluate(node: PlanNode, tables: Mapping[str, Table]) -> Table:
     if isinstance(node, LeafNode):
         name = node.relation.name
         if name not in tables:
@@ -402,33 +54,13 @@ def compile_plan(
             raise ExecutionError(
                 f"instance of {name!r} lacks columns {sorted(missing)}"
             )
-        return TableScan(table, batch_size)
+        return table
     if isinstance(node, UnaryNode):
-        child = compile_plan(node.left, tables, batch_size)
+        child = _evaluate(node.left, tables)
         if node.operator == PROJECT:
-            return ProjectOperator(child, sorted(node.projection_attributes))
-        return FilterOperator(child, node.predicate)
+            return child.project(node.projection_attributes)
+        return child.select(node.predicate)
     if isinstance(node, JoinNode):
-        left = compile_plan(node.left, tables, batch_size)
-        right = compile_plan(node.right, tables, batch_size)
-        return HashJoinOperator(left, right, node.path)
+        left = _evaluate(node.left, tables)
+        return left.equi_join(_evaluate(node.right, tables), node.path)
     raise ExecutionError(f"unknown node kind: {type(node).__name__}")
-
-
-def evaluate_plan(
-    plan: QueryTreePlan,
-    tables: Mapping[str, Table],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> Table:
-    """Evaluate ``plan`` centrally over ``tables``.
-
-    Args:
-        plan: the query tree plan.
-        tables: base tables keyed by relation name; every leaf relation
-            must be present.
-        batch_size: rows per scanned block.
-
-    Raises:
-        ExecutionError: on a missing base table or an operator failure.
-    """
-    return materialize(compile_plan(plan.root, tables, batch_size))

@@ -435,7 +435,7 @@ def query_profile_to_dict(profile) -> Dict[str, Any]:
     """Encode a :class:`~repro.profiling.QueryProfile`.
 
     Deterministic: operators sorted by node id, transfers in shipment
-    order, relations and block counts sorted by key — so profile
+    order, relations sorted by key — so profile
     artifacts written via :func:`save_json` are byte-stable under a
     pinned clock.
     """
@@ -484,10 +484,6 @@ def query_profile_to_dict(profile) -> Dict[str, Any]:
                 "widths": dict(sorted(obs.widths.items())),
             }
             for name, obs in sorted(profile.relations.items())
-        },
-        "block_counts": {
-            kind: [int(counts[0]), int(counts[1])]
-            for kind, counts in sorted(profile.block_counts.items())
         },
         "misestimates": [dict(flag) for flag in profile.misestimates],
     }
@@ -554,8 +550,6 @@ def query_profile_from_dict(data: Dict[str, Any]):
             entry.get("distinct", {}),
             entry.get("widths", {}),
         )
-    for kind, counts in data.get("block_counts", {}).items():
-        profile.block_counts[kind] = [int(counts[0]), int(counts[1])]
     profile.misestimates = [dict(flag) for flag in data.get("misestimates", [])]
     return profile
 

@@ -4,10 +4,9 @@ A `QueryProfiler` is attached to a `QueryPipeline` (or directly to a
 `DistributedExecutor`) and collects one `QueryProfile` per run: the
 operator tree with observed output cardinalities, every transfer with
 its actual byte size next to the coster's estimate, CanView probe
-counts, block/row throughput per operator kind, and start/finish
-timestamps on whatever clock the run uses (wall time by default, the
-fault injector's logical clock under a pinned run — which is what makes
-profile artifacts byte-stable).
+counts, and start/finish timestamps on whatever clock the run uses
+(wall time by default, the fault injector's logical clock under a
+pinned run — which is what makes profile artifacts byte-stable).
 
 The profiler is pull-free: the executor pushes records as it goes, and
 `finish()` derives observed join selectivities and misestimation flags.
@@ -164,7 +163,6 @@ class QueryProfile:
         "operators",
         "transfers",
         "relations",
-        "block_counts",
         "canview_probes",
         "estimated_bytes",
         "estimated_cost",
@@ -184,8 +182,6 @@ class QueryProfile:
         self.operators: Dict[int, OperatorProfile] = {}
         self.transfers: List[TransferProfile] = []
         self.relations: Dict[str, RelationObservation] = {}
-        #: operator kind -> [blocks, rows] drained through the batch core.
-        self.block_counts: Dict[str, List[int]] = {}
         self.canview_probes = 0
         self.estimated_bytes = 0.0
         self.estimated_cost = 0.0
@@ -411,12 +407,6 @@ class QueryProfiler:
         )
         profile.transfers.append(record)
         return record
-
-    def record_blocks(self, kind: str, blocks: int, rows: int) -> None:
-        profile = self._require_active()
-        counts = profile.block_counts.setdefault(kind, [0, 0])
-        counts[0] += blocks
-        counts[1] += rows
 
     def record_probe(self, count: int = 1) -> None:
         self._require_active().canview_probes += int(count)

@@ -50,7 +50,6 @@ from repro.core.profile import RelationProfile
 from repro.core.safety import verify_assignment
 from repro.engine.data import Table
 from repro.engine.executor import ExecutionResult
-from repro.engine.operators import DEFAULT_BATCH_SIZE
 from repro.exceptions import (
     InfeasiblePlanError,
     PartitionSchemeError,
@@ -464,7 +463,6 @@ class ShardedExecutor:
         plan: ShardPlan,
         recipient: Optional[str] = None,
         trace=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> ShardedResult:
         """The multi-round rung: the engine-level repartitioning run.
 
@@ -498,7 +496,6 @@ class ShardedExecutor:
             system.policy,
             system.catalog,
             trace=trace,
-            batch_size=batch_size,
         )
         took = [time.perf_counter() - start]
         return self.package(plan, table, (), took, recipient, trace, stats)

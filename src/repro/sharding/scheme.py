@@ -285,7 +285,7 @@ class PartitionScheme:
         leans on.  The kernel is columnar: each *distinct* key (as
         interned ids) goes through :meth:`shard_of` once, and the id
         columns are bucketed by :meth:`Table.partition
-        <repro.engine.data.ColumnarTable.partition>` without
+        <repro.engine.data.Table.partition>` without
         materializing rows.
 
         Raises:
@@ -466,7 +466,7 @@ class RangePartitionScheme(PartitionScheme):
 def merge_shards(shards: Iterable[Table]) -> Optional[Table]:
     """Union per-shard result tables back into one relation.
 
-    The engine's :meth:`~repro.engine.data.ColumnarTable.union`
+    The engine's :meth:`~repro.engine.data.Table.union`
     deduplicates on value classes and re-canonicalizes order, so merging
     is exactly the single-copy semantics regardless of how rows were
     routed.  Returns ``None`` for an empty iterable.

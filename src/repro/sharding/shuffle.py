@@ -15,12 +15,10 @@ shard where it joins:
   same routing function the base shards do.
 
 :func:`execute_multiround` actually runs the fallback at the engine
-level, reusing the batch-first operator interface of
-:mod:`repro.engine.operators` for the per-partition block streams: each
-shard's join step is a :class:`~repro.engine.operators.HashJoinOperator`
-pipeline over :class:`~repro.engine.operators.TableScan` streams, and
-repartition/broadcast shipments are audited with the group-lifted
-``CanView`` before any row moves — an unauthorized shuffle raises
+level: each shard's join step is the table kernel
+:meth:`~repro.engine.data.Table.equi_join`, and repartition/broadcast
+shipments are audited with the group-lifted ``CanView`` before any row
+moves — an unauthorized shuffle raises
 :class:`~repro.exceptions.ShardingError` so the coordinator falls back
 to single-copy execution instead of leaking.
 """
@@ -33,12 +31,6 @@ from repro.algebra.builder import QuerySpec
 from repro.algebra.schema import Catalog
 from repro.core.profile import RelationProfile
 from repro.engine.data import Table
-from repro.engine.operators import (
-    DEFAULT_BATCH_SIZE,
-    HashJoinOperator,
-    TableScan,
-    materialize,
-)
 from repro.exceptions import ShardingError
 from repro.sharding.checker import MODE_HYPERCUBE, ShardCertificate
 from repro.sharding.scheme import HashPartitionScheme, PartitionScheme, merge_shards
@@ -184,17 +176,15 @@ def execute_multiround(
     policy,
     catalog: Catalog,
     trace=None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Tuple[Table, ShuffleStats]:
     """Run the multi-round fallback: repartition, then join per shard.
 
     Left-deep evaluation with the accumulated intermediate horizontally
     partitioned throughout: a sharded incoming relation triggers a
     repartition of the intermediate onto the incoming scheme's grid, an
-    unsharded one is broadcast.  Joins run per shard as batch-operator
-    pipelines; selection and projection apply once at the end (algebraic
-    equivalence to the pushed-down plan, since select/project distribute
-    over union).
+    unsharded one is broadcast.  Joins run per shard; selection and
+    projection apply once at the end (algebraic equivalence to the
+    pushed-down plan, since select/project distribute over union).
 
     Every shipment is audited with the group-lifted CanView *before* it
     happens — an unauthorized shuffle raises
@@ -284,15 +274,10 @@ def execute_multiround(
                 stats.shipped_bytes += copies * tables[incoming].byte_size()
             if trace is not None:
                 trace.count("repro_shard_broadcast_total")
-        joined: List[Table] = []
-        for left, right in zip(fragments, right_shards):
-            operator = HashJoinOperator(
-                TableScan(left, batch_size=batch_size),
-                TableScan(right, batch_size=batch_size),
-                step,
-            )
-            joined.append(materialize(operator))
-        fragments = joined
+        fragments = [
+            left.equi_join(right, step)
+            for left, right in zip(fragments, right_shards)
+        ]
         acc_profile = acc_profile.join(incoming_profile, step)
 
     merged = merge_shards(fragments)

@@ -243,6 +243,30 @@ class OracleTable:
 
 
 # ---------------------------------------------------------------------------
+# Plan-level reference
+# ---------------------------------------------------------------------------
+
+
+def oracle_evaluate(plan, oracle_tables: Mapping[str, OracleTable]) -> OracleTable:
+    """Evaluate a query tree plan over :class:`OracleTable` instances,
+    one full new table per node — the plan-level reference for
+    ``evaluate_plan`` and the distributed executor."""
+    from repro.algebra.tree import PROJECT, LeafNode, UnaryNode
+
+    def walk(node) -> OracleTable:
+        if isinstance(node, LeafNode):
+            return oracle_tables[node.relation.name]
+        if isinstance(node, UnaryNode):
+            child = walk(node.left)
+            if node.operator == PROJECT:
+                return child.project(node.projection_attributes)
+            return child.select(node.predicate)
+        return walk(node.left).equi_join(walk(node.right), node.path)
+
+    return walk(plan.root)
+
+
+# ---------------------------------------------------------------------------
 # Shard / merge reference (PR: sharded relations)
 # ---------------------------------------------------------------------------
 #

@@ -174,19 +174,6 @@ class TestNaturalJoin:
         assert len(left.natural_join(right)) == 0
 
 
-class TestSemiJoinFilter:
-    def test_filters_matching_rows(self, insurance, registry):
-        probe = registry.project(["Citizen"])
-        # Align the probe column name with Holder via a relabeled table.
-        probe_as_holder = Table(["Holder"], probe.rows)
-        filtered = insurance.semi_join_filter(probe_as_holder)
-        assert len(filtered) == 2
-
-    def test_requires_shared_columns(self, insurance):
-        with pytest.raises(ExecutionError):
-            insurance.semi_join_filter(Table(["X"], [(1,)]))
-
-
 class TestUnion:
     def test_union_dedupes(self):
         first = Table(["a", "b"], [(1, 2)])

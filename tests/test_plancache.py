@@ -279,6 +279,64 @@ class TestFingerprints:
         assert one == two
 
 
+class TestParseMemo:
+    def _counting_parse(self, monkeypatch):
+        import repro.sql
+        import repro.sql.binder
+
+        calls = []
+        real = repro.sql.parse
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        # `parse_query` resolves `parse` in the binder module, the
+        # system resolves it on the package: count both.
+        monkeypatch.setattr(repro.sql, "parse", counting)
+        monkeypatch.setattr(repro.sql.binder, "parse", counting)
+        return calls
+
+    def test_memo_miss_parses_left_deep_text_once(self, monkeypatch):
+        system = _toy_system(grant("S1", "a b"), grant("S2", "c d"), grant("S2", "a b"))
+        calls = self._counting_parse(monkeypatch)
+        system.plan(JOIN_QUERY)
+        assert calls == [JOIN_QUERY]
+        system.plan(JOIN_QUERY)
+        assert calls == [JOIN_QUERY]
+
+    def test_parse_serves_memoized_specs(self, monkeypatch):
+        system = _toy_system(grant("S1", "a b"), grant("S2", "c d"), grant("S2", "a b"))
+        calls = self._counting_parse(monkeypatch)
+        spec = system.parse(JOIN_QUERY)
+        assert system.parse(JOIN_QUERY) is spec
+        # plan() binds from the same memo entry parse() filled.
+        system.plan(JOIN_QUERY)
+        assert calls == [JOIN_QUERY]
+
+    def test_memo_off_parses_every_time(self, monkeypatch):
+        system = _toy_system(grant("S1", "a b"), grant("S2", "c d"), plan_cache=False)
+        calls = self._counting_parse(monkeypatch)
+        assert system.parse(JOIN_QUERY) is not system.parse(JOIN_QUERY)
+        assert calls == [JOIN_QUERY, JOIN_QUERY]
+
+    def test_bushy_text_keeps_the_spec_binder_error(self):
+        from repro.exceptions import BindingError
+
+        bushy = (
+            "SELECT Plan, Physician, HealthAid "
+            "FROM Insurance JOIN (Nat_registry JOIN Hospital ON Citizen = Patient) "
+            "ON Holder = Citizen"
+        )
+        system = _medical_system()
+        with pytest.raises(BindingError, match="parenthesized"):
+            system.parse(bushy)
+        assert system._parsed(bushy, memoize=True)[0] == "tree"
+        # Memoized as a tree, which parse() must not serve.
+        with pytest.raises(BindingError, match="parenthesized"):
+            system.parse(bushy)
+
+
 # ---------------------------------------------------------------------------
 # End-to-end reuse
 # ---------------------------------------------------------------------------

@@ -355,6 +355,15 @@ def test_profile_roundtrip_byte_stable(tmp_path):
     assert len(restored.operators) == len(profile.operators)
 
 
+def test_profile_from_dict_loads_artifact_with_block_counts():
+    # Artifacts written before the block-streaming layer was removed
+    # carry a ``block_counts`` object; it is ignored, not an error.
+    _, profile = _profiled_run()
+    data = query_profile_to_dict(profile)
+    old = dict(data, block_counts={"hash_join": [2, 99], "project": [3, 150]})
+    assert query_profile_to_dict(query_profile_from_dict(old)) == data
+
+
 def test_profile_from_dict_rejects_garbage():
     with pytest.raises(ReproError):
         query_profile_from_dict({"transfers": []})

@@ -1,14 +1,13 @@
-"""Unit tests for the batch-first execution core.
+"""Unit tests for the columnar execution core.
 
 Covers the contracts the columnar refactor added or tightened:
 
-* null join keys never match, in all three key-matching operators
-  (``equi_join``, ``natural_join`` and the fixed ``semi_join_filter``);
-* the ``project`` contract (duplicates rejected, table-order result);
+* null join keys never match, in both key-matching operators
+  (``equi_join`` and ``natural_join``);
+* the ``project`` contract (duplicates rejected, table-order result),
+  at the table and through a plan's projection node;
 * canonical byte accounting: ``byte_size()``, ``cell_width`` and the
   coster agree on every value kind, including ``None``;
-* batch-size invariance: streamed evaluation and the distributed
-  executor produce byte-identical results at any block size;
 * columnar wire format round trips;
 * the batched ``CanView`` kernel and the batch-aware planner answer
   exactly like their scalar counterparts.
@@ -16,38 +15,24 @@ Covers the contracts the columnar refactor added or tightened:
 
 import pytest
 
-from repro.algebra.builder import build_plan
+from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
-from repro.algebra.predicates import Comparison, Predicate
 from repro.core.access import can_view, can_view_batch
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
 from repro.engine.coster import TableStats
 from repro.engine.data import Table, cell_width
-from repro.engine.executor import DistributedExecutor
-from repro.engine.operators import (
-    FilterOperator,
-    HashJoinOperator,
-    ProjectOperator,
-    TableScan,
-    evaluate_plan,
-    materialize,
-)
+from repro.engine.operators import evaluate_plan
 from repro.exceptions import ExecutionError, InfeasiblePlanError
 from repro.io.serialize import table_from_columns, table_to_columns
+from repro.testing import quick_catalog
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
 from tests._row_oracle import OracleTable
 
 
 class TestNullKeys:
-    """A ``None`` join key matches nothing — in every operator.
-
-    The seed's ``semi_join_filter`` let ``None`` probe keys match
-    ``None`` build keys through plain tuple equality, so a row with an
-    unknown key survived the reduction that the recombination join
-    would then drop.  All three operators now share one rule.
-    """
+    """A ``None`` join key matches nothing — in every operator."""
 
     left = Table(("A", "K"), [("a1", "x"), ("a2", None), ("a3", "y")])
     right = Table(("B", "L"), [("b1", "x"), ("b2", None)])
@@ -62,23 +47,18 @@ class TestNullKeys:
         joined = left.natural_join(right)
         assert set(joined.rows) == {("a1", "x", "b1")}
 
-    def test_semi_join_filter_skips_none_keys(self):
-        probe = Table(("K",), [("x",), (None,)])
-        filtered = self.left.project(["K", "A"]).semi_join_filter(probe)
-        # The None-keyed row must not survive, even though the probe
-        # also carries a None key (the seed bug kept it).
-        assert set(filtered.rows) == {("a1", "x")}
-
     def test_semi_join_reduction_agrees_with_join(self):
-        # The regression that motivated the fix: the rows surviving the
-        # semi-join filter must be exactly the rows the recombination
-        # join keeps.
-        probe = self.right.project(["L"])
-        kept = self.left.semi_join_filter(
-            Table(("K",), [(v,) for v in probe.column("L")])
+        # The Figure 5 sequence on the kernels the executor calls: the
+        # probe carries a None key, the slave operand carries one too,
+        # and neither may survive the reduction or the recombination.
+        path = JoinPath.of(("K", "L"))
+        probe = self.left.project(["K"])
+        assert None in probe.column("K")
+        reduced = probe.equi_join(self.right, path)
+        assert set(reduced.rows) == {("x", "b1", "x")}
+        assert self.left.natural_join(reduced) == self.left.equi_join(
+            self.right, path
         )
-        joined = self.left.equi_join(self.right, JoinPath.of(("K", "L")))
-        assert {r[:2] for r in joined.rows} == set(kept.rows)
 
 
 class TestProjectContract:
@@ -101,10 +81,11 @@ class TestProjectContract:
         assert self.table.project(["C", "A"]).attributes == ("C", "A")
 
     def test_operator_matches_table(self):
-        with pytest.raises(ExecutionError) as err:
-            ProjectOperator(TableScan(self.table), ["A", "B", "A"])
-        assert "cannot project on duplicated columns: ['A']" in str(err.value)
-        projected = materialize(ProjectOperator(TableScan(self.table), ["A", "C"]))
+        # A plan's projection node is the table kernel: same rows, and
+        # table attribute order whatever order the plan names them in.
+        catalog = quick_catalog("R(C, A, B) @ S1")
+        plan = build_plan(catalog, QuerySpec(["R"], [], frozenset({"A", "C"})))
+        projected = evaluate_plan(plan, {"R": self.table})
         assert projected == self.table.project(["A", "C"])
         assert projected.attributes == ("C", "A")
 
@@ -139,58 +120,6 @@ class TestByteAccounting:
         for t in (self.table, OracleTable(self.table.attributes, self.rows)):
             stats = TableStats.of_table(t)
             assert stats.bytes_for(t.attributes) == pytest.approx(t.byte_size())
-
-
-class TestBatchInvariance:
-    @pytest.fixture()
-    def tables(self, instances, catalog):
-        return {
-            name: Table.from_rows(catalog.relation(name).attributes, rows)
-            for name, rows in instances.items()
-        }
-
-    def test_scan_roundtrip_any_batch_size(self):
-        table = Table(("A", "B"), [(f"a{i}", i % 5) for i in range(50)])
-        for size in (1, 3, 7, 64, 1000):
-            assert materialize(TableScan(table, size)) == table
-
-    def test_evaluate_plan_batch_size_invariant(self, plan, tables):
-        reference = evaluate_plan(plan, tables)
-        for size in (1, 17, 4096):
-            assert evaluate_plan(plan, tables, batch_size=size) == reference
-
-    def test_executor_batch_size_invariant(self, planner, plan, tables, policy):
-        assignment, _ = planner.plan(plan)
-        reference = DistributedExecutor(assignment, tables, policy=policy).run()
-        for size in (1, 13):
-            result = DistributedExecutor(
-                assignment, tables, policy=policy, batch_size=size
-            ).run()
-            assert result.table == reference.table
-            assert result.summary_dict() == reference.summary_dict()
-            assert [
-                (t.sender, t.receiver, t.row_count, t.byte_size)
-                for t in result.transfers
-            ] == [
-                (t.sender, t.receiver, t.row_count, t.byte_size)
-                for t in reference.transfers
-            ]
-
-    def test_filter_and_join_stream_match_table_ops(self):
-        left = Table(("A", "K"), [(f"a{i}", f"k{i % 7}") for i in range(40)])
-        right = Table(("L", "B"), [(f"k{i % 9}", f"b{i}") for i in range(30)])
-        predicate = Predicate([Comparison("K", "=", "k3")])
-        path = JoinPath.of(("K", "L"))
-        expected = left.select(predicate).equi_join(right, path)
-        for size in (1, 8, 100):
-            streamed = materialize(
-                HashJoinOperator(
-                    FilterOperator(TableScan(left, size), predicate),
-                    TableScan(right, size),
-                    path,
-                )
-            )
-            assert streamed == expected
 
 
 class TestColumnarWireFormat:

@@ -1,10 +1,9 @@
 """Differential testing of the columnar engine against the row oracle.
 
 Hypothesis drives random tables and operator applications through both
-engines — the batch-first columnar :class:`~repro.engine.data.Table`
-(and its streamed operator pipeline at random block sizes) and the
-frozen row-at-a-time :class:`tests._row_oracle.OracleTable` — and
-asserts the results agree **row for row in canonical order**, not just
+engines — the columnar :class:`~repro.engine.data.Table` and the frozen
+row-at-a-time :class:`tests._row_oracle.OracleTable` — and asserts the
+results agree **row for row in canonical order**, not just
 as sets.  Error behaviour must agree too: when the oracle raises, the
 columnar engine raises the same exception type.
 
@@ -17,32 +16,34 @@ matches a join key.  It deliberately excludes ``-0.0`` and ``NaN``:
 objects are never equal — both documented engine edges, neither a
 relational semantics question.
 
-A second block checks the batched ``CanView`` kernel against the scalar
-one on real planner probes at random batch sizes.
+A plan-level block runs whole query trees over synthetic federations
+through ``evaluate_plan`` and the distributed executor against
+``oracle_evaluate``; a last block checks the batched ``CanView`` kernel
+against the scalar one on real planner probes at random batch sizes.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.algebra.predicates import Comparison, Predicate
+from repro.baselines.exhaustive import enumerate_structural_assignments
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
 from repro.engine.data import Table
-from repro.engine.operators import (
-    FilterOperator,
-    HashJoinOperator,
-    ProjectOperator,
-    TableScan,
-    materialize,
-)
+from repro.engine.executor import DistributedExecutor
+from repro.engine.operators import evaluate_plan
 from repro.workloads.medical import medical_catalog, medical_policy, paper_plan
+from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
-from tests._row_oracle import OracleTable
+from tests._row_oracle import OracleTable, oracle_evaluate
 
 # ---------------------------------------------------------------------------
 # Value and table strategies
@@ -116,9 +117,8 @@ def test_equality_and_hash_parity(rows, other_rows):
     requested=st.lists(
         st.sampled_from(["A0", "A1", "A2"]), min_size=1, max_size=4
     ),
-    batch_size=st.integers(min_value=1, max_value=16),
 )
-def test_project_matches(rows, requested, batch_size):
+def test_project_matches(rows, requested):
     table, oracle = both(("A0", "A1", "A2"), rows)
     try:
         expected = oracle.project(requested)
@@ -127,10 +127,6 @@ def test_project_matches(rows, requested, batch_size):
             table.project(requested)
         return
     assert_same(table.project(requested), expected)
-    streamed = materialize(
-        ProjectOperator(TableScan(table, batch_size), requested)
-    )
-    assert_same(streamed, expected)
 
 
 #: Comparison atoms over the test schema: literal and attr-vs-attr,
@@ -155,9 +151,8 @@ comparisons = st.one_of(
 @given(
     rows=rows_of([values, values, keys]),
     atoms=st.lists(comparisons, min_size=0, max_size=2),
-    batch_size=st.integers(min_value=1, max_value=16),
 )
-def test_select_matches(rows, atoms, batch_size):
+def test_select_matches(rows, atoms):
     table, oracle = both(("A0", "A1", "A2"), rows)
     predicate = Predicate(atoms)
     try:
@@ -170,10 +165,6 @@ def test_select_matches(rows, atoms, batch_size):
             table.select(predicate)
         return
     assert_same(table.select(predicate), expected)
-    streamed = materialize(
-        FilterOperator(TableScan(table, batch_size), predicate)
-    )
-    assert_same(streamed, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +176,13 @@ def test_select_matches(rows, atoms, batch_size):
 @given(
     left_rows=rows_of([values, keys]),
     right_rows=rows_of([keys, values]),
-    batch_size=st.integers(min_value=1, max_value=16),
 )
-def test_equi_join_matches(left_rows, right_rows, batch_size):
+def test_equi_join_matches(left_rows, right_rows):
     path = JoinPath.of(("K0", "K1"))
     left_t, left_o = both(("L0", "K0"), left_rows)
     right_t, right_o = both(("K1", "R0"), right_rows)
     expected = left_o.equi_join(right_o, path)
     assert_same(left_t.equi_join(right_t, path), expected)
-    streamed = materialize(
-        HashJoinOperator(
-            TableScan(left_t, batch_size), TableScan(right_t, batch_size), path
-        )
-    )
-    assert_same(streamed, expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,20 +195,6 @@ def test_natural_join_matches(left_rows, right_rows):
     right_t, right_o = both(("S0", "S1", "B"), right_rows)
     assert_same(
         left_t.natural_join(right_t), left_o.natural_join(right_o)
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    master_rows=rows_of([values, keys, keys]),
-    probe_rows=rows_of([keys, keys]),
-)
-def test_semi_join_filter_matches(master_rows, probe_rows):
-    master_t, master_o = both(("A", "S0", "S1"), master_rows)
-    probe_t, probe_o = both(("S0", "S1"), probe_rows)
-    assert_same(
-        master_t.semi_join_filter(probe_t),
-        master_o.semi_join_filter(probe_o),
     )
 
 
@@ -246,7 +216,7 @@ def test_union_matches(rows, other_rows, flip):
 
 
 # ---------------------------------------------------------------------------
-# Operator sequences at random block sizes
+# Operator sequences
 # ---------------------------------------------------------------------------
 
 
@@ -265,11 +235,10 @@ def test_union_matches(rows, other_rows, flip):
         max_size=1,
     ),
     projection=st.sampled_from([["L0"], ["L0", "R0"], ["K0", "R0"]]),
-    batch_size=st.integers(min_value=1, max_value=16),
 )
-def test_pipeline_matches(left_rows, right_rows, atoms, projection, batch_size):
-    """join -> select -> project, streamed in random block sizes, against
-    the oracle applying one full table per step."""
+def test_pipeline_matches(left_rows, right_rows, atoms, projection):
+    """join -> select -> project against the oracle, one full table per
+    step in both engines."""
     path = JoinPath.of(("K0", "K1"))
     predicate = Predicate(atoms)
     left_t, left_o = both(("L0", "K0"), left_rows)
@@ -281,26 +250,79 @@ def test_pipeline_matches(left_rows, right_rows, atoms, projection, batch_size):
         left_t.equi_join(right_t, path).select(predicate).project(projection)
     )
     assert_same(table_result, expected)
-    pipeline = ProjectOperator(
-        FilterOperator(
-            HashJoinOperator(
-                TableScan(left_t, batch_size),
-                TableScan(right_t, batch_size),
-                path,
-            ),
-            predicate,
-        ),
-        projection,
+
+
+# ---------------------------------------------------------------------------
+# Whole plans: evaluate_plan and the distributed executor vs the oracle
+# ---------------------------------------------------------------------------
+
+#: Cell domains for the plan-level lane: one free of cross-type aliases,
+#: one with the ``1``/``True``/``1.0`` corner.  Small, so joins match and
+#: projections collapse rows.
+_PLAIN_CELLS = ["x", "y", "z", None, 1, 0]
+_ALIAS_CELLS = _PLAIN_CELLS + [True, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=1, max_value=3),
+    aliases=st.booleans(),
+)
+def test_plan_matches_oracle(data, seed, size, aliases):
+    """A synthetic federation's random query, every relation filled from
+    a small cell domain: ``evaluate_plan`` agrees with the oracle row for
+    row, and so does every executor assignment tried — regular and
+    semi-join, either side as master."""
+    workload = SyntheticWorkload(
+        seed=seed, config=WorkloadConfig(servers=3, relations=4, extra_join_edges=1)
     )
-    streamed = materialize(pipeline)
-    # A projection over a *join stream* dedups in stream order, so when
-    # value-equal rows differing only in cell type (1 vs True) collide,
-    # the surviving representative may differ from the table-level
-    # one — the relations are still equal under value semantics (the
-    # documented streaming exception; see repro.engine.operators).
-    assert streamed.attributes == table_result.attributes
-    assert len(streamed) == len(table_result)
-    assert streamed == table_result
+    catalog = workload.catalog
+    spec = workload.random_query(relations=size)
+    cells = st.sampled_from(_ALIAS_CELLS if aliases else _PLAIN_CELLS)
+    where = data.draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                lambda attribute, op, operand: Predicate(
+                    [Comparison(attribute, op, operand)]
+                ),
+                st.sampled_from(sorted(spec.select)),
+                st.sampled_from(["=", "!="]),
+                cells,
+            ),
+        )
+    )
+    plan = build_plan(
+        catalog, QuerySpec(spec.relations, spec.join_paths, spec.select, where)
+    )
+    tables, oracles = {}, {}
+    for name in spec.relations:
+        attributes = catalog.relation(name).attributes
+        rows = data.draw(rows_of([cells] * len(attributes), max_rows=6))
+        tables[name], oracles[name] = both(attributes, rows)
+    expected = oracle_evaluate(plan, oracles)
+    assert_same(evaluate_plan(plan, tables), expected)
+    for assignment in islice(enumerate_structural_assignments(plan), 16):
+        table = DistributedExecutor(assignment, tables).run().table
+        # A semi-join mastered at the right operand emits that
+        # operand's columns first; column order is not part of a
+        # relation, so realign before comparing.
+        assert set(table.attributes) == set(expected.attributes)
+        index = [table.attributes.index(a) for a in expected.attributes]
+        realigned = Table(
+            expected.attributes, [tuple(row[i] for i in index) for row in table.rows]
+        )
+        if aliases:
+            # Which of two value-equal, differently-typed rows survives
+            # a collapsing projection follows the child's canonical
+            # order, hence its column order — equal as relations is all
+            # set semantics promises here.
+            assert len(realigned) == len(expected)
+            assert set(realigned.rows) == set(expected.rows)
+        else:
+            assert_same(realigned, expected)
 
 
 # ---------------------------------------------------------------------------
