@@ -38,8 +38,8 @@ test-obs:
 
 # Plan-cache suite: epoch/LRU/fingerprint unit tests, the
 # revocation-between-executions security regression, and the Hypothesis
-# differential harness (cached-vs-fresh plans, incremental-vs-full
-# closure under random policy churn).
+# differential harness (cached-vs-fresh plans, in-place-vs-full closure
+# under random grant/revoke interleavings, integer-vs-reference chase).
 test-cache:
 	$(PYTHON) -m pytest tests/test_plancache.py tests/test_plancache_diff.py
 

@@ -3,8 +3,12 @@
 Section 3.2 assumes policies closed under derivation but never measures
 the closure.  This bench does: derived-rule counts and closure runtime
 on the paper's policy and on synthetic policies of growing size, plus
-the effect of post-closure minimization.
+the effect of post-closure minimization, and a federation-scale record
+(8/10/12 servers, seed-drawn policies) — the scale axis the end-to-end
+benchmark pins away.
 """
+
+import time
 
 import pytest
 
@@ -72,3 +76,29 @@ def test_abl4_growth_table(benchmark):
     explicit_counts = [r[1] for r in rows]
     closed_counts = [r[2] for r in rows]
     assert all(c >= e for e, c in zip(explicit_counts, closed_counts))
+
+
+def test_abl4_federation_scale(benchmark):
+    """One-shot record, no ratio gate: explicit -> closed rule counts and
+    wall seconds of one ``close_policy`` per seed-drawn policy at 8, 10
+    and 12 servers (one relation per server), seeds 0-5."""
+
+    def sweep():
+        rows = []
+        for servers in (8, 10, 12):
+            for seed in range(6):
+                workload = SyntheticWorkload(
+                    seed, WorkloadConfig(servers=servers, relations=servers)
+                )
+                started = time.perf_counter()
+                closed = close_policy(workload.policy, workload.catalog, 1_000_000)
+                seconds = time.perf_counter() - started
+                rows.append(
+                    [servers, seed, len(workload.policy), len(closed), f"{seconds:.3f}"]
+                )
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print()
+    print(ascii_table(["servers", "seed", "explicit", "closed", "seconds"], rows))
+    assert all(closed >= explicit for _, _, explicit, closed, _ in rows)

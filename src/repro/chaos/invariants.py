@@ -306,8 +306,9 @@ class InvariantMonitor:
         transfer stamped) and then *independently re-probes* each
         transfer against the policy the run was audited under, through
         a fresh non-enforcing :class:`~repro.engine.audit.AuditLog`.
-        Because pipeline execution is synchronous, that policy object
-        is exactly the then-current policy of the transfers' epoch.
+        Execution is synchronous, so for the run's own delivery that
+        policy is still at the transfers' epoch; a late sharer of the
+        result, delivered after an in-place update, is not re-probed.
         """
         self._checks += 1
         if self._metrics is not None:
@@ -346,6 +347,8 @@ class InvariantMonitor:
         if len(memo) > 4096:
             memo.clear()
         self._transfers_probed += len(checked)
+        if epoch != getattr(audit, "epoch", epoch):
+            return
         probe = None
         for transfer in checked:
             key = (

@@ -216,11 +216,7 @@ class Policy:
         # never reused: removal retires an id for good.
         self._rule_ids: Dict[Authorization, int] = {}
         self._next_rule_id = 1
-        # Mutation counter; bumping it invalidates every memoized answer.
-        self._version = 0
-        # Semantic-generation counter for external caches (plan cache):
-        # bumped on every add/remove, and advanced past a predecessor's
-        # epoch when a policy is rebuilt from scratch (revocation path).
+        # Generation counter for external caches: every add/remove bumps it.
         self._epoch = 0
         self._can_view_cache: Dict[Tuple[str, JoinPath, AttributeSet], bool] = {}
         # Cold-path counter: bumped only on cache misses, so the hot hit
@@ -236,11 +232,6 @@ class Policy:
         return self._universe
 
     @property
-    def version(self) -> int:
-        """Monotonic mutation counter (each :meth:`add` bumps it)."""
-        return self._version
-
-    @property
     def epoch(self) -> int:
         """Semantic-generation counter for external caches.
 
@@ -250,19 +241,6 @@ class Policy:
         :mod:`repro.core.plancache`).
         """
         return self._epoch
-
-    def advance_epoch(self, floor: int) -> None:
-        """Ensure ``epoch > floor - 1`` (i.e. at least ``floor``).
-
-        Used when a policy is rebuilt from scratch — the revocation
-        path recomputes the full closure into a *new* :class:`Policy`
-        whose epoch restarts at its own add count; advancing it past the
-        predecessor's epoch keeps the system-level epoch line strictly
-        increasing, so cache entries validated under any earlier policy
-        can never be mistaken for current.
-        """
-        if self._epoch < floor:
-            self._epoch = floor
 
     def add(self, authorization: Authorization) -> None:
         """Add one rule.
@@ -285,7 +263,6 @@ class Policy:
         if bucket is None:
             bucket = self._by_server_path[key] = _PathBucket()
         bucket.add(authorization, self._universe.mask_of(authorization.attributes))
-        self._version += 1
         self._epoch += 1
         if self._can_view_cache:
             self._can_view_cache.clear()
@@ -312,22 +289,13 @@ class Policy:
         bucket.remove(authorization)
         if not bucket.rules:
             del self._by_server_path[key]
-        self._version += 1
         self._epoch += 1
         if self._can_view_cache:
             self._can_view_cache.clear()
 
-    def add_all(self, authorizations: Iterable[Authorization]) -> None:
-        """Add several rules (duplicates rejected as in :meth:`add`)."""
-        for authorization in authorizations:
-            self.add(authorization)
-
     def extend_ignoring_duplicates(self, authorizations: Iterable[Authorization]) -> int:
-        """Add rules, silently skipping exact duplicates.
-
-        Returns the number of rules actually added.  Used by the chase
-        closure, which naturally re-derives existing rules.
-        """
+        """Add rules, silently skipping exact duplicates; returns the
+        number of rules actually added."""
         added = 0
         for authorization in authorizations:
             if authorization not in self._all:
@@ -490,10 +458,7 @@ class Policy:
         interners, so sharing is safe and keeps masks comparable across
         the copies.
         """
-        clone = Policy(universe=self._universe)
-        for authorization in self:
-            clone.add(authorization)
-        return clone
+        return Policy(self, universe=self._universe)
 
     def __contains__(self, authorization: object) -> bool:
         return authorization in self._all

@@ -28,23 +28,28 @@ finite universes — but can be exponential in adversarial policies, so
 *dominated* by another rule of the same server (same join path, subset
 attributes), which never changes any ``CanView`` answer.
 
-:func:`extend_closure` maintains an already-closed policy
-*incrementally*: when a new explicit rule arrives, the fixpoint is
-extended by chasing from that rule's frontier alone (semi-naive
-evaluation) instead of recomputing from scratch.  This is sound and
-complete because every derivation producing a rule absent from the old
-fixpoint must involve at least one new rule, and every new rule enters
-the frontier where it is paired against the complete current rule set.
-Revocation has no such shortcut — removing a rule can strand previously
-derivable rules — so callers fall back to a full :func:`close_policy`
-recompute on revoke (correctness first; see
-:meth:`repro.distributed.system.DistributedSystem.revoke_authorization`).
+:func:`close_policy` and :func:`extend_closure` share one semi-naive
+chase on integers: a rule is ``(attribute mask, path mask)`` — attribute
+bits from the policy's universe, condition bits from a call-local table
+seeded with the catalog edges plus every condition of the rules it meets
+(a granted path need not be a declared edge) — so the bridge test, both
+unions and the duplicate probe are int ops, and an :class:`Authorization`
+is built only for a genuinely new rule.
+
+A closed policy is maintained *in place* under both kinds of update.  A
+grant chases from the new rule alone: every derivation absent from the
+old fixpoint involves a new rule, and every new rule enters the frontier
+and meets its grantee's complete rule set.  A revocation does the same
+after a drop: the derivation only joins rules of one server, so the
+closure is a disjoint union of per-server closures and a removed rule
+can only strand derivations of its own grantee — drop that server's
+rules and :func:`extend_closure` with its surviving explicit ones.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Set, Tuple
+from contextlib import nullcontext
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.algebra.joins import JoinCondition, JoinPath
 from repro.algebra.schema import Catalog
@@ -66,22 +71,17 @@ def derive_joined_authorizations(
     """
     if first.server != second.server:
         return []
-    derived = []
-    for edge in join_edges:
-        a, b = edge.first, edge.second
-        bridges = (a in first.attributes and b in second.attributes) or (
-            b in first.attributes and a in second.attributes
+    left, right = first.attributes, second.attributes
+    return [
+        Authorization(
+            left | right,
+            first.join_path.union(second.join_path).with_condition(edge),
+            first.server,
         )
-        if not bridges:
-            continue
-        derived.append(
-            Authorization(
-                first.attributes | second.attributes,
-                first.join_path.union(second.join_path).with_condition(edge),
-                first.server,
-            )
-        )
-    return derived
+        for edge in join_edges
+        if (edge.first in left and edge.second in right)
+        or (edge.second in left and edge.first in right)
+    ]
 
 
 def close_policy(
@@ -107,23 +107,14 @@ def close_policy(
         A new :class:`Policy` containing the original rules plus every
         derivable one.
     """
-    edges = catalog.join_edges()
     # Intern derivations in the catalog universe so derived-rule masks
     # line up with profile bitsets built from the same catalog.
-    closed = Policy(universe=catalog.universe)
-    closed.add_all(policy)
-    # FIFO work queue of rules whose pairings have not been explored yet:
-    # breadth-first order makes the derivation (and therefore per-server
-    # rule insertion order) deterministic and independent of recursion
-    # shape — shallow derivations are always discovered before the deeper
-    # rules they enable.
-    frontier: Deque[Authorization] = deque(closed)
-    if obs is None:
-        _chase(closed, frontier, edges, max_rules)
-        return closed
-    with obs.span("close_policy", "closure", explicit_rules=len(policy)):
-        _chase(closed, frontier, edges, max_rules, obs)
-        obs.count("repro_chase_derived_rules_total", len(closed) - len(policy))
+    closed = Policy(policy, universe=catalog.universe)
+    # Every rule starts on the frontier; breadth-first order makes the
+    # derivation (and so per-server rule insertion order) deterministic:
+    # shallow derivations precede the deeper rules they enable.
+    with _span(obs, "close_policy", explicit_rules=len(policy)):
+        _chase(closed, closed, catalog.join_edges(), max_rules, obs)
     return closed
 
 
@@ -147,10 +138,9 @@ def extend_closure(
         new_rules: the arriving explicit rules.
         catalog: supplies the join edges bounding the derivation.
         max_rules: safety valve, as in :func:`close_policy`.
-        obs: optional :class:`~repro.obs.trace.TraceContext`; the
-            incremental chase emits an ``extend_closure`` span plus the
-            same per-round spans and ``repro_chase_*`` counters as the
-            full chase.
+        obs: optional :class:`~repro.obs.trace.TraceContext`; emits an
+            ``extend_closure`` span plus the full chase's per-round
+            spans and ``repro_chase_*`` counters.
 
     Returns:
         The number of rules added (explicit and derived).
@@ -158,75 +148,118 @@ def extend_closure(
     Raises:
         PolicyError: when the extension overflows ``max_rules``.
     """
-    edges = catalog.join_edges()
     before = len(closed)
-    frontier: Deque[Authorization] = deque()
+    frontier: List[Authorization] = []
     for rule in new_rules:
         if rule not in closed:
             closed.add(rule)
             frontier.append(rule)
-    if not frontier:
-        return 0
-    fresh = len(frontier)
-    if obs is None:
-        _chase(closed, frontier, edges, max_rules)
-        return len(closed) - before
-    with obs.span("extend_closure", "closure", new_rules=fresh):
-        _chase(closed, frontier, edges, max_rules, obs)
-        added = len(closed) - before
-        obs.count("repro_chase_derived_rules_total", added - fresh)
-    return added
+    if frontier:
+        with _span(obs, "extend_closure", new_rules=len(frontier)):
+            _chase(closed, frontier, catalog.join_edges(), max_rules, obs)
+    return len(closed) - before
 
 
-def _chase(
-    closed: Policy,
-    frontier: "Deque[Authorization]",
-    edges,
-    max_rules: int,
-    obs=None,
-) -> None:
-    """Drain the chase frontier to a fixpoint (breadth-first).
+def _span(obs, name: str, **attrs):
+    return nullcontext() if obs is None else obs.span(name, "closure", **attrs)
 
-    A *round* processes every rule that was queued when the round began;
-    rules derived during a round are explored in the next one.  The
-    rounds exist only for observability — the fixpoint is identical
-    either way — so the untraced path skips the bookkeeping entirely.
+
+def _chase(closed: Policy, frontier, edges, max_rules: int, obs=None) -> None:
+    """Chase from the ``frontier`` rules of ``closed`` to a fixpoint, on
+    integer keys (see the module docstring).  Only the grantees of
+    frontier rules are indexed, one :class:`JoinPath` is interned per
+    distinct path mask, and no table outlives the call.
+
+    A *round* explores every rule queued when it began; what it derives
+    waits for the next.  Rounds exist only for observability — the
+    fixpoint is identical either way.
     """
-    round_index = 0
-    while frontier:
-        remaining = len(frontier)
+    universe = closed.universe
+    bit_of = {edge: 1 << bit for bit, edge in enumerate(dict.fromkeys(edges))}
+    path_of: Dict[int, JoinPath] = {}  # path mask -> interned path
+
+    def keys_of(rules: Tuple[Authorization, ...]) -> List[Tuple[int, int]]:
+        keys = []
+        for rule, attrs in zip(rules, universe.try_masks(r.attributes for r in rules)):
+            mask = 0
+            for condition in rule.join_path.conditions:
+                mask |= bit_of.setdefault(condition, 1 << len(bit_of))
+            path_of[mask] = rule.join_path
+            keys.append((attrs, mask))
+        return keys
+
+    # An edge with an endpoint no rule grants (one the policy's universe
+    # never interned) cannot bridge anything.
+    edge_bits = [
+        (universe.try_mask((e.first,)), universe.try_mask((e.second,)), bit_of[e])
+        for e in edges
+        if universe.try_mask(e.attributes) is not None
+    ]
+    # server -> (key set, keys in ``rules_for`` order): a rule only ever
+    # meets its own grantee's partition.
+    partitions: Dict[str, Tuple[Set[Tuple[int, int]], List[Tuple[int, int]]]] = {}
+    frontier = tuple(frontier)
+    queue = [(rule.server, *key) for rule, key in zip(frontier, keys_of(frontier))]
+    round_index = derived = 0
+    while queue:
         span = None
-        derived_this_round = 0
+        derived_before = derived
         pairings = 0
         if obs is not None:
             round_index += 1
             span = obs.begin(
-                "chase_round", "closure", round=round_index, frontier=remaining
+                "chase_round", "closure", round=round_index, frontier=len(queue)
             )
+        this_round, queue = queue, []
         try:
-            while remaining:
-                remaining -= 1
-                rule = frontier.popleft()
-                peers = closed.rules_for(rule.server)
-                for peer in peers:
-                    pairings += 1
-                    for derived in derive_joined_authorizations(rule, peer, edges):
-                        if derived in closed:
+            for server, attrs, path in this_round:
+                if server not in partitions:
+                    peers = keys_of(closed.rules_for(server))
+                    partitions[server] = (set(peers), peers)
+                keys, peers = partitions[server]
+                # Per edge this rule touches, the endpoint a peer must grant.
+                bridges = [
+                    (need, edge_bit)
+                    for a, b, edge_bit in edge_bits
+                    if (need := (b if attrs & a else 0) | (a if attrs & b else 0))
+                ]
+                snapshot = peers[:]
+                pairings += len(snapshot)
+                for peer_attrs, peer_path in snapshot if bridges else ():
+                    for need, edge_bit in bridges:
+                        if not peer_attrs & need:
+                            continue
+                        key = (attrs | peer_attrs, path | peer_path | edge_bit)
+                        if key in keys:
                             continue
                         if len(closed) >= max_rules:
+                            # Peers not reached were never paired.
+                            pairings -= len(snapshot) - 1 - snapshot.index(
+                                (peer_attrs, peer_path)
+                            )
                             raise PolicyError(
                                 f"policy closure exceeded max_rules={max_rules}; "
                                 "the policy's derivable views blow up — raise the "
                                 "limit or restrict the catalog's join edges"
                             )
-                        closed.add(derived)
-                        frontier.append(derived)
-                        derived_this_round += 1
+                        attr_mask, path_mask = key
+                        if path_mask not in path_of:
+                            path_of[path_mask] = JoinPath.interned(
+                                c for c, bit in bit_of.items() if path_mask & bit
+                            )
+                        granted = universe.from_mask(attr_mask)
+                        closed.add(Authorization(granted, path_of[path_mask], server))
+                        keys.add(key)
+                        peers.append(key)
+                        queue.append((server, *key))
+                        derived += 1
         finally:
             if span is not None:
                 obs.count("repro_chase_rounds_total")
                 obs.count("repro_chase_pairings_total", pairings)
-                obs.end(span, derived=derived_this_round)
+                obs.end(span, derived=derived - derived_before)
+    if obs is not None:
+        obs.count("repro_chase_derived_rules_total", derived)
 
 
 def minimize_policy(policy: Policy) -> Policy:

@@ -180,14 +180,12 @@ class DistributedSystem:
     def add_authorization(self, authorization: Authorization, trace=None) -> int:
         """Grant one rule to the live system.
 
-        The effective (closed) policy is maintained **incrementally**:
-        instead of rerunning the full chase, the fixpoint is extended by
-        chasing from the new rule's frontier alone
-        (:func:`~repro.core.closure.extend_closure`), which is sound and
-        complete because every new derivation must involve the new rule.
-        The policy epoch bumps, so cached plans are revalidated on their
-        next use — grants only widen the policy, so they revalidate
-        successfully and are reused without replanning.
+        The effective (closed) policy is maintained **in place**: the
+        fixpoint is extended by chasing from the new rule alone
+        (:func:`~repro.core.closure.extend_closure`).  The policy epoch
+        bumps, so cached plans are revalidated on their next use —
+        grants only widen the policy, so they revalidate successfully
+        and are reused without replanning.
 
         Args:
             authorization: the rule to grant (validated against the
@@ -215,28 +213,27 @@ class DistributedSystem:
             # No closure in force: the explicit add above already bumped
             # the (shared) effective policy's epoch.
             return 1
-        return extend_closure(
-            self._policy, [authorization], self._catalog, obs=trace
-        )
+        return extend_closure(self._policy, [authorization], self._catalog, obs=trace)
 
     def revoke_authorization(self, authorization: Authorization, trace=None) -> None:
         """Withdraw one explicit rule from the live system.
 
-        Revocation has no incremental shortcut — removing a rule can
-        strand any number of chase derivations that depended on it — so
-        the effective policy is **fully recomputed** from the surviving
-        explicit rules (correctness first).  The new policy's epoch is
-        advanced past the old one's, so every cached plan is forced
-        through revalidation: a plan that relied on the revoked rule
-        fails the covering-authorization re-audit, is evicted, and the
-        query replans under the reduced policy.
+        The chase only joins rules of the *same* server, so a revoke can
+        only strand derivations of its own grantee.  The effective policy
+        is maintained **in place**: the grantee's rules are dropped and
+        its surviving explicit rules re-added and chased
+        (:func:`~repro.core.closure.extend_closure`).  Other servers'
+        rules keep their rule ids (the grantee's get fresh ones; a
+        retired id is never reused); the policy object and the planner
+        survive.  The epoch moves, so every cached plan is revalidated:
+        one that relied on the revoked rule fails the re-audit, is
+        evicted, and the query replans under the reduced policy.
 
         Args:
             authorization: the explicit rule to withdraw (derived rules
                 cannot be revoked directly — revoke the explicit rules
                 they chase from).
-            trace: optional per-call trace override for the recompute's
-                chase spans.
+            trace: optional per-call trace override for the chase spans.
 
         Raises:
             PolicyError: if the rule is not explicitly granted.
@@ -246,11 +243,10 @@ class DistributedSystem:
         self._explicit_policy.remove(authorization)
         if self._policy is self._explicit_policy:
             return
-        old_epoch = self._policy.epoch
-        self._policy = close_policy(self._explicit_policy, self._catalog, obs=trace)
-        self._policy.advance_epoch(old_epoch + 1)
-        # The planner closed over the retired policy object; rebuild it.
-        self._planner = self._make_planner()
+        for rule in self._policy.rules_for(authorization.server):
+            self._policy.remove(rule)
+        survivors = self._explicit_policy.rules_for(authorization.server)
+        extend_closure(self._policy, survivors, self._catalog, obs=trace)
 
     # ------------------------------------------------------------------
     # Instances

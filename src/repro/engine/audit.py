@@ -39,6 +39,7 @@ class AuditLog:
 
     def __init__(self, policy, enforce: bool = True, trace=None) -> None:
         self._policy = policy
+        self.epoch = getattr(policy, "epoch", None)  # policies update in place
         self._enforce = enforce
         self._trace = trace
         self._checked: List[Transfer] = []

@@ -27,8 +27,8 @@ paper's controlled-information-sharing guarantees.  The moving parts:
   deadline budgets charged for queue wait through the PR 3
   :class:`~repro.engine.deadline.DeadlineBudget`;
 * **live policy churn** — :meth:`add_authorization` /
-  :meth:`revoke_authorization` mutate the underlying system mid-stream;
-  every in-flight request re-verifies its plan against the
+  :meth:`revoke_authorization` update the closed policy in place
+  mid-stream; every in-flight request re-verifies its plan against the
   then-current policy before anything ships (the plan cache's epoch
   probe evicts stale entries, the pipeline's adopted-plan re-verify
   catches the single-flight window, and the runtime audit is the final
@@ -614,7 +614,8 @@ class QueryService:
         return added
 
     def revoke_authorization(self, authorization) -> None:
-        """Withdraw a rule from the live system (see
+        """Withdraw a rule from the live system, in place and at a
+        grant's cost (see
         :meth:`~repro.distributed.system.DistributedSystem.revoke_authorization`).
         Every queued or coalesced request re-verifies before shipping,
         so the revocation takes effect for work admitted *before* it

@@ -223,13 +223,14 @@ class _MergedAudit:
     (one run is synchronous, so every unit was audited under the same
     policy object)."""
 
-    __slots__ = ("violations", "checked", "policy")
+    __slots__ = ("violations", "checked", "policy", "epoch")
 
     def __init__(self, results: Sequence[ExecutionResult]) -> None:
         audits = [r.audit for r in results if r.audit is not None]
         self.violations = [v for audit in audits for v in audit.violations]
         self.checked = [t for audit in audits for t in audit.checked]
         self.policy = audits[0].policy if audits else None
+        self.epoch = audits[0].epoch if audits else None
 
 
 def shard_catalog(

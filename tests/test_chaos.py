@@ -402,6 +402,31 @@ class TestInvariantMonitor:
             v.invariant == INV_AUTHORIZED_TRANSFER for v in monitor.violations
         )
 
+    def test_late_sharer_after_in_place_revoke_is_not_reprobed(self):
+        """Policies are updated in place, so a result delivered to a late
+        sharer after a revoke carries an audit whose policy has moved on;
+        the transfers were authorized at their epoch (the run's own
+        delivery re-probed them there) and must not be re-judged against
+        the narrowed policy."""
+        system = chain_system()
+        result = system.execute(PAIR_QUERY)
+        assert result.audit.checked
+        system.revoke_authorization(S0_ROUTE[0])
+        assert result.audit.policy is system.policy
+        assert result.audit.epoch != system.policy.epoch
+        monitor = InvariantMonitor()
+        monitor.on_result(1, result)
+        assert monitor.ok
+        # The same transfers audited *now* are what the probe exists to
+        # catch: the revoke did withdraw their cover.
+        replayed = AuditLog(system.policy, enforce=False)
+        for transfer in result.audit.checked:
+            replayed.record(transfer)
+        monitor.on_result(2, SimpleNamespace(audit=replayed))
+        assert [v.invariant for v in monitor.violations] == [
+            INV_AUTHORIZED_TRANSFER
+        ]
+
     def test_unaudited_result_is_a_violation(self):
         monitor = InvariantMonitor()
         monitor.on_result(1, SimpleNamespace(audit=None))

@@ -109,13 +109,6 @@ class TestPolicyEpoch:
         assert rule not in set(policy)
         assert grant("S1", "a b") in set(policy)
 
-    def test_advance_epoch_is_a_floor(self):
-        policy = Policy([])
-        policy.advance_epoch(5)
-        assert policy.epoch == 5
-        policy.advance_epoch(3)  # never goes backwards
-        assert policy.epoch == 5
-
     def test_rule_ids_are_never_reused_after_removal(self):
         first, second = grant("S1", "a b"), grant("S2", "c d")
         policy = Policy([])

@@ -5,10 +5,18 @@ operations over a synthetic three-server chain catalog and checks, after
 every step, that the two incremental mechanisms introduced for the plan
 cache are observationally identical to their from-scratch counterparts:
 
-* **closure**: the effective policy a live system maintains through
-  :func:`~repro.core.closure.extend_closure` (grants) and full recompute
-  (revocations) equals ``close_policy`` run from scratch over the
-  explicit rules — after *every* mutation;
+* **closure**: the effective policy a live system maintains in place
+  through :func:`~repro.core.closure.extend_closure` — chasing from the
+  new rule on a grant, and from the grantee's surviving explicit rules
+  after dropping its partition on a revoke — equals ``close_policy``
+  run from scratch over the explicit rules, after *every* mutation:
+  same rule set, same ``CanView`` answers on a sampled profile set, and
+  for a just-revoked server the same ``rules_for`` order;
+* **the chase itself**: the integer chase yields the same rules, in the
+  same order, with the same ids, the same ``max_rules`` overflow point
+  and the same traced round/pairing counters as a deliberately slow
+  object-level reference chase written here on top of the public
+  :func:`~repro.core.closure.derive_joined_authorizations`;
 * **planning**: a cache-on system and a fresh cache-off system built
   from the same explicit rules agree on feasibility for every query;
   when a query is freshly planned (cache miss) the plans are
@@ -28,18 +36,22 @@ sequences.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.authorization import Policy
-from repro.core.closure import close_policy
+from repro.core.closure import close_policy, derive_joined_authorizations
 from repro.core.plancache import fingerprint_tree
+from repro.core.profile import RelationProfile
 from repro.core.safety import verify_assignment
 from repro.distributed.system import DistributedSystem
 from repro.exceptions import InfeasiblePlanError, PolicyError
 from repro.obs import TraceContext
 from repro.testing import grant, quick_catalog
+from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
 # ---------------------------------------------------------------------------
 # The synthetic world: a three-relation join chain, one relation per server
@@ -92,10 +104,31 @@ QUERIES = (
 # ---------------------------------------------------------------------------
 
 
-def check_closure(system, explicit):
-    """Incrementally maintained closure == full recompute from scratch."""
-    full = close_policy(Policy(list(explicit)), system.catalog)
+#: The views CanView is sampled on: every shape a pool rule grants, as a
+#: whole and narrowed to its first attribute, for every server.
+PROFILES = tuple(
+    RelationProfile(attributes, rule.join_path)
+    for rule in RULE_POOL[: len(RULE_POOL) // len(SERVERS)]
+    for attributes in (rule.attributes, sorted(rule.attributes)[:1])
+)
+
+
+def check_closure(system, explicit, revoked_server=None):
+    """In-place maintained closure == full close from scratch."""
+    assert set(system.explicit_policy) == explicit
+    full = close_policy(system.explicit_policy, system.catalog)
     assert set(system.policy) == set(full)
+    for server in SERVERS:
+        for profile in PROFILES:
+            assert system.policy.can_view(profile, server) == full.can_view(
+                profile, server
+            )
+    if revoked_server is not None:
+        # The grantee's partition was dropped and re-chased from its
+        # explicit rules, which is what a fresh close does for it.
+        assert system.policy.rules_for(revoked_server) == full.rules_for(
+            revoked_server
+        )
 
 
 def check_plan(system, explicit, query):
@@ -140,6 +173,7 @@ def apply_op(system, explicit, op):
         check_plan(system, explicit, QUERIES[index % len(QUERIES)])
         return
     rule = RULE_POOL[index % len(RULE_POOL)]
+    revoked_server = None
     if kind == "add":
         if rule in explicit:
             with pytest.raises(PolicyError):
@@ -154,7 +188,8 @@ def apply_op(system, explicit, op):
         else:
             system.revoke_authorization(rule)
             explicit.discard(rule)
-    check_closure(system, explicit)
+            revoked_server = rule.server
+    check_closure(system, explicit, revoked_server)
 
 
 OPS = st.lists(
@@ -228,6 +263,129 @@ def test_epoch_is_monotone_under_churn(churn):
             assert system.policy.epoch > last_epoch
         assert system.policy.epoch >= last_epoch
         last_epoch = system.policy.epoch
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    churn=st.lists(
+        st.tuples(st.booleans(), st.integers(0, len(RULE_POOL) - 1)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_grant_revoke_interleavings_keep_untouched_servers_intact(churn):
+    """Random grant/revoke interleavings on one live system: after every
+    step the closure matches a fresh close (set, CanView sample, order
+    on the revoked server), the policy object and planner survive, and a
+    revoke leaves every other server's rules *and their ids* alone while
+    never reusing a retired id."""
+    system = DistributedSystem(make_catalog(), Policy(list(BASE_RULES)))
+    policy, planner = system.policy, system._planner
+    explicit = set(BASE_RULES)
+    seen_ids = {policy.rule_id(rule) for rule in policy}
+    for is_add, index in churn:
+        rule = RULE_POOL[index]
+        before = {r: policy.rule_id(r) for r in policy}
+        if is_add and rule not in explicit:
+            system.add_authorization(rule)
+            explicit.add(rule)
+            check_closure(system, explicit)
+            assert all(policy.rule_id(r) == i for r, i in before.items())
+        elif not is_add and rule in explicit:
+            system.revoke_authorization(rule)
+            explicit.discard(rule)
+            check_closure(system, explicit, revoked_server=rule.server)
+            for kept, rule_id in before.items():
+                if kept.server != rule.server:
+                    assert policy.rule_id(kept) == rule_id
+        else:
+            continue
+        fresh_ids = {policy.rule_id(r) for r in policy} - set(before.values())
+        assert not fresh_ids & seen_ids, "a retired rule id was reused"
+        seen_ids |= fresh_ids
+        assert system.policy is policy and system._planner is planner
+
+
+def reference_close(policy, catalog, max_rules=10_000):
+    """The chase as first written: object-level and deliberately slow —
+    one validated ``Authorization`` per applicable derivation, thrown
+    away when the policy already holds it.  Returns ``(closed, rounds,
+    pairings)``; on overflow the :class:`PolicyError` carries the two
+    counters as they stood."""
+    edges = catalog.join_edges()
+    closed = Policy(policy, universe=catalog.universe)
+    frontier = deque(closed)
+    rounds = pairings = 0
+    while frontier:
+        rounds += 1
+        for _ in range(len(frontier)):
+            rule = frontier.popleft()
+            for peer in closed.rules_for(rule.server):
+                pairings += 1
+                for derived in derive_joined_authorizations(rule, peer, edges):
+                    if derived in closed:
+                        continue
+                    if len(closed) >= max_rules:
+                        error = PolicyError("reference chase overflow")
+                        error.counters = (rounds, pairings)
+                        raise error
+                    closed.add(derived)
+                    frontier.append(derived)
+    return closed, rounds, pairings
+
+
+def chase_counters(trace):
+    snapshot = trace.metrics.snapshot()
+    return tuple(
+        snapshot[name]["series"][""]
+        for name in ("repro_chase_rounds_total", "repro_chase_pairings_total")
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    relations=st.integers(3, 5),
+    density=st.sampled_from([0.3, 0.6, 0.9]),
+    extra_edges=st.integers(0, 2),
+    headroom=st.integers(0, 3),
+)
+def test_integer_chase_matches_object_level_reference(
+    seed, relations, density, extra_edges, headroom
+):
+    workload = SyntheticWorkload(
+        seed=seed,
+        config=WorkloadConfig(
+            servers=3,
+            relations=relations,
+            grant_probability=density,
+            join_grant_probability=density,
+            extra_join_edges=extra_edges,
+        ),
+    )
+    policy, catalog = workload.policy, workload.catalog
+    expected, rounds, pairings = reference_close(policy, catalog)
+    trace = TraceContext()
+    closed = close_policy(policy, catalog, obs=trace)
+    # Same rules, same iteration order, same ids, server by server too.
+    assert [(r, closed.rule_id(r)) for r in closed] == [
+        (r, expected.rule_id(r)) for r in expected
+    ]
+    for server in expected.servers():
+        assert closed.rules_for(server) == expected.rules_for(server)
+    assert chase_counters(trace) == (rounds, pairings)
+    # The valve trips at the same rule count, after the same work.
+    derived = len(expected) - len(policy)
+    limit = len(policy) + min(headroom, derived)
+    if limit == len(expected):
+        assert len(close_policy(policy, catalog, max_rules=limit)) == limit
+        return
+    with pytest.raises(PolicyError) as reference_overflow:
+        reference_close(policy, catalog, max_rules=limit)
+    trace = TraceContext()
+    with pytest.raises(PolicyError):
+        close_policy(policy, catalog, max_rules=limit, obs=trace)
+    assert chase_counters(trace) == reference_overflow.value.counters
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,12 @@ def _policy() -> Policy:
 
 CLOSED = close_policy(_policy(), CATALOG)
 
-#: Same grants, later epoch: ``advance_epoch`` moves the counter without
-#: touching a single rule, which is exactly the revalidation scenario
-#: cached plans hit after an unrelated policy rebuild.
+#: Same grants, later epoch: an add/remove of one unrelated rule moves
+#: the counter and leaves the grants as they were, which is exactly the
+#: revalidation scenario cached plans hit after unrelated policy churn.
 BUMPED = close_policy(_policy(), CATALOG)
-BUMPED.advance_epoch(BUMPED.epoch + 17)
+BUMPED.add(grant("Unrelated", "a b"))
+BUMPED.remove(grant("Unrelated", "a b"))
 
 SYSTEM = DistributedSystem(CATALOG, CLOSED, apply_closure=False)
 
