@@ -49,9 +49,11 @@ test-cache:
 test-service:
 	$(PYTHON) -m pytest tests/test_service.py "tests/test_cli.py::TestServe" "tests/test_cli.py::TestServeSignals"
 
-# Columnar core suite: table-kernel unit tests and the Hypothesis
-# differential harness (table kernels, evaluate_plan and the executor
-# vs the frozen row-at-a-time oracle; batched vs scalar CanView).
+# Columnar core suite: table-kernel unit tests (incl. the identity guard
+# against per-request key-index rebuilds) and the Hypothesis
+# differential harness (table kernels, their storage order and key-index
+# reuse, evaluate_plan and the executor vs the frozen row-at-a-time
+# oracle; batched vs scalar CanView).
 test-vector:
 	$(PYTHON) -m pytest tests/test_vector.py tests/test_vector_diff.py
 
@@ -113,8 +115,10 @@ bench-service:
 	$(PYTHON) -m pytest benchmarks/bench_abl14_service.py --benchmark-only -s
 
 # Columnar-kernel ablation: gates the 3-join Table.equi_join chain at
-# >=3x rows/sec over the row-at-a-time seed evaluator, and sweeps batched
-# CanView probes/sec at batch sizes 1/64/4096; writes BENCH_ABL15.json.
+# >=3x rows/sec over the row-at-a-time seed evaluator on its cold lane
+# (key indexes rebuilt every repeat; the resident lane is reported), and
+# sweeps batched CanView probes/sec at batch sizes 1/64/4096; writes
+# BENCH_ABL15.json.
 bench-vector:
 	$(PYTHON) -m pytest benchmarks/bench_abl15_vector.py --benchmark-only -s
 

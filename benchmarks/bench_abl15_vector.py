@@ -1,12 +1,18 @@
 """ABL15 — the columnar table kernels, measured.
 
 The columnar refactor claims the local evaluation hot path got fast:
-interned id columns, class-id hash joins that skip the per-step
-dedup-and-sort, and lazy canonical ordering.  This bench measures it and
-*asserts* the headline number — a 3-join chain of ``Table.equi_join``
-(the kernel the executor and ``evaluate_plan`` run) must beat a faithful
-inline transcription of the seed's row-at-a-time evaluation by at least
-3x in rows/sec on the same data.
+interned id columns, positional class-id hash joins that skip the
+per-step dedup-and-sort, and lazy canonical ordering.  This bench
+measures it and *asserts* the headline number — a 3-join chain of
+``Table.equi_join`` (the kernel the executor and ``evaluate_plan`` run)
+must beat a faithful inline transcription of the seed's row-at-a-time
+evaluation by at least 3x in rows/sec on the same data.
+
+The kernel chain runs in two lanes.  ``resident`` joins against the same
+right operands every repeat, as a served system does: their key indexes
+are built once and memoized on the tables.  ``cold`` hands every repeat
+fresh right operands, so all three indexes are rebuilt each time.  The
+gate is on the **cold** lane — the memo cannot satisfy it.
 
 The legacy lane is the seed's ``Table`` transcribed verbatim — tuple
 rows, a ``set`` for dedup, the eager canonical sort in the constructor,
@@ -150,11 +156,19 @@ def test_abl15_pipeline_throughput(benchmark):
     columnar = [Table(attrs, rows) for attrs, rows in raw]
     legacy = [_LegacyTable(attrs, rows) for attrs, rows in raw]
 
-    def kernel_lane():
+    def chain(rights):
         result = columnar[0]
-        for right, path in zip(columnar[1:], paths):
+        for right, path in zip(rights, paths):
             result = result.equi_join(right, path)
         return result
+
+    def resident_lane():
+        return chain(columnar[1:])
+
+    def cold_lane():
+        # A full-width projection is a new table over the same columns
+        # whose key indexes are yet to be built.
+        return chain([right.project(right.attributes) for right in columnar[1:]])
 
     def legacy_lane():
         result = legacy[0]
@@ -162,24 +176,28 @@ def test_abl15_pipeline_throughput(benchmark):
             result = result.equi_join(right, path)
         return result
 
-    kernel_result = kernel_lane()
+    kernel_result = resident_lane()
     legacy_result = legacy_lane()
-    # Parity before timing: both lanes must produce the same relation.
+    # Parity before timing: every lane must produce the same relation.
     assert kernel_result.attributes == legacy_result._attributes
     assert set(kernel_result.rows) == set(legacy_result._rows)
+    assert cold_lane() == kernel_result
     out_rows = len(kernel_result)
     assert out_rows > 0, "degenerate pipeline: no output rows"
 
-    benchmark(kernel_lane)
-    # The speedup ratio is taken over identical hand-rolled timings of
-    # both lanes (best-of-5), not mixed benchmark-fixture statistics.
+    benchmark(cold_lane)
+    # The speedup ratios are taken over identical hand-rolled timings of
+    # the lanes (best-of-5), not mixed benchmark-fixture statistics.
     legacy_time = _time_best(legacy_lane)
-    kernel_time = _time_best(kernel_lane)
-    speedup = legacy_time / kernel_time
+    cold_time = _time_best(cold_lane)
+    resident_time = _time_best(resident_lane)
+    speedup = legacy_time / cold_time
     print(
         f"\n3-join pipeline, {out_rows} output rows: "
         f"legacy {out_rows / legacy_time:.0f} rows/s, "
-        f"kernel {out_rows / kernel_time:.0f} rows/s -> {speedup:.1f}x"
+        f"cold {out_rows / cold_time:.0f} rows/s -> {speedup:.1f}x, "
+        f"resident {out_rows / resident_time:.0f} rows/s -> "
+        f"{legacy_time / resident_time:.1f}x"
     )
     write_bench_json(
         "ABL15",
@@ -188,14 +206,16 @@ def test_abl15_pipeline_throughput(benchmark):
                 "input_rows_per_table": len(raw[0][1]),
                 "output_rows": out_rows,
                 "legacy_rows_per_second": round(out_rows / legacy_time, 1),
-                "kernel_rows_per_second": round(out_rows / kernel_time, 1),
+                "cold_rows_per_second": round(out_rows / cold_time, 1),
+                "resident_rows_per_second": round(out_rows / resident_time, 1),
                 "speedup": round(speedup, 2),
+                "resident_speedup": round(legacy_time / resident_time, 2),
                 "acceptance_floor": MIN_PIPELINE_SPEEDUP,
             }
         },
     )
     assert speedup >= MIN_PIPELINE_SPEEDUP, (
-        f"kernel chain speedup {speedup:.2f}x below the "
+        f"cold kernel chain speedup {speedup:.2f}x below the "
         f"{MIN_PIPELINE_SPEEDUP}x acceptance floor"
     )
 

@@ -78,25 +78,19 @@ class TableStats:
         ``Table.byte_size`` (:func:`repro.engine.data.cell_width`), so
         ``bytes_for(table.attributes)`` of an exact-stats table equals
         the payload the executor measures for shipping it — the test
-        suite asserts this agreement.  On columnar tables the widths
-        come straight from the intern pool's cached per-value widths,
-        with no cell decoding or row-order materialization.
+        suite asserts this agreement.  Columnar tables answer from
+        ``Table.column_bytes``, the per-column sum ``byte_size`` itself
+        adds up, with no cell decoding or row-order materialization.
         """
         rows = len(table)
         distinct = {a: float(table.distinct_count(a)) for a in table.attributes}
-        widths: Dict[str, float] = {}
-        if rows:
-            column_ids = getattr(table, "column_ids", None)
-            if column_ids is not None:
-                pooled = table.pool._widths
-                for attribute in table.attributes:
-                    widths[attribute] = (
-                        sum(pooled[i] for i in column_ids(attribute)) / rows
-                    )
-            else:  # duck-typed row-shaped table (e.g. the frozen oracle)
-                for attribute in table.attributes:
-                    values = table.column(attribute)
-                    widths[attribute] = sum(cell_width(v) for v in values) / rows
+        if isinstance(table, Table):
+            totals = map(table.column_bytes, table.attributes)
+        else:  # duck-typed row-shaped table (e.g. the frozen oracle)
+            totals = (sum(map(cell_width, table.column(a))) for a in table.attributes)
+        widths = (
+            {a: total / rows for a, total in zip(table.attributes, totals)} if rows else {}
+        )
         return cls(float(rows), distinct, widths)
 
     def width_of(self, attribute: str) -> float:

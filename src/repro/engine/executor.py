@@ -412,6 +412,7 @@ class DistributedExecutor:
     def _profiled_ship_once(
         self,
         table: Table,
+        size: int,
         profile: RelationProfile,
         sender: str,
         receiver: str,
@@ -420,7 +421,7 @@ class DistributedExecutor:
         span,
     ) -> Table:
         result = DistributedExecutor._ship_once(
-            self, table, profile, sender, receiver, description, node_id, span
+            self, table, size, profile, sender, receiver, description, node_id, span
         )
         # Only delivered shipments are recorded (a fault raises above);
         # the audit probe count mirrors the audit log one-to-one.
@@ -428,7 +429,7 @@ class DistributedExecutor:
         if self._audit is not None:
             profiler.record_probe()
         profiler.record_transfer(
-            node_id, sender, receiver, len(table), table.byte_size(), description
+            node_id, sender, receiver, len(table), size, description
         )
         return result
 
@@ -556,9 +557,12 @@ class DistributedExecutor:
         if sender == receiver:
             return table
         trace = self._trace
+        # The payload is measured once per shipment; the span, the fault
+        # layer, the transfer record and the metrics all carry this value.
+        size = table.byte_size()
         if trace is None:
             return self._ship_once(
-                table, profile, sender, receiver, description, node_id, None
+                table, size, profile, sender, receiver, description, node_id, None
             )
         link = f"{sender}->{receiver}"
         span = trace.begin(
@@ -569,13 +573,13 @@ class DistributedExecutor:
             receiver=receiver,
             node=f"n{node_id}",
             rows=len(table),
-            bytes=table.byte_size(),
+            bytes=size,
             description=description,
         )
         delivered = False
         try:
             result = self._ship_once(
-                table, profile, sender, receiver, description, node_id, span
+                table, size, profile, sender, receiver, description, node_id, span
             )
             delivered = True
             return result
@@ -583,7 +587,6 @@ class DistributedExecutor:
             span.attrs["delivered"] = delivered
             trace.count("repro_transfers_total", link=link)
             if delivered:
-                size = table.byte_size()
                 trace.count("repro_bytes_shipped_total", size, link=link)
                 trace.metrics.observe("repro_transfer_bytes", size, link=link)
             trace.end(span)
@@ -591,6 +594,7 @@ class DistributedExecutor:
     def _ship_once(
         self,
         table: Table,
+        size: int,
         profile: RelationProfile,
         sender: str,
         receiver: str,
@@ -620,7 +624,7 @@ class DistributedExecutor:
                 self._retry,
                 sender,
                 receiver,
-                table.byte_size(),
+                size,
                 health=self._health,
                 deadline=self._deadline,
                 trace=self._trace,
@@ -644,7 +648,7 @@ class DistributedExecutor:
             receiver=receiver,
             profile=profile,
             row_count=len(table),
-            byte_size=table.byte_size(),
+            byte_size=size,
             description=description,
             node_id=node_id,
             authorized_by=authorized_by,

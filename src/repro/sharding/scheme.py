@@ -466,12 +466,11 @@ class RangePartitionScheme(PartitionScheme):
 def merge_shards(shards: Iterable[Table]) -> Optional[Table]:
     """Union per-shard result tables back into one relation.
 
-    The engine's :meth:`~repro.engine.data.Table.union`
-    deduplicates on value classes and re-canonicalizes order, so merging
-    is exactly the single-copy semantics regardless of how rows were
+    The engine's n-ary :meth:`~repro.engine.data.Table.union`
+    concatenates the shards once and deduplicates once on value classes
+    (row order stays lazy, as everywhere in the engine), so merging is
+    exactly the single-copy semantics regardless of how rows were
     routed.  Returns ``None`` for an empty iterable.
     """
-    merged: Optional[Table] = None
-    for shard in shards:
-        merged = shard if merged is None else merged.union(shard)
-    return merged
+    tables = list(shards)
+    return tables[0].union(*tables[1:]) if tables else None

@@ -229,21 +229,16 @@ def execute_multiround(
                 function=getattr(scheme, "function", "crc32"),
             )
             new_hosts = [scheme.placement(i) for i in range(scheme.shards)]
-            routed: List[Optional[Table]] = [None] * scheme.shards
+            routed: List[List[Table]] = [[] for _ in range(scheme.shards)]
             for source_index, fragment in enumerate(fragments):
                 source = hosts[source_index % len(hosts)]
                 for target_index, piece in enumerate(router.split(fragment)):
                     if len(piece) and new_hosts[target_index] != source:
                         stats.shipped_rows += len(piece)
                         stats.shipped_bytes += piece.byte_size()
-                    current = routed[target_index]
-                    routed[target_index] = (
-                        piece if current is None else current.union(piece)
-                    )
-            fragments = [
-                piece if piece is not None else Table(fragments[0].attributes, ())
-                for piece in routed
-            ]
+                    routed[target_index].append(piece)
+            # Every fragment contributes one piece per target.
+            fragments = [pieces[0].union(*pieces[1:]) for pieces in routed]
             hosts = new_hosts
             right_shards = scheme.split(tables[incoming])
             stats.repartitions += 1

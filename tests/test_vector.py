@@ -8,6 +8,8 @@ Covers the contracts the columnar refactor added or tightened:
   at the table and through a plan's projection node;
 * canonical byte accounting: ``byte_size()``, ``cell_width`` and the
   coster agree on every value kind, including ``None``;
+* a resident relation is indexed once per loaded instance, not once per
+  request (checked by object identity, not by a clock);
 * columnar wire format round trips;
 * the batched ``CanView`` kernel and the batch-aware planner answer
   exactly like their scalar counterparts.
@@ -18,14 +20,16 @@ import pytest
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.core.access import can_view, can_view_batch
+from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
 from repro.engine.coster import TableStats
+from repro.distributed.system import DistributedSystem
 from repro.engine.data import Table, cell_width
 from repro.engine.operators import evaluate_plan
 from repro.exceptions import ExecutionError, InfeasiblePlanError
 from repro.io.serialize import table_from_columns, table_to_columns
-from repro.testing import quick_catalog
+from repro.testing import grant, quick_catalog
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
 from tests._row_oracle import OracleTable
@@ -74,6 +78,13 @@ class TestProjectContract:
             self.table.project(["A", "Z"])
         assert "cannot project on missing columns: ['Z']" in str(err.value)
 
+    def test_empty_projection_rejected(self):
+        # Zero columns is a table the constructor forbids; it used to
+        # come back as ``Table([], 0 rows)``, every row silently gone.
+        with pytest.raises(ExecutionError) as err:
+            self.table.project([])
+        assert "a table needs at least one column" in str(err.value)
+
     def test_result_keeps_table_order(self):
         # Output columns follow *table* attribute order, not request
         # order — now documented, previously incidental.
@@ -120,6 +131,64 @@ class TestByteAccounting:
         for t in (self.table, OracleTable(self.table.attributes, self.rows)):
             stats = TableStats.of_table(t)
             assert stats.bytes_for(t.attributes) == pytest.approx(t.byte_size())
+
+
+class TestKeyIndexResidency:
+    """Guards against a regression to per-request index rebuilds by
+    identity: a base relation's key index is built by the first request
+    that joins against it and is the *same object* for the next one."""
+
+    SQL = "SELECT a, b, d, f FROM R JOIN T ON a = c JOIN U ON c = e"
+
+    @staticmethod
+    def instances(rows):
+        return {
+            "R": [{"a": i % 7, "b": f"r{i}"} for i in range(rows)],
+            "T": [{"c": i % 5, "d": f"t{i}"} for i in range(rows)],
+            "U": [{"e": i % 3, "f": f"u{i}"} for i in range(rows)],
+        }
+
+    @pytest.fixture()
+    def system(self):
+        policy = Policy()
+        for server in ("S1", "S2", "S3"):
+            for attrs in ("a b", "c d", "e f"):
+                policy.add(grant(server, attrs))
+            policy.add(grant(server, "a b c d", "a = c"))
+            policy.add(grant(server, "a b c d e f", "a = c, c = e"))
+        catalog = quick_catalog(
+            "R(a, b) @ S1", "T(c, d) @ S2", "U(e, f) @ S3", edges=["a = c", "c = e"]
+        )
+        system = DistributedSystem(catalog, policy)
+        system.load_instances(self.instances(30))
+        return system
+
+    @staticmethod
+    def indexes(system):
+        return {
+            name: dict(table._key_indexes) for name, table in system.tables().items()
+        }
+
+    def test_second_request_reuses_and_reload_replaces(self, system):
+        first = system.execute(self.SQL, recipient="S1").table
+        built = self.indexes(system)
+        assert any(built.values()), "no base relation served as a build side"
+        assert system.execute(self.SQL, recipient="S1").table == first
+        again = self.indexes(system)
+        for name, by_key in built.items():
+            assert again[name].keys() == by_key.keys()
+            for key, index in by_key.items():
+                assert again[name][key] is index
+        # A reload installs new tables; their indexes start empty and the
+        # joins answer from the new rows.
+        system.load_instances(self.instances(12))
+        assert not any(self.indexes(system).values())
+        reloaded = system.execute(self.SQL, recipient="S1").table
+        assert reloaded == evaluate_plan(system.plan(self.SQL)[0], system.tables())
+        assert len(reloaded) < len(first)
+        for name, by_key in self.indexes(system).items():
+            for key, index in by_key.items():
+                assert built[name].get(key) is not index
 
 
 class TestColumnarWireFormat:

@@ -16,6 +16,12 @@ matches a join key.  It deliberately excludes ``-0.0`` and ``NaN``:
 objects are never equal — both documented engine edges, neither a
 relational semantics question.
 
+A positional-kernel block pins what late materialization adds: output
+*storage order* against the row-tuple bucket loops the kernels replaced
+(kept here as the reference), composite join keys, and the per-table
+key index staying right across reuse, canonicalization and a late
+cross-type alias.
+
 A plan-level block runs whole query trees over synthetic federations
 through ``evaluate_plan`` and the distributed executor against
 ``oracle_evaluate``; a last block checks the batched ``CanView`` kernel
@@ -24,6 +30,9 @@ against the scalar one on real planner probes at random batch sizes.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -115,7 +124,7 @@ def test_equality_and_hash_parity(rows, other_rows):
 @given(
     rows=rows_of([values, values, keys]),
     requested=st.lists(
-        st.sampled_from(["A0", "A1", "A2"]), min_size=1, max_size=4
+        st.sampled_from(["A0", "A1", "A2"]), min_size=0, max_size=4
     ),
 )
 def test_project_matches(rows, requested):
@@ -202,9 +211,10 @@ def test_natural_join_matches(left_rows, right_rows):
 @given(
     rows=rows_of([values, values]),
     other_rows=rows_of([values, values]),
+    third_rows=rows_of([values, values]),
     flip=st.booleans(),
 )
-def test_union_matches(rows, other_rows, flip):
+def test_union_matches(rows, other_rows, third_rows, flip):
     table, oracle = both(("A0", "A1"), rows)
     if flip:  # other side with permuted attribute order
         other_t, other_o = both(
@@ -213,6 +223,174 @@ def test_union_matches(rows, other_rows, flip):
     else:
         other_t, other_o = both(("A0", "A1"), other_rows)
     assert_same(table.union(other_t), oracle.union(other_o))
+    # n-ary: one concatenation and one dedup equal the pairwise fold.
+    third_t, third_o = both(("A0", "A1"), third_rows)
+    assert_same(
+        table.union(other_t, third_t), oracle.union(other_o).union(third_o)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    left_rows=rows_of([values, keys, keys]),
+    right_rows=rows_of([keys, keys, values]),
+)
+def test_composite_equi_join_matches(left_rows, right_rows):
+    """Two conditions, ``None`` possible in either key column: a key
+    with a null in any component joins nothing."""
+    path = JoinPath.of(("K0", "J0"), ("K1", "J1"))
+    left_t, left_o = both(("L0", "K0", "K1"), left_rows)
+    right_t, right_o = both(("J0", "J1", "R0"), right_rows)
+    assert_same(left_t.equi_join(right_t, path), left_o.equi_join(right_o, path))
+
+
+# ---------------------------------------------------------------------------
+# Positional kernels: storage order and the per-table key index
+# ---------------------------------------------------------------------------
+
+
+def id_rows(table):
+    """Rows as interned id tuples in *storage* order (nothing here may
+    observe ``rows``/``column``: that canonicalizes the table)."""
+    return list(zip(*[table.column_ids(a) for a in table.attributes]))
+
+
+def class_keys(table, attributes):
+    """Per stored row, the ``==``-class key over ``attributes``."""
+    classes = table.pool._classes
+    columns = [table.column_ids(a) for a in attributes]
+    return [tuple(classes[i] for i in key) for key in zip(*columns)]
+
+
+def row_tuple_join(left, right, left_keys, right_keys, emit):
+    """The row-tuple bucket loop both joins ran before they moved
+    positions: bucket the right rows (their ``emit`` columns) by class
+    key, skip ``None`` keys per row, concatenate ``row + match``."""
+    none_class = left.pool._classes[left.pool.intern(None)]
+    slots = [right.attributes.index(a) for a in emit]
+    buckets = {}
+    for row, key in zip(id_rows(right), class_keys(right, right_keys)):
+        if none_class not in key:
+            buckets.setdefault(key, []).append(tuple(row[j] for j in slots))
+    joined = []
+    for row, key in zip(id_rows(left), class_keys(left, left_keys)):
+        if none_class not in key:
+            joined.extend(row + match for match in buckets.get(key, ()))
+    return joined
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    left_rows=rows_of([values, keys, keys]),
+    right_rows=rows_of([keys, keys, values]),
+    requested=st.sampled_from([["A"], ["S0", "S1"], ["A", "S1"], ["A", "S0", "S1"]]),
+)
+def test_storage_order_matches_row_tuple_loops(left_rows, right_rows, requested):
+    left = Table(("A", "S0", "S1"), left_rows)
+    right = Table(("S0", "S1", "B"), right_rows)
+    assert id_rows(left.natural_join(right)) == row_tuple_join(
+        left, right, ["S0", "S1"], ["S0", "S1"], ["B"]
+    )
+    renamed = Table(("K0", "K1", "B"), right_rows)
+    assert id_rows(
+        left.equi_join(renamed, JoinPath.of(("S0", "K0"), ("S1", "K1")))
+    ) == row_tuple_join(left, renamed, ["S0", "S1"], ["K0", "K1"], renamed.attributes)
+    # ``project`` keeps each class's first occurrence, in place.  It may
+    # canonicalize its input first (alias corner), so the reference
+    # reads the input's storage order afterwards.
+    projected = left.project(requested)
+    seen, kept = set(), []
+    for row, key in zip(id_rows(left), class_keys(left, requested)):
+        if key not in seen:
+            seen.add(key)
+            kept.append(tuple(row[left.attributes.index(a)] for a in requested))
+    assert projected.attributes == tuple(requested)
+    assert id_rows(projected) == kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    build_rows=rows_of([keys, keys, values], max_rows=10),
+    partners=st.lists(rows_of([values, keys]), min_size=2, max_size=3),
+    targets=st.lists(st.integers(min_value=0, max_value=1), min_size=10, max_size=10),
+)
+def test_key_index_reuse_matches_fresh_tables(build_rows, partners, targets):
+    """One build side, several partners, two key sets: every join off
+    the memoized index equals the same join against a fresh copy, in
+    storage order — also after ``select`` handed back ``self``, and
+    after canonicalization moved the rows the index points at."""
+    schema = ("J0", "J1", "R0")
+    build = Table(schema, build_rows)
+    paths = [JoinPath.of(("K0", "J0")), JoinPath.of(("K0", "J1"))]
+
+    def joins(build_side):
+        return [
+            id_rows(Table(("L0", "K0"), rows).equi_join(build_side, path))
+            for path in paths
+            for rows in partners
+        ]
+
+    assert build.select(Predicate([])) is build
+    assert joins(build) == joins(Table(schema, build_rows))
+    assert joins(build) == joins(Table(schema, build_rows))  # warm index
+    assert set(build._key_indexes) == {(0,), (1,)}
+    # Derived tables are indexed on their own rows, never their parent's.
+    derived = build.partition(targets[: len(build)], 2)
+    derived += [build.project(["J0", "R0", "J1"]), build.project(["J1", "R0"])]
+    for table in derived:
+        assert not table._key_indexes
+        partner = Table(("L0", "K0"), partners[0])
+        joined = partner.equi_join(table, paths[1])
+        assert joined == partner.equi_join(Table(table.attributes, table.rows), paths[1])
+    # ``rows`` sorts the storage in place: stale positions must not survive.
+    canonical = Table(schema, build.rows)
+    assert joins(build) == joins(canonical)
+
+
+_ALIAS_FLIP = """
+from repro.algebra.joins import JoinPath
+from repro.engine.data import Table, shared_pool
+from tests._row_oracle import OracleTable
+
+path = JoinPath.of(("K0", "K1"))
+build_rows = [(1, "one"), (2, "two"), (None, "none"), (1, "uno")]
+build = Table(("K1", "R0"), build_rows)
+assert len(Table(("L0", "K0"), [("w", 1)]).equi_join(build, path)) == 2
+index = build._key_indexes[(0,)]
+assert not shared_pool().has_aliases  # indexed while ids were class ids
+probe_rows = [("t", True), ("f", 1.0), ("n", None), ("z", 2), ("o", 1)]
+probe = Table(("L0", "K0"), probe_rows)
+assert shared_pool().has_aliases
+joined = probe.equi_join(build, path)
+assert build._key_indexes[(0,)] is index
+expected = OracleTable(("L0", "K0"), probe_rows).equi_join(
+    OracleTable(("K1", "R0"), build_rows), path
+)
+assert len(expected) == 7
+assert joined.rows == expected.rows, (joined.rows, expected.rows)
+# And the other way round: a True-keyed index probed with 1.
+flipped = build.equi_join(probe, path)
+assert flipped.rows == OracleTable(("K1", "R0"), build_rows).equi_join(
+    OracleTable(("L0", "K0"), probe_rows), path
+).rows
+print("alias flip ok")
+"""
+
+
+def test_key_index_survives_a_late_alias():
+    """Index a table keyed ``1`` while the pool has no aliases, *then*
+    intern ``True``: the memoized index must still match — a value's
+    class id is fixed when it is interned, and an alias joins the older
+    value's class.  Needs a fresh interpreter: this process's pool has
+    had aliases since the first test above."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+    done = subprocess.run(
+        [sys.executable, "-c", _ALIAS_FLIP],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "alias flip ok"
 
 
 # ---------------------------------------------------------------------------
