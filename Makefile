@@ -37,9 +37,11 @@ test-obs:
 	$(PYTHON) -m pytest tests/test_obs.py tests/test_obs_golden.py
 
 # Plan-cache suite: epoch/LRU/fingerprint unit tests, the
-# revocation-between-executions security regression, and the Hypothesis
-# differential harness (cached-vs-fresh plans, in-place-vs-full closure
-# under random grant/revoke interleavings, integer-vs-reference chase).
+# revocation-between-executions security regression, the shape tier's
+# counting guards (one plan per shape, one verdict per epoch, one parse
+# per request), and the Hypothesis differential harness (cached-vs-fresh
+# and shape-bound-vs-fresh plans, in-place-vs-full closure under random
+# grant/revoke interleavings, integer-vs-reference chase).
 test-cache:
 	$(PYTHON) -m pytest tests/test_plancache.py tests/test_plancache_diff.py
 

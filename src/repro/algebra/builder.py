@@ -118,11 +118,27 @@ class QuerySpec:
         matters either).  The plan cache
         (:mod:`repro.core.plancache`) keys on this value.
         """
+        return self._identity(str)
+
+    def shape(self) -> Tuple[object, ...]:
+        """The fingerprint with the *constants* of the WHERE atoms erased
+        (``A op 'v'`` renders ``A op ?``; attribute, operator and an
+        attribute-valued operand stay).  A profile (Definition 3.2)
+        records the attributes a selection touches, never a constant, so
+        ``CanView``, the Figure 6 planner and every Figure 5 flow are
+        functions of this value and the policy: all specs of one shape
+        share one plan decision.  Without constants, ``shape() ==
+        fingerprint()``."""
+        return self._identity(
+            lambda c: str(c) if c.operand_is_attribute else f"{c.attribute}{c.op}?"
+        )
+
+    def _identity(self, render_atom) -> Tuple[object, ...]:
         return (
             self._relations,
             tuple(path.canonical_key() for path in self._join_paths),
             tuple(sorted(self._select)),
-            tuple(sorted(str(c) for c in self._where.comparisons)),
+            tuple(sorted(map(render_atom, self._where.comparisons))),
         )
 
     def __repr__(self) -> str:

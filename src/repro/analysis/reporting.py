@@ -8,6 +8,7 @@ from typing import List, Optional, Sequence
 
 from repro.algebra.attributes import format_attribute_set
 from repro.core.authorization import Policy
+from repro.core.plancache import PLAN_CACHE_KEYS
 from repro.core.planner import PlannerTrace
 
 
@@ -181,18 +182,6 @@ BENCH_SCHEMA_VERSION = 1
 BENCH_GENERATED_BY = "repro-benchmarks"
 
 
-#: The always-present keys of a bench file's ``"plan_cache"`` section
-#: (mirrors :data:`repro.core.plancache.PLAN_CACHE_KEYS`).
-_PLAN_CACHE_KEYS = (
-    "hits",
-    "misses",
-    "revalidations",
-    "revalidation_failures",
-    "evictions",
-    "coalesced",
-    "entries",
-)
-
 #: The always-present keys of a bench file's ``"latency"`` section.
 #: Serving benches (ABL14 onward) report tail latency through one
 #: shared shape so dashboards can diff files without sniffing keys.
@@ -266,9 +255,8 @@ def write_bench_json(
         plan_cache: optional plan-cache counters — a
             :class:`~repro.core.plancache.PlanCache`, a snapshot dict,
             or ``None`` — merged in as a ``"plan_cache"`` section whose
-            keys (hits/misses/revalidations/revalidation_failures/
-            evictions/coalesced/entries) are always all present,
-            zero-filled when absent from the input.
+            keys (:data:`~repro.core.plancache.PLAN_CACHE_KEYS`) are
+            always all present, zero-filled when absent from the input.
         latency: optional latency percentiles — a dict with any of
             ``p50``/``p95``/``p99`` (e.g. from
             :func:`latency_percentiles`) — merged in as a ``"latency"``
@@ -314,7 +302,7 @@ def write_bench_json(
             plan_cache.snapshot() if hasattr(plan_cache, "snapshot") else dict(plan_cache)
         )
         data["plan_cache"] = {
-            key: int(snapshot.get(key, 0)) for key in _PLAN_CACHE_KEYS
+            key: int(snapshot.get(key, 0)) for key in PLAN_CACHE_KEYS
         }
     if latency is not None:
         data["latency"] = {

@@ -16,7 +16,7 @@ authorized release; a plan is *feasible* when a safe assignment exists.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.algebra.tree import JoinNode, LeafNode, PlanNode, QueryTreePlan, UnaryNode
 from repro.core.profile import RelationProfile
@@ -61,6 +61,10 @@ class Assignment:
 
     Produced by the safe planner (or the exhaustive baseline); consumed
     by the safety verifier, the cost model and the execution engine.
+
+    What is a pure function of a finished assignment — the Definition
+    4.1 structure check and the Figure 5 flow list — is memoized on it;
+    every ``set_*`` clears the memo, so mutate only through them.
     """
 
     def __init__(self, plan: QueryTreePlan) -> None:
@@ -69,11 +73,47 @@ class Assignment:
         self._profiles: Dict[int, RelationProfile] = {}
         self._coordinators: Dict[int, str] = {}
         self._materialized: Dict[int, str] = {}
+        self._memo: Dict[str, object] = {}
 
     @property
     def plan(self) -> QueryTreePlan:
         """The plan being assigned."""
         return self._plan
+
+    def memoized(self, key: str, derive: Callable[["Assignment"], object]):
+        """``derive(self)``, computed once per finished assignment and
+        kept until the next ``set_*`` (the Definition 4.1 check here,
+        the Figure 5 flow list of :mod:`repro.core.safety`)."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = derive(self)
+            return value
+
+    def rebound(self, plan: QueryTreePlan) -> "Assignment":
+        """This assignment over ``plan``, a tree that matches its own
+        node for node in everything a profile reads — kinds, relations,
+        projection sets, join paths, the *attribute sets* of selections
+        — so that only selection constants can differ.  Executors,
+        coordinators, profiles, marks and the memo carry over by node id.
+
+        Raises:
+            PlanError: if any node differs; never a silent fallback.
+        """
+        mine, theirs = self._plan.nodes(), plan.nodes()
+        differing = [
+            other.node_id for ours, other in zip(mine, theirs)
+            if _reads(ours) != _reads(other)
+        ]
+        if differing or len(mine) != len(theirs):
+            raise PlanError(
+                f"cannot rebind {len(mine)} assigned nodes to a plan of "
+                f"{len(theirs)}: nodes {differing} differ"
+            )
+        twin = Assignment(plan)
+        for name in ("_executors", "_profiles", "_coordinators", "_materialized", "_memo"):
+            setattr(twin, name, dict(getattr(self, name)))
+        return twin
 
     # ------------------------------------------------------------------
     # Executors
@@ -83,6 +123,7 @@ class Assignment:
         """Record the executor of one node (planner-internal)."""
         self._plan.node(node_id)  # validates the id
         self._executors[node_id] = executor
+        self._memo.clear()
 
     def executor(self, node_id: int) -> Executor:
         """Executor of a node.
@@ -120,6 +161,7 @@ class Assignment:
         """Record the profile of one node's output (planner-internal)."""
         self._plan.node(node_id)
         self._profiles[node_id] = profile
+        self._memo.clear()
 
     def profile(self, node_id: int) -> RelationProfile:
         """Profile of a node's output relation.
@@ -148,6 +190,7 @@ class Assignment:
         if not isinstance(node, JoinNode):
             raise PlanError(f"node n{node_id} is not a join; coordinators apply to joins")
         self._coordinators[node_id] = server
+        self._memo.clear()
 
     def coordinator(self, node_id: int) -> Optional[str]:
         """The third-party coordinator of a join, or ``None``."""
@@ -171,6 +214,7 @@ class Assignment:
         """
         self._plan.node(node_id)
         self._materialized[node_id] = server
+        self._memo.clear()
 
     def materialized_server(self, node_id: int) -> Optional[str]:
         """Where a materialized node's result sits, or ``None``."""
@@ -239,6 +283,9 @@ class Assignment:
         Raises:
             PlanError: on any violation or on an incomplete assignment.
         """
+        self.memoized("structure", Assignment._check_structure)
+
+    def _check_structure(self) -> None:
         skipped = self.skipped_node_ids()
         if not self.is_complete():
             missing = [
@@ -328,3 +375,15 @@ class Assignment:
 
     def __repr__(self) -> str:
         return f"Assignment({len(self._executors)}/{len(self._plan)} nodes)"
+
+
+def _reads(node: PlanNode) -> tuple:
+    """What a profile reads of one node: everything but a selection's
+    constants.  (Node ids are post-order, so equal kinds at every id
+    mean equal tree structure.)"""
+    if isinstance(node, LeafNode):
+        return LeafNode, node.relation
+    if isinstance(node, JoinNode):
+        return JoinNode, node.path
+    parameter = node.parameter  # a projection's attribute set, or a predicate
+    return node.operator, getattr(parameter, "attributes", parameter)

@@ -30,10 +30,24 @@ merely invalidate-on-write:
   never ship a transfer the current policy forbids — the same property
   the runtime audit enforces, applied one layer earlier.
 
-The cache is a plain LRU (``maxsize`` entries, least-recently-used
-evicted first) and deliberately caches only *feasible* plans:
-infeasibility is policy-dependent in the unhelpful direction (a later
-grant can make it feasible), so negative answers are recomputed.
+**Shape tier.**  A relation profile is ``[R^pi, R^join, R^sigma]`` —
+attribute sets and a join path, never a constant (Definition 3.2) — and
+``CanView`` and the Figure 6 planner read nothing else, so a query's
+assignment, flows and feasibility are functions of its literal-erased
+*shape* (:meth:`~repro.algebra.builder.QuerySpec.shape`) and the epoch.
+The same LRU therefore also holds, under the shape key, the plan
+**decision** of the first query of each shape: a later query with other
+constants misses its fingerprint, finds the decision
+(:meth:`PlanCache.lookup_shape`) and *binds* it to its own tree
+(:meth:`~repro.core.assignment.Assignment.rebound`) instead of planning.
+Decisions obey the epoch rule above, through the same code.  An
+infeasibility **verdict** is a decision too, but a grant can unlock the
+query: a verdict (the planner's message, never the exception object)
+answers only at the epoch it was computed at and is *dropped*, not
+revalidated, once the epoch moves.  Either tier skips *planning*, never
+*checking*: every request's assignment is still verified against the
+live policy and every shipment audited.  The cache is a plain LRU
+(``maxsize`` entries of any kind, least recently used evicted first).
 
 **Interleaved access.**  The cache is used from asyncio services where
 many in-flight queries share it (:mod:`repro.service`).  Lookups and
@@ -74,6 +88,8 @@ from repro.exceptions import PlanError
 PLAN_CACHE_KEYS = (
     "hits",
     "misses",
+    "shape_hits",
+    "negative_hits",
     "revalidations",
     "revalidation_failures",
     "evictions",
@@ -86,10 +102,12 @@ class PlanCacheStats:
     """Counters of one cache's lifetime.
 
     Attributes:
-        hits: lookups answered from the cache (pure hits plus
-            successful revalidations).
-        misses: lookups that fell through to fresh planning (absent
-            fingerprints plus failed revalidations).
+        hits: exact-fingerprint lookups that returned a plan (pure hits
+            plus successful revalidations).
+        misses: exact-fingerprint lookups that returned no plan (absent
+            fingerprints, failed revalidations, verdicts).
+        shape_hits: of those misses, the ones bound from a shape decision.
+        negative_hits: of those misses, the ones answered by a live verdict.
         revalidations: epoch-bumped entries re-audited against the
             current policy (successful or not).
         revalidation_failures: re-audits that found a now-forbidden
@@ -102,34 +120,19 @@ class PlanCacheStats:
             :meth:`PlanCache.record_coalesced`).
     """
 
-    __slots__ = (
-        "hits",
-        "misses",
-        "revalidations",
-        "revalidation_failures",
-        "evictions",
-        "coalesced",
-    )
+    __slots__ = PLAN_CACHE_KEYS[:-1]  # "entries" is the cache's, not a counter
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.revalidations = 0
-        self.revalidation_failures = 0
-        self.evictions = 0
-        self.coalesced = 0
+        for key in self.__slots__:
+            setattr(self, key, 0)
 
     def __repr__(self) -> str:
-        return (
-            f"PlanCacheStats(hits={self.hits}, misses={self.misses}, "
-            f"revalidations={self.revalidations}, "
-            f"revalidation_failures={self.revalidation_failures}, "
-            f"evictions={self.evictions}, coalesced={self.coalesced})"
-        )
+        counters = ", ".join(f"{key}={getattr(self, key)}" for key in self.__slots__)
+        return f"PlanCacheStats({counters})"
 
 
 class PlanCacheEntry:
-    """One cached planning product.
+    """One cached planning outcome: a product, or an infeasibility verdict.
 
     Attributes:
         tree: the minimized :class:`~repro.algebra.tree.QueryTreePlan`.
@@ -137,16 +140,20 @@ class PlanCacheEntry:
             after planning — the execution layers only read it).
         planner_trace: the Figure 7 trace of the original planning run.
         validated_epoch: the policy epoch the assignment was last
-            proven safe at.
+            proven safe at (a verdict: the epoch it was computed at).
+        infeasible: ``None`` for a product; for a verdict (no product)
+            the planner's ``(message, node_id)`` to raise a *fresh* error
+            from — one instance re-raised grows its ``__traceback__``.
     """
 
-    __slots__ = ("tree", "assignment", "planner_trace", "validated_epoch")
+    __slots__ = ("tree", "assignment", "planner_trace", "validated_epoch", "infeasible")
 
     def __init__(self, tree, assignment, planner_trace, validated_epoch: int) -> None:
         self.tree = tree
         self.assignment = assignment
         self.planner_trace = planner_trace
         self.validated_epoch = validated_epoch
+        self.infeasible: Optional[Tuple[str, int]] = None
 
 
 def fingerprint_tree(tree: QueryTreePlan) -> Tuple[object, ...]:
@@ -181,7 +188,7 @@ def fingerprint_tree(tree: QueryTreePlan) -> Tuple[object, ...]:
 
 
 class PlanCache:
-    """An LRU of safe assignments keyed on ``(fingerprint, epoch)``.
+    """An LRU of epoch-stamped planning outcomes: products, decisions, verdicts.
 
     Args:
         maxsize: entry cap; the least recently used entry is evicted
@@ -218,7 +225,9 @@ class PlanCache:
 
         Returns ``None`` on a miss (absent, or present but no longer
         safe under ``policy`` — the entry is then evicted).  Hits and
-        successful revalidations refresh the entry's LRU position.
+        successful revalidations refresh the entry's LRU position.  A
+        verdict stored under the key (a constant-free spec's fingerprint
+        is also its shape) is no plan: a miss here too.
 
         Args:
             fingerprint: a value from
@@ -231,43 +240,75 @@ class PlanCache:
                 lookups feed ``repro_plan_cache_*`` counters and emit
                 one ``plan_cache`` event per outcome.
         """
-        entry = self._entries.get(fingerprint)
-        if entry is None or fingerprint in self._revalidating:
+        entry, reported = self._resolve(fingerprint, policy, obs)
+        plan = entry is not None and entry.infeasible is None
+        if plan:
+            self.stats.hits += 1
+        else:
+            self.stats.misses += 1
+        if not reported:
+            self._observe(obs, "hit" if plan else "miss")
+        return entry if plan else None
+
+    def lookup_shape(
+        self, shape: object, policy: Policy, obs=None
+    ) -> Optional[PlanCacheEntry]:
+        """After an exact-fingerprint miss: the decision to bind, or the
+        live verdict (``entry.infeasible`` set), under a shape key
+        (:meth:`~repro.algebra.builder.QuerySpec.shape` plus the order-search
+        flag).  The epoch rule of :meth:`lookup`; a miss is silent — the
+        exact tier already counted the request."""
+        entry, _ = self._resolve(shape, policy, obs)
+        if entry is None:
+            return None
+        if entry.infeasible is None:
+            self.stats.shape_hits += 1
+            self._observe(obs, "shape_hit")
+        else:
+            self.stats.negative_hits += 1
+            self._observe(obs, "negative_hit")
+        return entry
+
+    def _resolve(self, key: object, policy: Policy, obs) -> Tuple[Optional[PlanCacheEntry], bool]:
+        """The entry under ``key`` if it holds under ``policy`` (one path for
+        every kind of entry), and whether a revalidation reported the outcome."""
+        entry = self._entries.get(key)
+        if entry is None or key in self._revalidating:
             # Mid-revalidation re-entry is answered as a miss: the outer
             # frame owns the entry's fate, and recursing into a second
             # re-audit of the same assignment could interleave its LRU
             # mutations with ours.
-            self.stats.misses += 1
-            self._observe(obs, "miss")
-            return None
+            return None, False
         epoch = policy.epoch
-        if entry.validated_epoch != epoch:
+        revalidated = entry.validated_epoch != epoch
+        if revalidated:
+            if entry.infeasible is not None:
+                # The policy moved and a grant may have unlocked the
+                # query: a verdict is never revalidated, only dropped.
+                del self._entries[key]
+                return None, False
             self.stats.revalidations += 1
-            self._revalidating.add(fingerprint)
+            self._revalidating.add(key)
             try:
                 safe = self._still_safe(policy, entry.assignment, obs)
             finally:
-                self._revalidating.discard(fingerprint)
+                self._revalidating.discard(key)
             if not safe:
                 # The current policy forbids a flow this plan ships —
                 # the entry is unusable at any later epoch too (only a
                 # fresh plan can route around the revocation).  The
                 # audit probe may have re-entered the cache, so only
                 # evict the entry we actually revalidated.
-                if self._entries.get(fingerprint) is entry:
-                    del self._entries[fingerprint]
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
                 self.stats.revalidation_failures += 1
-                self.stats.misses += 1
                 self._observe(obs, "revalidation_failed")
-                return None
+                return None, True
             entry.validated_epoch = epoch
             self._observe(obs, "revalidated")
-        else:
-            self._observe(obs, "hit")
-        if self._entries.get(fingerprint) is entry:
-            self._entries.move_to_end(fingerprint)
-        self.stats.hits += 1
-        return entry
+        if self._entries.get(key) is entry:
+            self._entries.move_to_end(key)
+        return entry, revalidated
 
     def store(
         self,
@@ -277,8 +318,8 @@ class PlanCache:
         assignment,
         planner_trace,
     ) -> PlanCacheEntry:
-        """Cache one freshly planned product, validated at ``policy``'s
-        current epoch (LRU-evicting on overflow)."""
+        """Cache one freshly planned (or shape-bound) product, validated
+        at ``policy``'s current epoch (LRU-evicting on overflow)."""
         entry = PlanCacheEntry(tree, assignment, planner_trace, policy.epoch)
         self._entries[fingerprint] = entry
         self._entries.move_to_end(fingerprint)
@@ -286,6 +327,11 @@ class PlanCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
         return entry
+
+    def store_infeasible(self, shape: object, policy: Policy, error) -> None:
+        """Cache the verdict that no plan of ``shape`` is safe at
+        ``policy``'s current epoch — ``error``'s message, not ``error``."""
+        self.store(shape, policy, None, None, None).infeasible = (str(error), error.node_id)
 
     def clear(self) -> None:
         """Drop every entry (stats are kept — they are lifetime counters)."""
@@ -308,16 +354,9 @@ class PlanCache:
     def snapshot(self) -> dict:
         """JSON-safe stats snapshot with every :data:`PLAN_CACHE_KEYS`
         key present."""
-        stats = self.stats
-        return {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "revalidations": stats.revalidations,
-            "revalidation_failures": stats.revalidation_failures,
-            "evictions": stats.evictions,
-            "coalesced": stats.coalesced,
-            "entries": len(self._entries),
-        }
+        snapshot = {key: getattr(self.stats, key) for key in PlanCacheStats.__slots__}
+        snapshot["entries"] = len(self._entries)
+        return snapshot
 
     @staticmethod
     def _still_safe(policy: Policy, assignment, obs) -> bool:

@@ -52,12 +52,29 @@ def enumerate_assignment_flows(
     Raises:
         PlanError: if the assignment is structurally invalid
             (Definition 4.1) or incomplete.
+
+    The recipient-free list is derived once per finished assignment
+    (:meth:`Assignment.memoized`); callers get their own list.
     """
+    flows = list(assignment.memoized("flows", _derive_flows))
+    if recipient is not None:
+        root = assignment.plan.root
+        flows.append(
+            Flow(
+                assignment.master(root.node_id),
+                recipient,
+                assignment.profile(root.node_id),
+                f"result of n{root.node_id} -> recipient",
+            )
+        )
+    return flows
+
+
+def _derive_flows(assignment: Assignment) -> List[Flow]:
     assignment.validate_structure()
-    plan = assignment.plan
     flows: List[Flow] = []
     skipped = assignment.skipped_node_ids()
-    for node in plan:
+    for node in assignment.plan:
         if node.node_id in skipped or assignment.is_materialized(node.node_id):
             # Materialized subtrees (failover reuse) entail no flow: the
             # result already sits at its server, put there by a previous
@@ -68,16 +85,6 @@ def enumerate_assignment_flows(
         if not isinstance(node, JoinNode):  # pragma: no cover - closed kinds
             raise PlanError(f"unknown node kind: {type(node).__name__}")
         flows.extend(_join_flows(assignment, node))
-    if recipient is not None:
-        root = plan.root
-        flows.append(
-            Flow(
-                assignment.master(root.node_id),
-                recipient,
-                assignment.profile(root.node_id),
-                f"result of n{root.node_id} -> recipient",
-            )
-        )
     return flows
 
 

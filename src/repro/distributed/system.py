@@ -95,9 +95,8 @@ class DistributedSystem:
             self._plan_cache = None
         else:
             self._plan_cache = plan_cache
-        # SQL text -> bound form; parsing is policy-independent, so the
-        # memo never needs invalidation.  Only populated while the plan
-        # cache is on (it exists to make warm repeats parse-free).
+        # SQL text -> bound form (see _remember); parsing is
+        # policy-independent, so the memo never needs invalidation.
         self._parse_memo: Dict[str, Tuple[str, object]] = {}
         self._planner = self._make_planner()
         self._servers: Dict[str, Server] = {}
@@ -276,19 +275,16 @@ class DistributedSystem:
     # ------------------------------------------------------------------
 
     def parse(self, query: Query) -> QuerySpec:
-        """SQL text (or a pre-bound spec, returned as-is) to a QuerySpec;
-        text that bound to a spec is served from the parse memo."""
-        if isinstance(query, QuerySpec):
-            return query
-        cached = self._parse_memo.get(query)
-        if cached is not None and cached[0] == "spec":
-            return cached[1]
+        """SQL text (or a pre-bound spec, returned as-is) to a QuerySpec,
+        through the parse memo."""
+        kind, payload = self._parsed(query)
+        if kind == "spec":
+            return payload
         from repro.sql import parse_query  # deferred: sql depends on algebra only
 
-        spec = parse_query(query, self._catalog)
-        if self._plan_cache is not None:
-            self._remember(query, ("spec", spec))
-        return spec
+        # A parenthesized FROM binds to a tree; this raises the spec
+        # binder's own error for it.
+        return parse_query(query, self._catalog)
 
     def plan(
         self,
@@ -304,8 +300,11 @@ class DistributedSystem:
         ``(tree, assignment, trace)`` without replanning, as long as the
         cached assignment is still provably safe under the current
         policy (see :mod:`repro.core.plancache` for the epoch /
-        revalidation semantics).  Cached objects are shared between
-        calls and must be treated as immutable.
+        revalidation semantics).  A query differing from an earlier one
+        only in its WHERE constants has that query's *shape* and is not
+        planned either: the cached decision is bound to its own tree.
+        Cached objects are shared between calls and must be treated as
+        immutable.
 
         Args:
             query: SQL text or bound spec.
@@ -317,15 +316,16 @@ class DistributedSystem:
 
         Raises:
             InfeasiblePlanError: when no considered plan admits a safe
-                assignment (infeasibility is never cached — a later
-                grant can unlock the query).
+                assignment.  The verdict is cached per shape but never
+                outlives the policy epoch it was computed at — a grant
+                unlocks the query on its very next request.
         """
         if trace is None or trace is self._trace:
             planner = self._planner
         else:
             planner = self._make_planner(obs=trace)
         cache = self._plan_cache
-        kind, payload = self._parsed(query, memoize=cache is not None)
+        kind, payload = self._parsed(query)
         if cache is None:
             return self._plan_parsed(kind, payload, planner, search_join_orders)
         obs = trace if trace is not None else self._trace
@@ -338,21 +338,45 @@ class DistributedSystem:
         entry = cache.lookup(fingerprint, self._policy, obs=obs)
         if entry is not None:
             return entry.tree, entry.assignment, entry.planner_trace
-        tree, assignment, planner_trace = self._plan_parsed(
-            kind, payload, planner, search_join_orders
-        )
-        cache.store(fingerprint, self._policy, tree, assignment, planner_trace)
-        return tree, assignment, planner_trace
+        # A tree's shape is the user's: no tier below the exact one.
+        shape = fingerprint if kind == "tree" else (payload.shape(), search_join_orders)
+        decision = cache.lookup_shape(shape, self._policy, obs=obs)
+        if decision is None:
+            try:
+                product = self._plan_parsed(kind, payload, planner, search_join_orders)
+            except InfeasiblePlanError as error:
+                cache.store_infeasible(shape, self._policy, error)
+                raise
+            cache.store(shape, self._policy, *product)
+        elif decision.infeasible is not None:
+            raise InfeasiblePlanError(*decision.infeasible)
+        else:
+            product = self._bind(payload, decision)
+        cache.store(fingerprint, self._policy, *product)
+        return product
 
-    def _parsed(self, query: Query, memoize: bool = False) -> Tuple[str, object]:
+    def _bind(
+        self, spec: QuerySpec, decision
+    ) -> Tuple[QueryTreePlan, Assignment, PlannerTrace]:
+        """Bind a shape-tier decision to ``spec``: its own tree (its own
+        constants) in the FROM order the decision was made for — the
+        order search may have moved it; a left-deep tree lists relations
+        and join steps in post-order — and the decided executors."""
+        decided = decision.tree
+        relations = tuple(schema.name for schema in decided.base_relations())
+        if relations != spec.relations:
+            spec = spec.reordered(relations, [join.path for join in decided.joins()])
+        tree = build_plan(self._catalog, spec)
+        return tree, decision.assignment.rebound(tree), decision.planner_trace
+
+    def _parsed(self, query: Query) -> Tuple[str, object]:
         """Bind a query to its planning form, memoizing SQL texts.
 
         Returns ``("spec", QuerySpec)`` for bound specs and left-deep
         SQL, or ``("tree", QueryTreePlan)`` for parenthesized (bushy)
         FROM clauses, whose shape is the user's explicit choice.
         Parsing and binding are pure functions of ``(text, catalog)``,
-        so the memo (on by default only while the plan cache is enabled)
-        never needs invalidation.
+        so the memo never needs invalidation.
         """
         if isinstance(query, QuerySpec):
             return "spec", query
@@ -366,13 +390,23 @@ class DistributedSystem:
             result: Tuple[str, object] = ("tree", bind_plan(parsed, self._catalog))
         else:
             result = ("spec", bind(parsed, self._catalog))
-        if memoize:
-            self._remember(query, result)
+        self._remember(query, result)
         return result
 
+    #: Texts the parse memo keeps; beyond it the oldest is dropped.
+    _PARSE_MEMO_LIMIT = 1024
+
     def _remember(self, query: str, result: Tuple[str, object]) -> None:
-        if len(self._parse_memo) < 1024:
-            self._parse_memo[query] = result
+        """Memoize one bound text while the plan cache is on (the memo
+        exists to make repeats parse-free).  Oldest out, never newest
+        refused: the text just parsed is the one this request's next
+        stage (admission, plan key, plan) asks for."""
+        if self._plan_cache is None:
+            return
+        memo = self._parse_memo
+        if len(memo) >= self._PARSE_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        memo[query] = result
 
     def _plan_parsed(
         self,

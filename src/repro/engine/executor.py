@@ -26,6 +26,7 @@ from repro.algebra.tree import (
 )
 from repro.core.assignment import Assignment
 from repro.core.flows import semi_join_probe_profile, semi_join_result_profile
+from repro.core.plancache import PLAN_CACHE_KEYS
 from repro.core.profile import RelationProfile
 from repro.engine.audit import AuditLog
 from repro.engine.data import Table
@@ -139,25 +140,12 @@ class ExecutionResult:
             "checkpointed": self.checkpointed,
             "resumed": self.resumed,
             "plan_cache_enabled": self.plan_cache is not None,
-            "plan_cache_hits": (
-                self.plan_cache["hits"] if self.plan_cache is not None else 0
-            ),
-            "plan_cache_misses": (
-                self.plan_cache["misses"] if self.plan_cache is not None else 0
-            ),
-            "plan_cache_revalidations": (
-                self.plan_cache["revalidations"] if self.plan_cache is not None else 0
-            ),
-            "plan_cache_revalidation_failures": (
-                self.plan_cache["revalidation_failures"]
-                if self.plan_cache is not None
-                else 0
-            ),
-            "plan_cache_coalesced": (
-                self.plan_cache.get("coalesced", 0)
-                if self.plan_cache is not None
-                else 0
-            ),
+            # The cache's size and LRU pressure are not per-run facts.
+            **{
+                f"plan_cache_{key}": (self.plan_cache or {}).get(key, 0)
+                for key in PLAN_CACHE_KEYS
+                if key not in ("evictions", "entries")
+            },
         }
 
     def summary(self) -> str:

@@ -152,6 +152,16 @@ class AdmissionTicket:
         self.degrade_level = degrade_level
 
 
+def _query_relations(system, query) -> list:
+    """The base relations a query reads, from its memoized bound form."""
+    from repro.algebra.tree import LeafNode
+
+    kind, payload = system._parsed(query)
+    if kind == "spec":
+        return list(payload.relations)
+    return [node.relation.name for node in payload if isinstance(node, LeafNode)]
+
+
 def estimate_query_bytes(system, query) -> float:
     """Static pre-planning byte estimate of one query.
 
@@ -165,17 +175,7 @@ def estimate_query_bytes(system, query) -> float:
     Relations with no loaded instance estimate 0 bytes (there is
     nothing to ship).
     """
-    from repro.algebra.tree import LeafNode
-
-    kind, payload = system._parsed(query, memoize=system.plan_cache is not None)
-    if kind == "tree":
-        relations = [
-            node.relation.name
-            for node in payload
-            if isinstance(node, LeafNode)
-        ]
-    else:
-        relations = list(payload.relations)
+    relations = _query_relations(system, query)
     tables = system.tables()
     total = 0.0
     for name in relations:
@@ -216,20 +216,7 @@ class CostEstimator:
     def estimate(self, query) -> float:
         """Estimated bytes of one query (see
         :func:`estimate_query_bytes` for semantics)."""
-        from repro.algebra.tree import LeafNode
-
-        system = self._system
-        kind, payload = system._parsed(
-            query, memoize=system.plan_cache is not None
-        )
-        if kind == "tree":
-            relations = [
-                node.relation.name
-                for node in payload
-                if isinstance(node, LeafNode)
-            ]
-        else:
-            relations = list(payload.relations)
+        relations = _query_relations(self._system, query)
         return sum(self.relation_bytes(name) for name in relations)
 
 

@@ -1035,9 +1035,7 @@ class QueryService:
         """The single-flight key: the exact identity the plan cache
         fingerprints on, so "would share a cache entry" and "coalesce"
         agree."""
-        kind, payload = self._system._parsed(
-            query, memoize=self._system.plan_cache is not None
-        )
+        kind, payload = self._system._parsed(query)
         if kind == "tree":
             return fingerprint_tree(payload)
         return (payload.fingerprint(), search)

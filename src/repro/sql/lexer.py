@@ -13,6 +13,7 @@ Produces a flat token stream from query text.  Token kinds:
 
 from __future__ import annotations
 
+import re
 from typing import List, Union
 
 from repro.exceptions import SqlSyntaxError
@@ -20,8 +21,21 @@ from repro.exceptions import SqlSyntaxError
 #: Recognized keywords (upper-case canonical form).
 KEYWORDS = frozenset({"SELECT", "FROM", "JOIN", "ON", "WHERE", "AND"})
 
-#: Multi- and single-character symbols, longest first.
-_SYMBOLS = ("!=", "<=", ">=", "<", ">", "=", ",", "(", ")", ";", "*")
+#: One alternative per token kind, each match also consuming the white
+#: space after the token; what no alternative matches is an unterminated
+#: string or a stray character.  ``\s``, ``\w`` and ``\d`` are the classes
+#: ``str.isspace``, ``str.isalnum`` (plus ``_``) and ``str.isdecimal``
+#: test.  A string closes at a quote not followed by a quote (``''``
+#: escapes one); a number takes at most one dot, so ``1.2.3`` stops at
+#: the second.
+_TOKEN = re.compile(
+    r"""(?:(?P<WORD>[^\W\d][\w.]*)
+    |(?P<SYMBOL>!=|<=|>=|[<>=,();*])
+    |(?P<STRING>'(?:[^']|'')*'(?!'))
+    |(?P<NUMBER>\d+(?:\.\d*)?)
+    )\s*""",
+    re.VERBOSE,
+)
 
 
 class Token:
@@ -52,14 +66,6 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, @{self.position})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_."
-
-
 def tokenize(text: str) -> List[Token]:
     """Tokenize SQL text.
 
@@ -67,60 +73,36 @@ def tokenize(text: str) -> List[Token]:
         SqlSyntaxError: on unterminated strings or unexpected characters.
     """
     tokens: List[Token] = []
-    index = 0
+    append = tokens.append
+    match = _TOKEN.match
     length = len(text)
+    index = length - len(text.lstrip())
     while index < length:
-        ch = text[index]
-        if ch.isspace():
-            index += 1
-            continue
-        if ch == "'":
-            end = index + 1
-            pieces = []
-            while True:
-                if end >= length:
-                    raise SqlSyntaxError("unterminated string literal", index)
-                if text[end] == "'":
-                    if end + 1 < length and text[end + 1] == "'":
-                        pieces.append("'")
-                        end += 2
-                        continue
-                    break
-                pieces.append(text[end])
-                end += 1
-            tokens.append(Token("STRING", "".join(pieces), index))
-            index = end + 1
-            continue
-        if ch.isdigit():
-            end = index
-            seen_dot = False
-            while end < length and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
-                if text[end] == ".":
-                    seen_dot = True
-                end += 1
-            raw = text[index:end]
-            value: Union[int, float] = float(raw) if seen_dot else int(raw)
-            tokens.append(Token("NUMBER", value, index))
-            index = end
-            continue
-        if _is_ident_start(ch):
-            end = index
-            while end < length and _is_ident_part(text[end]):
-                end += 1
-            word = text[index:end]
-            upper = word.upper()
+        found = match(text, index)
+        if found is None:
+            raise _stray(text, index)
+        kind = found.lastgroup
+        value = found.group(kind)
+        if kind == "WORD":
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, index))
+                kind, value = "KEYWORD", upper
+            elif value[0].isalpha() or value[0] == "_":
+                kind = "IDENT"
             else:
-                tokens.append(Token("IDENT", word, index))
-            index = end
-            continue
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, index):
-                tokens.append(Token("SYMBOL", symbol, index))
-                index += len(symbol)
-                break
-        else:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", index)
-    tokens.append(Token("EOF", "", length))
+                # `[^\W\d]` also admits numerics that are no letter ('½').
+                raise _stray(text, index)
+        elif kind == "STRING":
+            value = value[1:-1].replace("''", "'")
+        elif kind == "NUMBER":
+            value = float(value) if "." in value else int(value)
+        append(Token(kind, value, index))
+        index = found.end()
+    append(Token("EOF", "", length))
     return tokens
+
+
+def _stray(text: str, index: int) -> SqlSyntaxError:
+    if text[index] == "'":
+        return SqlSyntaxError("unterminated string literal", index)
+    return SqlSyntaxError(f"unexpected character {text[index]!r}", index)

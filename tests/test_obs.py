@@ -558,6 +558,8 @@ SUMMARY_KEYS = {
     "plan_cache_enabled",
     "plan_cache_hits",
     "plan_cache_misses",
+    "plan_cache_shape_hits",
+    "plan_cache_negative_hits",
     "plan_cache_revalidations",
     "plan_cache_revalidation_failures",
     "plan_cache_coalesced",

@@ -77,6 +77,20 @@ def _medical_system(**kwargs):
     return system
 
 
+def _permissive_medical_system():
+    """Every server may view every base relation (the chase derives the
+    joined views), so any shape over the medical catalog is feasible."""
+    catalog = medical_catalog()
+    policy = Policy(
+        [
+            grant(server, " ".join(sorted(relation.attribute_set)))
+            for server in ("S_I", "S_H", "S_N", "S_D")
+            for relation in catalog.relations()
+        ]
+    )
+    return DistributedSystem(catalog, policy)
+
+
 # ---------------------------------------------------------------------------
 # Policy epochs
 # ---------------------------------------------------------------------------
@@ -324,7 +338,7 @@ class TestParseMemo:
         system = _medical_system()
         with pytest.raises(BindingError, match="parenthesized"):
             system.parse(bushy)
-        assert system._parsed(bushy, memoize=True)[0] == "tree"
+        assert system._parsed(bushy)[0] == "tree"
         # Memoized as a tree, which parse() must not serve.
         with pytest.raises(BindingError, match="parenthesized"):
             system.parse(bushy)
@@ -384,15 +398,21 @@ class TestRepeatedQueries:
         assert stats.revalidations == 1
         assert stats.revalidation_failures == 0
 
-    def test_infeasibility_is_never_cached(self):
+    def test_a_verdict_never_outlives_its_epoch(self):
         system = _toy_system(grant("S1", "a b"), grant("S2", "c d"))
         with pytest.raises(InfeasiblePlanError):
             system.plan(JOIN_QUERY)
-        assert len(system.plan_cache) == 0
-        # A later grant unlocks the query — a cached negative would hide it.
+        # The verdict is the only entry; within its epoch it answers.
+        assert len(system.plan_cache) == 1
+        with pytest.raises(InfeasiblePlanError):
+            system.plan(JOIN_QUERY)
+        assert system.plan_cache.stats.negative_hits == 1
+        # A grant unlocks the query on the very next request — a verdict
+        # that survived the epoch would hide it.
         system.add_authorization(grant("S2", "a b"))
         system.plan(JOIN_QUERY)
-        assert len(system.plan_cache) == 1
+        assert system.plan_cache.stats.negative_hits == 1
+        assert len(system.plan_cache) == 1  # the plan replaced the verdict
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +463,9 @@ class TestRevocationBetweenExecutions:
             system.execute(JOIN_QUERY)
         stats = system.plan_cache.stats
         assert stats.revalidation_failures == 1
-        assert len(system.plan_cache) == 0
+        # The stale plan is gone; what is left is this epoch's verdict.
+        (entry,) = system.plan_cache._entries.values()
+        assert entry.assignment is None and entry.infeasible is not None
 
     def test_resume_after_failed_revalidation_caches_the_new_plan(self):
         system = _toy_system(
@@ -521,3 +543,486 @@ class TestTracedRevocation:
         rule = grant("S1", "c d")
         policy.add(rule)
         assert first_covering_authorization(policy, profile, "S1", trace=trace) == rule
+
+
+# ---------------------------------------------------------------------------
+# The shape tier: plan per query shape, not per query text
+# ---------------------------------------------------------------------------
+
+TOY_RULES = (grant("S1", "a b"), grant("S2", "c d"), grant("S2", "a b"))
+
+
+def _literal_query(value, op="!="):
+    return f"{JOIN_QUERY} WHERE b {op} {value}"
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a pass-through that counts its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestQueryShape:
+    def _spec(self, where):
+        return _toy_system(*TOY_RULES).parse(f"{JOIN_QUERY} WHERE {where}")
+
+    def test_only_constants_are_erased(self):
+        one = self._spec("b != 2 AND d = 'x'")
+        assert one.shape() == self._spec("d = 'y' AND b != 7").shape()
+        assert one.fingerprint() != self._spec("d = 'y' AND b != 7").fingerprint()
+        # Attribute, operator and the number of atoms all stay.
+        assert one.shape() != self._spec("a != 2 AND d = 'x'").shape()
+        assert one.shape() != self._spec("b < 2 AND d = 'x'").shape()
+        assert one.shape() != self._spec("b != 2").shape()
+
+    def test_an_attribute_operand_is_not_a_constant(self):
+        assert self._spec("a = b").shape() == self._spec("a = b").fingerprint()
+        assert self._spec("a = b").shape() != self._spec("a = 3").shape()
+        assert self._spec("a = b AND d < 1").shape() == self._spec("d < 9 AND a = b").shape()
+
+    def test_a_constant_free_spec_has_shape_equal_to_fingerprint(self):
+        spec = _toy_system(*TOY_RULES).parse(JOIN_QUERY)
+        assert spec.shape() == spec.fingerprint()
+
+
+class TestShapeTier:
+    def test_distinct_literals_of_one_shape_plan_once(self, monkeypatch):
+        from repro.core.planner import SafePlanner
+        from repro.engine.operators import evaluate_plan
+
+        system = _toy_system(*TOY_RULES)
+        reference = _toy_system(*TOY_RULES, plan_cache=False)
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        for value in range(1, 21):
+            query = _literal_query(value)
+            tree, assignment, _ = system.plan(query)
+            # The bound tree carries *this* request's constant.
+            assert f"b!={value}" in tree.render()
+            assert system.execute(query).table == evaluate_plan(
+                reference.plan(query)[0], reference.tables()
+            )
+        assert len(planned) == 1 + 20  # the reference system plans every time
+        stats = system.plan_cache.stats
+        assert (stats.hits, stats.misses, stats.shape_hits) == (20, 20, 19)
+        assert stats.negative_hits == 0
+
+    def test_verify_probes_can_view_as_often_as_for_a_fresh_plan(self, monkeypatch):
+        import repro.core.safety as safety
+
+        system = _toy_system(*TOY_RULES)
+        system.plan(_literal_query(1))
+        _, bound, _ = system.plan(_literal_query(2))
+        assert system.plan_cache.stats.shape_hits == 1
+        _, fresh, _ = _toy_system(*TOY_RULES, plan_cache=False).plan(_literal_query(2))
+        probes = _count_calls(monkeypatch, safety, "can_view")
+        safety.verify_assignment(system.policy, fresh)
+        per_verify = len(probes)
+        assert per_verify > 0
+        for _ in range(3):  # memoized flows, never memoized verdicts
+            del probes[:]
+            safety.verify_assignment(system.policy, bound)
+            assert len(probes) == per_verify
+
+    def test_two_literal_free_requests_leave_one_entry(self):
+        system = _toy_system(*TOY_RULES)
+        system.plan(JOIN_QUERY)
+        system.plan(JOIN_QUERY)
+        assert len(system.plan_cache) == 1
+        stats = system.plan_cache.stats
+        assert (stats.hits, stats.misses, stats.shape_hits) == (1, 1, 0)
+
+    def test_a_repeated_literal_is_an_exact_hit(self):
+        system = _toy_system(*TOY_RULES)
+        first = system.plan(_literal_query(1))
+        again = system.plan(_literal_query(1))
+        assert all(a is b for a, b in zip(first, again))
+        assert system.plan_cache.stats.shape_hits == 0
+        assert len(system.plan_cache) == 2  # the product and its shape's decision
+
+    def test_bound_assignments_do_not_share_mutable_state(self):
+        from repro.core.assignment import Executor
+
+        system = _toy_system(*TOY_RULES)
+        _, decided, _ = system.plan(_literal_query(1))
+        _, bound, _ = system.plan(_literal_query(2))
+        before = decided.describe()
+        join = bound.plan.joins()[0]
+        bound.set_executor(join.node_id, Executor("S1"))
+        assert decided.describe() == before
+
+    def test_a_decision_follows_the_epoch_rule_of_every_entry(self):
+        trace = TraceContext()
+        system = _toy_system(*TOY_RULES, trace=trace)
+        system.plan(_literal_query(1))
+        # A grant: the decision revalidates and keeps binding.
+        system.add_authorization(grant("S1", "c d"))
+        _, bound, _ = system.plan(_literal_query(2))
+        stats = system.plan_cache.stats
+        assert (stats.shape_hits, stats.revalidations, stats.revalidation_failures) == (1, 1, 0)
+        assert bound.result_server() == "S2"
+        # Revoking the route it ships over: it fails the re-audit, is
+        # dropped, and the request replans around the revocation.
+        system.revoke_authorization(grant("S2", "a b"))
+        _, replanned, _ = system.plan(_literal_query(3))
+        assert (stats.shape_hits, stats.revalidation_failures) == (1, 1)
+        assert replanned.result_server() == "S1"
+        result = system.execute(_literal_query(4))
+        assert stats.shape_hits == 2
+        assert result.audit.all_authorized()
+        assert [(t.sender, t.receiver) for t in result.transfers] == [("S2", "S1")]
+        # Both tiers report through the one `_observe`.
+        outcomes = [e.attrs["outcome"] for e in trace.events if e.name == "plan_cache"]
+        assert outcomes == [
+            "miss",
+            "miss", "revalidated", "shape_hit",
+            "miss", "revalidation_failed",
+            "miss", "shape_hit",
+        ]
+        # Planned twice in four requests: the first, and around the revoke.
+        assert len([span for span in trace.spans if span.name == "plan"]) == 2
+
+    def test_an_order_search_decision_binds_in_the_order_it_found(self, monkeypatch):
+        from repro.algebra.builder import QuerySpec
+        from repro.algebra.joins import JoinPath
+        from repro.algebra.predicates import Comparison, Predicate
+        from repro.core.planner import SafePlanner
+
+        catalog = quick_catalog(
+            "A(a1, a2) @ S1", "B(b1, b2) @ S2", "C(c1, c2) @ S3",
+            edges=["a2 = b1", "b2 = c1", "a1 = c2"],
+        )
+        policy = Policy(
+            [
+                grant("S1", "a1 a2"), grant("S2", "b1 b2"), grant("S3", "c1 c2"),
+                # The only route: S2 absorbs A, then S3 absorbs A-B.
+                grant("S2", "a1 a2"), grant("S3", "a1 a2 b1 b2", "a2 = b1"),
+            ]
+        )
+        system = DistributedSystem(catalog, policy, apply_closure=False)
+
+        def bad_order(constant):
+            # In the order A-C-B the first join (a1 = c2) is infeasible.
+            return QuerySpec(
+                ["A", "C", "B"],
+                [JoinPath.of(("a1", "c2")), JoinPath.of(("a2", "b1"))],
+                frozenset({"a1", "b1", "c1"}),
+                Predicate([Comparison("a1", "!=", constant)]),
+            )
+
+        tree, assignment, _ = system.plan(bad_order(1), search_join_orders=True)
+        found = [schema.name for schema in tree.base_relations()]
+        assert found != ["A", "C", "B"]
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        bound_tree, bound, _ = system.plan(bad_order(2), search_join_orders=True)
+        assert planned == []
+        assert [schema.name for schema in bound_tree.base_relations()] == found
+        assert "a1!=2" in bound_tree.render()
+        assert bound.describe() == assignment.describe().replace("a1!=1", "a1!=2")
+        # Without the flag the same shape is a different decision: infeasible.
+        with pytest.raises(InfeasiblePlanError):
+            system.plan(bad_order(3))
+
+    def test_parenthesized_queries_have_no_tier_below_the_exact_one(self, monkeypatch):
+        from repro.core.planner import SafePlanner
+
+        def bushy(constant):
+            return (
+                "SELECT Plan, Physician, HealthAid "
+                "FROM Insurance JOIN (Nat_registry JOIN Hospital ON Citizen = Patient) "
+                f"ON Holder = Citizen WHERE HealthAid != '{constant}'"
+            )
+
+        system = _permissive_medical_system()
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        for constant in ("x", "y", "x"):
+            system.plan(bushy(constant))
+        assert len(planned) == 2
+        stats = system.plan_cache.stats
+        assert (stats.hits, stats.misses, stats.shape_hits) == (1, 2, 0)
+        assert len(system.plan_cache) == 2
+        # Under Figure 3 the shape is infeasible as written: the verdict
+        # sits under the exact key, answers the repeat, not the variant.
+        strict = _medical_system()
+        for constant in ("x", "y", "x"):
+            with pytest.raises(InfeasiblePlanError):
+                strict.plan(bushy(constant))
+        assert len(planned) == 4
+        assert strict.plan_cache.stats.negative_hits == 1
+
+    def test_third_party_decisions_carry_their_coordinators(self):
+        catalog = quick_catalog("R(a, b) @ S1", "T(c, d) @ S2", edges=["a = c"])
+        policy = Policy([grant("S9", "a b"), grant("S9", "c d")])
+        system = DistributedSystem(catalog, policy, third_parties=["S9"])
+        system.load_instances(_toy_instances())
+        query = "SELECT a, b, c, d FROM R JOIN T ON a = c WHERE b != {}"
+        _, decided, _ = system.plan(query.format(1))
+        _, bound, _ = system.plan(query.format(2))
+        assert system.plan_cache.stats.shape_hits == 1
+        join = bound.plan.joins()[0]
+        assert bound.coordinator(join.node_id) == "S9" == decided.coordinator(join.node_id)
+        assert bound.uses_third_party()
+        result = system.execute(query.format(3))
+        assert result.audit.all_authorized()
+        assert list(result.table.rows) == [(1, 2, 1, 9)]
+
+    def test_a_per_call_trace_sees_the_tier_and_no_planner_span(self):
+        system = _toy_system(*TOY_RULES)
+        system.plan(_literal_query(1))
+        trace = TraceContext()
+        system.plan(_literal_query(2), trace=trace)
+        outcomes = [e.attrs["outcome"] for e in trace.events if e.name == "plan_cache"]
+        assert outcomes == ["miss", "shape_hit"]
+        assert trace.metrics.counter("repro_plan_cache_shape_hit_total").value() == 1
+        assert not [span for span in trace.spans if span.name == "plan"]
+
+    def test_cache_off_means_no_tier_and_no_memo(self, monkeypatch):
+        from repro.core.planner import SafePlanner
+
+        system = _toy_system(*TOY_RULES, plan_cache=False)
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        for value in (1, 2, 2):
+            system.plan(_literal_query(value))
+        assert len(planned) == 3
+        assert system._parse_memo == {}
+        unsafe = _toy_system(grant("S1", "a b"), grant("S2", "c d"), plan_cache=False)
+        for _ in range(2):
+            with pytest.raises(InfeasiblePlanError):
+                unsafe.plan(JOIN_QUERY)
+        assert len(planned) == 5
+
+
+# ---------------------------------------------------------------------------
+# Verdicts: infeasibility cached per shape, for one epoch
+# ---------------------------------------------------------------------------
+
+DUTY = (
+    "SELECT Ship, Container_count, Duty "
+    "FROM Manifests JOIN Declarations ON Ship = Decl_vessel WHERE Ship != '{}'"
+)
+BERTH_CLIENT = (
+    "SELECT Berth, Client FROM Arrivals JOIN Manifests ON Vessel = Ship "
+    "WHERE Berth != '{}'"
+)
+
+
+def _coalition_system(**kwargs):
+    system = DistributedSystem(coalition_catalog(), coalition_policy(), **kwargs)
+    system.load_instances(generate_coalition_instances(seed=3))
+    return system
+
+
+class TestVerdicts:
+    def test_an_infeasible_shape_plans_once_per_epoch(self, monkeypatch):
+        from repro.core.planner import SafePlanner
+
+        system = _coalition_system()
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        for serial in range(10):
+            with pytest.raises(InfeasiblePlanError):
+                system.plan(BERTH_CLIENT.format(serial))
+        assert len(planned) == 1
+        stats = system.plan_cache.stats
+        assert (stats.misses, stats.negative_hits, stats.hits) == (10, 9, 0)
+        assert len(system.plan_cache) == 1
+        # Any policy move retires the verdict; the next request replans.
+        rule = coalition_authorization(13)
+        system.revoke_authorization(rule)
+        system.add_authorization(rule)
+        for serial in range(10, 13):
+            with pytest.raises(InfeasiblePlanError):
+                system.plan(BERTH_CLIENT.format(serial))
+        assert len(planned) == 2
+
+    def test_revoke_refuses_and_the_next_grant_serves_at_once(self):
+        system = _coalition_system()
+        only_route = coalition_authorization(5)
+        assert system.execute(DUTY.format("a")).audit.all_authorized()
+        system.revoke_authorization(only_route)
+        for serial in range(3):
+            with pytest.raises(InfeasiblePlanError):
+                system.execute(DUTY.format(serial))
+        assert system.plan_cache.stats.negative_hits == 2
+        refused_at = system.policy.epoch
+        system.add_authorization(only_route)
+        # First request after the grant: served, audited clean.
+        result = system.execute(DUTY.format("b"))
+        assert result.audit.all_authorized()
+        assert system.plan_cache.stats.negative_hits == 2
+        stale = [
+            entry for entry in system.plan_cache._entries.values()
+            if entry.infeasible is not None and entry.validated_epoch <= refused_at
+        ]
+        assert stale == []
+
+    def test_every_cached_refusal_is_a_fresh_error(self):
+        import traceback
+
+        system = _coalition_system()
+        fresh = _coalition_system(plan_cache=False)
+        with pytest.raises(InfeasiblePlanError) as planned:
+            fresh.plan(BERTH_CLIENT.format("x"))
+        with pytest.raises(InfeasiblePlanError):
+            system.plan(BERTH_CLIENT.format("seed"))
+        (verdict,) = system.plan_cache._entries.values()
+        assert verdict.infeasible == (str(planned.value), planned.value.node_id)
+        seen = set()
+        depths = set()
+        for serial in range(10_000):
+            try:
+                system.plan(BERTH_CLIENT.format(serial))
+            except InfeasiblePlanError as error:
+                seen.add(id(error))
+                depths.add(sum(1 for _ in traceback.walk_tb(error.__traceback__)))
+                assert str(error) == str(planned.value)
+                assert error.node_id == planned.value.node_id
+                last = error
+        assert system.plan_cache.stats.negative_hits == 10_000
+        assert len(depths) == 1
+        assert len(seen) > 1 and last is not planned.value
+
+
+# ---------------------------------------------------------------------------
+# The Assignment memo and rebinding
+# ---------------------------------------------------------------------------
+
+
+class TestAssignmentMemo:
+    def _planned(self):
+        system = _medical_system()
+        tree, assignment, _ = system.plan(MEDICAL_QUERY)
+        return system, tree, assignment
+
+    def test_flows_and_structure_are_derived_once(self, monkeypatch):
+        import repro.core.safety as safety
+        from repro.core.assignment import Assignment
+
+        system, _, assignment = self._planned()
+        derived = _count_calls(monkeypatch, safety, "_derive_flows")
+        checked = _count_calls(monkeypatch, Assignment, "_check_structure")
+        first = safety.enumerate_assignment_flows(assignment)
+        for _ in range(3):
+            safety.verify_assignment(system.policy, assignment, recipient="S_H")
+            assignment.validate_structure()
+        assert len(derived) == 1 and len(checked) == 1
+        # Callers own the list they get.
+        first.clear()
+        assert safety.enumerate_assignment_flows(assignment)
+
+    def test_every_setter_clears_the_memo(self, monkeypatch):
+        import repro.core.safety as safety
+        from repro.exceptions import PlanError
+
+        _, tree, assignment = self._planned()
+        join = tree.joins()[0]
+        setters = [
+            lambda: assignment.set_executor(join.node_id, assignment.executor(join.node_id)),
+            lambda: assignment.set_profile(join.node_id, assignment.profile(join.node_id)),
+            lambda: assignment.set_materialized(0, assignment.master(0)),
+            lambda: assignment.set_coordinator(join.node_id, "S_X"),
+        ]
+        derived = _count_calls(monkeypatch, safety, "_derive_flows")
+        for mutate in setters:
+            safety.enumerate_assignment_flows(assignment)
+            before = len(derived)
+            safety.enumerate_assignment_flows(assignment)
+            assert len(derived) == before
+            mutate()
+            try:
+                safety.enumerate_assignment_flows(assignment)
+            except PlanError:
+                assert mutate is setters[-1]  # "S_X" coordinates nothing
+            assert len(derived) == before + 1
+
+    def test_a_mutation_after_verification_is_still_caught(self):
+        from repro.core.assignment import Executor
+        from repro.exceptions import UnsafeAssignmentError
+        from repro.core.safety import verify_assignment
+
+        system, tree, assignment = self._planned()
+        verify_assignment(system.policy, assignment)
+        top = tree.joins()[1]
+        assignment.set_executor(top.node_id, Executor("S_H"))
+        with pytest.raises(UnsafeAssignmentError):
+            verify_assignment(system.policy, assignment)
+
+    def test_rebound_accepts_only_a_change_of_constants(self):
+        from repro.algebra.builder import build_plan
+        from repro.exceptions import PlanError
+
+        system = _permissive_medical_system()
+        catalog = system.catalog
+        base = (
+            "SELECT Patient, Physician, Plan, HealthAid "
+            "FROM Insurance JOIN Nat_registry ON Holder = Citizen "
+            "JOIN Hospital ON Citizen = Patient WHERE {}"
+        )
+        _, assignment, _ = system.plan(base.format("Plan != 'gold' AND Physician != 'x'"))
+
+        def tree_of(sql):
+            return build_plan(catalog, system.parse(sql))
+
+        twin = assignment.rebound(tree_of(base.format("Physician != 'y' AND Plan != 'basic'")))
+        assert twin.describe() == assignment.describe().replace("gold", "basic").replace("'x'", "'y'")
+        assert [twin.profile(n.node_id) for n in twin.plan] == [
+            assignment.profile(n.node_id) for n in assignment.plan
+        ]
+        different = [
+            # one selection touches another attribute
+            base.format("Holder != 'gold' AND Physician != 'x'"),
+            # one projection set differs
+            base.replace("Patient, ", "").format("Plan != 'gold' AND Physician != 'x'"),
+            # one selection node fewer
+            base.format("Plan != 'gold'"),
+            # one join path differs
+            base.replace("ON Citizen = Patient", "ON Holder = Patient").format(
+                "Plan != 'gold' AND Physician != 'x'"
+            ),
+            # another leaf relation
+            "SELECT Patient, Physician FROM Hospital WHERE Physician != 'x'",
+        ]
+        for sql in different:
+            with pytest.raises(PlanError, match="cannot rebind"):
+                assignment.rebound(tree_of(sql))
+
+
+# ---------------------------------------------------------------------------
+# One parse per request, whatever the service has seen
+# ---------------------------------------------------------------------------
+
+
+class TestParseOncePerRequest:
+    def test_literal_traffic_parses_once_and_the_memo_stays_bounded(self, monkeypatch):
+        import asyncio
+
+        import repro.sql
+        from repro.service import QueryService, TenantConfig
+
+        system = _toy_system(*TOY_RULES)
+        parses = _count_calls(monkeypatch, repro.sql, "parse")
+        peak = 0
+
+        async def serve():
+            nonlocal peak
+            service = QueryService(system, tenants=[TenantConfig("t")])
+            await service.start()
+            try:
+                for serial in range(2000):
+                    outcome = await service.submit(_literal_query(serial), tenant="t")
+                    assert outcome.status == "ok"
+                    peak = max(peak, len(system._parse_memo))
+            finally:
+                await service.stop()
+
+        asyncio.run(asyncio.wait_for(serve(), timeout=60))
+        assert len(parses) == 2000
+        assert peak == system._PARSE_MEMO_LIMIT == 1024
+        # The oldest texts left, the newest stayed.
+        assert _literal_query(1999) in system._parse_memo
+        assert _literal_query(0) not in system._parse_memo

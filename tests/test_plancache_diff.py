@@ -25,6 +25,14 @@ cache are observationally identical to their from-scratch counterparts:
   after policy churn — always passes the independent safety verifier
   against the *current* policy.
 
+* **the shape tier**: a query that differs from an earlier one only in
+  its WHERE constants is bound, not planned — and what it is served is,
+  node for node, what a cache-off system plans for the same text under
+  the policy the decision was made at (executors, profiles, flows,
+  planner trace), carries its *own* predicate (rows equal
+  ``evaluate_plan``), and verifies against the *current* policy; an
+  infeasibility verdict is served only while a fresh planner agrees.
+
 The op pool deliberately includes invalid operations (double-grants,
 revocations of absent rules): they must raise :class:`PolicyError` and
 leave both the policy and the cache untouched.
@@ -36,18 +44,21 @@ sequences.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.reporting import render_trace_table
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy, derive_joined_authorizations
 from repro.core.plancache import fingerprint_tree
 from repro.core.profile import RelationProfile
-from repro.core.safety import verify_assignment
+from repro.core.safety import enumerate_assignment_flows, verify_assignment
 from repro.distributed.system import DistributedSystem
+from repro.engine.operators import evaluate_plan
 from repro.exceptions import InfeasiblePlanError, PolicyError
 from repro.obs import TraceContext
 from repro.testing import grant, quick_catalog
@@ -167,10 +178,71 @@ def check_plan(system, explicit, query):
     assert assign_again is assign_c
 
 
-def apply_op(system, explicit, op):
+def product_signature(tree, assignment, planner_trace):
+    """Everything a plan decision is, constants aside: per-node
+    executors and profiles, the flow list, the Figure 7 trace."""
+    return (
+        [str(assignment.executor(node.node_id)) for node in tree],
+        [assignment.profile(node.node_id) for node in tree],
+        enumerate_assignment_flows(assignment),
+        render_trace_table(planner_trace),
+    )
+
+
+def fresh_outcome(rules, query):
+    """``plan`` of a cache-off system over ``rules``: the product, or
+    the refusal as ``(message, node_id)``."""
+    fresh = DistributedSystem(make_catalog(), Policy(list(rules)), plan_cache=False)
+    try:
+        return fresh.plan(query), None
+    except InfeasiblePlanError as error:
+        return None, (str(error), error.node_id)
+
+
+def check_bound(system, explicit, decided_under, query):
+    """One never-seen-before text of a (possibly seen) shape."""
+    stats = system.plan_cache.stats
+    before = (stats.misses, stats.shape_hits, stats.negative_hits)
+    shape = (system.parse(query).shape(), False)
+    product, refusal = fresh_outcome(explicit, query)
+    try:
+        served = system.plan(query)
+    except InfeasiblePlanError as error:
+        # A verdict is served only while a fresh planner agrees.
+        assert refusal == (str(error), error.node_id)
+        return
+    assert product is not None, f"cache served {query!r}, a fresh planner refuses it"
+    misses, shape_hits, negative_hits = (
+        after - prior
+        for after, prior in zip(
+            (stats.misses, stats.shape_hits, stats.negative_hits), before
+        )
+    )
+    assert (misses, negative_hits) == (1, 0)
+    tree, assignment, _ = served
+    verify_assignment(system.policy, assignment)
+    # The tree is this request's own: same constants as a fresh bind.
+    assert fingerprint_tree(tree) == fingerprint_tree(product[0])
+    if not shape_hits:
+        decided_under[shape] = frozenset(explicit)
+    else:
+        # Bound: the fresh plan of this text under the decision's policy.
+        product, _ = fresh_outcome(decided_under[shape], query)
+    assert product_signature(*served) == product_signature(*product)
+
+
+def apply_op(system, explicit, op, decided_under=None, serial=None):
     kind, index = op
     if kind == "plan":
         check_plan(system, explicit, QUERIES[index % len(QUERIES)])
+        return
+    if kind == "bind":
+        query = QUERIES[index % len(QUERIES)]
+        attribute = ("a1", "b1", "a1")[index % len(QUERIES)]
+        check_bound(
+            system, explicit, decided_under,
+            f"{query} WHERE {attribute} != {next(serial)}",
+        )
         return
     rule = RULE_POOL[index % len(RULE_POOL)]
     revoked_server = None
@@ -194,7 +266,7 @@ def apply_op(system, explicit, op):
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["add", "revoke", "plan"]),
+        st.sampled_from(["add", "revoke", "plan", "bind", "bind"]),
         st.integers(min_value=0, max_value=len(RULE_POOL) - 1),
     ),
     min_size=1,
@@ -207,12 +279,106 @@ OPS = st.lists(
 def test_random_policy_churn_never_diverges(ops):
     system = DistributedSystem(make_catalog(), Policy(list(BASE_RULES)))
     explicit = set(BASE_RULES)
+    decided_under, serial = {}, itertools.count()
     check_closure(system, explicit)
     for op in ops:
-        apply_op(system, explicit, op)
+        apply_op(system, explicit, op, decided_under, serial)
     # Whatever the interleaving did, every query must agree at the end.
-    for query in QUERIES:
+    for index, query in enumerate(QUERIES):
         check_plan(system, explicit, query)
+        for _ in range(2):  # the second is always served from the tier
+            apply_op(system, explicit, ("bind", index), decided_under, serial)
+
+
+#: Small instances whose join columns overlap, so predicates matter.
+INSTANCES = {
+    f"R{r}": [{f"a{r}": i % 4, f"b{r}": (i * (r + 2)) % 5} for i in range(6)]
+    for r in range(3)
+}
+
+#: One WHERE atom: (attribute, operator, attribute operand or None for a
+#: constant); attributes are indexes into the query's own attribute list.
+ATOMS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.none() | st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=3,
+)
+CONSTANTS = st.lists(
+    st.integers(min_value=0, max_value=5), min_size=3, max_size=3
+)
+#: Mostly generous policies: a refusal exercises one line of the tier.
+GRANTED = st.sets(
+    st.integers(min_value=0, max_value=len(RULE_POOL) - 1), min_size=12
+) | st.sets(st.integers(min_value=0, max_value=len(RULE_POOL) - 1))
+
+
+def render_query(index, atoms, constants):
+    query = QUERIES[index]
+    attributes = [
+        f"{column}{relation}"
+        for relation in range(3)
+        if f"R{relation}" in query
+        for column in "ab"
+    ]
+    rendered = []
+    for (left, op, right), constant in zip(atoms, constants):
+        left = attributes[left % len(attributes)]
+        operand = constant if right is None else attributes[right % len(attributes)]
+        rendered.append(f"{left} {op} {operand}")
+    return f"{query} WHERE {' AND '.join(rendered)}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(QUERIES) - 1),
+    atoms=ATOMS,
+    first=CONSTANTS,
+    moved=st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3),
+    granted=GRANTED,
+)
+def test_shape_served_products_equal_fresh_plans(index, atoms, first, moved, granted):
+    """Random specs, constants, operators and attribute-valued operands:
+    the second text of a shape is bound (or refused) from the tier, and
+    is exactly what a cache-off system makes of that text."""
+    rules = list(BASE_RULES) + sorted(
+        {RULE_POOL[i] for i in granted} - set(BASE_RULES), key=repr
+    )
+    system = DistributedSystem(make_catalog(), Policy(list(rules)))
+    system.load_instances(INSTANCES)
+    second = [(constant + move) % 6 for constant, move in zip(first, moved)]
+    decision, query = (render_query(index, atoms, c) for c in (first, second))
+    try:
+        system.plan(decision)
+    except InfeasiblePlanError:
+        pass
+    same_text = (
+        system.parse(decision).fingerprint() == system.parse(query).fingerprint()
+    )
+    stats = system.plan_cache.stats
+    before = (stats.hits, stats.shape_hits, stats.negative_hits)
+    product, refusal = fresh_outcome(rules, query)
+    try:
+        served = system.plan(query)
+    except InfeasiblePlanError as error:
+        assert refusal == (str(error), error.node_id)
+        assert (stats.hits, stats.shape_hits, stats.negative_hits) == (
+            before[0], before[1], before[2] + 1
+        )
+        return
+    assert refusal is None
+    assert (stats.hits, stats.shape_hits, stats.negative_hits) == (
+        before[0] + same_text, before[1] + (not same_text), before[2]
+    )
+    assert fingerprint_tree(served[0]) == fingerprint_tree(product[0])
+    assert product_signature(*served) == product_signature(*product)
+    assert served[1].describe() == product[1].describe()
+    executed = system.execute(query)
+    assert executed.audit.all_authorized()
+    assert executed.table == evaluate_plan(product[0], system.tables())
 
 
 @settings(max_examples=50, deadline=None)

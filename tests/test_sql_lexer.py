@@ -1,9 +1,14 @@
-"""Unit tests for the SQL tokenizer."""
+"""Unit tests for the SQL tokenizer, and its differential against the
+character-at-a-time loop it replaced (kept here as the oracle)."""
+
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SqlSyntaxError
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import KEYWORDS, Token, tokenize
 
 
 def kinds(text):
@@ -102,3 +107,168 @@ class TestTokenize:
         assert token.matches("KEYWORD", "SELECT")
         assert not token.matches("IDENT")
         assert not token.matches("KEYWORD", "FROM")
+
+
+class TestEdges:
+    def test_a_trailing_dot_belongs_to_the_number(self):
+        token = tokenize("1.")[0]
+        assert token.kind == "NUMBER" and token.value == 1.0
+        assert isinstance(token.value, float)
+
+    def test_a_second_dot_is_a_stray_character(self):
+        with pytest.raises(SqlSyntaxError, match=r"unexpected character '\.'") as excinfo:
+            tokenize("1.2.3")
+        assert excinfo.value.position == 3
+
+    def test_an_escape_at_the_end_leaves_the_string_open(self):
+        # 'a'' is: open, a, escaped quote, end of input.
+        with pytest.raises(SqlSyntaxError, match="unterminated string") as excinfo:
+            tokenize("x = 'a''")
+        assert excinfo.value.position == 4
+
+    def test_quote_runs(self):
+        assert values("''")[:-1] == [""]
+        assert values("''''")[:-1] == ["'"]
+        assert values("'''a' 'b'")[:-1] == ["'a", "b"]
+
+    def test_dotted_identifiers_and_numbers_meet(self):
+        assert values("a.1 1.a")[:-1] == ["a.1", 1.0, "a"]
+
+    def test_a_digit_that_is_no_decimal_is_a_stray_character(self):
+        # The loop crashed here (`int('²')` raises ValueError).
+        for text, position in (("²", 0), ("1²", 1), ("½x", 0)):
+            with pytest.raises(SqlSyntaxError, match="unexpected character") as excinfo:
+                tokenize(text)
+            assert excinfo.value.position == position
+
+
+# ---------------------------------------------------------------------------
+# The replaced implementation, verbatim: the differential's oracle
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = ("!=", "<=", ">=", "<", ">", "=", ",", "(", ")", ";", "*")
+
+
+def reference_tokenize(text):
+    tokens = []
+    index = 0
+    length = len(text)
+    while index < length:
+        ch = text[index]
+        if ch.isspace():
+            index += 1
+            continue
+        if ch == "'":
+            end = index + 1
+            pieces = []
+            while True:
+                if end >= length:
+                    raise SqlSyntaxError("unterminated string literal", index)
+                if text[end] == "'":
+                    if end + 1 < length and text[end + 1] == "'":
+                        pieces.append("'")
+                        end += 2
+                        continue
+                    break
+                pieces.append(text[end])
+                end += 1
+            tokens.append(Token("STRING", "".join(pieces), index))
+            index = end + 1
+            continue
+        if ch.isdigit():
+            end = index
+            seen_dot = False
+            while end < length and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
+                if text[end] == ".":
+                    seen_dot = True
+                end += 1
+            raw = text[index:end]
+            value = float(raw) if seen_dot else int(raw)
+            tokens.append(Token("NUMBER", value, index))
+            index = end
+            continue
+        if ch.isalpha() or ch == "_":
+            end = index
+            while end < length and (text[end].isalnum() or text[end] in "_."):
+                end += 1
+            word = text[index:end]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token("KEYWORD", upper, index))
+            else:
+                tokens.append(Token("IDENT", word, index))
+            index = end
+            continue
+        for symbol in _SYMBOLS:
+            if text.startswith(symbol, index):
+                tokens.append(Token("SYMBOL", symbol, index))
+                index += len(symbol)
+                break
+        else:
+            raise SqlSyntaxError(f"unexpected character {ch!r}", index)
+    tokens.append(Token("EOF", "", length))
+    return tokens
+
+
+def outcome(lexer, text):
+    try:
+        return [(t.kind, t.value, type(t.value), t.position) for t in lexer(text)]
+    except SqlSyntaxError as error:
+        return (str(error), error.position)
+    except ValueError:
+        # Only the loop gets here: `str.isdigit` admits digits `int`
+        # rejects ('²'); the pattern reports them as stray characters.
+        return "crash"
+
+
+def assert_same(text):
+    expected, actual = outcome(reference_tokenize, text), outcome(tokenize, text)
+    if expected == "crash":
+        assert isinstance(actual, tuple) and "unexpected character" in actual[0]
+    else:
+        assert actual == expected
+
+
+LEXEMES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS) + [k.lower() for k in sorted(KEYWORDS)]),
+    st.sampled_from(_SYMBOLS),
+    st.builds(
+        str.__add__,
+        st.sampled_from(string.ascii_letters + "_"),
+        st.text(alphabet=string.ascii_letters + string.digits + "_.", max_size=6),
+    ),
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.builds("{}.{}".format, st.integers(0, 9999), st.sampled_from(["", "0", "25", "125"])),
+    st.text(alphabet=string.ascii_letters + " '-", max_size=6).map(
+        lambda body: "'" + body.replace("'", "''") + "'"
+    ),
+)
+SQL = st.lists(
+    st.tuples(LEXEMES, st.sampled_from(["", " ", "  ", "\n", "\t "])), max_size=24
+).map(lambda parts: "".join(lexeme + gap for lexeme, gap in parts))
+
+
+class TestAgainstTheLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(SQL)
+    def test_generated_sql(self, text):
+        assert_same(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=string.printable, max_size=40))
+    def test_random_printable_text(self, text):
+        assert_same(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=st.characters() | st.sampled_from("'.01 _²½١一Ⅷ\x1c"), max_size=16))
+    def test_random_unicode_text(self, text):
+        assert_same(text)
+
+    def test_the_kind_of_query_the_suite_plans(self):
+        for text in (
+            "SELECT Patient, Physician FROM Insurance JOIN Hospital ON Holder = Patient "
+            "WHERE Plan != 'q3c1n17' AND Premium >= 12.50;",
+            "select * from (A join B on a = b) join C on B.b = C.c where x<=1.",
+        ):
+            assert not isinstance(outcome(tokenize, text), tuple)
+            assert_same(text)
