@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc test-faults test-health test-obs test-cache test-service test-vector test-chaos test-profiling test-sharding bench bench-kernel bench-health bench-obs bench-cache bench-service bench-vector bench-chaos bench-profiling bench-sharding bench-e2e-smoke trace-demo examples verify clean
+.PHONY: install test loc test-faults test-health test-obs test-cache test-service test-vector test-chaos test-profiling test-sharding bench bench-kernel bench-health bench-obs bench-cache bench-service bench-vector bench-chaos bench-profiling bench-sharding bench-e2e-smoke bench-e2e-pairs trace-demo examples verify clean
 
 install:
 	pip install -e .
@@ -164,6 +164,21 @@ bench-e2e-smoke:
 		$(PYTHON) bench_e2e/run.py --workload $$workload --seconds 3 \
 			| tee /dev/stderr | $(PYTHON) -c '$(E2E_SMOKE_CHECK)'; \
 	done
+
+# Judge this checkout against a parent revision on one ledger workload:
+# PAIRS alternating parent/change runs of bench_e2e/run.py --trace 0
+# (the parent's committed files, extracted with git archive), then each
+# side's median and quartiles, pair wins and the choosing-metrics §8
+# verdict per end-to-end metric.  Ten 15 s pairs take ~6 min.
+#   make bench-e2e-pairs WORKLOAD=exec_scan PARENT=HEAD~1 PAIRS=10
+WORKLOAD ?= exec_scan
+PARENT ?= HEAD~1
+PAIRS ?= 10
+RUN_SECONDS ?= 15
+
+bench-e2e-pairs:
+	$(PYTHON) benchmarks/e2e_pairs.py --workload $(WORKLOAD) --parent $(PARENT) \
+		--pairs $(PAIRS) --seconds $(RUN_SECONDS)
 
 # Trace the Figure 1-5 medical query end-to-end and export every
 # format: Chrome trace (load trace_demo.json in Perfetto /

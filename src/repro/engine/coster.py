@@ -78,9 +78,9 @@ class TableStats:
         ``Table.byte_size`` (:func:`repro.engine.data.cell_width`), so
         ``bytes_for(table.attributes)`` of an exact-stats table equals
         the payload the executor measures for shipping it — the test
-        suite asserts this agreement.  Columnar tables answer from
-        ``Table.column_bytes``, the per-column sum ``byte_size`` itself
-        adds up, with no cell decoding or row-order materialization.
+        suite asserts this agreement.  Columnar tables answer from their
+        memoized ``column_bytes`` / ``distinct_count`` (one scan per
+        resident relation, not per call) into a fresh ``TableStats``.
         """
         rows = len(table)
         distinct = {a: float(table.distinct_count(a)) for a in table.attributes}

@@ -32,16 +32,31 @@ built:
   once);
 * ``equi_join``/``natural_join`` probe the build side's key -> position
   index and emit two aligned position lists (their outputs are
-  duplicate-free by construction, so no dedup pass runs at all).  The
-  index lives on the build table, one per key-column tuple, so a
-  resident relation is indexed once per loaded instance rather than
-  once per request and the index dies with its table;
+  duplicate-free by construction, so no dedup pass runs at all).
+  ``equi_join`` builds on its argument; ``natural_join`` — the
+  semi-join's recombination — builds on ``self``, the master's operand,
+  and probes with the shipped-back rows, so its output is stored
+  shipped-back-major;
 * the canonical row order the seed eagerly sorted into is materialized
   **lazily** — intermediate pipeline results that are only joined,
   filtered, counted or shipped never pay for a sort; the order is
   computed (from per-value cached sort keys) the first time ``rows``,
   ``column`` or iteration observes it, and is byte-identical to the
   seed's.
+
+Derived state
+-------------
+
+A table never changes, so what is a pure function of **one** table is
+derived on first use and kept on it (:meth:`Table.memoized`): its key
+indexes, per-column byte and distinct counts (so ``byte_size``) and
+narrowed projections, keyed by attribute set (a full-width ``project``
+is the table itself, like an all-true ``select``).  A resident relation
+answers its ``π`` nodes, semi-join probe, that probe's payload size and
+build-side indexes once per loaded instance, not once per request.
+``select`` stays out — its constants are an unbounded key space — and so
+does everything involving a second server: every request builds,
+measures and authorizes each of its transfers (docs/model.md §10).
 
 Interning notes
 ---------------
@@ -175,6 +190,12 @@ def shared_pool() -> InternPool:
     return _POOL
 
 
+#: How many derived values (:meth:`Table.memoized`) one table keeps,
+#: oldest out: room to spare for the handful of attribute sets a
+#: relation is joined on and projected to, not a knob.
+_MEMO_LIMIT = 16
+
+
 class Table:
     """An immutable relation instance stored as per-attribute id arrays.
 
@@ -199,8 +220,7 @@ class Table:
         "_canonical",
         "_rows_cache",
         "_hash_cache",
-        "_byte_size",
-        "_key_indexes",
+        "_memo",
     )
 
     def __init__(self, attributes: Sequence[str], rows: Iterable[Row] = ()) -> None:
@@ -238,8 +258,7 @@ class Table:
         self._canonical = canonical or not self._length
         self._rows_cache: Optional[Tuple[Row, ...]] = None
         self._hash_cache: Optional[int] = None
-        self._byte_size: Optional[int] = None
-        self._key_indexes: Dict[Tuple[int, ...], Dict] = {}
+        self._memo: Dict[object, object] = {}
 
     @classmethod
     def _from_columns(
@@ -282,24 +301,34 @@ class Table:
         kept = sorted(first.values())
         return [_gather(column, kept) for column in columns]
 
+    def memoized(self, key, derive, *args):
+        """``derive(self, *args)``, computed once per stored instance and
+        kept until the table dies or its storage positions move — which
+        happens in exactly one place, :meth:`_ensure_canonical`.  At most
+        :data:`_MEMO_LIMIT` entries are kept, oldest out; a ``derive``
+        that raises memoizes nothing.  Only for pure functions of this
+        one table (see the module docstring)."""
+        memo = self._memo
+        if key not in memo:
+            value = derive(self, *args)  # may sort, which empties ``memo``
+            if len(memo) >= _MEMO_LIMIT:
+                del memo[next(iter(memo))]
+            memo[key] = value
+        return memo[key]
+
     def _key_index(self, key_columns: Tuple[int, ...]) -> Dict:
         """This table as a join's build side: key -> storage position
         (a list of positions, in storage order, only when the key
         repeats) over the class view of ``key_columns``; ``None`` keys
         are left out, so they never match.
 
-        Memoized per column tuple for the life of the table.  That is
-        safe because storage only moves in :meth:`_ensure_canonical`
-        (which drops the memo) and a value's class id is fixed when it
-        is interned: an index built while ids *were* class ids stays
-        keyed by class ids after a later alias (``True`` after ``1``)
-        flips ``has_aliases``, because the alias joins the older
-        value's class, never the reverse.
+        Memoized per column tuple by :meth:`_matches`.  A value's class
+        id is fixed when it is interned, so an index built while ids
+        *were* class ids stays keyed by class ids after a later alias
+        (``True`` after ``1``) flips ``has_aliases``: the alias joins
+        the older value's class, never the reverse.
         """
-        index = self._key_indexes.get(key_columns)
-        if index is not None:
-            return index
-        index = {}
+        index: Dict = {}
         get = index.get
         for position, key in enumerate(self._keys([self._columns[c] for c in key_columns])):
             held = get(key)
@@ -315,22 +344,19 @@ class Table:
         else:
             for key in [key for key in index if none_class in key]:
                 del index[key]
-        self._key_indexes[key_columns] = index
         return index
 
-    def _join(
-        self,
-        other: "Table",
-        key_columns: Sequence[int],
-        other_key_columns: Tuple[int, ...],
-        emitted: Sequence[str],
-    ) -> "Table":
-        """The one hash join: probe ``other``'s :meth:`_key_index` with
-        this table's keys, collecting the aligned (own, build) storage
+    def _matches(
+        self, key_columns: Sequence[int], build: "Table", build_key_columns: Tuple[int, ...]
+    ) -> Tuple[List[int], List[int]]:
+        """The one hash join: probe ``build``'s :meth:`_key_index` with
+        this table's keys and return the aligned (own, build) storage
         positions of every match — own-major, build-side matches in
-        storage order — then gather this table's columns and ``other``'s
-        ``emitted`` ones at those positions.  No row is ever built."""
-        index = other._key_index(other_key_columns)
+        storage order.  The callers gather columns at those positions;
+        no row is ever built."""
+        index = build.memoized(
+            ("index", build_key_columns), Table._key_index, build_key_columns
+        )
         mine: List[int] = []
         theirs: List[int] = []
         keys = self._keys([self._columns[c] for c in key_columns])
@@ -343,6 +369,13 @@ class Table:
             else:
                 mine.append(position)
                 theirs.append(match)
+        return mine, theirs
+
+    def _beside(
+        self, mine: List[int], other: "Table", emitted: Sequence[str], theirs: List[int]
+    ) -> "Table":
+        """A join's output: this table's columns gathered at ``mine``
+        beside ``other``'s ``emitted`` ones at the aligned ``theirs``."""
         return Table._from_columns(
             self._attributes + tuple(emitted),
             [_gather(column, mine) for column in self._columns]
@@ -364,7 +397,7 @@ class Table:
         keys = list(zip(*[map(sort_keys.__getitem__, c) for c in self._columns]))
         order = sorted(range(self._length), key=keys.__getitem__)
         self._columns = [_gather(column, order) for column in self._columns]
-        self._key_indexes = {}  # positions moved
+        self._memo.clear()  # positions moved
         self._canonical = True
 
     # ------------------------------------------------------------------
@@ -426,24 +459,29 @@ class Table:
         return self._columns[self._column_index(attribute)]
 
     def distinct_count(self, attribute: str) -> int:
-        """Number of distinct values in a column."""
+        """Number of distinct values in a column (memoized)."""
         index = self._column_index(attribute)
-        return len(set(self._class_view(self._columns[index])))
+        return self.memoized("distinct_counts", Table._distinct_counts)[index]
+
+    def _distinct_counts(self) -> Tuple[int, ...]:
+        return tuple(len(set(self._class_view(column))) for column in self._columns)
 
     def column_bytes(self, attribute: str) -> int:
         """The summed :func:`cell_width` of one column (from the pool's
-        cached per-value widths: no cell is decoded)."""
-        column = self._columns[self._column_index(attribute)]
-        return sum(map(self._pool._widths.__getitem__, column))
+        cached per-value widths: no cell is decoded; memoized)."""
+        index = self._column_index(attribute)
+        return self.memoized("column_bytes", Table._column_bytes)[index]
+
+    def _column_bytes(self) -> Tuple[int, ...]:
+        width = self._pool._widths.__getitem__
+        return tuple(sum(map(width, column)) for column in self._columns)
 
     def byte_size(self) -> int:
         """Canonical payload size: the summed :func:`cell_width` of every
         cell — deterministic, identical to the width the static coster
         accounts, and good enough for relative communication-cost
-        comparisons.  Computed once per (immutable) table."""
-        if self._byte_size is None:
-            self._byte_size = sum(map(self.column_bytes, self._attributes))
-        return self._byte_size
+        comparisons.  Cells are scanned once per (immutable) table."""
+        return sum(self.memoized("column_bytes", Table._column_bytes))
 
     def _column_index(self, attribute: str) -> int:
         try:
@@ -508,32 +546,33 @@ class Table:
                 and on an empty request (a table needs a column).
         """
         requested = list(attributes)
-        requested_set = set(requested)
-        if len(requested_set) != len(requested):
-            seen: set = set()
-            duplicates = sorted({a for a in requested if a in seen or seen.add(a)})
-            raise ExecutionError(
-                f"cannot project on duplicated columns: {duplicates}"
-            )
-        missing = requested_set - set(self._attributes)
+        wanted = frozenset(requested)
+        if len(wanted) != len(requested):
+            duplicates = sorted(a for a in wanted if requested.count(a) > 1)
+            raise ExecutionError(f"cannot project on duplicated columns: {duplicates}")
+        if wanted == self._index.keys():
+            # Full-width projection: rows are already deduplicated.
+            return self
+        return self.memoized(("project", wanted), Table._narrowed, wanted)
+
+    def _narrowed(self, wanted: FrozenSet[str]) -> "Table":
+        missing = wanted - self._index.keys()
         if missing:
             raise ExecutionError(f"cannot project on missing columns: {sorted(missing)}")
-        attrs = [a for a in self._attributes if a in requested_set]
+        attrs = [a for a in self._attributes if a in wanted]
         if not attrs:
             raise ExecutionError("a table needs at least one column")
-        narrowed = len(attrs) < len(self._attributes)
-        if narrowed and self._pool.has_aliases:
+        if self._pool.has_aliases:
             # Dropping columns can collide value-equal rows whose cells
             # differ only in type (1 vs True).  The seed deduplicated in
             # canonical parent order (its rows were pre-sorted), so the
             # surviving representative is the canonically-first one —
             # reproduce that by sorting first.  Without aliases the
-            # colliding rows are bit-identical and order cannot matter.
+            # colliding rows are bit-identical and order cannot matter
+            # (a table interned before the first alias holds none, so
+            # what it memoized stays right after one).
             self._ensure_canonical()
         kept = [self._columns[self._index[a]] for a in attrs]
-        if not narrowed:
-            # Full-width projection: rows are already deduplicated.
-            return Table._from_columns(attrs, kept, self._pool, canonical=self._canonical)
         return Table._from_columns(attrs, self._distinct(kept), self._pool)
 
     def select(self, predicate: Predicate) -> "Table":
@@ -604,16 +643,19 @@ class Table:
         # are deduplicated sets and every (left, right) pairing is
         # emitted once, so two output rows value-equal everywhere would
         # have to come from one pairing.
-        return self._join(
-            other,
-            [i for i, _ in pairs],
-            tuple(j for _, j in pairs),
-            other._attributes,
-        )
+        mine, theirs = self._matches([i for i, _ in pairs], other, tuple(j for _, j in pairs))
+        return self._beside(mine, other, other._attributes, theirs)
 
     def natural_join(self, other: "Table") -> "Table":
-        """Join on all shared column names (used by the semi-join's final
-        recombination step, Figure 5 step 5).
+        """Join on all shared column names: the semi-join's final
+        recombination (Figure 5 step 5), ``self`` the master's full
+        operand and ``other`` the reduction the slave shipped back.
+
+        The build side is **this** table — it recurs across requests
+        and, for a base relation, is already indexed — so no index is
+        built on a table that exists for one request.  Columns are this
+        table's, then ``other``'s extra ones; storage is ``other``-major
+        (per row of ``other``, this table's matches, in storage order).
 
         Raises:
             ExecutionError: if the tables share no columns (that would be
@@ -622,16 +664,16 @@ class Table:
         shared = [a for a in self._attributes if a in other._index]
         if not shared:
             raise ExecutionError("natural join requires at least one shared column")
-        other_extra = [a for a in other._attributes if a not in self._index]
         # Duplicate-free by the same argument as ``equi_join``: the
         # matched slave rows agree with the master row on every shared
         # column, so they must differ in the extras.
-        return self._join(
-            other,
-            [self._index[a] for a in shared],
-            tuple(other._index[a] for a in shared),
-            other_extra,
+        theirs, mine = other._matches(
+            [other._index[a] for a in shared],
+            self,
+            tuple(self._index[a] for a in shared),
         )
+        extra = [a for a in other._attributes if a not in self._index]
+        return self._beside(mine, other, extra, theirs)
 
     def union(self, *others: "Table") -> "Table":
         """Set union with any number of same-schema tables: aligned

@@ -15,8 +15,8 @@ checks, in order (cheapest first):
 3. **bounded queue** — a full global queue rejects rather than buffer
    without bound (retry after roughly one drain period);
 4. **cost-aware shedding** — the request's *estimated* planner +
-   execution bytes (static coster estimates over the base relations it
-   touches, :func:`estimate_query_bytes`) must fit the capacity still
+   execution bytes (the payload of the base relations it touches,
+   :func:`estimate_query_bytes`) must fit the capacity still
    unclaimed by in-flight queries; an oversized request is rejected
    with ``retry_after`` scaled to the backlog instead of starving
    everyone behind it.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.engine.coster import TableStats
 from repro.exceptions import ReproError
 from repro.service.tenants import TenantConfig, TokenBucket
 
@@ -166,58 +165,35 @@ def estimate_query_bytes(system, query) -> float:
     """Static pre-planning byte estimate of one query.
 
     Upper-bounds the data volume the query can put in motion as the sum
-    of each referenced base relation's estimated shipment payload
-    (:meth:`~repro.engine.coster.TableStats.bytes_for` over its full
-    attribute set).  Deliberately plan-independent — admission runs
-    *before* planning, so the estimate must not require one — and
-    monotone: a query touching more data never estimates cheaper.
+    of each referenced base relation's shipment payload
+    (:meth:`~repro.engine.data.Table.byte_size`, which a table scans for
+    once per loaded instance: a 10k-request workload prices admission
+    with one scan per relation, and a reload starts over).  Deliberately
+    plan-independent — admission runs *before* planning, so the
+    estimate must not require one — and monotone: a query touching more
+    data never estimates cheaper.
 
     Relations with no loaded instance estimate 0 bytes (there is
     nothing to ship).
     """
-    relations = _query_relations(system, query)
-    tables = system.tables()
-    total = 0.0
-    for name in relations:
-        table = tables.get(name)
-        if table is None or not len(table):
-            continue
-        stats = TableStats.of_table(table)
-        total += stats.bytes_for(table.attributes)
-    return total
+    return CostEstimator(system).estimate(query)
 
 
 class CostEstimator:
-    """Memoizing wrapper of :func:`estimate_query_bytes`.
-
-    Base-relation statistics are cached per concrete table object, so
-    a 10k-request workload prices admission with one ``of_table`` scan
-    per relation rather than one per request; reloading instances (a
-    new :class:`~repro.engine.data.Table`) naturally invalidates.
-    """
+    """:func:`estimate_query_bytes` bound to one system."""
 
     def __init__(self, system) -> None:
         self._system = system
-        self._stats: Dict[str, tuple] = {}
 
     def relation_bytes(self, name: str) -> float:
-        """Estimated shipment payload of one base relation."""
+        """Shipment payload of one base relation."""
         table = self._system.tables().get(name)
-        if table is None or not len(table):
-            return 0.0
-        cached = self._stats.get(name)
-        if cached is not None and cached[0] is table:
-            return cached[1]
-        stats = TableStats.of_table(table)
-        payload = stats.bytes_for(table.attributes)
-        self._stats[name] = (table, payload)
-        return payload
+        return float(table.byte_size()) if table is not None else 0.0
 
     def estimate(self, query) -> float:
-        """Estimated bytes of one query (see
-        :func:`estimate_query_bytes` for semantics)."""
+        """Estimated bytes of one query."""
         relations = _query_relations(self._system, query)
-        return sum(self.relation_bytes(name) for name in relations)
+        return sum(map(self.relation_bytes, relations), 0.0)
 
 
 class AdmissionController:

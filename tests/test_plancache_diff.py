@@ -375,7 +375,11 @@ def test_shape_served_products_equal_fresh_plans(index, atoms, first, moved, gra
     )
     assert fingerprint_tree(served[0]) == fingerprint_tree(product[0])
     assert product_signature(*served) == product_signature(*product)
-    assert served[1].describe() == product[1].describe()
+    # An exact hit is the decision's own product: when the two texts are
+    # one conjunction with its atoms permuted (same fingerprint), it
+    # renders them in the decision's order, not the request's.
+    rendered = fresh_outcome(rules, decision)[0] if same_text else product
+    assert served[1].describe() == rendered[1].describe()
     executed = system.execute(query)
     assert executed.audit.all_authorized()
     assert executed.table == evaluate_plan(product[0], system.tables())

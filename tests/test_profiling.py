@@ -123,6 +123,48 @@ def test_full_operand_flows_agree_exactly():
     assert checked >= 2, "medical plan ships at least a regular and a probe flow"
 
 
+def test_profiled_requests_scan_each_base_column_once(monkeypatch):
+    """``TableStats.of_table`` reads the table's memoized column stats
+    (``_begin_profile`` and the profiled leaf branch both call it, every
+    request): profiled requests scan each resident relation once — once
+    more if a projection's alias corner sorted it in between, which
+    happens at most once per loaded table — not twice per request; and
+    every call still hands out its own mutable ``TableStats``."""
+    from repro.engine.data import Table
+
+    system = _medical_system()
+    scans = {"_column_bytes": [], "_distinct_counts": []}
+    for name, scanned in scans.items():
+        def counting(table, derive=getattr(Table, name), scanned=scanned):
+            scanned.append(table)
+            return derive(table)
+
+        monkeypatch.setattr(Table, name, counting)
+
+    def scans_per_table():
+        return {
+            (kind, name): sum(t is table for t in scanned)
+            for kind, scanned in scans.items()
+            for name, table in system.tables().items()
+        }
+
+    for _ in range(2):
+        _profiled_run(system=system)
+    settled = scans_per_table()
+    assert all(1 <= count <= 2 for count in settled.values()), settled
+    if not system.tables()["Hospital"].pool.has_aliases:
+        assert set(settled.values()) == {1}
+    for _ in range(2):
+        _profiled_run(system=system)
+    assert scans_per_table() == settled
+    hospital = system.tables()["Hospital"]
+    first, second = TableStats.of_table(hospital), TableStats.of_table(hospital)
+    assert first.distinct is not second.distinct and first.widths is not second.widths
+    assert (first.rows, first.distinct, first.widths) == (
+        second.rows, second.distinct, second.widths
+    )
+
+
 def test_estimate_totals_match_detail():
     system = _medical_system()
     tree, assignment, _ = system.plan(MEDICAL_QUERY)

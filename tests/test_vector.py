@@ -8,8 +8,10 @@ Covers the contracts the columnar refactor added or tightened:
   at the table and through a plan's projection node;
 * canonical byte accounting: ``byte_size()``, ``cell_width`` and the
   coster agree on every value kind, including ``None``;
-* a resident relation is indexed once per loaded instance, not once per
-  request (checked by object identity, not by a clock);
+* a resident relation's derived state (key indexes, the semi-join
+  probe) is derived once per loaded instance, not once per request,
+  while every transfer is still shipped and audited per request
+  (checked by object identity and call counts, not by a clock);
 * columnar wire format round trips;
 * the batched ``CanView`` kernel and the batch-aware planner answer
   exactly like their scalar counterparts.
@@ -101,6 +103,57 @@ class TestProjectContract:
         assert projected.attributes == ("C", "A")
 
 
+class TestDerivedStateMemo:
+    """``Table.memoized``: one bounded memo per table, emptied when the
+    storage moves, never holding the table itself."""
+
+    def test_projections_are_derived_once_and_full_width_is_self(self):
+        table = Table(("C", "A", "B"), [("c", "a", "b"), ("c2", "a", "b2")])
+        narrowed = table.project(["A", "C"])
+        assert table.project(("C", "A")) is narrowed
+        assert table.project(["B", "A", "C"]) is table
+        assert ("project", frozenset("ABC")) not in table._memo  # no cycle
+
+    def test_a_failed_derivation_memoizes_nothing(self):
+        table = Table(("A", "B"), [(1, 2)])
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="missing columns"):
+                table.project(["A", "Z"])
+        assert not table._memo
+
+    def test_memo_is_bounded_oldest_out(self):
+        from itertools import combinations
+
+        from repro.engine.data import _MEMO_LIMIT
+
+        attrs = tuple("ABCDEF")
+        table = Table(attrs, [tuple(range(6)), tuple(range(1, 7))])
+        requests = [list(triple) for triple in combinations(attrs, 3)]
+        assert len(requests) > _MEMO_LIMIT
+        size = table.byte_size()  # the oldest entry
+        first = table.project(requests[0])
+        for requested in requests[1:]:
+            table.project(requested)
+        assert len(table._memo) == _MEMO_LIMIT
+        assert "column_bytes" not in table._memo
+        again = table.project(requests[0])
+        assert again is not first and again == first
+        assert table.byte_size() == size
+
+    def test_canonicalization_empties_the_memo(self):
+        table = Table(("A", "B"), [(2, "x"), (1, "y"), (1, "z")])
+        probe = Table(("K",), [(1,)])
+        assert len(probe.equi_join(table, JoinPath.of(("K", "A")))) == 2
+        table.byte_size()
+        assert set(table._memo) == {("index", (0,)), "column_bytes"}
+        assert table.rows[0] == (1, "y")  # sorts the storage in place
+        assert not table._memo
+        assert probe.equi_join(table, JoinPath.of(("K", "A"))).rows == (
+            (1, 1, "y"), (1, 1, "z"),
+        )
+        assert table.byte_size() == 6
+
+
 class TestByteAccounting:
     rows = [
         ("s", 1, 1.5, True, None),
@@ -134,9 +187,11 @@ class TestByteAccounting:
 
 
 class TestKeyIndexResidency:
-    """Guards against a regression to per-request index rebuilds by
-    identity: a base relation's key index is built by the first request
-    that joins against it and is the *same object* for the next one."""
+    """Guards against a regression to per-request re-derivation by
+    identity and by count, never by a clock: what a base relation's memo
+    holds after the first request (key indexes, the semi-join probe) is
+    the *same object* for the next one, while every shipment is still
+    built, measured and authorized per request."""
 
     SQL = "SELECT a, b, d, f FROM R JOIN T ON a = c JOIN U ON c = e"
 
@@ -164,31 +219,91 @@ class TestKeyIndexResidency:
         return system
 
     @staticmethod
-    def indexes(system):
-        return {
-            name: dict(table._key_indexes) for name, table in system.tables().items()
-        }
+    def memos(system):
+        return {name: dict(table._memo) for name, table in system.tables().items()}
 
     def test_second_request_reuses_and_reload_replaces(self, system):
         first = system.execute(self.SQL, recipient="S1").table
-        built = self.indexes(system)
-        assert any(built.values()), "no base relation served as a build side"
+        built = self.memos(system)
+        assert sum(kind == "index" for memo in built.values() for kind, _ in memo) >= 2
         assert system.execute(self.SQL, recipient="S1").table == first
-        again = self.indexes(system)
-        for name, by_key in built.items():
-            assert again[name].keys() == by_key.keys()
-            for key, index in by_key.items():
-                assert again[name][key] is index
-        # A reload installs new tables; their indexes start empty and the
+        again = self.memos(system)
+        for name, memo in built.items():
+            assert again[name].keys() == memo.keys()
+            for key, derived in memo.items():
+                assert again[name][key] is derived
+        # A reload installs new tables; their memos start empty and the
         # joins answer from the new rows.
         system.load_instances(self.instances(12))
-        assert not any(self.indexes(system).values())
+        assert not any(self.memos(system).values())
         reloaded = system.execute(self.SQL, recipient="S1").table
         assert reloaded == evaluate_plan(system.plan(self.SQL)[0], system.tables())
         assert len(reloaded) < len(first)
-        for name, by_key in self.indexes(system).items():
-            for key, index in by_key.items():
-                assert built[name].get(key) is not index
+        for name, memo in self.memos(system).items():
+            for key, derived in memo.items():
+                assert built[name].get(key) is not derived
+
+    def test_second_request_rederives_nothing_but_ships_and_audits_everything(
+        self, system, monkeypatch
+    ):
+        from repro.engine.audit import AuditLog
+        from repro.engine.executor import DistributedExecutor
+
+        distinct_passes, shipped, authorized = [], [], []
+        distinct, ship_once, authorize = (
+            Table._distinct, DistributedExecutor._ship_once, AuditLog.authorize,
+        )
+
+        def counting_distinct(table, columns):
+            distinct_passes.append(table)
+            return distinct(table, columns)
+
+        def recording_ship_once(executor, table, *rest):
+            shipped.append(table)
+            return ship_once(executor, table, *rest)
+
+        def counting_authorize(log, *probe):
+            authorized.append(probe)
+            return authorize(log, *probe)
+
+        monkeypatch.setattr(Table, "_distinct", counting_distinct)
+        monkeypatch.setattr(DistributedExecutor, "_ship_once", recording_ship_once)
+        monkeypatch.setattr(AuditLog, "authorize", counting_authorize)
+
+        def request():
+            del distinct_passes[:], shipped[:]
+            result = system.execute(self.SQL, recipient="S1")
+            bases = list(system.tables().values())
+            over_bases = sum(any(t is base for base in bases) for t in distinct_passes)
+            ledger = [
+                (t.description, t.sender, t.receiver, t.row_count, t.byte_size)
+                for t in result.transfers
+            ]
+            return result, over_bases, list(shipped), ledger
+
+        first, cold_passes, cold_shipped, cold_ledger = request()
+        second, warm_passes, warm_shipped, warm_ledger = request()
+        assert cold_passes >= 1 and warm_passes == 0
+        # n2's master is the base relation T: its probe is T's memoized
+        # projection, the very same table on both requests.
+        assert cold_ledger[0][0].endswith("probe -> slave")
+        assert warm_shipped[0] is cold_shipped[0] is system.tables()["T"].project(["c"])
+        # ... and still every transfer is built, measured, authorized and
+        # recorded per request: nothing that crosses a server is memoized.
+        assert warm_ledger == cold_ledger and len(cold_ledger) == 5
+        assert len(second.audit.checked) == len(first.audit.checked) == 5
+        assert second.audit is not first.audit
+        assert len(authorized) == 2 * 5
+        for _ in range(3):
+            request()
+        assert len(authorized) == 5 * 5
+        # A reload starts from nothing and answers from the new rows.
+        system.load_instances(self.instances(12))
+        assert not any(self.memos(system).values())
+        reloaded, reload_passes, reload_shipped, _ = request()
+        assert reload_passes >= 1 and reload_shipped[0] is not cold_shipped[0]
+        assert reloaded.table == evaluate_plan(system.plan(self.SQL)[0], system.tables())
+        assert len(reloaded.table) < len(first.table)
 
 
 class TestColumnarWireFormat:

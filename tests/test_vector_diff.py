@@ -19,8 +19,8 @@ relational semantics question.
 A positional-kernel block pins what late materialization adds: output
 *storage order* against the row-tuple bucket loops the kernels replaced
 (kept here as the reference), composite join keys, and the per-table
-key index staying right across reuse, canonicalization and a late
-cross-type alias.
+key index and the memoized projections staying right across reuse,
+canonicalization and a late cross-type alias.
 
 A plan-level block runs whole query trees over synthetic federations
 through ``evaluate_plan`` and the distributed executor against
@@ -49,6 +49,7 @@ from repro.core.planner import SafePlanner
 from repro.engine.data import Table
 from repro.engine.executor import DistributedExecutor
 from repro.engine.operators import evaluate_plan
+from repro.exceptions import ExecutionError
 from repro.workloads.medical import medical_catalog, medical_policy, paper_plan
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
@@ -288,9 +289,16 @@ def row_tuple_join(left, right, left_keys, right_keys, emit):
 def test_storage_order_matches_row_tuple_loops(left_rows, right_rows, requested):
     left = Table(("A", "S0", "S1"), left_rows)
     right = Table(("S0", "S1", "B"), right_rows)
-    assert id_rows(left.natural_join(right)) == row_tuple_join(
-        left, right, ["S0", "S1"], ["S0", "S1"], ["B"]
+    # ``natural_join`` builds on ``self`` and probes with ``other``: for
+    # each row of ``right`` in storage order, ``left``'s matches in
+    # storage order — ``(S0, S1, B) + (A, S0, S1)`` per pairing, restated
+    # in the output's columns (``left``'s, then ``right``'s extra ``B``).
+    other_major = row_tuple_join(
+        right, left, ["S0", "S1"], ["S0", "S1"], left.attributes
     )
+    assert id_rows(left.natural_join(right)) == [
+        row[3:] + row[2:3] for row in other_major
+    ]
     renamed = Table(("K0", "K1", "B"), right_rows)
     assert id_rows(
         left.equi_join(renamed, JoinPath.of(("S0", "K0"), ("S1", "K1")))
@@ -333,12 +341,14 @@ def test_key_index_reuse_matches_fresh_tables(build_rows, partners, targets):
     assert build.select(Predicate([])) is build
     assert joins(build) == joins(Table(schema, build_rows))
     assert joins(build) == joins(Table(schema, build_rows))  # warm index
-    assert set(build._key_indexes) == {(0,), (1,)}
-    # Derived tables are indexed on their own rows, never their parent's.
+    assert set(build._memo) == {("index", (0,)), ("index", (1,))}
+    # A full-width projection is the table itself; every other derived
+    # table is indexed on its own rows, never its parent's.
+    assert build.project(["J0", "R0", "J1"]) is build
     derived = build.partition(targets[: len(build)], 2)
-    derived += [build.project(["J0", "R0", "J1"]), build.project(["J1", "R0"])]
+    derived.append(build.project(["J1", "R0"]))
     for table in derived:
-        assert not table._key_indexes
+        assert not table._memo
         partner = Table(("L0", "K0"), partners[0])
         joined = partner.equi_join(table, paths[1])
         assert joined == partner.equi_join(Table(table.attributes, table.rows), paths[1])
@@ -356,13 +366,21 @@ path = JoinPath.of(("K0", "K1"))
 build_rows = [(1, "one"), (2, "two"), (None, "none"), (1, "uno")]
 build = Table(("K1", "R0"), build_rows)
 assert len(Table(("L0", "K0"), [("w", 1)]).equi_join(build, path)) == 2
-index = build._key_indexes[(0,)]
-assert not shared_pool().has_aliases  # indexed while ids were class ids
+index = build._memo["index", (0,)]
+narrow_rows = [(1, "one"), (2, "two"), (1, "one"), (None, "none")]
+narrow = Table(("K1", "R0", "X"), [row + (i,) for i, row in enumerate(narrow_rows)])
+projected = narrow.project(["K1", "R0"])
+assert not shared_pool().has_aliases  # derived while ids were class ids
 probe_rows = [("t", True), ("f", 1.0), ("n", None), ("z", 2), ("o", 1)]
 probe = Table(("L0", "K0"), probe_rows)
 assert shared_pool().has_aliases
 joined = probe.equi_join(build, path)
-assert build._key_indexes[(0,)] is index
+assert build._memo["index", (0,)] is index
+# A projection memoized before the alias is still the fresh one after it.
+assert narrow.project(["R0", "K1"]) is projected
+fresh = Table(narrow.attributes, narrow.rows).project(["K1", "R0"])
+assert projected.rows == fresh.rows == OracleTable(("K1", "R0"), narrow_rows).rows
+assert projected.byte_size() == fresh.byte_size()
 expected = OracleTable(("L0", "K0"), probe_rows).equi_join(
     OracleTable(("K1", "R0"), build_rows), path
 )
@@ -391,6 +409,54 @@ def test_key_index_survives_a_late_alias():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "alias flip ok"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=rows_of([values, values, keys]),
+    requests=st.lists(
+        st.lists(st.sampled_from(["A0", "A1", "A2", "Z"]), min_size=0, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_memoized_projection_matches_fresh_tables(rows, requests):
+    """Every projection off a table's memo — first call, a hit, a call
+    after ``rows`` sorted the parent under it — equals the projection of
+    a fresh copy in rows and bytes; a bad request raises the same error
+    on every call, a hit on the same attribute set in between included."""
+    schema = ("A0", "A1", "A2")
+    table = Table(schema, rows)
+
+    def check(requested):
+        fresh = Table(schema, rows)
+        try:
+            expected = fresh.project(requested)
+        except ExecutionError as err:
+            for _ in range(2):
+                with pytest.raises(ExecutionError) as raised:
+                    table.project(requested)
+                assert str(raised.value) == str(err)
+            return None
+        projected = table.project(requested)
+        assert projected.attributes == expected.attributes
+        assert projected.byte_size() == expected.byte_size()
+        assert projected.rows == expected.rows
+        return projected
+
+    first = [check(requested) for requested in requests]
+    again = [check(requested) for requested in requests]
+    for before, after in zip(first, again):
+        assert after is before  # None for a bad request, both times
+    # A duplicated request fails after a hit on its attribute set too.
+    for requested, projected in zip(requests, first):
+        if projected is not None:
+            with pytest.raises(ExecutionError, match="duplicated"):
+                table.project(requested + requested[:1])
+    # ``rows`` sorts the parent in place: the memo must not outlive that.
+    assert table.rows == Table(schema, rows).rows
+    for requested in requests:
+        check(requested)
 
 
 # ---------------------------------------------------------------------------
