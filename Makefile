@@ -38,9 +38,10 @@ test-obs:
 
 # Plan-cache suite: epoch/LRU/fingerprint unit tests, the
 # revocation-between-executions security regression, the shape tier's
-# counting guards (one plan per shape, one verdict per epoch, one parse
-# per request), and the Hypothesis differential harness (cached-vs-fresh
-# and shape-bound-vs-fresh plans, in-place-vs-full closure under random
+# counting guards (one plan, one parse and one build_plan per shape, one
+# verdict per epoch, every check per request), and the Hypothesis
+# differential harness (cached-vs-fresh, shape-bound-vs-fresh and
+# prepared-vs-parsed plans, in-place-vs-full closure under random
 # grant/revoke interleavings, integer-vs-reference chase).
 test-cache:
 	$(PYTHON) -m pytest tests/test_plancache.py tests/test_plancache_diff.py
@@ -148,8 +149,10 @@ bench-sharding:
 	$(PYTHON) -m pytest benchmarks/bench_abl18_sharding.py --benchmark-only -s
 
 # Quick check of the repo's end-to-end benchmark (BENCHMARK.json): its
-# self-test, then 3-second runs of the two scan workloads, each failing
-# unless the result line says "correct": true and "failed": 0.  One
+# self-test, then 3-second runs of the two scan workloads and of
+# plan_cold (literal traffic: every request a new text of a prepared
+# shape), each failing unless the result line says "correct": true and
+# "failed": 0.  One
 # self-test asserts shard.split_ms + execute + merge == shard.wall_ms,
 # which held only while every execute_sharded call re-split its
 # relations; bench_e2e/ is frozen for a PR that claims a gain on it, so
@@ -160,7 +163,7 @@ E2E_SMOKE_CHECK = import json, sys; r = json.loads(sys.stdin.readlines()[-1]); s
 bench-e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest bench_e2e benchmarks/bench_e2e_predictions.py -q \
 		--deselect bench_e2e/test_bench_e2e.py::test_predictions_that_hold_by_construction
-	set -e; for workload in shard_scan exec_scan; do \
+	set -e; for workload in shard_scan exec_scan plan_cold; do \
 		$(PYTHON) bench_e2e/run.py --workload $$workload --seconds 3 \
 			| tee /dev/stderr | $(PYTHON) -c '$(E2E_SMOKE_CHECK)'; \
 	done

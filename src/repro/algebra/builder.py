@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.algebra.attributes import AttributeSet, attribute_set
 from repro.algebra.joins import JoinPath
-from repro.algebra.predicates import Predicate
+from repro.algebra.predicates import Comparison, Predicate
 from repro.algebra.schema import Catalog
 from repro.algebra.tree import (
     PROJECT,
@@ -106,6 +106,27 @@ class QuerySpec:
     def reordered(self, relations: Sequence[str], join_paths: Sequence[JoinPath]) -> "QuerySpec":
         """A copy of the spec with a different FROM order / join steps."""
         return QuerySpec(relations, join_paths, self._select, self._where)
+
+    def constants(self) -> Tuple[object, ...]:
+        """The literal operands of the WHERE atoms, in atom order."""
+        return tuple(
+            c.operand for c in self._where.comparisons if not c.operand_is_attribute
+        )
+
+    def with_constants(self, values: Sequence[object]) -> "QuerySpec":
+        """The query of this :meth:`shape` whose :meth:`constants` are
+        ``values``, in the same order.
+
+        Raises:
+            PlanError: unless there is one value per constant.
+        """
+        atoms = list(self._where.comparisons)
+        slots = [i for i, c in enumerate(atoms) if not c.operand_is_attribute]
+        if len(slots) != len(values):
+            raise PlanError(f"{len(slots)} WHERE constants, got {len(values)} values")
+        for slot, value in zip(slots, values):
+            atoms[slot] = Comparison(atoms[slot].attribute, atoms[slot].op, value)
+        return QuerySpec(self._relations, self._join_paths, self._select, Predicate(atoms))
 
     def fingerprint(self) -> Tuple[object, ...]:
         """A canonical, hashable identity of the bound query.

@@ -293,6 +293,54 @@ class QueryTreePlan:
         for child in node.children():
             self._record_parents(child, node)
 
+    def with_selections(self, where: Predicate) -> "QueryTreePlan":
+        """This plan for the same query under other WHERE constants:
+        every selection keeps its place and tests, in ``where``'s order,
+        the atoms of ``where`` over the attribute sets its own atoms read
+        (where the plan builder puts them).
+
+        Nodes carry no parent pointer, so subtrees without a selection
+        are shared with this plan; a selection and its ancestors are new
+        nodes (validated by their constructors) under the ids of the
+        ones they replace, and the parent table carries over.
+
+        Raises:
+            PlanError: if an atom of ``where`` belongs to no selection.
+        """
+        atoms = where.comparisons
+        nodes = list(self._nodes)
+        placed = 0
+        for node_id, node in enumerate(nodes):  # post-order: operands first
+            if isinstance(node, LeafNode):
+                continue
+            if isinstance(node, JoinNode):
+                left, right = nodes[node._left._node_id], nodes[node._right._node_id]
+                if left is node._left and right is node._right:
+                    continue
+                twin: PlanNode = JoinNode(left, right, node._path)
+            else:
+                child = nodes[node._child._node_id]
+                parameter = node._parameter
+                if node._operator == SELECT:
+                    reads = {atom.attributes for atom in parameter.comparisons}
+                    parameter = Predicate(a for a in atoms if a.attributes in reads)
+                    placed += len(parameter)
+                elif child is node._child:
+                    continue
+                twin = UnaryNode(node._operator, parameter, child)
+            twin._node_id = node_id
+            nodes[node_id] = twin
+        if placed != len(atoms):
+            raise PlanError(
+                f"{len(atoms) - placed} of {len(atoms)} WHERE atoms belong to "
+                "no selection of the plan"
+            )
+        plan = QueryTreePlan.__new__(QueryTreePlan)
+        plan._root = nodes[-1]
+        plan._nodes = nodes
+        plan._parents = self._parents
+        return plan
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

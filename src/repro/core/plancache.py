@@ -38,8 +38,10 @@ assignment, flows and feasibility are functions of its literal-erased
 The same LRU therefore also holds, under the shape key, the plan
 **decision** of the first query of each shape: a later query with other
 constants misses its fingerprint, finds the decision
-(:meth:`PlanCache.lookup_shape`) and *binds* it to its own tree
-(:meth:`~repro.core.assignment.Assignment.rebound`) instead of planning.
+(:meth:`PlanCache.lookup_shape`) and *binds* it to its own tree — the
+decision's under its own constants
+(:meth:`~repro.algebra.tree.QueryTreePlan.with_selections`,
+:meth:`~repro.core.assignment.Assignment.rebound`) — instead of planning.
 Decisions obey the epoch rule above, through the same code.  An
 infeasibility **verdict** is a decision too, but a grant can unlock the
 query: a verdict (the planner's message, never the exception object)

@@ -98,6 +98,9 @@ class DistributedSystem:
         # SQL text -> bound form (see _remember); parsing is
         # policy-independent, so the memo never needs invalidation.
         self._parse_memo: Dict[str, Tuple[str, object]] = {}
+        # Skeleton (a text minus its literals) -> the spec first bound
+        # for it: later literals are substituted, not parsed.
+        self._skeletons: Dict[Tuple[str, ...], QuerySpec] = {}
         self._planner = self._make_planner()
         self._servers: Dict[str, Server] = {}
         for schema in catalog.relations():
@@ -302,7 +305,9 @@ class DistributedSystem:
         policy (see :mod:`repro.core.plancache` for the epoch /
         revalidation semantics).  A query differing from an earlier one
         only in its WHERE constants has that query's *shape* and is not
-        planned either: the cached decision is bound to its own tree.
+        planned either: the cached decision is bound to its own tree
+        (nor is a text differing from an earlier one only in its
+        literals parsed, see :meth:`_parsed`).
         Cached objects are shared between calls and must be treated as
         immutable.
 
@@ -358,15 +363,11 @@ class DistributedSystem:
     def _bind(
         self, spec: QuerySpec, decision
     ) -> Tuple[QueryTreePlan, Assignment, PlannerTrace]:
-        """Bind a shape-tier decision to ``spec``: its own tree (its own
-        constants) in the FROM order the decision was made for — the
-        order search may have moved it; a left-deep tree lists relations
-        and join steps in post-order — and the decided executors."""
-        decided = decision.tree
-        relations = tuple(schema.name for schema in decided.base_relations())
-        if relations != spec.relations:
-            spec = spec.reordered(relations, [join.path for join in decided.joins()])
-        tree = build_plan(self._catalog, spec)
+        """Bind a shape-tier decision to ``spec``: the decided tree — in
+        the FROM order the decision was made for; the order search may
+        have moved it — under ``spec``'s constants, and the decided
+        executors (``rebound`` checks the two trees node by node)."""
+        tree = decision.tree.with_selections(spec.where)
         return tree, decision.assignment.rebound(tree), decision.planner_trace
 
     def _parsed(self, query: Query) -> Tuple[str, object]:
@@ -376,7 +377,15 @@ class DistributedSystem:
         SQL, or ``("tree", QueryTreePlan)`` for parenthesized (bushy)
         FROM clauses, whose shape is the user's explicit choice.
         Parsing and binding are pure functions of ``(text, catalog)``,
-        so the memo never needs invalidation.
+        so neither memo ever needs invalidation.
+
+        A text the exact memo misses is split at its literals
+        (:func:`~repro.sql.lexer.split_literals`).  A skeleton seen
+        before is not parsed: the request's spec is the one first bound
+        for that skeleton under this text's constants — what parsing
+        would give, ``fingerprint()`` included.  Any other text (a new
+        skeleton, a bushy FROM, a malformed text) parses and binds, and
+        raises what that raises.
         """
         if isinstance(query, QuerySpec):
             return "spec", query
@@ -384,29 +393,43 @@ class DistributedSystem:
         if cached is not None:
             return cached
         from repro.sql import bind, bind_plan, parse
+        from repro.sql.lexer import split_literals
 
-        parsed = parse(query)
-        if not parsed.is_left_deep:
-            result: Tuple[str, object] = ("tree", bind_plan(parsed, self._catalog))
+        skeleton, values = split_literals(query)
+        prepared = self._skeletons.get(skeleton)
+        if prepared is not None:
+            result: Tuple[str, object] = ("spec", prepared.with_constants(values))
         else:
-            result = ("spec", bind(parsed, self._catalog))
-        self._remember(query, result)
+            parsed = parse(query)
+            if not parsed.is_left_deep:
+                result = ("tree", bind_plan(parsed, self._catalog))
+            else:
+                spec = bind(parsed, self._catalog)
+                result = ("spec", spec)
+                # Prepared only when the splitter read this text as the
+                # lexer did: the constants that reached the spec are its
+                # values, in value, type and order.
+                constants = spec.constants()
+                if constants == values and [*map(type, constants)] == [*map(type, values)]:
+                    self._remember(self._skeletons, skeleton, spec)
+        self._remember(self._parse_memo, query, result)
         return result
 
-    #: Texts the parse memo keeps; beyond it the oldest is dropped.
+    #: Entries the parse memo and the skeleton table each keep; beyond
+    #: it the oldest is dropped.
     _PARSE_MEMO_LIMIT = 1024
 
-    def _remember(self, query: str, result: Tuple[str, object]) -> None:
-        """Memoize one bound text while the plan cache is on (the memo
-        exists to make repeats parse-free).  Oldest out, never newest
-        refused: the text just parsed is the one this request's next
-        stage (admission, plan key, plan) asks for."""
+    def _remember(self, memo: dict, key: object, value: object) -> None:
+        """Memoize one bound text, or one skeleton's spec, while the
+        plan cache is on (the memos exist to make repeats parse-free).
+        Oldest out, never newest refused: the text just parsed is the
+        one this request's next stage (admission, plan key, plan) asks
+        for."""
         if self._plan_cache is None:
             return
-        memo = self._parse_memo
         if len(memo) >= self._PARSE_MEMO_LIMIT:
             del memo[next(iter(memo))]
-        memo[query] = result
+        memo[key] = value
 
     def _plan_parsed(
         self,

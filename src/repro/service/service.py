@@ -103,7 +103,8 @@ class QueryOutcome:
         status: ``ok`` (executed, audited), ``shed`` (structured
             rejection — see :attr:`rejection`), ``infeasible`` (no safe
             assignment under the current policy) or ``failed``
-            (execution error; see :attr:`error`).
+            (a text that does not lex, parse or bind, or an execution
+            error; see :attr:`error`).
         tenant: the submitting tenant's name.
         result: the audited
             :class:`~repro.engine.executor.ExecutionResult` (``ok``
@@ -689,15 +690,23 @@ class QueryService:
                 ),
                 now,
             )
+        try:
+            # Every later stage (cost estimate, plan key, plan) reads
+            # the bound form this leaves in the system's parse memo.
+            self._system._parsed(query)
+        except ReproError as error:
+            # A text that does not lex, parse or bind: the client's
+            # typo, not an execution failure — counted as failed, never
+            # admitted, kept out of the tenant breaker.
+            outcome = QueryOutcome(
+                FAILED, tenant, error=f"invalid query: {error}",
+                latency=self._clock() - now, degrade_level=level,
+            )
+            self._count_completed(outcome)
+            return outcome
         cost = 0.0
         if self._admission.capacity_bytes is not None:
-            try:
-                cost = self._estimator.estimate(query)
-            except ReproError as error:
-                return QueryOutcome(
-                    FAILED, tenant, error=f"unparseable query: {error}",
-                    latency=self._clock() - now, degrade_level=level,
-                )
+            cost = self._estimator.estimate(query)
         decision = self._admission.admit(
             tenant,
             now,
@@ -866,11 +875,7 @@ class QueryService:
             chaos=self._chaos,
             profiler=profiler,
         )
-        try:
-            key = self._plan_key(item.query, search)
-        except ReproError as error:
-            self._finish_failure(item, INFEASIBLE, f"unbindable query: {error}")
-            return
+        key = self._plan_key(item.query, search)
 
         async def compute():
             # Yield once so concurrent identical requests reach the
@@ -1087,18 +1092,21 @@ class QueryService:
             "repro_service_inflight_bytes", self._admission.inflight_bytes
         )
         if outcome.status in (OK, INFEASIBLE, FAILED):
-            self._counts[outcome.status] += 1
-            self.metrics.inc(
-                "repro_service_completed_total",
-                tenant=outcome.tenant,
-                status=outcome.status,
-            )
-            self.metrics.observe(
-                "repro_service_latency_seconds",
-                outcome.latency,
-                tenant=outcome.tenant,
-            )
+            self._count_completed(outcome)
         self._resolve(item.request_id, item.future, outcome)
+
+    def _count_completed(self, outcome: QueryOutcome) -> None:
+        self._counts[outcome.status] += 1
+        self.metrics.inc(
+            "repro_service_completed_total",
+            tenant=outcome.tenant,
+            status=outcome.status,
+        )
+        self.metrics.observe(
+            "repro_service_latency_seconds",
+            outcome.latency,
+            tenant=outcome.tenant,
+        )
 
     def _finish_shed(self, item: _WorkItem, rejection: Rejection) -> None:
         self._admission.release(item.ticket)

@@ -14,28 +14,63 @@ Produces a flat token stream from query text.  Token kinds:
 from __future__ import annotations
 
 import re
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from repro.exceptions import SqlSyntaxError
 
 #: Recognized keywords (upper-case canonical form).
 KEYWORDS = frozenset({"SELECT", "FROM", "JOIN", "ON", "WHERE", "AND"})
 
+#: The two literal alternatives.  A string closes at a quote not followed
+#: by a quote (``''`` escapes one); a number takes at most one dot, so
+#: ``1.2.3`` stops at the second.
+_STRING = r"'(?:[^']|'')*'(?!')"
+_NUMBER = r"\d+(?:\.\d*)?"
+
 #: One alternative per token kind, each match also consuming the white
 #: space after the token; what no alternative matches is an unterminated
 #: string or a stray character.  ``\s``, ``\w`` and ``\d`` are the classes
 #: ``str.isspace``, ``str.isalnum`` (plus ``_``) and ``str.isdecimal``
-#: test.  A string closes at a quote not followed by a quote (``''``
-#: escapes one); a number takes at most one dot, so ``1.2.3`` stops at
-#: the second.
+#: test.
 _TOKEN = re.compile(
-    r"""(?:(?P<WORD>[^\W\d][\w.]*)
+    rf"""(?:(?P<WORD>[^\W\d][\w.]*)
     |(?P<SYMBOL>!=|<=|>=|[<>=,();*])
-    |(?P<STRING>'(?:[^']|'')*'(?!'))
-    |(?P<NUMBER>\d+(?:\.\d*)?)
+    |(?P<STRING>{_STRING})
+    |(?P<NUMBER>{_NUMBER})
     )\s*""",
     re.VERBOSE,
 )
+
+#: The literal tokens of a text without tokenizing the rest of it: where
+#: :data:`_TOKEN` would match ``STRING`` or ``NUMBER``.  A word swallows
+#: the digits and dots after its first letter (``t0``, ``R.a1``), so a
+#: number never starts inside a word or after a dot.  The lookahead only
+#: lets the scan skip, at one test, the characters that start neither.
+_LITERAL = re.compile(rf"(?=['\d])(?:({_STRING})|(?<![\w.])({_NUMBER}))")
+
+
+def _string_value(raw: str) -> str:
+    return raw[1:-1].replace("''", "'")
+
+
+def _number_value(raw: str) -> Union[int, float]:
+    return float(raw) if "." in raw else int(raw)
+
+
+def split_literals(text: str) -> Tuple[Tuple[str, ...], Tuple[Union[str, int, float], ...]]:
+    """Split ``text`` at its literals: the *skeleton* — the text before,
+    between and after them — and their values, converted as
+    :func:`tokenize` converts them.  For a text that tokenizes these are
+    its ``STRING`` and ``NUMBER`` tokens, in order, and two such texts of
+    one skeleton differ in nothing else; a text that does not tokenize
+    still splits, into a skeleton no valid text has.
+    """
+    parts = _LITERAL.split(text)
+    values = [
+        _string_value(string) if string is not None else _number_value(number)
+        for string, number in zip(parts[1::3], parts[2::3])
+    ]
+    return tuple(parts[::3]), tuple(values)
 
 
 class Token:
@@ -93,9 +128,9 @@ def tokenize(text: str) -> List[Token]:
                 # `[^\W\d]` also admits numerics that are no letter ('½').
                 raise _stray(text, index)
         elif kind == "STRING":
-            value = value[1:-1].replace("''", "'")
+            value = _string_value(value)
         elif kind == "NUMBER":
-            value = float(value) if "." in value else int(value)
+            value = _number_value(value)
         append(Token(kind, value, index))
         index = found.end()
     append(Token("EOF", "", length))

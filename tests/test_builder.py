@@ -48,6 +48,30 @@ class TestQuerySpec:
         assert reordered.relations[0] == "Hospital"
         assert reordered.select == spec.select
 
+    def test_with_constants_fills_the_literal_operands_in_atom_order(self, spec):
+        where = Predicate(
+            [
+                Comparison("Plan", "=", "gold"),
+                Comparison.attr_vs_attr("Holder", "!=", "Patient"),
+                Comparison("Premium", ">", 1),
+            ]
+        )
+        first = QuerySpec(spec.relations, spec.join_paths, spec.select, where)
+        assert first.constants() == ("gold", 1)
+        other = first.with_constants(["basic", 2.5])
+        assert [str(c) for c in other.where.comparisons] == [
+            "Plan='basic'", "Holder!=Patient", "Premium>2.5",
+        ]
+        assert other.shape() == first.shape()
+        assert other.fingerprint() != first.fingerprint()
+        assert first.constants() == ("gold", 1)  # a copy: the first spec is untouched
+        # `1`, `1.0` and `'1'` are three queries.
+        prints = {first.with_constants(["x", v]).fingerprint() for v in (1, 1.0, "1")}
+        assert len(prints) == 3
+        for values in (["basic"], ["basic", 2, 3]):
+            with pytest.raises(PlanError, match="2 WHERE constants"):
+                first.with_constants(values)
+
 
 class TestBuildPlan:
     def test_reproduces_figure_2(self, catalog, spec):

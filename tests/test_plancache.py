@@ -993,7 +993,7 @@ class TestAssignmentMemo:
 
 
 # ---------------------------------------------------------------------------
-# One parse per request, whatever the service has seen
+# One parse and one build_plan per shape, every check per request
 # ---------------------------------------------------------------------------
 
 
@@ -1001,11 +1001,23 @@ class TestParseOncePerRequest:
     def test_literal_traffic_parses_once_and_the_memo_stays_bounded(self, monkeypatch):
         import asyncio
 
+        import repro.distributed.pipeline as pipeline
+        import repro.distributed.system as system_module
         import repro.sql
+        from repro.core import safety
+        from repro.engine.audit import AuditLog
         from repro.service import QueryService, TenantConfig
+        from repro.sql.lexer import split_literals
 
         system = _toy_system(*TOY_RULES)
         parses = _count_calls(monkeypatch, repro.sql, "parse")
+        builds = _count_calls(monkeypatch, system_module, "build_plan")
+        # What protects Def. 3.3 is not prepared: one verification (one
+        # CanView probe on this plan) and one audited transfer per
+        # request, as many as before any shape was.
+        verified = _count_calls(monkeypatch, pipeline, "verify_assignment")
+        probed = _count_calls(monkeypatch, safety, "can_view")
+        audited = _count_calls(monkeypatch, AuditLog, "authorize")
         peak = 0
 
         async def serve():
@@ -1016,13 +1028,30 @@ class TestParseOncePerRequest:
                 for serial in range(2000):
                     outcome = await service.submit(_literal_query(serial), tenant="t")
                     assert outcome.status == "ok"
+                    assert outcome.result.audit.all_authorized()
                     peak = max(peak, len(system._parse_memo))
             finally:
                 await service.stop()
 
         asyncio.run(asyncio.wait_for(serve(), timeout=60))
-        assert len(parses) == 2000
-        assert peak == system._PARSE_MEMO_LIMIT == 1024
+        assert [args[0] for args in parses] == [_literal_query(0)]
+        assert len(builds) == 1
+        assert len(verified) == len(probed) == len(audited) == 2000
+        stats = system.plan_cache.stats
+        assert (stats.hits, stats.shape_hits) == (0, 1999)
+        limit = system._PARSE_MEMO_LIMIT
+        assert peak == limit == 1024
         # The oldest texts left, the newest stayed.
         assert _literal_query(1999) in system._parse_memo
         assert _literal_query(0) not in system._parse_memo
+        # One shape, one skeleton; the table has the memo's bound.
+        shape = split_literals(_literal_query(0))[0]
+        assert list(system._skeletons) == [shape]
+        spaced = [f"{JOIN_QUERY}{' ' * n} WHERE b != 1" for n in range(1, limit + 6)]
+        for text in spaced:
+            system._parsed(text)
+        assert len(parses) == 1 + len(spaced)
+        assert len(system._skeletons) == limit
+        assert shape not in system._skeletons
+        assert split_literals(spaced[0])[0] not in system._skeletons
+        assert split_literals(spaced[-1])[0] in system._skeletons

@@ -46,11 +46,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.distributed.system
+import repro.sql
+from repro.algebra.builder import build_plan
 from repro.analysis.reporting import render_trace_table
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy, derive_joined_authorizations
@@ -59,8 +63,9 @@ from repro.core.profile import RelationProfile
 from repro.core.safety import enumerate_assignment_flows, verify_assignment
 from repro.distributed.system import DistributedSystem
 from repro.engine.operators import evaluate_plan
-from repro.exceptions import InfeasiblePlanError, PolicyError
+from repro.exceptions import InfeasiblePlanError, PolicyError, ReproError
 from repro.obs import TraceContext
+from repro.sql import parse_query
 from repro.testing import grant, quick_catalog
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
@@ -383,6 +388,167 @@ def test_shape_served_products_equal_fresh_plans(index, atoms, first, moved, gra
     executed = system.execute(query)
     assert executed.audit.all_authorized()
     assert executed.table == evaluate_plan(product[0], system.tables())
+
+
+# ---------------------------------------------------------------------------
+# Prepared shapes: a warm skeleton table vs. the parser and build_plan
+# ---------------------------------------------------------------------------
+
+#: Everyone may view everything: every generated query is feasible.
+SHARED_CATALOG = make_catalog()
+PERMISSIVE = close_policy(Policy(list(RULE_POOL)), SHARED_CATALOG)
+
+#: SQL renderings of literals: strings (empty, digits only, with quotes
+#: and blanks), ints, and floats with and without digits after the dot.
+LITERALS = st.text(alphabet="a1' ", max_size=3).map(
+    lambda value: "'" + value.replace("'", "''") + "'"
+) | st.sampled_from(["0", "1", "7", "12", "1.", "1.0", "1.5", "0.5"])
+#: An :data:`ATOMS` atom plus the literal it compares against in the
+#: first and in the second text of the skeleton.
+LITERAL_ATOMS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.none() | st.none() | st.integers(min_value=0, max_value=5),
+        LITERALS,
+        LITERALS,
+    ),
+    min_size=1,
+    max_size=3,
+)
+#: Keyword case, the gaps between tokens, the end of the text.
+LAYOUT = st.tuples(
+    st.sampled_from([str.upper, str.lower, str.title]),
+    st.lists(st.sampled_from(["", " ", "  ", "\n", "\t "]), min_size=8, max_size=8),
+    st.sampled_from(["", ";", " ;"]),
+)
+#: What a typo puts in a token's place (``None`` drops the token): an
+#: unterminated string, a second dot, stray characters, a literal where
+#: an identifier must stand, unknown and dotted names, a misplaced keyword.
+TYPOS = st.sampled_from(
+    [None, "'abc", "'a''", "''''", "1.2.3", "#", ".", "½", "5", "'s'", "1x",
+     "zz9", "R0.a0", "a0.1", "SELECT", "("]
+)
+
+
+def query_tokens(index, atoms, which):
+    """The text as a token list; ``which`` picks each atom's literal."""
+    tokens = QUERIES[index].replace(",", " , ").split()
+    attributes = [token for token in tokens if token[0] in "ab"]
+    for position, (left, op, right, *literals) in enumerate(atoms):
+        tokens.append("AND" if position else "WHERE")
+        operand = literals[which] if right is None else attributes[right % len(attributes)]
+        tokens += [attributes[left % len(attributes)], op, operand]
+    return tokens
+
+
+def layout_text(tokens, layout):
+    """Tokens to text: keyword case, gaps (possibly none, except after a
+    word that a letter or digit follows — ``b0=1AND a0=''AND`` is valid)
+    and the trailing semicolon drawn by ``layout``."""
+    case, gaps, end = layout
+    text = ""
+    for position, token in enumerate(tokens):
+        if token.upper() in ("SELECT", "FROM", "JOIN", "ON", "WHERE", "AND"):
+            token = case(token)
+        gap = gaps[position % len(gaps)]
+        if position and tokens[position - 1][0].isalpha() and token[0].isalnum():
+            gap = gap or " "
+        text += gap + token
+    return text + end
+
+
+def spec_signature(spec):
+    """A spec in everything a plan reads of it."""
+    return (
+        spec.fingerprint(),
+        spec.shape(),
+        [(type(value), value) for value in spec.constants()],
+    )
+
+
+def parse_outcome(parse, text):
+    """The signature of the spec ``parse`` makes of ``text``, or its
+    error in full."""
+    try:
+        return spec_signature(parse(text))
+    except ReproError as error:
+        return type(error), str(error), getattr(error, "position", None)
+
+
+def warm_system(*texts):
+    """A system that has already served ``texts``."""
+    system = DistributedSystem(SHARED_CATALOG, PERMISSIVE, apply_closure=False)
+    for text in texts:
+        system.plan(text)
+    return system
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(QUERIES) - 1),
+    atoms=LITERAL_ATOMS,
+    layout=LAYOUT,
+)
+def test_prepared_shapes_equal_parse_and_build_plan(index, atoms, layout):
+    """The second text of a skeleton is neither parsed nor built, and is
+    served the spec, the tree and the assignment a cold start makes of it."""
+    first, text = (layout_text(query_tokens(index, atoms, which), layout) for which in (0, 1))
+    system = warm_system(first)
+    refuse = {"side_effect": AssertionError("a prepared shape was parsed or built again")}
+    with mock.patch.object(repro.sql, "parse", **refuse), mock.patch.object(
+        repro.distributed.system, "build_plan", **refuse
+    ):
+        spec = system.parse(text)
+        tree, assignment, _ = system.plan(text)
+    cold = parse_query(text, SHARED_CATALOG)
+    assert spec_signature(spec) == spec_signature(cold)
+    # An exact hit is the first text's own product: when the two texts
+    # are one conjunction with its atoms permuted (same fingerprint), it
+    # renders them in the first text's order.
+    if system.parse(first).fingerprint() == cold.fingerprint():
+        text = first
+    built = build_plan(SHARED_CATALOG, parse_query(text, SHARED_CATALOG))
+    assert [(n.node_id, n.label(), tree.parent_id(n.node_id)) for n in tree] == [
+        (n.node_id, n.label(), built.parent_id(n.node_id)) for n in built
+    ]
+    assert tree.render() == built.render()
+    fresh = DistributedSystem(
+        SHARED_CATALOG, PERMISSIVE, apply_closure=False, plan_cache=False
+    )
+    assert assignment.describe() == fresh.plan(text)[1].describe()
+    # `1`, `1.0` and `'1'` are three queries of this skeleton.
+    variants = [
+        system.parse(layout_text(query_tokens(index, [(0, "=", None, value)], 0), layout))
+        for value in ("1", "1.0", "'1'")
+    ]
+    assert len({variant.fingerprint() for variant in variants}) == 3
+    assert [type(variant.constants()[0]) for variant in variants] == [int, float, str]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(QUERIES) - 1),
+    atoms=LITERAL_ATOMS,
+    layout=LAYOUT,
+    typos=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40), TYPOS), min_size=1, max_size=2
+    ),
+)
+def test_malformed_texts_fail_warm_as_they_fail_cold(index, atoms, layout, typos):
+    """A typo in a text whose shape is prepared: the same error class,
+    message and position as from the parser and binder (or, where the
+    typo left a valid text, the same spec)."""
+    valid = [query_tokens(index, atoms, which) for which in (0, 1)]
+    tokens = list(valid[1])
+    for position, typo in typos:
+        position %= len(tokens)
+        tokens[position : position + 1] = [] if typo is None else [typo]
+    text = layout_text(tokens, layout)
+    system = warm_system(*(layout_text(tokens, layout) for tokens in valid))
+    cold = parse_outcome(lambda sql: parse_query(sql, SHARED_CATALOG), text)
+    for _ in range(2):  # a failure prepares nothing: the repeat fails alike
+        assert parse_outcome(system.parse, text) == cold
 
 
 @settings(max_examples=50, deadline=None)

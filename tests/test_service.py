@@ -755,6 +755,164 @@ class TestChurnRacesAdmission:
 
 
 # ---------------------------------------------------------------------------
+# Prepared shapes: literal variants of one shape stay separate queries
+# ---------------------------------------------------------------------------
+
+
+def variant(value: int) -> str:
+    return f"{PAIR_QUERY} WHERE a0 = 'v{value}'"
+
+
+def variant_system(rules) -> DistributedSystem:
+    """The chain world with string keys in ``R0.a0``: variant ``n``
+    selects the one row ``('v<n>', n)``."""
+    system = chain_system(rules)
+    system.load_instances({"R0": [{"a0": f"v{i}", "b0": i} for i in range(8)]})
+    return system
+
+
+def served_rows(outcome) -> list:
+    table = outcome.result.table
+    return [dict(zip(table.attributes, row)) for row in table.rows]
+
+
+class TestPreparedShapes:
+    def test_concurrent_variants_get_their_own_rows_and_only_twins_coalesce(self):
+        system = variant_system(BASE_RULES + S0_ROUTE)
+
+        async def scenario():
+            service = QueryService(system, workers=8)
+            await service.start()
+            served = []
+            for round_ in range(2):
+                # Eight clients at once: clients k and k+4 are twins (the
+                # same variant), the other pairs send other variants.
+                values = [client % 4 + 4 * round_ for client in range(8)]
+                outcomes = await asyncio.gather(
+                    *(service.submit(variant(value)) for value in values)
+                )
+                served += zip(values, outcomes)
+            await service.stop()
+            return service, served
+
+        service, served = run(scenario())
+        assert len(served) == 16
+        for value, outcome in served:
+            assert outcome.ok
+            assert served_rows(outcome) == [{"a0": f"v{value}", "b1": value}]
+            assert outcome.result.audit.all_authorized()
+        snapshot = service.snapshot()
+        # Eight texts of one shape, parsed once: one was planned, seven
+        # were bound, and a request shared a plan only with its twin
+        # (one key for the shape would coalesce seven of every eight).
+        assert snapshot["coalesced"] == 8
+        assert snapshot["executions"] + snapshot["result_coalesced"] == 16
+        assert snapshot["executions"] >= 8
+        cache = snapshot["plan_cache"]
+        assert (cache["misses"], cache["shape_hits"], cache["hits"]) == (8, 7, 0)
+        assert len(system._skeletons) == 1
+
+    def test_revoking_the_shapes_route_reaches_the_very_next_variant(self):
+        system = variant_system(BASE_RULES + S0_ROUTE)
+
+        async def scenario():
+            service = QueryService(system, workers=1)
+            await service.start()
+            outcomes = [await service.submit(variant(0))]
+            service.revoke_authorization(PIVOT_S0_BASE)
+            outcomes.append(await service.submit(variant(1)))
+            service.add_authorization(PIVOT_S0_BASE)
+            outcomes.append(await service.submit(variant(2)))
+            await service.stop()
+            return service, outcomes
+
+        service, (before, revoked, regranted) = run(scenario())
+        assert before.ok
+        # The shape's decision ships R1 to S0: the next variant is not
+        # bound from it once the rule is gone, and nothing executes.
+        assert revoked.status == "infeasible"
+        assert revoked.result is None
+        assert regranted.ok
+        assert served_rows(regranted) == [{"a0": "v2", "b1": 2}]
+        cache = service.snapshot()["plan_cache"]
+        assert (cache["shape_hits"], cache["revalidation_failures"]) == (0, 1)
+
+    def test_a_revoked_route_replans_the_next_variant_onto_the_other(self):
+        system = variant_system(BASE_RULES + S0_ROUTE + S1_ROUTE)
+
+        async def scenario():
+            service = QueryService(system, workers=1)
+            await service.start()
+            outcomes = [await service.submit(variant(0))]
+            # The shape's decision is the semi-join [S1, S0], whose probe
+            # S1 -> S0 ships under this rule.
+            service.revoke_authorization(PIVOT_S0_BASE)
+            outcomes += [await service.submit(variant(value)) for value in (1, 2)]
+            await service.stop()
+            return service, outcomes
+
+        service, outcomes = run(scenario())
+        probe = AuditLog(system.policy, enforce=False)
+        routes = []
+        for value, outcome in enumerate(outcomes):
+            assert outcome.ok
+            assert served_rows(outcome) == [{"a0": f"v{value}", "b1": value}]
+            transfers = outcome.result.audit.checked
+            routes.append([(transfer.sender, transfer.receiver) for transfer in transfers])
+            if value:
+                for transfer in transfers:
+                    assert probe.authorize(
+                        transfer.sender, transfer.receiver, transfer.profile
+                    )[0]
+        assert routes == [[("S1", "S0"), ("S0", "S1")], [("S0", "S1")], [("S0", "S1")]]
+        # Replanned once, around the revocation; the variant after it is
+        # bound from the new decision.
+        cache = service.snapshot()["plan_cache"]
+        assert (cache["shape_hits"], cache["revalidation_failures"]) == (1, 1)
+
+    @pytest.mark.parametrize("capacity", [None, 1e9])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("SELEC a0 FROM R0", "expected SELECT, found 'SELEC' (at position 0)"),
+            ("SELECT nope FROM R0", "SELECT references 'nope'"),
+            (f"{PAIR_QUERY} WHERE a0 = 'v1", "unterminated string literal (at position 52)"),
+        ],
+    )
+    def test_a_text_that_does_not_bind_fails_once_and_alike(self, capacity, text, message):
+        system = variant_system(BASE_RULES + S0_ROUTE)
+
+        async def scenario():
+            service = QueryService(
+                system, workers=1, capacity_bytes=capacity, breaker_threshold=1
+            )
+            await service.start()
+            outcomes = [await service.submit(variant(1))]
+            outcomes += [await service.submit(text, tenant="t") for _ in range(2)]
+            outcomes.append(await service.submit(variant(2), tenant="t"))
+            await service.stop()
+            return service, outcomes
+
+        service, (warm, bad, again, after) = run(scenario())
+        assert warm.ok
+        for outcome in (bad, again):
+            assert outcome.status == "failed"
+            assert outcome.error.startswith("invalid query: ")
+            assert message in outcome.error
+        # A typo is no execution failure: the tenant's breaker
+        # (threshold 1) stays closed.
+        assert after.ok
+        snapshot = service.snapshot()
+        assert (snapshot["failed"], snapshot["infeasible"], snapshot["ok"]) == (2, 0, 2)
+        assert snapshot["admitted"] == 2
+        completed = service.metrics.counter("repro_service_completed_total")
+        assert completed.value(tenant="t", status="failed") == 2
+        assert completed.value(tenant="t", status="infeasible") == 0
+        latency = service.metrics.histogram("repro_service_latency_seconds")
+        assert latency.count(tenant="t") == 3
+
+
+# ---------------------------------------------------------------------------
 # The scrape endpoint
 # ---------------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SqlSyntaxError
-from repro.sql.lexer import KEYWORDS, Token, tokenize
+from repro.sql.lexer import KEYWORDS, Token, split_literals, tokenize
 
 
 def kinds(text):
@@ -272,3 +272,76 @@ class TestAgainstTheLoop:
         ):
             assert not isinstance(outcome(tokenize, text), tuple)
             assert_same(text)
+
+
+# ----------------------------------------------------------------------
+# split_literals: the literal tokens without tokenizing the rest
+# ----------------------------------------------------------------------
+
+
+def literal_tokens(tokens):
+    return [(value, type_) for kind, value, type_, _ in tokens if kind in ("STRING", "NUMBER")]
+
+
+def other_tokens(tokens):
+    return [(kind, value) for kind, value, _, _ in tokens if kind not in ("STRING", "NUMBER")]
+
+
+def render_literal(value):
+    return "'" + value.replace("'", "''") + "'" if isinstance(value, str) else repr(value)
+
+
+class TestSplitLiterals:
+    def test_skeleton_and_converted_values(self):
+        skeleton, found = split_literals("WHERE t0 = 12 AND R.a1>=1.5 AND b='it''s' AND c != '';")
+        assert skeleton == ("WHERE t0 = ", " AND R.a1>=", " AND b=", " AND c != ", ";")
+        assert found == (12, 1.5, "it's", "")
+        assert [type(value) for value in found] == [int, float, str, str]
+
+    def test_a_number_never_starts_inside_a_word_or_after_a_dot(self):
+        assert split_literals("t0 R1.a2 x.9 _7 a1b2") == (("t0 R1.a2 x.9 _7 a1b2",), ())
+        assert split_literals("1.2.3") == (("", ".3"), (1.2,))
+        assert split_literals("1.") == (("", ""), (1.0,))
+
+    def test_digits_and_quotes_inside_a_string_stay_inside(self):
+        assert split_literals("a = '1 ''2'' 3' AND b = 4") == (("a = ", " AND b = ", ""), ("1 '2' 3", 4))
+
+    def test_a_text_that_does_not_tokenize_splits_into_no_valid_skeleton(self):
+        # The unterminated quote stays in the skeleton; no valid text has one.
+        assert split_literals("a = 'abc") == (("a = 'abc",), ())
+        assert split_literals("a = 'a''") == (("a = 'a", ""), ("",))
+
+    @settings(max_examples=300, deadline=None)
+    @given(SQL)
+    def test_the_values_are_the_lexers_literal_tokens(self, text):
+        tokens = outcome(tokenize, text)
+        if isinstance(tokens, tuple):
+            return  # does not tokenize: nothing is promised
+        skeleton, found = split_literals(text)
+        assert [(value, type(value)) for value in found] == literal_tokens(tokens)
+        assert len(skeleton) == len(found) + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        SQL,
+        st.lists(
+            st.integers(0, 99) | st.sampled_from([1.0, 0.5]) | st.text(alphabet="a1' ", max_size=3),
+            min_size=24, max_size=24,
+        ),
+    )
+    def test_texts_of_one_skeleton_differ_in_nothing_but_their_literals(self, text, values):
+        tokens = outcome(tokenize, text)
+        if isinstance(tokens, tuple):
+            return
+        skeleton, found = split_literals(text)
+        values = values[: len(found)]
+        other = "".join(
+            piece + render_literal(value) for piece, value in zip(skeleton, values)
+        ) + skeleton[-1]
+        # A literal may fuse with what it now follows (`a` + `1`): then
+        # the splitter reads another skeleton, and promises nothing.
+        if split_literals(other)[0] != skeleton:
+            return
+        retokenized = outcome(tokenize, other)
+        assert other_tokens(retokenized) == other_tokens(tokens)
+        assert literal_tokens(retokenized) == [(value, type(value)) for value in values]

@@ -169,3 +169,81 @@ class TestQueryTreePlan:
         plan = QueryTreePlan(leaf())
         assert len(plan) == 1
         assert plan.root.is_leaf
+
+
+class TestWithSelections:
+    """The same query under other WHERE constants (prepared shapes)."""
+
+    def plan(self):
+        # π{a, d}( σ[b < d]( π{a, b}(σ[b != 1 AND a = 2](R)) ⋈ T ) )
+        selected = UnaryNode(
+            SELECT, Predicate([Comparison("b", "!=", 1), Comparison("a", "=", 2)]), leaf()
+        )
+        join = JoinNode(
+            UnaryNode(PROJECT, frozenset({"a", "b"}), selected),
+            leaf("T", ("c", "d"), "S2"),
+            JoinPath.of(("a", "c")),
+        )
+        cross = UnaryNode(SELECT, Predicate([Comparison.attr_vs_attr("b", "<", "d")]), join)
+        return QueryTreePlan(UnaryNode(PROJECT, frozenset({"a", "d"}), cross))
+
+    def test_selections_take_their_atoms_in_the_order_given(self):
+        plan = self.plan()
+        where = Predicate(
+            [
+                Comparison("a", "=", 7),
+                Comparison.attr_vs_attr("b", "<", "d"),
+                Comparison("b", "!=", "x"),
+            ]
+        )
+        twin = plan.with_selections(where)
+        assert [node.label() for node in twin] == [
+            "R", "σ[a=7 AND b!='x']", "π{a, b}", "T", "⋈{(a, c)}", "σ[b<d]", "π{a, d}",
+        ]
+        # The plan it came from still tests its own constants.
+        assert plan.node(1).label() == "σ[b!=1 AND a=2]"
+
+    def test_ids_and_parents_carry_over_and_untouched_subtrees_are_shared(self):
+        plan = self.plan()
+        twin = plan.with_selections(
+            Predicate(
+                [
+                    Comparison("b", "!=", 5),
+                    Comparison("a", "=", 6),
+                    Comparison.attr_vs_attr("b", "<", "d"),
+                ]
+            )
+        )
+        assert [node.node_id for node in twin] == list(range(7))
+        assert all(twin.parent_id(i) == plan.parent_id(i) for i in range(7))
+        assert twin.root is twin.node(6) and twin.root.node_id == 6
+        assert [node.node_id for node in twin.pre_order()] == [
+            node.node_id for node in plan.pre_order()
+        ]
+        # Leaves hold no selection: shared.  A selection and every
+        # ancestor of one: new nodes, wired to each other.
+        assert [twin.node(i) is plan.node(i) for i in range(7)] == [
+            True, False, False, True, False, False, False,
+        ]
+        assert twin.node(2).left is twin.node(1)
+        assert twin.node(4).left is twin.node(2) and twin.node(4).right is plan.node(3)
+        # Numbering the twin from scratch gives the ids it carried over.
+        assert QueryTreePlan(twin.root).render() == twin.render()
+
+    def test_a_plan_without_selections_is_shared_whole(self):
+        plan = QueryTreePlan(two_leaf_join())
+        twin = plan.with_selections(Predicate.true())
+        assert twin.root is plan.root and twin.nodes() == plan.nodes()
+
+    def test_an_atom_no_selection_reads_is_refused(self):
+        with pytest.raises(PlanError, match="1 of 4 WHERE atoms"):
+            self.plan().with_selections(
+                Predicate(
+                    [
+                        Comparison("b", "!=", 5),
+                        Comparison("a", "=", 6),
+                        Comparison.attr_vs_attr("b", "<", "d"),
+                        Comparison("d", "=", 0),
+                    ]
+                )
+            )
