@@ -51,7 +51,7 @@ class QuerySpec:
         where: selection predicate (the WHERE clause); defaults to true.
     """
 
-    __slots__ = ("_relations", "_join_paths", "_select", "_where")
+    __slots__ = ("_relations", "_join_paths", "_select", "_where", "_identities")
 
     def __init__(
         self,
@@ -76,6 +76,7 @@ class QuerySpec:
         self._join_paths = tuple(join_paths)
         self._select = select
         self._where = where if where is not None else Predicate.true()
+        self._identities: Optional[Tuple[tuple, tuple]] = None
 
     @property
     def relations(self) -> Tuple[str, ...]:
@@ -139,7 +140,7 @@ class QuerySpec:
         matters either).  The plan cache
         (:mod:`repro.core.plancache`) keys on this value.
         """
-        return self._identity(str)
+        return (self._identities or self._identity())[0]
 
     def shape(self) -> Tuple[object, ...]:
         """The fingerprint with the *constants* of the WHERE atoms erased
@@ -150,17 +151,25 @@ class QuerySpec:
         functions of this value and the policy: all specs of one shape
         share one plan decision.  Without constants, ``shape() ==
         fingerprint()``."""
-        return self._identity(
-            lambda c: str(c) if c.operand_is_attribute else f"{c.attribute}{c.op}?"
-        )
+        return (self._identities or self._identity())[1]
 
-    def _identity(self, render_atom) -> Tuple[object, ...]:
-        return (
+    def _identity(self) -> Tuple[tuple, tuple]:
+        """``(fingerprint, shape)`` in one walk, kept on the spec: it is
+        immutable, so the pair dies with it and nothing invalidates it."""
+        atoms = self._where.comparisons
+        head = (
             self._relations,
             tuple(path.canonical_key() for path in self._join_paths),
             tuple(sorted(self._select)),
-            tuple(sorted(map(render_atom, self._where.comparisons))),
         )
+        erased = (
+            str(c) if c.operand_is_attribute else f"{c.attribute}{c.op}?" for c in atoms
+        )
+        self._identities = (
+            head + (tuple(sorted(map(str, atoms))),),
+            head + (tuple(sorted(erased)),),
+        )
+        return self._identities
 
     def __repr__(self) -> str:
         return (

@@ -219,6 +219,9 @@ class QueryPipeline:
         # Policy epoch the product was planned under (None: adopted
         # from another pipeline, so unknown).
         self._planned_epoch: Optional[int] = None
+        # What `_current_plan` last verified, and at which policy epoch:
+        # the unit body does not verify the same thing again.
+        self._verified: Tuple[Optional[Assignment], int] = (None, -1)
 
     # ------------------------------------------------------------------
     # Planning
@@ -299,6 +302,7 @@ class QueryPipeline:
             verify_assignment(policy, product[1], recipient=self._recipient)
         except UnsafeAssignmentError:
             return False
+        self._verified = (product[1], policy.epoch)
         return True
 
     # ------------------------------------------------------------------
@@ -456,7 +460,10 @@ class QueryPipeline:
                     for entry in resume_from
                     if entry.node_id in materialized
                 }
-        if self._verify:
+        verified, at_epoch = self._verified
+        if self._verify and not (
+            assignment is verified and at_epoch == system.policy.epoch
+        ):
             verify_assignment(system.policy, assignment, recipient=self._recipient)
         self._fire_chaos("pre", journal)
         self._unit_tables = tables

@@ -85,7 +85,12 @@ class Server:
             raise ExecutionError(
                 f"instance of {relation_name!r} lacks columns {sorted(missing)}"
             )
+        fresh = relation_name not in self._tables
         self._tables[relation_name] = table
+        if fresh:
+            # Kept in name order here, once per relation, so that reading
+            # the instances back (every execution does) never sorts.
+            self._tables = dict(sorted(self._tables.items()))
 
     def table(self, relation_name: str) -> Table:
         """The instance of a hosted relation.
@@ -101,8 +106,7 @@ class Server:
 
     def tables(self) -> Iterator[Tuple[str, Table]]:
         """(relation name, instance) pairs, sorted by name."""
-        for name in sorted(self._tables):
-            yield name, self._tables[name]
+        return iter(self._tables.items())
 
     def __repr__(self) -> str:
         return f"Server({self._name}, relations={sorted(self._schemas)})"

@@ -36,6 +36,7 @@ from repro.core.closure import close_policy, extend_closure
 from repro.core.plancache import PlanCache, fingerprint_tree
 from repro.core.planner import PlannerTrace, SafePlanner
 from repro.core.thirdparty import ThirdPartyPlanner
+from repro.distributed.pipeline import QueryPipeline
 from repro.distributed.server import Server
 from repro.engine.data import Table
 from repro.engine.executor import ExecutionResult
@@ -112,6 +113,8 @@ class DistributedSystem:
             server.host_relation(schema)
         for name in self._third_parties:
             self._servers.setdefault(name, Server(name))
+        # The federation is fixed from here on: name order, once.
+        self._servers = dict(sorted(self._servers.items()))
         # Resident shards: relation -> (the instance that was split,
         # scheme routing key -> its shards).  An entry is only ever
         # served for the very ``Table`` object it was split from.
@@ -173,7 +176,7 @@ class DistributedSystem:
 
     def servers(self) -> List[Server]:
         """All servers, sorted by name."""
-        return [self._servers[name] for name in sorted(self._servers)]
+        return list(self._servers.values())
 
     # ------------------------------------------------------------------
     # Policy mutation (epoch-bumping)
@@ -266,11 +269,11 @@ class DistributedSystem:
             self._resident_shards.pop(relation_name, None)
 
     def tables(self) -> Dict[str, Table]:
-        """Every loaded instance, keyed by relation name."""
+        """Every loaded instance, keyed by relation name (a fresh dict
+        in server order, then relation order)."""
         result: Dict[str, Table] = {}
-        for server in self.servers():
-            for name, table in server.tables():
-                result[name] = table
+        for server in self._servers.values():
+            result.update(server.tables())
         return result
 
     # ------------------------------------------------------------------
@@ -389,6 +392,10 @@ class DistributedSystem:
         """
         if isinstance(query, QuerySpec):
             return "spec", query
+        if isinstance(query, tuple):
+            # Already bound (a pair this returned): the service binds a
+            # request once, at submit, and hands the pair down.
+            return query
         cached = self._parse_memo.get(query)
         if cached is not None:
             return cached
@@ -489,7 +496,7 @@ class DistributedSystem:
         """
         return self.pipeline(query, recipient=recipient, **options).run()
 
-    def pipeline(self, query: Query, **options) -> "QueryPipeline":
+    def pipeline(self, query: Query, **options) -> QueryPipeline:
         """A per-query :class:`~repro.distributed.pipeline.QueryPipeline`.
 
         The pipeline is the reusable unit behind :meth:`execute`: it
@@ -504,8 +511,6 @@ class DistributedSystem:
             query: SQL text or bound spec.
             **options: see :class:`~repro.distributed.pipeline.QueryPipeline`.
         """
-        from repro.distributed.pipeline import QueryPipeline
-
         return QueryPipeline(self, query, **options)
 
     # ------------------------------------------------------------------

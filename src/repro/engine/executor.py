@@ -15,7 +15,7 @@ paper's cost and safety claims live.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algebra.tree import (
     PROJECT,
@@ -184,6 +184,75 @@ class ExecutionResult:
         )
 
 
+class JoinStep(NamedTuple):
+    """How the executor runs one join of an assignment: its own reading
+    of Figure 5, independent of the verifier's (:mod:`repro.core.safety`),
+    kept per assignment by join node id (``Assignment.memoized``).  It
+    names servers, profiles and attributes only — never a node or a
+    predicate — so it holds for every tree the assignment is rebound to.
+
+    ``ships`` are two shipments as :meth:`DistributedExecutor._ship`
+    takes them, ``(profile, sender, receiver, description)``: both
+    operands to the server that computes a ``regular`` or ``coordinator``
+    join (the operand already there ships nowhere), or a ``semi`` join's
+    probe and shipped-back join.
+    """
+
+    mode: str
+    ships: Tuple[tuple, tuple]
+    join_attributes: Sequence[str] = ()
+    master_is_left: bool = True
+
+
+def derive_join_steps(assignment: Assignment) -> Dict[int, JoinStep]:
+    """The :class:`JoinStep` of every join the assignment executes."""
+    skipped = assignment.skipped_node_ids()
+    return {
+        node.node_id: _join_step(assignment, node)
+        for node in assignment.plan
+        if isinstance(node, JoinNode)
+        and node.node_id not in skipped
+        and not assignment.is_materialized(node.node_id)
+    }
+
+
+def _join_step(assignment: Assignment, node: JoinNode) -> JoinStep:
+    servers = [assignment.master(child.node_id) for child in (node.left, node.right)]
+    profiles = [assignment.profile(child.node_id) for child in (node.left, node.right)]
+    executor = assignment.executor(node.node_id)
+    where = f"join n{node.node_id}"
+    if executor.slave is None:
+        # Computed at a third-party coordinator or at the master: both
+        # operands go there (Definition 4.1, checked by the caller, puts
+        # a master at one of them — that operand's shipment is local).
+        mode = "regular" if assignment.coordinator(node.node_id) is None else "coordinator"
+        role = "master" if mode == "regular" else mode
+        left, right = (
+            (profile, server, executor.master, f"{where}: {operand} -> {role}")
+            for profile, server, operand in zip(profiles, servers, ("R_l", "R_r"))
+        )
+        return JoinStep(mode, (left, right))
+    # Semi-join (Figure 5 five-step sequence).
+    master_is_left = executor.master == servers[0]
+    master_profile, slave_profile = profiles if master_is_left else reversed(profiles)
+    join_attributes = sorted(node.path.attributes & master_profile.attributes)
+    if not join_attributes:
+        raise ExecutionError(f"{where}: master operand carries no join attributes")
+    probed = frozenset(join_attributes)
+    # Step 1-2: the master operand projected on its join attributes goes
+    # to the slave; step 3-4: the slave joins the probe with its operand
+    # and ships the (reduced) result back.
+    probe = (
+        semi_join_probe_profile(master_profile, probed),
+        executor.master, executor.slave, f"{where}: probe -> slave",
+    )
+    back = (
+        semi_join_result_profile(master_profile, slave_profile, probed, node.path),
+        executor.slave, executor.master, f"{where}: join -> master",
+    )
+    return JoinStep("semi", (probe, back), join_attributes, master_is_left)
+
+
 class DistributedExecutor:
     """Executes one assignment over concrete base tables.
 
@@ -248,6 +317,9 @@ class DistributedExecutor:
     ) -> None:
         assignment.validate_structure()
         self._assignment = assignment
+        self._steps: Dict[int, JoinStep] = assignment.memoized(
+            "join_steps", derive_join_steps
+        )
         self._tables = dict(tables)
         self._log = TransferLog()
         self._trace = trace
@@ -383,15 +455,9 @@ class DistributedExecutor:
                 finished, left_id=node.left.node_id,
             )
         else:
-            executor = self._assignment.executor(node_id)
-            if self._assignment.coordinator(node_id) is not None:
-                kind = "coordinator_join"
-            elif executor.slave is None:
-                kind = "regular_join"
-            else:
-                kind = "semi_join"
             profiler.record_operator(
-                node_id, kind, server, len(table), started, finished,
+                node_id, f"{self._steps[node_id].mode}_join", server,
+                len(table), started, finished,
                 path_key=join_path_key(node.path),
                 left_id=node.left.node_id, right_id=node.right.node_id,
             )
@@ -436,84 +502,21 @@ class DistributedExecutor:
             return self._execute_join_inner(node)
 
     def _execute_join_inner(self, node: JoinNode) -> Table:
-        assignment = self._assignment
         left_table = self._execute(node.left)
         right_table = self._execute(node.right)
-        left_server = assignment.master(node.left.node_id)
-        right_server = assignment.master(node.right.node_id)
-        left_profile = assignment.profile(node.left.node_id)
-        right_profile = assignment.profile(node.right.node_id)
-        executor = assignment.executor(node.node_id)
-        where = f"join n{node.node_id}"
-
-        coordinator = assignment.coordinator(node.node_id)
-        if coordinator is not None:
-            shipped_left = self._ship(
-                left_table, left_profile, left_server, coordinator,
-                f"{where}: R_l -> coordinator", node.node_id,
-            )
-            shipped_right = self._ship(
-                right_table, right_profile, right_server, coordinator,
-                f"{where}: R_r -> coordinator", node.node_id,
-            )
+        node_id = node.node_id
+        step = self._steps[node_id]
+        first, second = step.ships
+        if step.mode != "semi":
+            shipped_left = self._ship(left_table, *first, node_id)
+            shipped_right = self._ship(right_table, *second, node_id)
             return shipped_left.equi_join(shipped_right, node.path)
-
-        if executor.slave is None:
-            # Regular join at the master (local when both operands are
-            # already there — then the shipment below is a no-op).
-            if executor.master == left_server:
-                shipped = self._ship(
-                    right_table, right_profile, right_server, executor.master,
-                    f"{where}: R_r -> master", node.node_id,
-                )
-                return left_table.equi_join(shipped, node.path)
-            if executor.master == right_server:
-                shipped = self._ship(
-                    left_table, left_profile, left_server, executor.master,
-                    f"{where}: R_l -> master", node.node_id,
-                )
-                return shipped.equi_join(right_table, node.path)
-            raise ExecutionError(
-                f"{where}: master {executor.master} holds neither operand"
-            )
-
-        # Semi-join (Figure 5 five-step sequence).
-        if executor.master == left_server and executor.slave == right_server:
-            master_table, master_profile = left_table, left_profile
-            slave_table = right_table
-            master_is_left = True
-        elif executor.master == right_server and executor.slave == left_server:
-            master_table, master_profile = right_table, right_profile
-            slave_table = left_table
-            master_is_left = False
+        if step.master_is_left:
+            master_table, slave_table = left_table, right_table
         else:
-            raise ExecutionError(
-                f"{where}: executor {executor} does not match operand servers "
-                f"({left_server}, {right_server})"
-            )
-        join_attributes = sorted(node.path.attributes & frozenset(master_table.attributes))
-        if not join_attributes:
-            raise ExecutionError(f"{where}: master operand carries no join attributes")
-
-        # Step 1-2: project the master operand on its join attributes and
-        # ship the probe to the slave.
-        probe = master_table.project(join_attributes)
-        probe_profile = semi_join_probe_profile(master_profile, frozenset(join_attributes))
-        probe = self._ship(
-            probe, probe_profile, executor.master, executor.slave,
-            f"{where}: probe -> slave", node.node_id,
-        )
-        # Step 3-4: the slave joins the probe with its operand and ships
-        # the (reduced) result back.
-        slave_join = probe.equi_join(slave_table, node.path)
-        slave_operand_profile = right_profile if master_is_left else left_profile
-        back_profile = semi_join_result_profile(
-            master_profile, slave_operand_profile, frozenset(join_attributes), node.path
-        )
-        slave_join = self._ship(
-            slave_join, back_profile, executor.slave, executor.master,
-            f"{where}: join -> master", node.node_id,
-        )
+            master_table, slave_table = right_table, left_table
+        probe = self._ship(master_table.project(step.join_attributes), *first, node_id)
+        slave_join = self._ship(probe.equi_join(slave_table, node.path), *second, node_id)
         # Step 5: recombine with the full master operand (natural join on
         # the probe columns).
         return master_table.natural_join(slave_join)

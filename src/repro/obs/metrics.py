@@ -18,6 +18,7 @@ never needs to pre-declare its label universe.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds (bytes/latency friendly).
@@ -27,6 +28,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
+#: Label value types the registry's series index trusts: two equal
+#: values of one of these types render the same string.
+_INDEXED = frozenset({str, int, bool, type(None)})
+
 
 def _labelset(labels: Dict[str, object]) -> LabelSet:
     """Canonical (sorted, stringified) form of one label mapping."""
@@ -34,7 +39,12 @@ def _labelset(labels: Dict[str, object]) -> LabelSet:
 
 
 def _format_value(value: float) -> str:
-    """Prometheus-style number rendering: integers without the dot."""
+    """Prometheus-style number rendering: integers without the dot,
+    non-finite values as the exposition format spells them."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value):
         return str(int(value))
     return repr(value)
@@ -60,7 +70,13 @@ class _Family:
         _validate_metric_name(name)
         self.name = name
         self.help = help_text
-        self._series: Dict[LabelSet, float] = {}
+        # A series is a one-slot *cell*, so whoever resolved it once
+        # (the registry's index) updates it without asking again.
+        self._series: Dict[LabelSet, List[float]] = {}
+
+    def _cell(self, key: LabelSet) -> List[float]:
+        """The series' cell, materialized at 0.0 on first touch."""
+        return self._series.get(key) or self._series.setdefault(key, [0.0])
 
     def labelsets(self) -> List[LabelSet]:
         """Every label set with a live series, sorted."""
@@ -68,13 +84,14 @@ class _Family:
 
     def value(self, **labels: object) -> float:
         """Current value of one series (0.0 if never touched)."""
-        return self._series.get(_labelset(labels), 0.0)
+        cell = self._series.get(_labelset(labels))
+        return cell[0] if cell is not None else 0.0
 
     def snapshot(self) -> Dict[str, float]:
         """``rendered-labels -> value`` for every series."""
         return {
-            _format_labels(key) or "": value
-            for key, value in sorted(self._series.items())
+            _format_labels(key) or "": cell[0]
+            for key, cell in sorted(self._series.items())
         }
 
 
@@ -87,8 +104,7 @@ class Counter(_Family):
         """Add ``amount`` (must be >= 0) to one series."""
         if amount < 0:
             raise ValueError(f"counters only go up (got {amount!r})")
-        key = _labelset(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        self._cell(_labelset(labels))[0] += amount
 
 
 class Gauge(_Family):
@@ -98,12 +114,39 @@ class Gauge(_Family):
 
     def set(self, value: float, **labels: object) -> None:
         """Set one series to ``value``."""
-        self._series[_labelset(labels)] = float(value)
+        self._cell(_labelset(labels))[0] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add ``amount`` (may be negative) to one series."""
-        key = _labelset(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        self._cell(_labelset(labels))[0] += amount
+
+
+class _HistogramSeries:
+    """One histogram series (its cell): per-bucket counts (the last slot
+    is ``+Inf``), sum and observation count."""
+
+    __slots__ = ("buckets", "counts", "sum", "total")
+
+    def __init__(self, buckets: Tuple[float, ...]) -> None:
+        self.buckets = buckets
+        self.counts = [0] * (len(buckets) + 1)
+        self.sum = 0.0
+        self.total = 0
+
+    def observe(self, value: float) -> None:
+        counts = self.counts
+        for index, bound in enumerate(self.buckets):
+            if value <= bound:
+                counts[index] += 1
+                break
+        else:
+            counts[-1] += 1
+        self.sum += value
+        self.total += 1
+
+    def cumulative(self) -> List[int]:
+        """Cumulative counts per bucket, ``+Inf`` last."""
+        return list(accumulate(self.counts))
 
 
 class Histogram:
@@ -130,37 +173,30 @@ class Histogram:
         self.name = name
         self.help = help_text
         self.buckets = tuple(float(b) for b in buckets)
-        self._counts: Dict[LabelSet, List[int]] = {}
-        self._sums: Dict[LabelSet, float] = {}
-        self._totals: Dict[LabelSet, int] = {}
+        self._series: Dict[LabelSet, _HistogramSeries] = {}
+
+    def _cell(self, key: LabelSet) -> _HistogramSeries:
+        """The series' cell, materialized empty on first touch."""
+        return self._series.get(key) or self._series.setdefault(
+            key, _HistogramSeries(self.buckets)
+        )
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation into the matching cumulative buckets."""
-        key = _labelset(labels)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
-            self._sums[key] = 0.0
-            self._totals[key] = 0
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
-        self._sums[key] += value
-        self._totals[key] += 1
+        self._cell(_labelset(labels)).observe(value)
 
     def labelsets(self) -> List[LabelSet]:
-        return sorted(self._counts)
+        return sorted(self._series)
 
     def count(self, **labels: object) -> int:
         """Observations recorded for one series."""
-        return self._totals.get(_labelset(labels), 0)
+        cell = self._series.get(_labelset(labels))
+        return cell.total if cell is not None else 0
 
     def sum(self, **labels: object) -> float:
         """Sum of observations for one series."""
-        return self._sums.get(_labelset(labels), 0.0)
+        cell = self._series.get(_labelset(labels))
+        return cell.sum if cell is not None else 0.0
 
     def quantile(self, q: float, **labels: object) -> Optional[float]:
         """Nearest-rank quantile estimate from the cumulative buckets.
@@ -174,30 +210,26 @@ class Histogram:
         """
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile must be in (0, 1] (got {q!r})")
-        key = _labelset(labels)
-        total = self._totals.get(key, 0)
-        if total == 0:
+        cell = self._series.get(_labelset(labels))
+        if cell is None or cell.total == 0:
             return None
-        rank = max(1, math.ceil(q * total))
-        cumulative = 0
-        for bound, count in zip(self.buckets, self._counts[key]):
-            cumulative += count
+        rank = max(1, math.ceil(q * cell.total))
+        for bound, cumulative in zip(self.buckets, cell.cumulative()):
             if cumulative >= rank:
                 return bound
         return self.buckets[-1]
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         out: Dict[str, Dict[str, float]] = {}
-        for key in self.labelsets():
-            cumulative = 0
-            rendered: Dict[str, float] = {}
-            for bound, count in zip(self.buckets, self._counts[key]):
-                cumulative += count
-                rendered[f"le={_format_value(bound)}"] = cumulative
-            cumulative += self._counts[key][-1]
-            rendered["le=+Inf"] = cumulative
-            rendered["sum"] = self._sums[key]
-            rendered["count"] = self._totals[key]
+        for key, cell in sorted(self._series.items()):
+            cumulative = cell.cumulative()
+            rendered: Dict[str, float] = {
+                f"le={_format_value(bound)}": count
+                for bound, count in zip(self.buckets, cumulative)
+            }
+            rendered["le=+Inf"] = cumulative[-1]
+            rendered["sum"] = cell.sum
+            rendered["count"] = cell.total
             out[_format_labels(key) or ""] = rendered
         return out
 
@@ -217,6 +249,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, object] = {}
+        # (family class, name, label items, label value types) -> the
+        # series' cell: what `inc` / `set_gauge` / `observe` resolve a
+        # call to, once per live series (and keyword order).
+        self._cells: Dict[tuple, object] = {}
 
     def _get_or_create(self, cls, name: str, help_text: str, **kwargs):
         family = self._families.get(name)
@@ -259,17 +295,43 @@ class MetricsRegistry:
     # Convenience increments (used by instrumented call sites)
     # ------------------------------------------------------------------
 
+    def _cell(self, cls, name: str, labels: Dict[str, object]):
+        """The cell of series ``labels`` of family ``name``: the family
+        lookup, the kind check and :func:`_labelset` run on a series'
+        first touch, later calls are one probe of the index.  The index
+        never merges what :func:`_labelset` keeps apart: its key carries
+        each value's type (``1``, ``True`` and ``1.0`` are ``==`` but
+        render differently) and only ``_INDEXED`` types enter it; any
+        other value (``0.0 == -0.0``, an unhashable) resolves afresh on
+        every call."""
+        key = (cls, name)
+        if labels:
+            key = (cls, name, *labels.items(), *map(type, labels.values()))
+        try:
+            return self._cells[key]
+        except KeyError:
+            indexed = _INDEXED.issuperset(map(type, labels.values()))
+        except TypeError:  # an unhashable label value
+            indexed = False
+        cell = self._get_or_create(cls, name, "")._cell(_labelset(labels))
+        if indexed:
+            self._cells[key] = cell
+        return cell
+
     def inc(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Increment counter ``name`` (creating it if needed)."""
-        self.counter(name).inc(amount, **labels)
+        if amount < 0:
+            # Refused as the family refuses it (after registering it).
+            return self.counter(name).inc(amount, **labels)
+        self._cell(Counter, name, labels)[0] += amount
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set gauge ``name`` (creating it if needed)."""
-        self.gauge(name).set(value, **labels)
+        self._cell(Gauge, name, labels)[0] = float(value)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Observe into histogram ``name`` (creating it if needed)."""
-        self.histogram(name).observe(value, **labels)
+        self._cell(Histogram, name, labels).observe(value)
 
     # ------------------------------------------------------------------
     # Export
@@ -299,31 +361,23 @@ class MetricsRegistry:
                 lines.append(f"# HELP {family.name} {family.help}")
             lines.append(f"# TYPE {family.name} {family.kind}")
             if isinstance(family, Histogram):
-                for key in family.labelsets():
-                    cumulative = 0
-                    for bound, count in zip(family.buckets, family._counts[key]):
-                        cumulative += count
-                        bucket_labels = key + (("le", _format_value(bound)),)
+                for key, cell in sorted(family._series.items()):
+                    bounds = [*map(_format_value, family.buckets), "+Inf"]
+                    for bound, cumulative in zip(bounds, cell.cumulative()):
                         lines.append(
-                            f"{family.name}_bucket{_format_labels(bucket_labels)} "
-                            f"{cumulative}"
+                            f"{family.name}_bucket"
+                            f"{_format_labels(key + (('le', bound),))} {cumulative}"
                         )
-                    cumulative += family._counts[key][-1]
-                    inf_labels = key + (("le", "+Inf"),)
-                    lines.append(
-                        f"{family.name}_bucket{_format_labels(inf_labels)} {cumulative}"
-                    )
                     lines.append(
                         f"{family.name}_sum{_format_labels(key)} "
-                        f"{_format_value(family._sums[key])}"
+                        f"{_format_value(cell.sum)}"
                     )
                     lines.append(
-                        f"{family.name}_count{_format_labels(key)} "
-                        f"{family._totals[key]}"
+                        f"{family.name}_count{_format_labels(key)} {cell.total}"
                     )
             else:
-                for key, value in sorted(family._series.items()):
+                for key, cell in sorted(family._series.items()):
                     lines.append(
-                        f"{family.name}{_format_labels(key)} {_format_value(value)}"
+                        f"{family.name}{_format_labels(key)} {_format_value(cell[0])}"
                     )
         return "\n".join(lines) + "\n" if lines else ""

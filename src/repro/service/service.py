@@ -180,15 +180,16 @@ class _WorkItem:
     """One admitted request waiting for a worker."""
 
     __slots__ = (
-        "query", "recipient", "ticket", "future", "submitted_at",
+        "query", "bound", "recipient", "ticket", "future", "submitted_at",
         "request_id", "retries",
     )
 
     def __init__(
-        self, query, recipient, ticket, future, submitted_at,
+        self, query, bound, recipient, ticket, future, submitted_at,
         request_id=None,
     ) -> None:
         self.query = query
+        self.bound = bound
         self.recipient = recipient
         self.ticket = ticket
         self.future = future
@@ -691,9 +692,8 @@ class QueryService:
                 now,
             )
         try:
-            # Every later stage (cost estimate, plan key, plan) reads
-            # the bound form this leaves in the system's parse memo.
-            self._system._parsed(query)
+            # Bound once; the cost estimate and the plan key read this.
+            bound = self._system._parsed(query)
         except ReproError as error:
             # A text that does not lex, parse or bind: the client's
             # typo, not an execution failure — counted as failed, never
@@ -706,7 +706,7 @@ class QueryService:
             return outcome
         cost = 0.0
         if self._admission.capacity_bytes is not None:
-            cost = self._estimator.estimate(query)
+            cost = self._estimator.estimate(bound)
         decision = self._admission.admit(
             tenant,
             now,
@@ -740,7 +740,7 @@ class QueryService:
         if self._monitor is not None:
             self._monitor.on_admitted(request_id, tenant)
         item = _WorkItem(
-            query, recipient, decision, future, now, request_id=request_id
+            query, bound, recipient, decision, future, now, request_id=request_id
         )
         self._seq += 1
         # Higher priority first; FIFO within a priority class.
@@ -875,7 +875,7 @@ class QueryService:
             chaos=self._chaos,
             profiler=profiler,
         )
-        key = self._plan_key(item.query, search)
+        key = self._plan_key(item.bound, search)
 
         async def compute():
             # Yield once so concurrent identical requests reach the

@@ -21,8 +21,11 @@ and the end-to-end contracts the instrumentation promises:
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.explain import explain_planning
 from repro.analysis.reporting import (
@@ -137,6 +140,28 @@ class TestMetrics:
         assert parsed["repro_h_count"][""] == 1
         assert parsed["repro_h_sum"][""] == 5.0
 
+    def test_non_finite_samples_render_as_the_exposition_format_spells_them(self):
+        registry = MetricsRegistry()
+        registry.inc("repro_c_total", math.inf, kind="up")
+        registry.set_gauge("repro_g", -math.inf, kind="down")
+        registry.set_gauge("repro_g", math.nan, kind="lost")
+        registry.observe("repro_h", math.nan)
+        registry.observe("repro_h", math.inf)
+        text = registry.prometheus_text()
+        assert 'repro_c_total{kind="up"} +Inf\n' in text
+        assert 'repro_g{kind="down"} -Inf\n' in text
+        assert 'repro_g{kind="lost"} NaN\n' in text
+        assert "repro_h_sum NaN\n" in text
+        # Neither observation is <= a finite bound.
+        assert 'repro_h_bucket{le="65536"} 0\n' in text
+        assert 'repro_h_bucket{le="+Inf"} 2\n' in text
+        parsed = parse_prometheus_text(text)
+        assert parsed["repro_c_total"]['{kind="up"}'] == math.inf
+        assert parsed["repro_g"]['{kind="down"}'] == -math.inf
+        assert math.isnan(parsed["repro_g"]['{kind="lost"}'])
+        assert math.isnan(parsed["repro_h_sum"][""])
+        assert parsed["repro_h_count"][""] == 2
+
     def test_parser_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             parse_prometheus_text("this is not a metric line\n")
@@ -148,6 +173,105 @@ class TestMetrics:
         text = "# TYPE repro_h histogram\n" 'repro_h_bucket{le="+Inf"} 1\n'
         with pytest.raises(ValueError):
             parse_prometheus_text(text)
+
+
+# ----------------------------------------------------------------------
+# The registry's series index against the families' own label handling
+# ----------------------------------------------------------------------
+
+#: Label values that are ``==`` (and hash alike) but render differently,
+#: values the index must refuse (floats, unhashable) and plain strings.
+_LABEL_VALUES = st.sampled_from(
+    [1, True, 1.0, "1", 0, False, 0.0, -0.0, None, "None", "a", "", math.nan, (1,), [1]]
+)
+_LABELS = st.dictionaries(st.sampled_from(["k", "j", "le"]), _LABEL_VALUES, max_size=2)
+_AMOUNTS = st.sampled_from([1, 2.5, 0, -1, 1e9, math.inf])
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["inc", "set_gauge", "observe"]),
+        st.sampled_from(["repro_a", "repro_b", "repro_c"]),
+        _LABELS,
+        _AMOUNTS,
+        st.booleans(),  # keyword order reversed
+    ),
+    max_size=40,
+)
+
+
+def _apply(registry, direct, verb, name, labels, amount):
+    """One operation through the registry's verb, or on the family."""
+    try:
+        if not direct:
+            getattr(registry, verb)(name, amount, **labels)
+        elif verb == "inc":
+            registry.counter(name).inc(amount, **labels)
+        elif verb == "set_gauge":
+            registry.gauge(name).set(amount, **labels)
+        else:
+            registry.histogram(name).observe(amount, **labels)
+    except ValueError as error:  # another kind's name, a negative amount
+        return str(error)
+    return None
+
+
+class TestSeriesIndex:
+    def test_equal_values_that_render_differently_stay_apart(self):
+        registry = MetricsRegistry()
+        for value in (1, True, 1.0, "1"):
+            for _ in range(2):
+                registry.inc("repro_x_total", k=value)
+        series = registry.snapshot()["repro_x_total"]["series"]
+        # `1` and `"1"` are one series to `_labelset` (both render "1").
+        assert series == {'{k="1"}': 4, '{k="True"}': 2, '{k="1.0"}': 2}
+
+    def test_labelset_runs_on_the_first_touch_of_a_series_only(self, monkeypatch):
+        import repro.obs.metrics as metrics
+
+        calls = []
+        real = metrics._labelset
+        monkeypatch.setattr(
+            metrics, "_labelset", lambda labels: calls.append(labels) or real(labels)
+        )
+        registry = MetricsRegistry()
+        for _ in range(5):
+            registry.inc("repro_x_total", tenant="t", status="ok")
+            registry.inc("repro_x_total", status="ok", tenant="t")  # one more index entry
+            registry.set_gauge("repro_g", 3)
+            registry.observe("repro_h", 0.5, tenant="t")
+        assert len(calls) == 4
+        assert registry.counter("repro_x_total").value(tenant="t", status="ok") == 10
+        # What the index will not vouch for resolves on every call.
+        for _ in range(3):
+            registry.inc("repro_x_total", tenant=0.0)
+            registry.inc("repro_x_total", tenant=["t"])
+        assert len(calls) == 4 + 1 + 6
+
+    def test_a_refused_operation_is_refused_the_same_through_the_index(self):
+        registry = MetricsRegistry()
+        registry.inc("repro_x", k="v")
+        for _ in range(2):  # second round: the counter's series is indexed
+            with pytest.raises(ValueError, match="already registered as counter"):
+                registry.set_gauge("repro_x", 1.0, k="v")
+            with pytest.raises(ValueError, match="already registered as counter"):
+                registry.observe("repro_x", 1.0, k="v")
+            with pytest.raises(ValueError, match="counters only go up"):
+                registry.inc("repro_x", -1, k="v")
+        assert registry.snapshot()["repro_x"]["series"] == {'{k="v"}': 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPERATIONS)
+    def test_indexed_and_direct_paths_export_the_same_bytes(self, operations):
+        indexed, direct = MetricsRegistry(), MetricsRegistry()
+        for verb, name, labels, amount, reverse in operations:
+            if reverse:
+                labels = dict(reversed(labels.items()))
+            assert _apply(indexed, False, verb, name, labels, amount) == _apply(
+                direct, True, verb, name, labels, amount
+            )
+        assert indexed.prometheus_text() == direct.prometheus_text()
+        assert json.dumps(indexed.snapshot(), sort_keys=True) == json.dumps(
+            direct.snapshot(), sort_keys=True
+        )
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,14 @@ from repro.core.closure import close_policy, extend_closure
 from repro.core.plancache import PLAN_CACHE_KEYS, PlanCache, fingerprint_tree
 from repro.core.profile import RelationProfile
 from repro.distributed.system import DistributedSystem
-from repro.exceptions import InfeasiblePlanError, PolicyError
+from repro.core.safety import verify_assignment
+from repro.engine.executor import DistributedExecutor, JoinStep
+from repro.exceptions import (
+    AuditViolationError,
+    InfeasiblePlanError,
+    PolicyError,
+    UnsafeAssignmentError,
+)
 from repro.obs import TraceContext
 from repro.testing import grant, quick_catalog
 from repro.workloads.coalition import (
@@ -430,6 +437,10 @@ class TestRevocationBetweenExecutions:
         first = system.execute(JOIN_QUERY)
         # The only feasible master is S2, so the plan ships R into S2.
         assert [(t.sender, t.receiver) for t in first.transfers] == [("S1", "S2")]
+        # The run left the executor's reading of the assignment on it.
+        (entry,) = system.plan_cache._entries.values()
+        stale = entry.assignment
+        assert "join_steps" in stale._memo
         # Widen (S1 may now receive T), then revoke S2's view of R: the
         # cached plan's S1 -> S2 shipment is now forbidden.
         system.add_authorization(grant("S1", "c d"))
@@ -450,6 +461,18 @@ class TestRevocationBetweenExecutions:
             assert transfer.receiver != "S2"
         # Same answer either way.
         assert second.table.rows == first.table.rows
+        # What is kept on an assignment is no authorization.  A pipeline
+        # handed the stale product verifies it, finds it unsafe and
+        # replans; run as it stands, it is refused by the verifier and,
+        # past the verifier, stopped by the audit at its first shipment.
+        assert "join_steps" in stale._memo
+        adopted = system.pipeline(JOIN_QUERY)
+        adopted.use_plan(entry.tree, stale, entry.planner_trace)
+        assert [(t.sender, t.receiver) for t in adopted.run().transfers] == [("S2", "S1")]
+        with pytest.raises(UnsafeAssignmentError):
+            verify_assignment(system.policy, stale)
+        with pytest.raises(AuditViolationError):
+            DistributedExecutor(stale, system.tables(), policy=system.policy).run()
 
     def test_revocation_that_kills_the_query_raises_instead_of_reusing(self):
         system = _toy_system(
@@ -951,6 +974,36 @@ class TestAssignmentMemo:
         assignment.set_executor(top.node_id, Executor("S_H"))
         with pytest.raises(UnsafeAssignmentError):
             verify_assignment(system.policy, assignment)
+
+    def test_the_executors_record_is_per_assignment_and_free_of_nodes(self, monkeypatch):
+        import repro.engine.executor as executor
+
+        system = _toy_system(*TOY_RULES)
+        derived = _count_calls(monkeypatch, executor, "derive_join_steps")
+        rows = {}
+        for value in (1, 2, 3):
+            query = _literal_query(value)
+            for _ in range(2):
+                rows[value] = system.execute(query).table.rows
+        # One derivation for the shape: a literal variant's assignment is
+        # `rebound` with the memo, record included ...
+        assert len(derived) == 1
+        assert system.plan_cache.stats.shape_hits == 2
+        # ... and still ships under its own tree's selection.
+        reference = _toy_system(*TOY_RULES, plan_cache=False)
+        for value, served in rows.items():
+            assert served == reference.execute(_literal_query(value)).table.rows
+        assert len({tuple(served) for served in rows.values()}) > 1
+        # Which is sound because the record names servers, profiles,
+        # attributes and descriptions by node id, never a node or predicate.
+        _, assignment, _ = system.plan(_literal_query(1))
+        for node_id, step in assignment._memo["join_steps"].items():
+            assert isinstance(node_id, int) and isinstance(step, JoinStep)
+            assert isinstance(step.mode, str) and isinstance(step.master_is_left, bool)
+            assert all(isinstance(a, str) for a in step.join_attributes)
+            for profile, sender, receiver, description in step.ships:
+                assert isinstance(profile, RelationProfile)
+                assert all(isinstance(x, str) for x in (sender, receiver, description))
 
     def test_rebound_accepts_only_a_change_of_constants(self):
         from repro.algebra.builder import build_plan

@@ -42,6 +42,7 @@ from repro.service import (
     tenant_map,
 )
 from repro.testing import grant, quick_catalog
+from tests.test_plancache import _count_calls
 
 # ---------------------------------------------------------------------------
 # Fixtures: the three-relation chain world from the plan-cache tests
@@ -910,6 +911,132 @@ class TestPreparedShapes:
         assert completed.value(tenant="t", status="infeasible") == 0
         latency = service.metrics.histogram("repro_service_latency_seconds")
         assert latency.count(tenant="t") == 3
+
+
+# ---------------------------------------------------------------------------
+# The priced spine: what outlives a request is derived once, what
+# protects Def. 3.3 runs on every request
+# ---------------------------------------------------------------------------
+
+#: The six coalition shapes of the ledger's ``serve_hot`` workload.
+COALITION_SHAPES = (
+    "SELECT Vessel, Berth, Cargo_class "
+    "FROM Arrivals JOIN Declarations ON Vessel = Decl_vessel",
+    "SELECT Covered_client, Risk_band, Container_count "
+    "FROM Cover JOIN Manifests ON Covered_client = Client",
+    "SELECT Client, Container_count, Premium "
+    "FROM Manifests JOIN Cover ON Client = Covered_client",
+    "SELECT Ship, Container_count, Duty "
+    "FROM Manifests JOIN Declarations ON Ship = Decl_vessel",
+    "SELECT Berth, Client FROM Arrivals JOIN Manifests ON Vessel = Ship",
+    "SELECT Covered_client, Risk_band, Cargo_class "
+    "FROM Cover JOIN Manifests ON Covered_client = Client "
+    "JOIN Declarations ON Ship = Decl_vessel",
+)
+
+
+class TestPricedSpine:
+    def test_600_hot_requests_derive_once_and_check_every_time(self, monkeypatch):
+        import repro.distributed.pipeline as pipeline
+        import repro.engine.executor as executor
+        import repro.obs.metrics as metrics
+        from repro.algebra.builder import QuerySpec
+        from repro.core import safety
+        from repro.workloads.coalition import (
+            coalition_catalog,
+            coalition_policy,
+            generate_coalition_instances,
+        )
+
+        system = DistributedSystem(coalition_catalog(), coalition_policy())
+        system.load_instances(generate_coalition_instances())
+        labelsets = _count_calls(monkeypatch, metrics, "_labelset")
+        identities = _count_calls(monkeypatch, QuerySpec, "_identity")
+        derived = _count_calls(monkeypatch, executor, "derive_join_steps")
+        verified = _count_calls(monkeypatch, pipeline, "verify_assignment")
+        probed = _count_calls(monkeypatch, safety, "can_view")
+        audited = _count_calls(monkeypatch, AuditLog, "authorize")
+
+        async def scenario():
+            service = QueryService(
+                system, tenants=[TenantConfig(f"t{n}") for n in range(3)]
+            )
+            await service.start()
+            outcomes = []
+
+            async def client(k):
+                # Clients k and k + 6 walk the shapes in step: identical
+                # requests are in flight together and coalesce.
+                for i in range(75):
+                    n = k + i
+                    outcomes.append(
+                        await service.submit(
+                            COALITION_SHAPES[n % 6], tenant=f"t{n // 6 % 3}"
+                        )
+                    )
+
+            await asyncio.gather(*(client(k) for k in range(8)))
+            await service.stop()
+            return service, outcomes
+
+        service, outcomes = run(scenario())
+        snapshot = service.snapshot()
+        statuses = [outcome.status for outcome in outcomes]
+        assert statuses.count("ok") + statuses.count("infeasible") == 600
+        assert statuses.count("infeasible") >= 90  # the duty query has no safe plan
+        # Some plans were adopted from a single-flight leader and run.
+        assert snapshot["coalesced"] > snapshot["result_coalesced"]
+        executions = snapshot["executions"]
+
+        # Derived once, on the thing that outlives the request: a series
+        # is resolved on its first touch, a text is fingerprinted once,
+        # an assignment is read into join steps once.
+        series = sum(len(f.labelsets()) for f in service.metrics.families())
+        assert len(labelsets) == series
+        assert len(identities) == len(COALITION_SHAPES)
+        assert len(derived) == len(COALITION_SHAPES) - 1
+
+        # Checked on every request, as at the parent commit (which ran
+        # this traffic with 506 verifications and 1 008 probes for the
+        # same 501 executions: an adopted plan was verified twice): one
+        # verification per execution, each probing CanView as often as
+        # a verification of that assignment on its own does, and one
+        # authorize per transfer.
+        assert len(verified) == executions
+        during = len(probed)
+        alone = {}
+        for _, assignment in verified[:executions]:
+            if id(assignment) not in alone:
+                before = len(probed)
+                pipeline.verify_assignment(system.policy, assignment)
+                alone[id(assignment)] = len(probed) - before
+        assert during == sum(alone[id(a)] for _, a in verified[:executions])
+        transfers = {id(o.result): len(o.result.transfers) for o in outcomes if o.ok}
+        assert len(transfers) == executions
+        assert len(audited) == sum(transfers.values())
+        assert all(o.result.audit.all_authorized() for o in outcomes if o.ok)
+
+    def test_a_reload_by_either_door_is_what_the_next_execution_reads(self):
+        from repro.engine.data import Table
+
+        system = chain_system(BASE_RULES + S0_ROUTE)
+
+        async def scenario():
+            service = QueryService(system)
+            await service.start()
+            served = [served_rows(await service.submit(PAIR_QUERY))]
+            system.load_instances({"R1": [{"a1": 0, "b1": "reloaded"}]})
+            served.append(served_rows(await service.submit(PAIR_QUERY)))
+            system.server("S1").load_table("R1", Table(["a1", "b1"], [(1, "direct")]))
+            served.append(served_rows(await service.submit(PAIR_QUERY)))
+            await service.stop()
+            return served
+
+        first, reloaded, direct = run(scenario())
+        assert len(first) == 8
+        assert reloaded == [{"a0": 0, "b1": "reloaded"}]
+        assert direct == [{"a0": 1, "b1": "direct"}]
+        assert list(system.tables()) == ["R0", "R1", "R2"]
 
 
 # ---------------------------------------------------------------------------
