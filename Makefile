@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc test-faults test-health test-obs test-cache test-service test-vector test-chaos test-profiling test-sharding bench bench-kernel bench-health bench-obs bench-cache bench-service bench-vector bench-chaos bench-profiling bench-sharding bench-e2e-smoke bench-e2e-pairs trace-demo examples verify clean
+.PHONY: install test loc census test-faults test-health test-obs test-cache test-service test-vector test-chaos test-profiling test-sharding bench bench-kernel bench-health bench-obs bench-cache bench-service bench-vector bench-chaos bench-profiling bench-sharding bench-e2e-smoke bench-e2e-pairs trace-demo examples verify clean
 
 install:
 	pip install -e .
@@ -19,6 +19,20 @@ loc:
 	@printf '%7d  %s\n' "$$(cat src/repro/*.py | wc -l)" "src/repro/*.py"
 	@printf '%7d  %s\n' "$$(find src -name '*.py' | xargs cat | wc -l)" "src/ total"
 
+# The instrumentation-seam census (tests/test_obs.py pins it): guard
+# tests on the four spine files — the ceiling is 6, constructor
+# adaptation of the public trace= / obs= / profiler= keywords only —
+# then the greps that must print nothing: per-feature method variants,
+# and methods assigned onto an instance.
+SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
+
+census:
+	@grep -cE "(trace|profiler|obs|span) is (not )?None" $(SPINE)
+	@echo "-- _traced / _profiled in src/ (none expected):"
+	@! grep -rnE "_traced|_profiled" src/
+	@echo "-- a spine method assigned onto an instance in src/ (none expected):"
+	@! grep -rnE "self\.(plan|_find_candidates|_admit_master|_execute_node|_execute_join|_ship|_ship_once) = self\." src/
+
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).
 test-faults:
@@ -31,8 +45,11 @@ test-faults:
 test-health:
 	$(PYTHON) -m pytest tests/test_health.py tests/test_deadline.py tests/test_checkpoint.py
 
-# Observability suite: tracer/metrics unit tests plus the golden-file
-# exporter tests (byte-stable JSONL + Chrome trace on the medical run).
+# Observability suite: tracer/metrics unit tests, the instrumentation
+# seam's contract (every begin has its end whoever listens, the null
+# listener's call count, failed runs leave nothing open, the census)
+# plus the golden-file exporter tests (byte-stable JSONL + Chrome trace
+# on the medical run).
 test-obs:
 	$(PYTHON) -m pytest tests/test_obs.py tests/test_obs_golden.py
 
@@ -134,8 +151,8 @@ bench-chaos:
 
 # Profiling ablation: skewed workload where harvested runtime stats
 # replan to >=1.3x fewer shipped bytes (byte-identical results, zero
-# violations) and the profiler-off path stays within 5% of the
-# pre-profiling transcription; writes BENCH_ABL17.json.
+# violations) and the profiler-off path stays within 5% of a
+# hook-free transcription of the unit loop; writes BENCH_ABL17.json.
 bench-profiling:
 	$(PYTHON) -m pytest benchmarks/bench_abl17_profiling.py --benchmark-only -s
 

@@ -1,14 +1,14 @@
 """ABL12 — the observability layer's cost, measured and gated.
 
-The tracing/metrics layer promises to be *zero-cost when off*: every
-instrumented call site guards with ``if obs is not None``, the planner
-only wraps its bound CanView callable when a context is installed, and
-the closure falls through to the raw chase.  This bench prices that
+The tracing/metrics layer promises to be *near-free when off*: the
+planner reports its phases and candidate enumerations to one listener
+(:mod:`repro.obs.hooks`) whose null object answers every event with a
+no-op, its CanView callable is only wrapped when a context is installed,
+and the closure falls through to the raw chase.  This bench prices that
 promise on the ABL10 planner workload (the kernel bench's synthetic
 plan-every-query loop) and **asserts** it: the tracer-off lane must stay
 within 5% of a faithful transcription of the pre-instrumentation
-planner (the PR-3 hot path with no observability attribute checks at
-all).
+planner (the PR-3 hot path with no listener calls at all).
 
 Two companion lanes are reported, not gated:
 
@@ -54,9 +54,9 @@ MAX_OFF_OVERHEAD = 1.05
 class _Pr3Planner(SafePlanner):
     """Faithful transcription of the planner before instrumentation.
 
-    Overrides exactly the three methods that grew ``self._obs`` guards
+    Overrides exactly the three methods that report to the listener
     (``plan``, ``_find_candidates``, ``_admit_master``) with their PR-3
-    bodies, so the off-lane comparison isolates the guards' cost.
+    bodies, so the off-lane comparison isolates the null listener's cost.
     """
 
     def plan(self, tree):
@@ -184,7 +184,7 @@ def _time_interleaved(fn_a, fn_b, repeats=21, rounds=30):
 def test_abl12_tracer_off_overhead(benchmark):
     closed, trees = _abl10_workload()
     baseline_planner = _Pr3Planner(closed)
-    off_planner = SafePlanner(closed)  # guards present, no context
+    off_planner = SafePlanner(closed)  # the null listener
 
     assert _plan_all(baseline_planner, trees) == _plan_all(off_planner, trees)
     benchmark(lambda: _plan_all(off_planner, trees))

@@ -8,15 +8,17 @@ Two acceptance gates from the profiling PR:
   cost-aware planner ships the big relation.  One profiled warm-up run
   harvests exact observed statistics into a
   :class:`~repro.profiling.StatsStore`; the stats-fed
-  :class:`~repro.core.costplanner.StatsAwareCostModel` replans and must
+  :class:`~repro.core.costplanner.CostAwareSafePlanner` replans and must
   ship at least ``MIN_BYTE_IMPROVEMENT`` x fewer bytes, with
   byte-identical result rows and zero audit violations on both lanes.
   The warm-up profile must also flag the static plan's misestimate.
 
 * **Zero-cost when off**: executing without a profiler must stay within
-  ``MAX_OFF_OVERHEAD`` of a faithful transcription of the
-  pre-profiling pipeline (the hook methods stubbed out), using the
-  interleaved best-of-N CPU-time methodology of ABL12/ABL16.  The
+  ``MAX_OFF_OVERHEAD`` of a hook-free transcription of the unit loop
+  and of the executor's node/shipment bodies (what they were before
+  they reported to :mod:`repro.obs.hooks` — the way ABL12 transcribes
+  the planner), using the interleaved best-of-N CPU-time methodology of
+  ABL12/ABL16.  The off lane is the null listener's price; the
   profiler-on cost is reported, not gated.
 
 Results land in ``BENCH_ABL17.json`` with the warm-up profile summary
@@ -28,15 +30,27 @@ import time
 
 from repro.algebra.builder import QuerySpec
 from repro.algebra.joins import JoinPath
+from repro.algebra.tree import LeafNode
+from repro.core.access import can_view
 from repro.analysis.reporting import write_bench_json
 from repro.core.authorization import Policy
 from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
 from repro.distributed.faults import FaultInjector
+from repro.distributed.health import ObserveOnlyHealth
+from repro.exceptions import (
+    ChaosInterrupt,
+    DeadlineExceededError,
+    DegradedExecutionError,
+    TransferFailedError,
+)
 from repro.distributed.pipeline import QueryPipeline
 from repro.distributed.system import DistributedSystem
 from repro.engine.coster import TableStats, estimate_assignment_detail
 from repro.engine.data import Table
 from repro.engine.executor import DistributedExecutor
+from repro.engine.checkpoint import CheckpointJournal
+from repro.core.safety import verify_assignment
+from repro.obs.hooks import hooks_for
 from repro.profiling import QueryProfiler, StatsStore
 from repro.testing import grant, quick_catalog
 from repro.workloads.medical import (
@@ -111,7 +125,8 @@ def test_abl17_feedback_loop_byte_reduction(benchmark):
             "skew", estimate_assignment_detail(static_plan.assignment, lying)
         )
         DistributedExecutor(
-            static_plan.assignment, tables, policy=policy, profiler=profiler
+            static_plan.assignment, tables, policy=policy,
+            hooks=hooks_for(profiler=profiler),
         ).run()
         warm_profile = profiler.finish()
         store = StatsStore()
@@ -131,7 +146,8 @@ def test_abl17_feedback_loop_byte_reduction(benchmark):
             ),
         )
         fed_result = DistributedExecutor(
-            fed_plan.assignment, tables, policy=policy, profiler=fed_profiler
+            fed_plan.assignment, tables, policy=policy,
+            hooks=hooks_for(profiler=fed_profiler),
         ).run()
         fed_profile = fed_profiler.finish()
         return static_result, warm_profile, fed_result, fed_profile
@@ -181,16 +197,182 @@ def test_abl17_feedback_loop_byte_reduction(benchmark):
     )
 
 
+class _Pr8Executor(DistributedExecutor):
+    """The executor's node and shipment bodies as they were before they
+    reported to a listener: no begin/end calls at all."""
+
+    def _execute(self, node):
+        if self._assignment.is_materialized(node.node_id):
+            return self._reuse[node.node_id]
+        table = self._execute_node(node)
+        if not isinstance(node, LeafNode):
+            server = self._assignment.master(node.node_id)
+            if self._faults is not None:
+                self._completed[node.node_id] = (server, table)
+            if self._checkpoint is not None and self._audit is not None:
+                profile = self._assignment.profile(node.node_id)
+                if can_view(self._audit.policy, profile, server):
+                    self._checkpoint.record(node.node_id, server, profile, table)
+        return table
+
+    def _ship(self, table, profile, sender, receiver, description, node_id):
+        if sender == receiver:
+            return table
+        size = table.byte_size()
+        audit = self._audit
+        authorized_by, violation = None, False
+        if audit is not None:
+            allowed, authorized_by = audit.authorize(sender, receiver, profile)
+            if not allowed:
+                audit.deny(sender, receiver, profile)
+                violation = True
+        transfer = self._ship_once(
+            table, size, profile, sender, receiver, description, node_id,
+            authorized_by,
+        )
+        if audit is not None:
+            audit.record(transfer, violation=violation)
+        return table
+
+
 class _Pr8Pipeline(QueryPipeline):
-    """Faithful transcription of the pipeline before the profiler hooks:
-    the two profile methods stubbed back to no-ops, so the off-lane
-    comparison isolates exactly what this PR added to unprofiled runs."""
+    """Hook-free transcription of the unit loop: ``_run_units``,
+    ``_run_unit`` and ``_execute_resilient`` as they are, minus every
+    call to the listener, over the hook-free executor above."""
 
-    def _begin_profile(self, assignment):
-        return None
+    def _run_units(self, units):
+        results, took = [], []
+        for tree, assignment, tables, _ in units:
+            start = time.perf_counter()
+            try:
+                result = self._run_unit(tree, assignment, tables)
+            except (ChaosInterrupt, DeadlineExceededError, DegradedExecutionError) as error:
+                if len(units) > 1:
+                    error.checkpoint = None
+                raise
+            finally:
+                took.append(time.perf_counter() - start)
+            results.append(result)
+        return results, took
 
-    def _finish_profile(self, result):
+    def _run_unit(self, tree, assignment, tables):
+        system = self._system
+        faults = self._faults
+        journal = None
+        reuse = {}
+        resume_from = self._resume_from
+        if resume_from is not None:
+            resume_from.verify(system.policy, tree)
+            journal = resume_from
+        elif self._checkpoint or self._deadline is not None:
+            journal = CheckpointJournal.for_plan(tree)
+        if self._health is not None or resume_from is not None:
+            assignment = self._initial_assignment(
+                tree, assignment, faults, self._health, resume_from
+            )
+            if resume_from is not None:
+                materialized = set(assignment.materialized_nodes())
+                reuse = {
+                    entry.node_id: entry.table
+                    for entry in resume_from
+                    if entry.node_id in materialized
+                }
+        verified, at_epoch = self._verified
+        if self._verify and not (
+            assignment is verified and at_epoch == system.policy.epoch
+        ):
+            verify_assignment(system.policy, assignment, recipient=self._recipient)
+        self._fire_chaos("pre", journal)
+        if faults is None:
+            result = _Pr8Executor(
+                assignment, tables, policy=system.policy, enforce=True
+            ).run(recipient=self._recipient)
+        else:
+            result = self._execute_resilient(
+                tree, assignment, tables, journal=journal, reuse=reuse
+            )
+        self._fire_chaos("post", journal)
         return result
+
+    def _execute_resilient(self, tree, assignment, tables, journal=None, reuse=None):
+        system = self._system
+        faults = self._faults
+        health = self._health
+        reuse = dict(reuse) if reuse else {}
+        failovers = 0
+        while True:
+            gate = health
+            if health is not None and self._forced_through_quarantine(
+                assignment, health
+            ):
+                gate = ObserveOnlyHealth(health)
+            executor = _Pr8Executor(
+                assignment,
+                tables,
+                policy=system.policy,
+                enforce=True,
+                faults=faults,
+                retry=self._retry,
+                reuse=reuse,
+                health=gate,
+                deadline=self._deadline,
+                checkpoint=journal,
+            )
+            try:
+                result = executor.run(recipient=self._recipient)
+                result.failovers = failovers
+                return result
+            except DeadlineExceededError as error:
+                error.checkpoint = journal
+                raise
+            except TransferFailedError as error:
+                failovers += 1
+                if failovers > self._max_failovers:
+                    degraded = DegradedExecutionError(
+                        f"execution failed after {self._max_failovers} failover "
+                        f"rounds; last failure: {error}",
+                        excluded_servers=faults.down_servers(),
+                        failovers=failovers - 1,
+                    )
+                    degraded.checkpoint = journal
+                    raise degraded from error
+                excluded = set(faults.down_servers())
+                quarantined = (
+                    set(health.quarantined_servers()) if health is not None else set()
+                )
+                completed = executor.completed_subtrees()
+                completed.update(
+                    {
+                        node_id: (assignment.materialized_server(node_id), table)
+                        for node_id, table in reuse.items()
+                    }
+                )
+                if journal is not None:
+                    for entry in journal:
+                        completed.setdefault(
+                            entry.node_id, (entry.server, entry.table)
+                        )
+                pinned = {
+                    node_id: server
+                    for node_id, (server, _) in completed.items()
+                    if not isinstance(tree.node(node_id), LeafNode)
+                }
+                try:
+                    assignment, pinned = self._replan_restricted(
+                        tree, excluded, quarantined, pinned, error
+                    )
+                except DegradedExecutionError as degraded:
+                    degraded.checkpoint = journal
+                    raise
+                if self._verify:
+                    verify_assignment(
+                        system.policy, assignment, recipient=self._recipient
+                    )
+                reuse = {
+                    node_id: completed[node_id][1]
+                    for node_id in assignment.materialized_nodes()
+                    if node_id in completed
+                }
 
 
 def _time_best(fn, repeats=9, rounds=10):

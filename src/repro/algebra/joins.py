@@ -331,11 +331,3 @@ def intern_path(path: JoinPath) -> JoinPath:
     if len(JoinPath._POOL) < _MAX_INTERNED_PATHS:
         JoinPath._POOL[path._conditions] = path
     return path
-
-
-def clear_intern_pools() -> None:
-    """Drop the condition/path intern pools (testing and long-lived
-    processes that cycle through many catalogs)."""
-    JoinCondition._POOL.clear()
-    JoinPath._POOL.clear()
-    JoinPath._EMPTY = None

@@ -16,7 +16,7 @@ job of :meth:`QueryTreePlan.node`/`nodes`, not of the ids themselves.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.algebra.attributes import AttributeSet, format_attribute_set
 from repro.algebra.expression import (
@@ -434,11 +434,6 @@ class QueryTreePlan:
 
         walk(self._root, 0)
         return "\n".join(lines)
-
-    def map_nodes(self, fn: Callable[[PlanNode], None]) -> None:
-        """Apply ``fn`` to every node in post-order."""
-        for node in self._nodes:
-            fn(node)
 
 
 def _expression_to_node(expression: Expression) -> PlanNode:

@@ -25,54 +25,12 @@ from repro.algebra.schema import Catalog
 from repro.algebra.tree import QueryTreePlan
 from repro.core.assignment import Assignment
 from repro.core.planner import SafePlanner
-from repro.engine.coster import (
-    CostModel,
-    HealthAwareCostModel,
-    estimate_assignment_cost,
-)
+from repro.engine.coster import CostModel, estimate_assignment_cost
 from repro.exceptions import InfeasiblePlanError, PlanError
 
 #: Assignment-search strategies.
 HEURISTIC = "heuristic"
 EXHAUSTIVE = "exhaustive"
-
-
-class StatsAwareCostModel(CostModel):
-    """A cost model fed by harvested runtime statistics.
-
-    Bundles a :class:`~repro.profiling.StatsStore` with a base
-    :class:`~repro.engine.coster.CostModel`.  Pricing delegates to the
-    base model unchanged — what the store changes is the *input* to the
-    estimator: :meth:`effective_stats` overlays observed row counts,
-    NDVs and widths onto the static catalog statistics, and
-    :meth:`selectivity` exposes observed per-join-path selectivities
-    that replace the System-R independence guess.  The
-    :class:`CostAwareSafePlanner` applies both on every ``plan()`` call,
-    so a store warmed by harvested profiles immediately re-ranks
-    candidate strategies — the plan-quality feedback loop of ROADMAP
-    item #1.
-
-    Args:
-        store: the statistics store (anything with ``table_stats`` and
-            ``selectivity``; in practice a `StatsStore`).
-        base: the underlying cost model (default: uniform bytes).
-    """
-
-    def __init__(self, store, base: "CostModel" = None) -> None:
-        super().__init__(None)
-        self.store = store
-        self._base = base or CostModel()
-
-    def transfer_cost(self, sender: str, receiver: str, byte_size: float) -> float:
-        return self._base.transfer_cost(sender, receiver, byte_size)
-
-    def effective_stats(self, static):
-        """Static base stats overlaid with the store's observations."""
-        return self.store.table_stats(static)
-
-    def selectivity(self, path_key: str):
-        """Observed selectivity of one join path (``None`` if unseen)."""
-        return self.store.selectivity(path_key)
 
 
 class CostAwarePlan:
@@ -149,12 +107,13 @@ class CostAwareSafePlanner:
             kernel pays off most here.  Default ``None`` keeps the
             planner's auto behaviour (batched untraced, scalar traced).
         stats_store: optional :class:`~repro.profiling.StatsStore` of
-            harvested runtime statistics.  Shorthand for passing a
-            :class:`StatsAwareCostModel` as ``cost_model``: on every
-            ``plan()`` call the store's observations overlay
-            ``base_stats`` and observed join selectivities replace the
-            System-R guesses, for both the heuristic pricing and the
-            exhaustive per-order search.
+            harvested runtime statistics (anything with ``table_stats``
+            and ``selectivity``): on every ``plan()`` call the store's
+            observations overlay ``base_stats`` and observed join
+            selectivities replace the System-R guesses, for both the
+            heuristic pricing and the exhaustive per-order search — so a
+            store warmed by harvested profiles immediately re-ranks
+            candidate strategies.  Pricing itself is ``cost_model``'s.
     """
 
     def __init__(
@@ -176,13 +135,9 @@ class CostAwareSafePlanner:
         self._policy = policy
         self._base_stats = base_stats
         self._health = health
-        if isinstance(cost_model, StatsAwareCostModel) and stats_store is None:
-            stats_store = cost_model.store
-        elif stats_store is not None:
-            cost_model = StatsAwareCostModel(stats_store, base=cost_model)
         self._stats_store = stats_store
         if health is not None:
-            cost_model = HealthAwareCostModel(health, base=cost_model)
+            cost_model = CostModel(network=cost_model, health=health)
         self._cost_model = cost_model
         self._assignment_search = assignment_search
         self._search_join_orders = search_join_orders

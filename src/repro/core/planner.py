@@ -61,6 +61,7 @@ from repro.core.candidates import (
 )
 from repro.core.profile import RelationProfile
 from repro.exceptions import InfeasiblePlanError, PlanError
+from repro.obs.hooks import hooks_for
 
 
 class NodeDecision:
@@ -115,16 +116,15 @@ class SafePlanner:
             attempt).  A pinned node plans as a materialized source: its
             only candidate is the given server, nothing below it is
             planned, and no flow is entailed at or below it.
-        obs: optional :class:`~repro.obs.trace.TraceContext`.  When set,
-            ``plan`` opens spans around the traversals and every join's
-            candidate enumeration, and the CanView entry point is wrapped
-            to count calls and memo-cache hits/misses.  When ``None``
-            (the default) the hot path is byte-for-byte the uninstrumented
-            algorithm: the traced variants of ``plan``,
-            ``_find_candidates`` and ``_admit_master`` are bound onto the
-            *instance* only when a context is installed, so the class
-            bodies carry no observability checks at all (the ABL12 bench
-            gates this at <5% overhead).
+        obs: optional :class:`~repro.obs.trace.TraceContext`.  The
+            traversals below report their phases and every join's
+            candidate enumeration to one
+            :class:`~repro.obs.hooks.Hooks` object; with a context that
+            object renders them as spans and counters and wraps the
+            CanView entry point to count calls and memo-cache
+            hits/misses, without one (the default) it is the null
+            listener (the ABL12 bench gates that at <5% over the
+            uninstrumented algorithm).
         batch_canview: whether each join's candidate enumeration should
             warm the CanView kernel with one
             :meth:`~repro.core.authorization.Policy.can_view_batch` call
@@ -150,7 +150,7 @@ class SafePlanner:
         batch_canview: Optional[bool] = None,
     ) -> None:
         self._policy = policy
-        self._obs = obs
+        self._hooks = hooks_for(obs)
         # Bind the CanView entry point once: the planner issues thousands
         # of probes per run, and re-dispatching on the policy's type for
         # each (as the module-level ``can_view`` must) is pure overhead.
@@ -161,14 +161,7 @@ class SafePlanner:
             self._can_view = policy.can_view
         else:
             self._can_view = lambda profile, server: can_view(policy, profile, server)
-        if obs is not None:
-            self._can_view = self._traced_can_view(self._can_view, obs)
-            # Route the three hot methods through their traced variants.
-            # Instance attributes shadow the class methods, so the
-            # untraced path never evaluates an observability guard.
-            self.plan = self._plan_traced  # type: ignore[method-assign]
-            self._find_candidates = self._find_candidates_traced  # type: ignore[method-assign]
-            self._admit_master = self._admit_master_traced  # type: ignore[method-assign]
+        self._can_view = self._hooks.counting_can_view(self._can_view, policy)
         if batch_canview is None:
             batch_canview = obs is None
         self._batch_canview = batch_canview and isinstance(policy, Policy)
@@ -179,32 +172,6 @@ class SafePlanner:
                 raise PlanError(
                     f"pinned node n{node_id} sits at excluded server {server!r}"
                 )
-
-    def _traced_can_view(self, inner, obs):
-        """Wrap the bound CanView callable with call/hit/miss counting.
-
-        Only built when a trace context is installed, so the untraced
-        planner keeps the raw callable.  Hits are derived from the
-        policy's cold-path miss counter (bumped in ``_can_view_uncached``
-        only), which keeps the memoized hit path free of bookkeeping.
-        """
-        policy = self._policy if isinstance(self._policy, Policy) else None
-
-        def counted(profile, server):
-            if policy is None:
-                result = inner(profile, server)
-                obs.count("repro_canview_calls_total", server=server)
-                return result
-            before = policy.uncached_can_view_calls
-            result = inner(profile, server)
-            if policy.uncached_can_view_calls == before:
-                obs.count("repro_canview_cache_hits_total")
-            else:
-                obs.count("repro_canview_cache_misses_total")
-            obs.count("repro_canview_calls_total", server=server)
-            return result
-
-        return counted
 
     @property
     def policy(self) -> Policy:
@@ -239,20 +206,17 @@ class SafePlanner:
         """
         trace = PlannerTrace()
         assignment = Assignment(tree)
-        self._find_candidates(tree.root, assignment, trace)
-        self._assign_ex(tree.root, None, assignment, trace)
-        return assignment, trace
-
-    def _plan_traced(self, tree: QueryTreePlan) -> Tuple[Assignment, PlannerTrace]:
-        """``plan`` with spans; bound over it when a context is set."""
-        trace = PlannerTrace()
-        assignment = Assignment(tree)
-        with self._obs.span("plan", "planner") as span:
-            with self._obs.span("find_candidates", "planner"):
-                self._find_candidates(tree.root, assignment, trace)
-            with self._obs.span("assign_ex", "planner"):
-                self._assign_ex(tree.root, None, assignment, trace)
-            span.attrs["root_master"] = assignment.executor(tree.root.node_id).master
+        hooks = self._hooks
+        hooks.plan_begin()
+        planned = None
+        try:
+            hooks.plan_phase("find_candidates")
+            self._find_candidates(tree.root, assignment, trace)
+            hooks.plan_phase("assign_ex")
+            self._assign_ex(tree.root, None, assignment, trace)
+            planned = assignment
+        finally:
+            hooks.plan_end(planned)
         return assignment, trace
 
     def is_feasible(self, tree: QueryTreePlan) -> bool:
@@ -290,39 +254,14 @@ class SafePlanner:
         elif isinstance(node, UnaryNode):
             self._visit_unary(node, assignment, trace, decision)
         elif isinstance(node, JoinNode):
-            self._visit_join(node, assignment, trace, decision)
-        else:  # pragma: no cover - node kinds are closed
-            raise PlanError(f"unknown node kind: {type(node).__name__}")
-        if decision.candidates.is_empty():
-            raise self._infeasible(node)
-
-    def _find_candidates_traced(
-        self, node: PlanNode, assignment: Assignment, trace: PlannerTrace
-    ) -> None:
-        """``_find_candidates`` with a span around each join's candidate
-        enumeration; bound over it when a context is set."""
-        if node.node_id in self._pinned:
-            self._fill_profiles(node, assignment)
-            trace.find_order.append(node.node_id)
-            decision = trace.decision(node.node_id)
-            decision.candidates.add(
-                Candidate(self._pinned[node.node_id], FROM_LEAF, 0, MODE_PINNED)
-            )
-            return
-        for child in node.children():
-            self._find_candidates(child, assignment, trace)
-        trace.find_order.append(node.node_id)
-        decision = trace.decision(node.node_id)
-        if isinstance(node, LeafNode):
-            self._visit_leaf(node, assignment, decision)
-        elif isinstance(node, UnaryNode):
-            self._visit_unary(node, assignment, trace, decision)
-        elif isinstance(node, JoinNode):
-            with self._obs.span(
-                "enumerate_candidates", "planner", node=f"n{node.node_id}"
-            ) as span:
+            hooks = self._hooks
+            hooks.enumerate_begin(node)
+            enumerated = None
+            try:
                 self._visit_join(node, assignment, trace, decision)
-                span.attrs["admitted"] = len(decision.candidates)
+                enumerated = trace
+            finally:
+                hooks.enumerate_end(node, enumerated)
         else:  # pragma: no cover - node kinds are closed
             raise PlanError(f"unknown node kind: {type(node).__name__}")
         if decision.candidates.is_empty():
@@ -503,31 +442,6 @@ class SafePlanner:
             mode = MODE_REGULAR
         else:
             return
-        decision.candidates.add(
-            candidate.propagated(from_child, candidate.count + 1, mode)
-        )
-
-    def _admit_master_traced(
-        self,
-        decision: NodeDecision,
-        candidate: Candidate,
-        from_child: str,
-        slave_found: bool,
-        master_view: RelationProfile,
-        full_view: RelationProfile,
-    ) -> None:
-        """``_admit_master`` with generated/admitted counters; bound over
-        it when a context is set."""
-        self._obs.count("repro_candidates_generated_total")
-        if candidate.server in self._excluded:
-            return
-        if slave_found and self._can_view(master_view, candidate.server):
-            mode = MODE_SEMI
-        elif self._can_view(full_view, candidate.server):
-            mode = MODE_REGULAR
-        else:
-            return
-        self._obs.count("repro_candidates_admitted_total", mode=mode)
         decision.candidates.add(
             candidate.propagated(from_child, candidate.count + 1, mode)
         )

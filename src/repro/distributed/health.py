@@ -425,15 +425,6 @@ class HealthTracker:
     # Planner-facing queries
     # ------------------------------------------------------------------
 
-    def is_quarantined(self, sender: str, receiver: str) -> bool:
-        """Whether the link or either endpoint breaker is currently open."""
-        now = self._now
-        return (
-            self.link(sender, receiver).breaker.state(now) == STATE_OPEN
-            or self.server(sender).breaker.state(now) == STATE_OPEN
-            or self.server(receiver).breaker.state(now) == STATE_OPEN
-        )
-
     def quarantined_servers(self) -> Tuple[str, ...]:
         """Servers whose breaker is open right now, sorted.
 

@@ -57,6 +57,7 @@ from repro.exceptions import (
     TransferFailedError,
     UnsafeAssignmentError,
 )
+from repro.obs.hooks import hooks_for
 from repro.sharding.executor import (
     EXEC_MULTIROUND,
     EXEC_SINGLE_COPY,
@@ -206,15 +207,13 @@ class QueryPipeline:
         self._checkpoint = checkpoint
         self._resume_from = resume_from
         self._trace = trace if trace is not None else system._trace
+        # The run's one listener: tracer, profiler, both or neither.
+        self._hooks = hooks_for(self._trace, profiler)
         self._chaos = chaos
-        self._profiler = profiler
         self._coordinator = (
             system._shard_coordinator(schemes) if schemes is not None else None
         )
         self._allow_multiround = allow_multiround
-        self._profile_span = None
-        # The running unit's tables, for `_begin_profile`'s exact stats.
-        self._unit_tables: Mapping[str, Table] = {}
         self._product: Optional[tuple] = None
         # Policy epoch the product was planned under (None: adopted
         # from another pipeline, so unknown).
@@ -251,7 +250,7 @@ class QueryPipeline:
                     self._query,
                     search_join_orders=self._search_join_orders,
                     allow_multiround=self._allow_multiround,
-                    trace=self._trace,
+                    hooks=self._hooks,
                 )
         return self._product
 
@@ -332,20 +331,12 @@ class QueryPipeline:
                 mismatch, revoked authorization, or a multi-unit run).
         """
         system = self._system
-        trace = self._trace
-        faults = self._faults
-        if trace is not None and faults is not None:
+        hooks = self._hooks
+        if self._faults is not None:
             # The injector's deterministic clock timestamps the whole
-            # run — unless the caller pinned an explicit clock already.
-            trace.maybe_use_clock(lambda: faults.clock)
-        if self._profiler is not None and faults is not None:
-            # Same determinism for profiles: a pinned-clock run yields a
-            # byte-stable profile artifact.
-            self._profiler.maybe_use_clock(lambda: faults.clock)
-        if trace is not None and self._deadline is not None:
-            self._deadline.bind_trace(trace)
-        if trace is not None and self._health is not None:
-            self._health.bind_trace(trace)
+            # run (spans and profiles alike) — unless the caller pinned
+            # an explicit clock already.
+            hooks.logical_clock(self._faults, self._deadline, self._health)
         plan = self._current_plan()
         coordinator = self._coordinator
         if coordinator is None:
@@ -353,11 +344,9 @@ class QueryPipeline:
             results, _ = self._run_units([(tree, assignment, system.tables(), None)])
             self._stamp(results)
             return results[0]
-        span = None
-        if trace is not None and plan.mode != EXEC_SINGLE_COPY:
-            span = trace.begin(
-                "shard_execute", "sharding", shards=len(plan.units), mode=plan.mode
-            )
+        sharded = plan.mode != EXEC_SINGLE_COPY
+        if sharded:
+            hooks.shards_begin(plan)
         try:
             if plan.mode == EXEC_MULTIROUND:
                 # An engine-level call, not an assignment, so not a
@@ -366,7 +355,7 @@ class QueryPipeline:
                 try:
                     self._fire_chaos("pre", None)
                     result = coordinator.run_multiround(
-                        self._query, plan, self._recipient, trace
+                        self._query, plan, self._recipient, hooks
                     )
                     self._fire_chaos("post", None)
                     return result
@@ -374,17 +363,17 @@ class QueryPipeline:
                     # An unauthorized shuffle moved nothing: single-copy.
                     plan = coordinator.fallback(
                         self._query, plan.certificate, str(error),
-                        self._search_join_orders, trace,
+                        self._search_join_orders, hooks,
                     )
-            results, took = self._run_units(coordinator.units(plan, trace))
+            results, took = self._run_units(coordinator.units(plan, self._trace))
             self._stamp(results)
             table = merge_shards(result.table for result in results)
             return coordinator.package(
-                plan, table, results, took, self._recipient, trace
+                plan, table, results, took, self._recipient, hooks
             )
         finally:
-            if span is not None:
-                trace.end(span)
+            if sharded:
+                hooks.shards_end()
 
     def _run_units(
         self, units: Sequence[Unit]
@@ -402,14 +391,13 @@ class QueryPipeline:
                 f"checkpoint journal covers one unit but the plan now has "
                 f"{len(units)}; refusing to resume"
             )
-        trace = self._trace
+        hooks = self._hooks
         results: List[ExecutionResult] = []
         took: List[float] = []
         for tree, assignment, tables, shard in units:
-            span = None
-            if trace is not None and shard is not None:
-                span = trace.begin("shard", "sharding", **shard)
+            hooks.shard_begin(shard)
             start = time.perf_counter()
+            result = None
             try:
                 result = self._run_unit(tree, assignment, tables)
             except (ChaosInterrupt, DeadlineExceededError, DegradedExecutionError) as error:
@@ -418,10 +406,7 @@ class QueryPipeline:
                 raise
             finally:
                 took.append(time.perf_counter() - start)
-                if span is not None:
-                    trace.end(span)
-            if span is not None:
-                span.attrs["rows"] = len(result.table)
+                hooks.shard_end(result)
             results.append(result)
         return results, took
 
@@ -433,22 +418,20 @@ class QueryPipeline:
         chaos ``pre``, profile, plain or resilient execution (retry /
         failover / breakers / deadline), chaos ``post``."""
         system = self._system
-        trace = self._trace
+        hooks = self._hooks
         faults = self._faults
         journal: Optional[CheckpointJournal] = None
         reuse: Dict[int, Table] = {}
         resume_from = self._resume_from
         if resume_from is not None:
-            if trace is not None:
-                resume_from.bind_trace(trace)
+            resume_from.bind_trace(hooks.trace)
             # Re-audit before anything ships: a revoked authorization
             # refuses the journal outright (CheckpointError).
             resume_from.verify(system.policy, tree)
             journal = resume_from
         elif self._checkpoint or self._deadline is not None:
             journal = CheckpointJournal.for_plan(tree)
-            if trace is not None:
-                journal.bind_trace(trace)
+            journal.bind_trace(hooks.trace)
         if self._health is not None or resume_from is not None:
             assignment = self._initial_assignment(
                 tree, assignment, faults, self._health, resume_from
@@ -466,26 +449,26 @@ class QueryPipeline:
         ):
             verify_assignment(system.policy, assignment, recipient=self._recipient)
         self._fire_chaos("pre", journal)
-        self._unit_tables = tables
-        self._begin_profile(assignment)
-        if faults is None:
-            result = DistributedExecutor(
-                assignment,
-                tables,
-                policy=system.policy,
-                enforce=True,
-                trace=trace,
-                profiler=self._profiler,
-            ).run(recipient=self._recipient)
-        else:
-            result = self._execute_resilient(
-                tree, assignment, tables, journal=journal, reuse=reuse
-            )
-        # The "post" stage models the crash-consistency window: the run
-        # completed but its completion was never recorded, so a recovery
-        # must resume from the journal without double-shipping subtrees.
-        self._fire_chaos("post", journal)
-        return self._finish_profile(result)
+        hooks.unit_begin(self._query, assignment, tables)
+        finished = None
+        try:
+            if faults is None:
+                result = DistributedExecutor(
+                    assignment, tables, policy=system.policy, enforce=True, hooks=hooks
+                ).run(recipient=self._recipient)
+            else:
+                result = self._execute_resilient(
+                    tree, assignment, tables, journal=journal, reuse=reuse
+                )
+            # The "post" stage models the crash-consistency window: the
+            # run completed but its completion was never recorded, so a
+            # recovery must resume from the journal without
+            # double-shipping subtrees.
+            self._fire_chaos("post", journal)
+            finished = result
+        finally:
+            hooks.unit_end(finished)
+        return result
 
     def _fire_chaos(self, stage: str, journal: Optional[CheckpointJournal]) -> None:
         if self._chaos is None:
@@ -502,70 +485,6 @@ class QueryPipeline:
         snapshot = cache.snapshot() if cache is not None else None
         for result in results:
             result.plan_cache = snapshot
-
-    # ------------------------------------------------------------------
-    # Profiling (no-ops without an attached profiler)
-    # ------------------------------------------------------------------
-
-    def _begin_profile(self, assignment: Assignment) -> None:
-        profiler = self._profiler
-        if profiler is None:
-            return
-        from repro.engine.coster import TableStats, estimate_assignment_detail
-
-        base = profiler.base_stats
-        if base is None:
-            # Exact statistics of the unit's instances: the estimate
-            # then isolates the coster's *model* error (System-R
-            # selectivity assumptions), not stale-input error.
-            base = {
-                name: TableStats.of_table(table)
-                for name, table in self._unit_tables.items()
-            }
-        estimate = estimate_assignment_detail(
-            assignment, base, selectivities=profiler.selectivities
-        )
-        query = self._query if isinstance(self._query, str) else str(self._query)
-        profiler.start(query, estimate)
-        trace = self._trace
-        if trace is not None:
-            self._profile_span = trace.begin(
-                "profile",
-                "profiler",
-                estimated_bytes=estimate.total_bytes,
-            )
-
-    def _finish_profile(self, result: ExecutionResult) -> ExecutionResult:
-        profiler = self._profiler
-        if profiler is None:
-            return result
-        profile = profiler.finish()
-        result.profile = profile
-        trace = self._trace
-        if trace is not None:
-            span = self._profile_span
-            if span is not None:
-                span.attrs["actual_bytes"] = profile.actual_bytes
-                span.attrs["canview_probes"] = profile.canview_probes
-                span.attrs["misestimates"] = len(profile.misestimates)
-                trace.end(span)
-                self._profile_span = None
-            trace.count("repro_profile_runs_total")
-            trace.count("repro_profile_operators_total", len(profile.operators))
-            trace.count("repro_profile_transfers_total", len(profile.transfers))
-            for flag in profile.misestimates:
-                trace.count("repro_plan_misestimate_total")
-                trace.event(
-                    "plan_misestimate",
-                    "profiler",
-                    node=f"n{flag['node_id']}",
-                    link=f"{flag['sender']}->{flag['receiver']}",
-                    kind=flag["kind"],
-                    estimated_bytes=flag["estimated_bytes"],
-                    actual_bytes=flag["actual_bytes"],
-                    ratio=flag["ratio"],
-                )
-        return result
 
     # ------------------------------------------------------------------
     # Fault-aware machinery
@@ -657,7 +576,7 @@ class QueryPipeline:
         ``journal`` for resume.
         """
         system = self._system
-        trace = self._trace
+        hooks = self._hooks
         faults = self._faults
         health = self._health
         reuse = dict(reuse) if reuse else {}
@@ -682,43 +601,26 @@ class QueryPipeline:
                 health=gate,
                 deadline=self._deadline,
                 checkpoint=journal,
-                trace=trace,
-                profiler=self._profiler,
+                hooks=hooks,
             )
-            round_span = None
-            if trace is not None:
-                round_span = trace.begin(
-                    "execute_attempt", "engine", round=failovers,
-                    reused_subtrees=len(reuse),
-                )
             try:
-                result = executor.run(recipient=self._recipient)
-                if round_span is not None:
-                    trace.end(round_span, delivered=True)
+                hooks.attempt_begin(failovers, reuse)
+                result = None
+                try:
+                    result = executor.run(recipient=self._recipient)
+                finally:
+                    # Closed here: a failover below replans outside it.
+                    hooks.attempt_end(result)
                 result.failovers = failovers
                 return result
             except DeadlineExceededError as error:
-                if round_span is not None:
-                    trace.end(
-                        round_span, delivered=False, error="deadline-exceeded"
-                    )
                 # Hand the journal of completed, audited subtrees to the
                 # caller: resume picks up from here with a fresh budget.
                 error.checkpoint = journal
                 raise
             except TransferFailedError as error:
-                if round_span is not None:
-                    trace.end(
-                        round_span, delivered=False, error="transfer-failed"
-                    )
                 failovers += 1
-                if trace is not None:
-                    trace.count("repro_failovers_total")
-                    trace.event(
-                        "failover", "engine", round=failovers,
-                        cause=str(error),
-                        down_servers=sorted(faults.down_servers()),
-                    )
+                hooks.failover(failovers, error, faults)
                 if failovers > self._max_failovers:
                     degraded = DegradedExecutionError(
                         f"execution failed after {self._max_failovers} failover "

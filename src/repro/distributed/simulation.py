@@ -118,21 +118,6 @@ class SimulationResult:
             return 0.0
         return sum(self.completion_times) / len(self.completion_times)
 
-    def completed_within(self, budget: float) -> int:
-        """How many queries finished within ``budget`` of their arrival.
-
-        The per-query deadline view of a shared simulation: a query
-        arriving at ``a`` meets a budget ``b`` iff it completes by
-        ``a + b``.
-        """
-        return sum(
-            1
-            for arrival, completion in zip(
-                self.arrival_times, self.completion_times
-            )
-            if completion <= arrival + budget
-        )
-
     def max_busy_server(self) -> Optional[Tuple[str, float]]:
         """The busiest server and its occupancy, or ``None``."""
         if not self.busy_time:

@@ -649,14 +649,16 @@ class DistributedSystem:
         """
         from repro.distributed.simulation import MultiQuerySimulator
         from repro.engine.executor import DistributedExecutor
+        from repro.obs.hooks import hooks_for
 
         if trace is None:
             trace = self._trace
+        hooks = hooks_for(trace)
         runs = []
         for query in queries:
             _, assignment, _ = self.plan(query, trace=trace)
             result = DistributedExecutor(
-                assignment, self.tables(), policy=self._policy, trace=trace
+                assignment, self.tables(), policy=self._policy, hooks=hooks
             ).run()
             runs.append((assignment, result.transfers))
         simulator = MultiQuerySimulator(

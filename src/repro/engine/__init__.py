@@ -39,7 +39,6 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.coster import (
     CostModel,
-    HealthAwareCostModel,
     TableStats,
     estimate_assignment_cost,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "CheckpointJournal",
     "plan_signature",
     "CostModel",
-    "HealthAwareCostModel",
     "TableStats",
     "estimate_assignment_cost",
 ]

@@ -114,57 +114,41 @@ class TableStats:
 
 
 class CostModel:
-    """Prices transfers, optionally through a network model.
+    """Prices transfers, optionally through a network model and a
+    health tracker.
 
     Args:
         network: object exposing ``transfer_cost(sender, receiver,
-            byte_size)``; ``None`` means cost = bytes (uniform network).
+            byte_size)`` — a network model, or another cost model to
+            price on top of; ``None`` means cost = bytes (uniform
+            network).
+        health: object exposing ``penalty_factor(sender, receiver)``
+            (duck-typed: a :class:`~repro.distributed.health.HealthTracker`).
+            Each link's cost is multiplied by it — 1.0 for healthy
+            routes, the quarantine penalty when a breaker on the route
+            is open — so cost-based planners steer around flapping
+            servers without any feasibility change: the policy decides
+            what is *safe*, health only reorders what is *cheap*.
     """
 
-    def __init__(self, network=None) -> None:
+    def __init__(self, network=None, health=None) -> None:
         self._network = network
+        self._health = health
 
     def transfer_cost(self, sender: str, receiver: str, byte_size: float) -> float:
         """Cost of one shipment."""
-        if self._network is None:
-            return float(byte_size)
-        return float(self._network.transfer_cost(sender, receiver, byte_size))
+        cost = float(byte_size)
+        if self._network is not None:
+            cost = float(self._network.transfer_cost(sender, receiver, byte_size))
+        if self._health is not None:
+            cost *= float(self._health.penalty_factor(sender, receiver))
+        return cost
 
     def log_cost(self, log: TransferLog) -> float:
         """Total cost of an execution's transfer log."""
         return sum(
             self.transfer_cost(t.sender, t.receiver, t.byte_size) for t in log
         )
-
-
-class HealthAwareCostModel(CostModel):
-    """A cost model that surcharges unhealthy routes.
-
-    Wraps a base :class:`CostModel` and multiplies each link's cost by
-    the health tracker's penalty factor — 1.0 for healthy routes, the
-    quarantine penalty when either endpoint's or the link's breaker is
-    open (see
-    :meth:`repro.distributed.health.HealthTracker.penalty_factor`).
-    Cost-based planners then steer around flapping servers without any
-    hard feasibility change: the policy decides what is *safe*, health
-    only reorders what is *cheap*.
-
-    Args:
-        health: object exposing ``penalty_factor(sender, receiver)``
-            (duck-typed, so the engine layer stays import-acyclic with
-            the distributed layer).
-        base: the underlying cost model (default: uniform bytes).
-    """
-
-    def __init__(self, health, base: Optional[CostModel] = None) -> None:
-        super().__init__(None)
-        self._health = health
-        self._base = base or CostModel()
-
-    def transfer_cost(self, sender: str, receiver: str, byte_size: float) -> float:
-        """Base cost scaled by the route's health penalty."""
-        cost = self._base.transfer_cost(sender, receiver, byte_size)
-        return cost * float(self._health.penalty_factor(sender, receiver))
 
 
 def _node_stats(

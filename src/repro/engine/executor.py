@@ -33,6 +33,7 @@ from repro.engine.data import Table
 from repro.engine.resilience import RetryPolicy, attempt_shipment
 from repro.engine.transfers import Transfer, TransferLog
 from repro.exceptions import ExecutionError, TransferFailedError
+from repro.obs.hooks import NO_HOOKS, Hooks
 
 
 class ExecutionResult:
@@ -287,17 +288,13 @@ class DistributedExecutor:
             completed non-leaf subtree whose holder is authorized for
             its profile is journaled (audited runs only), so a killed
             run can resume.
-        trace: optional :class:`~repro.obs.trace.TraceContext`; every
-            cross-server shipment then opens one ``transfer`` span
-            stamped with the covering-authorization id, joins open
-            ``join`` spans, and bytes/retries feed the metrics registry.
-        profiler: optional :class:`~repro.profiling.QueryProfiler` with
-            an **active profile** (``start()`` called); every operator,
-            transfer and CanView probe is then recorded
-            into it.  The hooks are bound onto the instance only when a
-            profiler is attached — the same structural trick as the
-            tracer — so the unprofiled path stays byte-for-byte the
-            uninstrumented one.
+        hooks: the run's listener (:mod:`repro.obs.hooks`): every
+            executed node and every cross-server shipment is reported to
+            it, begin and end.  A tracer renders one ``join`` span per
+            join and one ``transfer`` span per shipment, stamped with
+            the covering-authorization id; a profiler records operators,
+            transfers and CanView probes into its active profile.  The
+            default listens to nothing.
     """
 
     def __init__(
@@ -312,8 +309,7 @@ class DistributedExecutor:
         health=None,
         deadline=None,
         checkpoint=None,
-        trace=None,
-        profiler=None,
+        hooks: Hooks = NO_HOOKS,
     ) -> None:
         assignment.validate_structure()
         self._assignment = assignment
@@ -322,9 +318,9 @@ class DistributedExecutor:
         )
         self._tables = dict(tables)
         self._log = TransferLog()
-        self._trace = trace
+        self._hooks = hooks
         self._audit = (
-            AuditLog(policy, enforce=enforce, trace=trace)
+            AuditLog(policy, enforce=enforce, trace=hooks.trace)
             if policy is not None
             else None
         )
@@ -335,13 +331,6 @@ class DistributedExecutor:
         self._deadline = deadline
         self._checkpoint = checkpoint
         self._completed: Dict[int, Tuple[str, Table]] = {}
-        self._profiler = profiler
-        if profiler is not None:
-            # Structural binding: shadow the hot methods on *this
-            # instance* only, so unprofiled executors never pay even an
-            # `if self._profiler` per node/shipment.
-            self._execute_node = self._profiled_execute_node
-            self._ship_once = self._profiled_ship_once
 
     def completed_subtrees(self) -> Dict[int, Tuple[str, Table]]:
         """Node results that materialized before a failure, keyed by node
@@ -359,16 +348,17 @@ class DistributedExecutor:
             ExecutionError: on missing instances or operator failures.
         """
         root = self._assignment.plan.root
+        root_id = root.node_id
         table = self._execute(root)
-        result_server = self._assignment.master(root.node_id)
+        result_server = self._assignment.master(root_id)
         if recipient is not None:
             table = self._ship(
                 table,
-                self._assignment.profile(root.node_id),
+                self._assignment.profile(root_id),
                 sender=result_server,
                 receiver=recipient,
                 description="result -> recipient",
-                node_id=root.node_id,
+                node_id=root_id,
             )
             result_server = recipient
         return ExecutionResult(
@@ -390,26 +380,37 @@ class DistributedExecutor:
     # ------------------------------------------------------------------
 
     def _execute(self, node: PlanNode) -> Table:
-        if self._assignment.is_materialized(node.node_id):
-            if node.node_id not in self._reuse:
+        assignment = self._assignment
+        node_id = node.node_id
+        if assignment.is_materialized(node_id):
+            if node_id not in self._reuse:
                 raise ExecutionError(
-                    f"node n{node.node_id} is marked materialized but no "
+                    f"node n{node_id} is marked materialized but no "
                     "reused result was provided"
                 )
-            return self._reuse[node.node_id]
-        table = self._execute_node(node)
+            return self._reuse[node_id]
+        hooks = self._hooks
+        hooks.node_begin(node, assignment)
+        table = None
+        try:
+            table = self._execute_node(node)
+        finally:
+            hooks.node_end(node, assignment, table)
+        if self._faults is None and self._checkpoint is None:
+            # Nothing can fail over from this result or park it.
+            return table
         if not isinstance(node, LeafNode):
-            server = self._assignment.master(node.node_id)
+            server = assignment.master(node_id)
             if self._faults is not None:
-                self._completed[node.node_id] = (server, table)
+                self._completed[node_id] = (server, table)
             if self._checkpoint is not None and self._audit is not None:
                 from repro.core.access import can_view  # local: avoids cycle
 
-                profile = self._assignment.profile(node.node_id)
+                profile = assignment.profile(node_id)
                 # Journal only what is audited-safe to park: the holder
                 # must be authorized for the view it would resume with.
                 if can_view(self._audit.policy, profile, server):
-                    self._checkpoint.record(node.node_id, server, profile, table)
+                    self._checkpoint.record(node_id, server, profile, table)
         return table
 
     def _execute_node(self, node: PlanNode) -> Table:
@@ -427,81 +428,7 @@ class DistributedExecutor:
             return self._execute_join(node)
         raise ExecutionError(f"unknown node kind: {type(node).__name__}")
 
-    # ------------------------------------------------------------------
-    # Profiled variants, bound per-instance when a profiler is attached
-    # ------------------------------------------------------------------
-
-    def _profiled_execute_node(self, node: PlanNode) -> Table:
-        from repro.engine.coster import TableStats, join_path_key
-
-        profiler = self._profiler
-        started = profiler.now()
-        table = DistributedExecutor._execute_node(self, node)
-        finished = profiler.now()
-        node_id = node.node_id
-        server = self._assignment.master(node_id)
-        if isinstance(node, LeafNode):
-            stats = TableStats.of_table(table)
-            profiler.record_relation(
-                node.relation.name, stats.rows, stats.distinct, stats.widths
-            )
-            profiler.record_operator(
-                node_id, "scan", server, len(table), started, finished,
-                relation=node.relation.name,
-            )
-        elif isinstance(node, UnaryNode):
-            profiler.record_operator(
-                node_id, str(node.operator), server, len(table), started,
-                finished, left_id=node.left.node_id,
-            )
-        else:
-            profiler.record_operator(
-                node_id, f"{self._steps[node_id].mode}_join", server,
-                len(table), started, finished,
-                path_key=join_path_key(node.path),
-                left_id=node.left.node_id, right_id=node.right.node_id,
-            )
-        return table
-
-    def _profiled_ship_once(
-        self,
-        table: Table,
-        size: int,
-        profile: RelationProfile,
-        sender: str,
-        receiver: str,
-        description: str,
-        node_id: int,
-        span,
-    ) -> Table:
-        result = DistributedExecutor._ship_once(
-            self, table, size, profile, sender, receiver, description, node_id, span
-        )
-        # Only delivered shipments are recorded (a fault raises above);
-        # the audit probe count mirrors the audit log one-to-one.
-        profiler = self._profiler
-        if self._audit is not None:
-            profiler.record_probe()
-        profiler.record_transfer(
-            node_id, sender, receiver, len(table), size, description
-        )
-        return result
-
     def _execute_join(self, node: JoinNode) -> Table:
-        if self._trace is None:
-            return self._execute_join_inner(node)
-        executor = self._assignment.executor(node.node_id)
-        with self._trace.span(
-            "join",
-            "engine",
-            track=executor.master,
-            node=f"n{node.node_id}",
-            master=executor.master,
-            slave=executor.slave,
-        ):
-            return self._execute_join_inner(node)
-
-    def _execute_join_inner(self, node: JoinNode) -> Table:
         left_table = self._execute(node.left)
         right_table = self._execute(node.right)
         node_id = node.node_id
@@ -540,47 +467,40 @@ class DistributedExecutor:
         unauthorized bytes never reach the fault layer, so faults can
         only delay or deny data the policy already permits.
 
-        With a trace installed, each (non-local) shipment is exactly one
-        ``transfer`` span carrying the covering-authorization id — the
-        span count matches the audit log entry count one-to-one on runs
-        where every shipment delivers.
+        Each (non-local) shipment is reported exactly once, begin and
+        end — under a tracer one ``transfer`` span carrying the
+        covering-authorization id, so the span count matches the audit
+        log entry count one-to-one on runs where every shipment delivers.
         """
         if sender == receiver:
             return table
-        trace = self._trace
         # The payload is measured once per shipment; the span, the fault
         # layer, the transfer record and the metrics all carry this value.
         size = table.byte_size()
-        if trace is None:
-            return self._ship_once(
-                table, size, profile, sender, receiver, description, node_id, None
-            )
-        link = f"{sender}->{receiver}"
-        span = trace.begin(
-            "transfer",
-            "engine",
-            track=sender,
-            link=link,
-            receiver=receiver,
-            node=f"n{node_id}",
-            rows=len(table),
-            bytes=size,
-            description=description,
-        )
-        delivered = False
+        audit = self._audit
+        hooks = self._hooks
+        hooks.ship_begin(table, size, sender, receiver, description, node_id)
+        authorized_by = transfer = None
+        violation = False
         try:
-            result = self._ship_once(
-                table, size, profile, sender, receiver, description, node_id, span
+            if audit is not None:
+                # A single exact-path probe decides the release and yields
+                # the covering rule in one pass (see AuditLog.authorize).
+                allowed, authorized_by = audit.authorize(sender, receiver, profile)
+                if not allowed:
+                    # Either raises (enforcing) or falls through as a
+                    # recorded violation (measure-only runs).
+                    audit.deny(sender, receiver, profile)
+                    violation = True
+            transfer = self._ship_once(
+                table, size, profile, sender, receiver, description, node_id,
+                authorized_by,
             )
-            delivered = True
-            return result
+            if audit is not None:
+                audit.record(transfer, violation=violation)
+            return table
         finally:
-            span.attrs["delivered"] = delivered
-            trace.count("repro_transfers_total", link=link)
-            if delivered:
-                trace.count("repro_bytes_shipped_total", size, link=link)
-                trace.metrics.observe("repro_transfer_bytes", size, link=link)
-            trace.end(span)
+            hooks.ship_end(audit, authorized_by, violation, transfer)
 
     def _ship_once(
         self,
@@ -591,23 +511,10 @@ class DistributedExecutor:
         receiver: str,
         description: str,
         node_id: int,
-        span,
-    ) -> Table:
-        authorized_by = None
-        violation = False
-        if self._audit is not None:
-            # A single exact-path probe decides the release and yields
-            # the covering rule in one pass (see AuditLog.authorize).
-            allowed, authorized_by = self._audit.authorize(
-                sender, receiver, profile
-            )
-            if span is not None:
-                span.attrs["auth_id"] = self._audit.rule_id(authorized_by)
-            if not allowed:
-                # Either raises (enforcing) or falls through as a recorded
-                # violation (measure-only runs).
-                self._audit.deny(sender, receiver, profile)
-                violation = True
+        authorized_by,
+    ) -> Transfer:
+        """One authorized shipment through the fault layer (retried
+        under the run's policy), recorded in the transfer log."""
         attempts, outcomes, retry_delay = 1, ("ok",), 0.0
         if self._faults is not None:
             report = attempt_shipment(
@@ -618,10 +525,8 @@ class DistributedExecutor:
                 size,
                 health=self._health,
                 deadline=self._deadline,
-                trace=self._trace,
+                trace=self._hooks.trace,
             )
-            if span is not None:
-                span.attrs["attempts"] = report.attempt_count
             if not report.delivered:
                 raise TransferFailedError(
                     f"{description}: shipment {sender} -> {receiver} failed "
@@ -647,9 +552,5 @@ class DistributedExecutor:
             outcomes=outcomes,
             retry_delay=retry_delay,
         )
-        if span is not None and violation:
-            span.attrs["violation"] = True
         self._log.record(transfer)
-        if self._audit is not None:
-            self._audit.record(transfer, violation=violation)
-        return table
+        return transfer

@@ -218,7 +218,8 @@ def attempt_shipment(
         trace: optional :class:`~repro.obs.trace.TraceContext`; each
             attempt past the first emits a ``retry`` event and bumps
             ``repro_retries_total``, breaker fail-fasts bump
-            ``repro_breaker_fail_fast_total``.
+            ``repro_breaker_fail_fast_total``, and the attempt count is
+            stamped on the open (``transfer``) span.
 
     Returns:
         The report — ``delivered`` is False when every attempt failed;
@@ -233,6 +234,7 @@ def attempt_shipment(
     link_key = f"{sender}->{receiver}"
     records = []
     waited = 0.0
+    delivered = False
     for attempt in range(1, retry.max_attempts + 1):
         if health is not None and not health.allow(sender, receiver, faults.clock):
             # Fail fast: the breaker quarantined this route (possibly
@@ -268,7 +270,8 @@ def attempt_shipment(
         if deadline is not None:
             deadline.charge(outcome.duration, f"shipment {link_key}")
         if status == "ok":
-            return ShipmentReport(tuple(records), True, waited)
+            delivered = True
+            break
         if attempt < retry.max_attempts:
             delay = retry.delay(attempt, key=link_key)
             if deadline is not None:
@@ -278,4 +281,6 @@ def attempt_shipment(
             faults.wait(delay)
             if deadline is not None:
                 deadline.charge(delay, f"backoff on {link_key}")
-    return ShipmentReport(tuple(records), False, waited)
+    if trace is not None:
+        trace.annotate(attempts=len(records))
+    return ShipmentReport(tuple(records), delivered, waited)

@@ -36,11 +36,6 @@ class Transfer:
         attempts: shipment attempts made (1 for fault-free runs).
         outcomes: per-attempt statuses (``("ok",)`` for fault-free runs).
         retry_delay: total backoff time waited before delivery.
-
-    Shipped payloads are columnar (``rows × profile attributes`` cells of
-    interned scalars); :meth:`cell_count` exposes that cell volume for
-    batch-throughput accounting, while ``byte_size`` stays the canonical
-    :func:`~repro.engine.data.cell_width` payload measure.
     """
 
     __slots__ = (
@@ -83,11 +78,6 @@ class Transfer:
         self.outcomes = outcomes
         self.retry_delay = retry_delay
 
-    def cell_count(self) -> int:
-        """Cells shipped: ``row_count × |profile attributes|`` — the
-        volume unit of the columnar wire format."""
-        return self.row_count * len(self.profile.attributes)
-
     def __repr__(self) -> str:
         return (
             f"Transfer({self.sender} -> {self.receiver}, {self.row_count} rows, "
@@ -117,10 +107,6 @@ class TransferLog:
     def total_bytes(self) -> int:
         """Total payload bytes shipped across all links."""
         return sum(t.byte_size for t in self._transfers)
-
-    def total_cells(self) -> int:
-        """Total cells shipped (columnar volume: Σ rows × width)."""
-        return sum(t.cell_count() for t in self._transfers)
 
     def by_link(self) -> Dict[Tuple[str, str], int]:
         """Bytes shipped per (sender, receiver) link, sorted keys."""

@@ -4,10 +4,12 @@ A :class:`TraceContext` is the single observability handle threaded
 through the stack: planning opens spans around candidate enumeration,
 the chase opens spans per round, the executor opens one ``transfer``
 span per shipment, and the resilience/health/deadline/checkpoint layers
-emit instant events inside whichever span is open.  Every instrumented
-call site guards with ``if trace is not None`` — with no context
-installed the code path is byte-for-byte the uninstrumented one, which
-is what the ABL12 overhead bench asserts.
+emit instant events inside whichever span is open.  The spine —
+planner, executor, pipeline, sharding coordinator — never sees the
+context: it reports to one :class:`~repro.obs.hooks.Hooks` object whose
+tracer implementation opens the spans here and whose null object is what
+a run without a context gets (the ABL12 overhead bench prices it); only
+the leaf emitters take the context itself, ``None`` when nobody traces.
 
 Time comes from a pluggable zero-argument ``clock``.  Executions under a
 :class:`~repro.distributed.faults.FaultInjector` bind the injector's
@@ -245,6 +247,11 @@ class TraceContext:
         self._next_seq += 1
         self.events.append(record)
         return record
+
+    def annotate(self, **attrs: object) -> None:
+        """Stamp attributes on the innermost open span (none: no-op)."""
+        if self._stack:
+            self._stack[-1].attrs.update(attrs)
 
     def count(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Shorthand for ``metrics.inc`` — the common call-site verb."""

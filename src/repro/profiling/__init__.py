@@ -5,8 +5,8 @@ store that feeds observed cardinalities back into the cost model.
 operator, bytes per transfer against the coster's estimate, CanView
 probe counts, and logical/wall time.  `StatsStore` harvests those
 profiles into decayed per-relation and per-join-path statistics that
-`StatsAwareCostModel` (core/costplanner) consumes, closing the
-plan-quality feedback loop of ROADMAP item #1.
+`CostAwareSafePlanner(stats_store=)` (core/costplanner) consumes,
+closing the plan-quality feedback loop of ROADMAP item #1.
 """
 
 from repro.profiling.profile import (

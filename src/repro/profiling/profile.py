@@ -8,10 +8,10 @@ counts, and start/finish timestamps on whatever clock the run uses
 (wall time by default, the fault injector's logical clock under a
 pinned run — which is what makes profile artifacts byte-stable).
 
-The profiler is pull-free: the executor pushes records as it goes, and
-`finish()` derives observed join selectivities and misestimation flags.
-When no profiler is attached the executor binds none of these hooks, so
-the profiled path costs nothing when off.
+The profiler is pull-free: `repro.obs.hooks.ProfilerHooks` pushes
+records as the run reports its events, and `finish()` derives observed
+join selectivities and misestimation flags.  A run without a profiler
+reports to the null listener instead.
 """
 
 from __future__ import annotations
@@ -283,10 +283,6 @@ class QueryProfiler:
     def now(self) -> float:
         return float(self._clock())
 
-    def use_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-        self._clock_pinned = True
-
     def maybe_use_clock(self, clock: Callable[[], float]) -> None:
         """Adopt ``clock`` unless one was pinned explicitly — mirrors
         `TraceContext.maybe_use_clock` so pipelines bind the fault
@@ -324,16 +320,21 @@ class QueryProfiler:
         profile.finished = self.now()
         profile._detect_misestimates()
         self.profiles.append(profile)
+        self.abandon()
+        return profile
+
+    def abandon(self) -> None:
+        """Drop the active profile, keeping nothing of it (the run it
+        was observing failed)."""
         self._active = None
         self._flows = {}
-        return profile
 
     def _require_active(self) -> QueryProfile:
         if self._active is None:
             raise ReproError("no active profile — call start() first")
         return self._active
 
-    # -- recording hooks (called by the executor) ----------------------
+    # -- recording (called by ProfilerHooks) ----------------------------
 
     def record_operator(
         self,

@@ -15,8 +15,9 @@ tracks drifting data without a stale observation pinning plans forever.
 ``decay=1.0`` means "trust the latest run completely".
 
 `table_stats` merges the store over a static base-stats mapping,
-producing the effective `TableStats` a `StatsAwareCostModel` plans
-with; relations the store has never seen keep their static entries.
+producing the effective `TableStats` a `CostAwareSafePlanner` given
+this store (`stats_store=`) plans with; relations the store has never
+seen keep their static entries.
 """
 
 from __future__ import annotations

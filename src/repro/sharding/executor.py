@@ -47,7 +47,6 @@ from repro.algebra.tree import QueryTreePlan
 from repro.core.assignment import Assignment
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
-from repro.core.safety import verify_assignment
 from repro.engine.data import Table
 from repro.engine.executor import ExecutionResult
 from repro.exceptions import (
@@ -55,6 +54,7 @@ from repro.exceptions import (
     PartitionSchemeError,
     ShardingError,
 )
+from repro.obs.hooks import NO_HOOKS, Hooks
 from repro.sharding.checker import (
     MODE_HYPERCUBE,
     MODE_MULTIROUND,
@@ -283,14 +283,12 @@ class ShardedExecutor:
 
     :class:`~repro.distributed.system.DistributedSystem` keeps one per
     distinct scheme set, so what depends only on (catalog, schemes) —
-    the per-shard catalogs — is built once, and per-shard plans are
-    memoized per policy epoch.  What can change between two requests is
-    read at call time: ``system.policy`` (revocation swaps the object)
-    and the loaded instances (through the system's resident shards).
-    Each request is still certified and each adopted shard plan
-    re-verified, exactly as a coordinator built for that one request
-    would; running the units — and auditing every transfer — is the
-    pipeline's job.
+    the per-shard catalogs — is built once, and per-shard plans live in
+    the system's one plan cache, under its epoch rule.  What can change
+    between two requests is read at call time: ``system.policy`` and
+    the loaded instances (through the system's resident shards).  Each
+    request is still certified; verifying every unit's assignment,
+    running the units and auditing every transfer is the pipeline's job.
 
     Args:
         system: the :class:`~repro.distributed.system.DistributedSystem`
@@ -300,18 +298,11 @@ class ShardedExecutor:
             a different relation's name is a configuration error.
     """
 
-    #: Shard plans kept per epoch; the oldest is evicted beyond this.
-    PLAN_MEMO_LIMIT = 1024
-
     def __init__(self, system, schemes: Mapping[str, PartitionScheme]) -> None:
-        scheme_set_key(schemes)  # validates
+        self._key = scheme_set_key(schemes)  # validates
         self._system = system
         self._schemes = dict(schemes)
         self._catalogs: Dict[int, Catalog] = {}
-        # (fingerprint, shard) -> (tree, assignment), all planned under
-        # ``_memo_epoch``; dropped whole when the policy epoch moves.
-        self._plan_memo: Dict[Tuple[object, int], Tuple[object, object]] = {}
-        self._memo_epoch: Optional[int] = None
 
     def certify(self, query, trace=None) -> ShardCertificate:
         """The checker's verdict for ``query`` under these schemes and
@@ -341,7 +332,7 @@ class ShardedExecutor:
         query,
         search_join_orders: bool = False,
         allow_multiround: bool = True,
-        trace=None,
+        hooks: Hooks = NO_HOOKS,
     ) -> ShardPlan:
         """Certify ``query`` and decide its rung of the ladder.
 
@@ -350,7 +341,7 @@ class ShardedExecutor:
                 safe single-copy assignment exists either.
         """
         spec = self._system.parse(query)
-        certificate = self.certify(spec, trace)
+        certificate = self.certify(spec, hooks.trace)
         mode, units, reason = EXEC_SINGLE_COPY, (), ""
         if not certificate.certified or not certificate.sharded:
             reason = certificate.reason or "query touches no sharded relation"
@@ -358,7 +349,7 @@ class ShardedExecutor:
             shards = self._schemes[certificate.sharded[0]].shards
             try:
                 units = tuple(
-                    self._shard_plan(spec, shard, trace) for shard in range(shards)
+                    self._shard_plan(spec, shard, hooks.trace) for shard in range(shards)
                 )
                 mode = EXEC_PARTITIONED
             except InfeasiblePlanError as error:
@@ -368,7 +359,7 @@ class ShardedExecutor:
         else:
             reason = f"mode {certificate.mode!r} disabled"
         if mode == EXEC_SINGLE_COPY:
-            return self.fallback(query, certificate, reason, search_join_orders, trace)
+            return self.fallback(query, certificate, reason, search_join_orders, hooks)
         shuffle = plan_shuffle(spec, self._sharded(certificate), certificate)
         return ShardPlan(certificate, mode, "", shuffle, units)
 
@@ -378,15 +369,13 @@ class ShardedExecutor:
         certificate: ShardCertificate,
         reason: str,
         search_join_orders: bool = False,
-        trace=None,
+        hooks: Hooks = NO_HOOKS,
     ) -> ShardPlan:
         """The bottom rung: ``query``'s ordinary single-copy plan
         (through the plan cache), tagged with why the ladder fell."""
-        if trace is not None:
-            trace.event("shard_fallback", "sharding", reason=reason)
-            trace.count("repro_shard_fallback_total")
+        hooks.shard_fallback(reason)
         tree, assignment, _ = self._system.plan(
-            query, search_join_orders=search_join_orders, trace=trace
+            query, search_join_orders=search_join_orders, trace=hooks.trace
         )
         return ShardPlan(
             certificate, EXEC_SINGLE_COPY, reason, None, ((tree, assignment),)
@@ -398,37 +387,33 @@ class ShardedExecutor:
     def _shard_plan(
         self, spec: QuerySpec, shard: int, trace
     ) -> Tuple[QueryTreePlan, Assignment]:
-        """One shard's verified ``(tree, assignment)`` under the current
-        policy.
+        """One shard's ``(tree, assignment)`` under the current policy.
 
         Each shard sees its own catalog (shifted placements) but plans
-        under the *same* chase-closed policy.  Every plan handed out —
-        freshly planned or adopted from the memo — passes the
-        independent verifier against the policy in force *now*, so
-        neither shard placement nor residency can relax Definition 4.3.
+        under the *same* chase-closed policy, and its plan lives in the
+        system's one plan cache under ``(fingerprint, scheme set,
+        shard)``: a policy mutation re-audits it there and evicts it
+        when a flow it ships lost its rule, exactly as for single-copy
+        plans.  Neither a planned nor an adopted plan is verified here —
+        the pipeline's unit body verifies every unit, with the
+        recipient, before anything ships (Definition 4.3).
         """
-        policy = self._system.policy
-        epoch = getattr(policy, "epoch", 0)
-        memo = self._plan_memo
-        if epoch != self._memo_epoch:
-            memo.clear()
-            self._memo_epoch = epoch
-        key = (spec.fingerprint(), shard)
-        product = memo.get(key)
-        if product is not None:
-            verify_assignment(policy, product[1])
-            return product
+        system = self._system
+        policy, cache = system.policy, system.plan_cache
+        key = (spec.fingerprint(), self._key, shard)
+        if cache is not None:
+            entry = cache.lookup(key, policy, obs=trace)
+            if entry is not None:
+                return entry.tree, entry.assignment
         catalog = self._catalogs.get(shard)
         if catalog is None:
             catalog = self._catalogs[shard] = shard_catalog(
-                self._system.catalog, self._schemes, shard
+                system.catalog, self._schemes, shard
             )
         tree = build_plan(catalog, spec)
-        assignment, _ = SafePlanner(policy, obs=trace).plan(tree)
-        verify_assignment(policy, assignment)
-        if len(memo) >= self.PLAN_MEMO_LIMIT:
-            del memo[next(iter(memo))]
-        memo[key] = (tree, assignment)
+        assignment, planner_trace = SafePlanner(policy, obs=trace).plan(tree)
+        if cache is not None:
+            cache.store(key, policy, tree, assignment, planner_trace)
         return tree, assignment
 
     # ------------------------------------------------------------------
@@ -463,7 +448,7 @@ class ShardedExecutor:
         query,
         plan: ShardPlan,
         recipient: Optional[str] = None,
-        trace=None,
+        hooks: Hooks = NO_HOOKS,
     ) -> ShardedResult:
         """The multi-round rung: the engine-level repartitioning run.
 
@@ -496,10 +481,10 @@ class ShardedExecutor:
             self._sharded(plan.certificate),
             system.policy,
             system.catalog,
-            trace=trace,
+            trace=hooks.trace,
         )
         took = [time.perf_counter() - start]
-        return self.package(plan, table, (), took, recipient, trace, stats)
+        return self.package(plan, table, (), took, recipient, hooks, stats)
 
     def package(
         self,
@@ -508,24 +493,12 @@ class ShardedExecutor:
         results: Sequence[ExecutionResult],
         took: Sequence[float],
         recipient: Optional[str] = None,
-        trace=None,
+        hooks: Hooks = NO_HOOKS,
         shuffle_stats=None,
     ) -> ShardedResult:
         """One finished run as a :class:`ShardedResult`: ``table`` is
         the merged result, ``took`` each unit's wall time."""
-        if trace is not None:
-            trace.count("repro_shard_queries_total", mode=plan.mode)
-            if plan.mode == EXEC_PARTITIONED:
-                trace.count("repro_shard_partitions_total", len(results))
-                trace.event(
-                    "shard_parallel_commit",
-                    "sharding",
-                    shards=len(results),
-                    rows=len(table),
-                    mode=EXEC_PARTITIONED,
-                )
-            if plan.mode != EXEC_SINGLE_COPY:
-                trace.count("repro_shard_rows_total", len(table))
+        hooks.shard_commit(plan, table, results)
         if recipient is None:
             recipient = results[0].result_server if results else "coordinator"
         return ShardedResult(plan, table, recipient, results, took, shuffle_stats)

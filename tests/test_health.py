@@ -35,7 +35,7 @@ from repro.distributed.health import (
     RollingStats,
 )
 from repro.distributed.system import DistributedSystem
-from repro.engine.coster import CostModel, HealthAwareCostModel
+from repro.engine.coster import CostModel
 from repro.engine.resilience import (
     STATUS_BREAKER_OPEN,
     RetryPolicy,
@@ -400,7 +400,7 @@ class TestHealthAwareCostModel:
     def test_penalizes_quarantined_routes_only(self):
         tracker = HealthTracker(failure_threshold=1, quarantine_penalty=8.0)
         tracker.observe_attempt("A", "B", STATUS_DROP, 1.0, 0.0)
-        model = HealthAwareCostModel(tracker)
+        model = CostModel(health=tracker)
         assert model.transfer_cost("A", "B", 100.0) == 800.0
         assert model.transfer_cost("B", "A", 100.0) == 100.0
 
@@ -411,7 +411,7 @@ class TestHealthAwareCostModel:
 
         tracker = HealthTracker(failure_threshold=1, quarantine_penalty=3.0)
         tracker.observe_attempt("A", "B", STATUS_DROP, 1.0, 0.0)
-        model = HealthAwareCostModel(tracker, base=Doubling())
+        model = CostModel(network=Doubling(), health=tracker)
         assert model.transfer_cost("A", "B", 10.0) == 60.0
 
 

@@ -20,8 +20,11 @@ and the end-to-end contracts the instrumentation promises:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,16 +38,21 @@ from repro.analysis.reporting import (
 )
 from repro.core.access import first_covering_authorization
 from repro.core.authorization import Policy
+from repro.core import planner as planner_module
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile, observed_compositions
+from repro.distributed import pipeline as pipeline_module
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import STATE_OPEN, HealthTracker
 from repro.distributed.system import DistributedSystem
 from repro.engine.deadline import DeadlineBudget
 from repro.engine.resilience import RetryPolicy
 from repro.exceptions import (
+    AuditViolationError,
+    ChaosInterrupt,
     DeadlineExceededError,
     DegradedExecutionError,
+    InfeasiblePlanError,
     ReproError,
 )
 from repro.obs import (
@@ -56,12 +64,16 @@ from repro.obs import (
     parse_prometheus_text,
     validate_chrome_trace,
 )
+from repro.obs.hooks import Hooks, ProfilerHooks, TracerHooks, hooks_for
+from repro.profiling import QueryProfiler
 from repro.testing import grant, quick_catalog
 from repro.workloads.medical import (
     generate_instances,
     medical_catalog,
     medical_policy,
 )
+
+from tests.test_composition import chain_world
 
 MEDICAL_QUERY = (
     "SELECT Patient, Physician, Plan, HealthAid "
@@ -852,3 +864,336 @@ class TestCliObservability:
         assert code in (3, 4)
         lines = trace_path.read_text().splitlines()
         assert lines and all(json.loads(line) for line in lines)
+
+
+# ----------------------------------------------------------------------
+# The instrumentation seam (repro.obs.hooks)
+# ----------------------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SPINE = (
+    "engine/executor.py",
+    "distributed/pipeline.py",
+    "core/planner.py",
+    "sharding/executor.py",
+)
+#: ``(trace|profiler|obs|span) is (not )?None`` tests the four spine
+#: files may hold together: constructor adaptation of the public
+#: ``trace=`` / ``obs=`` / ``profiler=`` keywords, nothing per site.
+GUARD_CEILING = 6
+
+EVENTS = sorted(
+    name for name, member in vars(Hooks).items()
+    if callable(member) and not name.startswith("_") and name != "counting_can_view"
+)
+#: What may be open directly around each kind of region.  A plan sits
+#: under a shard (health/checkpoint refinement), under a unit (the
+#: replan after a failed attempt) or at the root; the closing delivery
+#: to the recipient ships outside every node.
+PARENTS = {
+    "shards": {None},
+    "shard": {None, "shards"},
+    "unit": {"shard"},
+    "attempt": {"unit"},
+    "node": {"unit", "attempt", "node"},
+    "ship": {"unit", "attempt", "node"},
+    "plan": {None, "shard", "unit"},
+    "enumerate": {"plan"},
+}
+
+
+class Recorder(Hooks):
+    """Forwards every event to the run's real listener and records it,
+    checking begin/end pairing and nesting on the way."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log, self.stack = inner, log, []
+
+    @property
+    def trace(self):
+        return self.inner.trace
+
+    def counting_can_view(self, inner, policy):
+        return self.inner.counting_can_view(inner, policy)
+
+    def _record(self, name, args):
+        self.log.append(name)
+        kind, _, edge = name.rpartition("_")
+        if edge == "begin":
+            parent = self.stack[-1] if self.stack else None
+            assert parent in PARENTS[kind], f"{kind} opened under {parent}"
+            self.stack.append(kind)
+        elif edge == "end":
+            assert self.stack and self.stack.pop() == kind, f"{name} is not LIFO"
+        return getattr(self.inner, name)(*args)
+
+
+for _event in EVENTS:
+    setattr(
+        Recorder, _event,
+        lambda self, *args, _name=_event: self._record(_name, args),
+    )
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every listener the planner and the pipeline ask for is wrapped in
+    a :class:`Recorder`; yields the recorders made so far."""
+    recorders = []
+
+    def recording_hooks_for(trace=None, profiler=None):
+        recorders.append(Recorder(hooks_for(trace, profiler), []))
+        return recorders[-1]
+
+    monkeypatch.setattr(planner_module, "hooks_for", recording_hooks_for)
+    monkeypatch.setattr(pipeline_module, "hooks_for", recording_hooks_for)
+    return recorders
+
+
+class _RevokingFaults(FaultInjector):
+    """Revokes ``rules`` right after the run's first delivered shipment:
+    the plan in flight is stale from then on, and only the audit before
+    each later shipment can know."""
+
+    def __init__(self, system, rules):
+        super().__init__(seed=0)
+        self._system, self._rules = system, list(rules)
+
+    def attempt(self, sender, receiver, byte_size):
+        outcome = super().attempt(sender, receiver, byte_size)
+        while self._rules:
+            self._system.revoke_authorization(self._rules.pop())
+        return outcome
+
+
+class _InterruptAt:
+    """A chaos schedule that kills the unit at one stage."""
+
+    def __init__(self, stage):
+        self._stage = stage
+
+    def fire(self, point, stage=None):
+        if stage == self._stage:
+            raise ChaosInterrupt(f"killed at {stage}", point=point, stage=stage)
+
+
+def _medical_world():
+    return _medical_system(), MEDICAL_QUERY, "S_H", {
+        "infeasible": "SELECT Patient, Plan FROM Hospital JOIN Insurance ON Patient = Holder",
+    }
+
+
+def _chain_world():
+    system, _, query, recipient = chain_world()
+    # The closing delivery to S1 loses its rule and what re-derives it.
+    stale = [grant("S1", "a b c d", "a = c"), grant("S1", "c d")]
+    return system, query, recipient, {"stale": stale}
+
+
+def _exit_options(exit, system, query, recipient, extra):
+    """``(query, options, expected error)`` of one way a run can end."""
+    if exit == "ok":
+        return query, {}, None
+    if exit == "infeasible":
+        if "infeasible" not in extra:
+            system.revoke_authorization(grant("S1", "c d"))
+            system.revoke_authorization(grant("S2", "a b"))
+        return extra.get("infeasible", query), {}, InfeasiblePlanError
+    if exit == "degraded":
+        options = {
+            "faults": FaultInjector(seed=1, drop_probability=1.0),
+            "retry": RetryPolicy(max_attempts=2, base_delay=0.5),
+            "max_failovers": 1,
+        }
+        return query, options, DegradedExecutionError
+    if exit == "audit":
+        stale = extra.get("stale")
+        if stale is None:
+            # The plan's last shipment is covered by an explicit rule
+            # nothing re-derives: gone once the first one delivered.
+            done = system.execute(query, recipient=recipient)
+            stale = [done.transfers.transfers[-1].authorized_by]
+        options = {"faults": _RevokingFaults(system, stale), "verify": False}
+        return query, options, AuditViolationError
+    assert exit in ("chaos-pre", "chaos-post")
+    return query, {"chaos": _InterruptAt(exit[6:])}, ChaosInterrupt
+
+
+EXITS = ("ok", "infeasible", "degraded", "audit", "chaos-pre", "chaos-post")
+WORLDS = {"medical": _medical_world, "chain": _chain_world}
+
+
+def _run_to_exit(world, exit, trace=None, profiler=None):
+    system, query, recipient, extra = WORLDS[world]()
+    query, options, expected = _exit_options(exit, system, query, recipient, extra)
+    run = lambda: system.execute(  # noqa: E731
+        query, recipient=recipient, trace=trace, profiler=profiler, **options
+    )
+    if expected is None:
+        return system, run()
+    with pytest.raises(expected):
+        run()
+    return system, None
+
+
+class TestSeamContract:
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("exit", EXITS)
+    def test_every_begin_has_its_end_whoever_listens(self, recorded, world, exit):
+        sequences = []
+        for traced, profiled in itertools.product((False, True), repeat=2):
+            del recorded[:]
+            trace = TraceContext() if traced else None
+            profiler = QueryProfiler() if profiled else None
+            _run_to_exit(world, exit, trace, profiler)
+            # Pairing and nesting were checked event by event; nothing
+            # is left open, in the recorders or in what they wrap.
+            assert all(recorder.stack == [] for recorder in recorded)
+            if traced:
+                assert trace.open_spans() == []
+            if profiled:
+                assert profiler.active is None
+            # (A per-call trace gets a planner of its own, so which
+            # recorder heard the planning differs; what was heard must not.)
+            sequences.append(sorted(recorder.log for recorder in recorded if recorder.log))
+        assert sequences[0] and all(seq == sequences[0] for seq in sequences[1:])
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_the_null_listener_hears_a_bounded_number_of_calls(self, recorded, world):
+        system, query, recipient, _ = WORLDS[world]()
+        system.execute(query, recipient=recipient)  # plans; warm from here
+        del recorded[:]
+        result = system.execute(query, recipient=recipient)
+        nodes = len(list(system.plan(query)[0]))
+        (request,) = [recorder.log for recorder in recorded if recorder.log]
+        # node begin/end, ship begin/end, unit and shard begin/end: one
+        # no-op bound call each, nothing else on a healthy request.
+        assert len(request) == 2 * nodes + 2 * len(result.transfers) + 4
+        del recorded[:]
+        with pytest.raises(DegradedExecutionError):
+            system.execute(
+                query, recipient=recipient, max_failovers=1,
+                faults=FaultInjector(seed=1, drop_probability=1.0),
+                retry=RetryPolicy(max_attempts=2, base_delay=0.5),
+            )
+        pipeline = max((recorder.log for recorder in recorded), key=len)
+        attempts = pipeline.count("attempt_begin")
+        executed = pipeline.count("node_begin") + pipeline.count("ship_begin")
+        # Under faults: the clock binding, and per attempt its
+        # begin/end and the failover that follows it.
+        assert attempts == 2
+        assert len(pipeline) == 2 * executed + 4 + 1 + 3 * attempts
+
+    def test_a_sharded_request_reports_each_shard_inside_one_execute(self, recorded):
+        system, schemes, query, recipient = chain_world()
+        system.execute_sharded(query, schemes, recipient=recipient)
+        del recorded[:]
+        trace = TraceContext()
+        result = system.execute_sharded(query, schemes, recipient=recipient, trace=trace)
+        (request,) = [recorder.log for recorder in recorded if recorder.log]
+        assert (request[0], request[-2:]) == ("shards_begin", ["shard_commit", "shards_end"])
+        assert request.count("shard_begin") == request.count("unit_begin") == result.shards
+        assert len(trace.spans_named("shard")) == result.shards
+
+    def test_hooks_module_has_no_event_without_a_listener_and_a_call_site(self):
+        spine = "".join(
+            (REPO / "src/repro" / name).read_text() for name in SPINE
+        )
+        rendered = set(vars(TracerHooks)) | set(vars(ProfilerHooks))
+        for event in EVENTS + ["counting_can_view"]:
+            assert event in rendered, f"{event} has no non-null implementation"
+            assert f".{event}(" in spine, f"{event} has no call site"
+
+    def test_census_no_variants_no_rebinding_no_guard_clusters(self):
+        sources = sorted((REPO / "src").rglob("*.py"))
+        assert sources
+        for path in sources:
+            text = path.read_text()
+            assert not re.search(r"_traced|_profiled", text), path
+            methods = set(re.findall(r"^\s*def (\w+)\(", text, re.M))
+            for target, source in re.findall(
+                r"^\s*self\.(\w+) = self\.(\w+)\s*(?:#.*)?$", text, re.M
+            ):
+                assert source not in methods, f"{path}: self.{target} = self.{source}"
+        guards = {
+            name: len(re.findall(
+                r"(trace|profiler|obs|span) is (not )?None",
+                (REPO / "src/repro" / name).read_text(),
+            ))
+            for name in SPINE
+        }
+        assert sum(guards.values()) <= GUARD_CEILING, guards
+        for name, bodies in {
+            "core/planner.py": ("plan", "_find_candidates", "_admit_master"),
+            "engine/executor.py": ("_execute_node", "_execute_join", "_ship", "_ship_once"),
+        }.items():
+            text = (REPO / "src/repro" / name).read_text()
+            for body in bodies:
+                assert len(re.findall(rf"^\s*def {body}\(", text, re.M)) == 1, body
+
+
+class TestFailedRunsCloseWhatTheyOpened:
+    """On one shared context, a run that dies must leave nothing open —
+    or every later request is filed under the dead run's spans."""
+
+    def _assert_closed_then_unrelated(self, system, trace, failed_name, error):
+        assert trace.open_spans() == []
+        (failed,) = [
+            span for span in trace.spans_named(failed_name) if "error" in span.attrs
+        ]
+        assert failed.attrs["error"] == error
+        dead = {span.span_id for span in trace.spans}
+        system.execute(MEDICAL_QUERY, trace=trace)
+        _assert_well_formed(trace)
+        by_id = {span.span_id: span for span in trace.spans}
+        for span in trace.spans:
+            if span.span_id in dead:
+                continue
+            parent = span.parent_id
+            while parent is not None:
+                assert parent not in dead, f"{span!r} is filed under a failed run"
+                parent = by_id[parent].parent_id
+
+    def test_degraded_profiled_run(self):
+        trace, profiler = TraceContext(), QueryProfiler()
+        system = _medical_system(trace=trace)
+        with pytest.raises(DegradedExecutionError):
+            system.execute(
+                MEDICAL_QUERY, trace=trace, profiler=profiler, max_failovers=1,
+                faults=FaultInjector(seed=1, drop_probability=1.0),
+                retry=RetryPolicy(max_attempts=2, base_delay=0.5),
+            )
+        assert profiler.active is None and profiler.profiles == []
+        self._assert_closed_then_unrelated(
+            system, trace, "profile", "DegradedExecutionError"
+        )
+
+    def test_audit_violation_inside_an_attempt(self):
+        trace = TraceContext()
+        system = _medical_system(trace=trace)
+        stale = system.execute(MEDICAL_QUERY).transfers.transfers[-1].authorized_by
+        with pytest.raises(AuditViolationError):
+            system.execute(
+                MEDICAL_QUERY, trace=trace, verify=False,
+                faults=_RevokingFaults(system, [stale]),
+            )
+        system.add_authorization(stale)  # the healthy run needs it back
+        self._assert_closed_then_unrelated(
+            system, trace, "execute_attempt", "AuditViolationError"
+        )
+
+    @pytest.mark.parametrize("stage", ["pre", "post"])
+    def test_chaos_interrupt_at_the_unit_points(self, stage):
+        trace, profiler = TraceContext(), QueryProfiler()
+        system = _medical_system(trace=trace)
+        with pytest.raises(ChaosInterrupt):
+            system.execute(
+                MEDICAL_QUERY, trace=trace, profiler=profiler,
+                chaos=_InterruptAt(stage),
+            )
+        assert trace.open_spans() == [] and profiler.active is None
+        # Killed before the unit began, it opened nothing; killed after
+        # it ran, its profile is dropped and its span says why.
+        assert [s.attrs.get("error") for s in trace.spans_named("profile")] == (
+            [] if stage == "pre" else ["ChaosInterrupt"]
+        )

@@ -8,7 +8,7 @@ Covers the PR's acceptance criteria directly:
 * profile JSON artifacts round-trip byte-stable through
   :mod:`repro.io.serialize`;
 * the :class:`~repro.profiling.StatsStore` decay/harvest semantics and
-  the :class:`~repro.core.costplanner.StatsAwareCostModel` replan;
+  the stats-fed :class:`~repro.core.costplanner.CostAwareSafePlanner` replan;
 * misestimate detection and its trace/metrics surfacing;
 * the satellite fixes (percentile edge cases, ``write_bench_json``
   profile section, Prometheus histogram validation and quantile).
@@ -125,8 +125,8 @@ def test_full_operand_flows_agree_exactly():
 
 def test_profiled_requests_scan_each_base_column_once(monkeypatch):
     """``TableStats.of_table`` reads the table's memoized column stats
-    (``_begin_profile`` and the profiled leaf branch both call it, every
-    request): profiled requests scan each resident relation once — once
+    (``ProfilerHooks.unit_begin`` and the leaf branch of its
+    ``node_end`` both call it, every request): profiled requests scan each resident relation once — once
     more if a projection's alias corner sorted it in between, which
     happens at most once per loaded table — not twice per request; and
     every call still hands out its own mutable ``TableStats``."""
@@ -339,13 +339,9 @@ def test_warm_store_tightens_estimate():
 def test_stats_aware_cost_model_replans():
     """A warm store re-ranks candidate strategies: observed join
     selectivities feed :func:`estimate_assignment_cost` through the
-    :class:`StatsAwareCostModel`, changing the estimated cost even when
+    planner's ``stats_store``, changing the estimated cost even when
     the winning strategy happens to stay the same."""
-    from repro.core.costplanner import (
-        EXHAUSTIVE,
-        CostAwareSafePlanner,
-        StatsAwareCostModel,
-    )
+    from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
     from repro.sql import parse_query
 
     system = _medical_system()
@@ -363,7 +359,6 @@ def test_stats_aware_cost_model_replans():
     fed_planner = CostAwareSafePlanner(
         system.policy, base, assignment_search=EXHAUSTIVE, stats_store=store
     )
-    assert isinstance(fed_planner._cost_model, StatsAwareCostModel)
     static_plan = static_planner.plan(system.catalog, spec)
     fed_plan = fed_planner.plan(system.catalog, spec)
     assert fed_plan.estimated_cost != static_plan.estimated_cost

@@ -25,6 +25,8 @@ from repro.cli import main
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.costplanner import CostAwareSafePlanner
+from repro.core.plancache import PlanCache
+from repro.distributed import pipeline as pipeline_module
 from repro.distributed.faults import FaultInjector
 from repro.distributed.system import DistributedSystem
 from repro.engine.coster import TableStats
@@ -299,25 +301,19 @@ class TestResidentShards:
             system.execute_sharded(QUERY, schemes)
 
     def test_grant_between_runs_reverifies_and_changes_nothing(self, monkeypatch):
-        verified = []
-        real = sharding_executor.verify_assignment
-
-        def counting(policy, assignment, recipient=None):
-            verified.append(policy.epoch)
-            return real(policy, assignment, recipient)
-
-        monkeypatch.setattr(sharding_executor, "verify_assignment", counting)
+        verified = _count_verifications(monkeypatch)
         system = _minimal_system(single_copy_feasible=True)
         schemes = _good_schemes(shards=3)
         before = system.execute_sharded(QUERY, schemes)
-        system.execute_sharded(QUERY, schemes)  # pure memo hits
+        system.execute_sharded(QUERY, schemes)  # pure plan-cache hits
         old_epoch = system.policy.epoch
-        # Fresh plans and adopted ones alike pass the verifier.
-        assert verified == [old_epoch] * 6
+        # Fresh plans and adopted ones alike pass the verifier — once
+        # per unit, in the unit body, not a second time at the memo.
+        assert [epoch for epoch, _ in verified] == [old_epoch] * 6
         system.add_authorization(grant("S1", "c d"))
         after = system.execute_sharded(QUERY, schemes)
         assert system.policy.epoch > old_epoch
-        assert verified[6:] == [system.policy.epoch] * 3
+        assert [epoch for epoch, _ in verified[6:]] == [system.policy.epoch] * 3
         assert after.certificate.policy_epoch == system.policy.epoch
         assert after.mode == EXEC_PARTITIONED
         assert after.table == before.table
@@ -325,24 +321,97 @@ class TestResidentShards:
             r.result_server for r in before.shard_results
         ]
 
-    def test_plan_memo_is_bounded_by_eviction_and_dropped_with_the_epoch(
+    def test_shard_plans_obey_the_plan_cache_epoch_rule(
         self, monkeypatch
     ):
-        monkeypatch.setattr(ShardedExecutor, "PLAN_MEMO_LIMIT", 2)
-        system = _minimal_system(single_copy_feasible=True)
-        coordinator = ShardedExecutor(system, _good_schemes(shards=2))
-        coordinator.execute(QUERY)
-        coordinator.execute("SELECT a, d FROM R JOIN T ON a = c")
-        # Full, yet the newest query's plans are the ones kept.
-        newest = system.parse("SELECT a, d FROM R JOIN T ON a = c").fingerprint()
-        assert [key[0] for key in coordinator._plan_memo] == [newest, newest]
-        kept = list(coordinator._plan_memo.values())
-        system.add_authorization(grant("S1", "c d"))
-        coordinator.execute("SELECT a, d FROM R JOIN T ON a = c")
-        # Same keys, but planned again under the new epoch.
-        replanned = list(coordinator._plan_memo.values())
-        assert len(replanned) == 2
-        assert all(new is not old for new, old in zip(replanned, kept))
+        verified = _count_verifications(monkeypatch)
+        trace = TraceContext()
+        system = _system()
+        cache = system.plan_cache
+        # Only R is sharded, so every shard plan ships T's rows to its
+        # group member — under a rule a revoke can take away.
+        schemes = {"R": _good_schemes(shards=2)["R"]}
+        first = system.execute_sharded(QUERY, schemes)
+        assert first.mode == EXEC_PARTITIONED
+        assert (len(cache), cache.stats.misses, cache.stats.hits) == (2, 2, 0)
+        system.execute_sharded(QUERY, schemes)
+        assert (len(cache), cache.stats.misses, cache.stats.hits) == (2, 2, 2)
+        planned = [assignment for _, assignment in verified[:2]]
+        # One verification per unit run, warm as cold.
+        assert len(verified) == 4
+        assert [assignment for _, assignment in verified[2:]] == planned
+
+        # A grant moves the epoch: the cache re-audits and reuses.
+        system.add_authorization(grant("S2", "a"))
+        system.execute_sharded(QUERY, schemes)
+        assert cache.stats.revalidations == 2
+        assert cache.stats.revalidation_failures == 0
+        assert all(
+            new is old for (_, new), old in zip(verified[4:], planned)
+        )
+
+        # Revoking the rule shard 0 ships under evicts that shard's plan
+        # and only that one; the request replans it and stays correct.
+        revoked = grant("G1", "c d")
+        assert revoked in [
+            t.authorized_by for t in first.shard_results[0].transfers
+        ]
+        system.revoke_authorization(revoked)
+        after = system.execute_sharded(QUERY, schemes, trace=trace)
+        assert cache.stats.revalidation_failures == 1
+        assert len(verified) == 8
+        replanned, kept = (assignment for _, assignment in verified[6:])
+        assert replanned is not planned[0] and kept is planned[1]
+        shipped = [t for unit in after.unit_results for t in unit.transfers]
+        assert shipped and revoked not in [t.authorized_by for t in shipped]
+        # Shard 0 now ships its R rows to S2 instead: still partitioned.
+        assert after.mode == EXEC_PARTITIONED
+        assert [e.attrs["outcome"] for e in trace.events if e.name == "plan_cache"] == [
+            "revalidation_failed", "revalidated",
+        ]
+        assert after.table == system.execute(QUERY).table
+        assert after.violations() == 0
+
+    def test_shard_plans_bounded_or_planned_per_request(self):
+        catalog = _catalog()
+        schemes = {"R": _good_schemes(shards=2)["R"]}
+        other = "SELECT a, d FROM R JOIN T ON a = c"
+        small = DistributedSystem(
+            catalog, close_policy(_policy(), catalog), apply_closure=False,
+            plan_cache=PlanCache(maxsize=2),
+        )
+        small.load_instances(INSTANCES)
+        small.execute_sharded(QUERY, schemes)
+        small.execute_sharded(other, schemes)
+        assert len(small.plan_cache) == 2
+        assert small.plan_cache.stats.evictions == 2
+        off = DistributedSystem(
+            catalog, close_policy(_policy(), catalog), apply_closure=False,
+            plan_cache=False,
+        )
+        off.load_instances(INSTANCES)
+        plans = [
+            off.pipeline(QUERY, schemes=schemes).plan().units for _ in range(2)
+        ]
+        assert all(
+            again[1] is not once[1] for once, again in zip(*plans)
+        )
+        assert off.execute_sharded(QUERY, schemes).table == small.execute(QUERY).table
+
+
+def _count_verifications(monkeypatch):
+    """Every ``verify_assignment`` call of the unit body, as ``(policy
+    epoch, assignment)`` — the coordinator itself verifies nothing."""
+    assert not hasattr(sharding_executor, "verify_assignment")
+    verified = []
+    real = pipeline_module.verify_assignment
+
+    def counting(policy, assignment, recipient=None):
+        verified.append((policy.epoch, assignment))
+        return real(policy, assignment, recipient)
+
+    monkeypatch.setattr(pipeline_module, "verify_assignment", counting)
+    return verified
 
 
 # ---------------------------------------------------------------------------
