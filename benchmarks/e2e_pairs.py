@@ -25,7 +25,15 @@ pairs the change won (ties count for neither) and the verdict of the
 
 The exit status is 1 only when a run crashed or answered a request
 wrongly; the verdicts are for the reader (one 3 s pair, as CI's smoke
-runs it, decides nothing).  Every run made is printed.
+runs it, decides nothing).  Every run made is printed, with the number
+of requests it attempted.
+
+Beside ``peak_rss_mb`` two context rows (no verdict) print
+``peak_rss_mb`` per 1 000 requests served and ``attempted`` itself: the
+load generator keeps a few floats per request served, so a faster tree
+reads a higher RSS over the same run length.  An RSS move that the
+per-request row does not show tracks the request count; one it does
+show is growth in the program.
 """
 
 from __future__ import annotations
@@ -75,13 +83,24 @@ def _quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
+def _sides(parent: list, change: list) -> dict:
+    """Each side's quartiles and the change/parent ratio of the medians."""
+    p_quartiles, c_quartiles = _quartiles(parent), _quartiles(change)
+    p_median, c_median = p_quartiles[1], c_quartiles[1]
+    return {
+        "parent": p_quartiles,
+        "change": c_quartiles,
+        "ratio": c_median / p_median if p_median else float("nan"),
+    }
+
+
 def judge(metric: dict, parent: list, change: list) -> dict:
     """§8's reading of one metric over paired runs (``parent[i]`` and
     ``change[i]`` ran back to back)."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    p_q1, p_median, p_q3 = _quartiles(parent)
-    c_q1, c_median, c_q3 = _quartiles(change)
+    read = _sides(parent, change)
+    (p_q1, p_median, p_q3), c_median = read["parent"], read["change"][1]
     better_by = sign * (c_median - p_median)
     spread = p_q3 - p_q1
     allowed = metric["bound"] * abs(p_median)
@@ -95,12 +114,20 @@ def judge(metric: dict, parent: list, change: list) -> dict:
         verdict = "ok"
     else:
         verdict = "REGRESSION"
+    return dict(read, wins=wins, verdict=verdict)
+
+
+def rss_context(parent: list, change: list) -> dict:
+    """The context rows printed beside ``peak_rss_mb``, by row name, over
+    paired run results (``bench_e2e/run.py``'s result objects)."""
+    def per_1k_served(run):
+        served = run["attempted"] - run["failed"]
+        return 1000.0 * run["metrics"]["peak_rss_mb"]["value"] / max(served, 1)
+
+    readings = {"peak_rss_mb/1k served": per_1k_served, "attempted": lambda run: run["attempted"]}
     return {
-        "parent": (p_q1, p_median, p_q3),
-        "change": (c_q1, c_median, c_q3),
-        "wins": wins,
-        "ratio": c_median / p_median if p_median else float("nan"),
-        "verdict": verdict,
+        name: _sides([read(run) for run in parent], [read(run) for run in change])
+        for name, read in readings.items()
     }
 
 
@@ -127,7 +154,11 @@ def main(argv=None) -> int:
                 values = "  ".join(
                     f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in metrics
                 )
-                print(f"pair {pair + 1:>2} {side:<6} {values}  failed={result['failed']}", flush=True)
+                print(
+                    f"pair {pair + 1:>2} {side:<6} {values}  "
+                    f"attempted={result['attempted']}  failed={result['failed']}",
+                    flush=True,
+                )
 
     print(
         f"\n{args.workload}: {args.pairs} alternating pair(s) of {args.seconds:g} s, "
@@ -137,6 +168,11 @@ def main(argv=None) -> int:
         f"{'metric':<24} {'parent q1/median/q3':>32} {'change q1/median/q3':>32} "
         f"{'change/parent':>13} {'won':>5}  verdict"
     )
+
+    def row(name, read, tail):
+        sides = ["/".join(f"{value:.4g}" for value in read[side]) for side in ("parent", "change")]
+        print(f"{name:<24} {sides[0]:>32} {sides[1]:>32} {read['ratio']:>12.3f}x {tail}")
+
     for metric in metrics:
         name = metric["name"]
         read = judge(
@@ -144,13 +180,10 @@ def main(argv=None) -> int:
             [run["metrics"][name]["value"] for run in runs["parent"]],
             [run["metrics"][name]["value"] for run in runs["change"]],
         )
-        sides = [
-            "/".join(f"{value:.4g}" for value in read[side]) for side in ("parent", "change")
-        ]
-        print(
-            f"{name:<24} {sides[0]:>32} {sides[1]:>32} {read['ratio']:>12.3f}x "
-            f"{read['wins']:>2}/{args.pairs:<2}  {read['verdict']}"
-        )
+        row(name, read, f"{read['wins']:>2}/{args.pairs:<2}  {read['verdict']}")
+        if name == "peak_rss_mb":
+            for context, context_read in rss_context(runs["parent"], runs["change"]).items():
+                row(f"  {context}", context_read, f"{'':>5}  (context)")
     failed = {side: sum(run["failed"] for run in results) for side, results in runs.items()}
     attempted = {side: sum(run["attempted"] for run in results) for side, results in runs.items()}
     for side in runs:

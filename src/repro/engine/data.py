@@ -21,15 +21,17 @@ iteration, and every operator keep exactly the row-at-a-time semantics
 of the seed implementation (the frozen oracle in
 ``tests/_row_oracle.py`` documents them, and the Hypothesis differential
 suite asserts row-for-row identity), but the operators are
-**positional**: each decides which storage positions survive and then
-gathers every output column in one C-speed pass — no row tuple is ever
-built:
+**positional**: each decides which storage positions survive, compiles
+them once into one C-level ``operator.itemgetter`` (:func:`_getter`) and
+gathers every output column through it — no row tuple is ever built.
+Every stored column is an immutable tuple of ids:
 
 * ``select`` turns a boolean mask into positions — no re-validation, no
   re-deduplication, no re-sort;
 * ``project``/``union`` keep the first position of each distinct
   class-id key (``union`` takes any number of operands and deduplicates
-  once);
+  once; a single column without cross-type aliases is one
+  first-occurrence pass, ``dict.fromkeys``);
 * ``equi_join``/``natural_join`` probe the build side's key -> position
   index and emit two aligned position lists (their outputs are
   duplicate-free by construction, so no dedup pass runs at all).
@@ -88,11 +90,12 @@ measured bytes (a property the test suite asserts).
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.joins import JoinPath
-from repro.algebra.predicates import Predicate
-from repro.exceptions import ExecutionError
+from repro.algebra.predicates import _OPERATORS, Predicate
+from repro.exceptions import ExecutionError, PredicateError
 
 #: Allowed scalar types for cell values.
 _SCALARS = (str, int, float, bool)
@@ -240,15 +243,22 @@ class Table:
                     f"row arity {len(id_row)} does not match schema arity {arity}"
                 )
             id_rows.append(id_row)
-        columns = [list(c) for c in zip(*id_rows)] if id_rows else [[] for _ in attrs]
+        columns = list(zip(*id_rows)) if id_rows else [() for _ in attrs]
         self._adopt(attrs, self._distinct(columns), canonical=False)
+
+    def __reduce__(self):
+        """Pickle (and ``copy``) by value: ids are process-local, so the
+        rows travel decoded, in storage order, and the receiving
+        process's constructor interns them into its own shared pool."""
+        values = self._pool._values
+        return Table, (self._attributes, tuple(zip(*[_getter(c)(values) for c in self._columns])))
 
     # ------------------------------------------------------------------
     # Internal plumbing
     # ------------------------------------------------------------------
 
     def _adopt(
-        self, attributes: Tuple[str, ...], columns: List[List[int]], canonical: bool
+        self, attributes: Tuple[str, ...], columns: List[Tuple[int, ...]], canonical: bool
     ) -> None:
         """Adopt duplicate-free id columns (all equal length) as storage."""
         self._attributes = attributes
@@ -264,7 +274,7 @@ class Table:
     def _from_columns(
         cls,
         attributes: Sequence[str],
-        columns: List[List[int]],
+        columns: List[Tuple[int, ...]],
         pool: InternPool,
         canonical: bool = False,
     ) -> "Table":
@@ -274,32 +284,36 @@ class Table:
         self._adopt(tuple(attributes), columns, canonical)
         return self
 
-    def _class_view(self, column: List[int]) -> List[int]:
+    def _class_view(self, column: Tuple[int, ...]) -> Tuple[int, ...]:
         """The column's ids mapped to ``==``-equivalence class ids (a
         no-op while the pool has no cross-type aliases)."""
         pool = self._pool
         if not pool.has_aliases:
             return column
-        return _gather(pool._classes, column)
+        return _getter(column)(pool._classes)
 
-    def _keys(self, columns: Sequence[List[int]]) -> Sequence:
+    def _keys(self, columns: Sequence[Tuple[int, ...]]) -> Sequence:
         """One hashable key per stored row over the class views of
         ``columns``: the bare view for one column, zipped tuples only
         for several."""
         views = [self._class_view(column) for column in columns]
         return views[0] if len(views) == 1 else list(zip(*views))
 
-    def _distinct(self, columns: List[List[int]]) -> List[List[int]]:
+    def _distinct(self, columns: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
         """``columns`` without value-equal duplicate rows, each class's
         first occurrence kept in place (the representative Python
         ``set`` semantics keep)."""
+        if len(columns) == 1 and not self._pool.has_aliases:
+            # Ids are class ids: the first occurrences are the keys.
+            kept = tuple(dict.fromkeys(columns[0]))
+            return columns if len(kept) == len(columns[0]) else [kept]
         keys = self._keys(columns)
         # Reversed, so an earlier position overwrites a later one.
         first = dict(zip(reversed(keys), reversed(range(len(keys)))))
         if len(first) == len(keys):
             return columns
-        kept = sorted(first.values())
-        return [_gather(column, kept) for column in columns]
+        get = _getter(sorted(first.values()))
+        return [get(column) for column in columns]
 
     def memoized(self, key, derive, *args):
         """``derive(self, *args)``, computed once per stored instance and
@@ -376,10 +390,11 @@ class Table:
     ) -> "Table":
         """A join's output: this table's columns gathered at ``mine``
         beside ``other``'s ``emitted`` ones at the aligned ``theirs``."""
+        get_mine, get_theirs = _getter(mine), _getter(theirs)
         return Table._from_columns(
             self._attributes + tuple(emitted),
-            [_gather(column, mine) for column in self._columns]
-            + [_gather(other._columns[other._index[a]], theirs) for a in emitted],
+            [get_mine(column) for column in self._columns]
+            + [get_theirs(other._columns[other._index[a]]) for a in emitted],
             self._pool,
         )
 
@@ -394,9 +409,9 @@ class Table:
         if self._canonical:
             return
         sort_keys = self._pool._sort_keys
-        keys = list(zip(*[map(sort_keys.__getitem__, c) for c in self._columns]))
-        order = sorted(range(self._length), key=keys.__getitem__)
-        self._columns = [_gather(column, order) for column in self._columns]
+        keys = list(zip(*[_getter(column)(sort_keys) for column in self._columns]))
+        get = _getter(sorted(range(self._length), key=keys.__getitem__))
+        self._columns = [get(column) for column in self._columns]
         self._memo.clear()  # positions moved
         self._canonical = True
 
@@ -436,8 +451,8 @@ class Table:
         """Canonically ordered, deduplicated rows."""
         if self._rows_cache is None:
             self._ensure_canonical()
-            decode = self._pool._values.__getitem__
-            self._rows_cache = tuple(zip(*[map(decode, c) for c in self._columns]))
+            values = self._pool._values
+            self._rows_cache = tuple(zip(*[_getter(c)(values) for c in self._columns]))
         return self._rows_cache
 
     def row_dicts(self) -> List[Dict[str, object]]:
@@ -448,10 +463,11 @@ class Table:
         """All values of one column, in row order."""
         index = self._column_index(attribute)
         self._ensure_canonical()
-        return _gather(self._pool._values, self._columns[index])
+        return list(_getter(self._columns[index])(self._pool._values))
 
-    def column_ids(self, attribute: str) -> List[int]:
-        """One column as interned ids, in current storage order.
+    def column_ids(self, attribute: str) -> Tuple[int, ...]:
+        """One column as an immutable tuple of interned ids, in current
+        storage order.
 
         Storage order is only guaranteed canonical after something
         observed the row order; kernels that don't care about
@@ -473,8 +489,8 @@ class Table:
         return self.memoized("column_bytes", Table._column_bytes)[index]
 
     def _column_bytes(self) -> Tuple[int, ...]:
-        width = self._pool._widths.__getitem__
-        return tuple(sum(map(width, column)) for column in self._columns)
+        widths = self._pool._widths
+        return tuple(sum(_getter(column)(widths)) for column in self._columns)
 
     def byte_size(self) -> int:
         """Canonical payload size: the summed :func:`cell_width` of every
@@ -580,20 +596,21 @@ class Table:
         if not self._length or predicate.is_true():
             return self
         mask = self._predicate_mask(predicate)
-        if all(mask):
+        if mask is None:
             return self
-        kept = list(compress(range(self._length), mask))
+        get = _getter(list(compress(range(self._length), mask)))
         # A filtered subset of deduplicated rows stays deduplicated, and
         # an order-preserving subset of a sorted sequence stays sorted.
         return Table._from_columns(
             self._attributes,
-            [_gather(column, kept) for column in self._columns],
+            [get(column) for column in self._columns],
             self._pool,
             canonical=self._canonical,
         )
 
-    def _predicate_mask(self, predicate: Predicate) -> List[bool]:
-        """Boolean selection mask, one entry per stored row.
+    def _predicate_mask(self, predicate: Predicate) -> Optional[Sequence[bool]]:
+        """Boolean selection mask, one entry per stored row, or ``None``
+        when every row passes.
 
         Single-atom predicates over present attributes evaluate
         column-at-a-time; anything else falls back to per-row dict
@@ -615,7 +632,7 @@ class Table:
         for id_row in zip(*self._columns):
             row = {a: values[i] for a, i in zip(attrs, id_row)}
             mask.append(evaluate(row))
-        return mask
+        return None if all(mask) else mask
 
     def equi_join(self, other: "Table", conditions: JoinPath) -> "Table":
         """Hash equi-join on a join path's conditions.
@@ -685,7 +702,7 @@ class Table:
         if any(frozenset(other._attributes) != schema for other in others):
             raise ExecutionError("union requires identical column sets")
         columns = [
-            list(chain(mine, *[other._columns[other._index[a]] for other in others]))
+            tuple(chain(mine, *[other._columns[other._index[a]] for other in others]))
             for a, mine in zip(self._attributes, self._columns)
         ]
         return Table._from_columns(self._attributes, self._distinct(columns), self._pool)
@@ -705,7 +722,7 @@ class Table:
         return [
             Table._from_columns(
                 self._attributes,
-                [_gather(column, chosen) for column in self._columns],
+                list(map(_getter(chosen), self._columns)),
                 self._pool,
                 canonical=self._canonical,
             )
@@ -713,9 +730,17 @@ class Table:
         ]
 
 
-def _gather(column: Sequence, positions: Iterable[int]) -> List:
-    """``column``'s cells at ``positions``, in one C-speed pass."""
-    return list(map(column.__getitem__, positions))
+def _getter(positions: Sequence[int]):
+    """Compile ``positions`` into one C-level gather, reused for every
+    column gathered there: ``_getter(positions)(column)`` is the tuple of
+    ``column``'s cells at ``positions`` (``itemgetter()`` raises and
+    ``itemgetter(p)`` returns a bare cell, hence the two short cases)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        only = positions[0]
+        return lambda column: (column[only],)
+    return lambda column: ()
 
 
 def _none_class(pool: InternPool) -> int:
@@ -723,32 +748,21 @@ def _none_class(pool: InternPool) -> int:
     return pool._classes[pool.intern(None)]
 
 
-def _compare_column(column: List[int], pool: InternPool, comp) -> List[bool]:
+def _compare_column(column: Tuple[int, ...], pool: InternPool, comp) -> Optional[Sequence[bool]]:
     """Vectorized single-comparison mask with the seed's semantics:
-    ``None`` on either side is false, incomparable types raise."""
-    from repro.algebra.predicates import PredicateError  # local: avoid cycle risk
-    from repro.algebra.predicates import _OPERATORS
-
+    ``None`` on either side is false, incomparable types raise — once
+    per distinct id in first-occurrence order, so the first incomparable
+    value raises, as a row loop would.  ``None`` when every row passes."""
     operand = comp.operand
-    values = pool._values
-    op = _OPERATORS[comp.op]
     if operand is None:
         return [False] * len(column)
-    mask: List[bool] = []
+    values = pool._values
+    op = _OPERATORS[comp.op]
     answers: Dict[int, bool] = {}
-    for interned in column:
-        answer = answers.get(interned)
-        if answer is None:
-            value = values[interned]
-            if value is None:
-                answer = False
-            else:
-                try:
-                    answer = bool(op(value, operand))
-                except TypeError as exc:
-                    raise PredicateError(
-                        f"cannot compare {value!r} {comp.op} {operand!r}"
-                    ) from exc
-            answers[interned] = answer
-        mask.append(answer)
-    return mask
+    for interned in dict.fromkeys(column):
+        value = values[interned]
+        try:
+            answers[interned] = value is not None and bool(op(value, operand))
+        except TypeError as exc:
+            raise PredicateError(f"cannot compare {value!r} {comp.op} {operand!r}") from exc
+    return None if all(answers.values()) else _getter(column)(answers)

@@ -15,11 +15,12 @@ paper's controlled-information-sharing guarantees.  The moving parts:
   (:class:`~repro.service.singleflight.SingleFlight`); followers adopt
   the leader's product and are counted in the plan cache's
   ``coalesced`` stat;
-* **single-flight execution** — identical in-flight requests (same
-  planning fingerprint, same recipient, same policy epoch) share one
-  fully audited execution; the engine is deterministic over an
-  immutable instance store, so sharers receive the byte-identical
-  result the leader's run produced, at a fraction of the work;
+* **single-flight execution** — identical requests (same planning
+  fingerprint, same recipient, same policy epoch) that reach the flight
+  gate during the leader's one-iteration yield share one fully audited
+  execution; ones still queued do not (docs/serving.md says why queued
+  collapsing waits); the engine is deterministic over an immutable
+  instance store, so sharers receive the leader's byte-identical result;
 * **graceful degradation** — a queue-occupancy ladder (normal →
   degraded planning → priority shedding) plus per-tenant circuit
   breakers reusing the PR 3

@@ -1,8 +1,10 @@
 """The verdict rule of ``benchmarks/e2e_pairs.py`` (choosing-metrics §8)
-on hand-made runs; the tool's subprocess/``git archive`` half is smoked
-by CI's ``vector`` job, not here."""
+and its RSS context rows on hand-made runs; the tool's
+subprocess/``git archive`` half is smoked by CI's ``vector`` job, not
+here."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -55,3 +57,51 @@ def test_a_single_pair_has_no_spread_and_still_reads():
     assert e2e_pairs.judge(QPS, [100.0], [120.0])["parent"] == (100.0, 100.0, 100.0)
     assert verdict(QPS, [100.0], [120.0]) == "gain"
     assert verdict(QPS, [100.0], [70.0]) == "REGRESSION"
+
+
+def run_result(attempted, rss_mb, failed=0):
+    """A ``bench_e2e/run.py`` result object with every ledger metric."""
+    with open(os.path.join(os.path.dirname(_PATH), "..", "BENCHMARK.json")) as handle:
+        names = [metric["name"] for metric in json.load(handle)["end_to_end"]]
+    metrics = {name: {"value": 1.0} for name in names}
+    metrics["peak_rss_mb"] = {"value": rss_mb}
+    return {"correct": not failed, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def test_rss_context_separates_request_count_from_growth():
+    # +20 % RSS on +20 % requests served: flat per request.
+    parent = [run_result(10_000, 40.0), run_result(10_000, 40.0)]
+    change = [run_result(12_000, 48.0), run_result(12_000, 48.0)]
+    context = e2e_pairs.rss_context(parent, change)
+    assert context["attempted"]["ratio"] == pytest.approx(1.2)
+    assert context["peak_rss_mb/1k served"]["parent"][1] == pytest.approx(4.0)
+    assert context["peak_rss_mb/1k served"]["ratio"] == pytest.approx(1.0)
+    # +20 % RSS on the same request count: growth in the program.
+    grown = e2e_pairs.rss_context(parent, [run_result(10_000, 48.0)] * 2)
+    assert grown["peak_rss_mb/1k served"]["ratio"] == pytest.approx(1.2)
+    assert grown["attempted"]["ratio"] == pytest.approx(1.0)
+    # Failed requests are not served.
+    failing = e2e_pairs.rss_context(parent, [run_result(10_000, 40.0, failed=5_000)] * 2)
+    assert failing["peak_rss_mb/1k served"]["change"][1] == pytest.approx(8.0)
+
+
+def test_every_run_prints_its_attempted_count_and_the_rss_context(monkeypatch, capsys):
+    sizes = {"parent": iter([1000, 1100]), "change": iter([1200, 1300])}
+
+    def fake_run(root, *rest):
+        return run_result(next(sizes["change" if root == e2e_pairs._ROOT else "parent"]), 40.0)
+
+    monkeypatch.setattr(e2e_pairs, "_checkout", lambda revision, directory: None)
+    monkeypatch.setattr(e2e_pairs, "_run", fake_run)
+    assert e2e_pairs.main(["--workload", "exec_scan", "--parent", "HEAD", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line for line in lines if line.startswith("pair ")]
+    assert [line.split("attempted=")[1].split()[0] for line in runs] == [
+        "1000", "1200", "1300", "1100",  # the second pair runs the change first
+    ]
+    at = next(i for i, line in enumerate(lines) if line.startswith("peak_rss_mb "))
+    assert lines[at].endswith(("ok", "gain", "unresolved", "REGRESSION"))
+    context = lines[at + 1: at + 3]
+    assert [line.split()[0] for line in context] == ["peak_rss_mb/1k", "attempted"]
+    assert all(line.endswith("(context)") for line in context)
+    assert "1.190x" in context[1]  # attempted medians 1 050 -> 1 250

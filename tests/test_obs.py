@@ -39,7 +39,6 @@ from repro.analysis.reporting import (
 from repro.core.access import first_covering_authorization
 from repro.core.authorization import Policy
 from repro.core import planner as planner_module
-from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile, observed_compositions
 from repro.distributed import pipeline as pipeline_module
 from repro.distributed.faults import FaultInjector

@@ -13,23 +13,38 @@ Covers the contracts the columnar refactor added or tightened:
   while every transfer is still shipped and audited per request
   (checked by object identity and call counts, not by a clock);
 * columnar wire format round trips;
+* the compiled gather (``_getter``) at every arity, tuple-only column
+  storage across every operator, the single-column first-occurrence
+  projection and its fallback once the pool holds an alias;
+* a pickled or copied table lands on the receiving process's shared
+  intern pool;
 * the batched ``CanView`` kernel and the batch-aware planner answer
   exactly like their scalar counterparts.
 """
+
+import copy
+import os
+import pathlib
+import pickle
+import re
+import subprocess
+import sys
 
 import pytest
 
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
+from repro.algebra.predicates import Comparison, Predicate
 from repro.core.access import can_view, can_view_batch
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
+from repro.engine import data as data_module
 from repro.engine.coster import TableStats
 from repro.distributed.system import DistributedSystem
-from repro.engine.data import Table, cell_width
+from repro.engine.data import Table, _getter, cell_width, shared_pool
 from repro.engine.operators import evaluate_plan
-from repro.exceptions import ExecutionError, InfeasiblePlanError
+from repro.exceptions import ExecutionError, InfeasiblePlanError, PredicateError
 from repro.io.serialize import table_from_columns, table_to_columns
 from repro.testing import grant, quick_catalog
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
@@ -319,6 +334,176 @@ class TestColumnarWireFormat:
         data = table_to_columns(table)
         assert data["columns"]["A"]["values"] == ["x"]
         assert data["columns"]["A"]["codes"] == [0] * 10
+
+
+class TestCompiledGather:
+    """One compiled ``itemgetter`` per position vector; every stored
+    column, whichever operator made it, is an immutable tuple."""
+
+    def test_getter_at_zero_one_and_many_positions(self):
+        column = ("a", "b", "c", "d")
+        assert _getter([])(column) == ()
+        assert _getter([2])(column) == ("c",)
+        get = _getter([3, 0, 3])
+        assert get(column) == ("d", "a", "d")
+        assert get(list("wxyz")) == ("z", "w", "z")  # reused across columns
+        assert _getter((7, 7))({7: True}) == (True, True)  # a lookup table too
+
+    def test_every_operator_stores_only_tuples(self):
+        left = Table(("A", "K"), [("a1", 1), ("a2", 2), ("a3", 1), ("a4", None)])
+        right = Table(("K", "B"), [(1, "b1"), (2, "b2"), (1, "b3")])
+        renamed = Table(("L", "C"), [(1, "c1"), (3, "c3")])
+        keyed = Predicate([Comparison("K", "=", 1)])
+        outputs = [
+            left,
+            Table.empty(("A", "B")),
+            left.equi_join(renamed, JoinPath.of(("K", "L"))),
+            left.natural_join(right),
+            left.project(["K"]),
+            right.project(["K"]),
+            left.natural_join(right).project(["K", "B"]),
+            left.select(keyed),
+            left.select(Predicate([Comparison("A", "=", "a2")])),
+            left.select(Predicate([Comparison("A", "=", "none")])),
+            left.select(Predicate([Comparison("A", "=", "a1"), Comparison("K", "=", 1)])),
+            left.union(Table(("K", "A"), [(5, "a5"), (1, "a1")])),
+            right.union(right),
+            *left.partition([0, 1, 0, 1], 2),
+            *right.partition([0, 0, 0], 2),  # one part empty
+        ]
+        unsorted = left.natural_join(right)
+        assert not unsorted._canonical
+        unsorted.rows  # the canonical sort regathers storage
+        outputs.append(unsorted)
+        for table in outputs:
+            assert table._columns, table
+            for column in table._columns:
+                assert type(column) is tuple and len(column) == len(table), table
+            for attribute in table.attributes:
+                assert type(table.column_ids(attribute)) is tuple
+                assert type(table.column(attribute)) is list
+            assert all(type(row) is tuple for row in table.rows)
+
+    def test_single_column_projection_keeps_first_occurrences(self):
+        rows = [(i % 7 if i % 5 else None, f"v{i}") for i in range(40)]
+        table = Table(("A", "B"), rows)
+        # Projection may sort its input first (alias corner), so read the
+        # input's storage order afterwards.
+        projected = table.project(["A"])
+        classes = shared_pool()._classes
+        seen, expected = set(), []
+        for interned in table.column_ids("A"):
+            if classes[interned] not in seen:
+                seen.add(classes[interned])
+                expected.append(interned)
+        assert projected.column_ids("A") == tuple(expected)
+        assert projected.rows == OracleTable(("A", "B"), rows).project(["A"]).rows
+
+    def test_single_column_projection_falls_back_after_a_late_alias(self):
+        # A fresh interpreter: this process's pool already holds aliases.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+        done = subprocess.run(
+            [sys.executable, "-c", _SINGLE_COLUMN_ALIAS],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "single column ok"
+
+    def test_no_gather_outside_the_compiled_getter(self):
+        source = pathlib.Path(data_module.__file__).read_text()
+        assert not re.findall(r"map\([\w.]*__getitem__|map\(width", source)
+
+    def test_selection_answers_each_distinct_id_once(self, monkeypatch):
+        table = Table(("A", "B"), [(i % 4, f"b{i}") for i in range(12)] + [(None, "n")])
+        calls = []
+
+        def less(value, operand):
+            calls.append(value)
+            return value < operand
+
+        monkeypatch.setitem(data_module._OPERATORS, "<", less)
+        below = table.select(Predicate([Comparison("A", "<", 2)]))
+        assert calls == [0, 1, 2, 3]  # the None row never reaches the operator
+        assert set(below.rows) == {row for row in table.rows if row[0] in (0, 1)}
+        assert table.select(Predicate([Comparison("B", "<", "c")])) is not table  # "n" fails
+        whole = Table(("A",), [(3,), (1,), (3,), (2,)])
+        assert whole.select(Predicate([Comparison("A", "<", 4)])) is whole
+
+    def test_first_incomparable_value_in_storage_order_raises(self):
+        table = Table(("A",), [(1,), ("t",), (2,), ("s",)])
+        with pytest.raises(PredicateError, match="cannot compare 't' < 2"):
+            table.select(Predicate([Comparison("A", "<", 2)]))
+
+
+_SINGLE_COLUMN_ALIAS = """
+from repro.engine.data import Table, shared_pool
+from tests._row_oracle import OracleTable
+
+pool = shared_pool()
+passes = []
+general = Table._keys
+Table._keys = lambda table, columns: passes.append(len(columns)) or general(table, columns)
+
+rows = [(i % 7 if i % 5 else None, "v%d" % i) for i in range(60)]
+table = Table(("A", "B"), rows)
+assert not pool.has_aliases
+del passes[:]
+fast = table._distinct([table.column_ids("A")])
+assert passes == []  # ids are class ids: one first-occurrence pass
+pool.has_aliases = True  # force the general path over the same ids
+try:
+    slow = table._distinct([table.column_ids("A")])
+finally:
+    pool.has_aliases = False
+assert passes == [1] and fast == slow and len(fast[0]) == 8
+projected = table.project(["A"])
+assert projected.column_ids("A") == fast[0]
+
+Table(("Z",), [(True,)])  # True joins 1's class
+assert pool.has_aliases
+del passes[:]
+aliased = [(1,), (True,), (2,), (1,)]
+assert Table(("A",), aliased).rows == OracleTable(("A",), aliased).rows == ((1,), (2,))
+assert passes == [1]
+mixed = [(True, "t"), (1, "o"), (2, "x")]
+expected = OracleTable(("A", "B"), mixed).project(["A"]).rows
+assert Table(("A", "B"), mixed).project(["A"]).rows == expected
+assert table.project(["A"]) is projected  # memoized before the alias, still right
+assert projected.rows == OracleTable(("A", "B"), rows).project(["A"]).rows
+print("single column ok")
+"""
+
+
+class TestPickledTables:
+    """Ids are process-local: a pickled or copied table ships its values
+    and lands on the receiving process's shared pool."""
+
+    CLONES = {"pickle": lambda t: pickle.loads(pickle.dumps(t)), "deepcopy": copy.deepcopy}
+
+    @pytest.mark.parametrize("how", sorted(CLONES))
+    def test_round_trip_lands_on_the_shared_pool(self, how):
+        clone = self.CLONES[how]
+        table = Table(("a", "b"), [(1, "x"), (True, "y"), (2, None), (2.5, "x")])
+        partner = Table(("b", "e"), [("x", f"{how} e"), ("y", "e2"), (None, "n")])
+        for original in (table.natural_join(partner), table):
+            storage = [original.column_ids(a) for a in original.attributes]
+            copied = clone(original)
+            assert copied.pool is shared_pool()
+            assert [copied.column_ids(a) for a in copied.attributes] == storage
+            assert copied == original and hash(copied) == hash(original)
+            assert copied.byte_size() == original.byte_size()
+            assert copied.rows == original.rows
+        copied = clone(table)
+        later = Table(("a", "b"), [(5, f"first interned after the {how} copy")])
+        assert copied.union(later).rows == table.union(later).rows
+        assert copied.union(later).byte_size() == table.union(later).byte_size()
+        other = Table(("k", "d"), [(1, "one"), (5, f"{how} partner")])
+        path = JoinPath.of(("a", "k"))
+        assert copied.equi_join(other, path).rows == table.equi_join(other, path).rows
+        assert len(copied.equi_join(other, path)) == 2  # 1 and True both match
+        later_partner = Table(("b", "f"), [("x", f"{how} f")])
+        assert copied.natural_join(later_partner).rows == table.natural_join(later_partner).rows
 
 
 class TestCanViewBatch:
