@@ -22,12 +22,15 @@ loc:
 # The instrumentation-seam census (tests/test_obs.py pins it): guard
 # tests on the four spine files — the ceiling is 6, constructor
 # adaptation of the public trace= / obs= / profiler= keywords only —
-# then the greps that must print nothing: per-feature method variants,
-# and methods assigned onto an instance.
+# the service shell's guard lines (ceiling 29, may only go down), then
+# the greps that must print nothing: per-feature method variants, and
+# methods assigned onto an instance.
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
+SERVICE = src/repro/service/service.py
 
 census:
 	@grep -cE "(trace|profiler|obs|span) is (not )?None" $(SPINE)
+	@printf '%s:' $(SERVICE); grep -cE "(monitor|journal|chaos|health|faults|trace|profiler) is (not )?None" $(SERVICE)
 	@echo "-- _traced / _profiled in src/ (none expected):"
 	@! grep -rnE "_traced|_profiled" src/
 	@echo "-- a spine method assigned onto an instance in src/ (none expected):"
@@ -129,8 +132,9 @@ bench-cache:
 
 # Serving ablation: 10k mixed workload with mid-stream policy churn —
 # gates the service at >=2x sequential-loop throughput with zero audit
-# violations, asserts deterministic capacity-zero shedding and
-# byte-identical coalesced plans; writes BENCH_ABL14.json.
+# violations, asserts deterministic capacity-zero shedding and one plan
+# per cold stampede, byte-identical to cache-off planning; writes
+# BENCH_ABL14.json.
 bench-service:
 	$(PYTHON) -m pytest benchmarks/bench_abl14_service.py --benchmark-only -s
 

@@ -2,8 +2,8 @@
 
 The serving claim this bench prices and **gates**: wrapping the
 single-query stack in the :class:`~repro.service.QueryService` — plan
-cache, single-flight planning, single-flight *execution* for identical
-in-flight requests — must sustain at least :data:`MIN_SERVICE_SPEEDUP`
+cache, one flight per request (identical in-flight requests share one
+audited run) — must sustain at least :data:`MIN_SERVICE_SPEEDUP`
 times the throughput of the sequential one-query-at-a-time loop (the
 paper's own processing model: plan, verify, execute, repeat) on the
 same 10k mixed workload, *while the policy churns mid-stream* and
@@ -22,8 +22,8 @@ Three lanes:
   must come back as a structured ``shed`` rejection, with zero
   executions started and zero hangs.
 * **coalescing identity** (asserted): a cold-cache stampede of
-  identical requests coalesces onto one plan fill, and the plan it
-  adopts is byte-identical to what cache-off planning produces.
+  identical requests plans once and shares runs, and the plan it
+  caches is byte-identical to what cache-off planning produces.
 """
 
 import asyncio
@@ -220,8 +220,7 @@ def test_abl14_service_throughput_latency_and_audit(benchmark):
     print(
         f"\nsequential {seq_rate:.0f} q/s, service {svc_rate:.0f} q/s "
         f"({speedup:.2f}x) | executions {svc_snapshot['executions']}, "
-        f"result-coalesced {svc_snapshot['result_coalesced']}, "
-        f"plan-coalesced {svc_snapshot['coalesced']} | "
+        f"result-coalesced {svc_snapshot['result_coalesced']} | "
         f"p50 {pct['p50'] * 1e3:.2f} ms, p99 {pct['p99'] * 1e3:.2f} ms | "
         f"{churn_events} churn events, {svc_transfers} transfers audited"
     )
@@ -241,7 +240,6 @@ def test_abl14_service_throughput_latency_and_audit(benchmark):
                 "acceptance_floor": MIN_SERVICE_SPEEDUP,
                 "executions": svc_snapshot["executions"],
                 "result_coalesced": svc_snapshot["result_coalesced"],
-                "plan_coalesced": svc_snapshot["coalesced"],
             },
             "audit": {
                 "distinct_results": svc_checked,
@@ -303,8 +301,8 @@ def test_abl14_overload_sheds_deterministically(benchmark):
 
 
 def test_abl14_coalesced_plans_byte_identical(benchmark):
-    """A cold-cache stampede coalesces onto one plan fill, and the
-    adopted assignment matches cache-off planning byte for byte."""
+    """A cold-cache stampede plans once and shares runs, and the cached
+    assignment matches cache-off planning byte for byte."""
 
     async def stampede(query):
         system = _fresh_system(plan_cache=True)
@@ -323,10 +321,10 @@ def test_abl14_coalesced_plans_byte_identical(benchmark):
         outcomes, snapshot, cached = asyncio.run(stampede(query))
         assert all(o.status == OK for o in outcomes)
         assert snapshot["plan_cache"]["misses"] == 1
-        assert snapshot["coalesced"] > 0
+        assert snapshot["result_coalesced"] > 0
         _, expected, _ = _fresh_system(plan_cache=False).plan(query)
         assert cached.describe().encode() == expected.describe().encode()
-        checked.append(snapshot["coalesced"])
+        checked.append(snapshot["result_coalesced"])
 
     benchmark.pedantic(
         lambda: asyncio.run(stampede(QUERIES[0])), rounds=1, iterations=1
@@ -337,7 +335,7 @@ def test_abl14_coalesced_plans_byte_identical(benchmark):
             "coalescing": {
                 "queries": len(QUERIES),
                 "stampede_width": 24,
-                "plan_coalesced_per_query": checked,
+                "result_coalesced_per_query": checked,
                 "byte_identical": True,
             }
         },

@@ -406,7 +406,7 @@ class InvariantMonitor:
 
     def on_execution_start(self, exec_key: object) -> None:
         """The service is about to run the pipeline for ``exec_key``
-        (the ``(fingerprint, recipient, epoch)`` result-flight key)."""
+        (the ``(fingerprint, recipient, profiled, epoch)`` flight key)."""
         self._checks += 1
         if self._metrics is not None:
             self._metrics.inc("repro_invariant_checks_total")

@@ -1094,7 +1094,6 @@ async def _serve_async(system, requests, tenants, args, trace, out) -> int:
         cache = snapshot["plan_cache"]
         print(
             f"plan cache: {cache['hits']} hits / {cache['misses']} misses / "
-            f"{cache['coalesced']} coalesced / "
             f"{cache['revalidations']} revalidations",
             file=out,
         )

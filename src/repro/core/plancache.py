@@ -61,11 +61,11 @@ revalidation window as a critical section per fingerprint: a re-entrant
 lookup of a fingerprint mid-revalidation reports a miss instead of
 recursing, and every mutation re-checks that the entry it is about to
 touch is still the one it resolved (a re-entrant ``store``/``clear``
-can swap or drop it).  Concurrent fills of the *same* fingerprint are
-expected to be coalesced one layer up (single-flight planning, see
-:class:`repro.service.singleflight.SingleFlight`); followers served by a
-leader's fill are counted in :attr:`PlanCacheStats.coalesced` via
-:meth:`PlanCache.record_coalesced`.
+can swap or drop it).  Concurrent fills of the *same* fingerprint cannot
+happen on one event loop: planning never awaits, so the first request
+fills the entry before any other request can look.  The service's one
+flight (:class:`repro.service.singleflight.SingleFlight`) shares whole
+audited runs, not cache fills.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ PLAN_CACHE_KEYS = (
     "revalidations",
     "revalidation_failures",
     "evictions",
-    "coalesced",
     "entries",
 )
 
@@ -116,10 +115,6 @@ class PlanCacheStats:
             flow; the entry was evicted and the query replanned.
         evictions: entries dropped by LRU pressure (revalidation
             failures are counted separately).
-        coalesced: concurrent requests served by another request's
-            in-flight cache fill instead of planning themselves
-            (single-flight followers; see
-            :meth:`PlanCache.record_coalesced`).
     """
 
     __slots__ = PLAN_CACHE_KEYS[:-1]  # "entries" is the cache's, not a counter
@@ -338,20 +333,6 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every entry (stats are kept — they are lifetime counters)."""
         self._entries.clear()
-
-    def record_coalesced(self, count: int = 1, obs=None) -> None:
-        """Count ``count`` requests served by another request's
-        in-flight fill (single-flight followers).
-
-        The service layer calls this once per follower it parks on a
-        leader's planning future, so the counter prices exactly the
-        planner stampedes the single-flight layer absorbed.
-        """
-        if count < 0:
-            raise ValueError(f"coalesced count must be >= 0, got {count}")
-        self.stats.coalesced += count
-        if obs is not None and count:
-            obs.count("repro_plan_cache_coalesced_total", count)
 
     def snapshot(self) -> dict:
         """JSON-safe stats snapshot with every :data:`PLAN_CACHE_KEYS`

@@ -13,15 +13,14 @@ unit body (:meth:`QueryPipeline._run_unit`), so it holds for every
 combination of the others.
 
 * **Reuse.**  The asyncio service layer (:mod:`repro.service`) runs
-  thousands of concurrent queries; each worker builds one pipeline per
-  admitted request, optionally injecting a plan product another request
-  already computed (single-flight coalescing, :meth:`QueryPipeline.use_plan`)
-  without re-entering the planner.
+  thousands of concurrent queries; it builds one pipeline per flight
+  leader, and identical in-flight requests share that one run.
 * **Staging.**  Planning and execution are separately callable, so a
-  caller can plan early (admission-time cost estimation, coalescing) and
-  execute later — re-verifying against the *current* policy in between,
-  which is what makes mid-stream policy churn safe
-  (:meth:`QueryPipeline.run` always re-verifies before anything ships).
+  caller can plan early, or attach a plan product computed elsewhere
+  (:meth:`QueryPipeline.use_plan`), and execute later — re-verifying
+  against the *current* policy in between, which is what makes
+  mid-stream policy churn safe (:meth:`QueryPipeline.run` always
+  re-verifies before anything ships).
 
 The pipeline holds no mutable system state: policy, planner, plan cache
 and tables are read from the owning system at call time, so a policy
@@ -258,12 +257,10 @@ class QueryPipeline:
         """Attach a plan product computed by another pipeline over the
         same query and options: ``use_plan(*other.plan())``.
 
-        Single-flight coalescing: a follower request whose fingerprint
-        matched an in-flight leader adopts the leader's product instead
-        of planning.  :meth:`run` still re-verifies the product against
-        the *current* policy before anything ships, so adopting one can
-        never relax safety — at worst a policy mutation since the
-        leader planned forces this pipeline to replan.
+        :meth:`run` still re-verifies the product against the *current*
+        policy before anything ships, so adopting one can never relax
+        safety — at worst a policy mutation since the other pipeline
+        planned forces this one to replan.
 
         Raises:
             PlanError: when this pipeline already planned.

@@ -501,11 +501,9 @@ class DistributedSystem:
 
         The pipeline is the reusable unit behind :meth:`execute`: it
         plans (through the plan cache), verifies and executes exactly as
-        :meth:`execute` does, but the stages are separately callable —
-        the asyncio service layer (:mod:`repro.service`) plans at
-        admission time, coalesces identical in-flight fingerprints onto
-        one pipeline's fill, and re-verifies against the then-current
-        policy when the query finally runs.
+        :meth:`execute` does, but the stages are separately callable.
+        The asyncio service layer (:mod:`repro.service`) builds one per
+        flight leader, so identical in-flight requests share one run.
 
         Args:
             query: SQL text or bound spec.

@@ -4,7 +4,8 @@ The serving layer the ROADMAP's production-scale north star calls for:
 :class:`~repro.service.service.QueryService` fronts one
 :class:`~repro.distributed.system.DistributedSystem` with admission
 control (per-tenant token buckets, a bounded queue, cost-aware load
-shedding), single-flight plan-cache fills, a graceful-degradation
+shedding), one shared audited run per set of identical in-flight
+requests, a graceful-degradation
 ladder, and policy churn that stays safe for in-flight work.  See
 ``docs/serving.md`` for the design and guarantees.
 """

@@ -10,17 +10,17 @@ paper's controlled-information-sharing guarantees.  The moving parts:
   :class:`~repro.service.admission.AdmissionController` gate (token
   buckets, bounded queue, cost-aware shedding) *before* queueing;
   refusals come back as structured ``shed`` outcomes, never hangs;
-* **single-flight planning** — concurrent requests whose queries share
-  a canonical planning fingerprint coalesce onto one plan-cache fill
-  (:class:`~repro.service.singleflight.SingleFlight`); followers adopt
-  the leader's product and are counted in the plan cache's
-  ``coalesced`` stat;
-* **single-flight execution** — identical requests (same planning
-  fingerprint, same recipient, same policy epoch) that reach the flight
-  gate during the leader's one-iteration yield share one fully audited
-  execution; ones still queued do not (docs/serving.md says why queued
-  collapsing waits); the engine is deterministic over an immutable
-  instance store, so sharers receive the leader's byte-identical result;
+* **one flight per request** — every admitted request computes one
+  flight key (planning fingerprint, recipient, whether the run is
+  profiled, policy epoch;
+  :class:`~repro.service.singleflight.SingleFlight`).  Only the leader
+  builds a pipeline, plans through the plan cache and executes;
+  identical requests that reach the gate during the leader's
+  one-iteration yield receive its audited result, or its refusal, and
+  neither plan nor build a pipeline.  Ones still queued do not share
+  (docs/serving.md says why queued collapsing waits).  Planning never
+  awaits, so a leader fills the plan cache before any other request
+  can look: no planning stampede needs a gate of its own;
 * **graceful degradation** — a queue-occupancy ladder (normal →
   degraded planning → priority shedding) plus per-tenant circuit
   breakers reusing the PR 3
@@ -29,10 +29,10 @@ paper's controlled-information-sharing guarantees.  The moving parts:
   :class:`~repro.engine.deadline.DeadlineBudget`;
 * **live policy churn** — :meth:`add_authorization` /
   :meth:`revoke_authorization` update the closed policy in place
-  mid-stream; every in-flight request re-verifies its plan against the
-  then-current policy before anything ships (the plan cache's epoch
-  probe evicts stale entries, the pipeline's adopted-plan re-verify
-  catches the single-flight window, and the runtime audit is the final
+  mid-stream; every leader plans and verifies against the policy in
+  force when it runs (the plan cache's epoch probe evicts stale
+  entries, the key's epoch keeps a request keyed after the update out
+  of an older flight, and the runtime audit is the final
   backstop), so a revoked transfer can never ride a queued admission.
 
 Execution itself is the synchronous, audited
@@ -114,8 +114,8 @@ class QueryOutcome:
             :class:`~repro.service.admission.Rejection` (``shed`` only).
         error: stringified error (``infeasible`` / ``failed`` only).
         latency: submit-to-outcome clock units.
-        coalesced: whether the plan was adopted from another request's
-            single-flight fill.
+        coalesced: whether the result was served by another request's
+            flight instead of a run of its own.
         degrade_level: the service's degrade level when the request was
             admitted (or refused).
     """
@@ -342,8 +342,7 @@ class QueryService:
             # Under chaos the service lives in the schedule's logical
             # clock, which is what makes seeded runs replayable.
             clock = lambda: chaos.clock  # noqa: E731
-        self._singleflight = SingleFlight(observer=monitor)
-        self._resultflight = SingleFlight(observer=monitor)
+        self._flight = SingleFlight(observer=monitor)
         self._degrade_soft = degrade_soft
         self._degrade_hard = degrade_hard
         self._breaker_threshold = breaker_threshold
@@ -370,7 +369,7 @@ class QueryService:
         self._counts = {
             "submitted": 0, "admitted": 0, "shed": 0,
             OK: 0, INFEASIBLE: 0, FAILED: 0, "coalesced": 0,
-            "executions": 0, "result_coalesced": 0, "recovered": 0,
+            "executions": 0, "recovered": 0,
         }
         # Pre-declare the latency family so the custom buckets win over
         # a lazy default-bucket creation.
@@ -515,11 +514,12 @@ class QueryService:
 
     async def _recover_entry(self, entry) -> QueryOutcome:
         started = self._clock()
-        epoch = self._system.policy.epoch
         if self._monitor is not None:
             self._monitor.adopt(entry.request_id, entry.tenant)
         try:
-            key = self._plan_key(entry.query, False)
+            key = self._flight_key(
+                entry.query, entry.recipient, search=False, profile=False
+            )
         except ReproError as error:
             return self._recovery_rejection(
                 entry, started, f"unbindable at recovery: {error}"
@@ -536,11 +536,12 @@ class QueryService:
             faults=faults, resume_from=entry.checkpoint,
         )
         try:
-            result = self._run(pipeline, (key, entry.recipient, epoch))
+            result = self._run(pipeline, key)
         except CheckpointError as error:
             return self._recovery_rejection(
                 entry, started,
-                f"checkpoint no longer verifies at epoch {epoch}: {error}",
+                f"checkpoint no longer verifies at epoch "
+                f"{self._system.policy.epoch}: {error}",
             )
         except ReproError as error:
             return QueryOutcome(
@@ -620,9 +621,9 @@ class QueryService:
         """Withdraw a rule from the live system, in place and at a
         grant's cost (see
         :meth:`~repro.distributed.system.DistributedSystem.revoke_authorization`).
-        Every queued or coalesced request re-verifies before shipping,
-        so the revocation takes effect for work admitted *before* it
-        landed."""
+        Every leader plans and verifies under the policy in force when
+        it runs, so the revocation takes effect for work admitted
+        *before* it landed."""
         before = self._system.policy.epoch
         self._system.revoke_authorization(authorization, trace=self._trace)
         self.metrics.inc("repro_service_policy_churn_total", kind="revoke")
@@ -858,85 +859,50 @@ class QueryService:
         search = self._search_join_orders and (
             ticket.degrade_level < DEGRADE_PLANNING
         )
-        resume = None
-        if self._journal is not None and item.request_id is not None:
-            resume = self._journal.get(item.request_id).checkpoint
-        profiler = None
-        if tenant.profile:
-            from repro.profiling import QueryProfiler
-
-            profiler = QueryProfiler(selectivities=self._stats_store)
-        pipeline = self._pipeline(
-            item.query,
-            item.recipient,
-            search,
-            faults=self._chaos,
-            checkpoint=self._chaos is not None and self._journal is not None,
-            resume_from=resume,
-            chaos=self._chaos,
-            profiler=profiler,
+        key = self._flight_key(
+            item.bound, item.recipient, search=search, profile=tenant.profile
         )
-        key = self._plan_key(item.bound, search)
 
-        async def compute():
-            # Yield once so concurrent identical requests reach the
-            # single-flight gate and park as followers before the
-            # leader does the (synchronous) planning work.
+        async def lead():
+            # Yield once so identical requests reach the flight gate and
+            # park as followers before the leader enters the synchronous
+            # plan-and-execute section.
             await asyncio.sleep(0)
             if self._chaos is not None:
                 self._chaos.fire("leader")
-            return pipeline.plan()
+            resume = None
+            if self._journal is not None and item.request_id is not None:
+                resume = self._journal.get(item.request_id).checkpoint
+            profiler = None
+            if tenant.profile:
+                from repro.profiling import QueryProfiler
 
-        flown = await self._fly(item, self._singleflight, key, compute, "plan")
-        if flown is None:
-            return
-        product, coalesced = flown
-        if coalesced:
-            self._counts["coalesced"] += 1
-            self.metrics.inc("repro_service_coalesced_total")
-            cache = self._system.plan_cache
-            if cache is not None:
-                cache.record_coalesced(1, obs=self._trace)
-        # Identical in-flight requests share one execution: the engine
-        # is deterministic and the instance store immutable mid-run, so
-        # byte-identical inputs produce byte-identical (immutable)
-        # results.  The key pins the policy epoch — a request arriving
-        # after a grant/revoke never shares a result computed under the
-        # older policy, and within one epoch the leader's run is fully
-        # audited, so every sharer receives an authorized result.  The
-        # recipient is part of the key because the final delivery hop
-        # is itself an authorized transfer.
-        exec_key = (key, item.recipient, self._system.policy.epoch)
-
-        async def run_shared():
-            # Yield once so identical requests park as result followers
-            # before the leader enters the synchronous execute section.
-            await asyncio.sleep(0)
-            if self._chaos is not None:
-                self._chaos.fire("leader")
-            # A plan follower adopts the leader's product.  The
-            # pipeline re-verifies an adopted plan — and its own, once
-            # the policy epoch has moved — against the then-current
-            # policy before anything ships, which is what makes the
-            # admission-to-execution window safe under policy churn.
-            if coalesced:
-                pipeline.use_plan(*product)
-            result = self._run(pipeline, exec_key)
-            if profiler is not None:
+                profiler = QueryProfiler(selectivities=self._stats_store)
+            pipeline = self._pipeline(
+                item.query,
+                item.recipient,
+                search,
+                faults=self._chaos,
+                checkpoint=self._chaos is not None and self._journal is not None,
+                resume_from=resume,
+                chaos=self._chaos,
+                profiler=profiler,
+            )
+            pipeline.plan()  # a refusal raises here: it is no execution
+            result = self._run(pipeline, key)
+            if tenant.profile:
                 # Leader-only: followers share the leader's result (and
                 # its profiles) without double-harvesting.
                 for unit in getattr(result, "unit_results", (result,)):
                     self._harvest_profile(tenant.name, unit)
             return result
 
-        flown = await self._fly(
-            item, self._resultflight, exec_key, run_shared, "execution"
-        )
+        flown = await self._fly(item, key, lead)
         if flown is None:
             return
-        result, result_shared = flown
-        if result_shared:
-            self._counts["result_coalesced"] += 1
+        result, coalesced = flown
+        if coalesced:
+            self._counts["coalesced"] += 1
             self.metrics.inc("repro_service_result_coalesced_total")
         if self._shard_schemes is not None:
             self.metrics.inc("repro_service_sharded_total", mode=result.mode)
@@ -957,9 +923,9 @@ class QueryService:
         )
 
     def _pipeline(self, query, recipient, search: bool = False, **options):
-        """The one place the service builds a pipeline: every request —
-        planned, served or recovered — runs under the service's trace
-        and scheme set."""
+        """The one place the service builds a pipeline: every flight
+        leader and every recovered request runs under the service's
+        trace and scheme set."""
         return self._system.pipeline(
             query,
             recipient=recipient,
@@ -980,20 +946,18 @@ class QueryService:
             if self._monitor is not None:
                 self._monitor.on_execution_end(exec_key)
 
-    async def _fly(self, item: _WorkItem, flight, key, compute, stage: str):
-        """Run one single-flight stage of ``item``; ``None`` when the
-        stage already disposed of it (requeued or finished) — the one
-        error-to-outcome ladder of the serving path."""
+    async def _fly(self, item: _WorkItem, key, lead):
+        """``(result, coalesced)`` for ``item``'s flight; ``None`` when
+        the flight already disposed of it (requeued or finished) — the
+        one error-to-outcome ladder of the serving path."""
         try:
-            return await flight.run(key, compute)
+            return await self._flight.run(key, lead)
         except asyncio.CancelledError as error:
             if getattr(error, "chaos", None) is None:
                 raise
             # Injected leader crash: a waiting follower was promoted to
             # rerun the flight; this request goes back in the queue.
-            self._requeue_after_chaos(
-                item, f"single-flight leader crashed mid-{stage}"
-            )
+            self._requeue_after_chaos(item, "single-flight leader crashed")
         except ChaosInterrupt as error:
             # The worker "died" mid-query.  Park whatever completed,
             # audited subtrees the run checkpointed (none for a
@@ -1037,14 +1001,21 @@ class QueryService:
                 tenant=tenant_name,
             )
 
-    def _plan_key(self, query, search: bool) -> object:
-        """The single-flight key: the exact identity the plan cache
-        fingerprints on, so "would share a cache entry" and "coalesce"
-        agree."""
+    def _flight_key(self, query, recipient, search: bool, profile: bool) -> tuple:
+        """The one flight key.  Two requests share a run only when all
+        four parts agree: the identity the plan cache fingerprints on
+        (so "would share a cache entry" and "share a run" agree), the
+        recipient (the closing delivery is itself an authorized
+        transfer), whether the run is profiled (only a profiled run
+        carries a profile), and the policy epoch (a request keyed after
+        a grant or revoke never shares a run, or a refusal, decided
+        under the older policy)."""
         kind, payload = self._system._parsed(query)
         if kind == "tree":
-            return fingerprint_tree(payload)
-        return (payload.fingerprint(), search)
+            fingerprint = fingerprint_tree(payload)
+        else:
+            fingerprint = (payload.fingerprint(), search)
+        return (fingerprint, recipient, profile, self._system.policy.epoch)
 
     def _requeue_after_chaos(
         self, item: _WorkItem, reason: str, checkpoint=None
@@ -1177,7 +1148,9 @@ class QueryService:
 
     def snapshot(self) -> dict:
         """JSON-safe service counters (plus admission and plan-cache
-        state) for benches, the CLI summary and tests."""
+        state) for benches, the CLI summary and tests.  ``coalesced``
+        and its alias ``result_coalesced`` count results served by
+        another request's flight; ``executions`` counts planned runs."""
         cache = self._system.plan_cache
         return {
             "submitted": self._counts["submitted"],
@@ -1188,10 +1161,9 @@ class QueryService:
             "failed": self._counts[FAILED],
             "coalesced": self._counts["coalesced"],
             "executions": self._counts["executions"],
-            "result_coalesced": self._counts["result_coalesced"],
+            "result_coalesced": self._counts["coalesced"],
             "recovered": self._counts["recovered"],
-            "plan_promotions": self._singleflight.promotions,
-            "result_promotions": self._resultflight.promotions,
+            "result_promotions": self._flight.promotions,
             "queue_depth": self._queue.qsize() if self._queue is not None else 0,
             "degrade_level": self.degrade_level(),
             "admission": self._admission.snapshot(),

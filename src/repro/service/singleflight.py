@@ -1,21 +1,21 @@
-"""Single-flight coalescing of concurrent identical plan-cache fills.
+"""Single-flight coalescing of concurrent identical requests.
 
-Under a thundering herd, N concurrent requests for the same query
-fingerprint would all miss the plan cache and all run the planner —
-N - 1 of them pointlessly.  :class:`SingleFlight` turns the herd into
-one *leader* (who computes) and N - 1 *followers* (who await the
-leader's future and adopt its product).  Keys are caller-chosen; the
-service keys on the query's canonical planning fingerprint, so two
-textually different but semantically identical queries coalesce exactly
-when the plan cache would have unified them anyway.
+:class:`SingleFlight` turns N concurrent callers of one key into one
+*leader* (who computes) and N - 1 *followers* (who await the leader's
+future and receive its result, or its exception).  Keys are
+caller-chosen.  The service keys each request on its planning
+fingerprint, recipient, whether the run is profiled, and the policy
+epoch, and the leader plans, executes and audits the whole request, so
+followers share one audited run: they neither plan nor build a
+pipeline.
 
-Safety note: coalescing shares *plan products*, never authorization
-decisions.  A follower re-verifies the adopted assignment against the
-then-current policy before anything ships
-(:meth:`repro.distributed.pipeline.QueryPipeline.use_plan` documents
-the contract), so a policy mutation that lands between the leader's
-fill and a follower's execution forces the follower through the plan
-cache's epoch probe rather than onto a stale plan.
+Safety note: a flight shares a run only among requests keyed on the
+same policy epoch.  The leader plans through the plan cache's epoch
+probe and verifies against the policy in force when it runs, and every
+transfer it ships is audited; a request keyed after a grant or revoke
+carries the new epoch and never joins an older flight.  Planning needs no
+flight of its own: it never awaits, so the first request of a
+fingerprint fills the plan cache before any other request can look.
 
 Leader cancellation: a leader whose ``compute`` is cancelled (a client
 disconnect, a chaos-injected crash) does *not* fail its followers.

@@ -368,8 +368,13 @@ class TestQueryService:
         with pytest.raises(ServiceError):
             run(service.submit(PAIR_QUERY))
 
-    def test_serves_and_coalesces_identical_queries(self):
+    def test_serves_and_coalesces_identical_queries(self, monkeypatch):
+        from repro.core.planner import SafePlanner
+        from repro.distributed.pipeline import QueryPipeline
+
         system = chain_system(BASE_RULES + S0_ROUTE)
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        built = _count_calls(monkeypatch, QueryPipeline, "__init__")
 
         async def scenario():
             service = QueryService(system, workers=4)
@@ -388,9 +393,13 @@ class TestQueryService:
         snapshot = service.snapshot()
         assert snapshot["ok"] == 12
         assert snapshot["coalesced"] > 0
-        # One planner run filled the cache for the whole stampede.
-        assert snapshot["plan_cache"]["misses"] == 1
-        assert snapshot["plan_cache"]["coalesced"] == snapshot["coalesced"]
+        # One planner run filled the cache for the whole cold stampede,
+        # every request either ran or was served by another's flight,
+        # and only the requests that ran built a pipeline.
+        assert snapshot["plan_cache"]["misses"] == len(planned) == 1
+        assert snapshot["executions"] + snapshot["coalesced"] == 12
+        assert sum(o.coalesced for o in outcomes) == snapshot["coalesced"]
+        assert len(built) == snapshot["executions"]
 
     def test_zero_capacity_sheds_every_request_deterministically(self):
         system = chain_system(BASE_RULES + S0_ROUTE)
@@ -804,11 +813,14 @@ class TestPreparedShapes:
             assert outcome.result.audit.all_authorized()
         snapshot = service.snapshot()
         # Eight texts of one shape, parsed once: one was planned, seven
-        # were bound, and a request shared a plan only with its twin
+        # were bound, and a request shared a run only with its twin
         # (one key for the shape would coalesce seven of every eight).
-        assert snapshot["coalesced"] == 8
-        assert snapshot["executions"] + snapshot["result_coalesced"] == 16
-        assert snapshot["executions"] >= 8
+        assert (snapshot["executions"], snapshot["coalesced"]) == (8, 8)
+        runs = {}
+        for value, outcome in served:
+            runs.setdefault(id(outcome.result), set()).add(value)
+        assert len(runs) == 8
+        assert all(len(values) == 1 for values in runs.values())
         cache = snapshot["plan_cache"]
         assert (cache["misses"], cache["shape_hits"], cache["hits"]) == (8, 7, 0)
         assert len(system._skeletons) == 1
@@ -983,10 +995,12 @@ class TestPricedSpine:
         snapshot = service.snapshot()
         statuses = [outcome.status for outcome in outcomes]
         assert statuses.count("ok") + statuses.count("infeasible") == 600
-        assert statuses.count("infeasible") >= 90  # the duty query has no safe plan
-        # Some plans were adopted from a single-flight leader and run.
-        assert snapshot["coalesced"] > snapshot["result_coalesced"]
+        assert statuses.count("infeasible") >= 90  # berth_client has no safe plan
+        # Every served request ran, or was served by its twin's flight.
         executions = snapshot["executions"]
+        assert snapshot["coalesced"] > 0
+        assert executions + snapshot["coalesced"] == statuses.count("ok")
+        assert sum(o.coalesced for o in outcomes) == snapshot["coalesced"]
 
         # Derived once, on the thing that outlives the request: a series
         # is resolved on its first touch, a text is fingerprinted once,
@@ -1037,6 +1051,196 @@ class TestPricedSpine:
         assert reloaded == [{"a0": 0, "b1": "reloaded"}]
         assert direct == [{"a0": 1, "b1": "direct"}]
         assert list(system.tables()) == ["R0", "R1", "R2"]
+
+
+# ---------------------------------------------------------------------------
+# One flight per request: only the leader builds a pipeline and plans
+# ---------------------------------------------------------------------------
+
+INSPECTION, DUTY = COALITION_SHAPES[0], COALITION_SHAPES[3]
+
+
+def coalition_system() -> DistributedSystem:
+    from repro.workloads.coalition import (
+        coalition_catalog,
+        coalition_policy,
+        generate_coalition_instances,
+    )
+
+    system = DistributedSystem(coalition_catalog(), coalition_policy())
+    system.load_instances(generate_coalition_instances())
+    return system
+
+
+def audited_under(policy, result) -> bool:
+    """Whether every transfer of ``result`` is covered by ``policy`` as
+    it stands now (an independent re-probe, not the run's own audit)."""
+    probe = AuditLog(policy, enforce=False)
+    return result.audit.all_authorized() and all(
+        probe.authorize(t.sender, t.receiver, t.profile)[0]
+        for t in result.audit.checked
+    )
+
+
+def on_first_flight(action):
+    """A monitor that calls ``action(key)`` when the first flight opens:
+    after its leader computed the key, before the leader runs."""
+    from repro.chaos import InvariantMonitor
+
+    class OnFirstFlight(InvariantMonitor):
+        def __init__(self):
+            super().__init__()
+            self.keys = []
+
+        def flight_started(self, key):
+            super().flight_started(key)
+            self.keys.append(key)
+            if len(self.keys) == 1:
+                action(key)
+
+    return OnFirstFlight()
+
+
+class TestOneFlight:
+    def test_one_text_to_two_recipients_plans_once_and_runs_twice(self, monkeypatch):
+        from repro.core.planner import SafePlanner
+
+        system = coalition_system()
+        planned = _count_calls(monkeypatch, SafePlanner, "plan")
+        recipients = ("S_port", "S_customs")
+
+        async def scenario():
+            service = QueryService(system, workers=4)
+            await service.start()
+            outcomes = await asyncio.gather(
+                *(service.submit(INSPECTION, recipient=r) for r in recipients)
+            )
+            await service.stop()
+            return service, outcomes
+
+        service, outcomes = run(scenario())
+        assert len(planned) == 1
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["coalesced"]) == (2, 0)
+        for recipient, outcome in zip(recipients, outcomes):
+            assert outcome.ok and outcome.result.result_server == recipient
+            assert audited_under(system.policy, outcome.result)
+        # Customs computes the answer; the port's copy is delivered by a
+        # closing transfer of its own run, audited like the others.
+        assert [
+            [(t.sender, t.receiver) for t in outcome.result.audit.checked]
+            for outcome in outcomes
+        ] == [
+            [("S_port", "S_customs"), ("S_customs", "S_port")],
+            [("S_port", "S_customs")],
+        ]
+
+    @pytest.mark.parametrize(
+        "order",
+        [("plain", "plain", "prof", "prof"), ("plain", "prof", "plain", "prof")],
+    )
+    def test_profiled_and_unprofiled_requests_never_share_a_run(self, order):
+        system = coalition_system()
+
+        async def scenario():
+            service = QueryService(
+                system,
+                tenants=[TenantConfig("plain"), TenantConfig("prof", profile=True)],
+            )
+            await service.start()
+            outcomes = await asyncio.gather(
+                *(service.submit(INSPECTION, tenant=tenant) for tenant in order)
+            )
+            await service.stop()
+            return service, outcomes
+
+        service, outcomes = run(scenario())
+        for tenant, outcome in zip(order, outcomes):
+            assert outcome.ok
+            # A profiled tenant gets a profile; a plain one never
+            # receives somebody else's.
+            assert (outcome.result.profile is not None) == (tenant == "prof")
+        runs = service.metrics.counter("repro_service_profile_runs_total")
+        assert runs.value(tenant="prof") >= 1
+        assert runs.value(tenant="plain") == 0
+
+    def test_a_revoke_between_key_and_leader_replans_and_splits_the_flight(self):
+        system = chain_system(BASE_RULES + S0_ROUTE + S1_ROUTE)
+        warm_route = system.plan(PAIR_QUERY)[1].describe()
+        service = None
+        monitor = on_first_flight(
+            lambda key: service.revoke_authorization(PIVOT_S0_BASE)
+        )
+
+        async def scenario():
+            await service.start()
+            outcomes = await asyncio.gather(
+                *(service.submit(PAIR_QUERY) for _ in range(2))
+            )
+            await service.stop()
+            return outcomes
+
+        service = QueryService(system, workers=4, monitor=monitor)
+        granted = system.policy.epoch
+        first, second = run(scenario())
+        revoked = system.policy.epoch
+        # The first request's key carries the epoch before the revoke;
+        # the second computed its key after it and led its own flight.
+        assert granted != revoked
+        assert [key[-1] for key in monitor.keys] == [granted, revoked]
+        assert not first.coalesced and not second.coalesced
+        for outcome in (first, second):
+            assert outcome.ok
+            assert audited_under(system.policy, outcome.result)
+        # The leader replanned around the revocation instead of shipping
+        # the cached route.
+        cache = service.snapshot()["plan_cache"]
+        assert cache["revalidation_failures"] == 1
+        assert system.plan(PAIR_QUERY)[1].describe() != warm_route
+        assert monitor.ok
+
+    def test_a_regranted_route_serves_the_very_next_duty_request(self):
+        from repro.workloads.coalition import coalition_authorization
+
+        system = coalition_system()
+        rule = coalition_authorization(5)
+        service = QueryService(system, workers=4)
+
+        async def scenario():
+            await service.start()
+            service.revoke_authorization(rule)
+            refused = await asyncio.gather(*(service.submit(DUTY) for _ in range(2)))
+            service.add_authorization(rule)
+            served = await service.submit(DUTY)
+            await service.stop()
+            return refused, served
+
+        refused, served = run(scenario())
+        assert [o.status for o in refused] == ["infeasible", "infeasible"]
+        assert served.ok and audited_under(system.policy, served.result)
+
+    def test_a_regrant_inside_an_open_flight_is_what_its_leader_plans_under(self):
+        from repro.workloads.coalition import coalition_authorization
+
+        system = coalition_system()
+        rule = coalition_authorization(5)
+        service = None
+        monitor = on_first_flight(lambda key: service.add_authorization(rule))
+
+        async def scenario():
+            service.revoke_authorization(rule)
+            await service.start()
+            outcomes = await asyncio.gather(*(service.submit(DUTY) for _ in range(3)))
+            await service.stop()
+            return outcomes
+
+        service = QueryService(system, workers=4, monitor=monitor)
+        outcomes = run(scenario())
+        # Keyed while the rule was revoked, the first flight's leader
+        # still plans under the re-grant: nobody is refused.
+        assert [o.status for o in outcomes] == ["ok"] * 3
+        assert all(audited_under(system.policy, o.result) for o in outcomes)
+        assert monitor.ok
 
 
 # ---------------------------------------------------------------------------
