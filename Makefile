@@ -22,19 +22,27 @@ loc:
 # The instrumentation-seam census (tests/test_obs.py pins it): guard
 # tests on the four spine files — the ceiling is 6, constructor
 # adaptation of the public trace= / obs= / profiler= keywords only —
-# the service shell's guard lines (ceiling 29, may only go down), then
-# the greps that must print nothing: per-feature method variants, and
-# methods assigned onto an instance.
+# then the service shell's guard lines in service.py, singleflight.py
+# and the function assembling its listener (ceiling 11: constructor
+# adaptation, kill / recover and snapshot() only), then the greps that
+# must print nothing: per-feature method variants, methods assigned
+# onto an instance, a second pipeline-building site or a
+# `request_id is not None` test in service.py.
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
-SERVICE = src/repro/service/service.py
+SERVICE = src/repro/service/service.py src/repro/service/singleflight.py
+SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
 
 census:
 	@grep -cE "(trace|profiler|obs|span) is (not )?None" $(SPINE)
-	@printf '%s:' $(SERVICE); grep -cE "(monitor|journal|chaos|health|faults|trace|profiler) is (not )?None" $(SERVICE)
+	@grep -cE "$(SERVICE_GUARD)" $(SERVICE)
+	@printf 'service_hooks_for:'; awk '/^def service_hooks_for/{on=1; print; next} on && /^[^ \t]/{on=0} on' src/repro/obs/hooks.py | grep -cE "$(SERVICE_GUARD)"
 	@echo "-- _traced / _profiled in src/ (none expected):"
 	@! grep -rnE "_traced|_profiled" src/
 	@echo "-- a spine method assigned onto an instance in src/ (none expected):"
 	@! grep -rnE "self\.(plan|_find_candidates|_admit_master|_execute_node|_execute_join|_ship|_ship_once) = self\." src/
+	@echo "-- a second pipeline built, or a request_id is not None test, in service.py (none expected):"
+	@! grep -nE "request_id is not None" src/repro/service/service.py
+	@test "$$(grep -c '\.pipeline(' src/repro/service/service.py)" = 1 || (grep -n '\.pipeline(' src/repro/service/service.py; false)
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).

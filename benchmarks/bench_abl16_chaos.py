@@ -21,8 +21,8 @@ Three lanes:
   artifact is written next to ``BENCH_ABL16.json`` so CI can upload it.
 * **monitor overhead** (gated): the invariant monitor on a chaos-free
   serving run costs under :data:`MAX_MONITOR_OVERHEAD` relative to the
-  identical run with ``monitor=None`` (which compiles to no hooks at
-  all — the PR 4 zero-cost-when-off pattern).
+  identical run with ``monitor=None`` (whose service calls the null
+  :class:`~repro.obs.hooks.ServiceHooks` listener's no-op events).
 * **determinism** (asserted): the same seed reproduces the same
   :meth:`~repro.chaos.replay.ChaosReport.digest` — statuses and the
   injected-event log, bit for bit — a different seed does not, and a

@@ -35,18 +35,21 @@ safety story into live assertions evaluated while requests flow:
 Violations never raise into the serving path: they are recorded with
 the chaos seed and logical clock for one-command replay, counted into
 ``repro_invariant_violations_total`` and emitted as trace events when
-an ``obs`` context is attached.  The monitor is structurally zero-cost
-when off — every call site guards with ``if monitor is not None`` (the
-PR 4 pattern), so a service without a monitor carries no dispatch.
+an ``obs`` context is attached.  The monitor is a service listener
+(:class:`~repro.obs.hooks.ServiceHooks`): the service calls its events
+unconditionally, and a service without a monitor (or journal, or chaos
+schedule) calls the null listener's no-ops instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.distributed.health import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.engine.audit import AuditLog
+from repro.obs.hooks import ServiceHooks
 from repro.service.admission import DEGRADE_NORMAL, DEGRADE_SHED
+from repro.service.service import OK
 
 #: Invariant identifiers (the ``invariant`` of every :class:`Violation`).
 INV_TERMINATION = "termination"
@@ -109,12 +112,12 @@ class Violation:
         return f"Violation({self.invariant}: {self.detail})"
 
 
-class InvariantMonitor:
+class InvariantMonitor(ServiceHooks):
     """Live safety assertions over one :class:`QueryService`.
 
     Attach via ``QueryService(monitor=...)``; the service (and its
-    single-flight gates) call the ``on_*`` / ``flight_*`` hooks at the
-    lifecycle points documented on each method.  All hooks are cheap
+    single-flight gate) call the listener events at the lifecycle
+    points documented on each method.  All hooks are cheap
     dict operations — the monitor never blocks the serving path and
     never raises into it.
 
@@ -136,12 +139,11 @@ class InvariantMonitor:
         self._admitted: Dict[int, str] = {}
         self._settled: Dict[int, str] = {}
         self._checks = 0
-        self._open_flights: Set[object] = set()
         self._open_executions: Dict[object, int] = {}
         self._executions: Dict[object, int] = {}
         self._last_epoch: Optional[int] = None
+        self._level = DEGRADE_NORMAL
         self._transfers_probed = 0
-        self._issued = 0
         # Probe-verdict memo: authorize() is a pure function of
         # (policy@epoch, sender, receiver, profile), and repeated
         # executions of the same cached plan re-ship value-equal
@@ -193,8 +195,6 @@ class InvariantMonitor:
             )
 
     def _checked(self) -> None:
-        # Hot hooks inline this body rather than paying a call per
-        # request; keep the two in sync.
         self._checks += 1
         if self._metrics is not None:
             self._metrics.inc("repro_invariant_checks_total")
@@ -203,21 +203,19 @@ class InvariantMonitor:
     # Termination: every admitted request reaches a terminal outcome
     # ------------------------------------------------------------------
 
-    def issue_id(self) -> int:
-        """A lineage-unique request id for journal-less services.
-
-        The monitor outlives kill/restart cycles, so ids it issues never
-        collide across service instances — a restarted service with its
-        own local counter would re-use ids and trip the termination
-        invariant spuriously."""
-        self._issued += 1
-        return self._issued
+    def admit(self, tenant, query, recipient, epoch, future, request_id=None) -> int:
+        """The service admitted a request (pre-queue).  Without a
+        journal the monitor issues the id: it outlives kill/restart
+        cycles, so its ids never collide across service instances."""
+        request_id = super().admit(
+            tenant, query, recipient, epoch, future, request_id=request_id
+        )
+        self.on_admitted(request_id, tenant)
+        return request_id
 
     def on_admitted(self, request_id: int, tenant: str) -> None:
-        """The service admitted ``request_id`` (pre-queue)."""
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
+        """Register the admission of ``request_id``."""
+        self._checked()
         if request_id in self._admitted or request_id in self._settled:
             self._violate(
                 INV_TERMINATION,
@@ -241,11 +239,15 @@ class InvariantMonitor:
             return
         self._admitted[request_id] = tenant
 
+    def resolve(self, request_id: int, outcome) -> None:
+        """The service resolved ``request_id`` with ``outcome``."""
+        self.on_outcome(request_id, outcome.status)
+        if outcome.status == OK:
+            self.on_result(request_id, outcome.result)
+
     def on_outcome(self, request_id: int, status: str) -> None:
-        """The service resolved ``request_id`` with terminal ``status``."""
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
+        """Settle ``request_id`` with terminal ``status``."""
+        self._checked()
         if request_id in self._settled:
             self._violate(
                 INV_TERMINATION,
@@ -293,7 +295,6 @@ class InvariantMonitor:
                     depth=depth,
                 )
         self._open_executions.clear()
-        self._open_flights.clear()
 
     # ------------------------------------------------------------------
     # Authorized transfers: re-probe every delivered result
@@ -310,9 +311,7 @@ class InvariantMonitor:
         policy is still at the transfers' epoch; a late sharer of the
         result, delivered after an in-place update, is not re-probed.
         """
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
+        self._checked()
         audit = getattr(result, "audit", None)
         if audit is None:
             self._violate(
@@ -385,31 +384,18 @@ class InvariantMonitor:
     # Single execution per coalesced key
     # ------------------------------------------------------------------
 
-    def flight_started(self, key: object) -> None:
-        """A single-flight leader began computing ``key`` (observer
-        protocol of :class:`~repro.service.singleflight.SingleFlight`)."""
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
-        self._open_flights.add(key)
+    def flight_lead(self, key: object) -> None:
+        """A single-flight leader began computing ``key``."""
+        self._checked()
 
-    def flight_finished(self, key: object) -> None:
-        """The leader for ``key`` resolved (any way)."""
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
-        self._open_flights.discard(key)
-
-    def flight_promoted(self, key: object) -> None:
+    def flight_promote(self, key: object) -> None:
         """A follower took over a cancelled leader's flight."""
         self._checked()
 
-    def on_execution_start(self, exec_key: object) -> None:
+    def execution_begin(self, exec_key: object) -> None:
         """The service is about to run the pipeline for ``exec_key``
         (the ``(fingerprint, recipient, profiled, epoch)`` flight key)."""
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
+        self._checked()
         open_now = self._open_executions.get(exec_key, 0)
         if open_now >= 1:
             self._violate(
@@ -421,11 +407,9 @@ class InvariantMonitor:
         self._open_executions[exec_key] = open_now + 1
         self._executions[exec_key] = self._executions.get(exec_key, 0) + 1
 
-    def on_execution_end(self, exec_key: object) -> None:
+    def execution_end(self, exec_key: object) -> None:
         """The pipeline run for ``exec_key`` returned (or raised)."""
-        self._checks += 1
-        if self._metrics is not None:
-            self._metrics.inc("repro_invariant_checks_total")
+        self._checked()
         open_now = self._open_executions.get(exec_key, 0)
         if open_now <= 0:
             self._violate(
@@ -439,7 +423,7 @@ class InvariantMonitor:
     # Legal health-state transitions
     # ------------------------------------------------------------------
 
-    def on_breaker(self, tenant: str, old: str, new: str) -> None:
+    def breaker(self, tenant: str, old: str, new: str) -> None:
         """A tenant breaker moved ``old -> new`` (wired through
         :meth:`CircuitBreaker.set_transition_observer`)."""
         self._checked()
@@ -453,8 +437,13 @@ class InvariantMonitor:
                 new=new,
             )
 
-    def on_degrade(self, old: int, new: int) -> None:
-        """The service's degrade level moved ``old -> new``."""
+    def degrade(self, new: int) -> None:
+        """The service's degrade level at a submission; a move off the
+        last level seen is checked."""
+        old = self._level
+        if new == old:
+            return
+        self._level = new
         self._checked()
         if not DEGRADE_NORMAL <= new <= DEGRADE_SHED:
             self._violate(
@@ -464,7 +453,7 @@ class InvariantMonitor:
                 new=new,
             )
 
-    def on_epoch(self, old: int, new: int) -> None:
+    def epoch(self, old: int, new: int) -> None:
         """The policy epoch moved ``old -> new`` (grant/revoke)."""
         self._checked()
         if new < old:

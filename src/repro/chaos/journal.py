@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.exceptions import ReproError
+from repro.obs.hooks import ServiceHooks
 
 #: Journal entry states.
 ADMITTED = "admitted"
@@ -102,12 +103,14 @@ class JournalEntry:
         )
 
 
-class ServiceJournal:
+class ServiceJournal(ServiceHooks):
     """Write-ahead admitted/completed state for one service lineage.
 
     One journal outlives service instances: the chaos harness threads
     the same journal through every kill/restart cycle, exactly as a
-    production deployment would re-open the same WAL file.
+    production deployment would re-open the same WAL file.  It is a
+    service listener (``QueryService(journal=...)``), heard first: its
+    :meth:`admit` issues the lineage's request ids.
     """
 
     def __init__(self) -> None:
@@ -133,22 +136,23 @@ class ServiceJournal:
         return entry
 
     # ------------------------------------------------------------------
-    # The write-ahead surface (called by the service)
+    # The write-ahead surface (the service's listener events)
     # ------------------------------------------------------------------
 
-    def record_admitted(
+    def admit(
         self,
         tenant: str,
         query,
         recipient: Optional[str],
-        admitted_epoch: int,
+        epoch: int,
         future=None,
+        request_id=None,
     ) -> int:
         """Journal one admission *before* the request queues; returns
         the assigned request id."""
         request_id = self._next_id
         self._next_id += 1
-        entry = JournalEntry(request_id, tenant, query, recipient, admitted_epoch)
+        entry = JournalEntry(request_id, tenant, query, recipient, epoch)
         entry.future = future
         self._entries[request_id] = entry
         return request_id
@@ -163,24 +167,18 @@ class ServiceJournal:
         self._entries[entry.request_id] = entry
         self._next_id = max(self._next_id, entry.request_id + 1)
 
-    def record_checkpoint(self, request_id: int, checkpoint) -> None:
-        """Park an interrupted execution's completed subtrees on the
-        entry (later checkpoints overwrite — they are supersets)."""
+    def requeue(self, request_id: int, checkpoint) -> None:
+        """Count one chaos-interrupted attempt and park the completed
+        subtrees the retry will resume from (``None``: from scratch)."""
         entry = self.get(request_id)
-        if checkpoint is not None and len(checkpoint):
-            entry.checkpoint = checkpoint
-
-    def record_attempt(self, request_id: int) -> int:
-        """Count one chaos-interrupt requeue; returns the new total."""
-        entry = self.get(request_id)
+        entry.checkpoint = checkpoint
         entry.attempts += 1
-        return entry.attempts
 
-    def record_completed(self, request_id: int, status: str) -> None:
+    def resolve(self, request_id: int, outcome) -> None:
         """Journal a terminal outcome; the entry will never replay."""
         entry = self.get(request_id)
         entry.state = COMPLETED
-        entry.outcome_status = status
+        entry.outcome_status = outcome.status
 
     # ------------------------------------------------------------------
     # Recovery queries

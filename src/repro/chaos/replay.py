@@ -154,26 +154,10 @@ class ChaosRunConfig:
         """JSON-safe encoding (rides in violation artifacts)."""
         from repro.io.serialize import _rule_to_dict
 
-        return {
-            "seed": self.seed,
-            "requests": self.requests,
-            "workers": self.workers,
-            "recovery": self.recovery,
-            "kill_every": self.kill_every,
-            "max_kills": self.max_kills,
-            "cancel_probability": self.cancel_probability,
-            "leader_crash_probability": self.leader_crash_probability,
-            "stall_probability": self.stall_probability,
-            "stall_ticks": self.stall_ticks,
-            "storm_probability": self.storm_probability,
-            "clock_jump_probability": self.clock_jump_probability,
-            "clock_jump": self.clock_jump,
-            "spins": self.spins,
-            "max_queue": self.max_queue,
-            "max_chaos_retries": self.max_chaos_retries,
-            "queries": list(self.queries),
-            "storm_rules": [_rule_to_dict(rule) for rule in self.storm_rules],
-        }
+        data = {key: getattr(self, key) for key in self.__slots__}
+        data["queries"] = list(self.queries)
+        data["storm_rules"] = [_rule_to_dict(rule) for rule in self.storm_rules]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosRunConfig":
@@ -191,18 +175,9 @@ class ChaosRunConfig:
         ]
         kwargs = {
             key: data[key]
-            for key in (
-                "seed", "requests", "workers", "recovery", "kill_every",
-                "max_kills", "cancel_probability",
-                "leader_crash_probability", "stall_probability",
-                "stall_ticks", "storm_probability",
-                "clock_jump_probability", "clock_jump", "spins",
-                "max_queue", "max_chaos_retries",
-            )
-            if key in data
+            for key in cls.__slots__
+            if key in data and key != "storm_rules"
         }
-        if "queries" in data:
-            kwargs["queries"] = tuple(data["queries"])
         if rules:
             kwargs["storm_rules"] = tuple(rules)
         return cls(**kwargs)

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.distributed.faults import FaultInjector
 from repro.distributed.network import NetworkModel
 from repro.exceptions import ChaosError, ChaosInterrupt
+from repro.obs.hooks import ServiceHooks
 
 #: Hook points, in request-lifecycle order.
 POINT_SUBMIT = "submit"
@@ -59,8 +60,12 @@ def _check_probability(name: str, value: float) -> float:
     return float(value)
 
 
-class ChaosSchedule(FaultInjector):
+class ChaosSchedule(FaultInjector, ServiceHooks):
     """A seeded service-level chaos schedule.
+
+    It is the injector of every pipeline the service runs (``faults=``
+    and the ``execute`` point's ``chaos=``) and a service listener whose
+    ``submit`` / ``worker`` / ``leader`` events fire those points.
 
     Args:
         seed: seeds both the base injector's drop RNG and (salted) the
@@ -225,6 +230,15 @@ class ChaosSchedule(FaultInjector):
                 )
         return actions
 
+    def submit(self):
+        return self.fire(POINT_SUBMIT).get("storm", ())
+
+    def worker(self) -> int:
+        return self.fire(POINT_WORKER).get("stall", 0)
+
+    def leader(self) -> None:
+        self.fire(POINT_LEADER)
+
     def kill_due(self) -> bool:
         """Whether a service kill/restart point is due (consuming).
 
@@ -262,11 +276,6 @@ class ChaosSchedule(FaultInjector):
     def seed(self) -> int:
         """The schedule's seed (replay handle)."""
         return self._seed
-
-    @property
-    def submissions(self) -> int:
-        """Submit-point firings observed."""
-        return self._submissions
 
     @property
     def kills(self) -> int:

@@ -195,68 +195,6 @@ class CostAwareSafePlanner:
             )
         return CostAwarePlan(best[0], best[1], best[2], considered, feasible)
 
-    def shard_estimate(
-        self,
-        spec: QuerySpec,
-        schemes,
-        certificate,
-        tables=None,
-    ):
-        """Partition-aware sizing of a certified sharded execution.
-
-        Delegates to :func:`repro.sharding.cost.estimate_sharded_cost`,
-        feeding it this planner's statistics store so harvested runtime
-        row counts — the same observations that re-rank join orders —
-        also drive the partitioned-vs-single-copy decision.
-
-        Args:
-            spec: the parsed query.
-            schemes: partition schemes by relation name.
-            certificate: a
-                :class:`~repro.sharding.ShardCertificate` from the
-                parallel-correctness checker.
-            tables: optional relation-name → table mapping used as a
-                row-count fallback for relations the store has not
-                observed.
-
-        Returns:
-            a :class:`~repro.sharding.ShardCostEstimate`.
-        """
-        from repro.sharding.cost import estimate_sharded_cost
-
-        return estimate_sharded_cost(
-            spec,
-            schemes,
-            certificate,
-            stats=self._stats_store,
-            tables=tables,
-        )
-
-    def recommend_execution_mode(
-        self,
-        spec: QuerySpec,
-        schemes,
-        certificate,
-        tables=None,
-        min_speedup: Optional[float] = None,
-    ) -> str:
-        """``"partitioned"``, ``"multiround"`` or ``"single_copy"``.
-
-        Cost advice only — the correctness gate stays with the checker:
-        an uncertified certificate always maps to single-copy no matter
-        what the statistics say.
-        """
-        from repro.sharding.cost import MIN_SPEEDUP, choose_execution_mode
-
-        return choose_execution_mode(
-            spec,
-            schemes,
-            certificate,
-            stats=self._stats_store,
-            tables=tables,
-            min_speedup=min_speedup if min_speedup is not None else MIN_SPEEDUP,
-        )
-
     def _best_assignment_for(
         self, tree: QueryTreePlan, stats=None, selectivities=None
     ) -> Optional[Tuple[Assignment, Optional[float]]]:

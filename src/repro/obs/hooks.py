@@ -14,6 +14,9 @@ attributes, statistics and clock reads happen in the listener.  Leaf
 emitters that only drop events into whichever span is open (audit,
 retry, breakers, deadline, checkpoint, plan cache, chase, shard checker
 and shuffle) take :attr:`Hooks.trace` instead.
+
+The query service has its own seam, built the same way:
+:class:`ServiceHooks` and its switch :func:`service_hooks_for`.
 """
 
 from __future__ import annotations
@@ -406,3 +409,91 @@ def hooks_for(trace=None, profiler=None) -> Hooks:
     if trace is None:
         return ProfilerHooks(profiler)
     return ProfiledTracerHooks(trace, profiler)
+
+
+class ServiceHooks:
+    """The events of a query service's requests, as no-ops: the null
+    listener.  A request is ``admit``-ted, or ``adopt``-ed by recovery,
+    ``requeue``-d per chaos-interrupted attempt and ``resolve``-d once;
+    ``submit``, ``worker`` and ``leader`` are the chaos points, whose
+    return values the service applies."""
+
+    #: Request ids issued so far (per listener, from the first ``admit``).
+    _issued = 0
+
+    def admit(self, tenant, query, recipient, epoch, future, request_id=None) -> int:
+        """Returns the request's id: ``request_id`` when a listener
+        heard before this one issued it, else a fresh one."""
+        if request_id is None:
+            self._issued += 1
+            request_id = self._issued
+        return request_id
+
+    def adopt(self, request_id, tenant) -> None: ...
+    def requeue(self, request_id, checkpoint) -> None: ...
+    def resolve(self, request_id, outcome) -> None: ...
+    def flight_lead(self, key) -> None: ...
+    def flight_promote(self, key) -> None: ...
+    def execution_begin(self, key) -> None: ...
+    def execution_end(self, key) -> None: ...
+    def epoch(self, old: int, new: int) -> None: ...
+    def degrade(self, level: int) -> None: ...
+    def breaker(self, tenant, old: str, new: str) -> None: ...
+
+    def submit(self):
+        """Policy toggles ``(op, rule)`` to apply before admission."""
+        return ()
+
+    def worker(self) -> int:
+        """Event-loop turns to yield before touching the dequeued item."""
+        return 0
+
+    def leader(self) -> None: ...
+
+
+class ServiceFanout(ServiceHooks):
+    """Several service listeners, heard in order; the first one issues
+    the request ids."""
+
+    def __init__(self, listeners) -> None:
+        self._listeners = tuple(listeners)
+
+    def admit(self, *args, request_id=None) -> int:
+        for listener in self._listeners:
+            request_id = listener.admit(*args, request_id=request_id)
+        return request_id
+
+    def submit(self):
+        return [toggle for listener in self._listeners for toggle in listener.submit()]
+
+    def worker(self) -> int:
+        return sum(listener.worker() for listener in self._listeners)
+
+
+def _heard_by_each(event: str):
+    def each(self, *args) -> None:
+        for listener in self._listeners:
+            getattr(listener, event)(*args)
+
+    return each
+
+
+# Every event the fan-out does not combine itself reaches each listener.
+for _event in [name for name in vars(ServiceHooks) if not name.startswith("_")]:
+    if _event not in vars(ServiceFanout):
+        setattr(ServiceFanout, _event, _heard_by_each(_event))
+
+
+def service_hooks_for(journal=None, monitor=None, chaos=None) -> ServiceHooks:
+    """The listener for a service's ``journal=`` / ``monitor=`` /
+    ``chaos=`` keywords, heard in that order: the journal issues the
+    lineage's request ids and records them before the monitor checks
+    them."""
+    if monitor is not None and chaos is not None:
+        monitor.bind_chaos(chaos)
+    listeners = [
+        listener for listener in (journal, monitor, chaos) if listener is not None
+    ]
+    if not listeners:
+        return ServiceHooks()
+    return listeners[0] if len(listeners) == 1 else ServiceFanout(listeners)

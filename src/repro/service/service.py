@@ -58,6 +58,7 @@ from repro.exceptions import (
     InfeasiblePlanError,
     ReproError,
 )
+from repro.obs.hooks import service_hooks_for
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
     DEGRADE_NORMAL,
@@ -182,12 +183,11 @@ class _WorkItem:
 
     __slots__ = (
         "query", "bound", "recipient", "ticket", "future", "submitted_at",
-        "request_id", "retries",
+        "request_id", "retries", "checkpoint",
     )
 
     def __init__(
-        self, query, bound, recipient, ticket, future, submitted_at,
-        request_id=None,
+        self, query, bound, recipient, ticket, future, submitted_at, request_id
     ) -> None:
         self.query = query
         self.bound = bound
@@ -197,6 +197,9 @@ class _WorkItem:
         self.submitted_at = submitted_at
         self.request_id = request_id
         self.retries = 0
+        # Completed, audited subtrees an interrupted attempt parked for
+        # the retry to resume from.
+        self.checkpoint = None
 
     def __lt__(self, other: "_WorkItem") -> bool:  # pragma: no cover
         # PriorityQueue tie-breaker only; ordering is fully decided by
@@ -254,8 +257,10 @@ class QueryService:
             crash consistency; one journal is threaded through every
             service instance of a lineage.
         monitor: optional :class:`~repro.chaos.InvariantMonitor`;
-            receives every lifecycle hook.  ``None`` (the default) is
-            structurally zero-cost — call sites guard, no dispatch.
+            hears every lifecycle event.  Journal, monitor and chaos
+            schedule are the service's listeners, assembled once by
+            :func:`~repro.obs.hooks.service_hooks_for`; without any of
+            them the service calls the null listener's no-op events.
         max_chaos_retries: chaos-interrupted attempts per request
             before the service gives up with a ``failed`` outcome.
         stats_store: optional :class:`~repro.profiling.StatsStore`.
@@ -328,7 +333,10 @@ class QueryService:
         self._estimator = CostEstimator(system)
         self._chaos = chaos
         self._journal = journal
-        self._monitor = monitor
+        self._hooks = service_hooks_for(journal, monitor, chaos)
+        # Interrupted leaders park checkpoints only where a journal keeps
+        # them for the retry (and for a successor's recovery).
+        self._parks = chaos is not None and journal is not None
         self._stats_store = stats_store
         # Resolved once: the system's long-lived coordinator for the
         # scheme set (validates it; pipelines take it as ``schemes``).
@@ -336,13 +344,11 @@ class QueryService:
             system._shard_coordinator(shard_schemes) if shard_schemes else None
         )
         self._max_chaos_retries = max_chaos_retries
-        if monitor is not None and chaos is not None:
-            monitor.bind_chaos(chaos)
         if chaos is not None and clock is time.monotonic:
             # Under chaos the service lives in the schedule's logical
             # clock, which is what makes seeded runs replayable.
             clock = lambda: chaos.clock  # noqa: E731
-        self._flight = SingleFlight(observer=monitor)
+        self._flight = SingleFlight(self._hooks)
         self._degrade_soft = degrade_soft
         self._degrade_hard = degrade_hard
         self._breaker_threshold = breaker_threshold
@@ -361,11 +367,9 @@ class QueryService:
         self._workers: List["asyncio.Task"] = []
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._seq = 0
-        self._request_seq = 0
         self._running = False
         self._draining = False
         self._killing = False
-        self._last_degrade = DEGRADE_NORMAL
         self._counts = {
             "submitted": 0, "admitted": 0, "shed": 0,
             OK: 0, INFEASIBLE: 0, FAILED: 0, "coalesced": 0,
@@ -501,7 +505,7 @@ class QueryService:
             )
         outcomes: List[QueryOutcome] = []
         for entry in self._journal.incomplete():
-            outcome = await self._recover_entry(entry)
+            outcome = self._recover_entry(entry)
             self._counts["recovered"] += 1
             self._counts[outcome.status] += 1
             self.metrics.inc(
@@ -512,14 +516,14 @@ class QueryService:
             await asyncio.sleep(0)
         return outcomes
 
-    async def _recover_entry(self, entry) -> QueryOutcome:
+    def _recover_entry(self, entry) -> QueryOutcome:
+        """The leader's body for one journaled request, fenced from
+        chaos worker deaths, resumed from its parked checkpoint."""
         started = self._clock()
-        if self._monitor is not None:
-            self._monitor.adopt(entry.request_id, entry.tenant)
+        self._hooks.adopt(entry.request_id, entry.tenant)
+        tenant = self._admission.tenant(entry.tenant)
         try:
-            key = self._flight_key(
-                entry.query, entry.recipient, search=False, profile=False
-            )
+            key = self._flight_key(entry.query, entry.recipient, False, tenant)
         except ReproError as error:
             return self._recovery_rejection(
                 entry, started, f"unbindable at recovery: {error}"
@@ -529,14 +533,13 @@ class QueryService:
             # resume_from needs an injector clock; recovery without a
             # chaos schedule runs on a quiet one.
             faults = fault_free()
-        # Note: no ``chaos=`` — recovery itself is fenced from injected
-        # worker deaths, as a real recovery pass would be.
-        pipeline = self._pipeline(
-            entry.query, entry.recipient,
-            faults=faults, resume_from=entry.checkpoint,
-        )
         try:
-            result = self._run(pipeline, key)
+            # No ``chaos=``: recovery itself is fenced from injected
+            # worker deaths, as a real recovery pass would be.
+            result = self._execute(
+                key, entry.query, entry.recipient, tenant, False,
+                faults=faults, resume_from=entry.checkpoint,
+            )
         except CheckpointError as error:
             return self._recovery_rejection(
                 entry, started,
@@ -553,19 +556,14 @@ class QueryService:
             latency=self._clock() - started,
         )
 
-    def _recovery_rejection(
-        self, entry, started: float, detail: str
-    ) -> QueryOutcome:
+    def _recovery_rejection(self, entry, started: float, detail: str) -> QueryOutcome:
+        tenant = entry.tenant
         self.metrics.inc(
-            "repro_service_shed_total",
-            tenant=entry.tenant,
-            reason=REJECT_RECOVERY,
+            "repro_service_shed_total", tenant=tenant, reason=REJECT_RECOVERY
         )
+        rejection = Rejection(REJECT_RECOVERY, tenant, detail=detail)
         return QueryOutcome(
-            SHED,
-            entry.tenant,
-            rejection=Rejection(REJECT_RECOVERY, entry.tenant, detail=detail),
-            latency=self._clock() - started,
+            SHED, tenant, rejection=rejection, latency=self._clock() - started
         )
 
     # ------------------------------------------------------------------
@@ -592,13 +590,12 @@ class QueryService:
                 failure_threshold=self._breaker_threshold,
                 cooldown=self._breaker_cooldown,
             )
-            if self._monitor is not None:
-                monitor = self._monitor
-                breaker.set_transition_observer(
-                    lambda old, new, at, _tenant=tenant: monitor.on_breaker(
-                        _tenant, old, new
-                    )
-                )
+            # The listener, not self: a cycle would keep a stopped
+            # service and its system alive until the collector runs.
+            hooks = self._hooks
+            breaker.set_transition_observer(
+                lambda old, new, at: hooks.breaker(tenant, old, new)
+            )
         return breaker
 
     # ------------------------------------------------------------------
@@ -613,8 +610,7 @@ class QueryService:
         before = self._system.policy.epoch
         added = self._system.add_authorization(authorization, trace=self._trace)
         self.metrics.inc("repro_service_policy_churn_total", kind="grant")
-        if self._monitor is not None:
-            self._monitor.on_epoch(before, self._system.policy.epoch)
+        self._hooks.epoch(before, self._system.policy.epoch)
         return added
 
     def revoke_authorization(self, authorization) -> None:
@@ -627,8 +623,7 @@ class QueryService:
         before = self._system.policy.epoch
         self._system.revoke_authorization(authorization, trace=self._trace)
         self.metrics.inc("repro_service_policy_churn_total", kind="revoke")
-        if self._monitor is not None:
-            self._monitor.on_epoch(before, self._system.policy.epoch)
+        self._hooks.epoch(before, self._system.policy.epoch)
 
     # ------------------------------------------------------------------
     # Submission
@@ -652,22 +647,19 @@ class QueryService:
         """
         if not self._running:
             raise ServiceError("service is not running; call start() first")
-        if self._chaos is not None:
-            # Policy grant/revoke storms and clock jumps land at the
-            # submit boundary, before admission reads the epoch.
-            for op, rule in self._chaos.fire("submit").get("storm", ()):
-                if op == "grant":
-                    self.add_authorization(rule)
-                else:
-                    self.revoke_authorization(rule)
+        # Chaos policy grant/revoke storms and clock jumps land at the
+        # submit boundary, before admission reads the epoch.
+        for op, rule in self._hooks.submit():
+            if op == "grant":
+                self.add_authorization(rule)
+            else:
+                self.revoke_authorization(rule)
         now = self._clock()
         self._counts["submitted"] += 1
         self.metrics.inc("repro_service_requests_total", tenant=tenant)
         level = self.degrade_level()
         self.metrics.set_gauge("repro_service_degrade_level", level)
-        if self._monitor is not None and level != self._last_degrade:
-            self._monitor.on_degrade(self._last_degrade, level)
-            self._last_degrade = level
+        self._hooks.degrade(level)
         if self._draining:
             return self._shed_outcome(
                 tenant,
@@ -725,25 +717,13 @@ class QueryService:
             "repro_service_inflight_bytes", self._admission.inflight_bytes
         )
         future = asyncio.get_running_loop().create_future()
-        if self._journal is not None:
-            # Write-ahead: the admission is journaled *before* the
-            # request can queue, so a crash between here and the
-            # outcome leaves a recoverable record, never a lost future.
-            request_id = self._journal.record_admitted(
-                tenant, query, recipient, self._system.policy.epoch, future
-            )
-        elif self._monitor is not None:
-            # Monitor-issued ids stay unique across kill/restart cycles
-            # that share one monitor (a local counter would collide).
-            request_id = self._monitor.issue_id()
-        else:
-            self._request_seq += 1
-            request_id = self._request_seq
-        if self._monitor is not None:
-            self._monitor.on_admitted(request_id, tenant)
-        item = _WorkItem(
-            query, bound, recipient, decision, future, now, request_id=request_id
+        # Write-ahead: a journal records the admission *before* the
+        # request can queue, so a crash between here and the outcome
+        # leaves a recoverable record, never a lost future.
+        request_id = self._hooks.admit(
+            tenant, query, recipient, self._system.policy.epoch, future
         )
+        item = _WorkItem(query, bound, recipient, decision, future, now, request_id)
         self._seq += 1
         # Higher priority first; FIFO within a priority class.
         self._queue.put_nowait((-decision.tenant.priority, self._seq, item))
@@ -791,12 +771,10 @@ class QueryService:
         while True:
             _, _, item = await self._queue.get()
             try:
-                if self._chaos is not None:
-                    # Admission-queue stall: the worker yields the event
-                    # loop N times before touching its item.
-                    stall = self._chaos.fire("worker").get("stall", 0)
-                    for _ in range(int(stall)):
-                        await asyncio.sleep(0)
+                # Chaos admission-queue stall: the worker yields the
+                # event loop N times before touching its item.
+                for _ in range(self._hooks.worker()):
+                    await asyncio.sleep(0)
                 await self._process(item)
             except asyncio.CancelledError:
                 if self._killing and self._journal is not None:
@@ -859,43 +837,19 @@ class QueryService:
         search = self._search_join_orders and (
             ticket.degrade_level < DEGRADE_PLANNING
         )
-        key = self._flight_key(
-            item.bound, item.recipient, search=search, profile=tenant.profile
-        )
+        key = self._flight_key(item.bound, item.recipient, search, tenant)
 
         async def lead():
             # Yield once so identical requests reach the flight gate and
             # park as followers before the leader enters the synchronous
             # plan-and-execute section.
             await asyncio.sleep(0)
-            if self._chaos is not None:
-                self._chaos.fire("leader")
-            resume = None
-            if self._journal is not None and item.request_id is not None:
-                resume = self._journal.get(item.request_id).checkpoint
-            profiler = None
-            if tenant.profile:
-                from repro.profiling import QueryProfiler
-
-                profiler = QueryProfiler(selectivities=self._stats_store)
-            pipeline = self._pipeline(
-                item.query,
-                item.recipient,
-                search,
-                faults=self._chaos,
-                checkpoint=self._chaos is not None and self._journal is not None,
-                resume_from=resume,
-                chaos=self._chaos,
-                profiler=profiler,
+            self._hooks.leader()
+            return self._execute(
+                key, item.query, item.recipient, tenant, search,
+                faults=self._chaos, checkpoint=self._parks,
+                resume_from=item.checkpoint, chaos=self._chaos,
             )
-            pipeline.plan()  # a refusal raises here: it is no execution
-            result = self._run(pipeline, key)
-            if tenant.profile:
-                # Leader-only: followers share the leader's result (and
-                # its profiles) without double-harvesting.
-                for unit in getattr(result, "unit_results", (result,)):
-                    self._harvest_profile(tenant.name, unit)
-            return result
 
         flown = await self._fly(item, key, lead)
         if flown is None:
@@ -922,29 +876,38 @@ class QueryService:
             ),
         )
 
-    def _pipeline(self, query, recipient, search: bool = False, **options):
-        """The one place the service builds a pipeline: every flight
-        leader and every recovered request runs under the service's
-        trace and scheme set."""
-        return self._system.pipeline(
+    def _execute(self, key, query, recipient, tenant, search, **options):
+        """The one request body, of every flight leader and every
+        recovered request: build the pipeline (under the service's trace
+        and scheme set, profiled for a profiled tenant), plan — a
+        refusal raises here and is no execution — run under the counted
+        execution events, and harvest the profile.  Followers share the
+        result (and its profiles) without double-harvesting."""
+        profiler = None
+        if tenant.profile:
+            from repro.profiling import QueryProfiler
+
+            profiler = QueryProfiler(selectivities=self._stats_store)
+        pipeline = self._system.pipeline(
             query,
             recipient=recipient,
             search_join_orders=search,
             trace=self._trace,
             schemes=self._shard_schemes,
+            profiler=profiler,
             **options,
         )
-
-    def _run(self, pipeline, exec_key):
-        """One counted pipeline run inside the monitor's execution hooks."""
+        pipeline.plan()
         self._counts["executions"] += 1
-        if self._monitor is not None:
-            self._monitor.on_execution_start(exec_key)
+        self._hooks.execution_begin(key)
         try:
-            return pipeline.run()
+            result = pipeline.run()
         finally:
-            if self._monitor is not None:
-                self._monitor.on_execution_end(exec_key)
+            self._hooks.execution_end(key)
+        if tenant.profile:
+            for unit in getattr(result, "unit_results", (result,)):
+                self._harvest_profile(tenant.name, unit)
+        return result
 
     async def _fly(self, item: _WorkItem, key, lead):
         """``(result, coalesced)`` for ``item``'s flight; ``None`` when
@@ -961,17 +924,17 @@ class QueryService:
         except ChaosInterrupt as error:
             # The worker "died" mid-query.  Park whatever completed,
             # audited subtrees the run checkpointed (none for a
-            # multi-unit run: it restarts from scratch) and retry.
-            self._requeue_after_chaos(
-                item, str(error), checkpoint=error.checkpoint
-            )
+            # multi-unit run: it restarts from scratch) and retry; an
+            # empty journal keeps the parked one (later ones are
+            # supersets).
+            item.checkpoint = error.checkpoint or item.checkpoint
+            self._requeue_after_chaos(item, str(error))
         except CheckpointError as error:
             # A parked checkpoint no longer verifies (policy churn
             # revoked a subtree, or the replan changed shape or unit
             # count): drop it and retry from scratch rather than
             # replaying stale state.
-            if self._journal is not None and item.request_id is not None:
-                self._journal.get(item.request_id).checkpoint = None
+            item.checkpoint = None
             self._requeue_after_chaos(item, f"checkpoint refused: {error}")
         except ReproError as error:
             # Infeasible also covers churn between planning and
@@ -1001,37 +964,32 @@ class QueryService:
                 tenant=tenant_name,
             )
 
-    def _flight_key(self, query, recipient, search: bool, profile: bool) -> tuple:
+    def _flight_key(self, query, recipient, search: bool, tenant) -> tuple:
         """The one flight key.  Two requests share a run only when all
         four parts agree: the identity the plan cache fingerprints on
         (so "would share a cache entry" and "share a run" agree), the
         recipient (the closing delivery is itself an authorized
-        transfer), whether the run is profiled (only a profiled run
-        carries a profile), and the policy epoch (a request keyed after
-        a grant or revoke never shares a run, or a refusal, decided
-        under the older policy)."""
+        transfer), whether the tenant's runs are profiled (only a
+        profiled run carries a profile), and the policy epoch (a request
+        keyed after a grant or revoke never shares a run, or a refusal,
+        decided under the older policy)."""
         kind, payload = self._system._parsed(query)
         if kind == "tree":
             fingerprint = fingerprint_tree(payload)
         else:
             fingerprint = (payload.fingerprint(), search)
-        return (fingerprint, recipient, profile, self._system.policy.epoch)
+        return (fingerprint, recipient, tenant.profile, self._system.policy.epoch)
 
-    def _requeue_after_chaos(
-        self, item: _WorkItem, reason: str, checkpoint=None
-    ) -> None:
+    def _requeue_after_chaos(self, item: _WorkItem, reason: str) -> None:
         """Put a chaos-interrupted request back in the queue (bounded
-        attempts), journaling any parked checkpoint first."""
+        attempts), journaling its parked checkpoint first."""
         item.retries += 1
-        attempts = item.retries
-        if self._journal is not None and item.request_id is not None:
-            self._journal.record_checkpoint(item.request_id, checkpoint)
-            attempts = self._journal.record_attempt(item.request_id)
-        if attempts > self._max_chaos_retries:
+        self._hooks.requeue(item.request_id, item.checkpoint)
+        if item.retries > self._max_chaos_retries:
             self._finish_failure(
                 item,
                 FAILED,
-                f"chaos: gave up after {attempts} interrupted attempts: "
+                f"chaos: gave up after {item.retries} interrupted attempts: "
                 f"{reason}",
             )
             return
@@ -1101,29 +1059,18 @@ class QueryService:
         )
 
     def _resolve(self, request_id, future, outcome: QueryOutcome) -> None:
-        """Tell the journal and the monitor, then the submitter.
+        """Tell the listener, then the submitter.
 
         The ticket is released and the counters are bumped by now, so a
-        raising observer must not send the request round again (a second
+        raising listener must not send the request round again (a second
         release would subtract another request's bytes): it is counted
         in ``repro_service_observer_errors_total`` and the submitter
         still gets the outcome the request actually had.
         """
         try:
-            if request_id is not None:
-                if self._journal is not None:
-                    self._journal.record_completed(request_id, outcome.status)
-                if self._monitor is not None:
-                    self._monitor.on_outcome(request_id, outcome.status)
-                    if outcome.status == OK:
-                        self._monitor.on_result(request_id, outcome.result)
-        except Exception as error:  # noqa: BLE001 - observers never own the outcome
+            self._hooks.resolve(request_id, outcome)
+        except Exception:  # noqa: BLE001 - listeners never own the outcome
             self.metrics.inc("repro_service_observer_errors_total")
-            if self._trace is not None:
-                self._trace.event(
-                    "observer_error", "service",
-                    request=request_id, error=repr(error),
-                )
         if future is not None and not future.done():
             future.set_result(outcome)
 

@@ -40,26 +40,19 @@ class SingleFlight:
     """Per-key coalescing of concurrent async computations.
 
     Args:
-        observer: optional duck-typed listener (e.g. the chaos
-            :class:`~repro.chaos.invariants.InvariantMonitor`); when
-            set, ``flight_started(key)`` / ``flight_finished(key)``
-            bracket every leader computation and
-            ``flight_promoted(key)`` fires when a follower takes over a
-            cancelled leader's flight.  ``None`` (the default) keeps
-            the hot path free of any observer dispatch.
+        hooks: the service's listener
+            (:class:`~repro.obs.hooks.ServiceHooks`):
+            ``flight_lead(key)`` fires as every leader starts computing,
+            preceded by ``flight_promote(key)`` when that leader is a
+            follower taking over a cancelled leader's flight.
     """
 
-    def __init__(self, observer=None) -> None:
+    def __init__(self, hooks) -> None:
         self._inflight: Dict[object, "asyncio.Future"] = {}
-        self._observer = observer
+        self._hooks = hooks
         self._leads = 0
         self._followers = 0
         self._promotions = 0
-
-    @property
-    def inflight(self) -> int:
-        """Keys currently being computed."""
-        return len(self._inflight)
 
     @property
     def leads(self) -> int:
@@ -115,10 +108,8 @@ class SingleFlight:
             self._leads += 1
             if promoted:
                 self._promotions += 1
-                if self._observer is not None:
-                    self._observer.flight_promoted(key)
-            if self._observer is not None:
-                self._observer.flight_started(key)
+                self._hooks.flight_promote(key)
+            self._hooks.flight_lead(key)
             try:
                 result = await compute()
             except asyncio.CancelledError:
@@ -144,5 +135,3 @@ class SingleFlight:
             finally:
                 if self._inflight.get(key) is future:
                     del self._inflight[key]
-                if self._observer is not None:
-                    self._observer.flight_finished(key)

@@ -21,8 +21,6 @@ The pieces:
   anything it cannot prove equivalent to single-copy execution.
 * :mod:`~repro.sharding.shuffle` — shuffle planning and the audited
   multi-round engine-level fallback.
-* :mod:`~repro.sharding.cost` — partition-aware sizing fed by the PR 9
-  statistics store, for the partitioned-vs-single-copy decision.
 * :mod:`~repro.sharding.executor` — :class:`ShardedExecutor`, the
   long-lived coordinator (one per system and scheme set, over the
   system's resident shards) that certifies, plans per shard with the real
@@ -43,13 +41,6 @@ from repro.sharding.checker import (
     ParallelCorrectnessChecker,
     ShardCertificate,
     certify_schemes,
-)
-from repro.sharding.cost import (
-    DEFAULT_ROWS,
-    MIN_SPEEDUP,
-    ShardCostEstimate,
-    choose_execution_mode,
-    estimate_sharded_cost,
 )
 from repro.sharding.executor import (
     EXEC_MULTIROUND,
@@ -83,12 +74,10 @@ __all__ = [
     "ACTION_BROADCAST",
     "ACTION_LOCAL",
     "ACTION_REPARTITION",
-    "DEFAULT_ROWS",
     "EXEC_MULTIROUND",
     "EXEC_PARTITIONED",
     "EXEC_SINGLE_COPY",
     "MAX_SHARDS",
-    "MIN_SPEEDUP",
     "MODE_HYPERCUBE",
     "MODE_MULTIROUND",
     "MODE_REJECTED",
@@ -99,7 +88,6 @@ __all__ = [
     "PartitionScheme",
     "RangePartitionScheme",
     "ShardCertificate",
-    "ShardCostEstimate",
     "ShardedExecutor",
     "ShardedResult",
     "ShufflePlan",
@@ -107,8 +95,6 @@ __all__ = [
     "ShuffleStep",
     "canonical_shard_key",
     "certify_schemes",
-    "choose_execution_mode",
-    "estimate_sharded_cost",
     "execute_multiround",
     "merge_shards",
     "plan_shuffle",

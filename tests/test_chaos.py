@@ -48,11 +48,13 @@ from repro.io.serialize import (
     service_journal_from_dict,
     service_journal_to_dict,
 )
+from repro.obs.hooks import ServiceHooks
 from repro.service import (
     FAILED,
     OK,
     REJECT_RECOVERY,
     SHED,
+    QueryOutcome,
     QueryService,
     ServiceError,
     SingleFlight,
@@ -275,12 +277,12 @@ class TestChaosSchedule:
 class TestServiceJournal:
     def test_write_ahead_lifecycle(self):
         journal = ServiceJournal()
-        rid = journal.record_admitted("gold", PAIR_QUERY, None, 3)
+        rid = journal.admit("gold", PAIR_QUERY, None, 3)
         assert rid == 1
         entry = journal.get(rid)
         assert entry.state == ADMITTED and not entry.complete
         assert journal.incomplete() == [entry]
-        journal.record_completed(rid, OK)
+        journal.resolve(rid, QueryOutcome(OK, "gold"))
         assert entry.state == COMPLETED and entry.outcome_status == OK
         assert journal.incomplete() == []
         assert journal.counts() == {
@@ -289,28 +291,29 @@ class TestServiceJournal:
 
     def test_unknown_id_refused(self):
         with pytest.raises(JournalError):
-            ServiceJournal().record_completed(7, OK)
+            ServiceJournal().resolve(7, QueryOutcome(OK, "gold"))
 
     def test_restore_rejects_collisions(self):
         journal = ServiceJournal()
-        rid = journal.record_admitted("gold", PAIR_QUERY, None, 0)
+        rid = journal.admit("gold", PAIR_QUERY, None, 0)
         with pytest.raises(JournalError):
             journal.restore(journal.get(rid))
 
     def test_attempts_and_checkpoint_parking(self):
         journal = ServiceJournal()
-        rid = journal.record_admitted("gold", PAIR_QUERY, None, 0)
-        assert journal.record_attempt(rid) == 1
-        assert journal.record_attempt(rid) == 2
-        journal.record_checkpoint(rid, None)  # no-op
+        rid = journal.admit("gold", PAIR_QUERY, None, 0)
+        journal.requeue(rid, "parked")
+        assert journal.get(rid).attempts == 1
+        journal.requeue(rid, None)  # a refused checkpoint is dropped
+        assert journal.get(rid).attempts == 2
         assert journal.get(rid).checkpoint is None
 
     def test_json_round_trip(self):
         journal = ServiceJournal()
-        first = journal.record_admitted("gold", PAIR_QUERY, "S2", 4)
-        second = journal.record_admitted("silver", PAIR_QUERY, None, 5)
-        journal.record_completed(second, SHED)
-        journal.record_attempt(first)
+        first = journal.admit("gold", PAIR_QUERY, "S2", 4)
+        second = journal.admit("silver", PAIR_QUERY, None, 5)
+        journal.resolve(second, QueryOutcome(SHED, "silver"))
+        journal.requeue(first, None)
         data = service_journal_to_dict(journal)
         data = json.loads(json.dumps(data))  # a real process boundary
         again = service_journal_from_dict(data)
@@ -324,7 +327,7 @@ class TestServiceJournal:
         assert again.get(second).outcome_status == SHED
         assert [e.request_id for e in again.incomplete()] == [first]
         # Restored ids never collide with fresh admissions.
-        assert again.record_admitted("bronze", PAIR_QUERY, None, 6) == 3
+        assert again.admit("bronze", PAIR_QUERY, None, 6) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +379,12 @@ class TestInvariantMonitor:
 
     def test_issue_id_is_monotonic(self):
         monitor = InvariantMonitor()
-        assert [monitor.issue_id() for _ in range(3)] == [1, 2, 3]
+        assert [
+            monitor.admit("gold", PAIR_QUERY, None, 0, None) for _ in range(3)
+        ] == [1, 2, 3]
+        # Behind a journal the monitor checks the journal's id instead.
+        assert monitor.admit("gold", PAIR_QUERY, None, 0, None, request_id=9) == 9
+        assert monitor.pending() == [1, 2, 3, 9]
 
     def test_authorized_transfer_probe_accepts_real_run(self):
         system = chain_system()
@@ -436,10 +444,10 @@ class TestInvariantMonitor:
 
     def test_concurrent_duplicate_execution(self):
         monitor = InvariantMonitor()
-        monitor.on_execution_start(("k", None, 0))
-        monitor.on_execution_start(("k", None, 0))  # concurrent duplicate
-        monitor.on_execution_end(("k", None, 0))
-        monitor.on_execution_end(("k", None, 0))
+        monitor.execution_begin(("k", None, 0))
+        monitor.execution_begin(("k", None, 0))  # concurrent duplicate
+        monitor.execution_end(("k", None, 0))
+        monitor.execution_end(("k", None, 0))
         assert [v.invariant for v in monitor.violations] == [
             INV_SINGLE_EXECUTION
         ]
@@ -447,27 +455,27 @@ class TestInvariantMonitor:
     def test_sequential_reexecution_is_legal(self):
         monitor = InvariantMonitor()
         for _ in range(2):
-            monitor.on_execution_start(("k", None, 0))
-            monitor.on_execution_end(("k", None, 0))
+            monitor.execution_begin(("k", None, 0))
+            monitor.execution_end(("k", None, 0))
         assert monitor.ok
 
     def test_breaker_edges(self):
         monitor = InvariantMonitor()
-        monitor.on_breaker("gold", "closed", "open")
-        monitor.on_breaker("gold", "open", "half-open")
-        monitor.on_breaker("gold", "half-open", "closed")
+        monitor.breaker("gold", "closed", "open")
+        monitor.breaker("gold", "open", "half-open")
+        monitor.breaker("gold", "half-open", "closed")
         assert monitor.ok
-        monitor.on_breaker("gold", "closed", "half-open")
+        monitor.breaker("gold", "closed", "half-open")
         assert [v.invariant for v in monitor.violations] == [
             INV_BREAKER_TRANSITION
         ]
 
     def test_epoch_must_not_regress(self):
         monitor = InvariantMonitor()
-        monitor.on_epoch(0, 1)
-        monitor.on_epoch(1, 2)
+        monitor.epoch(0, 1)
+        monitor.epoch(1, 2)
         assert monitor.ok
-        monitor.on_epoch(2, 1)
+        monitor.epoch(2, 1)
         assert [v.invariant for v in monitor.violations] == [
             INV_EPOCH_MONOTONIC
         ]
@@ -497,17 +505,14 @@ class TestInvariantMonitor:
 # ---------------------------------------------------------------------------
 
 
-class _FlightObserver:
+class _FlightObserver(ServiceHooks):
     def __init__(self):
         self.events = []
 
-    def flight_started(self, key):
-        self.events.append(("started", key))
+    def flight_lead(self, key):
+        self.events.append(("lead", key))
 
-    def flight_finished(self, key):
-        self.events.append(("finished", key))
-
-    def flight_promoted(self, key):
+    def flight_promote(self, key):
         self.events.append(("promoted", key))
 
 
@@ -519,7 +524,7 @@ class TestSingleFlightPromotion:
 
         async def scenario():
             observer = _FlightObserver()
-            flight = SingleFlight(observer=observer)
+            flight = SingleFlight(observer)
             entered = []
 
             async def compute():
@@ -553,14 +558,13 @@ class TestSingleFlightPromotion:
         )
         assert len(entered) == 2  # original leader + promoted follower
         assert flight.promotions == 1
-        assert ("promoted", "k") in observer.events
-        assert observer.events.count(("finished", "k")) == 2
+        assert observer.events == [("lead", "k"), ("promoted", "k"), ("lead", "k")]
 
     def test_leader_failure_still_fails_followers(self):
         """Promotion is for cancellation only — a real error is shared."""
 
         async def scenario():
-            flight = SingleFlight()
+            flight = SingleFlight(ServiceHooks())
 
             async def compute():
                 await asyncio.sleep(0)
@@ -846,8 +850,8 @@ class TestServiceCrashRecovery:
             join_id, "S0", assignment.profile(join_id), result.table
         )
         journal = ServiceJournal()
-        rid = journal.record_admitted("gold", PAIR_QUERY, None, 0)
-        journal.record_checkpoint(rid, checkpoint)
+        rid = journal.admit("gold", PAIR_QUERY, None, 0)
+        journal.requeue(rid, checkpoint)
         # The same federation with S0's join grants revoked.
         revoked = chain_system(rules=BASE_RULES + (
             grant("S1", "a0 b0"),
@@ -872,8 +876,8 @@ class TestServiceCrashRecovery:
     def test_recovery_never_replays_completed_entries(self):
         system = medical_system()
         journal = ServiceJournal()
-        rid = journal.record_admitted("gold", MEDICAL_QUERY, None, 0)
-        journal.record_completed(rid, OK)
+        rid = journal.admit("gold", MEDICAL_QUERY, None, 0)
+        journal.resolve(rid, QueryOutcome(OK, "gold"))
         service = make_chaos_service(system, journal=journal)
 
         async def scenario():
@@ -893,6 +897,64 @@ class TestServiceCrashRecovery:
         journaled = make_chaos_service(system, journal=ServiceJournal())
         with pytest.raises(ServiceError):
             run(journaled.recover())
+
+    def test_a_recovered_profiled_request_carries_its_profile(self):
+        """Recovery runs the live leader's body: a profiled tenant's
+        recovered request is profiled and harvested once."""
+        from repro.profiling import QueryProfile
+
+        system = medical_system()
+        journal = ServiceJournal()
+        tenants = (TenantConfig("prof", rate=1e6, burst=1e6, profile=True),)
+
+        async def scenario():
+            first = QueryService(system, tenants=tenants, journal=journal)
+            await first.start()
+            task = asyncio.ensure_future(first.submit(MEDICAL_QUERY, tenant="prof"))
+            await asyncio.sleep(0)
+            await first.kill()
+            successor = QueryService(system, tenants=tenants, journal=journal)
+            await successor.start()
+            (recovered,) = await successor.recover()
+            await successor.stop()
+            return successor, recovered, await task
+
+        successor, recovered, outcome = run(scenario())
+        assert outcome is recovered and outcome.status == OK
+        assert isinstance(outcome.result.profile, QueryProfile)
+        runs = successor.metrics.counter("repro_service_profile_runs_total")
+        assert runs.value(tenant="prof") == 1
+
+    def test_a_recovered_request_refused_by_a_newer_policy_is_no_execution(self):
+        """A refusal at recovery raises while planning, as on the live
+        path: it is not counted, and the monitor sees no run."""
+        system = chain_system(plan_cache=True)
+        journal = ServiceJournal()
+        monitor = InvariantMonitor()
+
+        async def scenario():
+            first = make_chaos_service(system, journal=journal, monitor=monitor)
+            await first.start()
+            task = asyncio.ensure_future(first.submit(PAIR_QUERY, tenant="gold"))
+            await asyncio.sleep(0)
+            await first.kill()
+            for rule in S0_ROUTE:
+                system.revoke_authorization(rule)
+                if not system.is_feasible(PAIR_QUERY):
+                    break
+            assert not system.is_feasible(PAIR_QUERY)
+            successor = make_chaos_service(system, journal=journal, monitor=monitor)
+            await successor.start()
+            await successor.recover()
+            await successor.stop()
+            return successor, await task
+
+        successor, outcome = run(scenario())
+        assert outcome.status == "infeasible"
+        assert successor.snapshot()["executions"] == 0
+        assert monitor.report()["distinct_exec_keys"] == 0
+        monitor.assert_quiescent()
+        assert monitor.ok, [v.detail for v in monitor.violations]
 
     def test_chaos_retry_budget_gives_up_cleanly(self):
         """Endless injected deaths must terminate in a failed outcome,
@@ -997,6 +1059,33 @@ class TestRunChaos:
         )
         assert matched
         assert replayed.digest() == report.digest()
+
+    @pytest.mark.parametrize(
+        ("seed", "recovery", "digest"),
+        [
+            (0, True, "3de1d105540938821f8de6a4f58c6982380a65c3a3b600d3b7aa7cfaaa95a0d6"),
+            (0, False, "942f676a9a9949f25e94fefe869f9c37bf5b771857cbf1ed059cee33b9bc6c39"),
+            (1, True, "67ce47ee038d41a1d34cd231ee98e0f9cefa389e0f10eb9aa6e3d7d739cc58cd"),
+            (1, False, "40fc9f90fd81a59a9d23b3a32199675e38c6ddf29f3f996965ff4a498ff1b3c9"),
+            (2, True, "2e4133116d3df9d0ecd4b2ac4314267d722cf25eba927bbe74620e3aff3b891c"),
+            (2, False, "255890eb44f8113367ccdf77f6c99066cecbaab9726a697da08a690928ca3f8f"),
+            (5, True, "1da74e22a89eed85010841d28cca32e46ae88b6f3297fb57bbcab3bb1dab94ad"),
+            (5, False, "c27e9fba23eed1fef304d0a34689d99b4a32b66dfdf809abeef214bf9a71625f"),
+        ],
+    )
+    def test_pinned_digest(self, seed, recovery, digest):
+        """Leader crashes, worker deaths, stalls, storms, clock jumps and
+        kills in a fixed order: the service's event order is pinned."""
+        report = run_chaos(
+            small_config(seed=seed, recovery=recovery), system_factory=small_factory
+        )
+        assert report.digest() == digest
+
+    def test_pinned_digest_of_the_default_config(self):
+        report = run_chaos(ChaosRunConfig(seed=0))
+        assert report.digest() == (
+            "d55e0efd4b3a8da5b6bfc6a476290ac64f7602bb196d64fa120db87537bd442e"
+        )
 
     def test_replay_requires_a_config(self, tmp_path):
         path = str(tmp_path / "empty.json")

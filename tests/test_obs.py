@@ -20,6 +20,7 @@ and the end-to-end contracts the instrumentation promises:
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -63,7 +64,14 @@ from repro.obs import (
     parse_prometheus_text,
     validate_chrome_trace,
 )
-from repro.obs.hooks import Hooks, ProfilerHooks, TracerHooks, hooks_for
+from repro.obs.hooks import (
+    Hooks,
+    ProfilerHooks,
+    ServiceHooks,
+    TracerHooks,
+    hooks_for,
+    service_hooks_for,
+)
 from repro.profiling import QueryProfiler
 from repro.testing import grant, quick_catalog
 from repro.workloads.medical import (
@@ -879,10 +887,20 @@ SPINE = (
 #: files may hold together: constructor adaptation of the public
 #: ``trace=`` / ``obs=`` / ``profiler=`` keywords, nothing per site.
 GUARD_CEILING = 6
-#: Lines of the service shell holding a
-#: ``(monitor|journal|chaos|health|faults|trace|profiler) is (not )?None``
-#: test (``make census`` prints the count); it may only go down.
-SERVICE_GUARD_CEILING = 29
+#: The service shell: the files that call its listener.
+SERVICE = ("service/service.py", "service/singleflight.py")
+#: Guard lines in the service shell and in the function assembling its
+#: listener (``make census`` prints the counts): constructor adaptation,
+#: kill / recover and ``snapshot()`` only; it may only go down.
+SERVICE_GUARD = re.compile(
+    r"(monitor|journal|chaos|health|faults|trace|profiler|observer|listener)"
+    r" is (not )?None"
+)
+SERVICE_GUARD_CEILING = 11
+SERVICE_EVENTS = sorted(
+    name for name, member in vars(ServiceHooks).items()
+    if callable(member) and not name.startswith("_")
+)
 
 EVENTS = sorted(
     name for name, member in vars(Hooks).items()
@@ -1106,6 +1124,18 @@ class TestSeamContract:
             assert event in rendered, f"{event} has no non-null implementation"
             assert f".{event}(" in spine, f"{event} has no call site"
 
+    def test_service_hooks_have_no_event_without_a_listener_and_a_call_site(self):
+        from repro.chaos import ChaosSchedule, InvariantMonitor, ServiceJournal
+
+        shell = "".join((REPO / "src/repro" / name).read_text() for name in SERVICE)
+        rendered = set(vars(InvariantMonitor)) | set(vars(ServiceJournal)) | set(
+            vars(ChaosSchedule)
+        )
+        assert SERVICE_EVENTS
+        for event in SERVICE_EVENTS:
+            assert event in rendered, f"{event} has no non-null implementation"
+            assert f"hooks.{event}(" in shell, f"{event} has no call site"
+
     def test_census_no_variants_no_rebinding_no_guard_clusters(self):
         sources = sorted((REPO / "src").rglob("*.py"))
         assert sources
@@ -1125,14 +1155,18 @@ class TestSeamContract:
             for name in SPINE
         }
         assert sum(guards.values()) <= GUARD_CEILING, guards
+        shell = [(REPO / "src/repro" / name).read_text() for name in SERVICE]
+        shell.append(inspect.getsource(service_hooks_for))
         service_guards = [
             line
-            for line in (REPO / "src/repro/service/service.py").read_text().splitlines()
-            if re.search(
-                r"(monitor|journal|chaos|health|faults|trace|profiler) is (not )?None", line
-            )
+            for text in shell
+            for line in text.splitlines()
+            if SERVICE_GUARD.search(line)
         ]
         assert len(service_guards) <= SERVICE_GUARD_CEILING, service_guards
+        service = shell[0]
+        assert len(re.findall(r"\.pipeline\(", service)) == 1
+        assert "request_id is not None" not in service
         for name, bodies in {
             "core/planner.py": ("plan", "_find_candidates", "_admit_master"),
             "engine/executor.py": ("_execute_node", "_execute_join", "_ship", "_ship_once"),

@@ -20,6 +20,7 @@ from repro.engine.audit import AuditLog
 from repro.exceptions import InfeasiblePlanError
 from repro.obs import TraceContext
 from repro.obs.export import parse_prometheus_text
+from repro.obs.hooks import ServiceHooks
 from repro.service import (
     DEGRADE_SHED,
     REJECT_BREAKER,
@@ -300,7 +301,7 @@ class TestCostEstimator:
 
 class TestSingleFlight:
     def test_concurrent_same_key_coalesces(self):
-        flight = SingleFlight()
+        flight = SingleFlight(ServiceHooks())
         calls = []
 
         async def compute():
@@ -323,7 +324,7 @@ class TestSingleFlight:
         assert flight.leads == 1 and flight.followers == 4
 
     def test_key_released_after_completion(self):
-        flight = SingleFlight()
+        flight = SingleFlight(ServiceHooks())
 
         async def scenario():
             await flight.run("k", self._value(1))
@@ -340,7 +341,7 @@ class TestSingleFlight:
         return compute
 
     def test_leader_exception_propagates_to_followers(self):
-        flight = SingleFlight()
+        flight = SingleFlight(ServiceHooks())
 
         async def compute():
             await asyncio.sleep(0)
@@ -610,6 +611,26 @@ class TestQueryService:
         assert "repro_service_shed_total" in series
         shed = series["repro_service_shed_total"]
         assert sum(shed.values()) == 3
+
+    def test_a_stopped_service_is_freed_without_the_cycle_collector(self):
+        """Nothing the service wires up (tenant breakers, the listener,
+        the flight) refers back to it: a stopped service and what only
+        it holds go as soon as the last reference does."""
+        import gc
+        import weakref
+
+        async def scenario():
+            service = QueryService(chain_system(BASE_RULES + S0_ROUTE), workers=1)
+            await service.start()
+            assert (await service.submit(PAIR_QUERY)).ok
+            await service.stop()
+            return weakref.ref(service)
+
+        gc.disable()
+        try:
+            assert run(scenario())() is None
+        finally:
+            gc.enable()
 
     def test_raising_observer_never_finishes_a_request_twice(self):
         """A monitor whose ``on_result`` raises is reported, not
@@ -1092,8 +1113,8 @@ def on_first_flight(action):
             super().__init__()
             self.keys = []
 
-        def flight_started(self, key):
-            super().flight_started(key)
+        def flight_lead(self, key):
+            super().flight_lead(key)
             self.keys.append(key)
             if len(self.keys) == 1:
                 action(key)

@@ -5,8 +5,6 @@ The differential suite proves the semantics; these tests prove the
 
 * ``DistributedSystem.certify_sharding`` / ``execute_sharded`` (the
   public entry points),
-* ``CostAwareSafePlanner.shard_estimate`` / ``recommend_execution_mode``
-  (cost advice fed by the same statistics store as join-order search),
 * ``QueryService(shard_schemes=...)`` (partition-parallel serving with
   single-flight coalescing and the sharded-outcome metric),
 * the ``shard`` CLI subcommand against the paper's medical workload
@@ -24,12 +22,10 @@ from repro.chaos import InvariantMonitor, ServiceJournal
 from repro.cli import main
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
-from repro.core.costplanner import CostAwareSafePlanner
 from repro.core.plancache import PlanCache
 from repro.distributed import pipeline as pipeline_module
 from repro.distributed.faults import FaultInjector
 from repro.distributed.system import DistributedSystem
-from repro.engine.coster import TableStats
 from repro.engine.data import Table
 from repro.engine.resilience import RetryPolicy
 from repro.exceptions import DegradedExecutionError, InfeasiblePlanError
@@ -412,46 +408,6 @@ def _count_verifications(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "verify_assignment", counting)
     return verified
-
-
-# ---------------------------------------------------------------------------
-# Cost-planner seam
-# ---------------------------------------------------------------------------
-
-
-class TestCostPlannerSeam:
-    def _planner(self):
-        stats = {
-            "R": TableStats(4000, {"a": 7, "b": 4000}),
-            "T": TableStats(4000, {"c": 7, "d": 4000}),
-        }
-        catalog = _catalog()
-        return CostAwareSafePlanner(close_policy(_policy(), catalog), stats)
-
-    def test_estimate_and_recommendation(self):
-        system = _system()
-        planner = self._planner()
-        spec = system.parse(QUERY)
-        schemes = _good_schemes()
-        certificate = system.certify_sharding(QUERY, schemes)
-        estimate = planner.shard_estimate(spec, schemes, certificate)
-        assert estimate.shards == 4
-        assert estimate.speedup > 1.0
-        summary = estimate.summary_dict()
-        assert summary["mode"] == certificate.mode
-        mode = planner.recommend_execution_mode(spec, schemes, certificate)
-        assert mode == "partitioned"
-
-    def test_uncertified_always_maps_to_single_copy(self):
-        system = _system()
-        planner = self._planner()
-        spec = system.parse(QUERY)
-        schemes = _bad_schemes()
-        certificate = system.certify_sharding(QUERY, schemes)
-        assert (
-            planner.recommend_execution_mode(spec, schemes, certificate)
-            == "single_copy"
-        )
 
 
 # ---------------------------------------------------------------------------
