@@ -22,14 +22,14 @@ loc:
 # The instrumentation-seam census (tests/test_obs.py pins it): guard
 # tests on the four spine files — the ceiling is 6, constructor
 # adaptation of the public trace= / obs= / profiler= keywords only —
-# then the service shell's guard lines in service.py, singleflight.py
-# and the function assembling its listener (ceiling 11: constructor
-# adaptation, kill / recover and snapshot() only), then the greps that
-# must print nothing: per-feature method variants, methods assigned
-# onto an instance, a second pipeline-building site or a
+# then the service shell's guard lines in service.py and the function
+# assembling its listener (ceiling 11: constructor adaptation, kill /
+# recover and snapshot() only), then the greps that must print nothing:
+# per-feature method variants, methods assigned onto an instance, a
+# second pipeline-building site, a second flight-opening site or a
 # `request_id is not None` test in service.py.
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
-SERVICE = src/repro/service/service.py src/repro/service/singleflight.py
+SERVICE = src/repro/service/service.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
 
 census:
@@ -40,9 +40,10 @@ census:
 	@! grep -rnE "_traced|_profiled" src/
 	@echo "-- a spine method assigned onto an instance in src/ (none expected):"
 	@! grep -rnE "self\.(plan|_find_candidates|_admit_master|_execute_node|_execute_join|_ship|_ship_once) = self\." src/
-	@echo "-- a second pipeline built, or a request_id is not None test, in service.py (none expected):"
+	@echo "-- a second pipeline built, a second flight opened, or a request_id is not None test, in service.py (none expected):"
 	@! grep -nE "request_id is not None" src/repro/service/service.py
 	@test "$$(grep -c '\.pipeline(' src/repro/service/service.py)" = 1 || (grep -n '\.pipeline(' src/repro/service/service.py; false)
+	@test "$$(grep -cE '_flights\[[^]]*\] = ' src/repro/service/service.py)" = 1 || (grep -nE '_flights\[[^]]*\] = ' src/repro/service/service.py; false)
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).
@@ -74,7 +75,9 @@ test-obs:
 test-cache:
 	$(PYTHON) -m pytest tests/test_plancache.py tests/test_plancache_diff.py
 
-# Serving suite: admission/tenants/single-flight unit tests, the
+# Serving suite: admission/tenants unit tests, the flights (identical
+# requests attach at admission and share the leader's ok / infeasible /
+# failed outcome; the hot closed loop's counting guard), the
 # churn-races-admission regression tests, the scrape endpoint, and the
 # CLI serve smoke tests (including the SIGINT drain subprocess test).
 test-service:
@@ -89,10 +92,13 @@ test-vector:
 	$(PYTHON) -m pytest tests/test_vector.py tests/test_vector_diff.py
 
 # Chaos suite: the seeded schedule, the write-ahead service journal,
-# kill/restart recovery (in-process and across a process boundary),
-# the online invariant monitor, single-flight leader promotion, the
-# chaos CLI (run + --replay), and the composition matrix (sharding x
-# chaos x journal x monitor x profiling; CHAOS_SEED picks its seed).
+# kill/restart recovery (in-process and across a process boundary;
+# killed flights' followers recover from their own entries), the
+# online invariant monitor, flight promotion on a leader's own fate
+# (deadline shed, chaos give-up) and the chaos requeue that keeps a
+# flight open, the chaos CLI (run + --replay), and the composition
+# matrix (sharding x chaos x journal x monitor x profiling; CHAOS_SEED
+# picks its seed).
 test-chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py tests/test_composition.py
 

@@ -2,8 +2,8 @@
 
 The serving claim this bench prices and **gates**: wrapping the
 single-query stack in the :class:`~repro.service.QueryService` — plan
-cache, one flight per request (identical in-flight requests share one
-audited run) — must sustain at least :data:`MIN_SERVICE_SPEEDUP`
+cache, one flight per request (identical requests admitted while a
+flight is open share its one audited run) — must sustain at least :data:`MIN_SERVICE_SPEEDUP`
 times the throughput of the sequential one-query-at-a-time loop (the
 paper's own processing model: plan, verify, execute, repeat) on the
 same 10k mixed workload, *while the policy churns mid-stream* and
@@ -22,8 +22,10 @@ Three lanes:
   must come back as a structured ``shed`` rejection, with zero
   executions started and zero hangs.
 * **coalescing identity** (asserted): a cold-cache stampede of
-  identical requests plans once and shares runs, and the plan it
-  caches is byte-identical to what cache-off planning produces.
+  identical requests plans once and shares one run — every request is
+  admitted before the first leader runs, so all of them are on its
+  flight — and the plan it caches is byte-identical to what cache-off
+  planning produces.
 """
 
 import asyncio
@@ -301,8 +303,8 @@ def test_abl14_overload_sheds_deterministically(benchmark):
 
 
 def test_abl14_coalesced_plans_byte_identical(benchmark):
-    """A cold-cache stampede plans once and shares runs, and the cached
-    assignment matches cache-off planning byte for byte."""
+    """A cold-cache stampede plans once and shares one run, and the
+    cached assignment matches cache-off planning byte for byte."""
 
     async def stampede(query):
         system = _fresh_system(plan_cache=True)
@@ -321,7 +323,7 @@ def test_abl14_coalesced_plans_byte_identical(benchmark):
         outcomes, snapshot, cached = asyncio.run(stampede(query))
         assert all(o.status == OK for o in outcomes)
         assert snapshot["plan_cache"]["misses"] == 1
-        assert snapshot["result_coalesced"] > 0
+        assert (snapshot["executions"], snapshot["result_coalesced"]) == (1, 23)
         _, expected, _ = _fresh_system(plan_cache=False).plan(query)
         assert cached.describe().encode() == expected.describe().encode()
         checked.append(snapshot["result_coalesced"])

@@ -1,7 +1,7 @@
 """ABL16 — seeded chaos, crash-consistent recovery, invariant monitor.
 
 The robustness claim this bench prices and **gates**: under a seeded
-10k-request chaos schedule — worker deaths mid-query, single-flight
+10k-request chaos schedule — worker deaths mid-query, flight
 leader crashes, admission stalls, policy grant/revoke storms, clock
 jumps and :data:`KILL_EVERY`-cadence service kill/restart cycles — the
 write-ahead :class:`~repro.chaos.journal.ServiceJournal` plus

@@ -10,7 +10,7 @@ turns that from a hope into a checkable condition:
   seed-driven extension of the PR 1
   :class:`~repro.distributed.faults.FaultInjector` that adds
   *service-level* events: worker-task cancellation mid-query,
-  single-flight leader crashes, admission-queue stalls, policy
+  flight leader crashes, admission-queue stalls, policy
   grant/revoke storms, clock jumps and service kill/restart points.
   Same seed, same event log — every run replays.
 * :class:`~repro.chaos.journal.ServiceJournal` — a write-ahead journal
@@ -22,7 +22,7 @@ turns that from a hope into a checkable condition:
 * :class:`~repro.chaos.invariants.InvariantMonitor` — live assertions
   that every admitted request terminates, that no transfer ships
   without a covering authorization at the then-current epoch, that
-  coalesced single-flight keys execute at most once per epoch, and
+  a flight key never runs two executions at once, and
   that breaker/degrade transitions are legal; violations carry the
   chaos seed for one-command replay.
 * :mod:`~repro.chaos.replay` — the seeded chaos-run harness behind the

@@ -18,12 +18,12 @@ safety story into live assertions evaluated while requests flow:
     the run was audited under (an :class:`~repro.engine.audit.AuditLog`
     probe the executor never sees).
 ``single-execution``
-    Coalesced single-flight keys execute at most once per epoch: while
-    a result flight is open for an execution key (which pins the policy
-    epoch), no second execution of that key may start.  Keys may
-    legitimately re-execute after their flight releases — the plan
-    cache, not single-flight, is the long-term memo — so the invariant
-    is over *concurrent* duplicates.
+    A flight key executes at most once at a time: while an execution
+    of a key (which pins the admission-time policy epoch) runs, no
+    second execution of that key may start.  Keys may legitimately
+    re-execute after their flight closes — the plan cache, not the
+    flight, is the long-term memo — and a requeued or promoted leader
+    runs again later, so the invariant is over *concurrent* duplicates.
 ``breaker-transition`` / ``degrade-level``
     Health state machines only move along legal edges: breakers
     ``closed → open → half-open → {closed, open}``, degrade levels
@@ -115,9 +115,9 @@ class Violation:
 class InvariantMonitor(ServiceHooks):
     """Live safety assertions over one :class:`QueryService`.
 
-    Attach via ``QueryService(monitor=...)``; the service (and its
-    single-flight gate) call the listener events at the lifecycle
-    points documented on each method.  All hooks are cheap
+    Attach via ``QueryService(monitor=...)``; the service calls the
+    listener events at the lifecycle points documented on each method.
+    All hooks are cheap
     dict operations — the monitor never blocks the serving path and
     never raises into it.
 
@@ -151,7 +151,7 @@ class InvariantMonitor(ServiceHooks):
         # the policy alive so the id()-based key component can never be
         # reused by a new object.
         self._probe_memo: Dict[tuple, tuple] = {}
-        # Audit-identity memo: coalesced followers deliver the leader's
+        # Audit-identity memo: a flight's followers deliver the leader's
         # result object verbatim, so the same audit log would be
         # re-walked once per sharer.  The verdict is deterministic per
         # physical audit; values keep the audit alive so ids stay valid.
@@ -385,11 +385,13 @@ class InvariantMonitor(ServiceHooks):
     # ------------------------------------------------------------------
 
     def flight_lead(self, key: object) -> None:
-        """A single-flight leader began computing ``key``."""
+        """An admitted request opened the flight of ``key`` and queued
+        as its leader."""
         self._checked()
 
     def flight_promote(self, key: object) -> None:
-        """A follower took over a cancelled leader's flight."""
+        """The leader of ``key``'s flight left by its own fate (deadline
+        shed, spent chaos attempts, shutdown); its first follower leads now."""
         self._checked()
 
     def execution_begin(self, exec_key: object) -> None:

@@ -16,8 +16,9 @@ admission-queue stall     ``POINT_WORKER`` — a worker yields N event-loop
 worker death mid-query    ``POINT_EXECUTE`` — the pipeline raises
                           :class:`~repro.exceptions.ChaosInterrupt`, before
                           (``pre``) or after (``post``) the execution body
-single-flight leader      ``POINT_LEADER`` — the leader's compute raises a
-crash                     chaos-tagged ``asyncio.CancelledError``
+flight leader crash       ``POINT_LEADER`` — the leader raises a chaos-tagged
+                          ``asyncio.CancelledError`` before its run and is
+                          requeued, its followers still attached
 service kill/restart      polled by the driver via :meth:`kill_due`
 ========================  ==================================================
 
@@ -79,10 +80,12 @@ class ChaosSchedule(FaultInjector, ServiceHooks):
             before the body (``pre``: nothing ran) and once after it
             (``post``: the run completed but its completion was never
             recorded, the crash-consistency window).
-        leader_crash_probability: per-flight chance that a single-flight
-            leader's compute is cancelled mid-flight (exercises
-            follower promotion).
-        stall_probability: per-dequeue chance that a worker stalls.
+        leader_crash_probability: per-run chance that a flight leader
+            crashes before its run (exercises the requeue that keeps the
+            flight open and, past ``max_chaos_retries``, the give-up
+            that hands the flight to a follower).
+        stall_probability: per-dequeue chance that a worker stalls
+            (only leaders are dequeued; followers wait on their flight).
         stall_ticks: event-loop turns a stalled worker yields.
         storm_probability: per-submit chance of a policy grant/revoke
             storm step.

@@ -63,8 +63,8 @@ recursing, and every mutation re-checks that the entry it is about to
 touch is still the one it resolved (a re-entrant ``store``/``clear``
 can swap or drop it).  Concurrent fills of the *same* fingerprint cannot
 happen on one event loop: planning never awaits, so the first request
-fills the entry before any other request can look.  The service's one
-flight (:class:`repro.service.singleflight.SingleFlight`) shares whole
+fills the entry before any other request can look.  The service's
+flights (:class:`repro.service.service.QueryService`) share whole
 audited runs, not cache fills.
 """
 

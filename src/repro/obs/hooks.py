@@ -414,9 +414,13 @@ def hooks_for(trace=None, profiler=None) -> Hooks:
 class ServiceHooks:
     """The events of a query service's requests, as no-ops: the null
     listener.  A request is ``admit``-ted, or ``adopt``-ed by recovery,
-    ``requeue``-d per chaos-interrupted attempt and ``resolve``-d once;
-    ``submit``, ``worker`` and ``leader`` are the chaos points, whose
-    return values the service applies."""
+    ``requeue``-d per chaos-interrupted attempt and ``resolve``-d once.
+    ``flight_lead`` fires when an admitted request opens the flight of
+    its key (identical requests admitted while it is open attach to
+    it), ``flight_promote`` when the leader leaves by its own fate and
+    the first follower leads that flight.  ``submit``, ``worker`` and
+    ``leader`` are the chaos points, whose return values the service
+    applies."""
 
     #: Request ids issued so far (per listener, from the first ``admit``).
     _issued = 0

@@ -4,7 +4,7 @@ The serving layer the ROADMAP's production-scale north star calls for:
 :class:`~repro.service.service.QueryService` fronts one
 :class:`~repro.distributed.system.DistributedSystem` with admission
 control (per-tenant token buckets, a bounded queue, cost-aware load
-shedding), one shared audited run per set of identical in-flight
+shedding), one shared audited run per flight of identical admitted
 requests, a graceful-degradation
 ladder, and policy churn that stays safe for in-flight work.  See
 ``docs/serving.md`` for the design and guarantees.
@@ -39,7 +39,6 @@ from repro.service.service import (
     QueryService,
     ServiceError,
 )
-from repro.service.singleflight import SingleFlight
 from repro.service.tenants import (
     TenantConfig,
     TenantConfigError,
@@ -72,7 +71,6 @@ __all__ = [
     "Rejection",
     "SHED",
     "ServiceError",
-    "SingleFlight",
     "TenantConfig",
     "TenantConfigError",
     "TokenBucket",

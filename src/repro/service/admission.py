@@ -13,7 +13,10 @@ checks, in order (cheapest first):
    (:class:`~repro.service.tenants.TokenBucket`); an empty bucket
    rejects with the exact ``retry_after`` at which a token exists;
 3. **bounded queue** — a full global queue rejects rather than buffer
-   without bound (retry after roughly one drain period);
+   without bound (retry after roughly one drain period).  The service
+   reads its depth as every admitted request still waiting: queued
+   flight leaders *and* the identical requests attached to their
+   flights, which take no queue slot but are no less admitted;
 4. **cost-aware shedding** — the request's *estimated* planner +
    execution bytes (the payload of the base relations it touches,
    :func:`estimate_query_bytes`) must fit the capacity still
@@ -205,8 +208,8 @@ class AdmissionController:
             ``default_tenant``.
         default_tenant: config applied to tenants not explicitly
             configured.
-        max_queue: bound on queued (admitted, not yet executing)
-            requests.
+        max_queue: bound on waiting (admitted, not yet executing)
+            requests, flight followers included.
         capacity_bytes: total estimated bytes the service will hold in
             flight at once; ``None`` disables cost-aware shedding,
             ``0`` deterministically sheds *every* costed request (the

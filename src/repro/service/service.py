@@ -11,16 +11,18 @@ paper's controlled-information-sharing guarantees.  The moving parts:
   buckets, bounded queue, cost-aware shedding) *before* queueing;
   refusals come back as structured ``shed`` outcomes, never hangs;
 * **one flight per request** — every admitted request computes one
-  flight key (planning fingerprint, recipient, whether the run is
-  profiled, policy epoch;
-  :class:`~repro.service.singleflight.SingleFlight`).  Only the leader
-  builds a pipeline, plans through the plan cache and executes;
-  identical requests that reach the gate during the leader's
-  one-iteration yield receive its audited result, or its refusal, and
-  neither plan nor build a pipeline.  Ones still queued do not share
-  (docs/serving.md says why queued collapsing waits).  Planning never
-  awaits, so a leader fills the plan cache before any other request
-  can look: no planning stampede needs a gate of its own;
+  flight key at ``submit`` (planning fingerprint, recipient, whether
+  the run is profiled, admission-time policy epoch).  The first request
+  of a key opens the flight and queues as its leader; an identical
+  request admitted while the flight is open takes no queue slot and
+  awaits its own future beside the leader.  Only the leader builds a
+  pipeline, plans through the plan cache and executes; its ``ok``,
+  ``infeasible`` or execution ``failed`` outcome is every follower's,
+  while its own fate (a deadline shed, spent chaos attempts, shutdown)
+  hands the flight to the first follower.  A flight queues at the
+  priority of its most urgent request.  Planning never awaits, so a
+  leader fills the plan cache before any other request can look: no
+  planning stampede needs a gate of its own;
 * **graceful degradation** — a queue-occupancy ladder (normal →
   degraded planning → priority shedding) plus per-tenant circuit
   breakers reusing the PR 3
@@ -31,8 +33,8 @@ paper's controlled-information-sharing guarantees.  The moving parts:
   :meth:`revoke_authorization` update the closed policy in place
   mid-stream; every leader plans and verifies against the policy in
   force when it runs (the plan cache's epoch probe evicts stale
-  entries, the key's epoch keeps a request keyed after the update out
-  of an older flight, and the runtime audit is the final
+  entries, the key's epoch keeps a request admitted after the update
+  out of an older flight, and the runtime audit is the final
   backstop), so a revoked transfer can never ride a queued admission.
 
 Execution itself is the synchronous, audited
@@ -72,7 +74,6 @@ from repro.service.admission import (
     CostEstimator,
     Rejection,
 )
-from repro.service.singleflight import SingleFlight
 from repro.service.tenants import TenantConfig, tenant_map
 
 #: Latency histogram bucket bounds (seconds) — sub-millisecond planning
@@ -179,27 +180,31 @@ class QueryOutcome:
 
 
 class _WorkItem:
-    """One admitted request waiting for a worker."""
+    """One admitted request: its flight's leader (queued for a worker)
+    or a follower awaiting its own future beside the leader."""
 
     __slots__ = (
-        "query", "bound", "recipient", "ticket", "future", "submitted_at",
-        "request_id", "retries", "checkpoint",
+        "query", "recipient", "ticket", "future", "submitted_at",
+        "request_id", "key", "retries", "checkpoint", "entry",
     )
 
     def __init__(
-        self, query, bound, recipient, ticket, future, submitted_at, request_id
+        self, query, recipient, ticket, future, submitted_at, request_id, key
     ) -> None:
         self.query = query
-        self.bound = bound
         self.recipient = recipient
         self.ticket = ticket
         self.future = future
         self.submitted_at = submitted_at
         self.request_id = request_id
+        self.key = key
         self.retries = 0
         # Completed, audited subtrees an interrupted attempt parked for
         # the retry to resume from.
         self.checkpoint = None
+        # ``(rank, seq)`` of the item's live queue entry; ``None`` while
+        # it is not queued.
+        self.entry = None
 
     def __lt__(self, other: "_WorkItem") -> bool:  # pragma: no cover
         # PriorityQueue tie-breaker only; ordering is fully decided by
@@ -221,8 +226,9 @@ class QueryService:
         default_tenant: fallback contract (default: unlimited rate,
             priority 0, no deadline).
         workers: concurrent worker coroutines draining the queue.
-        max_queue: bound on queued requests (admission refuses beyond
-            it).
+        max_queue: bound on waiting requests — queued leaders plus the
+            followers attached to their flights (admission refuses
+            beyond it).
         capacity_bytes: total estimated in-flight bytes admitted at
             once; ``None`` disables cost-aware shedding, ``0``
             deterministically sheds every request.
@@ -262,7 +268,9 @@ class QueryService:
             :func:`~repro.obs.hooks.service_hooks_for`; without any of
             them the service calls the null listener's no-op events.
         max_chaos_retries: chaos-interrupted attempts per request
-            before the service gives up with a ``failed`` outcome.
+            before it stops leading its flight: it waits on a follower
+            that has attempts left, or gives up with a ``failed``
+            outcome.
         stats_store: optional :class:`~repro.profiling.StatsStore`.
             Executions of tenants with ``profile=True`` run under a
             :class:`~repro.profiling.QueryProfiler` whose estimates use
@@ -348,7 +356,13 @@ class QueryService:
             # Under chaos the service lives in the schedule's logical
             # clock, which is what makes seeded runs replayable.
             clock = lambda: chaos.clock  # noqa: E731
-        self._flight = SingleFlight(self._hooks)
+        # Open flights: key -> [leader, *followers in admission order].
+        self._flights: Dict[tuple, List[_WorkItem]] = {}
+        self._attached = 0
+        # Queue entries a priority raise left behind (skipped when
+        # dequeued, not counted as waiting).
+        self._stale = 0
+        self._promotions = 0
         self._degrade_soft = degrade_soft
         self._degrade_hard = degrade_hard
         self._breaker_threshold = breaker_threshold
@@ -420,8 +434,8 @@ class QueryService:
         With ``drain=True`` (the default) every already-admitted
         request completes and new submissions shed with a structured
         ``shutting-down`` rejection; with ``drain=False`` queued
-        requests resolve as shed too (no partial executions — a worker
-        is never cancelled mid-query).
+        requests and their flights' followers resolve as shed too (no
+        partial executions — a worker is never cancelled mid-query).
         """
         if not self._running:
             return
@@ -431,11 +445,13 @@ class QueryService:
         for task in self._workers:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
-        # Resolve whatever the cancelled workers left behind.
+        # Resolve whatever the cancelled workers left behind: a shed
+        # leader hands its flight to a follower, queued here in turn.
         if self._queue is not None:
             while not self._queue.empty():
-                _, _, item = self._queue.get_nowait()
-                self._shed_unrun(item, "stopped")
+                item = self._live(self._queue.get_nowait())
+                if item is not None:
+                    self._shed_unrun(item, "stopped")
                 self._queue.task_done()
         self._workers = []
         self._running = False
@@ -450,11 +466,12 @@ class QueryService:
         no drain, no goodbye.
 
         With a :class:`~repro.chaos.ServiceJournal` attached this is
-        crash-consistent: in-hand and queued requests keep their
-        futures *pending* — the write-ahead journal owns them, and a
-        successor service constructed over the same journal resolves
-        every one via :meth:`recover` (resume or structured rejection,
-        never a hang).  Without a journal, queued requests resolve as
+        crash-consistent: in-hand and queued requests, and the
+        followers attached to their flights, keep their futures
+        *pending* — the write-ahead journal owns them, and a successor
+        service constructed over the same journal resolves every one
+        from its own entry via :meth:`recover` (resume or structured
+        rejection, never a hang).  Without a journal they resolve as
         shed, exactly like ``stop(drain=False)``.
         """
         if not self._running:
@@ -466,10 +483,13 @@ class QueryService:
             await asyncio.gather(*self._workers, return_exceptions=True)
             if self._queue is not None:
                 while not self._queue.empty():
-                    _, _, item = self._queue.get_nowait()
-                    if self._journal is None:
+                    item = self._live(self._queue.get_nowait())
+                    if item is not None and self._journal is None:
                         self._shed_unrun(item, "killed")
                     self._queue.task_done()
+            # What is still attached is the journal's now.
+            self._flights.clear()
+            self._attached = 0
             self._workers = []
             self._running = False
             self.metrics.inc("repro_service_kills_total")
@@ -507,7 +527,8 @@ class QueryService:
         for entry in self._journal.incomplete():
             outcome = self._recover_entry(entry)
             self._counts["recovered"] += 1
-            self._counts[outcome.status] += 1
+            if outcome.status != SHED:
+                self._count_completed(outcome)
             self.metrics.inc(
                 "repro_service_recovered_total", disposition=outcome.status
             )
@@ -523,7 +544,7 @@ class QueryService:
         self._hooks.adopt(entry.request_id, entry.tenant)
         tenant = self._admission.tenant(entry.tenant)
         try:
-            key = self._flight_key(entry.query, entry.recipient, False, tenant)
+            bound = self._system._parsed(entry.query)
         except ReproError as error:
             return self._recovery_rejection(
                 entry, started, f"unbindable at recovery: {error}"
@@ -537,7 +558,8 @@ class QueryService:
             # No ``chaos=``: recovery itself is fenced from injected
             # worker deaths, as a real recovery pass would be.
             result = self._execute(
-                key, entry.query, entry.recipient, tenant, False,
+                self._flight_key(bound, entry.recipient, False, tenant),
+                entry.query, entry.recipient, tenant, False,
                 faults=faults, resume_from=entry.checkpoint,
             )
         except CheckpointError as error:
@@ -557,24 +579,23 @@ class QueryService:
         )
 
     def _recovery_rejection(self, entry, started: float, detail: str) -> QueryOutcome:
-        tenant = entry.tenant
-        self.metrics.inc(
-            "repro_service_shed_total", tenant=tenant, reason=REJECT_RECOVERY
-        )
-        rejection = Rejection(REJECT_RECOVERY, tenant, detail=detail)
-        return QueryOutcome(
-            SHED, tenant, rejection=rejection, latency=self._clock() - started
-        )
+        rejection = Rejection(REJECT_RECOVERY, entry.tenant, detail=detail)
+        return self._shed_outcome(entry.tenant, rejection, started)
 
     # ------------------------------------------------------------------
     # Degradation ladder
     # ------------------------------------------------------------------
 
+    def _depth(self) -> int:
+        """Admitted requests waiting: queued leaders and the followers
+        attached to their flights."""
+        return self._queue.qsize() - self._stale + self._attached
+
     def degrade_level(self) -> int:
         """The current ladder rung, from queue occupancy."""
         if self._queue is None:
             return DEGRADE_NORMAL
-        occupancy = self._queue.qsize() / self._admission.max_queue
+        occupancy = self._depth() / self._admission.max_queue
         if occupancy >= self._degrade_hard:
             return DEGRADE_SHED
         if occupancy >= self._degrade_soft:
@@ -619,7 +640,7 @@ class QueryService:
         :meth:`~repro.distributed.system.DistributedSystem.revoke_authorization`).
         Every leader plans and verifies under the policy in force when
         it runs, so the revocation takes effect for work admitted
-        *before* it landed."""
+        *before* it landed, followers included."""
         before = self._system.policy.epoch
         self._system.revoke_authorization(authorization, trace=self._trace)
         self.metrics.inc("repro_service_policy_churn_total", kind="revoke")
@@ -667,7 +688,7 @@ class QueryService:
                     REJECT_SHUTDOWN, tenant,
                     detail="service is draining for shutdown",
                     degrade_level=level,
-                    queue_depth=self._queue.qsize(),
+                    queue_depth=self._depth(),
                 ),
                 now,
             )
@@ -681,12 +702,12 @@ class QueryService:
                     detail=f"tenant breaker {breaker.state(now)} after "
                     "repeated failures",
                     degrade_level=level,
-                    queue_depth=self._queue.qsize(),
+                    queue_depth=self._depth(),
                 ),
                 now,
             )
         try:
-            # Bound once; the cost estimate and the plan key read this.
+            # Bound once; the cost estimate and the flight key read this.
             bound = self._system._parsed(query)
         except ReproError as error:
             # A text that does not lex, parse or bind: the client's
@@ -704,7 +725,7 @@ class QueryService:
         decision = self._admission.admit(
             tenant,
             now,
-            queue_depth=self._queue.qsize(),
+            queue_depth=self._depth(),
             cost_estimate=cost,
             degrade_level=level,
             policy_epoch=self._system.policy.epoch,
@@ -723,11 +744,28 @@ class QueryService:
         request_id = self._hooks.admit(
             tenant, query, recipient, self._system.policy.epoch, future
         )
-        item = _WorkItem(query, bound, recipient, decision, future, now, request_id)
-        self._seq += 1
-        # Higher priority first; FIFO within a priority class.
-        self._queue.put_nowait((-decision.tenant.priority, self._seq, item))
-        self.metrics.set_gauge("repro_service_queue_depth", self._queue.qsize())
+        search = self._search_join_orders and level < DEGRADE_PLANNING
+        key = self._flight_key(bound, recipient, search, decision.tenant)
+        item = _WorkItem(query, recipient, decision, future, now, request_id, key)
+        priority = decision.tenant.priority
+        flight = self._flights.get(key)
+        if flight is None:
+            # The first request of a key opens its flight and queues as
+            # the leader.
+            self._flights[key] = [item]
+            self._hooks.flight_lead(key)
+            self._enqueue(item, priority)
+        else:
+            # An identical request takes no queue slot: it waits for the
+            # open flight's outcome beside the leader.
+            flight.append(item)
+            self._attached += 1
+            leader = flight[0]
+            if leader.entry is not None and -leader.entry[0] < priority:
+                # A queued leader inherits the priority of the most
+                # urgent request waiting on it.
+                self._enqueue(leader, priority)
+        self.metrics.set_gauge("repro_service_queue_depth", self._depth())
         return await future
 
     async def serve_all(
@@ -769,8 +807,10 @@ class QueryService:
 
     async def _worker(self) -> None:
         while True:
-            _, _, item = await self._queue.get()
+            item = self._live(await self._queue.get())
             try:
+                if item is None:
+                    continue
                 # Chaos admission-queue stall: the worker yields the
                 # event loop N times before touching its item.
                 for _ in range(self._hooks.worker()):
@@ -790,91 +830,98 @@ class QueryService:
                 raise
             except BaseException as error:  # noqa: BLE001 - never kill the pool
                 if not item.future.done():
-                    self._finish(
-                        item,
-                        QueryOutcome(
-                            FAILED,
-                            item.ticket.tenant.name,
-                            error=f"worker error: {error!r}",
-                            latency=self._clock() - item.submitted_at,
-                            degrade_level=item.ticket.degrade_level,
-                        ),
-                    )
+                    self._close(item, FAILED, error=f"worker error: {error!r}")
             finally:
                 self._queue.task_done()
-                self.metrics.set_gauge(
-                    "repro_service_queue_depth", self._queue.qsize()
-                )
+                self.metrics.set_gauge("repro_service_queue_depth", self._depth())
 
-    async def _process(self, item: _WorkItem) -> None:
-        ticket = item.ticket
-        tenant = ticket.tenant
+    async def _process(self, leader: _WorkItem) -> None:
+        """Run one flight: its leader was dequeued.  Queue wait is each
+        request's own: an overdue follower is shed alone, an overdue
+        leader hands the flight over."""
         now = self._clock()
-        deadline = tenant.deadline
-        if deadline is not None and ticket.degrade_level >= DEGRADE_PLANNING:
+        flight = self._flights[leader.key]
+        for follower in flight[1:]:
+            rejection = self._overdue(follower, now)
+            if rejection is not None:
+                flight.remove(follower)
+                self._attached -= 1
+                self._finish_shed(follower, rejection)
+        rejection = self._overdue(leader, now)
+        if rejection is not None:
+            self._finish_shed(leader, rejection)
+            self._hand_over(leader)
+            return
+        ticket = leader.ticket
+        search = self._search_join_orders and ticket.degrade_level < DEGRADE_PLANNING
+        # The flight's batching window: yield once so identical requests
+        # submitted meanwhile attach before the synchronous
+        # plan-and-execute section.
+        await asyncio.sleep(0)
+        try:
+            self._hooks.leader()
+            # A profiled run parks nothing: resumed from parked subtrees
+            # it would observe only what it re-executed (nothing at all
+            # when the whole result was parked), and it is the flight's
+            # one observation.
+            result = self._execute(
+                leader.key, leader.query, leader.recipient, ticket.tenant, search,
+                faults=self._chaos, checkpoint=self._parks and not ticket.tenant.profile,
+                resume_from=leader.checkpoint, chaos=self._chaos,
+            )
+        except asyncio.CancelledError as error:
+            if getattr(error, "chaos", None) is None:
+                raise
+            # Injected leader crash: requeued, the flight stays open on
+            # this leader.
+            self._requeue_after_chaos(leader, "flight leader crashed")
+        except ChaosInterrupt as error:
+            # The worker "died" mid-query.  Park whatever completed,
+            # audited subtrees the run checkpointed (none for a
+            # multi-unit run: it restarts from scratch) and retry; an
+            # empty journal keeps the parked one (later ones are
+            # supersets).
+            leader.checkpoint = error.checkpoint or leader.checkpoint
+            self._requeue_after_chaos(leader, str(error))
+        except CheckpointError as error:
+            # A parked checkpoint no longer verifies (policy churn
+            # revoked a subtree, or the replan changed shape or unit
+            # count): drop it and retry from scratch rather than
+            # replaying stale state.
+            leader.checkpoint = None
+            self._requeue_after_chaos(leader, f"checkpoint refused: {error}")
+        except ReproError as error:
+            # Infeasible also covers churn between planning and
+            # execution that withdrew the route with no alternative.
+            self._close(leader, _failure_status(error), error=str(error))
+        else:
+            self._close(leader, OK, result=result)
+
+    def _overdue(self, item: _WorkItem, now: float) -> Optional[Rejection]:
+        """The ``deadline-expired`` rejection of a request queued beyond
+        its tenant's deadline budget, else ``None``."""
+        ticket = item.ticket
+        deadline = ticket.tenant.deadline
+        if deadline is None:
+            return None
+        if ticket.degrade_level >= DEGRADE_PLANNING:
             # Degraded service honors half the contract deadline: better
             # to shed early than to serve answers nobody is waiting for.
             deadline = deadline / 2.0
-        if deadline is not None:
-            budget = DeadlineBudget(deadline)
-            try:
-                budget.charge(now - ticket.admitted_at, "queue-wait")
-            except DeadlineExceededError:
-                self._finish_shed(
-                    item,
-                    Rejection(
-                        REJECT_DEADLINE,
-                        tenant.name,
-                        detail=(
-                            f"queued {now - ticket.admitted_at:.3f} beyond the "
-                            f"{deadline:.3f} deadline budget"
-                        ),
-                        degrade_level=ticket.degrade_level,
-                        queue_depth=self._queue.qsize(),
-                    ),
-                )
-                return
-        search = self._search_join_orders and (
-            ticket.degrade_level < DEGRADE_PLANNING
-        )
-        key = self._flight_key(item.bound, item.recipient, search, tenant)
-
-        async def lead():
-            # Yield once so identical requests reach the flight gate and
-            # park as followers before the leader enters the synchronous
-            # plan-and-execute section.
-            await asyncio.sleep(0)
-            self._hooks.leader()
-            return self._execute(
-                key, item.query, item.recipient, tenant, search,
-                faults=self._chaos, checkpoint=self._parks,
-                resume_from=item.checkpoint, chaos=self._chaos,
-            )
-
-        flown = await self._fly(item, key, lead)
-        if flown is None:
-            return
-        result, coalesced = flown
-        if coalesced:
-            self._counts["coalesced"] += 1
-            self.metrics.inc("repro_service_result_coalesced_total")
-        if self._shard_schemes is not None:
-            self.metrics.inc("repro_service_sharded_total", mode=result.mode)
-        latency = self._clock() - item.submitted_at
-        breaker = self._breaker(tenant.name)
-        if breaker is not None:
-            breaker.record_success(self._clock())
-        self._finish(
-            item,
-            QueryOutcome(
-                OK,
-                tenant.name,
-                result=result,
-                latency=latency,
-                coalesced=coalesced,
+        try:
+            DeadlineBudget(deadline).charge(now - ticket.admitted_at, "queue-wait")
+        except DeadlineExceededError:
+            return Rejection(
+                REJECT_DEADLINE,
+                ticket.tenant.name,
+                detail=(
+                    f"queued {now - ticket.admitted_at:.3f} beyond the "
+                    f"{deadline:.3f} deadline budget"
+                ),
                 degrade_level=ticket.degrade_level,
-            ),
-        )
+                queue_depth=self._depth(),
+            )
+        return None
 
     def _execute(self, key, query, recipient, tenant, search, **options):
         """The one request body, of every flight leader and every
@@ -909,39 +956,6 @@ class QueryService:
                 self._harvest_profile(tenant.name, unit)
         return result
 
-    async def _fly(self, item: _WorkItem, key, lead):
-        """``(result, coalesced)`` for ``item``'s flight; ``None`` when
-        the flight already disposed of it (requeued or finished) — the
-        one error-to-outcome ladder of the serving path."""
-        try:
-            return await self._flight.run(key, lead)
-        except asyncio.CancelledError as error:
-            if getattr(error, "chaos", None) is None:
-                raise
-            # Injected leader crash: a waiting follower was promoted to
-            # rerun the flight; this request goes back in the queue.
-            self._requeue_after_chaos(item, "single-flight leader crashed")
-        except ChaosInterrupt as error:
-            # The worker "died" mid-query.  Park whatever completed,
-            # audited subtrees the run checkpointed (none for a
-            # multi-unit run: it restarts from scratch) and retry; an
-            # empty journal keeps the parked one (later ones are
-            # supersets).
-            item.checkpoint = error.checkpoint or item.checkpoint
-            self._requeue_after_chaos(item, str(error))
-        except CheckpointError as error:
-            # A parked checkpoint no longer verifies (policy churn
-            # revoked a subtree, or the replan changed shape or unit
-            # count): drop it and retry from scratch rather than
-            # replaying stale state.
-            item.checkpoint = None
-            self._requeue_after_chaos(item, f"checkpoint refused: {error}")
-        except ReproError as error:
-            # Infeasible also covers churn between planning and
-            # execution that withdrew the route with no alternative.
-            self._finish_failure(item, _failure_status(error), str(error))
-        return None
-
     def _harvest_profile(self, tenant_name: str, result) -> None:
         """Fold one profiled execution back into the feedback loop:
         harvest observed statistics into the store (when configured)
@@ -964,38 +978,75 @@ class QueryService:
                 tenant=tenant_name,
             )
 
-    def _flight_key(self, query, recipient, search: bool, tenant) -> tuple:
-        """The one flight key.  Two requests share a run only when all
-        four parts agree: the identity the plan cache fingerprints on
-        (so "would share a cache entry" and "share a run" agree), the
-        recipient (the closing delivery is itself an authorized
-        transfer), whether the tenant's runs are profiled (only a
-        profiled run carries a profile), and the policy epoch (a request
-        keyed after a grant or revoke never shares a run, or a refusal,
-        decided under the older policy)."""
-        kind, payload = self._system._parsed(query)
+    def _flight_key(self, bound, recipient, search: bool, tenant) -> tuple:
+        """The one flight key, of a request's bound pair.  Two requests
+        share a run only when all four parts agree: the identity the
+        plan cache fingerprints on (so "would share a cache entry" and
+        "share a run" agree), the recipient (the closing delivery is
+        itself an authorized transfer), whether the tenant's runs are
+        profiled (only a profiled run carries a profile), and the policy
+        epoch (a request admitted after a grant or revoke never shares a
+        run, or a refusal, decided under the older policy)."""
+        kind, payload = bound
         if kind == "tree":
             fingerprint = fingerprint_tree(payload)
         else:
             fingerprint = (payload.fingerprint(), search)
         return (fingerprint, recipient, tenant.profile, self._system.policy.epoch)
 
-    def _requeue_after_chaos(self, item: _WorkItem, reason: str) -> None:
-        """Put a chaos-interrupted request back in the queue (bounded
-        attempts), journaling its parked checkpoint first."""
-        item.retries += 1
-        self._hooks.requeue(item.request_id, item.checkpoint)
-        if item.retries > self._max_chaos_retries:
-            self._finish_failure(
-                item,
-                FAILED,
-                f"chaos: gave up after {item.retries} interrupted attempts: "
-                f"{reason}",
-            )
-            return
-        self.metrics.inc("repro_service_chaos_requeues_total")
+    def _enqueue(self, leader: _WorkItem, priority: int) -> None:
+        """Queue ``leader`` at ``priority``; an entry it already had is
+        left behind, stale."""
+        if leader.entry is not None:
+            self._stale += 1
         self._seq += 1
-        self._queue.put_nowait((-item.ticket.tenant.priority, self._seq, item))
+        # Higher priority first; FIFO within a priority class.
+        leader.entry = (-priority, self._seq)
+        self._queue.put_nowait((-priority, self._seq, leader))
+
+    def _requeue(self, leader: _WorkItem) -> None:
+        """Queue a flight's (new) leader at the highest priority among
+        the flight's requests."""
+        flight = self._flights[leader.key]
+        self._enqueue(leader, max(item.ticket.tenant.priority for item in flight))
+
+    def _live(self, entry) -> Optional[_WorkItem]:
+        """The leader a dequeued entry carries, or ``None`` when a
+        priority raise superseded the entry."""
+        rank, seq, leader = entry
+        if leader.entry != (rank, seq):
+            self._stale -= 1
+            return None
+        leader.entry = None
+        return leader
+
+    def _requeue_after_chaos(self, leader: _WorkItem, reason: str) -> None:
+        """Put a chaos-interrupted leader back in the queue (bounded
+        attempts), journaling its parked checkpoint first; its flight
+        stays open.  A leader out of attempts hands the flight to its
+        first follower when that follower has attempts left, and waits
+        on it as a follower; otherwise it gives up ``failed``."""
+        leader.retries += 1
+        self._hooks.requeue(leader.request_id, leader.checkpoint)
+        if leader.retries <= self._max_chaos_retries:
+            self.metrics.inc("repro_service_chaos_requeues_total")
+            self._requeue(leader)
+            return
+        flight = self._flights[leader.key]
+        if len(flight) > 1 and flight[1].retries <= self._max_chaos_retries:
+            # Re-attached at the tail first, so the promoted leader
+            # queues at this request's priority too.
+            flight.append(leader)
+            self._hand_over(leader)
+            self._attached += 1
+            return
+        self._settle(
+            leader,
+            FAILED,
+            error=f"chaos: gave up after {leader.retries} interrupted "
+            f"attempts: {reason}",
+        )
+        self._hand_over(leader)
 
     # ------------------------------------------------------------------
     # Outcome plumbing
@@ -1016,13 +1067,60 @@ class QueryService:
             degrade_level=rejection.degrade_level,
         )
 
-    def _finish(self, item: _WorkItem, outcome: QueryOutcome) -> None:
+    def _close(self, leader: _WorkItem, status: str, result=None, error=None) -> None:
+        """End ``leader``'s flight with what its computation came to —
+        ``ok``, ``infeasible`` or an execution ``failed`` — which is every
+        follower's outcome too."""
+        flight = self._flights.pop(leader.key)
+        self._attached -= len(flight) - 1
+        for item in flight:
+            self._settle(item, status, result, error, shared=item is not leader)
+
+    def _hand_over(self, leader: _WorkItem) -> None:
+        """``leader`` left its flight by its own fate (a deadline shed,
+        spent chaos attempts, shutdown): the first follower leads it from
+        here."""
+        flight = self._flights[leader.key]
+        del flight[0]
+        if not flight:
+            del self._flights[leader.key]
+            return
+        self._attached -= 1
+        self._promotions += 1
+        self._hooks.flight_promote(leader.key)
+        self._requeue(flight[0])
+
+    def _settle(
+        self, item: _WorkItem, status: str, result=None, error=None, shared=False
+    ) -> None:
+        """Resolve one request with a completed outcome; ``shared`` when
+        it is another request's run."""
+        tenant = item.ticket.tenant.name
+        breaker = self._breaker(tenant)
+        if status == OK:
+            if shared:
+                self._counts["coalesced"] += 1
+                self.metrics.inc("repro_service_result_coalesced_total")
+            if self._shard_schemes is not None:
+                self.metrics.inc("repro_service_sharded_total", mode=result.mode)
+            if breaker is not None:
+                breaker.record_success(self._clock())
+        elif status == FAILED and breaker is not None:
+            breaker.record_failure(self._clock())
         self._admission.release(item.ticket)
         self.metrics.set_gauge(
             "repro_service_inflight_bytes", self._admission.inflight_bytes
         )
-        if outcome.status in (OK, INFEASIBLE, FAILED):
-            self._count_completed(outcome)
+        outcome = QueryOutcome(
+            status,
+            tenant,
+            result=result,
+            error=error,
+            latency=self._clock() - item.submitted_at,
+            coalesced=shared and status == OK,
+            degrade_level=item.ticket.degrade_level,
+        )
+        self._count_completed(outcome)
         self._resolve(item.request_id, item.future, outcome)
 
     def _count_completed(self, outcome: QueryOutcome) -> None:
@@ -1046,17 +1144,19 @@ class QueryService:
             self._shed_outcome(rejection.tenant, rejection, item.submitted_at),
         )
 
-    def _shed_unrun(self, item: _WorkItem, how: str) -> None:
-        """Shed an admitted request the service went down before running."""
+    def _shed_unrun(self, leader: _WorkItem, how: str) -> None:
+        """Shed a flight leader the service went down before running;
+        the flight passes to its next follower."""
         self._finish_shed(
-            item,
+            leader,
             Rejection(
                 REJECT_SHUTDOWN,
-                item.ticket.tenant.name,
+                leader.ticket.tenant.name,
                 detail=f"service {how} before the request ran",
-                queue_depth=self._queue.qsize(),
+                queue_depth=self._depth(),
             ),
         )
+        self._hand_over(leader)
 
     def _resolve(self, request_id, future, outcome: QueryOutcome) -> None:
         """Tell the listener, then the submitter.
@@ -1074,21 +1174,6 @@ class QueryService:
         if future is not None and not future.done():
             future.set_result(outcome)
 
-    def _finish_failure(self, item: _WorkItem, status: str, error: str) -> None:
-        breaker = self._breaker(item.ticket.tenant.name)
-        if breaker is not None and status == FAILED:
-            breaker.record_failure(self._clock())
-        self._finish(
-            item,
-            QueryOutcome(
-                status,
-                item.ticket.tenant.name,
-                error=error,
-                latency=self._clock() - item.submitted_at,
-                degrade_level=item.ticket.degrade_level,
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -1097,7 +1182,10 @@ class QueryService:
         """JSON-safe service counters (plus admission and plan-cache
         state) for benches, the CLI summary and tests.  ``coalesced``
         and its alias ``result_coalesced`` count results served by
-        another request's flight; ``executions`` counts planned runs."""
+        another request's flight; ``executions`` counts planned runs;
+        ``result_promotions`` counts flights a leader handed to a
+        follower; ``queue_depth`` counts queued leaders and attached
+        followers."""
         cache = self._system.plan_cache
         return {
             "submitted": self._counts["submitted"],
@@ -1110,8 +1198,8 @@ class QueryService:
             "executions": self._counts["executions"],
             "result_coalesced": self._counts["coalesced"],
             "recovered": self._counts["recovered"],
-            "result_promotions": self._flight.promotions,
-            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "result_promotions": self._promotions,
+            "queue_depth": self._depth() if self._queue is not None else 0,
             "degrade_level": self.degrade_level(),
             "admission": self._admission.snapshot(),
             "plan_cache": cache.snapshot() if cache is not None else None,

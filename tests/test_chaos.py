@@ -3,8 +3,9 @@
 Covers the seeded chaos schedule (validation, determinism, kill
 windows), the write-ahead service journal and its JSON round-trip, the
 online invariant monitor (termination, authorized-transfer re-probe,
-single-execution, breaker/degrade/epoch legality), single-flight
-follower promotion after a leader crash, fault-injector argument
+single-execution, breaker/degrade/epoch legality), flight promotion
+after a leader's own fate and the requeue that keeps a flight open,
+fault-injector argument
 validation, and the crown jewels: crash-consistent kill/recover through
 the service path — a worker dies mid-query, the journal survives a
 process boundary, and the resumed execution reuses checkpointed
@@ -48,16 +49,15 @@ from repro.io.serialize import (
     service_journal_from_dict,
     service_journal_to_dict,
 )
-from repro.obs.hooks import ServiceHooks
 from repro.service import (
     FAILED,
     OK,
+    REJECT_DEADLINE,
     REJECT_RECOVERY,
     SHED,
     QueryOutcome,
     QueryService,
     ServiceError,
-    SingleFlight,
     TenantConfig,
 )
 from repro.testing import grant, quick_catalog
@@ -143,15 +143,16 @@ class DieOnce(ChaosSchedule):
 
 
 class CrashLeaderOnce(ChaosSchedule):
-    """A scripted schedule: the first single-flight leader crashes."""
+    """A scripted schedule: the first ``crashes`` flight-leader run
+    attempts crash."""
 
-    def __init__(self, **kwargs) -> None:
+    def __init__(self, crashes: int = 1, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.crashed = False
+        self.crashes = crashes
 
     def fire(self, point, **info):
-        if point == "leader" and not self.crashed:
-            self.crashed = True
+        if point == "leader" and self.crashes:
+            self.crashes -= 1
             error = asyncio.CancelledError("scripted leader crash")
             error.chaos = {"point": point}
             raise error
@@ -501,105 +502,142 @@ class TestInvariantMonitor:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: single-flight follower promotion
+# Flights: promotion is for the leader's own fate
 # ---------------------------------------------------------------------------
 
 
-class _FlightObserver(ServiceHooks):
+class _FlightObserver(InvariantMonitor):
     def __init__(self):
+        super().__init__()
         self.events = []
 
     def flight_lead(self, key):
+        super().flight_lead(key)
         self.events.append(("lead", key))
 
     def flight_promote(self, key):
+        super().flight_promote(key)
         self.events.append(("promoted", key))
+
+
+def serve_together(service, requests):
+    """Submit ``(query, tenant)`` requests at once to ``service``; the
+    outcomes once it has stopped."""
+
+    async def scenario():
+        await service.start()
+        outcomes = await asyncio.gather(
+            *(service.submit(query, tenant=tenant) for query, tenant in requests)
+        )
+        await service.stop()
+        return outcomes
+
+    return run(scenario())
 
 
 class TestSingleFlightPromotion:
     def test_follower_promoted_after_leader_cancellation(self):
-        """A cancelled leader must not fail its waiters: one follower
-        is promoted to rerun the computation and every surviving waiter
-        gets its result."""
-
-        async def scenario():
-            observer = _FlightObserver()
-            flight = SingleFlight(observer)
-            entered = []
-
-            async def compute():
-                entered.append(asyncio.current_task())
-                await asyncio.sleep(0)
-                await asyncio.sleep(0)
-                return "answer"
-
-            async def caller():
-                return await flight.run("k", compute)
-
-            leader = asyncio.ensure_future(caller())
-            followers = [asyncio.ensure_future(caller()) for _ in range(3)]
-            # Let the leader enter compute and the followers park.
-            await asyncio.sleep(0)
-            await asyncio.sleep(0)
-            leader.cancel()
-            results = await asyncio.gather(
-                leader, *followers, return_exceptions=True
-            )
-            return observer, flight, entered, results
-
-        observer, flight, entered, results = run(scenario())
-        assert isinstance(results[0], asyncio.CancelledError)
-        # Every follower got the recomputed answer; exactly one of them
-        # was promoted to lead the rerun.
-        assert [r for r in results[1:]] == [
-            ("answer", False), ("answer", True), ("answer", True),
-        ] or all(
-            isinstance(r, tuple) and r[0] == "answer" for r in results[1:]
+        """A crashed leader whose chaos budget is spent hands the flight
+        to its first follower, which has attempts left, and waits on it:
+        the promoted follower leads, and every request shares its run."""
+        observer = _FlightObserver()
+        service = QueryService(
+            chain_system(plan_cache=True), workers=4, chaos=CrashLeaderOnce(seed=0),
+            monitor=observer, max_chaos_retries=0,
         )
-        assert len(entered) == 2  # original leader + promoted follower
-        assert flight.promotions == 1
-        assert observer.events == [("lead", "k"), ("promoted", "k"), ("lead", "k")]
+        leader, promoted, follower = serve_together(
+            service, [(PAIR_QUERY, "default")] * 3
+        )
+        assert promoted.status == OK and not promoted.coalesced
+        for outcome in (leader, follower):
+            assert outcome.coalesced and outcome.result is promoted.result
+        key = observer.events[0][1]
+        assert observer.events == [("lead", key), ("promoted", key)]
+        snapshot = service.snapshot()
+        assert (snapshot["result_promotions"], snapshot["executions"], snapshot["failed"]) == (1, 1, 0)
+        observer.assert_quiescent()
+        assert observer.ok, [v.detail for v in observer.violations]
+
+    def test_a_leader_no_follower_can_relieve_gives_up(self):
+        """The give-up needs a follower with attempts left: a crashed
+        leader that is alone fails, and so does a promoted one whose only
+        follower is the spent leader it relieved — which then leads the
+        flight once more and is served."""
+        alone = QueryService(
+            chain_system(plan_cache=True), chaos=CrashLeaderOnce(seed=0), max_chaos_retries=0
+        )
+        (outcome,) = serve_together(alone, [(PAIR_QUERY, "default")])
+        assert outcome.status == FAILED and "gave up after 1" in outcome.error
+
+        relieved = QueryService(
+            chain_system(plan_cache=True), chaos=CrashLeaderOnce(crashes=2, seed=0),
+            max_chaos_retries=0,
+        )
+        first, second = serve_together(relieved, [(PAIR_QUERY, "default")] * 2)
+        assert second.status == FAILED and "gave up after 1" in second.error
+        assert first.status == OK and not first.coalesced
+        snapshot = relieved.snapshot()
+        assert (snapshot["result_promotions"], snapshot["executions"]) == (2, 1)
 
     def test_leader_failure_still_fails_followers(self):
-        """Promotion is for cancellation only — a real error is shared."""
-
-        async def scenario():
-            flight = SingleFlight(ServiceHooks())
-
-            async def compute():
-                await asyncio.sleep(0)
-                raise ReproError("boom")
-
-            async def caller():
-                return await flight.run("k", compute)
-
-            tasks = [asyncio.ensure_future(caller()) for _ in range(3)]
-            return await asyncio.gather(*tasks, return_exceptions=True)
-
-        results = run(scenario())
-        assert all(isinstance(r, ReproError) for r in results)
+        """Promotion is for the leader's own fate only — an execution
+        failure is what the computation came to, and it is shared."""
+        # No instances loaded: the run itself fails.
+        system = DistributedSystem(make_catalog(), Policy(list(BASE_RULES + S0_ROUTE)))
+        service = QueryService(system, workers=2, breaker_threshold=None)
+        outcomes = serve_together(service, [(PAIR_QUERY, "default")] * 3)
+        assert [o.status for o in outcomes] == [FAILED] * 3
+        assert len({o.error for o in outcomes}) == 1
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["result_promotions"]) == (1, 0)
 
     def test_promotion_through_the_service(self):
-        """A chaos leader crash promotes a parked follower and both
-        requests still complete."""
-        chaos = CrashLeaderOnce(seed=0)
-        system = chain_system(plan_cache=True)
-        service = QueryService(system, workers=4, chaos=chaos)
+        """A leader shed by its own deadline hands the flight over: the
+        follower, whose tenant has no deadline, leads and is served."""
+        now = [0.0]
+        service = QueryService(
+            chain_system(plan_cache=True),
+            tenants=[TenantConfig("hasty", deadline=0.5), TenantConfig("patient")],
+            workers=1,
+            clock=lambda: now[0],
+        )
 
         async def scenario():
             await service.start()
-            outcomes = await asyncio.gather(
-                service.submit(PAIR_QUERY),
-                service.submit(PAIR_QUERY),
-            )
+            tasks = [
+                asyncio.ensure_future(service.submit(PAIR_QUERY, tenant=tenant))
+                for tenant in ("hasty", "patient")
+            ]
+            await asyncio.sleep(0)  # one queued leader, one follower
+            now[0] = 1.0  # the leader's queue wait outruns its deadline
+            outcomes = await asyncio.gather(*tasks)
             await service.stop()
             return outcomes
 
-        outcomes = run(scenario())
-        assert [o.status for o in outcomes] == [OK, OK]
-        assert chaos.crashed
+        hasty, patient = run(scenario())
+        assert hasty.status == SHED and hasty.rejection.reason == REJECT_DEADLINE
+        assert patient.status == OK and not patient.coalesced
         snapshot = service.snapshot()
-        assert snapshot["result_promotions"] == 1
+        assert (snapshot["result_promotions"], snapshot["executions"]) == (1, 1)
+
+    def test_a_chaos_requeue_keeps_followers_attached(self):
+        """A crash within the chaos budget requeues the leader with its
+        flight still open: nobody is promoted and one run serves all."""
+        observer = _FlightObserver()
+        service = QueryService(
+            chain_system(plan_cache=True), workers=4, chaos=CrashLeaderOnce(seed=0),
+            monitor=observer,
+        )
+        outcomes = serve_together(service, [(PAIR_QUERY, "default")] * 3)
+        assert [o.status for o in outcomes] == [OK] * 3
+        assert [o.coalesced for o in outcomes] == [False, True, True]
+        assert [event for event, _ in observer.events] == ["lead"]
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["result_promotions"]) == (1, 0)
+        requeues = service.metrics.counter("repro_service_chaos_requeues_total")
+        assert requeues.value() == 1
+        observer.assert_quiescent()
+        assert observer.ok, [v.detail for v in observer.violations]
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +752,34 @@ class TestServiceCrashRecovery:
         monitor.assert_quiescent()
         assert monitor.ok, [v.detail for v in monitor.violations]
 
+    def test_a_profiled_leader_parks_nothing_and_its_retry_is_observed(self):
+        """A post-stage death of a profiled flight's only run: resumed
+        from a parked whole result the retry would observe nothing, so
+        the leader parked nothing and reruns from scratch — every
+        request is served and the run is harvested."""
+        from repro.profiling import StatsStore
+
+        system = medical_system()
+        baseline = system.execute(MEDICAL_QUERY)
+        chaos = DieOnce(stage="post", seed=0)
+        journal = ServiceJournal()
+        store = StatsStore()
+        service = QueryService(
+            system,
+            tenants=(TenantConfig("prof", rate=1e6, burst=1e6, profile=True),),
+            chaos=chaos,
+            journal=journal,
+            stats_store=store,
+        )
+        outcomes = serve_together(service, [(MEDICAL_QUERY, "prof")] * 3)
+        assert chaos.died
+        assert [o.status for o in outcomes] == [OK] * 3
+        assert [o.coalesced for o in outcomes] == [False, True, True]
+        leader = journal.entries()[0]
+        assert leader.attempts == 1 and leader.checkpoint is None
+        assert len(outcomes[0].result.audit.checked) == len(baseline.audit.checked)
+        assert store.harvests == 1 and len(store) > 0
+
     def test_kill_then_recover_resolves_pending_futures(self):
         """kill() leaves journaled futures pending; a successor service
         over the same journal resolves every one."""
@@ -753,6 +819,74 @@ class TestServiceCrashRecovery:
         assert journal.counts()["incomplete"] == 0
         monitor.assert_quiescent()
         assert monitor.ok, [v.detail for v in monitor.violations]
+
+    def test_kill_leaves_followers_pending_and_recover_resolves_each(self):
+        """Followers attached to a killed leader's flight are journaled
+        requests like any other: kill() leaves them pending, and a
+        successor resolves each from its own entry, with its own run."""
+        system = medical_system()
+        journal = ServiceJournal()
+        monitor = InvariantMonitor()
+        first = make_chaos_service(system, journal=journal, monitor=monitor)
+
+        async def scenario():
+            await first.start()
+            tasks = [
+                asyncio.ensure_future(first.submit(MEDICAL_QUERY, tenant="gold"))
+                for _ in range(3)
+            ]
+            await asyncio.sleep(0)  # one queued leader, two followers
+            waiting = first.snapshot()["queue_depth"]
+            await first.kill()
+            assert not any(task.done() for task in tasks)
+            successor = make_chaos_service(system, journal=journal, monitor=monitor)
+            await successor.start()
+            recovered = await successor.recover()
+            await successor.stop()
+            return waiting, successor, recovered, await asyncio.gather(*tasks)
+
+        waiting, successor, recovered, outcomes = run(scenario())
+        assert waiting == 3
+        assert first.snapshot()["executions"] == 0
+        assert [o.status for o in outcomes] == [OK] * 3
+        assert all(o is r for o, r in zip(outcomes, recovered))
+        assert len({id(o.result) for o in outcomes}) == 3
+        assert successor.snapshot()["executions"] == 3
+        monitor.assert_quiescent()
+        assert monitor.ok, [v.detail for v in monitor.violations]
+
+    def test_recovered_outcomes_count_like_served_ones(self):
+        """Recovery's terminal outcomes reach the same counters a live
+        outcome does: ``completed_total`` and the latency histogram
+        agree with ``snapshot()``."""
+        system = chain_system(plan_cache=True)
+        journal = ServiceJournal()
+        refused = "SELECT a1, b2 FROM R1 JOIN R2 ON b1 = a2"
+
+        async def scenario():
+            first = make_chaos_service(system, journal=journal)
+            await first.start()
+            tasks = [
+                asyncio.ensure_future(first.submit(query, tenant="gold"))
+                for query in (PAIR_QUERY, PAIR_QUERY, refused)
+            ]
+            await asyncio.sleep(0)
+            await first.kill()
+            successor = make_chaos_service(system, journal=journal)
+            await successor.start()
+            await successor.recover()
+            await successor.stop()
+            return successor, await asyncio.gather(*tasks)
+
+        successor, outcomes = run(scenario())
+        assert [o.status for o in outcomes] == [OK, OK, "infeasible"]
+        snapshot = successor.snapshot()
+        assert (snapshot["ok"], snapshot["infeasible"], snapshot["recovered"]) == (2, 1, 3)
+        completed = successor.metrics.counter("repro_service_completed_total")
+        for status in (OK, "infeasible", FAILED):
+            assert completed.value(tenant="gold", status=status) == snapshot[status]
+        latency = successor.metrics.histogram("repro_service_latency_seconds")
+        assert latency.count(tenant="gold") == 3
 
     def test_kill_without_journal_sheds_instead_of_hanging(self):
         system = medical_system()
@@ -1062,15 +1196,16 @@ class TestRunChaos:
 
     @pytest.mark.parametrize(
         ("seed", "recovery", "digest"),
+        # Each id names the config, not its digest: a re-pin keeps it.
         [
-            (0, True, "3de1d105540938821f8de6a4f58c6982380a65c3a3b600d3b7aa7cfaaa95a0d6"),
-            (0, False, "942f676a9a9949f25e94fefe869f9c37bf5b771857cbf1ed059cee33b9bc6c39"),
-            (1, True, "67ce47ee038d41a1d34cd231ee98e0f9cefa389e0f10eb9aa6e3d7d739cc58cd"),
-            (1, False, "40fc9f90fd81a59a9d23b3a32199675e38c6ddf29f3f996965ff4a498ff1b3c9"),
-            (2, True, "2e4133116d3df9d0ecd4b2ac4314267d722cf25eba927bbe74620e3aff3b891c"),
-            (2, False, "255890eb44f8113367ccdf77f6c99066cecbaab9726a697da08a690928ca3f8f"),
-            (5, True, "1da74e22a89eed85010841d28cca32e46ae88b6f3297fb57bbcab3bb1dab94ad"),
-            (5, False, "c27e9fba23eed1fef304d0a34689d99b4a32b66dfdf809abeef214bf9a71625f"),
+            pytest.param(0, True, "0feac7391917ea2c7932491727833656cf106d57b555fcec2fab836694f036f0", id="0-True"),
+            pytest.param(0, False, "6cae471cf59b6fa1d12f313d31dd7833f2981d8b9992d974d8dae7633f515518", id="0-False"),
+            pytest.param(1, True, "9eab69c218c7e61e567a4c1226d2517273ba22e89fe441ec158c3655c6bcfa34", id="1-True"),
+            pytest.param(1, False, "998b5b41c547d0e0e506b7a71cb1a3e1d8199b2a517ae8240a9e5da48ea18864", id="1-False"),
+            pytest.param(2, True, "f79d382522f14362a7aacb321274f6c6b187c17be01cd73d76cde7fb516df326", id="2-True"),
+            pytest.param(2, False, "846a08c403af1c6a867335560111fc12d7c8e0f9251f87e7092bb6f5cbca4b79", id="2-False"),
+            pytest.param(5, True, "73e840fa4bc9043cf239e824c4789eca0794ef0c0bfdc6ad5b9e2f7b7c989a41", id="5-True"),
+            pytest.param(5, False, "0364887191bbe9746625fcb4c08127c0bc1354989cba08291e63cedb642e2cce", id="5-False"),
         ],
     )
     def test_pinned_digest(self, seed, recovery, digest):

@@ -196,7 +196,9 @@ def test_kill_mid_flight_then_recover_on_a_sharded_journaled_service(world):
             )
             for _ in range(REQUESTS)
         ]
-        for _ in range(4):  # let the workers pick requests up
+        # One flight: let a worker pick its leader up (at most as far as
+        # the leader's batching yield) while the followers wait on it.
+        for _ in range(2):
             await asyncio.sleep(0)
         await first.kill()
         pending = [task for task in tasks if not task.done()]

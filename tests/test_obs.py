@@ -888,7 +888,7 @@ SPINE = (
 #: ``trace=`` / ``obs=`` / ``profiler=`` keywords, nothing per site.
 GUARD_CEILING = 6
 #: The service shell: the files that call its listener.
-SERVICE = ("service/service.py", "service/singleflight.py")
+SERVICE = ("service/service.py",)
 #: Guard lines in the service shell and in the function assembling its
 #: listener (``make census`` prints the counts): constructor adaptation,
 #: kill / recover and ``snapshot()`` only; it may only go down.
@@ -1166,6 +1166,7 @@ class TestSeamContract:
         assert len(service_guards) <= SERVICE_GUARD_CEILING, service_guards
         service = shell[0]
         assert len(re.findall(r"\.pipeline\(", service)) == 1
+        assert len(re.findall(r"self\._flights\[[^]]*\] = ", service)) == 1
         assert "request_id is not None" not in service
         for name, bodies in {
             "core/planner.py": ("plan", "_find_candidates", "_admit_master"),

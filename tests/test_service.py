@@ -17,7 +17,6 @@ import pytest
 from repro.core.authorization import Policy
 from repro.distributed.system import DistributedSystem
 from repro.engine.audit import AuditLog
-from repro.exceptions import InfeasiblePlanError
 from repro.obs import TraceContext
 from repro.obs.export import parse_prometheus_text
 from repro.obs.hooks import ServiceHooks
@@ -36,7 +35,6 @@ from repro.service import (
     QueryService,
     Rejection,
     ServiceError,
-    SingleFlight,
     TenantConfig,
     TenantConfigError,
     TokenBucket,
@@ -295,67 +293,64 @@ class TestCostEstimator:
 
 
 # ---------------------------------------------------------------------------
-# Single-flight
+# Single-flight: identical admitted requests share their flight's run
 # ---------------------------------------------------------------------------
+
+
+def serve_concurrently(system, texts, **kwargs):
+    """Submit every text at once to a fresh service; ``(service,
+    outcomes)`` once it has drained."""
+
+    async def scenario():
+        service = QueryService(system, **kwargs)
+        await service.start()
+        outcomes = await asyncio.gather(*(service.submit(text) for text in texts))
+        await service.stop()
+        return service, outcomes
+
+    return run(scenario())
 
 
 class TestSingleFlight:
     def test_concurrent_same_key_coalesces(self):
-        flight = SingleFlight(ServiceHooks())
-        calls = []
-
-        async def compute():
-            calls.append(1)
-            await asyncio.sleep(0)
-            return "product"
-
-        async def scenario():
-            results = await asyncio.gather(
-                *(flight.run("k", compute) for _ in range(5))
-            )
-            return results
-
-        results = run(scenario())
-        assert len(calls) == 1
-        assert [value for value, _ in results] == ["product"] * 5
-        assert sorted(coalesced for _, coalesced in results) == [
-            False, True, True, True, True,
-        ]
-        assert flight.leads == 1 and flight.followers == 4
+        service, outcomes = serve_concurrently(
+            chain_system(BASE_RULES + S0_ROUTE), [PAIR_QUERY] * 5, workers=4
+        )
+        # The first request opened the flight and queued; the other four
+        # were admitted beside it and share its one audited run.
+        assert [o.coalesced for o in outcomes] == [False, True, True, True, True]
+        assert len({id(o.result) for o in outcomes}) == 1
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["coalesced"], snapshot["ok"]) == (1, 4, 5)
+        assert snapshot["queue_depth"] == 0
 
     def test_key_released_after_completion(self):
-        flight = SingleFlight(ServiceHooks())
-
         async def scenario():
-            await flight.run("k", self._value(1))
-            return await flight.run("k", self._value(2))
+            service = QueryService(chain_system(BASE_RULES + S0_ROUTE))
+            await service.start()
+            first = await service.submit(PAIR_QUERY)
+            second = await service.submit(PAIR_QUERY)
+            await service.stop()
+            return service, first, second
 
-        value, coalesced = run(scenario())
-        assert value == 2 and not coalesced
-
-    @staticmethod
-    def _value(value):
-        async def compute():
-            return value
-
-        return compute
+        service, first, second = run(scenario())
+        # A flight closes with its outcome: the next identical request
+        # runs afresh (the plan cache, not the flight, is the memo).
+        assert first.ok and second.ok and not second.coalesced
+        assert first.result is not second.result
+        assert service.snapshot()["executions"] == 2
 
     def test_leader_exception_propagates_to_followers(self):
-        flight = SingleFlight(ServiceHooks())
-
-        async def compute():
-            await asyncio.sleep(0)
-            raise InfeasiblePlanError("no safe plan")
-
-        async def scenario():
-            return await asyncio.gather(
-                flight.run("k", compute),
-                flight.run("k", compute),
-                return_exceptions=True,
-            )
-
-        results = run(scenario())
-        assert all(isinstance(r, InfeasiblePlanError) for r in results)
+        service, outcomes = serve_concurrently(
+            chain_system(BASE_RULES), [PAIR_QUERY] * 3, workers=2
+        )
+        # A refusal is what the computation came to: every request of
+        # the flight gets it, and none of them is an execution.
+        assert [o.status for o in outcomes] == ["infeasible"] * 3
+        assert len({o.error for o in outcomes}) == 1
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["infeasible"]) == (0, 3)
+        assert snapshot["plan_cache"]["misses"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1262,6 +1257,204 @@ class TestOneFlight:
         assert [o.status for o in outcomes] == ["ok"] * 3
         assert all(audited_under(system.policy, o.result) for o in outcomes)
         assert monitor.ok
+
+    def test_a_revoke_between_a_followers_admission_and_its_leaders_run(self):
+        system = chain_system(BASE_RULES + S0_ROUTE + S1_ROUTE)
+        warm_route = system.plan(PAIR_QUERY)[1].describe()
+        monitor = on_first_flight(lambda key: None)
+        service = QueryService(system, workers=1, monitor=monitor)
+
+        async def scenario():
+            await service.start()
+            admitted = [asyncio.ensure_future(service.submit(PAIR_QUERY)) for _ in range(2)]
+            await asyncio.sleep(0)  # a queued leader and its follower
+            service.revoke_authorization(PIVOT_S0_BASE)
+            twin = asyncio.ensure_future(service.submit(PAIR_QUERY))
+            outcomes = await asyncio.gather(*admitted, twin)
+            await service.stop()
+            return outcomes
+
+        granted = system.policy.epoch
+        leader, follower, twin = run(scenario())
+        # The follower was admitted before the revoke and shares the run
+        # its leader planned after it; the twin, admitted after it,
+        # leads a flight of its own.
+        assert [key[-1] for key in monitor.keys] == [granted, system.policy.epoch]
+        assert [o.coalesced for o in (leader, follower, twin)] == [False, True, False]
+        assert follower.result is leader.result and twin.result is not leader.result
+        for outcome in (leader, twin):
+            assert outcome.ok and audited_under(system.policy, outcome.result)
+        assert leader.result.audit.epoch == system.policy.epoch
+        assert system.plan(PAIR_QUERY)[1].describe() != warm_route
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["plan_cache"]["revalidation_failures"]) == (2, 1)
+        assert monitor.ok
+
+    def test_a_follower_queued_past_its_own_deadline_is_shed_alone(self):
+        system = chain_system(BASE_RULES + S0_ROUTE)
+        clock = FakeClock()
+        service = QueryService(
+            system,
+            tenants=[TenantConfig("patient"), TenantConfig("hasty", deadline=0.5)],
+            workers=1,
+            clock=clock,
+        )
+
+        async def scenario():
+            await service.start()
+            tasks = [
+                asyncio.ensure_future(service.submit(PAIR_QUERY, tenant=tenant))
+                for tenant in ("patient", "hasty")
+            ]
+            await asyncio.sleep(0)  # a queued leader and its follower
+            clock.advance(1.0)
+            outcomes = await asyncio.gather(*tasks)
+            await service.stop()
+            return outcomes
+
+        patient, hasty = run(scenario())
+        # Queue wait is each request's own: the leader's tenant has no
+        # deadline and is served; the follower's budget ran out.
+        assert patient.ok and not patient.coalesced
+        assert hasty.status == "shed" and hasty.rejection.reason == REJECT_DEADLINE
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["coalesced"], snapshot["shed"]) == (1, 0, 1)
+
+    def test_a_queued_leader_inherits_its_most_urgent_followers_priority(self):
+        system = chain_system(BASE_RULES + S0_ROUTE)
+        service = QueryService(
+            system,
+            tenants=[
+                TenantConfig("low", priority=0),
+                TenantConfig("mid", priority=5),
+                TenantConfig("high", priority=10),
+            ],
+            workers=1,
+        )
+        finished = []
+
+        async def scenario():
+            await service.start()
+            tasks = []
+            for query, tenant in (
+                (PAIR_QUERY, "low"),  # opens the flight at priority 0
+                ("SELECT a0 FROM R0", "mid"),  # priority-5 work queued ahead of it
+                (PAIR_QUERY, "high"),  # attaches at priority 10
+            ):
+                task = asyncio.ensure_future(service.submit(query, tenant=tenant))
+                task.add_done_callback(lambda _, tenant=tenant: finished.append(tenant))
+                tasks.append(task)
+            await asyncio.sleep(0)  # all admitted, none dequeued
+            # Two queued leaders and one follower; the leader's old
+            # entry is not a waiting request.
+            depth = service.snapshot()["queue_depth"]
+            outcomes = await asyncio.gather(*tasks)
+            await service.stop()
+            return depth, outcomes
+
+        depth, (low, mid, high) = run(scenario())
+        assert depth == 3
+        # The flight ran at the follower's priority, ahead of the
+        # priority-5 work, and its superseded entry ran nothing.
+        assert finished == ["low", "high", "mid"]
+        assert low.ok and mid.ok and high.ok and high.coalesced
+        snapshot = service.snapshot()
+        assert (snapshot["executions"], snapshot["coalesced"], snapshot["queue_depth"]) == (2, 1, 0)
+
+    def test_a_refusal_is_never_shared_with_a_request_admitted_after_the_regrant(self):
+        """Six clients send the duty shape while its route is revoked and
+        re-granted every five outcomes: a request is refused only if a
+        revoked policy was in force at some point between its submit
+        and its outcome, and served only if a granting one was."""
+        from repro.workloads.coalition import coalition_authorization
+
+        system = coalition_system()
+        rule = coalition_authorization(5)
+        service = QueryService(system, workers=2)
+
+        async def scenario():
+            await service.start()
+            revoked = [False]  # one entry per policy state, in order
+            seen = []
+
+            async def client():
+                for _ in range(30):
+                    first = len(revoked) - 1
+                    outcome = await service.submit(DUTY)
+                    seen.append((outcome, revoked[first:]))
+                    if len(seen) % 5 == 0:
+                        if revoked[-1]:
+                            service.add_authorization(rule)
+                        else:
+                            service.revoke_authorization(rule)
+                        revoked.append(not revoked[-1])
+
+            await asyncio.gather(*(client() for _ in range(6)))
+            await service.stop()
+            return seen
+
+        seen = run(scenario())
+        refused = [window for outcome, window in seen if outcome.status == "infeasible"]
+        served = [window for outcome, window in seen if outcome.ok]
+        assert len(refused) + len(served) == 180
+        assert refused and all(any(window) for window in refused)
+        assert served and not all(any(window) for window in served)
+        assert all(not all(window) for window in served)
+        assert service.snapshot()["coalesced"] > 0
+
+    def test_a_hot_closed_loop_shares_flights_without_reprobing(self, monkeypatch):
+        """The counting guard, on a closed loop shaped like the ledger's
+        ``serve_hot``: 8 clients deal the six coalition shapes over three
+        tenants from seeded decks."""
+        import random
+
+        from repro.distributed.pipeline import QueryPipeline
+
+        class Flights(ServiceHooks):
+            led = 0
+
+            def flight_lead(self, key):
+                self.led += 1
+
+        system = coalition_system()
+        built = _count_calls(monkeypatch, QueryPipeline, "__init__")
+        probed = _count_calls(monkeypatch, DistributedSystem, "_parsed")
+        flights = Flights()
+        requests = 1200
+
+        async def scenario():
+            service = QueryService(
+                system, tenants=[TenantConfig(f"t{n}") for n in range(3)], monitor=flights
+            )
+            await service.start()
+            issued = 0
+
+            async def client(k):
+                nonlocal issued
+                rng = random.Random(k)
+                deck = [(shape, f"t{n}") for shape in COALITION_SHAPES for n in range(3)]
+                while True:
+                    rng.shuffle(deck)
+                    for shape, tenant in deck:
+                        if issued == requests:
+                            return
+                        issued += 1
+                        await service.submit(shape, tenant=tenant)
+
+            await asyncio.gather(*(client(k) for k in range(8)))
+            await service.stop()
+            return service.snapshot()
+
+        snapshot = run(scenario())
+        assert snapshot["submitted"] == requests
+        assert snapshot["executions"] / requests <= 0.52
+        assert snapshot["executions"] + snapshot["coalesced"] == snapshot["ok"]
+        # Only a flight's leader builds a pipeline (and plans: a refused
+        # shape builds one and is no execution), and the flight key is
+        # the bound pair submit already holds: one parse-memo probe per
+        # request, one more per leader's plan.
+        assert len(built) == flights.led
+        assert len(probed) == requests + flights.led
 
 
 # ---------------------------------------------------------------------------
