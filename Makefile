@@ -27,7 +27,8 @@ loc:
 # recover and snapshot() only), then the greps that must print nothing:
 # per-feature method variants, methods assigned onto an instance, a
 # second pipeline-building site, a second flight-opening site or a
-# `request_id is not None` test in service.py.
+# `request_id is not None` test in service.py, and a DistributedExecutor
+# built anywhere in src/ but distributed/pipeline.py (one execution site).
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
 SERVICE = src/repro/service/service.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
@@ -44,6 +45,8 @@ census:
 	@! grep -nE "request_id is not None" src/repro/service/service.py
 	@test "$$(grep -c '\.pipeline(' src/repro/service/service.py)" = 1 || (grep -n '\.pipeline(' src/repro/service/service.py; false)
 	@test "$$(grep -cE '_flights\[[^]]*\] = ' src/repro/service/service.py)" = 1 || (grep -nE '_flights\[[^]]*\] = ' src/repro/service/service.py; false)
+	@echo "-- a DistributedExecutor built outside distributed/pipeline.py in src/ (none expected):"
+	@! grep -rn "DistributedExecutor(" src/ | grep -v "^src/repro/distributed/pipeline.py:"
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).

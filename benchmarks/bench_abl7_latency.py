@@ -17,7 +17,7 @@ from repro.analysis.reporting import ascii_table
 from repro.baselines.exhaustive import enumerate_structural_assignments
 from repro.distributed.network import NetworkModel
 from repro.engine.executor import DistributedExecutor
-from repro.engine.timeline import simulate_timeline
+from repro.distributed.simulation import simulate_timeline
 
 LATENCIES = [0.0, 100.0, 1_000.0, 10_000.0, 100_000.0]
 

@@ -7,7 +7,7 @@ each three ways:
   (`repro.analysis.exposure`);
 * **bytes** — measured communication volume of a tuple-level run;
 * **latency** — simulated makespan on a high-latency network
-  (`repro.engine.timeline`).
+  (`repro.distributed.simulation`).
 
 The rankings disagree — the byte-cheapest strategy serializes two
 semi-join legs that a latency-bound deployment cannot afford — and the
@@ -22,10 +22,10 @@ from repro.analysis.reporting import ascii_table
 from repro.baselines.exhaustive import enumerate_safe_assignments
 from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
 from repro.distributed.network import NetworkModel
+from repro.distributed.simulation import simulate_timeline
 from repro.engine.coster import CostModel, TableStats
 from repro.engine.data import Table
 from repro.engine.executor import DistributedExecutor
-from repro.engine.timeline import simulate_timeline
 from repro.sql import parse_query
 from repro.algebra.builder import build_plan
 from repro.core.closure import close_policy

@@ -129,6 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan every query from scratch",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # The subcommands that load instances (see _load_instances).
+    instances = argparse.ArgumentParser(add_help=False)
+    instances.add_argument("--instances", help="JSON instances file (relation -> rows)")
+    instances.add_argument("--seed", type=int, default=7)
+    instances.add_argument("--citizens", type=int, default=100)
 
     commands.add_parser("describe", help="print the catalog and the policy")
 
@@ -140,14 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="try alternative join orders when the given one is infeasible",
     )
 
-    execute_cmd = commands.add_parser("execute", help="plan and run a SQL query")
+    execute_cmd = commands.add_parser(
+        "execute", help="plan and run a SQL query", parents=[instances]
+    )
     execute_cmd.add_argument("--sql", required=True)
     execute_cmd.add_argument("--recipient", help="deliver the result to this party")
-    execute_cmd.add_argument(
-        "--instances", help="JSON instances file (relation -> rows)"
-    )
-    execute_cmd.add_argument("--seed", type=int, default=7)
-    execute_cmd.add_argument("--citizens", type=int, default=100)
     execute_cmd.add_argument(
         "--drop-rate",
         type=float,
@@ -224,14 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="EXPLAIN ANALYZE: run a query under the profiler and render "
         "estimated vs actual",
+        parents=[instances],
     )
     analyze_cmd.add_argument("--sql", required=True)
     analyze_cmd.add_argument("--recipient", help="deliver the result to this party")
-    analyze_cmd.add_argument(
-        "--instances", help="JSON instances file (relation -> rows)"
-    )
-    analyze_cmd.add_argument("--seed", type=int, default=7)
-    analyze_cmd.add_argument("--citizens", type=int, default=100)
     analyze_cmd.add_argument(
         "--runs",
         type=int,
@@ -279,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("--sql", required=True)
 
     serve_cmd = commands.add_parser(
-        "serve", help="run a workload through the multi-tenant query service"
+        "serve",
+        help="run a workload through the multi-tenant query service",
+        parents=[instances],
     )
     serve_cmd.add_argument(
         "--workload",
@@ -339,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plan with join-order search while the service is healthy",
     )
-    serve_cmd.add_argument(
-        "--instances", help="JSON instances file (relation -> rows)"
-    )
-    serve_cmd.add_argument("--seed", type=int, default=7)
-    serve_cmd.add_argument("--citizens", type=int, default=100)
     serve_cmd.add_argument(
         "--trace-out",
         default=None,
@@ -433,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_cmd = commands.add_parser(
         "shard",
         help="certify a partition scheme and run a query partition-parallel",
+        parents=[instances],
     )
     shard_cmd.add_argument("--sql", required=True)
     shard_cmd.add_argument(
@@ -452,11 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="server group hosting the shards (round-robin placement)",
     )
     shard_cmd.add_argument("--recipient", help="deliver the result to this party")
-    shard_cmd.add_argument(
-        "--instances", help="JSON instances file (relation -> rows)"
-    )
-    shard_cmd.add_argument("--seed", type=int, default=7)
-    shard_cmd.add_argument("--citizens", type=int, default=100)
     shard_cmd.add_argument(
         "--certify-only",
         action="store_true",
@@ -504,6 +495,22 @@ def _load_system(args: argparse.Namespace) -> DistributedSystem:
     )
 
 
+def _load_instances(system: DistributedSystem, args, out) -> bool:
+    """Load ``--instances``, or generate the built-in medical workload's
+    from ``--seed`` / ``--citizens``; ``False`` (error printed) when a
+    JSON catalog comes without instances."""
+    if args.instances:
+        system.load_instances(load_json(args.instances))
+    elif not args.catalog:
+        system.load_instances(
+            generate_instances(seed=args.seed, citizens=args.citizens)
+        )
+    else:
+        print("error: --instances is required for JSON workloads", file=out)
+        return False
+    return True
+
+
 def _cmd_describe(system: DistributedSystem, args, out) -> int:
     print(system.catalog.describe(), file=out)
     print(file=out)
@@ -535,14 +542,7 @@ def _cmd_plan(system: DistributedSystem, args, out) -> int:
 
 
 def _cmd_execute(system: DistributedSystem, args, out) -> int:
-    if args.instances:
-        system.load_instances(load_json(args.instances))
-    elif not args.catalog:
-        system.load_instances(
-            generate_instances(seed=args.seed, citizens=args.citizens)
-        )
-    else:
-        print("error: --instances is required for JSON workloads", file=out)
+    if not _load_instances(system, args, out):
         return 2
     faults = _build_injector(args, out)
     if faults is _BAD_FAULT_SPEC:
@@ -690,14 +690,7 @@ def _cmd_analyze(system: DistributedSystem, args, out) -> int:
     )
     from repro.profiling import QueryProfiler, StatsStore
 
-    if args.instances:
-        system.load_instances(load_json(args.instances))
-    elif not args.catalog:
-        system.load_instances(
-            generate_instances(seed=args.seed, citizens=args.citizens)
-        )
-    else:
-        print("error: --instances is required for JSON workloads", file=out)
+    if not _load_instances(system, args, out):
         return 2
     store = StatsStore()
     if args.stats and os.path.exists(args.stats):
@@ -924,14 +917,7 @@ def _cmd_serve(system: DistributedSystem, args, out) -> int:
 
     from repro.service import TenantConfig, TenantConfigError
 
-    if args.instances:
-        system.load_instances(load_json(args.instances))
-    elif not args.catalog:
-        system.load_instances(
-            generate_instances(seed=args.seed, citizens=args.citizens)
-        )
-    else:
-        print("error: --instances is required for JSON workloads", file=out)
+    if not _load_instances(system, args, out):
         return 2
     requests = _load_serve_workload(args.workload, out)
     if requests is None:
@@ -1160,14 +1146,7 @@ def _parse_schemes(specs, group_servers, out):
 
 
 def _cmd_shard(system: DistributedSystem, args, out) -> int:
-    if args.instances:
-        system.load_instances(load_json(args.instances))
-    elif not args.catalog:
-        system.load_instances(
-            generate_instances(seed=args.seed, citizens=args.citizens)
-        )
-    else:
-        print("error: --instances is required for JSON workloads", file=out)
+    if not _load_instances(system, args, out):
         return 2
     schemes = _parse_schemes(args.scheme, args.group, out)
     if schemes is None:

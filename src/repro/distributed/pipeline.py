@@ -515,18 +515,33 @@ class QueryPipeline:
             attempts.append((set(), pins))
         if avoid:
             attempts.append((avoid, {}))
-        for excluded, pinned in attempts:
+        try:
+            return self._first_feasible(tree, attempts)[0]
+        except InfeasiblePlanError:
+            return assignment
+
+    def _first_feasible(
+        self, tree: QueryTreePlan, rungs: Sequence[Tuple[set, Mapping[int, str]]]
+    ) -> Tuple[Assignment, Mapping[int, str]]:
+        """The re-plan ladder: the first rung ``(excluded servers, pinned
+        subtrees)``, most preferred first, that admits a safe assignment,
+        as ``(assignment, pins)``.
+
+        Raises:
+            InfeasiblePlanError: when no rung does (the last rung's error).
+        """
+        error = InfeasiblePlanError("no re-plan rung to try")
+        for excluded, pinned in rungs:
             try:
                 planner = self._system._make_planner(
                     excluded_servers=tuple(sorted(excluded)),
                     pinned=pinned,
                     obs=self._trace,
                 )
-                candidate, _ = planner.plan(tree)
-                return candidate
-            except InfeasiblePlanError:
-                continue
-        return assignment
+                return planner.plan(tree)[0], pinned
+            except InfeasiblePlanError as failure:
+                error = failure
+        raise error
 
     @staticmethod
     def _forced_through_quarantine(
@@ -711,19 +726,11 @@ class QueryPipeline:
         if pins_surviving:
             attempts.append((hard, pins_surviving))
         attempts.append((hard, {}))
-        last_error: Optional[InfeasiblePlanError] = None
-        for excl, pins in attempts:
-            try:
-                planner = self._system._make_planner(
-                    excluded_servers=tuple(sorted(excl)), pinned=pins,
-                    obs=self._trace,
-                )
-                assignment, _ = planner.plan(tree)
-                return assignment, pins
-            except InfeasiblePlanError as error:
-                last_error = error
-        raise DegradedExecutionError(
-            "no safe assignment survives the current faults "
-            f"(excluded: {sorted(hard)}); last failure: {cause}",
-            excluded_servers=hard,
-        ) from last_error
+        try:
+            return self._first_feasible(tree, attempts)
+        except InfeasiblePlanError as error:
+            raise DegradedExecutionError(
+                "no safe assignment survives the current faults "
+                f"(excluded: {sorted(hard)}); last failure: {cause}",
+                excluded_servers=hard,
+            ) from error

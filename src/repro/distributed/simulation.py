@@ -1,11 +1,13 @@
-"""Discrete-event simulation of concurrent query execution.
+"""Discrete-event schedules of executed plans.
 
-The timeline of :mod:`repro.engine.timeline` answers "how long does
-*one* query take on an idle system".  Real deployments run many, and
-the paper's second planning principle — *prefer the server already
-involved in many joins* — deliberately concentrates work, which is
-great for coordination and questionable for throughput.  This module
-quantifies that: a list-scheduling, event-driven simulator where
+:func:`simulate_timeline` answers "how long does *one* query take on an
+idle system": latency ranks strategies by round trips, so a semi-join
+(two serialized legs) loses to a regular join on high-latency links
+even though it ships fewer bytes.  Real deployments run many queries,
+and the paper's second planning principle — *prefer the server already
+involved in many joins* — concentrates work.
+:class:`MultiQuerySimulator` quantifies that: a list-scheduling,
+event-driven simulator where
 
 * every **compute task** (scan, projection/selection, join step)
   occupies its server exclusively for ``processed bytes / compute_rate``
@@ -18,19 +20,21 @@ quantifies that: a list-scheduling, event-driven simulator where
   at a time, FIFO by readiness (ties broken deterministically by task
   id).
 
-Task graphs are derived from executed plans (assignment + transfer
-log), so volumes are real, not estimated.  Results report per-query
-completion times, global makespan and per-server busy time — enough to
-see the load-concentration effect directly
-(:mod:`benchmarks.bench_abl8_contention`).
+Both read one task graph per executed plan (:func:`build_query_tasks`:
+assignment + transfer log, so volumes are real, not estimated) and run
+it through one scheduler; the timeline is that schedule at infinite
+compute rate (the paper's cost discussion is communication-only).
+Results report per-query completion times, global makespan and
+per-server busy time (:mod:`benchmarks.bench_abl8_contention`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.algebra.tree import JoinNode, LeafNode, PlanNode, UnaryNode
+from repro.algebra.tree import JoinNode, LeafNode, UnaryNode
 from repro.core.assignment import Assignment
 from repro.distributed.network import NetworkModel
 from repro.engine.transfers import Transfer, TransferLog
@@ -49,9 +53,13 @@ class Task:
         deps: task ids that must finish first.
         query: index of the owning query.
         label: human-readable description.
+        transfer: the shipment a transfer task replays (``None`` for
+            compute tasks).
     """
 
-    __slots__ = ("task_id", "kind", "resource", "duration", "deps", "query", "label")
+    __slots__ = (
+        "task_id", "kind", "resource", "duration", "deps", "query", "label", "transfer"
+    )
 
     def __init__(
         self,
@@ -62,6 +70,7 @@ class Task:
         deps: Tuple[str, ...],
         query: int,
         label: str,
+        transfer: Optional[Transfer] = None,
     ) -> None:
         self.task_id = task_id
         self.kind = kind
@@ -70,6 +79,7 @@ class Task:
         self.deps = deps
         self.query = query
         self.label = label
+        self.transfer = transfer
 
     def __repr__(self) -> str:
         return f"Task({self.task_id}: {self.label}, {self.duration:.1f})"
@@ -146,8 +156,10 @@ def build_query_tasks(
 ) -> Tuple[List[Task], str]:
     """Derive the task DAG of one executed query.
 
-    Returns the tasks plus the id of the query's sink task (the root's
-    compute task), whose finish time is the query's completion.
+    Returns the tasks plus the id of the query's sink task, whose finish
+    time is the query's completion: the root's compute task, or the
+    delivery of the result to its recipient when the log holds one
+    (delivery is on the critical path).
 
     Compute durations charge the server for the bytes it processes:
     a scan charges the base table, a join charges both inputs, and the
@@ -161,8 +173,11 @@ def build_query_tasks(
         raise ExecutionError("compute_rate must be positive")
     plan = assignment.plan
     by_node: Dict[int, List[Transfer]] = {}
+    delivery: Optional[Transfer] = None
     for transfer in transfers:
-        if not transfer.description.startswith("result"):
+        if transfer.description.startswith("result"):
+            delivery = transfer
+        else:
             by_node.setdefault(transfer.node_id, []).append(transfer)
 
     tasks: List[Task] = []
@@ -206,6 +221,7 @@ def build_query_tasks(
                 deps,
                 query_index,
                 f"{transfer.sender}->{transfer.receiver} ({transfer.byte_size}B)",
+                transfer,
             )
         )
 
@@ -310,7 +326,11 @@ def build_query_tasks(
             node_id, "join", master, float(back.byte_size), (back_ship,), "recombine"
         )
 
-    return tasks, sink_of[plan.root.node_id]
+    root = plan.root.node_id
+    sink = sink_of[root]
+    if delivery is not None:
+        sink = transfer_task(root, "deliver", delivery, (sink,))
+    return tasks, sink
 
 
 class MultiQuerySimulator:
@@ -383,24 +403,37 @@ class MultiQuerySimulator:
         if len(arrival_times) != len(executions):
             raise ExecutionError("arrival_times must match executions")
 
-        all_tasks: Dict[str, Task] = {}
+        all_tasks: List[Task] = []
         sinks: List[str] = []
-        arrival_of: Dict[str, float] = {}
         for index, (assignment, log) in enumerate(executions):
             tasks, sink = build_query_tasks(
                 index, assignment, log, self._compute_rate, self._network
             )
-            for task in tasks:
-                all_tasks[task.task_id] = task
-                arrival_of[task.task_id] = float(arrival_times[index])
+            all_tasks.extend(tasks)
             sinks.append(sink)
+        _, finish, busy_time = self._schedule(all_tasks, arrival_times, trace)
+        completion = [finish[sink] for sink in sinks]
+        makespan = max(finish.values()) if finish else 0.0
+        if trace is not None:
+            trace.metrics.set_gauge("repro_sim_makespan", makespan)
+        return SimulationResult(
+            completion,
+            makespan,
+            busy_time,
+            finish,
+            arrival_times=[float(t) for t in arrival_times],
+        )
 
-        # List scheduling. ready time = max(deps finish, arrival).
-        remaining_deps = {
-            tid: set(task.deps) for tid, task in all_tasks.items()
-        }
+    def _schedule(
+        self, tasks: Sequence[Task], arrival_times: Sequence[float], trace=None
+    ) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+        """List-schedule ``tasks`` (a task is ready at the later of its
+        query's arrival and its dependencies' finish); returns the start
+        and finish time per task id and the busy time per server."""
+        by_id = {task.task_id: task for task in tasks}
+        remaining_deps = {tid: set(task.deps) for tid, task in by_id.items()}
         dependents: Dict[str, List[str]] = {}
-        for tid, task in all_tasks.items():
+        for tid, task in by_id.items():
             for dep in task.deps:
                 dependents.setdefault(dep, []).append(tid)
 
@@ -408,15 +441,15 @@ class MultiQuerySimulator:
         ready: List[Tuple[float, str]] = []
         for tid, deps in remaining_deps.items():
             if not deps:
-                heapq.heappush(ready, (arrival_of[tid], tid))
+                heapq.heappush(ready, (float(arrival_times[by_id[tid].query]), tid))
 
         server_free: Dict[str, float] = {}
         busy_time: Dict[str, float] = {}
+        started: Dict[str, float] = {}
         finish: Dict[str, float] = {}
-        scheduled = 0
         while ready:
             ready_time, tid = heapq.heappop(ready)
-            task = all_tasks[tid]
+            task = by_id[tid]
             if task.kind == "compute":
                 server = task.resource or ""
                 start = max(ready_time, server_free.get(server, 0.0))
@@ -428,6 +461,7 @@ class MultiQuerySimulator:
             else:
                 start = ready_time
                 end = start + task.duration
+            started[tid] = start
             finish[tid] = end
             if trace is not None:
                 trace.record_span(
@@ -441,27 +475,82 @@ class MultiQuerySimulator:
                     query=task.query,
                 )
                 trace.count("repro_sim_tasks_total", kind=task.kind)
-            scheduled += 1
             for succ in dependents.get(tid, ()):
                 remaining_deps[succ].discard(tid)
                 if not remaining_deps[succ]:
+                    succ_task = by_id[succ]
                     succ_ready = max(
-                        [arrival_of[succ]]
-                        + [finish[d] for d in all_tasks[succ].deps]
+                        [float(arrival_times[succ_task.query])]
+                        + [finish[d] for d in succ_task.deps]
                     )
                     heapq.heappush(ready, (succ_ready, succ))
-        if scheduled != len(all_tasks):
+        if len(finish) != len(by_id):
             raise ExecutionError(
                 "task graph contains a cycle or unresolved dependency"
             )
-        completion = [finish[sink] for sink in sinks]
-        makespan = max(finish.values()) if finish else 0.0
-        if trace is not None:
-            trace.metrics.set_gauge("repro_sim_makespan", makespan)
-        return SimulationResult(
-            completion,
-            makespan,
-            busy_time,
-            finish,
-            arrival_times=[float(t) for t in arrival_times],
-        )
+        return started, finish, busy_time
+
+
+class TimelineEvent(NamedTuple):
+    """One scheduled communication: the transfer record, its departure
+    and its arrival (departure + network cost of the payload, times
+    its attempts, plus its retry waits)."""
+
+    transfer: Transfer
+    start: float
+    finish: float
+
+
+class Timeline(NamedTuple):
+    """The schedule of one execution: every communication in start-time
+    order, and the completion time of the whole query (including the
+    recipient delivery when the log holds one)."""
+
+    events: List[TimelineEvent]
+    makespan: float
+
+    def describe(self) -> str:
+        """One line per event plus the makespan."""
+        lines = [
+            f"t={event.start:8.2f} .. {event.finish:8.2f}  "
+            f"{event.transfer.sender} -> {event.transfer.receiver}  "
+            f"({event.transfer.description})"
+            for event in self.events
+        ]
+        lines.append(f"makespan: {self.makespan:.2f}")
+        return "\n".join(lines)
+
+
+def simulate_timeline(
+    assignment: Assignment,
+    transfers: TransferLog,
+    network: Optional[NetworkModel] = None,
+) -> Timeline:
+    """Schedule an executed plan's transfers on an idle system and
+    compute the makespan: :class:`MultiQuerySimulator` at infinite
+    compute rate, so only the wire costs time (a semi-join's probe and
+    return legs serialize; a coordinator's two inbound legs overlap).
+
+    Args:
+        assignment: the executed assignment (for structure and modes).
+        transfers: the transfer log of the actual run (for volumes).
+        network: link model; defaults to a uniform unit-bandwidth,
+            zero-latency network (makespan == bytes on the critical path).
+
+    Raises:
+        ExecutionError: if the log does not contain the transfers the
+            assignment's structure implies (e.g. a log from a different
+            run).
+    """
+    simulator = MultiQuerySimulator(compute_rate=math.inf, network=network)
+    tasks, sink = build_query_tasks(
+        0, assignment, transfers, math.inf, simulator._network
+    )
+    start, finish, _ = simulator._schedule(tasks, [0.0])
+    events = [
+        TimelineEvent(task.transfer, start[task.task_id], finish[task.task_id])
+        for task in tasks
+        if task.transfer is not None
+    ]
+    events.sort(key=lambda event: (event.start, event.finish))
+    return Timeline(events, finish[sink])

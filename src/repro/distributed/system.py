@@ -621,8 +621,9 @@ class DistributedSystem:
     ):
         """Plan, execute and then simulate ``queries`` running together.
 
-        Each query is planned and executed individually (audited) to
-        obtain its real transfer volumes, then the discrete-event
+        Each query runs through its own :meth:`pipeline` (planned,
+        verified and audited) to obtain its real transfer volumes, then
+        the discrete-event
         simulator schedules all of them over the shared servers.
 
         Args:
@@ -646,19 +647,14 @@ class DistributedSystem:
             InfeasiblePlanError: if any query has no safe assignment.
         """
         from repro.distributed.simulation import MultiQuerySimulator
-        from repro.engine.executor import DistributedExecutor
-        from repro.obs.hooks import hooks_for
 
         if trace is None:
             trace = self._trace
-        hooks = hooks_for(trace)
         runs = []
         for query in queries:
-            _, assignment, _ = self.plan(query, trace=trace)
-            result = DistributedExecutor(
-                assignment, self.tables(), policy=self._policy, hooks=hooks
-            ).run()
-            runs.append((assignment, result.transfers))
+            pipeline = self.pipeline(query, trace=trace)
+            _, assignment, _ = pipeline.plan()
+            runs.append((assignment, pipeline.run().transfers))
         simulator = MultiQuerySimulator(
             compute_rate=compute_rate, network=network, downtime=downtime
         )

@@ -42,12 +42,8 @@ from repro.engine.coster import (
     TableStats,
     estimate_assignment_cost,
 )
-from repro.engine.timeline import Timeline, TimelineEvent, simulate_timeline
 
 __all__ = [
-    "Timeline",
-    "TimelineEvent",
-    "simulate_timeline",
     "Table",
     "InternPool",
     "cell_width",

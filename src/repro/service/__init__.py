@@ -25,7 +25,6 @@ from repro.service.admission import (
     AdmissionController,
     AdmissionError,
     AdmissionTicket,
-    CostEstimator,
     Rejection,
     estimate_query_bytes,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionError",
     "AdmissionTicket",
-    "CostEstimator",
     "FAILED",
     "INFEASIBLE",
     "MetricsServer",

@@ -179,24 +179,15 @@ def estimate_query_bytes(system, query) -> float:
     Relations with no loaded instance estimate 0 bytes (there is
     nothing to ship).
     """
-    return CostEstimator(system).estimate(query)
-
-
-class CostEstimator:
-    """:func:`estimate_query_bytes` bound to one system."""
-
-    def __init__(self, system) -> None:
-        self._system = system
-
-    def relation_bytes(self, name: str) -> float:
-        """Shipment payload of one base relation."""
-        table = self._system.tables().get(name)
-        return float(table.byte_size()) if table is not None else 0.0
-
-    def estimate(self, query) -> float:
-        """Estimated bytes of one query."""
-        relations = _query_relations(self._system, query)
-        return sum(map(self.relation_bytes, relations), 0.0)
+    tables = system.tables()
+    return sum(
+        (
+            float(tables[name].byte_size())
+            for name in _query_relations(system, query)
+            if name in tables
+        ),
+        0.0,
+    )
 
 
 class AdmissionController:

@@ -71,8 +71,8 @@ from repro.service.admission import (
     REJECT_RECOVERY,
     REJECT_SHUTDOWN,
     AdmissionController,
-    CostEstimator,
     Rejection,
+    estimate_query_bytes,
 )
 from repro.service.tenants import TenantConfig, tenant_map
 
@@ -338,7 +338,6 @@ class QueryService:
             capacity_bytes=capacity_bytes,
             shed_priority_floor=shed_priority_floor,
         )
-        self._estimator = CostEstimator(system)
         self._chaos = chaos
         self._journal = journal
         self._hooks = service_hooks_for(journal, monitor, chaos)
@@ -721,7 +720,7 @@ class QueryService:
             return outcome
         cost = 0.0
         if self._admission.capacity_bytes is not None:
-            cost = self._estimator.estimate(bound)
+            cost = estimate_query_bytes(self._system, bound)
         decision = self._admission.admit(
             tenant,
             now,

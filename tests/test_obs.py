@@ -1142,6 +1142,8 @@ class TestSeamContract:
         for path in sources:
             text = path.read_text()
             assert not re.search(r"_traced|_profiled", text), path
+            if path != REPO / "src/repro/distributed/pipeline.py":
+                assert "DistributedExecutor(" not in text, f"{path}: a second execution site"
             methods = set(re.findall(r"^\s*def (\w+)\(", text, re.M))
             for target, source in re.findall(
                 r"^\s*self\.(\w+) = self\.(\w+)\s*(?:#.*)?$", text, re.M

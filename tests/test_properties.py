@@ -333,7 +333,7 @@ class TestAnalysisProperties:
     def test_timeline_bounds(self, seed):
         """Makespan lies between the largest single transfer and the
         total bytes (unit-bandwidth, zero-latency network)."""
-        from repro.engine.timeline import simulate_timeline
+        from repro.distributed.simulation import simulate_timeline
 
         workload = _workload(seed, dense=True)
         spec = workload.random_query(relations=3)

@@ -30,7 +30,6 @@ from repro.service import (
     REJECT_RATE,
     REJECT_SHUTDOWN,
     AdmissionController,
-    CostEstimator,
     MetricsServer,
     QueryService,
     Rejection,
@@ -38,6 +37,7 @@ from repro.service import (
     TenantConfig,
     TenantConfigError,
     TokenBucket,
+    estimate_query_bytes,
     tenant_map,
 )
 from repro.testing import grant, quick_catalog
@@ -275,21 +275,20 @@ class TestAdmission:
 class TestCostEstimator:
     def test_estimates_sum_of_base_relations(self):
         system = chain_system(BASE_RULES + S0_ROUTE)
-        estimator = CostEstimator(system)
-        single = estimator.relation_bytes("R0")
+        tables = system.tables()
+        single = tables["R0"].byte_size()
         assert single > 0
-        assert estimator.estimate(PAIR_QUERY) == pytest.approx(
-            estimator.relation_bytes("R0") + estimator.relation_bytes("R1")
+        assert estimate_query_bytes(system, PAIR_QUERY) == pytest.approx(
+            single + tables["R1"].byte_size()
         )
 
     def test_memoizes_per_table_object(self):
         system = chain_system(BASE_RULES)
-        estimator = CostEstimator(system)
-        first = estimator.estimate(PAIR_QUERY)
-        assert estimator.estimate(PAIR_QUERY) == first
-        # Reloading instances swaps the table object and invalidates.
+        first = estimate_query_bytes(system, PAIR_QUERY)
+        assert estimate_query_bytes(system, PAIR_QUERY) == first
+        # Reloading instances swaps the table objects the estimate reads.
         system.load_instances(chain_instances(16))
-        assert estimator.estimate(PAIR_QUERY) > first
+        assert estimate_query_bytes(system, PAIR_QUERY) > first
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,18 @@ class TestTaskGraph:
         assert len(transfer_tasks) == len(log)
         assert sink in {t.task_id for t in tasks}
 
+    def test_tasks_cover_the_delivery(self, executed, tables):
+        """The result's delivery to its recipient is a transfer task
+        after the root, and the query completes when it arrives."""
+        assignment, _ = executed
+        log = DistributedExecutor(assignment, tables).run(recipient="S_D").transfers
+        tasks, sink = build_query_tasks(0, assignment, log, 100.0, NetworkModel())
+        transfer_tasks = [t for t in tasks if t.kind == "transfer"]
+        assert len(transfer_tasks) == len(log)
+        (delivery,) = [t for t in tasks if t.task_id == sink]
+        assert delivery.kind == "transfer"
+        assert delivery.transfer.description == "result -> recipient"
+
     def test_compute_tasks_on_masters_only(self, executed):
         assignment, log = executed
         tasks, _ = build_query_tasks(0, assignment, log, 100.0, NetworkModel())
@@ -62,7 +74,7 @@ class TestSingleQuery:
     def test_fast_compute_approaches_timeline(self, executed):
         """With near-infinite compute, only transfers cost time; the
         simulated completion approaches the timeline's makespan."""
-        from repro.engine.timeline import simulate_timeline
+        from repro.distributed.simulation import simulate_timeline
 
         assignment, log = executed
         simulated = MultiQuerySimulator(compute_rate=1e12).run([(assignment, log)])

@@ -1,14 +1,18 @@
 """Unit tests for the latency timeline simulation."""
 
+import math
+
 import pytest
 
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.core.planner import SafePlanner
+from repro.distributed.faults import FaultInjector
 from repro.distributed.network import NetworkModel
+from repro.distributed.simulation import MultiQuerySimulator, simulate_timeline
 from repro.engine.data import Table
 from repro.engine.executor import DistributedExecutor
-from repro.engine.timeline import simulate_timeline
+from repro.engine.resilience import RetryPolicy
 from repro.exceptions import ExecutionError
 from repro.workloads.medical import generate_instances
 
@@ -181,3 +185,50 @@ class TestLatencyCrossover:
             sum(t.byte_size for t in semi[1])
             < sum(t.byte_size for t in regular[1])
         )
+
+
+def _free_compute(assignment, log):
+    """The contention simulator's completion time with free compute."""
+    simulator = MultiQuerySimulator(compute_rate=math.inf)
+    return simulator.run([(assignment, log)]).completion_times[0]
+
+
+class TestTimelineIsTheSimulatorAtFreeCompute:
+    """The timeline is the contention simulator's schedule with free
+    compute, so logs the simulator reads the timeline reads too, and the
+    two agree on every one of them."""
+
+    def test_reused_subtree_is_scheduled(self, policy, planner, plan, tables):
+        assignment, _ = planner.plan(plan)
+        quiet = DistributedExecutor(assignment, tables, faults=FaultInjector(seed=0))
+        quiet.run()
+        _, joined = quiet.completed_subtrees()[2]
+        pinned, _ = SafePlanner(policy, pinned={2: "S_N"}).plan(plan)
+        log = DistributedExecutor(pinned, tables, reuse={2: joined}).run().transfers
+        timeline = simulate_timeline(pinned, log)
+        assert len(timeline.events) == len(log)
+        # Only the two serialized semi-join legs of n5 remain.
+        assert timeline.makespan == log.total_bytes() == _free_compute(pinned, log)
+
+    def test_retries_lengthen_the_makespan(self, planner, plan, tables):
+        assignment, _ = planner.plan(plan)
+        plain = DistributedExecutor(assignment, tables).run().transfers
+        retried = DistributedExecutor(
+            assignment,
+            tables,
+            faults=FaultInjector(seed=3, drop_probability=0.4),
+            retry=RetryPolicy(base_delay=0.5),
+        ).run().transfers
+        assert retried.total_retries() > 0
+        slow = simulate_timeline(assignment, retried).makespan
+        assert slow > simulate_timeline(assignment, plain).makespan
+        assert slow == _free_compute(assignment, retried)
+
+    def test_delivery_is_on_both_critical_paths(self, planner, plan, tables):
+        assignment, _ = planner.plan(plan)
+        plain = DistributedExecutor(assignment, tables).run().transfers
+        delivered = DistributedExecutor(assignment, tables).run(recipient="S_D").transfers
+        timeline = simulate_timeline(assignment, delivered)
+        assert timeline.events[-1].transfer.description.startswith("result")
+        assert timeline.makespan > simulate_timeline(assignment, plain).makespan
+        assert timeline.makespan == _free_compute(assignment, delivered)
