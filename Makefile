@@ -27,8 +27,11 @@ loc:
 # recover and snapshot() only), then the greps that must print nothing:
 # per-feature method variants, methods assigned onto an instance, a
 # second pipeline-building site, a second flight-opening site or a
-# `request_id is not None` test in service.py, and a DistributedExecutor
-# built anywhere in src/ but distributed/pipeline.py (one execution site).
+# `request_id is not None` test in service.py, a DistributedExecutor
+# built anywhere in src/ but distributed/pipeline.py (one execution site),
+# and a second CanView: `can_view` defined outside Policy / OpenPolicy,
+# `can_view_batch` outside Policy, the `permits` duck-type, or the
+# deleted second algebra (algebra/expression.py).
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
 SERVICE = src/repro/service/service.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
@@ -47,6 +50,11 @@ census:
 	@test "$$(grep -cE '_flights\[[^]]*\] = ' src/repro/service/service.py)" = 1 || (grep -nE '_flights\[[^]]*\] = ' src/repro/service/service.py; false)
 	@echo "-- a DistributedExecutor built outside distributed/pipeline.py in src/ (none expected):"
 	@! grep -rn "DistributedExecutor(" src/ | grep -v "^src/repro/distributed/pipeline.py:"
+	@echo "-- a CanView outside Policy / OpenPolicy, the permits duck-type, or algebra/expression.py in src/ (none expected):"
+	@! grep -rn --include='*.py' "def can_view(" src/ | grep -vE "^src/repro/core/(authorization|openpolicy)\.py:"
+	@! grep -rn --include='*.py' "def can_view_batch(" src/ | grep -v "^src/repro/core/authorization.py:"
+	@! grep -rnw --include='*.py' "permits" src/
+	@test ! -e src/repro/algebra/expression.py || (echo src/repro/algebra/expression.py; false)
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).

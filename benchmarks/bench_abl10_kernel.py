@@ -34,14 +34,14 @@ MIN_CAN_VIEW_SPEEDUP = 3.0
 
 
 class _RecordingPolicy:
-    """Duck-typed ``permits`` wrapper that records every probe the
-    planner issues, so the throughput bench replays a real trace."""
+    """A ``can_view`` wrapper that records every probe the planner
+    issues, so the throughput bench replays a real trace."""
 
     def __init__(self, inner):
         self._inner = inner
         self.probes = []
 
-    def permits(self, profile, server):
+    def can_view(self, profile, server):
         self.probes.append((profile, server))
         return self._inner.can_view(profile, server)
 

@@ -43,7 +43,6 @@ import pytest
 from repro.algebra.builder import build_plan
 from repro.algebra.joins import JoinPath
 from repro.analysis.reporting import write_bench_json
-from repro.core.access import can_view_batch
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
@@ -270,14 +269,14 @@ def test_abl15_pipeline_throughput(benchmark):
 
 
 class _RecordingPolicy:
-    """Duck-typed ``permits`` wrapper recording every probe the planner
-    issues, so the sweep replays a real trace."""
+    """A ``can_view`` wrapper recording every probe the planner issues,
+    so the sweep replays a real trace."""
 
     def __init__(self, inner):
         self._inner = inner
         self.probes = []
 
-    def permits(self, profile, server):
+    def can_view(self, profile, server):
         self.probes.append((profile, server))
         return self._inner.can_view(profile, server)
 
@@ -336,7 +335,7 @@ def test_abl15_canview_batch_sweep(benchmark):
             answers = []
             for start in range(0, len(profiles), size):
                 answers.extend(
-                    can_view_batch(policy, profiles[start : start + size], server)
+                    policy.can_view_batch(profiles[start : start + size], server)
                 )
             assert answers == scalar[server], f"batch size {size} disagrees"
 

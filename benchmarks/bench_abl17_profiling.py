@@ -31,7 +31,6 @@ import time
 from repro.algebra.builder import QuerySpec
 from repro.algebra.joins import JoinPath
 from repro.algebra.tree import LeafNode
-from repro.core.access import can_view
 from repro.analysis.reporting import write_bench_json
 from repro.core.authorization import Policy
 from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
@@ -211,7 +210,7 @@ class _Pr8Executor(DistributedExecutor):
                 self._completed[node.node_id] = (server, table)
             if self._checkpoint is not None and self._audit is not None:
                 profile = self._assignment.profile(node.node_id)
-                if can_view(self._audit.policy, profile, server):
+                if self._audit.policy.can_view(profile, server):
                     self._checkpoint.record(node.node_id, server, profile, table)
         return table
 

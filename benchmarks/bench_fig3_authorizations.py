@@ -8,7 +8,6 @@ counterexample).
 
 from repro.algebra.joins import JoinPath
 from repro.analysis.reporting import render_policy_table
-from repro.core.access import can_view
 from repro.core.profile import RelationProfile
 
 
@@ -25,7 +24,7 @@ def test_fig3_canview_hit(benchmark, policy):
         {"Holder", "Plan", "Citizen", "HealthAid", "Patient"},
         JoinPath.of(("Holder", "Citizen"), ("Citizen", "Patient")),
     )
-    result = benchmark(can_view, policy, profile, "S_H")
+    result = benchmark(policy.can_view, profile, "S_H")
     assert result is True
 
 
@@ -33,7 +32,7 @@ def test_fig3_canview_miss(benchmark, policy):
     profile = RelationProfile(
         {"Illness", "Treatment"}, JoinPath.of(("Illness", "Disease"))
     )
-    result = benchmark(can_view, policy, profile, "S_D")
+    result = benchmark(policy.can_view, profile, "S_D")
     assert result is False
 
 
@@ -56,5 +55,5 @@ def test_fig3_canview_under_heavy_policy(benchmark, policy):
         {"Holder", "Plan", "Citizen", "HealthAid", "Patient"},
         JoinPath.of(("Holder", "Citizen"), ("Citizen", "Patient")),
     )
-    result = benchmark(can_view, padded, profile, "S_H")
+    result = benchmark(padded.can_view, profile, "S_H")
     assert result is True

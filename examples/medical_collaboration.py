@@ -13,7 +13,7 @@ Walks through the ICDCS 2008 paper's running scenario:
 Run:  python examples/medical_collaboration.py
 """
 
-from repro import DistributedSystem, can_view
+from repro import DistributedSystem
 from repro.algebra.joins import JoinPath
 from repro.analysis.reporting import render_policy_table, render_trace_table
 from repro.core.access import explain_denial
@@ -46,7 +46,7 @@ def show_rule_semantics() -> None:
     )
     print(
         "rule 3 (connectivity constraint): S_I may learn its holders' "
-        f"treatments without the illness -> {can_view(policy, treatment_view, 'S_I')}"
+        f"treatments without the illness -> {policy.can_view(treatment_view, 'S_I')}"
     )
     with_disease = RelationProfile(
         {"Holder", "Plan", "Treatment", "Disease"},
@@ -54,7 +54,7 @@ def show_rule_semantics() -> None:
     )
     print(
         "  ...but adding Disease to the view is denied -> "
-        f"{can_view(policy, with_disease, 'S_I')}"
+        f"{policy.can_view(with_disease, 'S_I')}"
     )
 
     plans_of_patients = RelationProfile(
@@ -62,12 +62,12 @@ def show_rule_semantics() -> None:
     )
     print(
         "rule 5 (instance-based restriction): S_H may see plans of its "
-        f"patients only -> {can_view(policy, plans_of_patients, 'S_H')}"
+        f"patients only -> {policy.can_view(plans_of_patients, 'S_H')}"
     )
     all_plans = RelationProfile({"Holder", "Plan"})
     print(
         "  ...the unrestricted Insurance relation is denied -> "
-        f"{can_view(policy, all_plans, 'S_H')}"
+        f"{policy.can_view(all_plans, 'S_H')}"
     )
 
 
@@ -80,7 +80,7 @@ def show_disease_list_counterexample() -> None:
     )
     print(
         "S_D asking for its own Disease_list filtered by Hospital "
-        f"occurrences -> {can_view(policy, filtered, 'S_D')}"
+        f"occurrences -> {policy.can_view(filtered, 'S_D')}"
     )
     print(explain_denial(policy, filtered, "S_D"))
 
@@ -89,7 +89,7 @@ def show_disease_list_counterexample() -> None:
     closed = close_policy(extended, catalog)
     print(
         "\nafter granting S_D the Hospital relation, the chase derives "
-        f"the join view -> {can_view(closed, filtered, 'S_D')}"
+        f"the join view -> {closed.can_view(filtered, 'S_D')}"
     )
 
 

@@ -46,7 +46,6 @@ from repro.core import (
     RelationProfile,
     SafePlanner,
     ThirdPartyPlanner,
-    can_view,
     close_policy,
     plan_safely,
     verify_assignment,
@@ -101,7 +100,6 @@ __all__ = [
     "Authorization",
     "Policy",
     "OpenPolicy",
-    "can_view",
     "close_policy",
     "SafePlanner",
     "ThirdPartyPlanner",

@@ -2,8 +2,8 @@
 
 This package provides the building blocks the paper's model (Section 2)
 assumes: relation schemas distributed over servers, equi-join conditions
-and join paths (Definition 2.1), selection predicates, logical algebra
-expressions and binary query tree plans with projection push-down
+and join paths (Definition 2.1), selection predicates and the binary
+query tree plans of the logical algebra, with projection push-down
 minimization (Figure 2).
 """
 
@@ -12,13 +12,6 @@ from repro.algebra.joins import JoinCondition, JoinPath, intern_path
 from repro.algebra.universe import AttrSet, AttributeUniverse
 from repro.algebra.predicates import Comparison, Predicate
 from repro.algebra.schema import Catalog, RelationSchema
-from repro.algebra.expression import (
-    BaseRelation,
-    Expression,
-    JoinExpression,
-    ProjectionExpression,
-    SelectionExpression,
-)
 from repro.algebra.tree import JoinNode, LeafNode, PlanNode, QueryTreePlan, UnaryNode
 from repro.algebra.builder import QuerySpec, build_bushy_plan, build_plan
 from repro.algebra.optimizer import enumerate_join_orders, optimize_join_order
@@ -36,11 +29,6 @@ __all__ = [
     "Predicate",
     "Catalog",
     "RelationSchema",
-    "Expression",
-    "BaseRelation",
-    "ProjectionExpression",
-    "SelectionExpression",
-    "JoinExpression",
     "PlanNode",
     "LeafNode",
     "UnaryNode",

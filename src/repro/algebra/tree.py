@@ -19,13 +19,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.algebra.attributes import AttributeSet, format_attribute_set
-from repro.algebra.expression import (
-    BaseRelation,
-    Expression,
-    JoinExpression,
-    ProjectionExpression,
-    SelectionExpression,
-)
 from repro.algebra.joins import JoinPath
 from repro.algebra.predicates import Predicate
 from repro.algebra.schema import RelationSchema
@@ -406,17 +399,8 @@ class QueryTreePlan:
         return walk(self._root)
 
     # ------------------------------------------------------------------
-    # Conversion & rendering
+    # Rendering
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_expression(cls, expression: Expression) -> "QueryTreePlan":
-        """Convert a logical expression into a query tree plan."""
-        return cls(_expression_to_node(expression))
-
-    def to_expression(self) -> Expression:
-        """Convert back to a logical expression (loses node ids)."""
-        return _node_to_expression(self._root)
 
     def render(self) -> str:
         """ASCII rendering of the tree, one node per line.
@@ -434,36 +418,3 @@ class QueryTreePlan:
 
         walk(self._root, 0)
         return "\n".join(lines)
-
-
-def _expression_to_node(expression: Expression) -> PlanNode:
-    if isinstance(expression, BaseRelation):
-        return LeafNode(expression.relation)
-    if isinstance(expression, ProjectionExpression):
-        return UnaryNode(PROJECT, expression.attributes, _expression_to_node(expression.operand))
-    if isinstance(expression, SelectionExpression):
-        return UnaryNode(SELECT, expression.predicate, _expression_to_node(expression.operand))
-    if isinstance(expression, JoinExpression):
-        return JoinNode(
-            _expression_to_node(expression.left),
-            _expression_to_node(expression.right),
-            expression.path,
-        )
-    raise PlanError(f"cannot convert expression of type {type(expression).__name__}")
-
-
-def _node_to_expression(node: PlanNode) -> Expression:
-    if isinstance(node, LeafNode):
-        return BaseRelation(node.relation)
-    if isinstance(node, UnaryNode):
-        child = _node_to_expression(node.left)  # type: ignore[arg-type]
-        if node.operator == PROJECT:
-            return ProjectionExpression(child, node.projection_attributes)
-        return SelectionExpression(child, node.predicate)
-    if isinstance(node, JoinNode):
-        return JoinExpression(
-            _node_to_expression(node.left),  # type: ignore[arg-type]
-            _node_to_expression(node.right),  # type: ignore[arg-type]
-            node.path,
-        )
-    raise PlanError(f"cannot convert node of type {type(node).__name__}")

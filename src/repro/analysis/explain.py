@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.tree import JoinNode, LeafNode, QueryTreePlan, UnaryNode
-from repro.core.access import can_view, first_covering_authorization
+from repro.core.access import first_covering_authorization
 from repro.core.authorization import Authorization, Policy
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
@@ -104,7 +104,7 @@ def explain_planning(
     def check(
         explanation: JoinExplanation, server: str, role: str, profile: RelationProfile
     ) -> bool:
-        allowed = can_view(policy, profile, server)
+        allowed = policy.can_view(profile, server)
         rule = None
         if allowed and isinstance(policy, Policy):
             rule = first_covering_authorization(policy, profile, server, trace=trace)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.tree import JoinNode, LeafNode, PlanNode, QueryTreePlan, UnaryNode
-from repro.core.access import can_view
 from repro.core.authorization import Authorization, Policy
 from repro.core.flows import JoinExecution, join_executions
 from repro.core.profile import RelationProfile
@@ -117,7 +116,7 @@ def missing_grants_for_execution(
     missing: List[Authorization] = []
     cost = 0
     for receiver, profile in execution.required_views():
-        if can_view(policy, profile, receiver):
+        if policy.can_view(profile, receiver):
             continue
         missing.append(
             Authorization(profile.exposed_attributes, profile.join_path, receiver)

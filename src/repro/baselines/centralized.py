@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.algebra.tree import QueryTreePlan
-from repro.core.access import can_view
 from repro.core.flows import Flow
 from repro.core.profile import RelationProfile
 from repro.engine.coster import CostModel, TableStats
@@ -54,7 +53,7 @@ class CentralizedBaseline:
         return [
             flow
             for flow in self.flows(plan, site)
-            if flow.is_release and not can_view(self._policy, flow.profile, site)
+            if flow.is_release and not self._policy.can_view(flow.profile, site)
         ]
 
     def is_safe(self, plan: QueryTreePlan, site: str) -> bool:
@@ -104,7 +103,7 @@ class CentralizedBaseline:
             profile = RelationProfile.of_base_relation(leaf.relation)
             if leaf.server == site:
                 continue
-            if enforce and not can_view(self._policy, profile, site):
+            if enforce and not self._policy.can_view(profile, site):
                 raise AuditViolationError(
                     f"centralized strategy would leak {name} to {site}",
                     sender=leaf.server or "",

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.algebra.tree import JoinNode, LeafNode, PlanNode, QueryTreePlan, UnaryNode
-from repro.core.access import can_view
 from repro.core.assignment import Assignment, Executor
 from repro.core.flows import join_executions
 from repro.core.profile import RelationProfile
@@ -105,7 +104,7 @@ def _branches(
                 ):
                     if check_safety:
                         safe = all(
-                            can_view(policy, profile, receiver)
+                            policy.can_view(profile, receiver)
                             for receiver, profile in execution.required_views()
                         )
                         if not safe:

@@ -70,7 +70,7 @@ from repro.algebra.joins import JoinPath
 from repro.analysis.exposure import exposure_of_assignment
 from repro.analysis.reporting import render_policy_table, render_trace_table
 from repro.analysis.whatif import suggest_repair
-from repro.core.access import can_view, explain_denial
+from repro.core.access import explain_denial
 from repro.core.profile import RelationProfile
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import HealthTracker
@@ -863,7 +863,7 @@ def _cmd_check(system: DistributedSystem, args, out) -> int:
         left, right = condition.split("=", 1)
         pairs.append((left.strip(), right.strip()))
     profile = RelationProfile(args.attributes, JoinPath.of(*pairs))
-    allowed = can_view(system.policy, profile, args.server)
+    allowed = system.policy.can_view(profile, args.server)
     print(f"{args.server} may view {profile}: {allowed}", file=out)
     if not allowed:
         print(explain_denial(system.policy, profile, args.server), file=out)

@@ -23,7 +23,7 @@ This package implements the security model of Sections 3-5:
 
 from repro.core.profile import RelationProfile
 from repro.core.authorization import Authorization, Policy
-from repro.core.access import can_view, can_view_batch, covering_authorizations
+from repro.core.access import covering_authorizations
 from repro.core.closure import close_policy, extend_closure
 from repro.core.plancache import PlanCache, PlanCacheStats
 from repro.core.flows import (
@@ -48,8 +48,6 @@ __all__ = [
     "RelationProfile",
     "Authorization",
     "Policy",
-    "can_view",
-    "can_view_batch",
     "covering_authorizations",
     "close_policy",
     "extend_closure",

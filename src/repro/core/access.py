@@ -1,4 +1,4 @@
-"""Authorized-view evaluation (Definition 3.3) — the paper's ``CanView``.
+"""Authorization rules against profiles (Definition 3.3).
 
 A server ``S`` is authorized to view a relation with profile
 :math:`[R^\\pi, R^\\bowtie, R^\\sigma]` iff some authorization
@@ -14,11 +14,16 @@ extra join condition carries extra information (which of its tuples have
 matches in the joined relation), so an authorization whose join path is
 a subset of the profile's does **not** imply the release — this is the
 Disease_list counterexample of Section 3.2.
+
+The paper's ``CanView`` itself is one method, ``policy.can_view(profile,
+server)``, answered by :class:`~repro.core.authorization.Policy` and
+:class:`~repro.core.openpolicy.OpenPolicy`; this module holds the
+per-rule clause check, the covering-rule lookups and denial messages.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.core.authorization import Authorization, Policy
 from repro.core.profile import RelationProfile
@@ -30,69 +35,6 @@ def authorization_covers(authorization: Authorization, profile: RelationProfile)
     if not profile.exposed_attributes <= authorization.attributes:
         return False
     return profile.join_path == authorization.join_path
-
-
-def can_view(policy, profile: RelationProfile, server: str) -> bool:
-    """The paper's ``CanView(profile, S)``: whether ``server`` may be
-    released a relation with ``profile`` under ``policy``.
-
-    ``policy`` is normally a closed :class:`Policy`; any object exposing
-    a ``permits(profile, server)`` method (e.g. the open-policy variant
-    of :class:`repro.core.openpolicy.OpenPolicy`) is also accepted, so the
-    planner and verifier work under both regimes.
-    """
-    permits = getattr(policy, "permits", None)
-    if permits is not None:
-        return bool(permits(profile, server))
-    if isinstance(policy, Policy):
-        # The memoized bitset kernel: exact-path index probe, superset
-        # mask fast path, answer cached per profile signature.
-        return policy.can_view(profile, server)
-    return any(
-        authorization_covers(rule, profile) for rule in policy.rules_for(server)
-    )
-
-
-def can_view_batch(
-    policy,
-    profiles: Iterable[RelationProfile],
-    server: str,
-    trace=None,
-) -> List[bool]:
-    """Batched ``CanView``: one answer per profile, in input order.
-
-    Semantically identical to ``[can_view(policy, p, server) for p in
-    profiles]`` — the Hypothesis differential suite asserts the
-    equivalence at random batch sizes — but a closed :class:`Policy`
-    answers the whole batch through
-    :meth:`~repro.core.authorization.Policy.can_view_batch`: misses are
-    grouped by join path, each distinct path costs one index probe, and
-    the per-profile work is integer mask arithmetic.  Duck-typed
-    ``permits`` policies and naive rule lists fall back to scalar checks
-    per profile.
-
-    With a :class:`~repro.obs.trace.TraceContext`, feeds the
-    ``repro_canview_batch_calls_total`` / ``repro_canview_batch_probes_total``
-    counters (metrics only — no spans or events).
-    """
-    profiles = list(profiles)
-    permits = getattr(policy, "permits", None)
-    if permits is not None:
-        answers = [bool(permits(profile, server)) for profile in profiles]
-    elif isinstance(policy, Policy):
-        answers = policy.can_view_batch(profiles, server)
-    else:
-        answers = [
-            any(
-                authorization_covers(rule, profile)
-                for rule in policy.rules_for(server)
-            )
-            for profile in profiles
-        ]
-    if trace is not None:
-        trace.count("repro_canview_batch_calls_total")
-        trace.count("repro_canview_batch_probes_total", len(profiles))
-    return answers
 
 
 def covering_authorizations(
@@ -154,7 +96,7 @@ def explain_denial(policy: Policy, profile: RelationProfile, server: str) -> str
     For each of the server's rules, reports which Definition 3.3 clause
     fails.  Returns an empty string when access is actually granted.
     """
-    if can_view(policy, profile, server):
+    if policy.can_view(profile, server):
         return ""
     if not isinstance(policy, Policy):
         return f"{server} cannot view {profile} under {policy!r}"

@@ -44,6 +44,7 @@ from repro.algebra.attributes import AttributeSet, attribute_set, format_attribu
 from repro.algebra.joins import JoinPath, intern_path
 from repro.algebra.schema import Catalog
 from repro.algebra.universe import AttributeUniverse, AttrSet
+from repro.core.profile import RelationProfile
 from repro.exceptions import AuthorizationError, PolicyError
 
 #: Soft cap on memoized CanView answers; the cache is dropped wholesale
@@ -218,7 +219,7 @@ class Policy:
         self._next_rule_id = 1
         # Generation counter for external caches: every add/remove bumps it.
         self._epoch = 0
-        self._can_view_cache: Dict[Tuple[str, JoinPath, AttributeSet], bool] = {}
+        self._can_view_cache: Dict[Tuple[str, RelationProfile], bool] = {}
         # Cold-path counter: bumped only on cache misses, so the hot hit
         # path stays one dict probe.  Traced planners read the delta to
         # derive cache-hit ratios without touching the hit path.

@@ -4,10 +4,9 @@ The paper assumes a closed policy but notes the approach "can be adapted
 to an open policy scenario, where data are visible by default and
 negative rules specify restrictions".  This module provides that
 adaptation: an :class:`OpenPolicy` holds *denials* of the same
-``[Attributes, JoinPath] -> Server`` shape and exposes a
-``permits(profile, server)`` method, making it a drop-in policy for the
-planner, the verifier and the engine (they all go through
-:func:`repro.core.access.can_view`, which duck-types on ``permits``).
+``[Attributes, JoinPath] -> Server`` shape and answers
+``can_view(profile, server)`` like a closed policy, making it a drop-in
+policy for the planner, the verifier and the engine.
 
 Denial semantics (our interpretation — the paper defers to [17] without
 details, so we pick the natural dual of Definition 3.3 and document it):
@@ -88,7 +87,7 @@ class OpenPolicy:
                 blocked.append(denial)
         return blocked
 
-    def permits(self, profile: RelationProfile, server: str) -> bool:
+    def can_view(self, profile: RelationProfile, server: str) -> bool:
         """Whether ``server`` may view ``profile`` (default allow)."""
         return not self.blocking_denials(profile, server)
 

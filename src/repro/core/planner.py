@@ -44,7 +44,6 @@ from repro.algebra.tree import (
     QueryTreePlan,
     UnaryNode,
 )
-from repro.core.access import can_view
 from repro.core.assignment import Assignment, Executor
 from repro.core.authorization import Policy
 from repro.core.candidates import (
@@ -137,8 +136,8 @@ class SafePlanner:
             batched when untraced and scalar when traced, because the
             warm-up changes *when* misses happen and would skew the
             ``repro_canview_*`` hit/miss counters; it also requires a
-            closed :class:`Policy` (duck-typed ``permits`` policies have
-            no batch kernel and always probe scalar).
+            closed :class:`Policy` (an open policy has no batch kernel and
+            always probes scalar).
     """
 
     def __init__(
@@ -151,17 +150,8 @@ class SafePlanner:
     ) -> None:
         self._policy = policy
         self._hooks = hooks_for(obs)
-        # Bind the CanView entry point once: the planner issues thousands
-        # of probes per run, and re-dispatching on the policy's type for
-        # each (as the module-level ``can_view`` must) is pure overhead.
-        permits = getattr(policy, "permits", None)
-        if permits is not None:
-            self._can_view = lambda profile, server: bool(permits(profile, server))
-        elif isinstance(policy, Policy):
-            self._can_view = policy.can_view
-        else:
-            self._can_view = lambda profile, server: can_view(policy, profile, server)
-        self._can_view = self._hooks.counting_can_view(self._can_view, policy)
+        # Bound once: the planner issues thousands of probes per run.
+        self._can_view = self._hooks.counting_can_view(policy.can_view, policy)
         if batch_canview is None:
             batch_canview = obs is None
         self._batch_canview = batch_canview and isinstance(policy, Policy)

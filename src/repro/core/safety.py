@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.algebra.tree import JoinNode, LeafNode, QueryTreePlan, UnaryNode
-from repro.core.access import can_view, explain_denial
+from repro.core.access import explain_denial
 from repro.core.assignment import Assignment
 from repro.core.authorization import Policy
 from repro.core.flows import Flow, semi_join_probe_profile, semi_join_result_profile
@@ -151,8 +151,8 @@ def unauthorized_flows(
     Distinct flows of one assignment frequently expose the same
     ``(profile, receiver)`` pair (e.g. both directions of a semi-join
     chain at the same server), so the verdicts are memoized locally —
-    this also spares non-:class:`Policy` ``permits`` objects, which have
-    no cache of their own, from re-deciding identical releases.
+    this also spares an :class:`~repro.core.openpolicy.OpenPolicy`,
+    which has no cache of its own, from re-deciding identical releases.
     """
     verdicts: dict = {}
     violations: List[Flow] = []
@@ -162,7 +162,7 @@ def unauthorized_flows(
         key = (flow.receiver, flow.profile)
         allowed = verdicts.get(key)
         if allowed is None:
-            allowed = verdicts[key] = can_view(policy, flow.profile, flow.receiver)
+            allowed = verdicts[key] = policy.can_view(flow.profile, flow.receiver)
         if not allowed:
             violations.append(flow)
     return violations

@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.algebra.joins import JoinPath
 from repro.algebra.tree import JoinNode, PlanNode
-from repro.core.access import can_view
 from repro.core.assignment import Assignment, Executor
 from repro.core.authorization import Policy
 from repro.core.candidates import FROM_LEAF, MODE_THIRD_PARTY, Candidate
@@ -81,8 +80,8 @@ class ThirdPartyPlanner(SafePlanner):
         for server in self._third_parties:
             if server in self.excluded_servers:
                 continue
-            if can_view(self.policy, left_profile, server) and can_view(
-                self.policy, right_profile, server
+            if self.policy.can_view(left_profile, server) and self.policy.can_view(
+                right_profile, server
             ):
                 decision.candidates.add(
                     Candidate(server, FROM_LEAF, 1, MODE_THIRD_PARTY)
@@ -169,7 +168,7 @@ def proxy_options(
         for side, proxied, proxied_server, other, other_server in sides:
             if third_party in (proxied_server, other_server):
                 continue
-            if not can_view(policy, proxied, third_party):
+            if not policy.can_view(proxied, third_party):
                 continue
             shipment = Flow(
                 proxied_server, third_party, proxied, f"{side} operand -> proxy"
@@ -184,7 +183,7 @@ def proxy_options(
                 )
             for execution in executions:
                 safe = all(
-                    can_view(policy, profile, receiver)
+                    policy.can_view(profile, receiver)
                     for receiver, profile in execution.required_views()
                 )
                 if not safe:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.access import can_view, explain_denial, first_covering_authorization
+from repro.core.access import explain_denial, first_covering_authorization
 from repro.core.authorization import Authorization, Policy
 from repro.core.profile import RelationProfile
 from repro.engine.transfers import Transfer
@@ -26,7 +26,7 @@ class AuditLog:
 
     Args:
         policy: the policy to enforce (a closed :class:`Policy` or any
-            object with ``permits``; see :func:`repro.core.access.can_view`).
+            object with ``can_view(profile, server)``).
         enforce: when true (default), an unauthorized transfer raises
             :class:`~repro.exceptions.AuditViolationError`; when false it
             is recorded as a violation and execution continues.
@@ -62,16 +62,16 @@ class AuditLog:
         """
         if sender == receiver:
             return True, None
-        if isinstance(self._policy, Policy) and not hasattr(self._policy, "permits"):
+        if isinstance(self._policy, Policy):
             # One exact-path index probe answers both questions at once:
             # a covering rule exists iff the transfer is authorized, so
-            # a separate can_view pass would be redundant for plain
-            # closed policies.
+            # a separate can_view pass would be redundant for closed
+            # policies.
             rule = first_covering_authorization(
                 self._policy, profile, receiver, trace=self._trace
             )
             return rule is not None, rule
-        return can_view(self._policy, profile, receiver), None
+        return self._policy.can_view(profile, receiver), None
 
     def deny(self, sender: str, receiver: str, profile: RelationProfile) -> None:
         """Reject one unauthorized release.

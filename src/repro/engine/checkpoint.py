@@ -139,8 +139,6 @@ class CheckpointJournal:
                 view it holds (a rule was revoked since the checkpoint) —
                 resume must refuse, not replay.
         """
-        from repro.core.access import can_view  # deferred: avoids cycle
-
         if self._trace is not None:
             self._trace.event(
                 "checkpoint_verify", "checkpoint", entries=len(self._entries)
@@ -153,7 +151,7 @@ class CheckpointJournal:
                 f"{self._signature!r}, current {current!r})"
             )
         for entry in self:
-            if not can_view(policy, entry.profile, entry.server):
+            if not policy.can_view(entry.profile, entry.server):
                 if self._trace is not None:
                     self._trace.count("repro_checkpoint_verify_failures_total")
                 raise CheckpointError(

@@ -404,12 +404,10 @@ class DistributedExecutor:
             if self._faults is not None:
                 self._completed[node_id] = (server, table)
             if self._checkpoint is not None and self._audit is not None:
-                from repro.core.access import can_view  # local: avoids cycle
-
                 profile = assignment.profile(node_id)
                 # Journal only what is audited-safe to park: the holder
                 # must be authorized for the view it would resume with.
-                if can_view(self._audit.policy, profile, server):
+                if self._audit.policy.can_view(profile, server):
                     self._checkpoint.record(node_id, server, profile, table)
         return table
 
@@ -465,7 +463,7 @@ class DistributedExecutor:
 
         The authorization check always precedes any shipment attempt —
         unauthorized bytes never reach the fault layer, so faults can
-        only delay or deny data the policy already permits.
+        only delay or deny data the policy already allows.
 
         Each (non-local) shipment is reported exactly once, begin and
         end — under a tracer one ``transfer`` span carrying the

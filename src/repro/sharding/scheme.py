@@ -132,30 +132,6 @@ class PartitionGroup:
         """The server hosting shard ``shard`` (round-robin placement)."""
         return self._servers[shard % len(self._servers)]
 
-    def can_view(self, policy, profile) -> bool:
-        """Group-lifted ``CanView``: true only if every member may view.
-
-        ``policy`` is anything exposing ``can_view(profile, server)``
-        (normally a chase-closed :class:`~repro.core.authorization.Policy`).
-        """
-        return all(policy.can_view(profile, server) for server in self._servers)
-
-    def can_view_batch(self, policy, profiles: Sequence) -> List[bool]:
-        """Batched group lift: element-wise conjunction across members.
-
-        Uses the policy's batched kernel when it has one so a group of
-        ``k`` members answers ``n`` profiles in ``k`` kernel passes.
-        """
-        batch = getattr(policy, "can_view_batch", None)
-        if batch is None:
-            return [self.can_view(policy, profile) for profile in profiles]
-        answers = [True] * len(profiles)
-        for server in self._servers:
-            for index, ok in enumerate(batch(profiles, server)):
-                if not ok:
-                    answers[index] = False
-        return answers
-
     def __len__(self) -> int:
         return len(self._servers)
 

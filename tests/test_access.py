@@ -1,17 +1,20 @@
-"""Unit tests for the authorized-view check (Definition 3.3)."""
+"""Unit tests for the authorized-view check (Definition 3.3) and the
+``can_view(profile, server)`` protocol every policy answers."""
 
 import pytest
 
 from repro.algebra.joins import JoinPath
 from repro.core.access import (
     authorization_covers,
-    can_view,
     covering_authorizations,
     explain_denial,
     first_covering_authorization,
 )
 from repro.core.authorization import Authorization, Policy
+from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
+from repro.core.safety import enumerate_assignment_flows, verify_assignment
+from repro.engine.audit import AuditLog
 from repro.workloads.medical import authorization, medical_policy
 
 
@@ -56,9 +59,9 @@ class TestAuthorizationCovers:
 class TestCanView:
     def test_own_relation_rule(self, policy):
         profile = RelationProfile({"Holder", "Plan"})
-        assert can_view(policy, profile, "S_I")
-        assert can_view(policy, profile, "S_N")  # rule 9
-        assert not can_view(policy, profile, "S_D")
+        assert policy.can_view(profile, "S_I")
+        assert policy.can_view(profile, "S_N")  # rule 9
+        assert not policy.can_view(profile, "S_D")
 
     def test_disease_list_counterexample(self, policy):
         """Section 3.2: S_D cannot view Disease_list joined with Hospital.
@@ -70,9 +73,9 @@ class TestCanView:
         profile = RelationProfile(
             {"Illness", "Treatment"}, JoinPath.of(("Illness", "Disease"))
         )
-        assert not can_view(policy, profile, "S_D")
+        assert not policy.can_view(profile, "S_D")
         # The unfiltered relation itself, of course, is fine.
-        assert can_view(policy, RelationProfile({"Illness", "Treatment"}), "S_D")
+        assert policy.can_view(RelationProfile({"Illness", "Treatment"}), "S_D")
 
     def test_rule7_covers_full_example_join(self, policy):
         """The master view of the Example 5.1 top join is covered for
@@ -81,26 +84,51 @@ class TestCanView:
             {"Holder", "Plan", "Citizen", "HealthAid", "Patient"},
             JoinPath.of(("Holder", "Citizen"), ("Citizen", "Patient")),
         )
-        assert can_view(policy, profile, "S_H")
+        assert policy.can_view(profile, "S_H")
         # Without Physician, rule 14 covers the same view for S_N too.
-        assert can_view(policy, profile, "S_N")
+        assert policy.can_view(profile, "S_N")
 
     def test_rule14_lacks_physician(self, policy):
         profile = RelationProfile(
             {"Holder", "Plan", "Citizen", "HealthAid", "Patient", "Physician"},
             JoinPath.of(("Holder", "Citizen"), ("Citizen", "Patient")),
         )
-        assert not can_view(policy, profile, "S_N")
+        assert not policy.can_view(profile, "S_N")
 
     def test_unknown_server_sees_nothing(self, policy):
-        assert not can_view(policy, RelationProfile({"Plan"}), "S_X")
+        assert not policy.can_view(RelationProfile({"Plan"}), "S_X")
 
-    def test_duck_typed_policy(self):
-        class AllowAll:
-            def permits(self, profile, server):
-                return True
+    def test_any_object_answering_can_view_is_a_policy(self, policy, plan):
+        """The planner, the verifier and the audit take any object with
+        ``can_view(profile, server)`` and give it the closed policy's
+        answers."""
 
-        assert can_view(AllowAll(), RelationProfile({"x"}), "anyone")
+        class CanViewOnly:
+            def __init__(self):
+                self.probes = 0
+
+            def can_view(self, profile, server):
+                self.probes += 1
+                return policy.can_view(profile, server)
+
+        only = CanViewOnly()
+        assignment, _ = SafePlanner(only).plan(plan)
+        assert assignment.describe() == SafePlanner(policy).plan(plan)[0].describe()
+        planned = only.probes
+        assert planned > 0
+        verify_assignment(only, assignment)
+        assert only.probes > planned
+        audit, closed = AuditLog(only), AuditLog(policy)
+        releases = [
+            (flow.sender, flow.receiver, flow.profile)
+            for flow in enumerate_assignment_flows(assignment)
+        ]
+        releases.append(("S_I", "S_X", RelationProfile({"Plan"})))
+        for release in releases:
+            allowed, rule = audit.authorize(*release)
+            assert allowed == closed.authorize(*release)[0]
+            assert rule is None
+        assert not audit.authorize(*releases[-1])[0]
 
 
 class TestCoveringAuthorizations:

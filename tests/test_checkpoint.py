@@ -232,13 +232,12 @@ class TestResume:
     def test_journal_entries_are_individually_authorized(self):
         """Record-time gate: every journaled view is one its holder may
         see under the executing policy (Definition 3.3)."""
-        from repro.core.access import can_view
 
         system = medical_system()
         journal, _ = _kill_and_journal(system, 0.8)
         assert len(journal) >= 1
         for entry in journal:
-            assert can_view(system.policy, entry.profile, entry.server)
+            assert system.policy.can_view(entry.profile, entry.server)
 
 
 class TestRevocation:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.algebra.joins import JoinCondition, JoinPath
 from repro.algebra.schema import Catalog, RelationSchema
-from repro.core.access import can_view
 from repro.core.authorization import Authorization, Policy
 from repro.core.closure import (
     close_policy,
@@ -71,8 +70,8 @@ class TestClosePolicy:
         joined = RelationProfile(
             {"Illness", "Treatment"}, JoinPath.of(("Illness", "Disease"))
         )
-        assert not can_view(policy, joined, "S_D")
-        assert can_view(closed, joined, "S_D")
+        assert not policy.can_view(joined, "S_D")
+        assert closed.can_view(joined, "S_D")
 
     def test_closure_is_sound_no_foreign_servers_gain(self):
         """Closure never grants anything to a server with no rules."""
@@ -119,7 +118,7 @@ class TestClosePolicy:
             {"a1", "a2", "b1", "b2", "c1"},
             JoinPath.of(("a2", "b1"), ("b2", "c1")),
         )
-        assert can_view(closed, full, "S9")
+        assert closed.can_view(full, "S9")
 
     def test_max_rules_guard(self):
         catalog = medical_catalog()
@@ -181,8 +180,8 @@ class TestMinimizePolicy:
         ]
         for profile in probes:
             for server in ("S_I", "S_H", "S_N", "S_D"):
-                assert can_view(closed, profile, server) == can_view(
-                    minimized, profile, server
+                assert closed.can_view(profile, server) == minimized.can_view(
+                    profile, server
                 )
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.algebra.joins import JoinCondition, JoinPath
 from repro.algebra.schema import Catalog, RelationSchema
 from repro.algebra.universe import AttributeUniverse
-from repro.core.access import can_view, covering_authorizations
+from repro.core.access import covering_authorizations
 from repro.core.authorization import Authorization, Policy
 from repro.core.closure import close_policy, minimize_policy
 from repro.core.profile import RelationProfile
@@ -153,7 +153,7 @@ def ref_minimize(rule_list):
 def test_can_view_matches_reference(rule_list, profile, server):
     policy = make_policy(rule_list)
     expected = ref_can_view(rule_list, profile, server)
-    assert can_view(policy, profile, server) == expected
+    assert policy.can_view(profile, server) == expected
     # Memoized second probe must agree with the first.
     assert policy.can_view(profile, server) == expected
     # The covering rules are exactly the reference's satisfying rules.
@@ -183,7 +183,7 @@ def test_minimize_matches_reference_dominance(rule_list):
 def test_minimize_preserves_can_view(rule_list, profile, server):
     policy = make_policy(rule_list)
     minimized = minimize_policy(policy)
-    assert can_view(minimized, profile, server) == can_view(policy, profile, server)
+    assert minimized.can_view(profile, server) == policy.can_view(profile, server)
 
 
 @settings(max_examples=100, deadline=None)

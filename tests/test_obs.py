@@ -1139,11 +1139,20 @@ class TestSeamContract:
     def test_census_no_variants_no_rebinding_no_guard_clusters(self):
         sources = sorted((REPO / "src").rglob("*.py"))
         assert sources
+        assert not (REPO / "src/repro/algebra/expression.py").exists(), "a second algebra"
+        policy = REPO / "src/repro/core/authorization.py"
+        open_policy = REPO / "src/repro/core/openpolicy.py"
         for path in sources:
             text = path.read_text()
             assert not re.search(r"_traced|_profiled", text), path
             if path != REPO / "src/repro/distributed/pipeline.py":
                 assert "DistributedExecutor(" not in text, f"{path}: a second execution site"
+            # One CanView: the method on the two policy classes, nothing else.
+            if path not in (policy, open_policy):
+                assert not re.search(r"def can_view\(", text), f"{path}: a second CanView"
+            if path != policy:
+                assert "def can_view_batch(" not in text, f"{path}: a second batch CanView"
+            assert not re.search(r"\bpermits\b", text), f"{path}: the permits duck-type"
             methods = set(re.findall(r"^\s*def (\w+)\(", text, re.M))
             for target, source in re.findall(
                 r"^\s*self\.(\w+) = self\.(\w+)\s*(?:#.*)?$", text, re.M

@@ -5,7 +5,6 @@ import pytest
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.algebra.schema import Catalog, RelationSchema
-from repro.core.access import can_view
 from repro.core.openpolicy import Denial, OpenPolicy
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
@@ -28,25 +27,25 @@ def open_policy():
 
 class TestDenialSemantics:
     def test_default_allow(self, open_policy):
-        assert open_policy.permits(RelationProfile({"Holder", "Plan"}), "S_I")
-        assert open_policy.permits(RelationProfile({"Anything"}), "S_X")
+        assert open_policy.can_view(RelationProfile({"Holder", "Plan"}), "S_I")
+        assert open_policy.can_view(RelationProfile({"Anything"}), "S_X")
 
     def test_attribute_denial_blocks_any_context(self, open_policy):
-        assert not open_policy.permits(RelationProfile({"Disease"}), "S_I")
+        assert not open_policy.can_view(RelationProfile({"Disease"}), "S_I")
         joined = RelationProfile(
             {"Disease", "Plan"}, JoinPath.of(("Holder", "Patient"))
         )
-        assert not open_policy.permits(joined, "S_I")
+        assert not open_policy.can_view(joined, "S_I")
 
     def test_denial_applies_to_selection_attributes(self, open_policy):
         profile = RelationProfile({"Patient", "Disease"}).select({"Disease"}).project(
             {"Patient"}
         )
-        assert not open_policy.permits(profile, "S_I")
+        assert not open_policy.can_view(profile, "S_I")
 
     def test_association_denial_blocks_exact_path(self, open_policy):
         blocked = RelationProfile({"Plan"}, JoinPath.of(("Holder", "Patient")))
-        assert not open_policy.permits(blocked, "S_N")
+        assert not open_policy.can_view(blocked, "S_N")
 
     def test_association_denial_blocks_refinements(self, open_policy):
         """Containment: adding conditions cannot launder the denial."""
@@ -54,18 +53,18 @@ class TestDenialSemantics:
             {"Plan"},
             JoinPath.of(("Holder", "Patient"), ("Patient", "Citizen")),
         )
-        assert not open_policy.permits(refined, "S_N")
+        assert not open_policy.can_view(refined, "S_N")
 
     def test_association_denial_allows_other_paths(self, open_policy):
-        assert open_policy.permits(RelationProfile({"Plan"}), "S_N")
+        assert open_policy.can_view(RelationProfile({"Plan"}), "S_N")
         other = RelationProfile({"Plan"}, JoinPath.of(("Holder", "Citizen")))
-        assert open_policy.permits(other, "S_N")
+        assert open_policy.can_view(other, "S_N")
 
     def test_denial_requires_attribute_overlap(self, open_policy):
         unrelated = RelationProfile(
             {"HealthAid"}, JoinPath.of(("Holder", "Patient"))
         )
-        assert open_policy.permits(unrelated, "S_N")
+        assert open_policy.can_view(unrelated, "S_N")
 
     def test_blocking_denials_reported(self, open_policy):
         blocked = RelationProfile({"Disease"}, None)
@@ -94,8 +93,8 @@ class TestOpenPolicyContainer:
 
 class TestIntegrationWithPlanner:
     def test_can_view_duck_typing(self, open_policy):
-        assert can_view(open_policy, RelationProfile({"Plan"}), "S_I")
-        assert not can_view(open_policy, RelationProfile({"Disease"}), "S_I")
+        assert open_policy.can_view(RelationProfile({"Plan"}), "S_I")
+        assert not open_policy.can_view(RelationProfile({"Disease"}), "S_I")
 
     def test_planner_under_open_policy(self):
         """An open policy with one denial steers the join placement."""

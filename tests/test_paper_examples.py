@@ -10,7 +10,6 @@ import pytest
 
 from repro.algebra.joins import JoinPath
 from repro.algebra.tree import JoinNode, LeafNode, UnaryNode
-from repro.core.access import can_view
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
 from repro.core.safety import verify_assignment
@@ -101,21 +100,21 @@ class TestSection31AuthorizationSemantics:
             {"Holder", "Plan", "Treatment"},
             JoinPath.of(("Holder", "Patient"), ("Disease", "Illness")),
         )
-        assert can_view(policy, profile, "S_I")
+        assert policy.can_view(profile, "S_I")
         with_disease = RelationProfile(
             {"Holder", "Plan", "Treatment", "Disease"},
             JoinPath.of(("Holder", "Patient"), ("Disease", "Illness")),
         )
-        assert not can_view(policy, with_disease, "S_I")
+        assert not policy.can_view(with_disease, "S_I")
 
     def test_rule5_instance_based_restriction(self, policy):
         """Rule 5 gives S_H plans only for its own patients."""
         restricted = RelationProfile(
             {"Holder", "Plan"}, JoinPath.of(("Patient", "Holder"))
         )
-        assert can_view(policy, restricted, "S_H")
+        assert policy.can_view(restricted, "S_H")
         unrestricted = RelationProfile({"Holder", "Plan"})
-        assert not can_view(policy, unrestricted, "S_H")
+        assert not policy.can_view(unrestricted, "S_H")
 
     def test_rule2_implies_subset_release(self, policy):
         """An authorization covers any subset of its attributes with the
@@ -123,7 +122,7 @@ class TestSection31AuthorizationSemantics:
         subset = RelationProfile(
             {"Physician"}, JoinPath.of(("Holder", "Patient"))
         )
-        assert can_view(policy, subset, "S_I")
+        assert policy.can_view(subset, "S_I")
 
 
 class TestSection32DiseaseListExample:
@@ -133,7 +132,7 @@ class TestSection32DiseaseListExample:
         profile = RelationProfile(
             {"Illness", "Treatment"}, JoinPath.of(("Illness", "Disease"))
         )
-        assert not can_view(policy, profile, "S_D")
+        assert not policy.can_view(profile, "S_D")
 
     def test_closure_rescues_with_hospital_grant(self, catalog, policy):
         from repro.core.authorization import Authorization
@@ -147,7 +146,7 @@ class TestSection32DiseaseListExample:
         profile = RelationProfile(
             {"Illness", "Treatment"}, JoinPath.of(("Illness", "Disease"))
         )
-        assert can_view(closed, profile, "S_D")
+        assert closed.can_view(profile, "S_D")
 
 
 class TestFigure7Trace:
@@ -278,7 +277,7 @@ class TestExample21Query:
             {"Holder", "Plan", "Treatment"},
             JoinPath.of(("Holder", "Patient"), ("Disease", "Illness")),
         )
-        assert can_view(policy, result_view, "S_I")
+        assert policy.can_view(result_view, "S_I")
 
     def test_planning_and_repair(self, catalog, policy):
         """Under Figure 3 alone the plan is infeasible (no server can

@@ -592,6 +592,33 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_verifier_probes(monkeypatch):
+    """Count the ``Policy.can_view`` calls the verifier makes — those
+    inside ``safety.unauthorized_flows`` — and no planner or audit probe."""
+    import repro.core.safety as safety
+
+    calls = []
+    verifying = []
+    flows = safety.unauthorized_flows
+    can_view = Policy.can_view
+
+    def verify(*args, **kwargs):
+        verifying.append(True)
+        try:
+            return flows(*args, **kwargs)
+        finally:
+            verifying.pop()
+
+    def probe(self, profile, server):
+        if verifying:
+            calls.append((profile, server))
+        return can_view(self, profile, server)
+
+    monkeypatch.setattr(safety, "unauthorized_flows", verify)
+    monkeypatch.setattr(Policy, "can_view", probe)
+    return calls
+
+
 class TestQueryShape:
     def _spec(self, where):
         return _toy_system(*TOY_RULES).parse(f"{JOIN_QUERY} WHERE {where}")
@@ -644,7 +671,7 @@ class TestShapeTier:
         _, bound, _ = system.plan(_literal_query(2))
         assert system.plan_cache.stats.shape_hits == 1
         _, fresh, _ = _toy_system(*TOY_RULES, plan_cache=False).plan(_literal_query(2))
-        probes = _count_calls(monkeypatch, safety, "can_view")
+        probes = _count_verifier_probes(monkeypatch)
         safety.verify_assignment(system.policy, fresh)
         per_verify = len(probes)
         assert per_verify > 0
@@ -1057,7 +1084,6 @@ class TestParseOncePerRequest:
         import repro.distributed.pipeline as pipeline
         import repro.distributed.system as system_module
         import repro.sql
-        from repro.core import safety
         from repro.engine.audit import AuditLog
         from repro.service import QueryService, TenantConfig
         from repro.sql.lexer import split_literals
@@ -1069,7 +1095,7 @@ class TestParseOncePerRequest:
         # CanView probe on this plan) and one audited transfer per
         # request, as many as before any shape was.
         verified = _count_calls(monkeypatch, pipeline, "verify_assignment")
-        probed = _count_calls(monkeypatch, safety, "can_view")
+        probed = _count_verifier_probes(monkeypatch)
         audited = _count_calls(monkeypatch, AuditLog, "authorize")
         peak = 0
 

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.builder import build_plan
 from repro.algebra.joins import JoinCondition, JoinPath
-from repro.core.access import authorization_covers, can_view
+from repro.core.access import authorization_covers
 from repro.core.authorization import Authorization, Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner

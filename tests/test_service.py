@@ -41,7 +41,7 @@ from repro.service import (
     tenant_map,
 )
 from repro.testing import grant, quick_catalog
-from tests.test_plancache import _count_calls
+from tests.test_plancache import _count_calls, _count_verifier_probes
 
 # ---------------------------------------------------------------------------
 # Fixtures: the three-relation chain world from the plan-cache tests
@@ -968,7 +968,6 @@ class TestPricedSpine:
         import repro.engine.executor as executor
         import repro.obs.metrics as metrics
         from repro.algebra.builder import QuerySpec
-        from repro.core import safety
         from repro.workloads.coalition import (
             coalition_catalog,
             coalition_policy,
@@ -981,7 +980,7 @@ class TestPricedSpine:
         identities = _count_calls(monkeypatch, QuerySpec, "_identity")
         derived = _count_calls(monkeypatch, executor, "derive_join_steps")
         verified = _count_calls(monkeypatch, pipeline, "verify_assignment")
-        probed = _count_calls(monkeypatch, safety, "can_view")
+        probed = _count_verifier_probes(monkeypatch)
         audited = _count_calls(monkeypatch, AuditLog, "authorize")
 
         async def scenario():

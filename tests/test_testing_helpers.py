@@ -86,7 +86,7 @@ class TestGrantAndDeny:
     def test_deny_forms_open_policy(self):
         policy = OpenPolicy([deny("S1", "Disease"), deny("S2", "Plan", "a = c")])
         assert len(policy) == 2
-        assert not policy.permits(
+        assert not policy.can_view(
             __import__("repro.core.profile", fromlist=["RelationProfile"]).RelationProfile(
                 {"Disease"}
             ),

@@ -35,7 +35,6 @@ import pytest
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.algebra.predicates import Comparison, Predicate
-from repro.core.access import can_view, can_view_batch
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
@@ -519,7 +518,7 @@ class TestCanViewBatch:
             def __init__(self):
                 self.seen = []
 
-            def permits(self, profile, server):
+            def can_view(self, profile, server):
                 self.seen.append((profile, server))
                 return closed.can_view(profile, server)
 
@@ -535,23 +534,6 @@ class TestCanViewBatch:
         for server, profiles in by_server.items():
             assert closed.can_view_batch(profiles, server) == [
                 closed.can_view(p, server) for p in profiles
-            ]
-
-    def test_dispatch_matches_scalar_for_all_policy_kinds(self, closed, probes):
-        profiles = [p for p, _ in probes]
-        server = probes[0][1]
-
-        class Permits:
-            def permits(self, profile, target):
-                return closed.can_view(profile, target)
-
-        class NaiveRules:
-            def rules_for(self, target):
-                return closed.rules_for(target)
-
-        for policy in (closed, Permits(), NaiveRules()):
-            assert can_view_batch(policy, profiles, server) == [
-                can_view(policy, p, server) for p in profiles
             ]
 
     def test_batch_populates_the_same_memo_cache(self, closed, probes):

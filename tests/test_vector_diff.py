@@ -582,7 +582,7 @@ def _planner_probes():
         def __init__(self):
             self.seen = []
 
-        def permits(self, profile, server):
+        def can_view(self, profile, server):
             self.seen.append((profile, server))
             return closed.can_view(profile, server)
 
