@@ -29,9 +29,12 @@ loc:
 # second pipeline-building site, a second flight-opening site or a
 # `request_id is not None` test in service.py, a DistributedExecutor
 # built anywhere in src/ but distributed/pipeline.py (one execution site),
-# and a second CanView: `can_view` defined outside Policy / OpenPolicy,
+# a second CanView: `can_view` defined outside Policy / OpenPolicy,
 # `can_view_batch` outside Policy, the `permits` duck-type, or the
-# deleted second algebra (algebra/expression.py).
+# deleted second algebra (algebra/expression.py), and a second
+# safe-assignment search: core/costplanner.py, health pricing
+# (`penalty_factor` / `quarantine_penalty`), a greedy or scored
+# join-order search, or an enumerate-and-price call in src/.
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
 SERVICE = src/repro/service/service.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
@@ -55,6 +58,11 @@ census:
 	@! grep -rn --include='*.py' "def can_view_batch(" src/ | grep -v "^src/repro/core/authorization.py:"
 	@! grep -rnw --include='*.py' "permits" src/
 	@test ! -e src/repro/algebra/expression.py || (echo src/repro/algebra/expression.py; false)
+	@echo "-- core/costplanner.py, health pricing, greedy_join_order / optimize_join_order, or an enumerate_*_assignments call in src/ (none expected):"
+	@test ! -e src/repro/core/costplanner.py || (echo src/repro/core/costplanner.py; false)
+	@! grep -rnE --include='*.py' "penalty_factor|quarantine_penalty" src/
+	@! grep -rnE --include='*.py' "def (greedy_join_order|optimize_join_order)\(" src/
+	@! grep -rnE --include='*.py' "enumerate_(safe|structural)_assignments\(" src/ | grep -vE "^[^:]+:[0-9]+:[[:space:]]*def "
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).

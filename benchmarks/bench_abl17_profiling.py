@@ -5,10 +5,10 @@ Two acceptance gates from the profiling PR:
 * **Feedback loop**: on a skewed two-server workload whose static
   catalog statistics are deliberately wrong (the planner believes the
   small relation is huge and vice versa), the static exhaustive
-  cost-aware planner ships the big relation.  One profiled warm-up run
-  harvests exact observed statistics into a
-  :class:`~repro.profiling.StatsStore`; the stats-fed
-  :class:`~repro.core.costplanner.CostAwareSafePlanner` replans and must
+  cheapest safe plan (:func:`~repro.baselines.exhaustive.cheapest_safe_plan`)
+  ships the big relation.  One profiled warm-up run harvests exact
+  observed statistics into a :class:`~repro.profiling.StatsStore`; the
+  plan search fed the store's statistics and selectivities replans and must
   ship at least ``MIN_BYTE_IMPROVEMENT`` x fewer bytes, with
   byte-identical result rows and zero audit violations on both lanes.
   The warm-up profile must also flag the static plan's misestimate.
@@ -33,7 +33,7 @@ from repro.algebra.joins import JoinPath
 from repro.algebra.tree import LeafNode
 from repro.analysis.reporting import write_bench_json
 from repro.core.authorization import Policy
-from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
+from repro.baselines.exhaustive import cheapest_safe_plan
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import ObserveOnlyHealth
 from repro.exceptions import (
@@ -109,43 +109,36 @@ def test_abl17_feedback_loop_byte_reduction(benchmark):
     catalog, policy, tables, lying, spec = _skewed_case()
 
     def full_loop():
-        static_planner = CostAwareSafePlanner(
-            policy, lying, assignment_search=EXHAUSTIVE
-        )
-        static_plan = static_planner.plan(catalog, spec)
+        _, static_assignment, _ = cheapest_safe_plan(policy, catalog, spec, lying)
         static_result = DistributedExecutor(
-            static_plan.assignment, tables, policy=policy
+            static_assignment, tables, policy=policy
         ).run()
 
         # Warm-up: profile the static plan against its own (lying)
         # estimate, harvest the observed truth.
         profiler = QueryProfiler()
         profiler.start(
-            "skew", estimate_assignment_detail(static_plan.assignment, lying)
+            "skew", estimate_assignment_detail(static_assignment, lying)
         )
         DistributedExecutor(
-            static_plan.assignment, tables, policy=policy,
+            static_assignment, tables, policy=policy,
             hooks=hooks_for(profiler=profiler),
         ).run()
         warm_profile = profiler.finish()
         store = StatsStore()
         store.harvest(warm_profile)
 
-        fed_planner = CostAwareSafePlanner(
-            policy, lying, assignment_search=EXHAUSTIVE, stats_store=store
+        fed_stats = store.table_stats(lying)
+        _, fed_assignment, _ = cheapest_safe_plan(
+            policy, catalog, spec, fed_stats, selectivities=store
         )
-        fed_plan = fed_planner.plan(catalog, spec)
         fed_profiler = QueryProfiler(selectivities=store)
         fed_profiler.start(
             "skew-fed",
-            estimate_assignment_detail(
-                fed_plan.assignment,
-                store.table_stats(lying),
-                selectivities=store,
-            ),
+            estimate_assignment_detail(fed_assignment, fed_stats, selectivities=store),
         )
         fed_result = DistributedExecutor(
-            fed_plan.assignment, tables, policy=policy,
+            fed_assignment, tables, policy=policy,
             hooks=hooks_for(profiler=fed_profiler),
         ).run()
         fed_profile = fed_profiler.finish()

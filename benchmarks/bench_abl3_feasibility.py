@@ -5,20 +5,31 @@ become executable: over synthetic systems with growing grant
 probabilities, the fraction of random queries admitting a safe
 assignment, with and without the chase closure.  The series should be
 monotone in density, and closure should never reduce it.
+
+A second table measures Figure 6's completeness gap at 8-12 relations:
+on the same plans, how many Figure 6 finds feasible and how many the
+exact search (:func:`~repro.baselines.exhaustive.optimal_safe_assignment`)
+does.  Figure 6 feasible must imply exactly feasible.
 """
 
 import pytest
 
 from repro.algebra.builder import build_plan
 from repro.analysis.reporting import ascii_table
+from repro.baselines.exhaustive import optimal_safe_assignment
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
+from repro.engine.coster import TableStats
 from repro.exceptions import InfeasiblePlanError, ReproError
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
 DENSITIES = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 SYSTEMS_PER_DENSITY = 6
 QUERIES_PER_SYSTEM = 4
+SCALE_RELATIONS = [8, 9, 10, 11, 12]
+SCALE_DENSITY = 0.8
+SCALE_SYSTEMS = 10
+SCALE_QUERIES = 3
 
 
 def feasibility_at(density, use_closure):
@@ -85,3 +96,62 @@ def test_abl3_feasibility_vs_density(benchmark):
     assert first_density[1][0] <= last_density[1][0]
     for _, (plain_ok, _), (closed_ok, _) in series:
         assert closed_ok >= plain_ok
+
+
+def completeness_at(relations):
+    """``(figure6_feasible, exact_feasible, plans)`` over random
+    ``relations``-way queries; asserts the gap only ever favours the
+    exact search."""
+    figure6 = exact = total = 0
+    for seed in range(SCALE_SYSTEMS):
+        workload = SyntheticWorkload(
+            seed=seed * 100 + relations,
+            config=WorkloadConfig(
+                servers=4,
+                relations=relations + 2,
+                grant_probability=SCALE_DENSITY,
+                join_grant_probability=SCALE_DENSITY,
+                path_grant_probability=0.3,
+            ),
+        )
+        stats = {
+            r.name: TableStats(100.0, {a: 50.0 for a in r.attributes})
+            for r in workload.catalog.relations()
+        }
+        planner = SafePlanner(workload.policy)
+        for _ in range(SCALE_QUERIES):
+            try:
+                spec = workload.random_query(relations=relations)
+            except ReproError:
+                continue
+            plan = build_plan(workload.catalog, spec)
+            total += 1
+            try:
+                planner.plan(plan)
+                found = True
+            except InfeasiblePlanError:
+                found = False
+            exists = optimal_safe_assignment(workload.policy, plan, stats) is not None
+            assert exists or not found, "Figure 6 feasible, exact search not"
+            figure6 += found
+            exact += exists
+    return figure6, exact, total
+
+
+def test_abl3_completeness_gap_at_scale(benchmark):
+    series = benchmark.pedantic(
+        lambda: [(n, completeness_at(n)) for n in SCALE_RELATIONS],
+        rounds=1,
+        iterations=1,
+    )
+    rows = [
+        [str(n), str(total), f"{figure6}/{total}", f"{exact}/{total}", str(exact - figure6)]
+        for n, (figure6, exact, total) in series
+    ]
+    print()
+    print(
+        ascii_table(
+            ["relations", "plans", "feasible (Figure 6)", "feasible (exact)", "gap"],
+            rows,
+        )
+    )

@@ -5,9 +5,11 @@ optimizer structure.  This bench quantifies the fit: on random
 synthetic systems, the estimated communication cost and runtime of
 
 * the plain Figure 6 planner on the user's join order,
-* the cost-aware planner searching join orders with the heuristic,
-* the cost-aware planner searching join orders with the exhaustive
-  optimum per order.
+* Figure 6 run on every connected left-deep join order, the cheapest
+  kept (a loop over :func:`~repro.algebra.optimizer.enumerate_join_orders`
+  here),
+* :func:`~repro.baselines.exhaustive.cheapest_safe_plan`: the exact
+  optimum per order, over every order.
 
 Search should only ever improve cost, and the improvements concentrate
 where the user's order forces an expensive shipment.
@@ -16,8 +18,9 @@ where the user's order forces an expensive shipment.
 import pytest
 
 from repro.algebra.builder import build_plan
+from repro.algebra.optimizer import enumerate_join_orders
 from repro.analysis.reporting import ascii_table
-from repro.core.costplanner import EXHAUSTIVE, HEURISTIC, CostAwareSafePlanner
+from repro.baselines.exhaustive import cheapest_safe_plan
 from repro.core.planner import SafePlanner
 from repro.core.safety import verify_assignment
 from repro.engine.coster import TableStats, estimate_assignment_cost
@@ -50,20 +53,31 @@ def make_cases(count=12):
     return cases
 
 
+def figure6_per_order(policy, catalog, spec, stats):
+    """Figure 6 on every connected left-deep order of ``spec``, priced:
+    the cheapest ``(assignment, cost)`` (the earlier order on ties), or
+    ``None`` when no order is feasible."""
+    planner = SafePlanner(policy)
+    best = None
+    for candidate in enumerate_join_orders(catalog, spec):
+        try:
+            assignment, _ = planner.plan(build_plan(catalog, candidate))
+        except InfeasiblePlanError:
+            continue
+        cost = estimate_assignment_cost(assignment, stats)
+        if best is None or cost < best[1]:
+            best = (assignment, cost)
+    return best
+
+
 def test_abl6_cost_aware_vs_plain(benchmark):
     cases = make_cases()
 
     def run_cost_aware():
-        outcomes = []
-        for workload, spec, stats in cases:
-            planner = CostAwareSafePlanner(
-                workload.policy, stats, assignment_search=HEURISTIC
-            )
-            try:
-                outcomes.append(planner.plan(workload.catalog, spec))
-            except InfeasiblePlanError:
-                outcomes.append(None)
-        return outcomes
+        return [
+            figure6_per_order(workload.policy, workload.catalog, spec, stats)
+            for workload, spec, stats in cases
+        ]
 
     aware_outcomes = benchmark(run_cost_aware)
 
@@ -79,15 +93,13 @@ def test_abl6_cost_aware_vs_plain(benchmark):
             plain_cost = estimate_assignment_cost(plain, stats)
         except InfeasiblePlanError:
             pass
-        exhaustive = CostAwareSafePlanner(
-            workload.policy, stats, assignment_search=EXHAUSTIVE
-        )
         try:
-            best = exhaustive.plan(workload.catalog, spec)
-            best_cost = best.estimated_cost
+            _, _, best_cost = cheapest_safe_plan(
+                workload.policy, workload.catalog, spec, stats
+            )
         except InfeasiblePlanError:
             best_cost = None
-        aware_cost = aware.estimated_cost if aware else None
+        aware_cost = aware[1] if aware else None
         rows.append(
             [
                 f"{plain_cost:.0f}" if plain_cost is not None else "infeasible",
@@ -102,7 +114,7 @@ def test_abl6_cost_aware_vs_plain(benchmark):
             # Order search can only improve on the user's order.
             assert aware_cost <= plain_cost + 1e-9
         if aware is not None:
-            verify_assignment(workload.policy, aware.assignment)
+            verify_assignment(workload.policy, aware[0])
         if best_cost is not None and aware_cost is not None:
             assert best_cost <= aware_cost + 1e-9
         # Completeness: order search never loses feasibility.

@@ -11,16 +11,15 @@ each three ways:
 
 The rankings disagree — the byte-cheapest strategy serializes two
 semi-join legs that a latency-bound deployment cannot afford — and the
-cost-aware planner (`repro.core.costplanner`) is shown picking the
-right strategy for each network.
+cheapest safe plan search (`repro.baselines.exhaustive.cheapest_safe_plan`)
+is shown picking the right strategy for each network.
 
 Run:  python examples/strategy_tradeoffs.py
 """
 
 from repro.analysis.exposure import exposure_of_assignment
 from repro.analysis.reporting import ascii_table
-from repro.baselines.exhaustive import enumerate_safe_assignments
-from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
+from repro.baselines.exhaustive import cheapest_safe_plan, enumerate_safe_assignments
 from repro.distributed.network import NetworkModel
 from repro.distributed.simulation import simulate_timeline
 from repro.engine.coster import CostModel, TableStats
@@ -98,15 +97,14 @@ def main() -> None:
         ("uniform network (cost = bytes)", None),
         ("congested S_H -> S_N uplink", CostModel(slow_network)),
     ):
-        planner = CostAwareSafePlanner(
-            policy, stats, cost_model=model, assignment_search=EXHAUSTIVE
+        tree, assignment, cost = cheapest_safe_plan(
+            policy, catalog, spec, stats, cost_model=model
         )
-        outcome = planner.plan(catalog, spec)
-        join = outcome.plan.joins()[0]
+        join = tree.joins()[0]
         print(
             f"{label}: join runs as "
-            f"{outcome.assignment.executor(join.node_id)} "
-            f"(estimated cost {outcome.estimated_cost:.0f})"
+            f"{assignment.executor(join.node_id)} "
+            f"(estimated cost {cost:.0f})"
         )
 
 

@@ -14,7 +14,7 @@ from repro.algebra.predicates import Comparison, Predicate
 from repro.algebra.schema import Catalog, RelationSchema
 from repro.algebra.tree import JoinNode, LeafNode, PlanNode, QueryTreePlan, UnaryNode
 from repro.algebra.builder import QuerySpec, build_bushy_plan, build_plan
-from repro.algebra.optimizer import enumerate_join_orders, optimize_join_order
+from repro.algebra.optimizer import enumerate_join_orders
 
 __all__ = [
     "AttributeSet",
@@ -38,5 +38,4 @@ __all__ = [
     "build_plan",
     "build_bushy_plan",
     "enumerate_join_orders",
-    "optimize_join_order",
 ]

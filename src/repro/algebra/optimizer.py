@@ -1,62 +1,35 @@
-"""Join-order search.
+"""Join-order enumeration — the first step of two-step optimization.
 
 The paper's closing note (Section 5) observes that distributed query
 optimization commonly proceeds in two steps — pick a good plan, then
 assign operations to servers — and that the safe-assignment algorithm
-slots into the second step.  This module implements the *first* step: a
-join-order search producing alternative left-deep plans for the same
-query, so that callers can look for an order that is feasible (admits a
-safe assignment) and cheap.
-
-Two strategies are provided:
-
-* :func:`enumerate_join_orders` — exhaustive enumeration of connected
-  left-deep orders (exact, exponential; fine for the paper-scale queries
-  of up to ~8 relations);
-* :func:`greedy_join_order` — a connected greedy order favouring
-  relations with many join edges, linear-ish, used by the synthetic
-  benchmarks at larger scales.
-
-:func:`optimize_join_order` combines either enumeration with a
-caller-supplied evaluator (e.g. "is the plan feasible, and what does it
-cost"), returning the best plan.
+slots into the second step.  :func:`enumerate_join_orders` supplies the
+first: every connected left-deep order of the same query (exact,
+exponential; fine for paper-scale queries), so that callers can look
+for an order that is feasible and cheap.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Iterator, List, Optional, Sequence
 
-from repro.algebra.builder import QuerySpec, build_plan
+from repro.algebra.builder import QuerySpec
 from repro.algebra.joins import JoinPath
 from repro.algebra.schema import Catalog
-from repro.algebra.tree import QueryTreePlan
-from repro.exceptions import PlanError
-
-#: Evaluator signature: plan -> score, or ``None`` when the plan is unusable
-#: (e.g. infeasible under the policy).  Lower scores are better.
-PlanEvaluator = Callable[[QueryTreePlan], Optional[float]]
 
 
-def _condition_graph(spec: QuerySpec) -> dict:
-    """Map each relation set position to the conditions it participates in.
-
-    Returns a mapping ``relation_name -> set of JoinCondition`` built from
-    every join step of the spec (order-independent connectivity).
-    """
+def _condition_graph(spec: QuerySpec) -> set:
+    """The set of every join condition of the spec, from all its join
+    steps (order-independent connectivity)."""
     conditions = set()
     for path in spec.join_paths:
         conditions.update(path.conditions)
     return conditions
 
 
-def _relation_attributes(catalog: Catalog, names: Sequence[str]) -> dict:
-    return {name: catalog.relation(name).attribute_set for name in names}
-
-
 def _steps_for_order(
-    order: Sequence[str],
-    conditions: set,
-    attrs: dict,
+    order: Sequence[str], conditions: set, attrs: dict
 ) -> Optional[List[JoinPath]]:
     """Join steps for a given relation order, or ``None`` if disconnected.
 
@@ -90,111 +63,12 @@ def enumerate_join_orders(catalog: Catalog, spec: QuerySpec) -> Iterator[QuerySp
     order is yielded first, then the others in lexicographic order, so
     callers preferring the user's order on ties get it for free.
     """
-    from itertools import permutations
-
     conditions = _condition_graph(spec)
-    attrs = _relation_attributes(catalog, spec.relations)
-    seen_original = False
+    attrs = {name: catalog.relation(name).attribute_set for name in spec.relations}
     orders = [spec.relations] + [
         p for p in sorted(permutations(spec.relations)) if p != spec.relations
     ]
     for order in orders:
         steps = _steps_for_order(order, conditions, attrs)
-        if steps is None:
-            continue
-        if order == spec.relations and seen_original:
-            continue
-        if order == spec.relations:
-            seen_original = True
-        yield spec.reordered(order, steps)
-
-
-def greedy_join_order(catalog: Catalog, spec: QuerySpec) -> QuerySpec:
-    """A single connected order chosen greedily.
-
-    Starts from the relation with the most join conditions and repeatedly
-    appends the connected relation with the most conditions into the
-    accumulated set (ties broken by name for determinism).
-
-    Raises:
-        PlanError: if the join graph is disconnected.
-    """
-    conditions = _condition_graph(spec)
-    attrs = _relation_attributes(catalog, spec.relations)
-
-    def degree(name: str) -> int:
-        return sum(
-            1
-            for c in conditions
-            if c.first in attrs[name] or c.second in attrs[name]
-        )
-
-    remaining = sorted(spec.relations, key=lambda n: (-degree(n), n))
-    order = [remaining.pop(0)]
-    accumulated = set(attrs[order[0]])
-    while remaining:
-        best = None
-        best_links = -1
-        for name in remaining:
-            links = sum(
-                1
-                for c in conditions
-                if (c.first in accumulated and c.second in attrs[name])
-                or (c.second in accumulated and c.first in attrs[name])
-            )
-            if links > best_links or (links == best_links and best and name < best):
-                best, best_links = name, links
-        if best is None or best_links == 0:
-            raise PlanError(
-                f"join graph is disconnected: cannot link {remaining} to {order}"
-            )
-        remaining.remove(best)
-        order.append(best)
-        accumulated.update(attrs[best])
-    steps = _steps_for_order(order, conditions, attrs)
-    if steps is None:  # pragma: no cover - guarded by the loop above
-        raise PlanError("greedy order unexpectedly disconnected")
-    return spec.reordered(order, steps)
-
-
-def optimize_join_order(
-    catalog: Catalog,
-    spec: QuerySpec,
-    evaluator: PlanEvaluator,
-    exhaustive: bool = True,
-    project_intermediate: bool = False,
-) -> Tuple[Optional[QueryTreePlan], Optional[float]]:
-    """Search join orders for the plan with the best evaluator score.
-
-    Args:
-        catalog: the schema catalog.
-        spec: the bound query.
-        evaluator: maps a candidate plan to a score (lower is better) or
-            ``None`` when the plan must be discarded (e.g. no safe
-            assignment exists for it).
-        exhaustive: enumerate all connected orders when true; otherwise
-            evaluate only the original and the greedy order.
-        project_intermediate: forwarded to :func:`build_plan`.
-
-    Returns:
-        ``(best_plan, best_score)``; ``(None, None)`` if every candidate
-        order was discarded by the evaluator.
-    """
-    if exhaustive:
-        candidates = enumerate_join_orders(catalog, spec)
-    else:
-        greedy = greedy_join_order(catalog, spec)
-        candidates = iter([spec, greedy])
-    best_plan: Optional[QueryTreePlan] = None
-    best_score: Optional[float] = None
-    for candidate in candidates:
-        try:
-            plan = build_plan(catalog, candidate, project_intermediate=project_intermediate)
-        except PlanError:
-            continue
-        score = evaluator(plan)
-        if score is None:
-            continue
-        if best_score is None or score < best_score:
-            best_plan, best_score = plan, score
-    return best_plan, best_score
+        if steps is not None:
+            yield spec.reordered(order, steps)

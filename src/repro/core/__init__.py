@@ -42,7 +42,6 @@ from repro.core.planner import PlannerTrace, SafePlanner, plan_safely
 from repro.core.safety import enumerate_assignment_flows, verify_assignment
 from repro.core.thirdparty import ThirdPartyPlanner
 from repro.core.openpolicy import OpenPolicy
-from repro.core.costplanner import CostAwarePlan, CostAwareSafePlanner
 
 __all__ = [
     "RelationProfile",
@@ -72,6 +71,4 @@ __all__ = [
     "verify_assignment",
     "ThirdPartyPlanner",
     "OpenPolicy",
-    "CostAwarePlan",
-    "CostAwareSafePlanner",
 ]

@@ -254,8 +254,7 @@ class HealthTracker:
     Fed by shipment attempt outcomes (see
     :func:`~repro.engine.resilience.attempt_shipment`); consulted by the
     same function to refuse shipments over quarantined resources, by the
-    failover layer to exclude quarantined servers from replans, and by
-    the cost planner to penalize routes over unhealthy links.
+    failover layer to exclude quarantined servers from replans.
 
     Attribution of one attempt outcome:
 
@@ -270,8 +269,6 @@ class HealthTracker:
             half_open_probes: breaker parameters (see
             :class:`CircuitBreaker`), shared by every resource.
         window: rolling-stats window per resource.
-        quarantine_penalty: cost multiplier reported for resources whose
-            breaker is not closed (see :meth:`penalty_factor`).
     """
 
     def __init__(
@@ -282,10 +279,7 @@ class HealthTracker:
         max_cooldown: float = 960.0,
         half_open_probes: int = 1,
         window: int = 32,
-        quarantine_penalty: float = 8.0,
     ) -> None:
-        if quarantine_penalty < 1.0:
-            raise ResilienceConfigError("quarantine_penalty must be >= 1")
         self._breaker_args = dict(
             failure_threshold=failure_threshold,
             cooldown=cooldown,
@@ -297,7 +291,6 @@ class HealthTracker:
         # construction, not on the first observed failure.
         CircuitBreaker(**self._breaker_args)
         self._window = window
-        self._penalty = quarantine_penalty
         self._links: Dict[Tuple[str, str], _ResourceHealth] = {}
         self._servers: Dict[str, _ResourceHealth] = {}
         self._now = 0.0
@@ -450,28 +443,6 @@ class HealthTracker:
                 if record.breaker.state(now) == STATE_OPEN
             )
         )
-
-    def penalty_factor(self, sender: str, receiver: str) -> float:
-        """Cost multiplier for routing over ``sender -> receiver``.
-
-        1.0 for healthy routes; ``quarantine_penalty`` when the link or
-        either endpoint breaker is open; the halfway point when merely
-        half-open (probing is allowed but known-good routes should win
-        ties).  Local hand-offs are never penalized.
-        """
-        if sender == receiver:
-            return 1.0
-        now = self._now
-        states = (
-            self.link(sender, receiver).breaker.state(now),
-            self.server(sender).breaker.state(now),
-            self.server(receiver).breaker.state(now),
-        )
-        if STATE_OPEN in states:
-            return self._penalty
-        if STATE_HALF_OPEN in states:
-            return (1.0 + self._penalty) / 2.0
-        return 1.0
 
     def breaker_trips(self) -> int:
         """Total times any breaker tripped open."""

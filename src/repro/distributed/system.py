@@ -471,7 +471,7 @@ class DistributedSystem:
             except InfeasiblePlanError as error:
                 last_error = error
         raise InfeasiblePlanError(
-            "no join order of the query admits a safe assignment"
+            "no connected left-deep join order admits a safe assignment"
         ) from last_error
 
     def is_feasible(self, query: Query) -> bool:

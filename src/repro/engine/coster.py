@@ -11,8 +11,9 @@ Two complementary tools:
   bytes an assignment will ship *before* running it, from per-relation
   :class:`TableStats`, using textbook System-R style estimates
   (join output cardinality ``|L|·|R| / max(V(L,a), V(R,b))``).  The
-  join-order optimizer and the exhaustive baseline rank safe
-  assignments with this estimate.
+  exhaustive optimum (:mod:`repro.baselines.exhaustive`) ranks safe
+  assignments with this estimate, pricing each join through the same
+  :func:`join_flows`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.algebra.tree import (
     PROJECT,
     JoinNode,
     LeafNode,
-    PlanNode,
     UnaryNode,
 )
 from repro.core.assignment import Assignment
@@ -114,35 +114,23 @@ class TableStats:
 
 
 class CostModel:
-    """Prices transfers, optionally through a network model and a
-    health tracker.
+    """Prices transfers, optionally through a network model.
 
     Args:
         network: object exposing ``transfer_cost(sender, receiver,
             byte_size)`` — a network model, or another cost model to
             price on top of; ``None`` means cost = bytes (uniform
             network).
-        health: object exposing ``penalty_factor(sender, receiver)``
-            (duck-typed: a :class:`~repro.distributed.health.HealthTracker`).
-            Each link's cost is multiplied by it — 1.0 for healthy
-            routes, the quarantine penalty when a breaker on the route
-            is open — so cost-based planners steer around flapping
-            servers without any feasibility change: the policy decides
-            what is *safe*, health only reorders what is *cheap*.
     """
 
-    def __init__(self, network=None, health=None) -> None:
+    def __init__(self, network=None) -> None:
         self._network = network
-        self._health = health
 
     def transfer_cost(self, sender: str, receiver: str, byte_size: float) -> float:
         """Cost of one shipment."""
-        cost = float(byte_size)
-        if self._network is not None:
-            cost = float(self._network.transfer_cost(sender, receiver, byte_size))
-        if self._health is not None:
-            cost *= float(self._health.penalty_factor(sender, receiver))
-        return cost
+        if self._network is None:
+            return float(byte_size)
+        return float(self._network.transfer_cost(sender, receiver, byte_size))
 
     def log_cost(self, log: TransferLog) -> float:
         """Total cost of an execution's transfer log."""
@@ -151,65 +139,115 @@ class CostModel:
         )
 
 
-def _node_stats(
-    node: PlanNode,
-    base_stats: Mapping[str, TableStats],
-    selectivities=None,
-) -> TableStats:
-    """Estimated statistics of one plan node's output.
+def plan_stats(
+    plan, base_stats: Mapping[str, TableStats], selectivities=None
+) -> Dict[int, TableStats]:
+    """Estimated output statistics of every node of ``plan``, by node id.
 
-    ``selectivities`` is an optional object exposing
+    One post-order pass: each node is estimated from its operands'
+    entries.  ``selectivities`` is an optional object exposing
     ``selectivity(path_key) -> Optional[float]`` (duck-typed; in
     practice a :class:`repro.profiling.StatsStore`).  When it yields an
     observed selectivity for a join's :func:`join_path_key`, that
     replaces the System-R ``1 / max(V(L,a), V(R,b))`` estimate.
     """
-    if isinstance(node, LeafNode):
-        name = node.relation.name
-        if name not in base_stats:
-            raise ExecutionError(f"no statistics provided for relation {name!r}")
-        return base_stats[name]
-    if isinstance(node, UnaryNode):
-        child = _node_stats(node.left, base_stats, selectivities)
-        if node.operator == PROJECT:
-            kept = node.projection_attributes
-            return TableStats(
-                child.rows,
-                {a: child.distinct_of(a) for a in kept},
-                {a: child.width_of(a) for a in kept},
+    stats: Dict[int, TableStats] = {}
+    for node in plan:
+        if isinstance(node, LeafNode):
+            name = node.relation.name
+            if name not in base_stats:
+                raise ExecutionError(f"no statistics provided for relation {name!r}")
+            estimate = base_stats[name]
+        elif isinstance(node, UnaryNode):
+            child = stats[node.left.node_id]
+            if node.operator == PROJECT:
+                kept = node.projection_attributes
+                estimate = TableStats(
+                    child.rows,
+                    {a: child.distinct_of(a) for a in kept},
+                    {a: child.width_of(a) for a in kept},
+                )
+            else:
+                atoms = max(1, len(node.predicate.comparisons))
+                rows = max(1.0, child.rows * DEFAULT_SELECTIVITY ** atoms)
+                estimate = TableStats(
+                    rows, {a: min(d, rows) for a, d in child.distinct.items()}, child.widths
+                )
+        elif isinstance(node, JoinNode):
+            left, right = stats[node.left.node_id], stats[node.right.node_id]
+            observed = (
+                selectivities.selectivity(join_path_key(node.path))
+                if selectivities is not None
+                else None
             )
-        atoms = max(1, len(node.predicate.comparisons))
-        factor = DEFAULT_SELECTIVITY ** atoms
-        rows = max(1.0, child.rows * factor)
-        return TableStats(
-            rows,
-            {a: min(d, rows) for a, d in child.distinct.items()},
-            child.widths,
-        )
-    if isinstance(node, JoinNode):
-        left = _node_stats(node.left, base_stats, selectivities)
-        right = _node_stats(node.right, base_stats, selectivities)
-        observed = (
-            selectivities.selectivity(join_path_key(node.path))
-            if selectivities is not None
-            else None
-        )
-        if observed is not None:
-            rows = left.rows * right.rows * observed
+            if observed is not None:
+                rows = left.rows * right.rows * observed
+            else:
+                rows = left.rows * right.rows
+                for condition in node.path:
+                    if condition.first in left.distinct or condition.second in left.distinct:
+                        left_attr = condition.first if condition.first in left.distinct else condition.second
+                        right_attr = condition.other(left_attr)
+                    else:
+                        left_attr, right_attr = condition.first, condition.second
+                    rows /= max(left.distinct_of(left_attr), right.distinct_of(right_attr))
+            rows = max(1.0, rows)
+            distinct = {a: min(d, rows) for a, d in {**left.distinct, **right.distinct}.items()}
+            estimate = TableStats(rows, distinct, {**left.widths, **right.widths})
         else:
-            rows = left.rows * right.rows
-            for condition in node.path:
-                if condition.first in left.distinct or condition.second in left.distinct:
-                    left_attr = condition.first if condition.first in left.distinct else condition.second
-                    right_attr = condition.other(left_attr)
-                else:
-                    left_attr, right_attr = condition.first, condition.second
-                rows /= max(left.distinct_of(left_attr), right.distinct_of(right_attr))
-        rows = max(1.0, rows)
-        distinct = {a: min(d, rows) for a, d in {**left.distinct, **right.distinct}.items()}
-        widths = {**left.widths, **right.widths}
-        return TableStats(rows, distinct, widths)
-    raise ExecutionError(f"unknown node kind: {type(node).__name__}")
+            raise ExecutionError(f"unknown node kind: {type(node).__name__}")
+        stats[node.node_id] = estimate
+    return stats
+
+
+def join_flows(
+    node: JoinNode,
+    executor,
+    left_server: str,
+    right_server: str,
+    stats: Mapping[int, TableStats],
+    left_attrs,
+    right_attrs,
+) -> Tuple[Tuple[str, str, float, str], ...]:
+    """The predicted ``(sender, receiver, bytes, kind)`` flows of one join.
+
+    ``executor`` is the join's Figure 5 execution, the operands sit at
+    ``left_server`` / ``right_server`` with attributes ``left_attrs`` /
+    ``right_attrs``, and ``stats`` is :func:`plan_stats` of the plan.  A
+    regular join ships the non-master operand whole (kind
+    ``"regular"``).  A local join — both operands already at the master
+    — is priced the same way: a full-size hand-off ``transfer_cost(S,
+    S, bytes)``, which under the default :class:`CostModel` is the byte
+    count (ROADMAP item 14 revisits this charge).  A semi-join ships a
+    probe of the master's join attributes (``"probe"``) and the
+    slave-side join restricted to probe and slave columns back
+    (``"back"``).  The estimator and the exhaustive optimum both price
+    joins here.
+    """
+    left_stats, right_stats = stats[node.left.node_id], stats[node.right.node_id]
+    if executor.slave is None:
+        if executor.master == left_server:
+            return ((right_server, left_server, right_stats.bytes_for(right_attrs), "regular"),)
+        return ((left_server, right_server, left_stats.bytes_for(left_attrs), "regular"),)
+    if executor.master == left_server:
+        master_stats, slave_stats = left_stats, right_stats
+        master_attrs, slave_attrs = left_attrs, right_attrs
+    else:
+        master_stats, slave_stats = right_stats, left_stats
+        master_attrs, slave_attrs = right_attrs, left_attrs
+    join_attrs = sorted(node.path.attributes & master_attrs)
+    probe_rows = min(
+        master_stats.rows,
+        max(master_stats.distinct_of(a) for a in join_attrs) if join_attrs else master_stats.rows,
+    )
+    probe_bytes = probe_rows * master_stats.row_width(join_attrs)
+    back_bytes = stats[node.node_id].rows * (
+        master_stats.row_width(join_attrs) + slave_stats.row_width(slave_attrs)
+    )
+    return (
+        (executor.master, executor.slave, probe_bytes, "probe"),
+        (executor.slave, executor.master, back_bytes, "back"),
+    )
 
 
 class AssignmentEstimate:
@@ -261,100 +299,42 @@ def estimate_assignment_detail(
 ) -> AssignmentEstimate:
     """Predicted communication of executing ``assignment``, per flow.
 
-    Walks the plan estimating each node's output statistics, then prices
-    every flow the assignment entails: full-operand shipments for regular
-    joins, probe + reduced-result shipments for semi-joins, and two
-    operand shipments for coordinator joins.  Local flows cost nothing.
-    ``selectivities`` optionally refines join cardinalities with
-    observed per-path selectivities (see :func:`_node_stats`).
+    Estimates every node's output statistics (:func:`plan_stats`), then
+    prices every flow the assignment entails: each join's
+    :func:`join_flows` — local joins included, at full size — and two
+    operand shipments for coordinator joins.  ``selectivities``
+    optionally refines join cardinalities with observed per-path
+    selectivities.
     """
     model = cost_model or CostModel()
     plan = assignment.plan
     estimate = AssignmentEstimate()
-    stats: Dict[int, TableStats] = {}
-    for node in plan:
-        node_stats = _node_stats(node, base_stats, selectivities)
-        stats[node.node_id] = node_stats
-        estimate.node_rows[node.node_id] = node_stats.rows
+    stats = plan_stats(plan, base_stats, selectivities)
+    estimate.node_rows = {node_id: s.rows for node_id, s in stats.items()}
     # A resumed run pins materialized subtrees: they and everything
     # below them ship nothing (and carry no executor to ask).
     resumed = assignment.skipped_node_ids().union(assignment.materialized_nodes())
     for node in plan:
         if not isinstance(node, JoinNode) or node.node_id in resumed:
             continue
-        node_id = node.node_id
-        left_id = node.left.node_id
-        right_id = node.right.node_id
+        left_id, right_id = node.left.node_id, node.right.node_id
         left_server = assignment.master(left_id)
         right_server = assignment.master(right_id)
-        executor = assignment.executor(node_id)
-        left_stats, right_stats = stats[left_id], stats[right_id]
         left_attrs = assignment.profile(left_id).attributes
         right_attrs = assignment.profile(right_id).attributes
-
-        coordinator = assignment.coordinator(node_id)
+        coordinator = assignment.coordinator(node.node_id)
         if coordinator is not None:
-            estimate._add_flow(
-                model,
-                node_id,
-                left_server,
-                coordinator,
-                left_stats.bytes_for(left_attrs),
-                "coordinator",
+            flows = (
+                (left_server, coordinator, stats[left_id].bytes_for(left_attrs), "coordinator"),
+                (right_server, coordinator, stats[right_id].bytes_for(right_attrs), "coordinator"),
             )
-            estimate._add_flow(
-                model,
-                node_id,
-                right_server,
-                coordinator,
-                right_stats.bytes_for(right_attrs),
-                "coordinator",
-            )
-            continue
-        if executor.slave is None:
-            if executor.master == left_server:
-                estimate._add_flow(
-                    model,
-                    node_id,
-                    right_server,
-                    left_server,
-                    right_stats.bytes_for(right_attrs),
-                    "regular",
-                )
-            else:
-                estimate._add_flow(
-                    model,
-                    node_id,
-                    left_server,
-                    right_server,
-                    left_stats.bytes_for(left_attrs),
-                    "regular",
-                )
-            continue
-        # Semi-join: probe with the master operand's join attributes,
-        # return the slave-side join restricted to probe ∪ slave columns.
-        if executor.master == left_server:
-            master_stats, slave_stats = left_stats, right_stats
-            master_attrs, slave_attrs = left_attrs, right_attrs
         else:
-            master_stats, slave_stats = right_stats, left_stats
-            master_attrs, slave_attrs = right_attrs, left_attrs
-        join_attrs = sorted(node.path.attributes & master_attrs)
-        probe_rows = min(
-            master_stats.rows,
-            max(master_stats.distinct_of(a) for a in join_attrs) if join_attrs else master_stats.rows,
-        )
-        probe_bytes = probe_rows * master_stats.row_width(join_attrs)
-        estimate._add_flow(
-            model, node_id, executor.master, executor.slave, probe_bytes, "probe"
-        )
-        back_stats = stats[node_id]
-        back_bytes = back_stats.rows * (
-            master_stats.row_width(join_attrs) + slave_stats.row_width(slave_attrs)
-        )
-        estimate._add_flow(
-            model, node_id, executor.slave, executor.master, back_bytes, "back"
-        )
+            flows = join_flows(
+                node, assignment.executor(node.node_id), left_server, right_server,
+                stats, left_attrs, right_attrs,
+            )
+        for sender, receiver, byte_size, kind in flows:
+            estimate._add_flow(model, node.node_id, sender, receiver, byte_size, kind)
     return estimate
 
 

@@ -5,8 +5,9 @@ store that feeds observed cardinalities back into the cost model.
 operator, bytes per transfer against the coster's estimate, CanView
 probe counts, and logical/wall time.  `StatsStore` harvests those
 profiles into decayed per-relation and per-join-path statistics that
-`CostAwareSafePlanner(stats_store=)` (core/costplanner) consumes,
-closing the plan-quality feedback loop of ROADMAP item #1.
+`cheapest_safe_plan(..., store.table_stats(stats), selectivities=store)`
+(baselines/exhaustive) consumes, closing the plan-quality feedback loop
+of ROADMAP item #1.
 """
 
 from repro.profiling.profile import (

@@ -15,9 +15,9 @@ tracks drifting data without a stale observation pinning plans forever.
 ``decay=1.0`` means "trust the latest run completely".
 
 `table_stats` merges the store over a static base-stats mapping,
-producing the effective `TableStats` a `CostAwareSafePlanner` given
-this store (`stats_store=`) plans with; relations the store has never
-seen keep their static entries.
+producing the effective `TableStats` the plan search fed this store
+(`cheapest_safe_plan(..., store.table_stats(stats), selectivities=store)`)
+plans with; relations the store has never seen keep their static entries.
 """
 
 from __future__ import annotations

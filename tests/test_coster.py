@@ -53,6 +53,14 @@ class TestCostModel:
         model = CostModel(network)
         assert model.transfer_cost("A", "B", 100) == 10.0 + 50.0
 
+    def test_wraps_a_base_model(self):
+        class Doubling(CostModel):
+            def transfer_cost(self, sender, receiver, byte_size):
+                return 2.0 * byte_size
+
+        model = CostModel(network=Doubling())
+        assert model.transfer_cost("A", "B", 10.0) == 20.0
+
     def test_log_cost(self):
         from repro.core.profile import RelationProfile
         from repro.engine.transfers import Transfer

@@ -1,16 +1,17 @@
-"""Unit tests for the cost-aware safe planner (two-step optimization)."""
+"""Unit tests for the cheapest safe plan search (two-step optimization)."""
 
 import pytest
 
 from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
+from repro.algebra.optimizer import enumerate_join_orders
 from repro.algebra.schema import Catalog, RelationSchema
+from repro.baselines.exhaustive import cheapest_safe_plan, optimal_safe_assignment
 from repro.core.authorization import Authorization, Policy
-from repro.core.costplanner import EXHAUSTIVE, HEURISTIC, CostAwareSafePlanner
 from repro.core.planner import SafePlanner
 from repro.core.safety import verify_assignment
 from repro.engine.coster import TableStats, estimate_assignment_cost
-from repro.exceptions import InfeasiblePlanError, PlanError
+from repro.exceptions import InfeasiblePlanError
 from repro.workloads.medical import example_query_spec
 
 
@@ -24,40 +25,46 @@ def stats():
     }
 
 
-class TestConstruction:
-    def test_unknown_strategy_rejected(self, policy, stats):
-        with pytest.raises(PlanError):
-            CostAwareSafePlanner(policy, stats, assignment_search="magic")
+def figure6_per_order(policy, catalog, spec, stats):
+    """Figure 6 on every connected left-deep order, priced: the cheapest
+    ``(assignment, cost)``, the earlier order on ties."""
+    planner = SafePlanner(policy)
+    best = None
+    for candidate in enumerate_join_orders(catalog, spec):
+        try:
+            assignment, _ = planner.plan(build_plan(catalog, candidate))
+        except InfeasiblePlanError:
+            continue
+        cost = estimate_assignment_cost(assignment, stats)
+        if best is None or cost < best[1]:
+            best = (assignment, cost)
+    return best
 
 
 class TestPlanning:
-    def test_paper_query_heuristic(self, catalog, policy, stats):
-        planner = CostAwareSafePlanner(policy, stats, assignment_search=HEURISTIC)
-        outcome = planner.plan(catalog, example_query_spec())
-        assert outcome.orders_considered >= 1
-        assert outcome.orders_feasible >= 1
-        verify_assignment(policy, outcome.assignment)
-
     def test_paper_query_exhaustive(self, catalog, policy, stats):
-        planner = CostAwareSafePlanner(policy, stats, assignment_search=EXHAUSTIVE)
-        outcome = planner.plan(catalog, example_query_spec())
-        verify_assignment(policy, outcome.assignment)
+        tree, assignment, cost = cheapest_safe_plan(
+            policy, catalog, example_query_spec(), stats
+        )
+        verify_assignment(policy, assignment)
+        assert assignment.plan is tree
+        assert cost == estimate_assignment_cost(assignment, stats)
 
     def test_exhaustive_never_worse_than_heuristic(self, catalog, policy, stats):
-        heuristic = CostAwareSafePlanner(
-            policy, stats, assignment_search=HEURISTIC
-        ).plan(catalog, example_query_spec())
-        exhaustive = CostAwareSafePlanner(
-            policy, stats, assignment_search=EXHAUSTIVE
-        ).plan(catalog, example_query_spec())
-        assert exhaustive.estimated_cost <= heuristic.estimated_cost + 1e-9
+        _, heuristic_cost = figure6_per_order(
+            policy, catalog, example_query_spec(), stats
+        )
+        _, _, exhaustive_cost = cheapest_safe_plan(
+            policy, catalog, example_query_spec(), stats
+        )
+        assert exhaustive_cost <= heuristic_cost + 1e-9
 
     def test_cost_aware_never_worse_than_plain_planner(self, catalog, policy, stats):
         spec = example_query_spec()
         plain, _ = SafePlanner(policy).plan(build_plan(catalog, spec))
         plain_cost = estimate_assignment_cost(plain, stats)
-        aware = CostAwareSafePlanner(policy, stats).plan(catalog, spec)
-        assert aware.estimated_cost <= plain_cost + 1e-9
+        _, _, aware_cost = cheapest_safe_plan(policy, catalog, spec, stats)
+        assert aware_cost <= plain_cost + 1e-9
 
     def test_order_search_rescues_infeasible_order(self, stats):
         catalog = Catalog()
@@ -84,23 +91,15 @@ class TestPlanning:
             name: TableStats(10, {a: 10 for a in catalog.relation(name).attributes})
             for name in catalog.relation_names()
         }
-        pinned = CostAwareSafePlanner(
-            policy, local_stats, search_join_orders=False
-        )
-        with pytest.raises(InfeasiblePlanError):
-            pinned.plan(catalog, bad_order)
-        searching = CostAwareSafePlanner(policy, local_stats)
-        outcome = searching.plan(catalog, bad_order)
-        verify_assignment(policy, outcome.assignment)
-        assert outcome.orders_feasible >= 1
+        # The user's order alone admits no safe assignment ...
+        pinned = build_plan(catalog, bad_order)
+        assert optimal_safe_assignment(policy, pinned, local_stats) is None
+        # ... but another connected order does.
+        tree, assignment, _ = cheapest_safe_plan(policy, catalog, bad_order, local_stats)
+        verify_assignment(policy, assignment)
+        assert tree.root.schema >= bad_order.select
+        assert [leaf.relation.name for leaf in tree.leaves()] != list(bad_order.relations)
 
     def test_infeasible_everywhere(self, catalog, stats):
-        planner = CostAwareSafePlanner(Policy(), stats)
-        with pytest.raises(InfeasiblePlanError):
-            planner.plan(catalog, example_query_spec())
-
-    def test_repr(self, catalog, policy, stats):
-        outcome = CostAwareSafePlanner(policy, stats).plan(
-            catalog, example_query_spec()
-        )
-        assert "orders feasible" in repr(outcome)
+        with pytest.raises(InfeasiblePlanError, match="no connected left-deep join order"):
+            cheapest_safe_plan(Policy(), catalog, example_query_spec(), stats)

@@ -3,8 +3,8 @@
 Covers the breaker state machine (closed -> open -> half-open and both
 ways back), the rolling per-resource statistics, outcome attribution,
 the fail-fast path in the shipment retry loop, quarantine-aware
-planning with its availability-preserving fallback, and the cost-side
-penalty.  The load-bearing invariants:
+planning with its availability-preserving fallback.  The load-bearing
+invariants:
 
 * everything is driven by the injector's logical clock — two identical
   runs produce identical breaker histories;
@@ -35,7 +35,6 @@ from repro.distributed.health import (
     RollingStats,
 )
 from repro.distributed.system import DistributedSystem
-from repro.engine.coster import CostModel
 from repro.engine.resilience import (
     STATUS_BREAKER_OPEN,
     RetryPolicy,
@@ -262,17 +261,6 @@ class TestHealthTracker:
         tracker.observe_attempt("C", "D", STATUS_OK, 1.0, 20.0)  # advance clock
         assert tracker.quarantined_servers() == ()  # B is due a probe
 
-    def test_penalty_factor_tiers(self):
-        tracker = HealthTracker(
-            failure_threshold=1, cooldown=10.0, quarantine_penalty=8.0
-        )
-        assert tracker.penalty_factor("A", "B") == 1.0
-        assert tracker.penalty_factor("A", "A") == 1.0
-        tracker.observe_attempt("A", "B", STATUS_RECEIVER_DOWN, 0.0, 0.0)
-        assert tracker.penalty_factor("A", "B") == 8.0
-        tracker.observe_attempt("C", "D", STATUS_OK, 1.0, 15.0)
-        assert tracker.penalty_factor("A", "B") == pytest.approx(4.5)
-
     def test_breaker_trips_totals_servers_and_links(self):
         tracker = HealthTracker(failure_threshold=1)
         tracker.observe_attempt("A", "B", STATUS_RECEIVER_DOWN, 0.0, 0.0)
@@ -293,10 +281,6 @@ class TestHealthTracker:
         tracker.observe_attempt("A", "B", STATUS_OK, 1.0, 0.0)
         text = tracker.describe()
         assert "server A" in text and "link A->B" in text
-
-    def test_quarantine_penalty_validated(self):
-        with pytest.raises(ResilienceConfigError):
-            HealthTracker(quarantine_penalty=0.5)
 
     def test_determinism_identical_runs_identical_histories(self):
         def run():
@@ -394,25 +378,6 @@ class TestFlappingServer:
         assert tracker.breaker_trips() >= 1
         assert delivered_after_trip
         assert tracker.server("B").breaker.state(faults.clock) == STATE_CLOSED
-
-
-class TestHealthAwareCostModel:
-    def test_penalizes_quarantined_routes_only(self):
-        tracker = HealthTracker(failure_threshold=1, quarantine_penalty=8.0)
-        tracker.observe_attempt("A", "B", STATUS_DROP, 1.0, 0.0)
-        model = CostModel(health=tracker)
-        assert model.transfer_cost("A", "B", 100.0) == 800.0
-        assert model.transfer_cost("B", "A", 100.0) == 100.0
-
-    def test_wraps_a_base_model(self):
-        class Doubling(CostModel):
-            def transfer_cost(self, sender, receiver, byte_size):
-                return 2.0 * byte_size
-
-        tracker = HealthTracker(failure_threshold=1, quarantine_penalty=3.0)
-        tracker.observe_attempt("A", "B", STATUS_DROP, 1.0, 0.0)
-        model = CostModel(network=Doubling(), health=tracker)
-        assert model.transfer_cost("A", "B", 10.0) == 60.0
 
 
 class TestHealthAwareExecution:

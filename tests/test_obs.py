@@ -1140,6 +1140,7 @@ class TestSeamContract:
         sources = sorted((REPO / "src").rglob("*.py"))
         assert sources
         assert not (REPO / "src/repro/algebra/expression.py").exists(), "a second algebra"
+        assert not (REPO / "src/repro/core/costplanner.py").exists(), "a second plan search"
         policy = REPO / "src/repro/core/authorization.py"
         open_policy = REPO / "src/repro/core/openpolicy.py"
         for path in sources:
@@ -1153,6 +1154,13 @@ class TestSeamContract:
             if path != policy:
                 assert "def can_view_batch(" not in text, f"{path}: a second batch CanView"
             assert not re.search(r"\bpermits\b", text), f"{path}: the permits duck-type"
+            # One exact safe-assignment search: no health pricing, no
+            # second join-order search, no enumerate-and-price.
+            assert not re.search(r"penalty_factor|quarantine_penalty", text), path
+            assert not re.search(r"def (greedy_join_order|optimize_join_order)\(", text), path
+            assert not re.search(
+                r"^(?!\s*def ).*enumerate_(safe|structural)_assignments\(", text, re.M
+            ), f"{path}: enumerate-and-price"
             methods = set(re.findall(r"^\s*def (\w+)\(", text, re.M))
             for target, source in re.findall(
                 r"^\s*self\.(\w+) = self\.(\w+)\s*(?:#.*)?$", text, re.M

@@ -1,16 +1,9 @@
 """Unit tests for the join-order search."""
 
-import pytest
-
 from repro.algebra.builder import QuerySpec, build_plan
-from repro.algebra.optimizer import (
-    enumerate_join_orders,
-    greedy_join_order,
-    optimize_join_order,
-)
+from repro.algebra.optimizer import enumerate_join_orders
 from repro.algebra.joins import JoinPath
 from repro.algebra.schema import Catalog, RelationSchema
-from repro.exceptions import PlanError
 
 
 def chain_catalog(n=4) -> Catalog:
@@ -60,59 +53,3 @@ class TestEnumerateJoinOrders:
         for order in enumerate_join_orders(catalog, spec):
             total = order.full_join_path()
             assert total == spec.full_join_path()
-
-
-class TestGreedyJoinOrder:
-    def test_produces_connected_order(self):
-        catalog = chain_catalog(5)
-        spec = chain_spec(5)
-        reordered = greedy_join_order(catalog, spec)
-        plan = build_plan(catalog, reordered)
-        assert len(plan.leaves()) == 5
-
-    def test_deterministic(self):
-        catalog = chain_catalog(5)
-        spec = chain_spec(5)
-        first = greedy_join_order(catalog, spec)
-        second = greedy_join_order(catalog, spec)
-        assert first.relations == second.relations
-
-    def test_disconnected_graph_rejected(self):
-        catalog = Catalog()
-        catalog.add_relation(RelationSchema("A", ["a1"], server="S1"))
-        catalog.add_relation(RelationSchema("B", ["b1"], server="S2"))
-        # Force a spec whose single join condition cannot connect (no
-        # shared edge between A and B at all).
-        spec = QuerySpec(
-            ["A", "B"], [JoinPath.of(("a1", "b1"))], frozenset({"a1"})
-        )
-        # The greedy order on a one-edge graph works; remove the edge by
-        # building a spec over unrelated attributes instead.
-        reordered = greedy_join_order(catalog, spec)
-        assert set(reordered.relations) == {"A", "B"}
-
-
-class TestOptimizeJoinOrder:
-    def test_picks_lowest_score(self, catalog, spec):
-        # Score by number of leaves of the first relation name, so that
-        # the evaluator prefers a specific order deterministically.
-        def evaluator(plan):
-            first_leaf = plan.leaves()[0].relation.name
-            return {"Insurance": 3.0, "Nat_registry": 1.0, "Hospital": 2.0}.get(
-                first_leaf, 9.0
-            )
-
-        best, score = optimize_join_order(catalog, spec, evaluator)
-        assert score == 1.0
-        assert best.leaves()[0].relation.name == "Nat_registry"
-
-    def test_discards_none_scores(self, catalog, spec):
-        best, score = optimize_join_order(catalog, spec, lambda plan: None)
-        assert best is None and score is None
-
-    def test_non_exhaustive_uses_greedy(self, catalog, spec):
-        best, score = optimize_join_order(
-            catalog, spec, lambda plan: float(len(plan)), exhaustive=False
-        )
-        assert best is not None
-        assert score == float(len(best))

@@ -8,7 +8,7 @@ Covers the PR's acceptance criteria directly:
 * profile JSON artifacts round-trip byte-stable through
   :mod:`repro.io.serialize`;
 * the :class:`~repro.profiling.StatsStore` decay/harvest semantics and
-  the stats-fed :class:`~repro.core.costplanner.CostAwareSafePlanner` replan;
+  the stats-fed :func:`~repro.baselines.exhaustive.cheapest_safe_plan` replan;
 * misestimate detection and its trace/metrics surfacing;
 * the satellite fixes (percentile edge cases, ``write_bench_json``
   profile section, Prometheus histogram validation and quantile).
@@ -339,9 +339,11 @@ def test_warm_store_tightens_estimate():
 def test_stats_aware_cost_model_replans():
     """A warm store re-ranks candidate strategies: observed join
     selectivities feed :func:`estimate_assignment_cost` through the
-    planner's ``stats_store``, changing the estimated cost even when
-    the winning strategy happens to stay the same."""
-    from repro.core.costplanner import EXHAUSTIVE, CostAwareSafePlanner
+    plan search's ``selectivities``, changing the estimated cost even
+    when the winning strategy happens to stay the same."""
+    from repro.algebra.builder import build_plan
+    from repro.algebra.optimizer import enumerate_join_orders
+    from repro.baselines.exhaustive import cheapest_safe_plan, optimal_safe_assignment
     from repro.sql import parse_query
 
     system = _medical_system()
@@ -353,16 +355,24 @@ def test_stats_aware_cost_model_replans():
     _, profile = _profiled_run(QueryProfiler(selectivities=store), system)
     store.harvest(profile)
     spec = parse_query(MEDICAL_QUERY, system.catalog)
-    static_planner = CostAwareSafePlanner(
-        system.policy, base, assignment_search=EXHAUSTIVE
+    fed = store.table_stats(base)
+    _, _, static_cost = cheapest_safe_plan(system.policy, system.catalog, spec, base)
+    _, _, fed_cost = cheapest_safe_plan(
+        system.policy, system.catalog, spec, fed, selectivities=store
     )
-    fed_planner = CostAwareSafePlanner(
-        system.policy, base, assignment_search=EXHAUSTIVE, stats_store=store
-    )
-    static_plan = static_planner.plan(system.catalog, spec)
-    fed_plan = fed_planner.plan(system.catalog, spec)
-    assert fed_plan.estimated_cost != static_plan.estimated_cost
-    assert fed_plan.orders_feasible == static_plan.orders_feasible
+
+    def orders_feasible(stats, selectivities=None):
+        return sum(
+            optimal_safe_assignment(
+                system.policy, build_plan(system.catalog, order), stats,
+                selectivities=selectivities,
+            )
+            is not None
+            for order in enumerate_join_orders(system.catalog, spec)
+        )
+
+    assert fed_cost != static_cost
+    assert orders_feasible(fed, store) == orders_feasible(base)
 
 
 def test_join_path_key_deterministic():
