@@ -34,7 +34,10 @@ loc:
 # deleted second algebra (algebra/expression.py), and a second
 # safe-assignment search: core/costplanner.py, health pricing
 # (`penalty_factor` / `quarantine_penalty`), a greedy or scored
-# join-order search, or an enumerate-and-price call in src/.
+# join-order search, or an enumerate-and-price call in src/, and a
+# second sharded execution path: sharding/shuffle.py or the multi-round
+# rung (`multiround` / `multi-round` / `allow_multiround`, any case)
+# in src/.
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
 SERVICE = src/repro/service/service.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
@@ -63,6 +66,9 @@ census:
 	@! grep -rnE --include='*.py' "penalty_factor|quarantine_penalty" src/
 	@! grep -rnE --include='*.py' "def (greedy_join_order|optimize_join_order)\(" src/
 	@! grep -rnE --include='*.py' "enumerate_(safe|structural)_assignments\(" src/ | grep -vE "^[^:]+:[0-9]+:[[:space:]]*def "
+	@echo "-- sharding/shuffle.py or the multi-round rung in src/ (none expected):"
+	@test ! -e src/repro/sharding/shuffle.py || (echo src/repro/sharding/shuffle.py; false)
+	@! grep -rniE --include='*.py' "multi-?round" src/
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).

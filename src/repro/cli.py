@@ -454,11 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the parallel-correctness checker and stop",
     )
     shard_cmd.add_argument(
-        "--no-multiround",
-        action="store_true",
-        help="disable the multi-round fallback (hypercube or single-copy)",
-    )
-    shard_cmd.add_argument(
         "--diff",
         action="store_true",
         help="also run single-copy and verify the results are identical",
@@ -1160,16 +1155,11 @@ def _cmd_shard(system: DistributedSystem, args, out) -> int:
         print(f"  reason: {certificate.reason}", file=out)
     if args.certify_only:
         return 0 if certificate.certified else 3
-    result = system.execute_sharded(
-        args.sql,
-        schemes,
-        recipient=args.recipient,
-        allow_multiround=not args.no_multiround,
-    )
+    result = system.execute_sharded(args.sql, schemes, recipient=args.recipient)
     summary = result.summary_dict()
     print(
         f"result: mode={summary['mode']} rows={summary['rows']} "
-        f"shards={summary['shards']} rounds={summary['rounds']} "
+        f"shards={summary['shards']} "
         f"transfers={summary['transfers']} violations={summary['violations']} "
         f"makespan={summary['makespan']:.4f}",
         file=out,

@@ -52,17 +52,11 @@ from repro.exceptions import (
     InfeasiblePlanError,
     PlanError,
     ResilienceConfigError,
-    ShardingError,
     TransferFailedError,
     UnsafeAssignmentError,
 )
 from repro.obs.hooks import hooks_for
-from repro.sharding.executor import (
-    EXEC_MULTIROUND,
-    EXEC_SINGLE_COPY,
-    ShardPlan,
-    Unit,
-)
+from repro.sharding.executor import EXEC_SINGLE_COPY, ShardPlan, Unit
 from repro.sharding.scheme import merge_shards
 
 
@@ -146,13 +140,10 @@ class QueryPipeline:
             :class:`~repro.sharding.ShardedExecutor` already
             coordinating one).  The run is then gated by the
             parallel-correctness checker: certified co-partitioned
-            schemes execute one unit per shard, merely hash-compatible
-            ones the audited multi-round fallback, and anything the
+            schemes execute one unit per shard, and anything the
             checker cannot prove equivalent to single-copy execution
             one single-copy unit — :meth:`run` returns a
             :class:`~repro.sharding.ShardedResult` either way.
-        allow_multiround: permit the multi-round mode (disable to force
-            hypercube-or-single-copy).  Only read with ``schemes``.
 
     Raises:
         ResilienceConfigError: resilience options given without a fault
@@ -178,7 +169,6 @@ class QueryPipeline:
         chaos=None,
         profiler=None,
         schemes=None,
-        allow_multiround: bool = True,
     ) -> None:
         if faults is None and (
             deadline is not None
@@ -212,7 +202,6 @@ class QueryPipeline:
         self._coordinator = (
             system._shard_coordinator(schemes) if schemes is not None else None
         )
-        self._allow_multiround = allow_multiround
         self._product: Optional[tuple] = None
         # Policy epoch the product was planned under (None: adopted
         # from another pipeline, so unknown).
@@ -248,7 +237,6 @@ class QueryPipeline:
                 self._product = self._coordinator.plan(
                     self._query,
                     search_join_orders=self._search_join_orders,
-                    allow_multiround=self._allow_multiround,
                     hooks=self._hooks,
                 )
         return self._product
@@ -345,23 +333,6 @@ class QueryPipeline:
         if sharded:
             hooks.shards_begin(plan)
         try:
-            if plan.mode == EXEC_MULTIROUND:
-                # An engine-level call, not an assignment, so not a
-                # unit: it keeps its own audited shuffle, inside the
-                # same chaos points.
-                try:
-                    self._fire_chaos("pre", None)
-                    result = coordinator.run_multiround(
-                        self._query, plan, self._recipient, hooks
-                    )
-                    self._fire_chaos("post", None)
-                    return result
-                except ShardingError as error:
-                    # An unauthorized shuffle moved nothing: single-copy.
-                    plan = coordinator.fallback(
-                        self._query, plan.certificate, str(error),
-                        self._search_join_orders, hooks,
-                    )
             results, took = self._run_units(coordinator.units(plan, self._trace))
             self._stamp(results)
             table = merge_shards(result.table for result in results)

@@ -601,7 +601,7 @@ class DistributedSystem:
                 :class:`~repro.sharding.PartitionScheme`.
             recipient: optional final consumer; audited per shard.
             **options: see :class:`~repro.distributed.pipeline.QueryPipeline`
-                (``allow_multiround``, ``faults``, ...).
+                (``faults``, ``trace``, ...).
 
         Returns:
             a :class:`~repro.sharding.ShardedResult`.

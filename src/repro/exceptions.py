@@ -211,22 +211,11 @@ class CheckpointError(ExecutionError):
 class PartitionSchemeError(ReproError, ValueError):
     """A horizontal partition scheme is misconfigured.
 
-    Empty server groups, overlapping range boundaries, unknown
-    attributes or a degenerate shard count are ordinary bad arguments:
-    like :class:`FaultConfigError` this subclasses :class:`ValueError`
-    so callers outside the library catch it as such.
-    """
-
-
-class ShardingError(ExecutionError):
-    """A sharded execution failed in a way single-copy execution cannot.
-
-    Raised by the partition-parallel executor when a certified scheme
-    turns out not to be executable (e.g. a shard plan that cannot ship
-    an intermediate to its group without exceeding the policy).  The
-    coordinator treats it as a signal to fall back to single-copy
-    execution, never to run a partitioned plan whose safety it cannot
-    prove.
+    Empty server groups, overlapping range boundaries, an unknown
+    relation, unknown attributes or a degenerate shard count are
+    ordinary bad arguments: like :class:`FaultConfigError` this
+    subclasses :class:`ValueError` so callers outside the library catch
+    it as such.
     """
 
 

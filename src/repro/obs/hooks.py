@@ -12,8 +12,8 @@ Call sites follow every ``x_begin`` by its ``x_end`` in a ``try`` /
 outcome, ``None`` when an exception is leaving the region.  They pass the objects they hold: names, labels, span
 attributes, statistics and clock reads happen in the listener.  Leaf
 emitters that only drop events into whichever span is open (audit,
-retry, breakers, deadline, checkpoint, plan cache, chase, shard checker
-and shuffle) take :attr:`Hooks.trace` instead.
+retry, breakers, deadline, checkpoint, plan cache, chase and shard
+checker) take :attr:`Hooks.trace` instead.
 
 The query service has its own seam, built the same way:
 :class:`ServiceHooks` and its switch :func:`service_hooks_for`.
@@ -250,18 +250,17 @@ class TracerHooks(Hooks):
         self.trace.count("repro_shard_fallback_total")
 
     def shard_commit(self, plan, table, results) -> None:
-        from repro.sharding.executor import EXEC_PARTITIONED, EXEC_SINGLE_COPY
+        from repro.sharding.executor import EXEC_PARTITIONED
 
         trace = self.trace
         trace.count("repro_shard_queries_total", mode=plan.mode)
         if plan.mode == EXEC_PARTITIONED:
             trace.count("repro_shard_partitions_total", len(results))
+            trace.count("repro_shard_rows_total", len(table))
             trace.event(
                 "shard_parallel_commit", "sharding", shards=len(results),
                 rows=len(table), mode=EXEC_PARTITIONED,
             )
-        if plan.mode != EXEC_SINGLE_COPY:
-            trace.count("repro_shard_rows_total", len(table))
 
 
 class ProfilerHooks(Hooks):

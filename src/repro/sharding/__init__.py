@@ -16,11 +16,8 @@ The pieces:
 * :mod:`~repro.sharding.checker` — the
   :class:`ParallelCorrectnessChecker`, which certifies a distribution
   policy *before* the planner commits: HyperCube-style single-round
-  plans for co-partitioned inputs, a multi-round fallback for
-  compatible-but-unaligned hash schemes, and a hard rejection for
-  anything it cannot prove equivalent to single-copy execution.
-* :mod:`~repro.sharding.shuffle` — shuffle planning and the audited
-  multi-round engine-level fallback.
+  plans for co-partitioned inputs, and a rejection for anything it
+  cannot prove equivalent to single-copy execution.
 * :mod:`~repro.sharding.executor` — :class:`ShardedExecutor`, the
   long-lived coordinator (one per system and scheme set, over the
   system's resident shards) that certifies, plans per shard with the real
@@ -35,7 +32,6 @@ falls back to plain single-copy execution and says so in the trace.
 
 from repro.sharding.checker import (
     MODE_HYPERCUBE,
-    MODE_MULTIROUND,
     MODE_REJECTED,
     MODE_TRIVIAL,
     ParallelCorrectnessChecker,
@@ -43,7 +39,6 @@ from repro.sharding.checker import (
     certify_schemes,
 )
 from repro.sharding.executor import (
-    EXEC_MULTIROUND,
     EXEC_PARTITIONED,
     EXEC_SINGLE_COPY,
     ShardedExecutor,
@@ -59,27 +54,12 @@ from repro.sharding.scheme import (
     canonical_shard_key,
     merge_shards,
 )
-from repro.sharding.shuffle import (
-    ACTION_BROADCAST,
-    ACTION_LOCAL,
-    ACTION_REPARTITION,
-    ShufflePlan,
-    ShuffleStats,
-    ShuffleStep,
-    execute_multiround,
-    plan_shuffle,
-)
 
 __all__ = [
-    "ACTION_BROADCAST",
-    "ACTION_LOCAL",
-    "ACTION_REPARTITION",
-    "EXEC_MULTIROUND",
     "EXEC_PARTITIONED",
     "EXEC_SINGLE_COPY",
     "MAX_SHARDS",
     "MODE_HYPERCUBE",
-    "MODE_MULTIROUND",
     "MODE_REJECTED",
     "MODE_TRIVIAL",
     "HashPartitionScheme",
@@ -90,13 +70,8 @@ __all__ = [
     "ShardCertificate",
     "ShardedExecutor",
     "ShardedResult",
-    "ShufflePlan",
-    "ShuffleStats",
-    "ShuffleStep",
     "canonical_shard_key",
     "certify_schemes",
-    "execute_multiround",
     "merge_shards",
-    "plan_shuffle",
     "shard_catalog",
 ]

@@ -21,15 +21,12 @@ proof supports:
   tuples that join already meet, so one single-round, shuffle-free
   partition-parallel execution is correct (unsharded relations are
   broadcast, the degenerate HyperCube grid).
-* ``multiround`` — the schemes are mutually *compatible* (one hash
-  family, one shard count) but not pre-aligned; each join step's
-  partition key is covered by that step's conditions, so a per-step
-  repartition (the multi-round fallback of
-  :mod:`repro.sharding.shuffle`) restores the meeting property.
 * rejected — anything the checker cannot prove: a join key split
   across incompatible hash functions or mismatched range boundaries, a
-  partition key a join never equates, or a shard placement that would
-  widen visibility.  Rejected schemes **never execute partitioned**;
+  join between sharded relations that is not co-partitioned (a
+  partition key the join never equates, or sharded relations no chain
+  of aligned joins connects), or a shard placement that would widen
+  visibility.  Rejected schemes **never execute partitioned**;
   the coordinator falls back to single-copy execution.
 
 The authorization side rides on the existing chase machinery: the
@@ -43,7 +40,7 @@ the rules cannot change a verdict (a property the suite asserts).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 from repro.algebra.builder import QuerySpec
 from repro.algebra.schema import Catalog
@@ -54,7 +51,6 @@ from repro.sharding.scheme import PartitionScheme
 
 #: Certificate modes.
 MODE_HYPERCUBE = "hypercube"
-MODE_MULTIROUND = "multiround"
 MODE_TRIVIAL = "trivial"  # no sharded relation in the query
 MODE_REJECTED = "rejected"
 
@@ -65,9 +61,8 @@ class ShardCertificate:
     Attributes:
         certified: whether a partitioned execution is provably
             equivalent to single-copy *and* authorization-safe.
-        mode: ``hypercube`` / ``multiround`` when certified,
-            ``trivial`` when the query touches no sharded relation,
-            ``rejected`` otherwise.
+        mode: ``hypercube`` when certified, ``trivial`` when the query
+            touches no sharded relation, ``rejected`` otherwise.
         reason: why certification failed (empty when certified).
         sharded: the sharded relations the query touches, in FROM order.
         details: human-readable proof notes, deterministic order.
@@ -151,10 +146,12 @@ class ParallelCorrectnessChecker:
     ) -> ShardCertificate:
         """Certify ``schemes`` for ``spec`` (see the module docstring).
 
-        Schemes for relations the query does not touch are ignored.
-        Malformed schemes (unknown relation/attributes) reject rather
-        than raise — an uncertifiable distribution policy is a verdict,
-        not a caller error.
+        Schemes for relations the query does not touch are ignored —
+        including one naming a relation the catalog lacks, which
+        :class:`~repro.sharding.ShardedExecutor` refuses at
+        construction.  Malformed schemes (unknown attributes) reject
+        rather than raise — an uncertifiable distribution policy is a
+        verdict, not a caller error.
         """
         trace = self._trace
         if trace is None:
@@ -220,7 +217,7 @@ class ParallelCorrectnessChecker:
         # compatibility signature (hash family + shard count + key
         # arity, or identical range boundaries): a join key split across
         # incompatible routing functions sends equal keys to different
-        # shards, which no later shuffle of these schemes can repair.
+        # shards.
         aligned_pairs = set()
         joined_pairs = set()
         for i, left in enumerate(sharded):
@@ -277,53 +274,16 @@ class ParallelCorrectnessChecker:
                 f"{name}: group {schemes[name].group.name} holds the base view"
             )
 
-        # -- gate 3: pick the mode the structure supports ---------------
-        if len(sharded) == 1 or (
-            joined_pairs == aligned_pairs and self._connected(sharded, aligned_pairs)
-        ):
-            return ShardCertificate(
-                True,
-                MODE_HYPERCUBE,
-                sharded=sharded,
-                details=details,
-                policy_epoch=epoch,
-            )
-
-        # Not pre-aligned: a per-step repartition can still restore the
-        # meeting property, but only when one routing family governs
-        # every scheme and each step's partition key is equated by that
-        # step's join conditions.
-        signatures = {schemes[name].compatibility_signature() for name in sharded}
-        kinds = {schemes[name].kind for name in sharded}
-        if kinds != {"hash"} or len({s[1:3] for s in signatures}) != 1:
+        # -- gate 3: every join between sharded relations is aligned ---
+        if joined_pairs != aligned_pairs or not self._connected(sharded, aligned_pairs):
             return rejected(
-                "schemes are neither co-partitioned nor repartitionable "
-                "under one hash family",
+                "schemes are not co-partitioned on every join between sharded "
+                "relations: joining tuples may sit on different shards",
                 details,
             )
-        accumulated = set(attrs_of[spec.relations[0]])
-        for step, incoming in zip(spec.join_paths, spec.relations[1:]):
-            if incoming in schemes:
-                scheme = schemes[incoming]
-                step_conditions = list(step)
-                for attr in scheme.attributes:
-                    covered = any(
-                        (c.first == attr and c.second in accumulated)
-                        or (c.second == attr and c.first in accumulated)
-                        for c in step_conditions
-                    )
-                    if not covered:
-                        return rejected(
-                            f"partition key attribute {attr!r} of {incoming!r} "
-                            "is not equated by its join step; repartitioning "
-                            "cannot align the shards",
-                            details,
-                        )
-            accumulated |= attrs_of[incoming]
-        details.append("repartition per join step restores the meeting property")
         return ShardCertificate(
             True,
-            MODE_MULTIROUND,
+            MODE_HYPERCUBE,
             sharded=sharded,
             details=details,
             policy_epoch=epoch,

@@ -3,7 +3,7 @@
 :class:`ShardedExecutor` is the coordinator that decides *what* a query
 under a partition scheme set executes; the execution itself is the one
 unit loop of :class:`~repro.distributed.pipeline.QueryPipeline`.  Its
-fallback ladder (each rung provably no wider than the one below):
+fallback ladder has two rungs:
 
 1. **hypercube** — the checker certified co-partitioned schemes: one
    pipeline *unit per shard*.  Each shard gets its own catalog (sharded
@@ -14,12 +14,9 @@ fallback ladder (each rung provably no wider than the one below):
    query — audit-before-ship, retry, failover, breakers, chaos points,
    profiling — and the shard results merge by union, which is exactly
    single-copy semantics for certified schemes.
-2. **multiround** — compatible but unaligned schemes: the engine-level
-   repartitioning fallback of :func:`~repro.sharding.shuffle.execute_multiround`,
-   every shuffle audited with the group-lifted CanView first.
-3. **single_copy** — anything else (uncertified schemes, an infeasible
-   shard plan, an unauthorized shuffle): one unit over the system's own
-   tables, planned through the plan cache.  Uncertified schemes
+2. **single_copy** — anything else (uncertified schemes, an infeasible
+   shard plan): one unit over the system's own tables, planned
+   through the plan cache.  Uncertified schemes
    therefore *never* execute partitioned — the trace carries a
    ``shard_fallback`` event and no ``shard`` span, the property the
    differential suite asserts.
@@ -38,7 +35,6 @@ rows, fallbacks by reason, resident-split hits and misses) and a
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algebra.builder import QuerySpec, build_plan
@@ -46,27 +42,15 @@ from repro.algebra.schema import Catalog
 from repro.algebra.tree import QueryTreePlan
 from repro.core.assignment import Assignment
 from repro.core.planner import SafePlanner
-from repro.core.profile import RelationProfile
 from repro.engine.data import Table
 from repro.engine.executor import ExecutionResult
-from repro.exceptions import (
-    InfeasiblePlanError,
-    PartitionSchemeError,
-    ShardingError,
-)
+from repro.exceptions import InfeasiblePlanError, PartitionSchemeError
 from repro.obs.hooks import NO_HOOKS, Hooks
-from repro.sharding.checker import (
-    MODE_HYPERCUBE,
-    MODE_MULTIROUND,
-    ParallelCorrectnessChecker,
-    ShardCertificate,
-)
+from repro.sharding.checker import ParallelCorrectnessChecker, ShardCertificate
 from repro.sharding.scheme import PartitionScheme
-from repro.sharding.shuffle import ShufflePlan, execute_multiround, plan_shuffle
 
 #: Execution modes reported by :class:`ShardedResult`.
 EXEC_PARTITIONED = "partitioned"
-EXEC_MULTIROUND = "multiround"
 EXEC_SINGLE_COPY = "single_copy"
 
 #: What the pipeline executes, one at a time: ``(tree, assignment,
@@ -81,20 +65,17 @@ class ShardPlan(NamedTuple):
     Attributes:
         certificate: the checker's verdict (pins the policy epoch the
             decision was taken under).
-        mode: ``partitioned``, ``multiround`` or ``single_copy``.
+        mode: ``partitioned`` or ``single_copy``.
         fallback_reason: why the ladder fell to single-copy ("" when it
             did not).
-        shuffle: the shuffle plan (``None`` on single-copy fallback).
         units: the verified ``(tree, assignment)`` pairs the pipeline
             executes — one per shard when ``partitioned``, the one
-            single-copy plan when ``single_copy``, none for
-            ``multiround`` (an engine-level call, not an assignment).
+            single-copy plan when ``single_copy``.
     """
 
     certificate: ShardCertificate
     mode: str
     fallback_reason: str
-    shuffle: Optional[ShufflePlan]
     units: Tuple[Tuple[QueryTreePlan, Assignment], ...]
 
 
@@ -102,15 +83,13 @@ class ShardedResult:
     """Outcome of one sharded (or fallen-back) execution.
 
     Attributes:
-        mode: ``partitioned`` (hypercube, one pipeline unit per shard),
-            ``multiround`` (engine-level repartition fallback) or
-            ``single_copy``.
+        mode: ``partitioned`` (hypercube, one pipeline unit per shard)
+            or ``single_copy``.
         table: the merged query result (identical to single-copy
             execution — the differential suite's core claim).
         result_server: where the result materialized (the recipient
             when one was given).
         certificate: the checker's verdict.
-        shuffle: the shuffle plan (``None`` on single-copy fallback).
         unit_results: the :class:`ExecutionResult` of every pipeline
             unit that ran — also readable by mode as
             :attr:`shard_results` / :attr:`single_result`.
@@ -120,7 +99,6 @@ class ShardedResult:
             shard's* wall time for partitioned runs, total wall time
             otherwise.
         elapsed: total wall time spent executing (all shards summed).
-        shuffle_stats: row/byte shuffle accounting (``multiround`` only).
         audit: merged audit view over every unit, duck-typed like
             :class:`~repro.engine.audit.AuditLog` for what readers of a
             delivered result use (``violations``, ``checked``,
@@ -134,12 +112,10 @@ class ShardedResult:
         "table",
         "result_server",
         "certificate",
-        "shuffle",
         "unit_results",
         "fallback_reason",
         "makespan",
         "elapsed",
-        "shuffle_stats",
         "audit",
     )
 
@@ -150,18 +126,15 @@ class ShardedResult:
         result_server: str,
         results: Sequence[ExecutionResult] = (),
         took: Sequence[float] = (),
-        shuffle_stats=None,
     ) -> None:
         self.mode = plan.mode
         self.certificate = plan.certificate
-        self.shuffle = plan.shuffle
         self.fallback_reason = plan.fallback_reason
         self.table = table
         self.result_server = result_server
         self.unit_results = tuple(results)
         self.makespan = max(took, default=0.0)
         self.elapsed = sum(took)
-        self.shuffle_stats = shuffle_stats
         self.audit = _MergedAudit(self.unit_results)
 
     @property
@@ -186,25 +159,18 @@ class ShardedResult:
 
     def transfers(self) -> int:
         """Cross-server shipments across every underlying run."""
-        total = sum(len(r.transfers) for r in self.unit_results)
-        if self.shuffle_stats is not None:
-            total += self.shuffle_stats.repartitions + self.shuffle_stats.broadcasts
-        return total
+        return sum(len(r.transfers) for r in self.unit_results)
 
     def summary_dict(self) -> dict:
         """Stable flat summary; every key always present."""
-        shipped = sum(r.transfers.total_bytes() for r in self.unit_results)
-        if self.shuffle_stats is not None:
-            shipped += self.shuffle_stats.shipped_bytes
         return {
             "mode": self.mode,
             "certified": self.certificate.certified,
             "fallback_reason": self.fallback_reason,
             "shards": self.shards,
-            "rounds": self.shuffle.rounds if self.shuffle is not None else 0,
             "rows": len(self.table),
             "transfers": self.transfers(),
-            "bytes": shipped,
+            "bytes": sum(r.transfers.total_bytes() for r in self.unit_results),
             "violations": self.violations(),
             "result_server": self.result_server,
             "makespan": self.makespan,
@@ -295,11 +261,17 @@ class ShardedExecutor:
             holding catalog, chase-closed policy and loaded instances.
         schemes: the candidate distribution policy, ``relation name ->
             PartitionScheme``.  Validated eagerly: a scheme keyed under
-            a different relation's name is a configuration error.
+            a different relation's name, or naming a relation the
+            catalog does not hold, is a configuration error.
     """
 
     def __init__(self, system, schemes: Mapping[str, PartitionScheme]) -> None:
         self._key = scheme_set_key(schemes)  # validates
+        for name in schemes:
+            if name not in system.catalog:
+                raise PartitionSchemeError(
+                    f"partition scheme names unknown relation {name!r}"
+                )
         self._system = system
         self._schemes = dict(schemes)
         self._catalogs: Dict[int, Catalog] = {}
@@ -331,7 +303,6 @@ class ShardedExecutor:
         self,
         query,
         search_join_orders: bool = False,
-        allow_multiround: bool = True,
         hooks: Hooks = NO_HOOKS,
     ) -> ShardPlan:
         """Certify ``query`` and decide its rung of the ladder.
@@ -342,44 +313,23 @@ class ShardedExecutor:
         """
         spec = self._system.parse(query)
         certificate = self.certify(spec, hooks.trace)
-        mode, units, reason = EXEC_SINGLE_COPY, (), ""
-        if not certificate.certified or not certificate.sharded:
-            reason = certificate.reason or "query touches no sharded relation"
-        elif certificate.mode == MODE_HYPERCUBE:
+        reason = certificate.reason or "query touches no sharded relation"
+        if certificate.certified and certificate.sharded:
             shards = self._schemes[certificate.sharded[0]].shards
             try:
                 units = tuple(
                     self._shard_plan(spec, shard, hooks.trace) for shard in range(shards)
                 )
-                mode = EXEC_PARTITIONED
+                return ShardPlan(certificate, EXEC_PARTITIONED, "", units)
             except InfeasiblePlanError as error:
                 reason = f"infeasible shard plan: {error}"
-        elif certificate.mode == MODE_MULTIROUND and allow_multiround:
-            mode = EXEC_MULTIROUND
-        else:
-            reason = f"mode {certificate.mode!r} disabled"
-        if mode == EXEC_SINGLE_COPY:
-            return self.fallback(query, certificate, reason, search_join_orders, hooks)
-        shuffle = plan_shuffle(spec, self._sharded(certificate), certificate)
-        return ShardPlan(certificate, mode, "", shuffle, units)
-
-    def fallback(
-        self,
-        query,
-        certificate: ShardCertificate,
-        reason: str,
-        search_join_orders: bool = False,
-        hooks: Hooks = NO_HOOKS,
-    ) -> ShardPlan:
-        """The bottom rung: ``query``'s ordinary single-copy plan
-        (through the plan cache), tagged with why the ladder fell."""
+        # The bottom rung: the ordinary single-copy plan (through the
+        # plan cache), tagged with why the ladder fell.
         hooks.shard_fallback(reason)
         tree, assignment, _ = self._system.plan(
             query, search_join_orders=search_join_orders, trace=hooks.trace
         )
-        return ShardPlan(
-            certificate, EXEC_SINGLE_COPY, reason, None, ((tree, assignment),)
-        )
+        return ShardPlan(certificate, EXEC_SINGLE_COPY, reason, ((tree, assignment),))
 
     def _sharded(self, certificate: ShardCertificate) -> Dict[str, PartitionScheme]:
         return {name: self._schemes[name] for name in certificate.sharded}
@@ -417,7 +367,7 @@ class ShardedExecutor:
         return tree, assignment
 
     # ------------------------------------------------------------------
-    # Residency, the multiround call, packaging
+    # Residency and packaging
     # ------------------------------------------------------------------
 
     def units(self, plan: ShardPlan, trace=None) -> List[Unit]:
@@ -443,49 +393,6 @@ class ShardedExecutor:
             for shard, (tree, assignment) in enumerate(plan.units)
         ]
 
-    def run_multiround(
-        self,
-        query,
-        plan: ShardPlan,
-        recipient: Optional[str] = None,
-        hooks: Hooks = NO_HOOKS,
-    ) -> ShardedResult:
-        """The multi-round rung: the engine-level repartitioning run.
-
-        Raises:
-            ShardingError: the recipient or a shuffle is not authorized
-                — nothing moved; the pipeline falls back to single-copy.
-        """
-        system = self._system
-        spec = system.parse(query)
-        if recipient is not None:
-            # The final delivery is a shipment like any other: audit it
-            # against the result's profile before running anything.
-            profile = RelationProfile.of_base_relation(
-                system.catalog.relation(spec.relations[0])
-            )
-            for step, incoming in zip(spec.join_paths, spec.relations[1:]):
-                profile = profile.join(
-                    RelationProfile.of_base_relation(system.catalog.relation(incoming)),
-                    step,
-                )
-            profile = profile.select(spec.where.attributes).project(spec.select)
-            if not system.policy.can_view(profile, recipient):
-                raise ShardingError(
-                    f"recipient {recipient!r} is not authorized for the result view"
-                )
-        start = time.perf_counter()
-        table, stats = execute_multiround(
-            system.tables(),
-            spec,
-            self._sharded(plan.certificate),
-            system.policy,
-            system.catalog,
-            trace=hooks.trace,
-        )
-        took = [time.perf_counter() - start]
-        return self.package(plan, table, (), took, recipient, hooks, stats)
-
     def package(
         self,
         plan: ShardPlan,
@@ -494,11 +401,10 @@ class ShardedExecutor:
         took: Sequence[float],
         recipient: Optional[str] = None,
         hooks: Hooks = NO_HOOKS,
-        shuffle_stats=None,
     ) -> ShardedResult:
         """One finished run as a :class:`ShardedResult`: ``table`` is
         the merged result, ``took`` each unit's wall time."""
         hooks.shard_commit(plan, table, results)
         if recipient is None:
             recipient = results[0].result_server if results else "coordinator"
-        return ShardedResult(plan, table, recipient, results, took, shuffle_stats)
+        return ShardedResult(plan, table, recipient, results, took)

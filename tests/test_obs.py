@@ -1141,6 +1141,7 @@ class TestSeamContract:
         assert sources
         assert not (REPO / "src/repro/algebra/expression.py").exists(), "a second algebra"
         assert not (REPO / "src/repro/core/costplanner.py").exists(), "a second plan search"
+        assert not (REPO / "src/repro/sharding/shuffle.py").exists(), "a second sharded path"
         policy = REPO / "src/repro/core/authorization.py"
         open_policy = REPO / "src/repro/core/openpolicy.py"
         for path in sources:
@@ -1161,6 +1162,8 @@ class TestSeamContract:
             assert not re.search(
                 r"^(?!\s*def ).*enumerate_(safe|structural)_assignments\(", text, re.M
             ), f"{path}: enumerate-and-price"
+            # One sharded ladder: hypercube or single-copy, no multi-round rung.
+            assert not re.search(r"multi-?round", text, re.I), f"{path}: the multi-round rung"
             methods = set(re.findall(r"^\s*def (\w+)\(", text, re.M))
             for target, source in re.findall(
                 r"^\s*self\.(\w+) = self\.(\w+)\s*(?:#.*)?$", text, re.M

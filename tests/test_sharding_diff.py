@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import InvariantMonitor
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.distributed.system import DistributedSystem
@@ -174,8 +175,8 @@ def sharded_worlds(draw):
 
     Returns ``(query, r_rows, t_rows, u_rows, schemes)`` where
     ``schemes`` may be certifiable (co-partitioned on join keys),
-    merely compatible (multiround), or flatly rejectable — the
-    differential property must hold for all of them.
+    compatible but unaligned, or incompatible — the differential
+    property must hold for all of them (the last two run single-copy).
     """
     query = draw(st.sampled_from([ONE_JOIN, TWO_JOIN]))
     shards = draw(st.integers(min_value=2, max_value=8))
@@ -282,10 +283,12 @@ def test_copartitioned_hash_is_partitioned_and_identical(r_rows, t_rows, shards)
     t_rows=_rows(ALIAS_KEYS, max_rows=12),
     shards=st.integers(min_value=2, max_value=6),
 )
-def test_multiround_fallback_is_identical(r_rows, t_rows, shards):
+def test_unaligned_schemes_fall_back_to_single_copy(r_rows, t_rows, shards):
     """Compatible-but-unaligned hash schemes (R sharded off the join
-    key) certify as multiround; the engine-level repartition fallback
-    still matches single-copy byte for byte."""
+    key) are rejected as not co-partitioned and run as one audited
+    single-copy unit: the answer matches single-copy byte for byte,
+    every shipped transfer names its covering authorization, and the
+    invariant monitor re-probes exactly the transfers the plan shipped."""
     system = _system()
     _load(system, r_rows, t_rows, [])
     schemes = {
@@ -294,13 +297,21 @@ def test_multiround_fallback_is_identical(r_rows, t_rows, shards):
     }
     executor = ShardedExecutor(system, schemes)
     certificate = executor.certify(ONE_JOIN)
-    assert certificate.certified
-    assert certificate.mode == "multiround"
-    result = executor.execute(ONE_JOIN)
-    assert result.mode == "multiround"
-    single = system.execute(ONE_JOIN)
-    _assert_byte_identical(result.table, single.table)
+    assert not certificate.certified
+    assert "not co-partitioned" in certificate.reason
+    trace = TraceContext()
+    result = executor.execute(ONE_JOIN, trace=trace)
+    _assert_gating(trace, result)
+    _assert_byte_identical(result.table, system.execute(ONE_JOIN).table)
     assert result.violations() == 0
+    assert result.single_result is not None
+    shipped = list(result.single_result.transfers)
+    assert shipped
+    assert all(transfer.authorized_by is not None for transfer in shipped)
+    monitor = InvariantMonitor()
+    monitor.on_result(0, result)
+    assert monitor.ok
+    assert monitor.report()["transfers_probed"] == len(shipped)
 
 
 def test_rejected_scheme_never_partitions_even_when_forced():

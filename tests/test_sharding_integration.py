@@ -577,6 +577,25 @@ class TestCliShard:
         assert "violations=0" in text
         assert "differential: identical" in text
 
+    def test_unaligned_schemes_fall_back_with_builtin_differential(self):
+        # Nat_registry sharded off the join key: not co-partitioned, so
+        # the query runs as one audited single-copy unit.
+        code, text = run_cli(
+            "shard",
+            "--sql", MEDICAL_SQL,
+            "--scheme", "Insurance:hash:Holder:2",
+            "--scheme", "Nat_registry:hash:HealthAid:2",
+            "--group", "S_N",
+            "--diff",
+            "--citizens", "30",
+            "--seed", "3",
+        )
+        assert code == 0, text
+        assert "result: mode=single_copy" in text
+        assert "  fallback: schemes are not co-partitioned" in text
+        assert "violations=0" in text
+        assert "differential: identical" in text
+
     def test_malformed_scheme_spec_is_usage_error(self):
         code, text = run_cli(
             "shard",

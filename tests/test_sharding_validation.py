@@ -2,16 +2,22 @@
 
 Every malformed distribution policy must die eagerly — at construction
 or at catalog validation — with a :class:`PartitionSchemeError` naming
-the offending piece, never later as a silent mis-route or a ``KeyError``
-deep inside the shuffle.  Same discipline as the fault-injector and
+the offending piece, never later as a silent mis-route, a ``KeyError``
+deep inside a shard run, or a ``trivial`` verdict that quietly runs the
+query single-copy.  Same discipline as the fault-injector and
 retry-policy constructors: invalid configuration is a caller error with
 a clear message, not a runtime surprise.
 """
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
+from repro.cli import main
+from repro.core.authorization import Policy
+from repro.distributed.system import DistributedSystem
 from repro.engine.data import Table
 from repro.exceptions import PartitionSchemeError, ReproError
 from repro.sharding import (
@@ -20,6 +26,7 @@ from repro.sharding import (
     PartitionGroup,
     RangePartitionScheme,
 )
+from repro.service import QueryService
 from repro.testing import quick_catalog
 
 GROUP = PartitionGroup("g", ["G1", "G2"])
@@ -161,6 +168,40 @@ class TestCatalogValidation:
     def test_valid_scheme_passes(self):
         HashPartitionScheme("R", ["a", "b"], 2, GROUP).validate_against(CATALOG)
         RangePartitionScheme("T", "c", [10], GROUP).validate_against(CATALOG)
+
+
+class TestUnknownRelationIsAConfigurationError:
+    """A scheme naming a relation the catalog does not hold dies where
+    every path builds its coordinator — it is not a ``trivial`` verdict
+    under which a typo runs the query single-copy unnoticed."""
+
+    TYPO = {"Rr": HashPartitionScheme("Rr", ["a"], 2, GROUP)}
+
+    def test_execute_sharded(self):
+        system = DistributedSystem(CATALOG, Policy())
+        with pytest.raises(PartitionSchemeError, match="unknown relation 'Rr'"):
+            system.execute_sharded("SELECT a FROM R", self.TYPO)
+
+    def test_service_constructor(self):
+        system = DistributedSystem(CATALOG, Policy())
+        with pytest.raises(PartitionSchemeError, match="unknown relation 'Rr'"):
+            QueryService(system, shard_schemes=self.TYPO)
+
+    def test_cli_exits_2(self):
+        out = io.StringIO()
+        code = main(
+            [
+                "shard",
+                "--sql", "SELECT Holder, Plan FROM Insurance",
+                "--scheme", "Insuranse:hash:Holder:2",
+                "--group", "S_N",
+                "--diff",
+                "--citizens", "30",
+            ],
+            out=out,
+        )
+        assert code == 2
+        assert "unknown relation 'Insuranse'" in out.getvalue()
 
 
 class TestSplitValidation:
