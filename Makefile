@@ -20,7 +20,7 @@ loc:
 	@printf '%7d  %s\n' "$$(find src -name '*.py' | xargs cat | wc -l)" "src/ total"
 
 # The instrumentation-seam census (tests/test_obs.py pins it): guard
-# tests on the four spine files — the ceiling is 6, constructor
+# tests on the four spine files — the ceiling is 5, constructor
 # adaptation of the public trace= / obs= / profiler= keywords only —
 # then the service shell's guard lines in service.py and the function
 # assembling its listener (ceiling 11: constructor adaptation, kill /
@@ -29,9 +29,12 @@ loc:
 # second pipeline-building site, a second flight-opening site or a
 # `request_id is not None` test in service.py, a DistributedExecutor
 # built anywhere in src/ but distributed/pipeline.py (one execution site),
-# a second CanView: `can_view` defined outside Policy / OpenPolicy,
-# `can_view_batch` outside Policy, the `permits` duck-type, or the
-# deleted second algebra (algebra/expression.py), and a second
+# a second CanView: `can_view` defined outside Policy / OpenPolicy, a
+# second kernel or covering memo (`can_view_batch`, `batch_canview`,
+# `covering_for`, `record_covering`, `pin_covering_epoch`, the trace
+# cache's `MISSING` sentinel), the
+# `permits` duck-type, or the deleted second algebra
+# (algebra/expression.py), and a second
 # safe-assignment search: core/costplanner.py, health pricing
 # (`penalty_factor` / `quarantine_penalty`), a greedy or scored
 # join-order search, or an enumerate-and-price call in src/, and a
@@ -56,9 +59,9 @@ census:
 	@test "$$(grep -cE '_flights\[[^]]*\] = ' src/repro/service/service.py)" = 1 || (grep -nE '_flights\[[^]]*\] = ' src/repro/service/service.py; false)
 	@echo "-- a DistributedExecutor built outside distributed/pipeline.py in src/ (none expected):"
 	@! grep -rn "DistributedExecutor(" src/ | grep -v "^src/repro/distributed/pipeline.py:"
-	@echo "-- a CanView outside Policy / OpenPolicy, the permits duck-type, or algebra/expression.py in src/ (none expected):"
+	@echo "-- a CanView outside Policy / OpenPolicy, a second CanView kernel or covering memo, the permits duck-type, or algebra/expression.py in src/ (none expected):"
 	@! grep -rn --include='*.py' "def can_view(" src/ | grep -vE "^src/repro/core/(authorization|openpolicy)\.py:"
-	@! grep -rn --include='*.py' "def can_view_batch(" src/ | grep -v "^src/repro/core/authorization.py:"
+	@! grep -rnE --include='*.py' "can_view_batch|batch_canview|covering_for|record_covering|pin_covering_epoch|\bMISSING\b" src/
 	@! grep -rnw --include='*.py' "permits" src/
 	@test ! -e src/repro/algebra/expression.py || (echo src/repro/algebra/expression.py; false)
 	@echo "-- core/costplanner.py, health pricing, greedy_join_order / optimize_join_order, or an enumerate_*_assignments call in src/ (none expected):"
@@ -179,9 +182,8 @@ bench-service:
 
 # Columnar-kernel ablation: gates the 3-join Table.equi_join chain at
 # >=3x rows/sec over the row-at-a-time seed evaluator on its cold lane
-# (key indexes rebuilt every repeat; the resident lane is reported), and
-# sweeps batched CanView probes/sec at batch sizes 1/64/4096; writes
-# BENCH_ABL15.json.
+# (key indexes rebuilt every repeat; the resident lane is reported);
+# writes BENCH_ABL15.json.
 bench-vector:
 	$(PYTHON) -m pytest benchmarks/bench_abl15_vector.py --benchmark-only -s
 

@@ -28,11 +28,6 @@ and an ``equi_join`` that materializes (re-dedups, re-sorts) a full
 table per step — no interning, no columns.  Both lanes consume
 identical generated data and must produce identical result rows before
 anything is timed.
-
-The second test sweeps the batched ``CanView`` kernel across batch
-sizes 1/64/4096 on a replayed planner probe trace (fresh policy per
-timed repeat, so the memo cache never answers for the mask kernel) and
-reports probes/sec per size into ``BENCH_ABL15.json``.
 """
 
 import random
@@ -40,21 +35,12 @@ import time
 
 import pytest
 
-from repro.algebra.builder import build_plan
 from repro.algebra.joins import JoinPath
 from repro.analysis.reporting import write_bench_json
-from repro.core.authorization import Policy
-from repro.core.closure import close_policy
-from repro.core.planner import SafePlanner
 from repro.engine.data import Table
-from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
 #: the acceptance floor for the kernel-chain speedup.
 MIN_PIPELINE_SPEEDUP = 3.0
-
-#: the canonical batch sizes of the CanView sweep (the ``batch_sweep``
-#: columns of the bench file).
-BATCH_SIZES = (1, 64, 4096)
 
 
 # --- verbatim transcription of the seed implementation ----------------
@@ -264,122 +250,3 @@ def test_abl15_pipeline_throughput(benchmark):
         f"{MIN_PIPELINE_SPEEDUP}x acceptance floor"
     )
 
-
-# --- CanView batch sweep ----------------------------------------------
-
-
-class _RecordingPolicy:
-    """A ``can_view`` wrapper recording every probe the planner issues,
-    so the sweep replays a real trace."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.probes = []
-
-    def can_view(self, profile, server):
-        self.probes.append((profile, server))
-        return self._inner.can_view(profile, server)
-
-
-def _probe_trace():
-    workload = SyntheticWorkload(
-        seed=15,
-        config=WorkloadConfig(
-            servers=4,
-            relations=8,
-            attributes_per_relation=(3, 5),
-            grant_probability=0.6,
-            join_grant_probability=0.4,
-            extra_join_edges=2,
-        ),
-    )
-    closed = close_policy(workload.policy, workload.catalog, 50_000)
-    recorder = _RecordingPolicy(closed)
-    planner = SafePlanner(recorder)
-    for _ in range(6):
-        try:
-            planner.plan(build_plan(workload.catalog, workload.random_query(4)))
-        except Exception:
-            continue
-    assert recorder.probes, "planner issued no CanView probes"
-    by_server = {}
-    for profile, server in recorder.probes:
-        by_server.setdefault(server, []).append(profile)
-    # Tile every server's profile list so even the 4096-wide lane gets
-    # full batches (the replay is the same probes, more of them).
-    target = 2 * max(BATCH_SIZES)
-    for server, profiles in by_server.items():
-        tiled = profiles * (target // len(profiles) + 1)
-        by_server[server] = tiled[:target]
-    return closed, by_server
-
-
-def test_abl15_canview_batch_sweep(benchmark):
-    closed, by_server = _probe_trace()
-    total = sum(len(profiles) for profiles in by_server.values())
-
-    def fresh_policy():
-        # A policy with an empty memo cache sharing the closed policy's
-        # universe: every timed repeat exercises the mask kernel, never
-        # the per-profile answer cache.
-        return Policy(list(closed), universe=closed.universe)
-
-    # Batched and scalar answers must agree before anything is timed.
-    scalar = {
-        server: [closed.can_view(p, server) for p in profiles]
-        for server, profiles in by_server.items()
-    }
-    for size in BATCH_SIZES:
-        policy = fresh_policy()
-        for server, profiles in by_server.items():
-            answers = []
-            for start in range(0, len(profiles), size):
-                answers.extend(
-                    policy.can_view_batch(profiles[start : start + size], server)
-                )
-            assert answers == scalar[server], f"batch size {size} disagrees"
-
-    sweep = {}
-    for size in BATCH_SIZES:
-        best = float("inf")
-        for _ in range(5):
-            policy = fresh_policy()
-
-            def lane():
-                hits = 0
-                for server, profiles in by_server.items():
-                    for start in range(0, len(profiles), size):
-                        hits += sum(
-                            policy.can_view_batch(
-                                profiles[start : start + size], server
-                            )
-                        )
-                return hits
-
-            start_time = time.perf_counter()
-            lane()
-            best = min(best, time.perf_counter() - start_time)
-        sweep[size] = round(total / best, 1)
-        print(f"\nbatch size {size}: {sweep[size]:.0f} probes/s")
-
-    def widest_lane():
-        policy = fresh_policy()
-        hits = 0
-        for server, profiles in by_server.items():
-            hits += sum(policy.can_view_batch(profiles, server))
-        return hits
-
-    benchmark(widest_lane)
-    write_bench_json(
-        "ABL15",
-        {
-            "canview_batch": {
-                "probes": total,
-                "probes_per_second": sweep[max(BATCH_SIZES)],
-            }
-        },
-        batch_sweep=sweep,
-    )
-    # Sanity, not a perf gate: batching must never lose to one-at-a-time
-    # batches of itself by more than noise allows.
-    assert sweep[max(BATCH_SIZES)] > 0

@@ -241,11 +241,10 @@ class AttributeUniverse:
         """Bitmasks of several name sets in one pass, ``None`` where a
         set contains an unknown name.
 
-        This is the gather step of the batched CanView kernel:
+        The chase gathers its rules' masks through this:
         :class:`AttrSet` operands of this universe short-circuit to
-        their cached masks without touching the name table, so a batch
-        of N interned profiles costs N attribute lookups total, not N
-        set walks.
+        their cached masks without touching the name table, so N
+        interned sets cost N attribute lookups total, not N set walks.
         """
         results: List[Optional[int]] = []
         for names in name_sets:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.tree import JoinNode, LeafNode, QueryTreePlan, UnaryNode
-from repro.core.access import first_covering_authorization
 from repro.core.authorization import Authorization, Policy
 from repro.core.planner import SafePlanner
 from repro.core.profile import RelationProfile
@@ -81,7 +80,7 @@ class JoinExplanation:
 
 
 def explain_planning(
-    policy, plan: QueryTreePlan, trace=None
+    policy, plan: QueryTreePlan
 ) -> Tuple[Dict[int, JoinExplanation], bool]:
     """Recompute and record every planner check for ``plan``.
 
@@ -90,11 +89,11 @@ def explain_planning(
     Figure 4, views via Figure 5, slave-before-master ordering,
     semi-before-regular admission.
 
-    With ``trace`` (a :class:`~repro.obs.trace.TraceContext`), covering
-    rules are read from — and recorded into — the trace's
-    covering-authorization cache, so an explanation following an audited
-    execution reuses the very rules the audit stamped instead of
-    re-probing the policy (and a test pins the two together).
+    Covering rules come from
+    :meth:`~repro.core.authorization.Policy.covering_rule`, the memo the
+    runtime audit stamps transfers from, so an explanation following an
+    audited execution cites the very rule objects the audit stamped (a
+    test pins the two together).
     """
     explanations: Dict[int, JoinExplanation] = {}
     profiles: Dict[int, RelationProfile] = {}
@@ -104,10 +103,11 @@ def explain_planning(
     def check(
         explanation: JoinExplanation, server: str, role: str, profile: RelationProfile
     ) -> bool:
-        allowed = policy.can_view(profile, server)
-        rule = None
-        if allowed and isinstance(policy, Policy):
-            rule = first_covering_authorization(policy, profile, server, trace=trace)
+        if isinstance(policy, Policy):
+            rule = policy.covering_rule(profile, server)
+            allowed = rule is not None
+        else:
+            rule, allowed = None, policy.can_view(profile, server)
         explanation.checks.append(ViewCheck(server, role, profile, allowed, rule))
         return allowed
 

@@ -187,12 +187,6 @@ BENCH_GENERATED_BY = "repro-benchmarks"
 #: shared shape so dashboards can diff files without sniffing keys.
 _LATENCY_KEYS = ("p50", "p95", "p99")
 
-#: The always-present keys of a bench file's ``"batch_sweep"`` section:
-#: one column per canonical batch size the vectorized benches sweep
-#: (ABL15 onward).  Values are probes/sec at that batch size,
-#: zero-filled when a size was not measured.
-_BATCH_SWEEP_KEYS = ("1", "64", "4096")
-
 #: The always-present keys of a bench file's ``"profile"`` section
 #: (mirrors :meth:`repro.profiling.QueryProfile.summary_dict`).  Count
 #: keys are integers, byte/elapsed keys floats; ABL17 and future
@@ -232,7 +226,6 @@ def write_bench_json(
     metrics=None,
     plan_cache=None,
     latency=None,
-    batch_sweep=None,
     profile=None,
 ):
     """Merge one benchmark's results into ``BENCH_<NAME>.json``.
@@ -263,12 +256,6 @@ def write_bench_json(
             section whose three keys are always all present, zero-filled
             when absent from the input.  ABL14 and future serving
             benches share this one shape.
-        batch_sweep: optional batch-size sweep — a dict mapping batch
-            size (int or str) to probes/sec — merged in as a
-            ``"batch_sweep"`` section whose canonical columns
-            (``"1"``/``"64"``/``"4096"``) are always all present,
-            zero-filled when absent from the input.  ABL15 and future
-            vectorized benches share this one shape.
         profile: optional query-profile summary — a
             :class:`~repro.profiling.QueryProfile`, its
             ``summary_dict()``, or ``None`` — merged in as a
@@ -307,11 +294,6 @@ def write_bench_json(
     if latency is not None:
         data["latency"] = {
             key: float(latency.get(key, 0.0)) for key in _LATENCY_KEYS
-        }
-    if batch_sweep is not None:
-        normalized = {str(key): value for key, value in batch_sweep.items()}
-        data["batch_sweep"] = {
-            key: float(normalized.get(key, 0.0)) for key in _BATCH_SWEEP_KEYS
         }
     if profile is not None:
         summary = (

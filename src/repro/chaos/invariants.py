@@ -15,8 +15,10 @@ safety story into live assertions evaluated while requests flow:
     then-current policy epoch.  Beyond trusting the executor's audit
     log, every delivered result is *independently re-probed*: each
     recorded transfer is re-authorized against the exact policy object
-    the run was audited under (an :class:`~repro.engine.audit.AuditLog`
-    probe the executor never sees).
+    the run was audited under — for a closed policy through the
+    unmemoized reference scan
+    (:func:`~repro.core.access.first_covering_authorization`), never
+    through the memo the audit itself read its rules from.
 ``single-execution``
     A flight key executes at most once at a time: while an execution
     of a key (which pins the admission-time policy epoch) runs, no
@@ -45,8 +47,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.access import first_covering_authorization
+from repro.core.authorization import Policy
 from repro.distributed.health import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
-from repro.engine.audit import AuditLog
 from repro.obs.hooks import ServiceHooks
 from repro.service.admission import DEGRADE_NORMAL, DEGRADE_SHED
 from repro.service.service import OK
@@ -110,6 +113,18 @@ class Violation:
 
     def __repr__(self) -> str:
         return f"Violation({self.invariant}: {self.detail})"
+
+
+def _reprobe(policy, transfer) -> bool:
+    """Whether ``policy`` covers one recorded transfer, asked apart from
+    the audit: a closed policy's rules are scanned directly, so a wrong
+    answer in its memo cannot vouch for itself."""
+    if transfer.sender == transfer.receiver:
+        return True
+    if isinstance(policy, Policy):
+        rule = first_covering_authorization(policy, transfer.profile, transfer.receiver)
+        return rule is not None
+    return policy.can_view(transfer.profile, transfer.receiver)
 
 
 class InvariantMonitor(ServiceHooks):
@@ -305,11 +320,13 @@ class InvariantMonitor(ServiceHooks):
 
         Checks the executor's own log (no recorded violations, every
         transfer stamped) and then *independently re-probes* each
-        transfer against the policy the run was audited under, through
-        a fresh non-enforcing :class:`~repro.engine.audit.AuditLog`.
-        Execution is synchronous, so for the run's own delivery that
-        policy is still at the transfers' epoch; a late sharer of the
-        result, delivered after an in-place update, is not re-probed.
+        transfer against the policy the run was audited under — a
+        closed policy through the reference scan, which reads neither
+        the policy's memo nor its mask kernel.  Execution is
+        synchronous, so for the run's own delivery that policy is still
+        at the transfers' epoch; a late sharer of the result, delivered
+        after an in-place update, is not re-probed (nor counted as
+        probed).
         """
         self._checked()
         audit = getattr(result, "audit", None)
@@ -345,10 +362,9 @@ class InvariantMonitor(ServiceHooks):
         memo = self._probe_memo
         if len(memo) > 4096:
             memo.clear()
-        self._transfers_probed += len(checked)
         if epoch != getattr(audit, "epoch", epoch):
             return
-        probe = None
+        self._transfers_probed += len(checked)
         for transfer in checked:
             key = (
                 policy_id, epoch, transfer.sender, transfer.receiver,
@@ -358,11 +374,7 @@ class InvariantMonitor(ServiceHooks):
             if hit is not None:
                 allowed = hit[1]
             else:
-                if probe is None:
-                    probe = AuditLog(policy, enforce=False)
-                allowed, _ = probe.authorize(
-                    transfer.sender, transfer.receiver, transfer.profile
-                )
+                allowed = _reprobe(policy, transfer)
                 memo[key] = (policy, allowed)
             if not allowed:
                 clean = False

@@ -18,7 +18,8 @@ Disease_list counterexample of Section 3.2.
 The paper's ``CanView`` itself is one method, ``policy.can_view(profile,
 server)``, answered by :class:`~repro.core.authorization.Policy` and
 :class:`~repro.core.openpolicy.OpenPolicy`; this module holds the
-per-rule clause check, the covering-rule lookups and denial messages.
+per-rule clause check, the reference covering-rule scans and denial
+messages.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import List, Optional
 
 from repro.core.authorization import Authorization, Policy
 from repro.core.profile import RelationProfile
-from repro.obs.trace import MISSING
 
 
 def authorization_covers(authorization: Authorization, profile: RelationProfile) -> bool:
@@ -58,36 +58,25 @@ def covering_authorizations(
 
 
 def first_covering_authorization(
-    policy: Policy, profile: RelationProfile, server: str, trace=None
+    policy: Policy, profile: RelationProfile, server: str
 ) -> Optional[Authorization]:
-    """The first covering rule in policy order, or ``None``.
+    """The first covering rule in policy order, or ``None`` — the
+    unmemoized reference scan.
 
-    The runtime audit attaches this rule to every permitted transfer so
-    that each release is accountable to a specific grant.  Like
-    :func:`covering_authorizations` this probes only the exact-path
-    bucket; within a server's rules the bucket preserves insertion
-    order, so "first" is the same rule a full scan would return.
-
-    With a :class:`~repro.obs.trace.TraceContext`, the answer is cached
-    per ``(server, profile)`` so the audit and explain paths compute the
-    covering rule once and agree by construction.  The cache is pinned
-    to the policy epoch: a grant or revoke drops it, so a withdrawn rule
-    is never "found" again and a fresh grant is never a cached denial.
+    :meth:`~repro.core.authorization.Policy.covering_rule` answers the
+    same question through the policy's mask kernel and memo (a
+    differential test pins the two together); this scan reads neither,
+    which is why the invariant monitor re-probes delivered transfers
+    with it.  Like :func:`covering_authorizations` it probes only the
+    exact-path bucket; within a server's rules the bucket preserves
+    insertion order, so "first" is the same rule a full scan would
+    return.
     """
-    if trace is not None:
-        trace.pin_covering_epoch(policy.epoch)
-        cached = trace.covering_for(server, profile)
-        if cached is not MISSING:
-            return cached
     exposed = profile.exposed_attributes
-    found = None
     for rule in policy.rules_for_path(server, profile.join_path):
         if exposed <= rule.attributes:
-            found = rule
-            break
-    if trace is not None:
-        trace.record_covering(server, profile, found)
-    return found
+            return rule
+    return None
 
 
 def explain_denial(policy: Policy, profile: RelationProfile, server: str) -> str:

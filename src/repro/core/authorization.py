@@ -24,9 +24,9 @@ kernel* the whole planning stack runs on:
   bucket's union mask as a superset fast path — a profile whose exposed
   attributes are not even covered by the union cannot be covered by any
   single rule;
-* a memoized :meth:`Policy.can_view` cache keyed on the profile
-  signature (exposed attributes × join path) and the grantee,
-  invalidated wholesale whenever the policy mutates.
+* one memo ``(server, profile) -> first covering rule or None`` that
+  both :meth:`Policy.can_view` and :meth:`Policy.covering_rule` read,
+  cleared wholesale whenever the policy mutates.
 
 Policies additionally carry an **epoch** — a monotonic counter bumped by
 every semantic mutation (:meth:`Policy.add`, :meth:`Policy.remove`).
@@ -47,10 +47,10 @@ from repro.algebra.universe import AttributeUniverse, AttrSet
 from repro.core.profile import RelationProfile
 from repro.exceptions import AuthorizationError, PolicyError
 
-#: Soft cap on memoized CanView answers; the cache is dropped wholesale
+#: Soft cap on memoized covering rules; the memo is dropped wholesale
 #: when it fills (distinct profile signatures are workload-bounded in
 #: practice, so this is a safety valve, not a tuning knob).
-_MAX_CAN_VIEW_CACHE = 1 << 18
+_MAX_COVERING_CACHE = 1 << 18
 
 _MISS = object()
 
@@ -219,7 +219,11 @@ class Policy:
         self._next_rule_id = 1
         # Generation counter for external caches: every add/remove bumps it.
         self._epoch = 0
-        self._can_view_cache: Dict[Tuple[str, RelationProfile], bool] = {}
+        # The one CanView memo: (server, profile) -> first covering rule
+        # or None (see covering_rule).
+        self._covering: Dict[
+            Tuple[str, RelationProfile], Optional[Authorization]
+        ] = {}
         # Cold-path counter: bumped only on cache misses, so the hot hit
         # path stays one dict probe.  Traced planners read the delta to
         # derive cache-hit ratios without touching the hit path.
@@ -246,7 +250,7 @@ class Policy:
     def add(self, authorization: Authorization) -> None:
         """Add one rule.
 
-        Adding invalidates the memoized ``CanView`` cache.
+        Adding clears the covering-rule memo.
 
         Raises:
             PolicyError: if the exact rule is already present.
@@ -265,14 +269,14 @@ class Policy:
             bucket = self._by_server_path[key] = _PathBucket()
         bucket.add(authorization, self._universe.mask_of(authorization.attributes))
         self._epoch += 1
-        if self._can_view_cache:
-            self._can_view_cache.clear()
+        if self._covering:
+            self._covering.clear()
 
     def remove(self, authorization: Authorization) -> None:
         """Revoke one rule.
 
-        Removal invalidates the memoized ``CanView`` cache and bumps the
-        epoch; the rule's stable id is retired, never reassigned.
+        Removal clears the covering-rule memo and bumps the epoch; the
+        rule's stable id is retired, never reassigned.
 
         Raises:
             PolicyError: if the rule is not in the policy.
@@ -291,8 +295,8 @@ class Policy:
         if not bucket.rules:
             del self._by_server_path[key]
         self._epoch += 1
-        if self._can_view_cache:
-            self._can_view_cache.clear()
+        if self._covering:
+            self._covering.clear()
 
     def extend_ignoring_duplicates(self, authorizations: Iterable[Authorization]) -> int:
         """Add rules, silently skipping exact duplicates; returns the
@@ -329,115 +333,63 @@ class Policy:
     def can_view(self, profile, server: str) -> bool:
         """Memoized Definition 3.3 check: may ``server`` view ``profile``?
 
-        The cache key is ``(server, profile)`` — profiles hash by value
-        (cached) and compare identity-first, so structurally equal
-        profiles share one cached answer and the hot hit path is a
-        single dict probe.  :meth:`add` invalidates the cache.
+        Reads the covering-rule memo of :meth:`covering_rule` — the
+        answer is whether a covering rule exists — so the hot hit path
+        is a single dict probe.
         """
-        key = (server, profile)
-        cache = self._can_view_cache
-        cached = cache.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        result = self._can_view_uncached(
-            server, profile.join_path, profile.exposed_attributes
-        )
-        if len(cache) >= _MAX_CAN_VIEW_CACHE:
-            cache.clear()
-        cache[key] = result
-        return result
+        rule = self._covering.get((server, profile), _MISS)
+        if rule is _MISS:
+            rule = self._cover(server, profile)
+        return rule is not None
+
+    def covering_rule(self, profile, server: str) -> Optional[Authorization]:
+        """The first rule of ``server`` covering ``profile``, in policy
+        order, or ``None`` — the rule the runtime audit stamps onto a
+        permitted transfer.
+
+        The memo is keyed ``(server, profile)`` — profiles hash by value
+        (cached) and compare identity-first, so structurally equal
+        profiles share one answer.  :meth:`add` and :meth:`remove`
+        clear it, so a withdrawn rule is never returned again and a
+        fresh grant is never a remembered denial.
+        """
+        rule = self._covering.get((server, profile), _MISS)
+        if rule is _MISS:
+            rule = self._cover(server, profile)
+        return rule
 
     @property
     def uncached_can_view_calls(self) -> int:
-        """How many :meth:`can_view` calls missed the memo cache."""
+        """How many CanView / covering-rule asks missed the memo."""
         return self._uncached_calls
 
-    def can_view_batch(self, profiles, server: str) -> List[bool]:
-        """Batched Definition 3.3: CanView for N profiles against one
-        server in one kernel pass.
-
-        Cached answers are served from the same memo the scalar path
-        uses; the remaining misses are grouped by join path so each
-        distinct path costs **one** bucket probe, then every miss runs
-        the integer kernel against that bucket's mask arrays (union-mask
-        fast reject, then per-rule superset test).  Answers — including
-        the misses computed here — land in the memo cache exactly as the
-        scalar path would have stored them, and every miss bumps
-        :attr:`uncached_can_view_calls` by one, so scalar and batched
-        probes are indistinguishable to cache-hit accounting.
-
-        Returns:
-            one boolean per profile, in input order — identical to
-            ``[self.can_view(p, server) for p in profiles]``.
-        """
-        profiles = list(profiles)
-        cache = self._can_view_cache
-        answers: List[Optional[bool]] = []
-        misses: Dict[JoinPath, List[int]] = {}
-        for position, profile in enumerate(profiles):
-            cached = cache.get((server, profile), _MISS)
-            if cached is not _MISS:
-                answers.append(cached)
-            else:
-                answers.append(None)
-                misses.setdefault(profile.join_path, []).append(position)
-        if not misses:
-            return answers  # type: ignore[return-value]
-        universe = self._universe
-        for join_path, positions in misses.items():
-            self._uncached_calls += len(positions)
-            bucket = self._by_server_path.get((server, join_path))
-            if bucket is None:
-                for position in positions:
-                    answers[position] = False
-            else:
-                union_mask = bucket.union_mask
-                masks = bucket.masks
-                exposed_masks = universe.try_masks(
-                    profiles[position].exposed_attributes for position in positions
-                )
-                for position, exposed_mask in zip(positions, exposed_masks):
-                    if exposed_mask is None or exposed_mask & ~union_mask:
-                        # Unknown attribute (never granted) or the union
-                        # of the bucket's grants doesn't cover it.
-                        answers[position] = False
-                        continue
-                    result = False
-                    for mask in masks:
-                        if not exposed_mask & ~mask:
-                            result = True
-                            break
-                    answers[position] = result
-            for position in positions:
-                if len(cache) >= _MAX_CAN_VIEW_CACHE:
-                    cache.clear()
-                cache[(server, profiles[position])] = answers[position]
-        return answers  # type: ignore[return-value]
-
-    def _can_view_uncached(
-        self, server: str, join_path: JoinPath, exposed: AttributeSet
-    ) -> bool:
+    def _cover(self, server: str, profile) -> Optional[Authorization]:
+        """The CanView kernel: probe the profile's exact-path bucket with
+        integer masks and memoize the first covering rule (or ``None``)."""
         self._uncached_calls += 1
-        bucket = self._by_server_path.get((server, join_path))
-        if bucket is None:
-            return False
-        universe = self._universe
-        if isinstance(exposed, AttrSet) and exposed.universe is universe:
-            exposed_mask = exposed.mask
-        else:
-            exposed_mask = universe.try_mask(exposed)
-            if exposed_mask is None:
-                # Some exposed attribute was never granted by any rule of
-                # this policy, so no rule can cover the profile.
-                return False
-        # Superset fast path: not even the union of the bucket's grants
-        # covers the exposure.
-        if exposed_mask & ~bucket.union_mask:
-            return False
-        for mask in bucket.masks:
-            if not exposed_mask & ~mask:
-                return True
-        return False
+        rule = None
+        bucket = self._by_server_path.get((server, profile.join_path))
+        if bucket is not None:
+            exposed = profile.exposed_attributes
+            universe = self._universe
+            if isinstance(exposed, AttrSet) and exposed.universe is universe:
+                exposed_mask = exposed.mask
+            else:
+                # ``None`` when some exposed attribute was never granted
+                # by any rule of this policy: no rule can cover it.
+                exposed_mask = universe.try_mask(exposed)
+            # Superset fast path: not even the union of the bucket's
+            # grants covers the exposure.
+            if exposed_mask is not None and not exposed_mask & ~bucket.union_mask:
+                for candidate, mask in zip(bucket.rules, bucket.masks):
+                    if not exposed_mask & ~mask:
+                        rule = candidate
+                        break
+        cache = self._covering
+        if len(cache) >= _MAX_COVERING_CACHE:
+            cache.clear()
+        cache[(server, profile)] = rule
+        return rule
 
     # ------------------------------------------------------------------
     # Housekeeping

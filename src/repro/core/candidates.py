@@ -139,19 +139,6 @@ class CandidateList:
         """Candidate server names in list order (may repeat)."""
         return [c.server for c in self._items]
 
-    def distinct_servers(self) -> List[str]:
-        """Distinct candidate servers, in first-occurrence list order.
-
-        The batched CanView path iterates these to warm the kernel with
-        one batch probe per server; first-occurrence order keeps the
-        warm-up (and therefore the policy's miss accounting)
-        deterministic."""
-        seen: List[str] = []
-        for candidate in self._items:
-            if candidate.server not in seen:
-                seen.append(candidate.server)
-        return seen
-
     def is_empty(self) -> bool:
         """Whether no candidate exists (the node is not executable)."""
         return not self._items

@@ -21,8 +21,9 @@ merely invalidate-on-write:
   verified under; the hit is a pure dictionary probe.
 * **bumped epoch** — the policy mutated since validation.  The entry is
   **revalidated**: every release flow the cached assignment entails is
-  re-checked against the *current* policy through the existing
-  covering-authorization probe (:mod:`repro.engine.audit`).  Grants
+  re-checked against the *current* policy through ``policy.can_view``,
+  which reads the covering-rule memo the runtime audit
+  (:mod:`repro.engine.audit`) stamps transfers from.  Grants
   only ever widen the policy, so revalidation after an ``add``
   succeeds and merely restamps the entry; after a revocation the probe
   fails exactly when the plan relied on the withdrawn rule, and the
@@ -54,9 +55,9 @@ live policy and every shipment audited.  The cache is a plain LRU
 **Interleaved access.**  The cache is used from asyncio services where
 many in-flight queries share it (:mod:`repro.service`).  Lookups and
 stores are synchronous and never await, so coroutines cannot observe a
-half-applied LRU mutation — but the revalidation path runs arbitrary
-audit/trace callbacks which may re-enter the cache (and future callers
-may probe from threads).  :meth:`PlanCache.lookup` therefore treats the
+half-applied LRU mutation — but the revalidation path runs the policy's
+probes and trace callbacks, which may re-enter the cache (and future
+callers may probe from threads).  :meth:`PlanCache.lookup` therefore treats the
 revalidation window as a critical section per fingerprint: a re-entrant
 lookup of a fingerprint mid-revalidation reports a miss instead of
 recursing, and every mutation re-checks that the entry it is about to
@@ -82,6 +83,7 @@ from repro.algebra.tree import (
     UnaryNode,
 )
 from repro.core.authorization import Policy
+from repro.core.safety import enumerate_assignment_flows
 from repro.exceptions import PlanError
 
 #: The always-present keys of a plan-cache stats snapshot; downstream
@@ -287,14 +289,14 @@ class PlanCache:
             self.stats.revalidations += 1
             self._revalidating.add(key)
             try:
-                safe = self._still_safe(policy, entry.assignment, obs)
+                safe = self._still_safe(policy, entry.assignment)
             finally:
                 self._revalidating.discard(key)
             if not safe:
                 # The current policy forbids a flow this plan ships —
                 # the entry is unusable at any later epoch too (only a
                 # fresh plan can route around the revocation).  The
-                # audit probe may have re-entered the cache, so only
+                # policy probe may have re-entered the cache, so only
                 # evict the entry we actually revalidated.
                 if self._entries.get(key) is entry:
                     del self._entries[key]
@@ -342,27 +344,20 @@ class PlanCache:
         return snapshot
 
     @staticmethod
-    def _still_safe(policy: Policy, assignment, obs) -> bool:
-        """Re-audit every release flow of a cached assignment.
+    def _still_safe(policy: Policy, assignment) -> bool:
+        """Re-check every release flow of a cached assignment.
 
-        Runs the exact covering-authorization probe the runtime audit
-        layer uses (:class:`~repro.engine.audit.AuditLog`), so "the
+        Asks ``policy.can_view``, which reads the memo the runtime audit
+        takes its covering rules from
+        (:meth:`~repro.core.authorization.Policy.covering_rule`), so "the
         cache revalidated the plan" and "the engine would have permitted
         every shipment" are the same judgement by construction.
         """
-        # Deferred import: the audit layer sits above core in the module
-        # layering, and only this cold revalidation path needs it.
-        from repro.core.safety import enumerate_assignment_flows
-        from repro.engine.audit import AuditLog
-
-        audit = AuditLog(policy, enforce=False, trace=obs)
-        for flow in enumerate_assignment_flows(assignment):
-            if not flow.is_release:
-                continue
-            allowed, _ = audit.authorize(flow.sender, flow.receiver, flow.profile)
-            if not allowed:
-                return False
-        return True
+        return all(
+            policy.can_view(flow.profile, flow.receiver)
+            for flow in enumerate_assignment_flows(assignment)
+            if flow.is_release
+        )
 
     @staticmethod
     def _observe(obs, outcome: str) -> None:

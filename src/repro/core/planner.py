@@ -124,20 +124,6 @@ class SafePlanner:
             hits/misses, without one (the default) it is the null
             listener (the ABL12 bench gates that at <5% over the
             uninstrumented algorithm).
-        batch_canview: whether each join's candidate enumeration should
-            warm the CanView kernel with one
-            :meth:`~repro.core.authorization.Policy.can_view_batch` call
-            per distinct candidate server (all six views a join consults
-            answered in one kernel pass) before running the admission
-            loops on memo hits.  Admitted candidates, slaves and
-            assignments are **identical** either way — batching only
-            changes how answers are computed (a property the Hypothesis
-            differential suite asserts).  Default ``None`` resolves to
-            batched when untraced and scalar when traced, because the
-            warm-up changes *when* misses happen and would skew the
-            ``repro_canview_*`` hit/miss counters; it also requires a
-            closed :class:`Policy` (an open policy has no batch kernel and
-            always probes scalar).
     """
 
     def __init__(
@@ -146,15 +132,11 @@ class SafePlanner:
         excluded_servers: Iterable[str] = (),
         pinned: Optional[Mapping[int, str]] = None,
         obs=None,
-        batch_canview: Optional[bool] = None,
     ) -> None:
         self._policy = policy
         self._hooks = hooks_for(obs)
         # Bound once: the planner issues thousands of probes per run.
         self._can_view = self._hooks.counting_can_view(policy.can_view, policy)
-        if batch_canview is None:
-            batch_canview = obs is None
-        self._batch_canview = batch_canview and isinstance(policy, Policy)
         self._excluded = frozenset(excluded_servers)
         self._pinned = dict(pinned or {})
         for node_id, server in self._pinned.items():
@@ -349,30 +331,6 @@ class SafePlanner:
 
         left_candidates = trace.decision(left.node_id).candidates
         right_candidates = trace.decision(right.node_id).candidates
-
-        if self._batch_canview:
-            # Warm the CanView kernel: one batched call per distinct
-            # candidate server answers all six views this join consults
-            # (both slave projections, both semi-join master views, both
-            # full operand profiles), so the admission loops below run
-            # entirely on memo hits.  Extra answers are only ever
-            # warm-up — the loops' logic and outcomes are unchanged.
-            views = [
-                left_slave_view,
-                right_slave_view,
-                right_master_view,
-                left_master_view,
-                right_full_view,
-                left_full_view,
-            ]
-            excluded = self._excluded
-            can_view_batch = self._policy.can_view_batch
-            warmed = set()
-            for candidates in (left_candidates, right_candidates):
-                for server in candidates.distinct_servers():
-                    if server not in excluded and server not in warmed:
-                        warmed.add(server)
-                        can_view_batch(views, server)
 
         # --- cases [S_r, NULL] and [S_r, S_l]: masters from the right ---
         decision.left_slave = self._first_slave(left_candidates, left_slave_view)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.access import explain_denial, first_covering_authorization
+from repro.core.access import explain_denial
 from repro.core.authorization import Authorization, Policy
 from repro.core.profile import RelationProfile
 from repro.engine.transfers import Transfer
@@ -30,11 +30,12 @@ class AuditLog:
         enforce: when true (default), an unauthorized transfer raises
             :class:`~repro.exceptions.AuditViolationError`; when false it
             is recorded as a violation and execution continues.
-        trace: optional :class:`~repro.obs.trace.TraceContext`.  Covering
-            rules are looked up through its cache — so the audit and the
-            explain path compute each covering authorization exactly once
-            and agree by construction — and denials are counted into
-            ``repro_audit_denials_total``.
+        trace: optional :class:`~repro.obs.trace.TraceContext`; denials
+            are counted into ``repro_audit_denials_total``.  Covering
+            rules come from the policy's own memo
+            (:meth:`~repro.core.authorization.Policy.covering_rule`), so
+            the audit, the explain path and plan-cache revalidation agree
+            by construction, traced or not.
     """
 
     def __init__(self, policy, enforce: bool = True, trace=None) -> None:
@@ -63,13 +64,9 @@ class AuditLog:
         if sender == receiver:
             return True, None
         if isinstance(self._policy, Policy):
-            # One exact-path index probe answers both questions at once:
-            # a covering rule exists iff the transfer is authorized, so
-            # a separate can_view pass would be redundant for closed
-            # policies.
-            rule = first_covering_authorization(
-                self._policy, profile, receiver, trace=self._trace
-            )
+            # A covering rule exists iff the transfer is authorized, so
+            # one memo probe answers both questions for closed policies.
+            rule = self._policy.covering_rule(profile, receiver)
             return rule is not None, rule
         return self._policy.can_view(profile, receiver), None
 

@@ -22,7 +22,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import MISSING, Span, TraceContext, TraceEvent
+from repro.obs.trace import Span, TraceContext, TraceEvent
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_json,
@@ -40,7 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MISSING",
     "Span",
     "TraceContext",
     "TraceEvent",

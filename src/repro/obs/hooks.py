@@ -113,7 +113,7 @@ class TracerHooks(Hooks):
     def counting_can_view(self, inner, policy):
         count = self.trace.count
         # Hits are derived from a closed policy's cold-path miss counter
-        # (bumped in ``_can_view_uncached`` only), which keeps the
+        # (bumped in the ``Policy._cover`` kernel only), which keeps the
         # memoized hit path free of bookkeeping.
         memoized = hasattr(policy, "uncached_can_view_calls")
 

@@ -26,12 +26,9 @@ construction — the exporter tests assert both invariants.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-
-#: Sentinel for "no cached answer" in the covering-authorization cache.
-MISSING = object()
 
 
 class Span:
@@ -153,8 +150,6 @@ class TraceContext:
         self._stack: List[Span] = []
         self._next_id = 1
         self._next_seq = 1
-        self._covering: Dict[Tuple[str, object], object] = {}
-        self._covering_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -299,28 +294,6 @@ class TraceContext:
         """Close any spans still open (crash-path hygiene)."""
         while self._stack:
             self.end(self._stack[-1])
-
-    # ------------------------------------------------------------------
-    # Covering-authorization reuse (audit <-> explain)
-    # ------------------------------------------------------------------
-
-    def pin_covering_epoch(self, epoch: int) -> None:
-        """Drop every cached covering rule computed under another policy
-        epoch."""
-        if epoch != self._covering_epoch:
-            self._covering.clear()
-            self._covering_epoch = epoch
-
-    def record_covering(self, server: str, profile: object, rule: object) -> None:
-        """Remember the covering authorization computed for
-        ``(server, profile)`` so later consumers (the explain path, the
-        audit stamp test) reuse it instead of re-probing the policy."""
-        self._covering[(server, profile)] = rule
-
-    def covering_for(self, server: str, profile: object) -> object:
-        """The cached covering rule (may be ``None`` = known denial), or
-        :data:`MISSING` when this pair was never computed."""
-        return self._covering.get((server, profile), MISSING)
 
     def __repr__(self) -> str:
         return (

@@ -411,6 +411,34 @@ class TestInvariantMonitor:
             v.invariant == INV_AUTHORIZED_TRANSFER for v in monitor.violations
         )
 
+    def test_authorized_transfer_probe_ignores_the_policy_memo(self):
+        """The re-probe must not read the memo the audit stamps from: a
+        wrong rule planted there for an uncovered transfer still trips
+        it."""
+        system = chain_system()
+        result = system.execute(PAIR_QUERY)
+        shipped = [t for t in result.audit.checked if t.sender != t.receiver]
+        assert shipped
+        policy = Policy([])
+        for transfer in shipped:
+            policy._covering[(transfer.receiver, transfer.profile)] = (
+                transfer.authorized_by
+            )
+        rogue = AuditLog(policy, enforce=False)
+        for transfer in result.audit.checked:
+            # The audit itself is fooled by the planted memo ...
+            allowed, _ = rogue.authorize(
+                transfer.sender, transfer.receiver, transfer.profile
+            )
+            assert allowed
+            rogue.record(transfer)
+        monitor = InvariantMonitor()
+        monitor.on_result(1, SimpleNamespace(audit=rogue))
+        # ... the monitor is not.
+        assert [v.invariant for v in monitor.violations] == [
+            INV_AUTHORIZED_TRANSFER
+        ] * len(shipped)
+
     def test_late_sharer_after_in_place_revoke_is_not_reprobed(self):
         """Policies are updated in place, so a result delivered to a late
         sharer after a revoke carries an audit whose policy has moved on;
@@ -426,6 +454,8 @@ class TestInvariantMonitor:
         monitor = InvariantMonitor()
         monitor.on_result(1, result)
         assert monitor.ok
+        # Skipped, so not counted as probed.
+        assert monitor.report()["transfers_probed"] == 0
         # The same transfers audited *now* are what the probe exists to
         # catch: the revoke did withdraw their cover.
         replayed = AuditLog(system.policy, enforce=False)
@@ -435,6 +465,7 @@ class TestInvariantMonitor:
         assert [v.invariant for v in monitor.violations] == [
             INV_AUTHORIZED_TRANSFER
         ]
+        assert monitor.report()["transfers_probed"] == len(result.audit.checked)
 
     def test_unaudited_result_is_a_violation(self):
         monitor = InvariantMonitor()

@@ -37,7 +37,6 @@ from repro.analysis.reporting import (
     BENCH_SCHEMA_VERSION,
     write_bench_json,
 )
-from repro.core.access import first_covering_authorization
 from repro.core.authorization import Policy
 from repro.core import planner as planner_module
 from repro.core.profile import RelationProfile, observed_compositions
@@ -45,6 +44,7 @@ from repro.distributed import pipeline as pipeline_module
 from repro.distributed.faults import FaultInjector
 from repro.distributed.health import STATE_OPEN, HealthTracker
 from repro.distributed.system import DistributedSystem
+from repro.engine.audit import AuditLog
 from repro.engine.deadline import DeadlineBudget
 from repro.engine.resilience import RetryPolicy
 from repro.exceptions import (
@@ -56,7 +56,6 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.obs import (
-    MISSING,
     MetricsRegistry,
     TraceContext,
     chrome_trace,
@@ -354,13 +353,6 @@ class TestTraceContext:
         assert span.duration == 2.0
         _assert_well_formed(trace)
 
-    def test_covering_cache_distinguishes_none_from_missing(self):
-        trace = TraceContext()
-        profile = RelationProfile(["a"])
-        assert trace.covering_for("S1", profile) is MISSING
-        trace.record_covering("S1", profile, None)
-        assert trace.covering_for("S1", profile) is None
-
     def test_count_feeds_the_registry(self):
         trace = TraceContext()
         trace.count("repro_x_total", 2, server="S1")
@@ -631,35 +623,53 @@ class TestTracedExecution:
 
 
 class TestCoveringAuthorizationReuse:
-    def test_cached_rule_is_reused_not_recomputed(self, policy):
-        trace = TraceContext()
-        profile = RelationProfile(["Holder", "Plan"])
-        sentinel = object()
-        trace.pin_covering_epoch(policy.epoch)
-        trace.record_covering("S_I", profile, sentinel)
-        found = first_covering_authorization(policy, profile, "S_I", trace=trace)
-        assert found is sentinel
+    """The audit stamp, explain's rule and ``Policy.covering_rule`` are
+    one memoized answer, traced or not."""
 
-    def test_computation_populates_the_cache(self, policy):
-        trace = TraceContext()
+    def test_cached_rule_is_reused_not_recomputed(self, policy):
         profile = RelationProfile(["Holder", "Plan"])
-        found = first_covering_authorization(policy, profile, "S_I", trace=trace)
-        assert trace.covering_for("S_I", profile) is found
+        found = policy.covering_rule(profile, "S_I")
+        assert found is not None
+        misses = policy.uncached_can_view_calls
+        assert AuditLog(policy).authorize("S_N", "S_I", profile) == (True, found)
+        assert policy.can_view(profile, "S_I")
+        assert policy.covering_rule(profile, "S_I") is found
+        assert policy.uncached_can_view_calls == misses
+
+    def test_computation_populates_the_cache(self):
+        trace = TraceContext()
+        system = _medical_system(trace=trace)
+        result = system.execute(MEDICAL_QUERY, trace=trace)
+        policy = system.policy
+        misses = policy.uncached_can_view_calls
+        stamped = [t for t in result.audit.checked if t.authorized_by is not None]
+        assert stamped
+        for transfer in stamped:
+            rule = policy.covering_rule(transfer.profile, transfer.receiver)
+            assert rule is transfer.authorized_by
+        tree, _, _ = system.plan(MEDICAL_QUERY)
+        explanations, _ = explain_planning(policy, tree)
+        for explanation in explanations.values():
+            for check in explanation.checks:
+                rule = policy.covering_rule(check.profile, check.server)
+                assert check.covering_rule is rule
+        # The audit and the explanation asked nothing the run had not
+        # already computed.
+        assert policy.uncached_can_view_calls == misses
 
     def test_audit_stamps_and_explain_verdicts_agree(self):
         trace = TraceContext()
         system = _medical_system(trace=trace)
         system.execute(MEDICAL_QUERY, faults=FaultInjector(seed=0), trace=trace)
         tree, _, _ = system.plan(MEDICAL_QUERY)
-        from_cache, feasible_cached = explain_planning(
-            system.policy, tree, trace=trace
-        )
-        fresh, feasible_fresh = explain_planning(system.policy, tree)
-        assert feasible_cached == feasible_fresh
+        # The warm memo against a copy of the policy that memoized nothing.
+        warm, feasible_warm = explain_planning(system.policy, tree)
+        fresh, feasible_fresh = explain_planning(system.policy.copy(), tree)
+        assert feasible_warm == feasible_fresh
         for node_id, explanation in fresh.items():
-            cached_checks = from_cache[node_id].checks
-            assert len(cached_checks) == len(explanation.checks)
-            for cached, recomputed in zip(cached_checks, explanation.checks):
+            warm_checks = warm[node_id].checks
+            assert len(warm_checks) == len(explanation.checks)
+            for cached, recomputed in zip(warm_checks, explanation.checks):
                 assert cached.allowed == recomputed.allowed
                 assert cached.covering_rule is recomputed.covering_rule
 
@@ -886,7 +896,7 @@ SPINE = (
 #: ``(trace|profiler|obs|span) is (not )?None`` tests the four spine
 #: files may hold together: constructor adaptation of the public
 #: ``trace=`` / ``obs=`` / ``profiler=`` keywords, nothing per site.
-GUARD_CEILING = 6
+GUARD_CEILING = 5
 #: The service shell: the files that call its listener.
 SERVICE = ("service/service.py",)
 #: Guard lines in the service shell and in the function assembling its
@@ -1152,8 +1162,12 @@ class TestSeamContract:
             # One CanView: the method on the two policy classes, nothing else.
             if path not in (policy, open_policy):
                 assert not re.search(r"def can_view\(", text), f"{path}: a second CanView"
-            if path != policy:
-                assert "def can_view_batch(" not in text, f"{path}: a second batch CanView"
+            # One CanView kernel and one covering-rule memo (the Policy's).
+            assert not re.search(
+                r"can_view_batch|batch_canview|covering_for|record_covering"
+                r"|pin_covering_epoch|\bMISSING\b",
+                text,
+            ), f"{path}: a second CanView kernel or covering memo"
             assert not re.search(r"\bpermits\b", text), f"{path}: the permits duck-type"
             # One exact safe-assignment search: no health pricing, no
             # second join-order search, no enumerate-and-price.

@@ -529,14 +529,14 @@ class TestSimulateConcurrent:
 
 
 # ---------------------------------------------------------------------------
-# Traced systems: the covering-rule cache follows the policy epoch
+# Traced systems: the covering-rule memo follows the policy
 # ---------------------------------------------------------------------------
 
 
 class TestTracedRevocation:
-    """With a ``TraceContext`` installed, audit and plan-cache re-audit
-    share a per-trace covering-rule cache; it must not outlive the
-    policy epoch it was filled under."""
+    """Audit and plan-cache re-audit read the policy's covering-rule
+    memo, traced or not; it must not outlive the rules it was filled
+    from."""
 
     def test_traced_revoke_evicts_the_plan_and_never_cites_the_rule(self):
         system = DistributedSystem(
@@ -560,12 +560,18 @@ class TestTracedRevocation:
 
     def test_traced_grant_is_not_a_cached_denial(self):
         policy = close_policy(Policy([grant("S1", "a b")]), _toy_catalog())
-        trace = TraceContext()
         profile = RelationProfile(["c", "d"])
-        assert first_covering_authorization(policy, profile, "S1", trace=trace) is None
+        assert policy.covering_rule(profile, "S1") is None
+        assert not policy.can_view(profile, "S1")
         rule = grant("S1", "c d")
         policy.add(rule)
-        assert first_covering_authorization(policy, profile, "S1", trace=trace) == rule
+        assert policy.covering_rule(profile, "S1") is rule
+        assert policy.can_view(profile, "S1")
+        # A revoke never returns the withdrawn rule, not even from the memo.
+        policy.remove(rule)
+        assert policy.covering_rule(profile, "S1") is None
+        assert not policy.can_view(profile, "S1")
+        assert first_covering_authorization(policy, profile, "S1") is None
 
 
 # ---------------------------------------------------------------------------

@@ -729,32 +729,30 @@ def test_integer_chase_matches_object_level_reference(
 # ---------------------------------------------------------------------------
 
 
-class _ReentrantProbe(TraceContext):
-    """A trace context that re-enters the cache mid-revalidation.
+class _ReentrantProbe:
+    """A policy probe that re-enters the cache mid-revalidation.
 
-    The revalidation path runs audit/trace callbacks; this hook plays
-    the worst case — a callback that looks the same fingerprint up
-    again while the outer frame is still deciding its fate — and
-    records what the re-entrant lookup saw.
+    Revalidation asks the policy's ``can_view`` once per release flow;
+    this probe plays the worst case — a probe that looks the same
+    fingerprint up again while the outer frame is still deciding its
+    fate — and records what the re-entrant lookup saw.
     """
 
     def __init__(self, cache, fingerprint, policy):
-        super().__init__()
         self.cache = cache
         self.fingerprint = fingerprint
         self.policy = policy
+        self.inner = policy.can_view
         self.reentrant_results = []
 
-    def covering_for(self, server, profile):
-        # Called once per release flow inside the revalidation critical
-        # section — the re-entrant window the cache must survive.
+    def can_view(self, profile, server):
         self.reentrant_results.append(
             self.cache.lookup(self.fingerprint, self.policy)
         )
-        return super().covering_for(server, profile)
+        return self.inner(profile, server)
 
 
-def test_reentrant_lookup_during_revalidation_is_a_miss():
+def test_reentrant_lookup_during_revalidation_is_a_miss(monkeypatch):
     """A lookup re-entering the cache while its fingerprint is mid-
     revalidation must answer miss — never recurse into a second
     re-audit or double-evict."""
@@ -768,13 +766,14 @@ def test_reentrant_lookup_during_revalidation_is_a_miss():
     fingerprint = (system.parse(query).fingerprint(), False)
     assert cache.lookup(fingerprint, system.policy) is not None
     # Withdraw the linchpin: the next lookup revalidates and fails,
-    # firing the denial hook mid-critical-section.
+    # firing the policy probe mid-critical-section.
     system.revoke_authorization(pivot_base)
     probe = _ReentrantProbe(cache, fingerprint, system.policy)
+    monkeypatch.setattr(system.policy, "can_view", probe.can_view)
     misses_before = cache.stats.misses
-    outer = cache.lookup(fingerprint, system.policy, obs=probe)
+    outer = cache.lookup(fingerprint, system.policy)
     assert outer is None
-    assert probe.reentrant_results, "covering probe never fired"
+    assert probe.reentrant_results, "policy probe never fired"
     assert all(entry is None for entry in probe.reentrant_results)
     # Both the re-entrant probe(s) and the outer frame count as misses,
     # and the entry was evicted exactly once.

@@ -17,9 +17,7 @@ Covers the contracts the columnar refactor added or tightened:
   storage across every operator, the single-column first-occurrence
   projection and its fallback once the pool holds an alias;
 * a pickled or copied table lands on the receiving process's shared
-  intern pool;
-* the batched ``CanView`` kernel and the batch-aware planner answer
-  exactly like their scalar counterparts.
+  intern pool.
 """
 
 import copy
@@ -36,17 +34,14 @@ from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.algebra.predicates import Comparison, Predicate
 from repro.core.authorization import Policy
-from repro.core.closure import close_policy
-from repro.core.planner import SafePlanner
 from repro.engine import data as data_module
 from repro.engine.coster import TableStats
 from repro.distributed.system import DistributedSystem
 from repro.engine.data import Table, _getter, cell_width, shared_pool
 from repro.engine.operators import evaluate_plan
-from repro.exceptions import ExecutionError, InfeasiblePlanError, PredicateError
+from repro.exceptions import ExecutionError, PredicateError
 from repro.io.serialize import table_from_columns, table_to_columns
 from repro.testing import grant, quick_catalog
-from repro.workloads.synthetic import SyntheticWorkload, WorkloadConfig
 
 from tests._row_oracle import OracleTable
 
@@ -504,81 +499,3 @@ class TestPickledTables:
         later_partner = Table(("b", "f"), [("x", f"{how} f")])
         assert copied.natural_join(later_partner).rows == table.natural_join(later_partner).rows
 
-
-class TestCanViewBatch:
-    @pytest.fixture()
-    def closed(self, policy, catalog):
-        return close_policy(policy, catalog)
-
-    @pytest.fixture()
-    def probes(self, planner, plan, policy, catalog):
-        closed = close_policy(policy, catalog)
-
-        class Recorder:
-            def __init__(self):
-                self.seen = []
-
-            def can_view(self, profile, server):
-                self.seen.append((profile, server))
-                return closed.can_view(profile, server)
-
-        recorder = Recorder()
-        SafePlanner(recorder).plan(plan)
-        assert recorder.seen
-        return recorder.seen
-
-    def test_batch_matches_scalar(self, closed, probes):
-        by_server = {}
-        for profile, server in probes:
-            by_server.setdefault(server, []).append(profile)
-        for server, profiles in by_server.items():
-            assert closed.can_view_batch(profiles, server) == [
-                closed.can_view(p, server) for p in profiles
-            ]
-
-    def test_batch_populates_the_same_memo_cache(self, closed, probes):
-        profiles = [p for p, _ in probes]
-        server = probes[0][1]
-        warmed = closed.can_view_batch(profiles, server)
-        before = closed.uncached_can_view_calls
-        # Every scalar re-ask must now be a pure cache hit.
-        assert [closed.can_view(p, server) for p in profiles] == warmed
-        assert closed.uncached_can_view_calls == before
-
-
-class TestPlannerBatchParity:
-    def _assert_same_assignment(self, policy, tree):
-        scalar, _ = SafePlanner(policy, batch_canview=False).plan(tree)
-        batched, _ = SafePlanner(policy, batch_canview=True).plan(tree)
-        assert scalar._executors == batched._executors
-        assert scalar._coordinators == batched._coordinators
-
-    def test_paper_plan(self, policy, plan):
-        self._assert_same_assignment(policy, plan)
-
-    def test_synthetic_workload(self):
-        workload = SyntheticWorkload(
-            seed=23,
-            config=WorkloadConfig(
-                servers=4,
-                relations=8,
-                grant_probability=0.6,
-                join_grant_probability=0.4,
-                extra_join_edges=2,
-            ),
-        )
-        closed = close_policy(workload.policy, workload.catalog, 50_000)
-        planned = 0
-        for _ in range(8):
-            try:
-                tree = build_plan(workload.catalog, workload.random_query(4))
-            except Exception:
-                continue
-            try:
-                self._assert_same_assignment(closed, tree)
-                planned += 1
-            except InfeasiblePlanError:
-                # Both lanes must agree on infeasibility too.
-                with pytest.raises(InfeasiblePlanError):
-                    SafePlanner(closed, batch_canview=False).plan(tree)
-        assert planned > 0

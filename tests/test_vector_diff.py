@@ -24,8 +24,9 @@ canonicalization and a late cross-type alias.
 
 A plan-level block runs whole query trees over synthetic federations
 through ``evaluate_plan`` and the distributed executor against
-``oracle_evaluate``; a last block checks the batched ``CanView`` kernel
-against the scalar one on real planner probes at random batch sizes.
+``oracle_evaluate``; a last block checks the policy's memoized
+covering rule against the unmemoized reference scan on real planner
+probes, across random grants and revokes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.algebra.builder import QuerySpec, build_plan
 from repro.algebra.joins import JoinPath
 from repro.algebra.predicates import Comparison, Predicate
 from repro.baselines.exhaustive import enumerate_structural_assignments
+from repro.core.access import first_covering_authorization
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy
 from repro.core.planner import SafePlanner
@@ -570,7 +572,7 @@ def test_plan_matches_oracle(data, seed, size, aliases):
 
 
 # ---------------------------------------------------------------------------
-# Batched CanView vs scalar, at random batch sizes
+# Memoized covering rule vs the reference scan, under policy churn
 # ---------------------------------------------------------------------------
 
 
@@ -597,25 +599,32 @@ _CLOSED, _PROFILES, _SERVERS = _planner_probes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    batch_size=st.integers(min_value=1, max_value=32),
-    fresh=st.booleans(),
-)
-def test_canview_batch_matches_scalar(data, batch_size, fresh):
+@given(data=st.data(), fresh=st.booleans())
+def test_covering_rule_matches_reference_scan(data, fresh):
     server = data.draw(st.sampled_from(_SERVERS))
     profiles = data.draw(
         st.lists(st.sampled_from(_PROFILES), min_size=0, max_size=24)
     )
-    policy = (
-        Policy(list(_CLOSED), universe=_CLOSED.universe) if fresh else _CLOSED
-    )
-    # Batch first: on a fresh policy the whole batch goes through the
-    # mask kernel cold, then the scalar replay must agree (and, being
-    # cache hits by then, also proves the batch populated the memo).
-    answers = []
-    for start in range(0, len(profiles), batch_size):
-        answers.extend(
-            policy.can_view_batch(profiles[start : start + batch_size], server)
-        )
-    assert answers == [policy.can_view(p, server) for p in profiles]
+    rules = list(_CLOSED)
+    policy = Policy(rules, universe=_CLOSED.universe)
+    if not fresh:
+        # A warm memo: every probe answered once before the asks below.
+        for profile in _PROFILES:
+            policy.can_view(profile, server)
+    for profile in profiles:
+        if data.draw(st.booleans()):
+            # A grant or revoke between asks must clear the memo; a
+            # re-granted rule moves to the end of its bucket, so "first
+            # covering" may change too.
+            rule = data.draw(st.sampled_from(rules))
+            if rule in policy:
+                policy.remove(rule)
+            else:
+                policy.add(rule)
+        expected = first_covering_authorization(policy, profile, server)
+        if data.draw(st.booleans()):
+            assert policy.can_view(profile, server) is (expected is not None)
+            assert policy.covering_rule(profile, server) is expected
+        else:
+            assert policy.covering_rule(profile, server) is expected
+            assert policy.can_view(profile, server) is (expected is not None)
