@@ -22,12 +22,15 @@ loc:
 # The instrumentation-seam census (tests/test_obs.py pins it): guard
 # tests on the four spine files — the ceiling is 5, constructor
 # adaptation of the public trace= / obs= / profiler= keywords only —
-# then the service shell's guard lines in service.py and the function
-# assembling its listener (ceiling 11: constructor adaptation, kill /
-# recover and snapshot() only), then the greps that must print nothing:
-# per-feature method variants, methods assigned onto an instance, a
-# second pipeline-building site, a second flight-opening site or a
-# `request_id is not None` test in service.py, a DistributedExecutor
+# then the service shell's guard lines (service.py, admission.py,
+# flights.py and runner.py: the files that call its listener) and the
+# function assembling its listener (ceiling 11: constructor adaptation,
+# kill / recover and snapshot() only), then the greps that must print
+# nothing: per-feature method variants, methods assigned onto an
+# instance, a pipeline built anywhere in src/repro/service/ but
+# runner.py (one site), a flight opened anywhere there but flights.py
+# (one site), a `request_id is not None` test there, a Rejection built
+# outside service/admission.py (one refusal ladder), a DistributedExecutor
 # built anywhere in src/ but distributed/pipeline.py (one execution site),
 # a second CanView: `can_view` defined outside Policy / OpenPolicy, a
 # second kernel or covering memo (`can_view_batch`, `batch_canview`,
@@ -42,21 +45,22 @@ loc:
 # rung (`multiround` / `multi-round` / `allow_multiround`, any case)
 # in src/.
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
-SERVICE = src/repro/service/service.py
+SERVICE = src/repro/service/service.py src/repro/service/admission.py src/repro/service/flights.py src/repro/service/runner.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
 
 census:
 	@grep -cE "(trace|profiler|obs|span) is (not )?None" $(SPINE)
-	@grep -cE "$(SERVICE_GUARD)" $(SERVICE)
+	@printf 'service shell:'; cat $(SERVICE) | grep -cE "$(SERVICE_GUARD)"
 	@printf 'service_hooks_for:'; awk '/^def service_hooks_for/{on=1; print; next} on && /^[^ \t]/{on=0} on' src/repro/obs/hooks.py | grep -cE "$(SERVICE_GUARD)"
 	@echo "-- _traced / _profiled in src/ (none expected):"
 	@! grep -rnE "_traced|_profiled" src/
 	@echo "-- a spine method assigned onto an instance in src/ (none expected):"
 	@! grep -rnE "self\.(plan|_find_candidates|_admit_master|_execute_node|_execute_join|_ship|_ship_once) = self\." src/
-	@echo "-- a second pipeline built, a second flight opened, or a request_id is not None test, in service.py (none expected):"
-	@! grep -nE "request_id is not None" src/repro/service/service.py
-	@test "$$(grep -c '\.pipeline(' src/repro/service/service.py)" = 1 || (grep -n '\.pipeline(' src/repro/service/service.py; false)
-	@test "$$(grep -cE '_flights\[[^]]*\] = ' src/repro/service/service.py)" = 1 || (grep -nE '_flights\[[^]]*\] = ' src/repro/service/service.py; false)
+	@echo "-- a second pipeline built, a second flight opened, or a request_id is not None test, in src/repro/service/, or a Rejection built outside service/admission.py (none expected):"
+	@! grep -rn --include='*.py' "request_id is not None" src/repro/service/
+	@test "$$(grep -rc --include='*.py' '\.pipeline(' src/repro/service/ | grep -v ':0$$')" = src/repro/service/runner.py:1 || (grep -rn --include='*.py' '\.pipeline(' src/repro/service/; false)
+	@test "$$(grep -rcE --include='*.py' '_flights\[[^]]*\] = ' src/repro/service/ | grep -v ':0$$')" = src/repro/service/flights.py:1 || (grep -rnE --include='*.py' '_flights\[[^]]*\] = ' src/repro/service/; false)
+	@! grep -rn --include='*.py' "Rejection(" src/ | grep -v "^src/repro/service/admission.py:"
 	@echo "-- a DistributedExecutor built outside distributed/pipeline.py in src/ (none expected):"
 	@! grep -rn "DistributedExecutor(" src/ | grep -v "^src/repro/distributed/pipeline.py:"
 	@echo "-- a CanView outside Policy / OpenPolicy, a second CanView kernel or covering memo, the permits duck-type, or algebra/expression.py in src/ (none expected):"
@@ -105,7 +109,8 @@ test-cache:
 
 # Serving suite: admission/tenants unit tests, the flights (identical
 # requests attach at admission and share the leader's ok / infeasible /
-# failed outcome; the hot closed loop's counting guard), the
+# failed outcome; the hot closed loop's counting guard; the Flights
+# bookkeeping driven against a model), the
 # churn-races-admission regression tests, the scrape endpoint, and the
 # CLI serve smoke tests (including the SIGINT drain subprocess test).
 test-service:

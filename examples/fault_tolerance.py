@@ -89,7 +89,9 @@ def crashed_coordinator(system: DistributedSystem) -> None:
     print(f"[coordinator] fault-free at {primary}: {baseline.summary()}")
     for seed in SEEDS:
         faults = FaultInjector(seed=seed)
-        faults.crash(primary)
+        # Down from t = 1: after the run planned onto it (a coordinator
+        # already down at planning time is planned around, no failover).
+        faults.crash(primary, start=1.0)
         result = system.execute(COALITION_SQL, faults=faults, retry=RETRY)
         assert result.failovers == 1 and result.result_server != primary
         assert result.table == baseline.table

@@ -52,7 +52,7 @@ from repro.core.authorization import Policy
 from repro.distributed.health import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.obs.hooks import ServiceHooks
 from repro.service.admission import DEGRADE_NORMAL, DEGRADE_SHED
-from repro.service.service import OK
+from repro.service.outcome import OK
 
 #: Invariant identifiers (the ``invariant`` of every :class:`Violation`).
 INV_TERMINATION = "termination"

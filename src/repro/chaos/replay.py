@@ -26,7 +26,7 @@ from repro.chaos.journal import ServiceJournal
 from repro.chaos.schedule import ChaosSchedule
 from repro.exceptions import ChaosError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.service.service import OK, QueryService, ServiceError
+from repro.service import OK, QueryService, ServiceError
 from repro.service.tenants import TenantConfig
 from repro.testing import grant
 

@@ -400,7 +400,7 @@ class QueryPipeline:
         elif self._checkpoint or self._deadline is not None:
             journal = CheckpointJournal.for_plan(tree)
             journal.bind_trace(hooks.trace)
-        if self._health is not None or resume_from is not None:
+        if faults is not None:
             assignment = self._initial_assignment(
                 tree, assignment, faults, self._health, resume_from
             )
@@ -466,10 +466,11 @@ class QueryPipeline:
         health: Optional[HealthTracker],
         journal: Optional[CheckpointJournal],
     ) -> Assignment:
-        """Health- and checkpoint-aware refinement of the default plan.
+        """Fault-, health- and checkpoint-aware refinement of the default
+        plan, for every run with a fault injector.
 
-        Prefers assignments that route around quarantined (and already
-        crashed) servers and that pin checkpointed subtrees for reuse,
+        Prefers assignments that route around already crashed (and
+        quarantined) servers and that pin checkpointed subtrees for reuse,
         falling back toward the default assignment when the preferences
         over-constrain the search.  Purely advisory: the weakest rung is
         the default plan itself, so health state never makes a feasible
@@ -479,6 +480,8 @@ class QueryPipeline:
         if health is not None:
             avoid |= set(health.quarantined_servers())
         pins = journal.pinned(excluded=avoid) if journal is not None else {}
+        if not avoid and not pins:
+            return assignment
         attempts = []
         if avoid and pins:
             attempts.append((avoid, pins))

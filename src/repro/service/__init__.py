@@ -23,21 +23,13 @@ from repro.service.admission import (
     REJECT_RECOVERY,
     REJECT_SHUTDOWN,
     AdmissionController,
-    AdmissionError,
     AdmissionTicket,
     Rejection,
     estimate_query_bytes,
 )
 from repro.service.httpmetrics import MetricsServer
-from repro.service.service import (
-    FAILED,
-    INFEASIBLE,
-    OK,
-    SHED,
-    QueryOutcome,
-    QueryService,
-    ServiceError,
-)
+from repro.service.outcome import FAILED, INFEASIBLE, OK, SHED, QueryOutcome
+from repro.service.service import QueryService, ServiceError
 from repro.service.tenants import (
     TenantConfig,
     TenantConfigError,
@@ -58,7 +50,6 @@ __all__ = [
     "REJECT_RECOVERY",
     "REJECT_SHUTDOWN",
     "AdmissionController",
-    "AdmissionError",
     "AdmissionTicket",
     "FAILED",
     "INFEASIBLE",

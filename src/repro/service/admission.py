@@ -1,28 +1,36 @@
-"""Admission control: rate limits, bounded queueing, cost-aware shedding.
+"""Admission control: the service's one refusal ladder.
 
-The admission controller is the service's front gate.  Every request
-passes through :meth:`AdmissionController.admit` *before* it may queue;
-the gate answers with an :class:`AdmissionTicket` or a structured
-:class:`Rejection` — never an exception surprise, never a hang.  The
-checks, in order (cheapest first):
+Every :class:`Rejection` the service issues is built here, by
+:class:`AdmissionController`.  A request meets the ladder in this
+order (cheapest first):
 
-1. **degrade ladder** — under overload the service raises its degrade
-   level; at :data:`DEGRADE_SHED` only tenants at or above the
-   priority floor are admitted (shed lowest-priority tenants first);
-2. **per-tenant rate** — a token bucket per tenant
+1. **gate** (:meth:`AdmissionController.gate`, before parse) — a
+   draining service refuses; so does a tenant's open circuit breaker
+   (fed by :meth:`AdmissionController.release`);
+2. **degrade ladder** — queue occupancy sets the degrade level
+   (:meth:`AdmissionController.degrade_level`); at
+   :data:`DEGRADE_SHED` only tenants at or above the priority floor are
+   admitted (shed lowest-priority tenants first);
+3. **per-tenant rate** — a token bucket per tenant
    (:class:`~repro.service.tenants.TokenBucket`); an empty bucket
    rejects with the exact ``retry_after`` at which a token exists;
-3. **bounded queue** — a full global queue rejects rather than buffer
+4. **bounded queue** — a full global queue rejects rather than buffer
    without bound (retry after roughly one drain period).  The service
    reads its depth as every admitted request still waiting: queued
    flight leaders *and* the identical requests attached to their
    flights, which take no queue slot but are no less admitted;
-4. **cost-aware shedding** — the request's *estimated* planner +
+5. **cost-aware shedding** — the request's *estimated* planner +
    execution bytes (the payload of the base relations it touches,
    :func:`estimate_query_bytes`) must fit the capacity still
    unclaimed by in-flight queries; an oversized request is rejected
    with ``retry_after`` scaled to the backlog instead of starving
-   everyone behind it.
+   everyone behind it;
+6. **queue-wait deadline** (:meth:`AdmissionController.overdue`, at
+   dequeue) — the tenant's deadline budget, halved for a request
+   admitted at degrade level 1 or above.
+
+So are the refusals of admitted work the service went down before
+running, or cannot recover.
 
 Admission never consults the *policy* — authorization is decided by the
 planner and re-verified at execution; the gate only manages load.  That
@@ -32,9 +40,13 @@ ever relaxing the controlled-information-sharing guarantees.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from repro.exceptions import ReproError
+from repro.distributed.health import CircuitBreaker
+from repro.engine.deadline import DeadlineBudget
+from repro.exceptions import DeadlineExceededError
+from repro.obs.hooks import ServiceHooks
+from repro.service.outcome import FAILED, OK
 from repro.service.tenants import TenantConfig, TokenBucket
 
 #: Degrade ladder levels (see ``docs/serving.md``): normal service,
@@ -53,6 +65,10 @@ REJECT_DEADLINE = "deadline-expired"
 REJECT_SHUTDOWN = "shutting-down"
 REJECT_BREAKER = "tenant-breaker-open"
 REJECT_RECOVERY = "recovery-rejected"
+
+#: Clock units an open tenant breaker refuses requests before probing
+#: again.
+BREAKER_COOLDOWN = 1.0
 
 
 class Rejection:
@@ -105,18 +121,6 @@ class Rejection:
             f"Rejection({self.reason!r}, tenant={self.tenant!r}, "
             f"retry_after={self.retry_after:.3f})"
         )
-
-
-class AdmissionError(ReproError):
-    """Raised by callers that prefer exceptions over shed outcomes;
-    carries the :class:`Rejection`."""
-
-    def __init__(self, rejection: Rejection) -> None:
-        super().__init__(
-            f"admission refused ({rejection.reason}) for tenant "
-            f"{rejection.tenant!r}: retry after {rejection.retry_after:.3f}"
-        )
-        self.rejection = rejection
 
 
 class AdmissionTicket:
@@ -191,8 +195,8 @@ def estimate_query_bytes(system, query) -> float:
 
 
 class AdmissionController:
-    """The service's front gate (see the module docstring for the
-    check order).
+    """The service's one refusal ladder (see the module docstring for
+    the check order).
 
     Args:
         tenants: ``name -> TenantConfig``; unknown tenants fall back to
@@ -207,6 +211,16 @@ class AdmissionController:
             acceptance-test overload mode).
         shed_priority_floor: at :data:`DEGRADE_SHED`, tenants below
             this priority are refused.
+        degrade_soft / degrade_hard: queue-occupancy fractions at which
+            the degrade ladder moves to degraded planning / priority
+            shedding.
+        breaker_threshold: consecutive *failed* (not infeasible)
+            executions that open a tenant's circuit breaker for
+            :data:`BREAKER_COOLDOWN` clock units; ``None`` disables
+            tenant breakers.
+        listener: the service's
+            :class:`~repro.obs.hooks.ServiceHooks`; it hears every
+            tenant breaker transition.
     """
 
     def __init__(
@@ -216,12 +230,21 @@ class AdmissionController:
         max_queue: int = 256,
         capacity_bytes: Optional[float] = None,
         shed_priority_floor: int = 1,
+        degrade_soft: float = 0.5,
+        degrade_hard: float = 0.85,
+        breaker_threshold: Optional[int] = 5,
+        listener: ServiceHooks = ServiceHooks(),
     ) -> None:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if capacity_bytes is not None and capacity_bytes < 0:
             raise ValueError(
                 f"capacity_bytes must be >= 0 or None, got {capacity_bytes}"
+            )
+        if not 0.0 < degrade_soft <= degrade_hard <= 1.0:
+            raise ValueError(
+                "degrade watermarks must satisfy 0 < soft <= hard <= 1, "
+                f"got soft={degrade_soft}, hard={degrade_hard}"
             )
         self._tenants = dict(tenants or {})
         self._default = default_tenant or TenantConfig("default")
@@ -230,7 +253,12 @@ class AdmissionController:
             float(capacity_bytes) if capacity_bytes is not None else None
         )
         self.shed_priority_floor = int(shed_priority_floor)
+        self._degrade_soft = degrade_soft
+        self._degrade_hard = degrade_hard
+        self._breaker_threshold = breaker_threshold
+        self._listener = listener
         self._buckets: Dict[str, TokenBucket] = {}
+        self._breakers: Dict[str, CircuitBreaker] = {}
         self._inflight_bytes = 0.0
         self._inflight = 0
 
@@ -280,11 +308,50 @@ class AdmissionController:
         """Admitted requests not yet released."""
         return self._inflight
 
-    def release(self, ticket: AdmissionTicket) -> None:
+    def release(
+        self, ticket: AdmissionTicket, status: Optional[str] = None, now: float = 0.0
+    ) -> None:
         """Return a completed (or shed-after-admission) request's
-        capacity claim."""
+        capacity claim.  A completed ``status`` also feeds the tenant's
+        breaker at ``now``: ``ok`` counts as a success, ``failed`` as a
+        failure (``infeasible`` is a policy answer, not a fault)."""
+        breaker = self._breaker(ticket.tenant.name)
+        if breaker is not None and status == OK:
+            breaker.record_success(now)
+        elif breaker is not None and status == FAILED:
+            breaker.record_failure(now)
         self._inflight_bytes = max(0.0, self._inflight_bytes - ticket.cost_estimate)
         self._inflight = max(0, self._inflight - 1)
+
+    # ------------------------------------------------------------------
+    # Degrade ladder and tenant breakers
+    # ------------------------------------------------------------------
+
+    def degrade_level(self, queue_depth: int) -> int:
+        """The ladder rung for ``queue_depth`` waiting requests."""
+        occupancy = queue_depth / self.max_queue
+        if occupancy >= self._degrade_hard:
+            return DEGRADE_SHED
+        if occupancy >= self._degrade_soft:
+            return DEGRADE_PLANNING
+        return DEGRADE_NORMAL
+
+    def _breaker(self, tenant: str) -> Optional[CircuitBreaker]:
+        if self._breaker_threshold is None:
+            return None
+        breaker = self._breakers.get(tenant)
+        if breaker is None:
+            breaker = self._breakers[tenant] = CircuitBreaker(
+                failure_threshold=self._breaker_threshold,
+                cooldown=BREAKER_COOLDOWN,
+            )
+            # The listener, not self: a cycle would keep a stopped
+            # service and its system alive until the collector runs.
+            hooks = self._listener
+            breaker.set_transition_observer(
+                lambda old, new, at: hooks.breaker(tenant, old, new)
+            )
+        return breaker
 
     # ------------------------------------------------------------------
     # The gate
@@ -363,6 +430,77 @@ class AdmissionController:
         return AdmissionTicket(
             config, now, policy_epoch, max(0.0, cost_estimate), degrade_level
         )
+
+    def gate(
+        self, tenant_name: str, now: float, degrade_level: int, queue_depth: int,
+        draining: bool,
+    ) -> Optional[Rejection]:
+        """The refusals checked before a request's text is parsed: a
+        draining service, then the tenant's open breaker."""
+        if draining:
+            return Rejection(
+                REJECT_SHUTDOWN, tenant_name,
+                detail="service is draining for shutdown",
+                degrade_level=degrade_level,
+                queue_depth=queue_depth,
+            )
+        breaker = self._breaker(tenant_name)
+        if breaker is not None and not breaker.allow(now):
+            return Rejection(
+                REJECT_BREAKER, tenant_name,
+                retry_after=BREAKER_COOLDOWN,
+                detail=f"tenant breaker {breaker.state(now)} after "
+                "repeated failures",
+                degrade_level=degrade_level,
+                queue_depth=queue_depth,
+            )
+        return None
+
+    def overdue(
+        self, ticket: AdmissionTicket, now: float, queue_depth: Callable[[], int]
+    ) -> Optional[Rejection]:
+        """The ``deadline-expired`` rejection of a request queued beyond
+        its tenant's deadline budget, else ``None`` (``queue_depth`` is
+        read only for a rejection: this runs for every dequeued
+        request)."""
+        deadline = ticket.tenant.deadline
+        if deadline is None:
+            return None
+        if ticket.degrade_level >= DEGRADE_PLANNING:
+            # Degraded service honors half the contract deadline: better
+            # to shed early than to serve answers nobody is waiting for.
+            deadline = deadline / 2.0
+        try:
+            DeadlineBudget(deadline).charge(now - ticket.admitted_at, "queue-wait")
+        except DeadlineExceededError:
+            return Rejection(
+                REJECT_DEADLINE,
+                ticket.tenant.name,
+                detail=(
+                    f"queued {now - ticket.admitted_at:.3f} beyond the "
+                    f"{deadline:.3f} deadline budget"
+                ),
+                degrade_level=ticket.degrade_level,
+                queue_depth=queue_depth(),
+            )
+        return None
+
+    @staticmethod
+    def unrun(ticket: AdmissionTicket, how: str, queue_depth: int) -> Rejection:
+        """The refusal of an admitted request the service went down
+        (``how``: stopped, killed) before running."""
+        return Rejection(
+            REJECT_SHUTDOWN,
+            ticket.tenant.name,
+            detail=f"service {how} before the request ran",
+            queue_depth=queue_depth,
+        )
+
+    @staticmethod
+    def unrecoverable(tenant_name: str, detail: str) -> Rejection:
+        """The refusal of a journaled request recovery cannot resume
+        under the current policy."""
+        return Rejection(REJECT_RECOVERY, tenant_name, detail=detail)
 
     @staticmethod
     def _drain_estimate(backlog: int) -> float:

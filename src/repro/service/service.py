@@ -4,31 +4,34 @@
 :class:`QueryService` is the serving front-end the ROADMAP's north star
 asks for: thousands of concurrent requests from many tenants, one
 shared policy-epoch plan cache, and load control that never relaxes the
-paper's controlled-information-sharing guarantees.  The moving parts:
+paper's controlled-information-sharing guarantees.  Each decision has
+one owner:
 
-* **admission** — every ``submit`` passes the
-  :class:`~repro.service.admission.AdmissionController` gate (token
-  buckets, bounded queue, cost-aware shedding) *before* queueing;
-  refusals come back as structured ``shed`` outcomes, never hangs;
-* **one flight per request** — every admitted request computes one
-  flight key at ``submit`` (planning fingerprint, recipient, whether
-  the run is profiled, admission-time policy epoch).  The first request
-  of a key opens the flight and queues as its leader; an identical
-  request admitted while the flight is open takes no queue slot and
-  awaits its own future beside the leader.  Only the leader builds a
-  pipeline, plans through the plan cache and executes; its ``ok``,
-  ``infeasible`` or execution ``failed`` outcome is every follower's,
-  while its own fate (a deadline shed, spent chaos attempts, shutdown)
-  hands the flight to the first follower.  A flight queues at the
-  priority of its most urgent request.  Planning never awaits, so a
-  leader fills the plan cache before any other request can look: no
-  planning stampede needs a gate of its own;
-* **graceful degradation** — a queue-occupancy ladder (normal →
-  degraded planning → priority shedding) plus per-tenant circuit
-  breakers reusing the PR 3
-  :class:`~repro.distributed.health.CircuitBreaker`, and per-tenant
-  deadline budgets charged for queue wait through the PR 3
-  :class:`~repro.engine.deadline.DeadlineBudget`;
+* **who is refused, and why** — every refusal the service issues is
+  built by the :class:`~repro.service.admission.AdmissionController`:
+  the shutdown and tenant-breaker gate before parse, the degrade
+  ladder (normal → degraded planning → priority shedding), token
+  buckets, the bounded queue and cost-aware shedding before queueing,
+  the queue-wait deadline when a worker dequeues, and the refusals of
+  work the service went down before running or cannot recover.
+  Refusals come back as structured ``shed`` outcomes, never hangs;
+* **which requests share a run** —
+  :class:`~repro.service.flights.Flights`.  Every admitted request
+  computes one flight key at ``submit`` (planning fingerprint,
+  recipient, whether the run is profiled, admission-time policy
+  epoch).  The first request of a key opens the flight and queues as
+  its leader; an identical request admitted while the flight is open
+  takes no queue slot and awaits its own future beside the leader.  A
+  flight queues at the priority of its most urgent request.  The
+  leader's ``ok``, ``infeasible`` or execution ``failed`` outcome is
+  every follower's, while its own fate (a deadline shed, spent chaos
+  attempts, shutdown) hands the flight to the first follower;
+* **what a run does** — :class:`~repro.service.runner.RequestRunner`,
+  the one request body of every leader and every recovered request:
+  it builds the pipeline, plans through the plan cache and executes.
+  Planning never awaits, so a leader fills the plan cache before any
+  other request can look: no planning stampede needs a gate of its
+  own;
 * **live policy churn** — :meth:`add_authorization` /
   :meth:`revoke_authorization` update the closed policy in place
   mid-stream; every leader plans and verifies against the policy in
@@ -47,33 +50,28 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.core.plancache import fingerprint_tree
 from repro.distributed.faults import fault_free
-from repro.distributed.health import CircuitBreaker
-from repro.engine.deadline import DeadlineBudget
-from repro.exceptions import (
-    ChaosInterrupt,
-    CheckpointError,
-    DeadlineExceededError,
-    InfeasiblePlanError,
-    ReproError,
-)
+from repro.exceptions import ChaosInterrupt, CheckpointError, ReproError
 from repro.obs.hooks import service_hooks_for
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
-    DEGRADE_NORMAL,
     DEGRADE_PLANNING,
-    DEGRADE_SHED,
-    REJECT_BREAKER,
-    REJECT_DEADLINE,
-    REJECT_RECOVERY,
-    REJECT_SHUTDOWN,
     AdmissionController,
     Rejection,
     estimate_query_bytes,
 )
+from repro.service.flights import Flights, WorkItem
+from repro.service.outcome import (
+    FAILED,
+    INFEASIBLE,
+    OK,
+    SHED,
+    QueryOutcome,
+    failure_status,
+)
+from repro.service.runner import RequestRunner
 from repro.service.tenants import TenantConfig, tenant_map
 
 #: Latency histogram bucket bounds (seconds) — sub-millisecond planning
@@ -83,133 +81,9 @@ LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0,
 )
 
-#: Outcome statuses.
-OK = "ok"
-SHED = "shed"
-INFEASIBLE = "infeasible"
-FAILED = "failed"
-
 
 class ServiceError(ReproError):
     """Misuse of the service lifecycle (submit before start, ...)."""
-
-
-def _failure_status(error: ReproError) -> str:
-    """``infeasible`` for a policy refusal, ``failed`` for anything else."""
-    return INFEASIBLE if isinstance(error, InfeasiblePlanError) else FAILED
-
-
-class QueryOutcome:
-    """The service's answer to one submitted request.
-
-    Attributes:
-        status: ``ok`` (executed, audited), ``shed`` (structured
-            rejection — see :attr:`rejection`), ``infeasible`` (no safe
-            assignment under the current policy) or ``failed``
-            (a text that does not lex, parse or bind, or an execution
-            error; see :attr:`error`).
-        tenant: the submitting tenant's name.
-        result: the audited
-            :class:`~repro.engine.executor.ExecutionResult` (``ok``
-            only).
-        rejection: the structured
-            :class:`~repro.service.admission.Rejection` (``shed`` only).
-        error: stringified error (``infeasible`` / ``failed`` only).
-        latency: submit-to-outcome clock units.
-        coalesced: whether the result was served by another request's
-            flight instead of a run of its own.
-        degrade_level: the service's degrade level when the request was
-            admitted (or refused).
-    """
-
-    __slots__ = (
-        "status", "tenant", "result", "rejection", "error", "latency",
-        "coalesced", "degrade_level",
-    )
-
-    def __init__(
-        self,
-        status: str,
-        tenant: str,
-        result=None,
-        rejection: Optional[Rejection] = None,
-        error: Optional[str] = None,
-        latency: float = 0.0,
-        coalesced: bool = False,
-        degrade_level: int = DEGRADE_NORMAL,
-    ) -> None:
-        self.status = status
-        self.tenant = tenant
-        self.result = result
-        self.rejection = rejection
-        self.error = error
-        self.latency = latency
-        self.coalesced = coalesced
-        self.degrade_level = degrade_level
-
-    @property
-    def ok(self) -> bool:
-        """Whether the query executed and was delivered."""
-        return self.status == OK
-
-    def to_dict(self) -> dict:
-        """Flat JSON-safe rendering (one schema for every status)."""
-        return {
-            "status": self.status,
-            "tenant": self.tenant,
-            "rows": len(self.result.table) if self.result is not None else 0,
-            "violations": (
-                len(self.result.audit.violations)
-                if self.result is not None and self.result.audit is not None
-                else 0
-            ),
-            "rejection": (
-                self.rejection.to_dict() if self.rejection is not None else None
-            ),
-            "error": self.error,
-            "latency": self.latency,
-            "coalesced": self.coalesced,
-            "degrade_level": self.degrade_level,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"QueryOutcome({self.status}, tenant={self.tenant!r}, "
-            f"latency={self.latency:.4f}, coalesced={self.coalesced})"
-        )
-
-
-class _WorkItem:
-    """One admitted request: its flight's leader (queued for a worker)
-    or a follower awaiting its own future beside the leader."""
-
-    __slots__ = (
-        "query", "recipient", "ticket", "future", "submitted_at",
-        "request_id", "key", "retries", "checkpoint", "entry",
-    )
-
-    def __init__(
-        self, query, recipient, ticket, future, submitted_at, request_id, key
-    ) -> None:
-        self.query = query
-        self.recipient = recipient
-        self.ticket = ticket
-        self.future = future
-        self.submitted_at = submitted_at
-        self.request_id = request_id
-        self.key = key
-        self.retries = 0
-        # Completed, audited subtrees an interrupted attempt parked for
-        # the retry to resume from.
-        self.checkpoint = None
-        # ``(rank, seq)`` of the item's live queue entry; ``None`` while
-        # it is not queued.
-        self.entry = None
-
-    def __lt__(self, other: "_WorkItem") -> bool:  # pragma: no cover
-        # PriorityQueue tie-breaker only; ordering is fully decided by
-        # the (priority, seq) tuple the queue entries carry.
-        return False
 
 
 class QueryService:
@@ -221,10 +95,9 @@ class QueryService:
             by every request).
         tenants: per-tenant contracts
             (:class:`~repro.service.tenants.TenantConfig`); requests
-            from unconfigured tenants run under ``default_tenant``'s
-            shape with their own rate bucket.
-        default_tenant: fallback contract (default: unlimited rate,
-            priority 0, no deadline).
+            from unconfigured tenants run under the default contract
+            (unlimited rate, priority 0, no deadline) with their own
+            rate bucket.
         workers: concurrent worker coroutines draining the queue.
         max_queue: bound on waiting requests — queued leaders plus the
             followers attached to their flights (admission refuses
@@ -232,16 +105,9 @@ class QueryService:
         capacity_bytes: total estimated in-flight bytes admitted at
             once; ``None`` disables cost-aware shedding, ``0``
             deterministically sheds every request.
-        shed_priority_floor: minimum tenant priority admitted while the
-            service is at the shedding degrade level.
-        degrade_soft / degrade_hard: queue-occupancy fractions at which
-            the degrade ladder moves to degraded planning / priority
-            shedding.
-        breaker_threshold: consecutive *failed* (not infeasible)
-            executions that open a tenant's circuit breaker; ``None``
-            disables tenant breakers.
-        breaker_cooldown: clock units an open tenant breaker refuses
-            requests before probing again.
+        shed_priority_floor, degrade_soft, degrade_hard,
+            breaker_threshold: the refusal ladder's settings, see
+            :class:`~repro.service.admission.AdmissionController`.
         search_join_orders: plan with join-order search while the
             service is healthy (degrade level 1+ turns it off — the
             first rung of graceful degradation).
@@ -299,7 +165,6 @@ class QueryService:
         self,
         system,
         tenants: Sequence[TenantConfig] = (),
-        default_tenant: Optional[TenantConfig] = None,
         workers: int = 4,
         max_queue: int = 256,
         capacity_bytes: Optional[float] = None,
@@ -307,7 +172,6 @@ class QueryService:
         degrade_soft: float = 0.5,
         degrade_hard: float = 0.85,
         breaker_threshold: Optional[int] = 5,
-        breaker_cooldown: float = 1.0,
         search_join_orders: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         trace=None,
@@ -325,47 +189,30 @@ class QueryService:
             raise ServiceError(
                 f"max_chaos_retries cannot be negative, got {max_chaos_retries}"
             )
-        if not 0.0 < degrade_soft <= degrade_hard <= 1.0:
-            raise ServiceError(
-                "degrade watermarks must satisfy 0 < soft <= hard <= 1, "
-                f"got soft={degrade_soft}, hard={degrade_hard}"
-            )
         self._system = system
-        self._admission = AdmissionController(
-            tenant_map(tenants),
-            default_tenant=default_tenant,
-            max_queue=max_queue,
-            capacity_bytes=capacity_bytes,
-            shed_priority_floor=shed_priority_floor,
-        )
         self._chaos = chaos
         self._journal = journal
         self._hooks = service_hooks_for(journal, monitor, chaos)
+        self._admission = AdmissionController(
+            tenant_map(tenants),
+            max_queue=max_queue,
+            capacity_bytes=capacity_bytes,
+            shed_priority_floor=shed_priority_floor,
+            degrade_soft=degrade_soft,
+            degrade_hard=degrade_hard,
+            breaker_threshold=breaker_threshold,
+            listener=self._hooks,
+        )
         # Interrupted leaders park checkpoints only where a journal keeps
         # them for the retry (and for a successor's recovery).
         self._parks = chaos is not None and journal is not None
         self._stats_store = stats_store
-        # Resolved once: the system's long-lived coordinator for the
-        # scheme set (validates it; pipelines take it as ``schemes``).
-        self._shard_schemes = (
-            system._shard_coordinator(shard_schemes) if shard_schemes else None
-        )
         self._max_chaos_retries = max_chaos_retries
         if chaos is not None and clock is time.monotonic:
             # Under chaos the service lives in the schedule's logical
             # clock, which is what makes seeded runs replayable.
             clock = lambda: chaos.clock  # noqa: E731
-        # Open flights: key -> [leader, *followers in admission order].
-        self._flights: Dict[tuple, List[_WorkItem]] = {}
-        self._attached = 0
-        # Queue entries a priority raise left behind (skipped when
-        # dequeued, not counted as waiting).
-        self._stale = 0
-        self._promotions = 0
-        self._degrade_soft = degrade_soft
-        self._degrade_hard = degrade_hard
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
+        self._flights = Flights(self._hooks)
         self._search_join_orders = search_join_orders
         self._trace = trace
         if metrics is not None:
@@ -374,19 +221,23 @@ class QueryService:
             self.metrics = trace.metrics
         else:
             self.metrics = MetricsRegistry()
+        # Resolved once: the system's long-lived coordinator for the
+        # scheme set (validates it; pipelines take it as ``schemes``).
+        self._sharded = bool(shard_schemes)
+        self._runner = RequestRunner(
+            system, self._hooks, self.metrics, trace,
+            system._shard_coordinator(shard_schemes) if shard_schemes else None,
+            stats_store,
+        )
         self._clock = clock
         self._worker_count = workers
-        self._queue: Optional[asyncio.PriorityQueue] = None
         self._workers: List["asyncio.Task"] = []
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._seq = 0
         self._running = False
         self._draining = False
         self._killing = False
         self._counts = {
             "submitted": 0, "admitted": 0, "shed": 0,
-            OK: 0, INFEASIBLE: 0, FAILED: 0, "coalesced": 0,
-            "executions": 0, "recovered": 0,
+            OK: 0, INFEASIBLE: 0, FAILED: 0, "coalesced": 0, "recovered": 0,
         }
         # Pre-declare the latency family so the custom buckets win over
         # a lazy default-bucket creation.
@@ -414,7 +265,7 @@ class QueryService:
         """Spin up the worker pool (idempotent)."""
         if self._running:
             return
-        self._queue = asyncio.PriorityQueue()
+        self._flights.start()
         self._workers = [
             asyncio.create_task(self._worker(), name=f"repro-service-worker-{i}")
             for i in range(self._worker_count)
@@ -424,8 +275,7 @@ class QueryService:
 
     async def drain(self) -> None:
         """Wait until every queued request has an outcome."""
-        if self._queue is not None:
-            await self._queue.join()
+        await self._flights.drained()
 
     async def stop(self, drain: bool = True) -> None:
         """Shut down: optionally drain, then cancel the workers.
@@ -446,12 +296,8 @@ class QueryService:
         await asyncio.gather(*self._workers, return_exceptions=True)
         # Resolve whatever the cancelled workers left behind: a shed
         # leader hands its flight to a follower, queued here in turn.
-        if self._queue is not None:
-            while not self._queue.empty():
-                item = self._live(self._queue.get_nowait())
-                if item is not None:
-                    self._shed_unrun(item, "stopped")
-                self._queue.task_done()
+        for leader in self._flights.unqueue():
+            self._shed_unrun(leader, "stopped")
         self._workers = []
         self._running = False
         self._draining = False
@@ -480,15 +326,11 @@ class QueryService:
             for task in self._workers:
                 task.cancel()
             await asyncio.gather(*self._workers, return_exceptions=True)
-            if self._queue is not None:
-                while not self._queue.empty():
-                    item = self._live(self._queue.get_nowait())
-                    if item is not None and self._journal is None:
-                        self._shed_unrun(item, "killed")
-                    self._queue.task_done()
+            for leader in self._flights.unqueue():
+                if self._journal is None:
+                    self._shed_unrun(leader, "killed")
             # What is still attached is the journal's now.
             self._flights.clear()
-            self._attached = 0
             self._workers = []
             self._running = False
             self.metrics.inc("repro_service_kills_total")
@@ -556,8 +398,8 @@ class QueryService:
         try:
             # No ``chaos=``: recovery itself is fenced from injected
             # worker deaths, as a real recovery pass would be.
-            result = self._execute(
-                self._flight_key(bound, entry.recipient, False, tenant),
+            result = self._runner.run(
+                self._runner.flight_key(bound, entry.recipient, False, tenant),
                 entry.query, entry.recipient, tenant, False,
                 faults=faults, resume_from=entry.checkpoint,
             )
@@ -569,7 +411,7 @@ class QueryService:
             )
         except ReproError as error:
             return QueryOutcome(
-                _failure_status(error), entry.tenant, error=str(error),
+                failure_status(error), entry.tenant, error=str(error),
                 latency=self._clock() - started,
             )
         return QueryOutcome(
@@ -578,45 +420,13 @@ class QueryService:
         )
 
     def _recovery_rejection(self, entry, started: float, detail: str) -> QueryOutcome:
-        rejection = Rejection(REJECT_RECOVERY, entry.tenant, detail=detail)
+        rejection = self._admission.unrecoverable(entry.tenant, detail)
         return self._shed_outcome(entry.tenant, rejection, started)
 
-    # ------------------------------------------------------------------
-    # Degradation ladder
-    # ------------------------------------------------------------------
-
-    def _depth(self) -> int:
-        """Admitted requests waiting: queued leaders and the followers
-        attached to their flights."""
-        return self._queue.qsize() - self._stale + self._attached
-
     def degrade_level(self) -> int:
-        """The current ladder rung, from queue occupancy."""
-        if self._queue is None:
-            return DEGRADE_NORMAL
-        occupancy = self._depth() / self._admission.max_queue
-        if occupancy >= self._degrade_hard:
-            return DEGRADE_SHED
-        if occupancy >= self._degrade_soft:
-            return DEGRADE_PLANNING
-        return DEGRADE_NORMAL
-
-    def _breaker(self, tenant: str) -> Optional[CircuitBreaker]:
-        if self._breaker_threshold is None:
-            return None
-        breaker = self._breakers.get(tenant)
-        if breaker is None:
-            breaker = self._breakers[tenant] = CircuitBreaker(
-                failure_threshold=self._breaker_threshold,
-                cooldown=self._breaker_cooldown,
-            )
-            # The listener, not self: a cycle would keep a stopped
-            # service and its system alive until the collector runs.
-            hooks = self._hooks
-            breaker.set_transition_observer(
-                lambda old, new, at: hooks.breaker(tenant, old, new)
-            )
-        return breaker
+        """The current ladder rung, from queue occupancy (see
+        :meth:`~repro.service.admission.AdmissionController.degrade_level`)."""
+        return self._admission.degrade_level(self._flights.depth())
 
     # ------------------------------------------------------------------
     # Policy churn (safe mid-stream)
@@ -680,31 +490,11 @@ class QueryService:
         level = self.degrade_level()
         self.metrics.set_gauge("repro_service_degrade_level", level)
         self._hooks.degrade(level)
-        if self._draining:
-            return self._shed_outcome(
-                tenant,
-                Rejection(
-                    REJECT_SHUTDOWN, tenant,
-                    detail="service is draining for shutdown",
-                    degrade_level=level,
-                    queue_depth=self._depth(),
-                ),
-                now,
-            )
-        breaker = self._breaker(tenant)
-        if breaker is not None and not breaker.allow(now):
-            return self._shed_outcome(
-                tenant,
-                Rejection(
-                    REJECT_BREAKER, tenant,
-                    retry_after=self._breaker_cooldown,
-                    detail=f"tenant breaker {breaker.state(now)} after "
-                    "repeated failures",
-                    degrade_level=level,
-                    queue_depth=self._depth(),
-                ),
-                now,
-            )
+        refusal = self._admission.gate(
+            tenant, now, level, self._flights.depth(), self._draining
+        )
+        if refusal is not None:
+            return self._shed_outcome(tenant, refusal, now)
         try:
             # Bound once; the cost estimate and the flight key read this.
             bound = self._system._parsed(query)
@@ -724,7 +514,7 @@ class QueryService:
         decision = self._admission.admit(
             tenant,
             now,
-            queue_depth=self._depth(),
+            queue_depth=self._flights.depth(),
             cost_estimate=cost,
             degrade_level=level,
             policy_epoch=self._system.policy.epoch,
@@ -744,61 +534,11 @@ class QueryService:
             tenant, query, recipient, self._system.policy.epoch, future
         )
         search = self._search_join_orders and level < DEGRADE_PLANNING
-        key = self._flight_key(bound, recipient, search, decision.tenant)
-        item = _WorkItem(query, recipient, decision, future, now, request_id, key)
-        priority = decision.tenant.priority
-        flight = self._flights.get(key)
-        if flight is None:
-            # The first request of a key opens its flight and queues as
-            # the leader.
-            self._flights[key] = [item]
-            self._hooks.flight_lead(key)
-            self._enqueue(item, priority)
-        else:
-            # An identical request takes no queue slot: it waits for the
-            # open flight's outcome beside the leader.
-            flight.append(item)
-            self._attached += 1
-            leader = flight[0]
-            if leader.entry is not None and -leader.entry[0] < priority:
-                # A queued leader inherits the priority of the most
-                # urgent request waiting on it.
-                self._enqueue(leader, priority)
-        self.metrics.set_gauge("repro_service_queue_depth", self._depth())
+        key = self._runner.flight_key(bound, recipient, search, decision.tenant)
+        item = WorkItem(query, recipient, decision, future, now, request_id, key)
+        self._flights.join(item, decision.tenant.priority)
+        self.metrics.set_gauge("repro_service_queue_depth", self._flights.depth())
         return await future
-
-    async def serve_all(
-        self,
-        requests: Sequence[dict],
-        window: Optional[int] = None,
-    ) -> List[QueryOutcome]:
-        """Submit many requests concurrently, preserving input order in
-        the result list.
-
-        Args:
-            requests: dicts with ``query`` (or ``sql``), optional
-                ``tenant`` and ``recipient``.
-            window: max concurrent submissions (client-side pacing);
-                ``None`` submits everything at once — with a bounded
-                queue that *will* shed the overflow, which is the
-                point.
-        """
-        semaphore = asyncio.Semaphore(window) if window is not None else None
-
-        async def one(request: dict) -> QueryOutcome:
-            query = request.get("query", request.get("sql"))
-            if query is None:
-                raise ServiceError(f"request needs 'query' or 'sql': {request!r}")
-            tenant = request.get("tenant", "default")
-            recipient = request.get("recipient")
-            if semaphore is None:
-                return await self.submit(query, tenant=tenant, recipient=recipient)
-            async with semaphore:
-                return await self.submit(query, tenant=tenant, recipient=recipient)
-
-        return list(
-            await asyncio.gather(*(one(request) for request in requests))
-        )
 
     # ------------------------------------------------------------------
     # Workers
@@ -806,7 +546,7 @@ class QueryService:
 
     async def _worker(self) -> None:
         while True:
-            item = self._live(await self._queue.get())
+            item = await self._flights.next()
             try:
                 if item is None:
                     continue
@@ -831,25 +571,26 @@ class QueryService:
                 if not item.future.done():
                     self._close(item, FAILED, error=f"worker error: {error!r}")
             finally:
-                self._queue.task_done()
-                self.metrics.set_gauge("repro_service_queue_depth", self._depth())
+                self._flights.task_done()
+                self.metrics.set_gauge(
+                    "repro_service_queue_depth", self._flights.depth()
+                )
 
-    async def _process(self, leader: _WorkItem) -> None:
+    async def _process(self, leader: WorkItem) -> None:
         """Run one flight: its leader was dequeued.  Queue wait is each
         request's own: an overdue follower is shed alone, an overdue
         leader hands the flight over."""
         now = self._clock()
-        flight = self._flights[leader.key]
-        for follower in flight[1:]:
-            rejection = self._overdue(follower, now)
+        overdue, depth = self._admission.overdue, self._flights.depth
+        for follower in self._flights.followers(leader):
+            rejection = overdue(follower.ticket, now, depth)
             if rejection is not None:
-                flight.remove(follower)
-                self._attached -= 1
+                self._flights.drop(follower)
                 self._finish_shed(follower, rejection)
-        rejection = self._overdue(leader, now)
+        rejection = overdue(leader.ticket, now, depth)
         if rejection is not None:
             self._finish_shed(leader, rejection)
-            self._hand_over(leader)
+            self._flights.hand_over(leader)
             return
         ticket = leader.ticket
         search = self._search_join_orders and ticket.degrade_level < DEGRADE_PLANNING
@@ -863,7 +604,7 @@ class QueryService:
             # it would observe only what it re-executed (nothing at all
             # when the whole result was parked), and it is the flight's
             # one observation.
-            result = self._execute(
+            result = self._runner.run(
                 leader.key, leader.query, leader.recipient, ticket.tenant, search,
                 faults=self._chaos, checkpoint=self._parks and not ticket.tenant.profile,
                 resume_from=leader.checkpoint, chaos=self._chaos,
@@ -892,134 +633,11 @@ class QueryService:
         except ReproError as error:
             # Infeasible also covers churn between planning and
             # execution that withdrew the route with no alternative.
-            self._close(leader, _failure_status(error), error=str(error))
+            self._close(leader, failure_status(error), error=str(error))
         else:
             self._close(leader, OK, result=result)
 
-    def _overdue(self, item: _WorkItem, now: float) -> Optional[Rejection]:
-        """The ``deadline-expired`` rejection of a request queued beyond
-        its tenant's deadline budget, else ``None``."""
-        ticket = item.ticket
-        deadline = ticket.tenant.deadline
-        if deadline is None:
-            return None
-        if ticket.degrade_level >= DEGRADE_PLANNING:
-            # Degraded service honors half the contract deadline: better
-            # to shed early than to serve answers nobody is waiting for.
-            deadline = deadline / 2.0
-        try:
-            DeadlineBudget(deadline).charge(now - ticket.admitted_at, "queue-wait")
-        except DeadlineExceededError:
-            return Rejection(
-                REJECT_DEADLINE,
-                ticket.tenant.name,
-                detail=(
-                    f"queued {now - ticket.admitted_at:.3f} beyond the "
-                    f"{deadline:.3f} deadline budget"
-                ),
-                degrade_level=ticket.degrade_level,
-                queue_depth=self._depth(),
-            )
-        return None
-
-    def _execute(self, key, query, recipient, tenant, search, **options):
-        """The one request body, of every flight leader and every
-        recovered request: build the pipeline (under the service's trace
-        and scheme set, profiled for a profiled tenant), plan — a
-        refusal raises here and is no execution — run under the counted
-        execution events, and harvest the profile.  Followers share the
-        result (and its profiles) without double-harvesting."""
-        profiler = None
-        if tenant.profile:
-            from repro.profiling import QueryProfiler
-
-            profiler = QueryProfiler(selectivities=self._stats_store)
-        pipeline = self._system.pipeline(
-            query,
-            recipient=recipient,
-            search_join_orders=search,
-            trace=self._trace,
-            schemes=self._shard_schemes,
-            profiler=profiler,
-            **options,
-        )
-        pipeline.plan()
-        self._counts["executions"] += 1
-        self._hooks.execution_begin(key)
-        try:
-            result = pipeline.run()
-        finally:
-            self._hooks.execution_end(key)
-        if tenant.profile:
-            for unit in getattr(result, "unit_results", (result,)):
-                self._harvest_profile(tenant.name, unit)
-        return result
-
-    def _harvest_profile(self, tenant_name: str, result) -> None:
-        """Fold one profiled execution back into the feedback loop:
-        harvest observed statistics into the store (when configured)
-        and export tenant-labeled profile metrics."""
-        profile = getattr(result, "profile", None)
-        if profile is None:
-            return
-        if self._stats_store is not None:
-            self._stats_store.harvest(profile)
-        self.metrics.inc("repro_service_profile_runs_total", tenant=tenant_name)
-        self.metrics.observe(
-            "repro_service_profile_shipped_bytes",
-            profile.actual_bytes,
-            tenant=tenant_name,
-        )
-        if profile.misestimates:
-            self.metrics.inc(
-                "repro_service_profile_misestimates_total",
-                len(profile.misestimates),
-                tenant=tenant_name,
-            )
-
-    def _flight_key(self, bound, recipient, search: bool, tenant) -> tuple:
-        """The one flight key, of a request's bound pair.  Two requests
-        share a run only when all four parts agree: the identity the
-        plan cache fingerprints on (so "would share a cache entry" and
-        "share a run" agree), the recipient (the closing delivery is
-        itself an authorized transfer), whether the tenant's runs are
-        profiled (only a profiled run carries a profile), and the policy
-        epoch (a request admitted after a grant or revoke never shares a
-        run, or a refusal, decided under the older policy)."""
-        kind, payload = bound
-        if kind == "tree":
-            fingerprint = fingerprint_tree(payload)
-        else:
-            fingerprint = (payload.fingerprint(), search)
-        return (fingerprint, recipient, tenant.profile, self._system.policy.epoch)
-
-    def _enqueue(self, leader: _WorkItem, priority: int) -> None:
-        """Queue ``leader`` at ``priority``; an entry it already had is
-        left behind, stale."""
-        if leader.entry is not None:
-            self._stale += 1
-        self._seq += 1
-        # Higher priority first; FIFO within a priority class.
-        leader.entry = (-priority, self._seq)
-        self._queue.put_nowait((-priority, self._seq, leader))
-
-    def _requeue(self, leader: _WorkItem) -> None:
-        """Queue a flight's (new) leader at the highest priority among
-        the flight's requests."""
-        flight = self._flights[leader.key]
-        self._enqueue(leader, max(item.ticket.tenant.priority for item in flight))
-
-    def _live(self, entry) -> Optional[_WorkItem]:
-        """The leader a dequeued entry carries, or ``None`` when a
-        priority raise superseded the entry."""
-        rank, seq, leader = entry
-        if leader.entry != (rank, seq):
-            self._stale -= 1
-            return None
-        leader.entry = None
-        return leader
-
-    def _requeue_after_chaos(self, leader: _WorkItem, reason: str) -> None:
+    def _requeue_after_chaos(self, leader: WorkItem, reason: str) -> None:
         """Put a chaos-interrupted leader back in the queue (bounded
         attempts), journaling its parked checkpoint first; its flight
         stays open.  A leader out of attempts hands the flight to its
@@ -1029,15 +647,11 @@ class QueryService:
         self._hooks.requeue(leader.request_id, leader.checkpoint)
         if leader.retries <= self._max_chaos_retries:
             self.metrics.inc("repro_service_chaos_requeues_total")
-            self._requeue(leader)
+            self._flights.requeue(leader)
             return
-        flight = self._flights[leader.key]
-        if len(flight) > 1 and flight[1].retries <= self._max_chaos_retries:
-            # Re-attached at the tail first, so the promoted leader
-            # queues at this request's priority too.
-            flight.append(leader)
-            self._hand_over(leader)
-            self._attached += 1
+        successor = self._flights.successor(leader)
+        if successor is not None and successor.retries <= self._max_chaos_retries:
+            self._flights.hand_over(leader, follow=True)
             return
         self._settle(
             leader,
@@ -1045,7 +659,7 @@ class QueryService:
             error=f"chaos: gave up after {leader.retries} interrupted "
             f"attempts: {reason}",
         )
-        self._hand_over(leader)
+        self._flights.hand_over(leader)
 
     # ------------------------------------------------------------------
     # Outcome plumbing
@@ -1066,47 +680,27 @@ class QueryService:
             degrade_level=rejection.degrade_level,
         )
 
-    def _close(self, leader: _WorkItem, status: str, result=None, error=None) -> None:
+    def _close(self, leader: WorkItem, status: str, result=None, error=None) -> None:
         """End ``leader``'s flight with what its computation came to —
         ``ok``, ``infeasible`` or an execution ``failed`` — which is every
         follower's outcome too."""
-        flight = self._flights.pop(leader.key)
-        self._attached -= len(flight) - 1
-        for item in flight:
+        for item in self._flights.close(leader):
             self._settle(item, status, result, error, shared=item is not leader)
 
-    def _hand_over(self, leader: _WorkItem) -> None:
-        """``leader`` left its flight by its own fate (a deadline shed,
-        spent chaos attempts, shutdown): the first follower leads it from
-        here."""
-        flight = self._flights[leader.key]
-        del flight[0]
-        if not flight:
-            del self._flights[leader.key]
-            return
-        self._attached -= 1
-        self._promotions += 1
-        self._hooks.flight_promote(leader.key)
-        self._requeue(flight[0])
-
     def _settle(
-        self, item: _WorkItem, status: str, result=None, error=None, shared=False
+        self, item: WorkItem, status: str, result=None, error=None, shared=False
     ) -> None:
         """Resolve one request with a completed outcome; ``shared`` when
         it is another request's run."""
         tenant = item.ticket.tenant.name
-        breaker = self._breaker(tenant)
         if status == OK:
             if shared:
                 self._counts["coalesced"] += 1
                 self.metrics.inc("repro_service_result_coalesced_total")
-            if self._shard_schemes is not None:
+            if self._sharded:
                 self.metrics.inc("repro_service_sharded_total", mode=result.mode)
-            if breaker is not None:
-                breaker.record_success(self._clock())
-        elif status == FAILED and breaker is not None:
-            breaker.record_failure(self._clock())
-        self._admission.release(item.ticket)
+        now = self._clock()
+        self._admission.release(item.ticket, status, now)
         self.metrics.set_gauge(
             "repro_service_inflight_bytes", self._admission.inflight_bytes
         )
@@ -1115,7 +709,7 @@ class QueryService:
             tenant,
             result=result,
             error=error,
-            latency=self._clock() - item.submitted_at,
+            latency=now - item.submitted_at,
             coalesced=shared and status == OK,
             degrade_level=item.ticket.degrade_level,
         )
@@ -1135,7 +729,7 @@ class QueryService:
             tenant=outcome.tenant,
         )
 
-    def _finish_shed(self, item: _WorkItem, rejection: Rejection) -> None:
+    def _finish_shed(self, item: WorkItem, rejection: Rejection) -> None:
         self._admission.release(item.ticket)
         self._resolve(
             item.request_id,
@@ -1143,19 +737,13 @@ class QueryService:
             self._shed_outcome(rejection.tenant, rejection, item.submitted_at),
         )
 
-    def _shed_unrun(self, leader: _WorkItem, how: str) -> None:
+    def _shed_unrun(self, leader: WorkItem, how: str) -> None:
         """Shed a flight leader the service went down before running;
         the flight passes to its next follower."""
         self._finish_shed(
-            leader,
-            Rejection(
-                REJECT_SHUTDOWN,
-                leader.ticket.tenant.name,
-                detail=f"service {how} before the request ran",
-                queue_depth=self._depth(),
-            ),
+            leader, self._admission.unrun(leader.ticket, how, self._flights.depth())
         )
-        self._hand_over(leader)
+        self._flights.hand_over(leader)
 
     def _resolve(self, request_id, future, outcome: QueryOutcome) -> None:
         """Tell the listener, then the submitter.
@@ -1194,11 +782,11 @@ class QueryService:
             "infeasible": self._counts[INFEASIBLE],
             "failed": self._counts[FAILED],
             "coalesced": self._counts["coalesced"],
-            "executions": self._counts["executions"],
+            "executions": self._runner.executions,
             "result_coalesced": self._counts["coalesced"],
             "recovered": self._counts["recovered"],
-            "result_promotions": self._promotions,
-            "queue_depth": self._depth() if self._queue is not None else 0,
+            "result_promotions": self._flights.promotions,
+            "queue_depth": self._flights.depth(),
             "degrade_level": self.degrade_level(),
             "admission": self._admission.snapshot(),
             "plan_cache": cache.snapshot() if cache is not None else None,

@@ -424,3 +424,60 @@ class TestServeSignals:
         assert "served:" in stdout
         assert "never submitted" in stdout
         assert "repro_service_requests_total" in metrics_path.read_text()
+
+
+class TestExitCodeTables:
+    """Each subcommand's exit codes are one table: its ``--help``
+    epilog, which README's table repeats cell for cell."""
+
+    @staticmethod
+    def _tables():
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        tables = {}
+        for name, parser in commands.choices.items():
+            codes, last = {}, None
+            for line in parser.epilog.splitlines()[1:]:
+                code, _, meaning = line.strip().partition("  ")
+                if code.isdigit():
+                    last = int(code)
+                    codes[last] = meaning
+                else:
+                    codes[last] += " " + line.strip()
+            tables[name] = codes
+        return tables
+
+    def test_every_subcommand_has_a_table_with_the_config_error(self):
+        tables = self._tables()
+        assert len(tables) == 10
+        for name, codes in tables.items():
+            assert 0 in codes and "configuration error" in codes[2], name
+
+    def test_readme_repeats_every_table(self):
+        import pathlib
+
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+                rows[cells[0].strip("`")] = cells[1:]
+        for name, codes in self._tables().items():
+            assert rows[name] == [codes.get(code, "—") for code in range(5)], name
+
+    def test_unreadable_input_files_are_configuration_errors(self, tmp_path):
+        """A missing catalog or a malformed checkpoint file leaves
+        through the one handler — ``error: ...``, exit 2 — not as a
+        traceback."""
+        code, text = run_cli("--catalog", str(tmp_path / "nope.json"), "describe")
+        assert code == 2 and text.startswith("error: cannot read catalog")
+        journal = tmp_path / "journal.json"
+        journal.write_text("not json")
+        code, text = run_cli("execute", "--sql", PAPER_SQL, "--resume", str(journal))
+        assert code == 2 and text.startswith("error: bad checkpoint file")

@@ -44,6 +44,7 @@ from repro.workloads.coalition import (
     inspection_query,
 )
 from tests.test_sharding_diff import canonical_bytes
+from tests.test_service import serve_all
 
 SEED = int(os.environ.get("CHAOS_SEED", "16"))
 REQUESTS = 6
@@ -137,8 +138,8 @@ def test_every_combination_serves(world, sharded, chaos, journal, monitor, profi
 
     async def scenario():
         await service.start()
-        outcomes = await service.serve_all(
-            [{"query": query, "tenant": "t", "recipient": recipient}] * REQUESTS
+        outcomes = await serve_all(
+            service, [{"query": query, "tenant": "t", "recipient": recipient}] * REQUESTS
         )
         await service.stop()
         return outcomes

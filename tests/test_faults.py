@@ -470,11 +470,30 @@ class TestRestrictedPlanning:
 
 class TestFailover:
     def test_crashed_coordinator_fails_over_to_alternate(self):
+        """A coordinator the injector already reports down when the run
+        plans is planned around: no attempt is wasted on it."""
         system = two_party_system()
         baseline = system.execute("SELECT a, b, c, d FROM R JOIN T ON a = c")
         assert baseline.result_server == "TP1"
         faults = FaultInjector(seed=1)
         faults.crash("TP1")
+        result = system.execute(
+            "SELECT a, b, c, d FROM R JOIN T ON a = c",
+            faults=faults,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.1),
+        )
+        assert result.result_server == "TP2"
+        assert result.table == baseline.table
+        assert result.failovers == 0
+        assert result.audit is not None and result.audit.all_authorized()
+
+    def test_coordinator_crashing_mid_run_fails_over_to_alternate(self):
+        """A coordinator that goes down after the run planned (from
+        t = 1) is failed over from."""
+        system = two_party_system()
+        baseline = system.execute("SELECT a, b, c, d FROM R JOIN T ON a = c")
+        faults = FaultInjector(seed=1)
+        faults.crash("TP1", start=1.0)
         result = system.execute(
             "SELECT a, b, c, d FROM R JOIN T ON a = c",
             faults=faults,

@@ -898,7 +898,12 @@ SPINE = (
 #: ``trace=`` / ``obs=`` / ``profiler=`` keywords, nothing per site.
 GUARD_CEILING = 5
 #: The service shell: the files that call its listener.
-SERVICE = ("service/service.py",)
+SERVICE = (
+    "service/service.py",
+    "service/admission.py",
+    "service/flights.py",
+    "service/runner.py",
+)
 #: Guard lines in the service shell and in the function assembling its
 #: listener (``make census`` prints the counts): constructor adaptation,
 #: kill / recover and ``snapshot()`` only; it may only go down.
@@ -1200,10 +1205,25 @@ class TestSeamContract:
             if SERVICE_GUARD.search(line)
         ]
         assert len(service_guards) <= SERVICE_GUARD_CEILING, service_guards
-        service = shell[0]
-        assert len(re.findall(r"\.pipeline\(", service)) == 1
-        assert len(re.findall(r"self\._flights\[[^]]*\] = ", service)) == 1
-        assert "request_id is not None" not in service
+        # One pipeline-building site and one flight-opening site in the
+        # service package, and one owner of every refusal.
+        package = {
+            path.name: path.read_text()
+            for path in (REPO / "src/repro/service").glob("*.py")
+        }
+
+        def sites(pattern):
+            return [name for name, text in package.items() for _ in re.findall(pattern, text)]
+
+        assert sites(r"\.pipeline\(") == ["runner.py"]
+        assert sites(r"self\._flights\[[^]]*\] = ") == ["flights.py"]
+        assert sites(r"request_id is not None") == []
+        admission = REPO / "src/repro/service/admission.py"
+        refusals = [
+            path for path in sources
+            if path != admission and "Rejection(" in path.read_text()
+        ]
+        assert not refusals, f"a Rejection built outside service/admission.py: {refusals}"
         for name, bodies in {
             "core/planner.py": ("plan", "_find_candidates", "_admit_master"),
             "engine/executor.py": ("_execute_node", "_execute_join", "_ship", "_ship_once"),

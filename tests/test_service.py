@@ -110,6 +110,12 @@ def run(coroutine):
     return asyncio.run(asyncio.wait_for(coroutine, timeout=30))
 
 
+async def serve_all(service, requests):
+    """Submit every request dict (``query``, optional ``tenant`` and
+    ``recipient``) at once; outcomes in input order."""
+    return list(await asyncio.gather(*(service.submit(**request) for request in requests)))
+
+
 # ---------------------------------------------------------------------------
 # Tenants and token buckets
 # ---------------------------------------------------------------------------
@@ -374,8 +380,8 @@ class TestQueryService:
         async def scenario():
             service = QueryService(system, workers=4)
             await service.start()
-            outcomes = await service.serve_all(
-                [{"query": PAIR_QUERY} for _ in range(12)]
+            outcomes = await serve_all(
+                service, [{"query": PAIR_QUERY} for _ in range(12)]
             )
             await service.stop()
             return service, outcomes
@@ -402,8 +408,8 @@ class TestQueryService:
         async def scenario():
             service = QueryService(system, workers=2, capacity_bytes=0.0)
             await service.start()
-            outcomes = await service.serve_all(
-                [{"query": PAIR_QUERY} for _ in range(50)]
+            outcomes = await serve_all(
+                service, [{"query": PAIR_QUERY} for _ in range(50)]
             )
             await service.stop()
             return service, outcomes
@@ -448,8 +454,8 @@ class TestQueryService:
                 system, workers=1, max_queue=2, shed_priority_floor=0
             )
             await service.start()
-            outcomes = await service.serve_all(
-                [{"query": PAIR_QUERY} for _ in range(6)]
+            outcomes = await serve_all(
+                service, [{"query": PAIR_QUERY} for _ in range(6)]
             )
             await service.stop()
             return outcomes
@@ -595,7 +601,7 @@ class TestQueryService:
         async def scenario():
             service = QueryService(system, workers=2, capacity_bytes=0.0)
             await service.start()
-            await service.serve_all([{"query": PAIR_QUERY} for _ in range(3)])
+            await serve_all(service, [{"query": PAIR_QUERY} for _ in range(3)])
             await service.stop()
             return service
 
@@ -646,8 +652,8 @@ class TestQueryService:
                 system, workers=1, capacity_bytes=1e9, monitor=Raising()
             )
             real = service._admission.release
-            service._admission.release = lambda ticket: (
-                releases.append(ticket), real(ticket)
+            service._admission.release = lambda ticket, *outcome: (
+                releases.append(ticket), real(ticket, *outcome)
             )
             await service.start()
             outcome = await service.submit(PAIR_QUERY)
@@ -1065,6 +1071,135 @@ class TestPricedSpine:
         assert reloaded == [{"a0": 0, "b1": "reloaded"}]
         assert direct == [{"a0": 1, "b1": "direct"}]
         assert list(system.tables()) == ["R0", "R1", "R2"]
+
+
+# ---------------------------------------------------------------------------
+# The Flights bookkeeping, driven directly against a model
+# ---------------------------------------------------------------------------
+
+
+class _FlightsModel:
+    """What :class:`Flights` must hold: the open flights, the leaders
+    with a live queue entry (at their entry's priority), the leaders a
+    worker holds, and the physical queue entries live or stale."""
+
+    def __init__(self):
+        self.flights = {}
+        self.queued = {}
+        self.in_hand = []
+        self.entries = 0
+        self.promotions = 0
+
+    def enqueue(self, leader, priority):
+        self.queued[leader] = priority
+        self.entries += 1
+
+    def hand_over(self, leader, follow=False):
+        flight = self.flights[leader.key]
+        if follow:
+            flight.append(leader)
+        flight.remove(leader)
+        if not flight:
+            del self.flights[leader.key]
+            return
+        self.promotions += 1
+        self.enqueue(flight[0], max(item.ticket.tenant.priority for item in flight))
+
+    def depth(self):
+        return len(self.queued) + sum(len(f) - 1 for f in self.flights.values())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_flights_depth_counts_live_leaders_and_followers_and_skips_stale(seed):
+    """Random join / next / drop / requeue / hand over / close /
+    unqueue / clear sequences with priority raises: after every step
+    ``depth()`` is the live queued leaders plus the attached followers,
+    and ``next()`` never hands out a stale entry."""
+    import random
+    from types import SimpleNamespace
+
+    from repro.service.flights import Flights, WorkItem
+
+    rng = random.Random(seed)
+    model = _FlightsModel()
+    flights = Flights(ServiceHooks())
+
+    def item(key, priority):
+        ticket = SimpleNamespace(tenant=SimpleNamespace(priority=priority))
+        return WorkItem(None, None, ticket, None, 0.0, None, key)
+
+    async def step(op):
+        if op == "join":
+            new = item(rng.randrange(4), rng.randrange(4))
+            flights.join(new, new.ticket.tenant.priority)
+            flight = model.flights.get(new.key)
+            if flight is None:
+                model.flights[new.key] = [new]
+                model.enqueue(new, new.ticket.tenant.priority)
+            else:
+                flight.append(new)
+                leader = flight[0]
+                if model.queued.get(leader, 1 << 30) < new.ticket.tenant.priority:
+                    model.enqueue(leader, new.ticket.tenant.priority)
+        elif op == "next" and model.entries:
+            got = await flights.next()
+            model.entries -= 1
+            if got is not None:
+                assert got in model.queued, "a stale or unqueued entry was handed out"
+                # No live entry outranks the one handed out.
+                priority = model.queued.pop(got)
+                assert all(priority >= other for other in model.queued.values())
+                model.in_hand.append(got)
+            flights.task_done()
+        elif model.in_hand and op in ("drop", "requeue", "hand_over", "close"):
+            leader = rng.choice(model.in_hand)
+            flight = model.flights[leader.key]
+            if op == "drop" and len(flight) > 1:
+                follower = rng.choice(flight[1:])
+                assert flights.followers(leader) == flight[1:]
+                flights.drop(follower)
+                flight.remove(follower)
+            elif op == "requeue":
+                flights.requeue(leader)
+                model.in_hand.remove(leader)
+                model.enqueue(leader, max(i.ticket.tenant.priority for i in flight))
+            elif op == "hand_over":
+                follow = len(flight) > 1 and rng.random() < 0.5
+                assert flights.successor(leader) is (flight[1] if len(flight) > 1 else None)
+                flights.hand_over(leader, follow=follow)
+                model.in_hand.remove(leader)
+                model.hand_over(leader, follow)
+            elif op == "close":
+                assert flights.close(leader) == flight
+                model.in_hand.remove(leader)
+                del model.flights[leader.key]
+        elif op == "unqueue":
+            # stop(): every unrun leader hands its flight on.
+            for leader in flights.unqueue():
+                assert model.queued.pop(leader) is not None
+                flights.hand_over(leader)
+                model.hand_over(leader)
+            model.entries = 0
+            assert not model.queued
+        elif op == "clear":
+            # kill() under a journal: unqueued, then forgotten.
+            for leader in flights.unqueue():
+                model.queued.pop(leader)
+            flights.clear()
+            model.flights.clear()
+            model.in_hand.clear()
+            model.entries = 0
+
+    async def scenario():
+        flights.start()
+        ops = ["join"] * 6 + ["next"] * 4 + ["drop", "requeue", "hand_over", "close"] * 2
+        for _ in range(300):
+            rare = rng.random() < 0.04
+            await step(rng.choice(["unqueue", "clear"] if rare else ops))
+            assert flights.depth() == model.depth()
+            assert flights.promotions == model.promotions
+
+    run(scenario())
 
 
 # ---------------------------------------------------------------------------

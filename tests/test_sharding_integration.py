@@ -41,6 +41,7 @@ from repro.sharding import (
 from repro.sharding import executor as sharding_executor
 from repro.service import QueryService
 from repro.testing import grant, quick_catalog
+from tests.test_service import serve_all
 
 # ---------------------------------------------------------------------------
 # World: the R -> T chain with a two-server shard group
@@ -425,8 +426,8 @@ class TestServiceSeam:
                 system, workers=4, shard_schemes=_good_schemes()
             )
             await service.start()
-            outcomes = await service.serve_all(
-                [{"query": QUERY} for _ in range(8)]
+            outcomes = await serve_all(
+                service, [{"query": QUERY} for _ in range(8)]
             )
             await service.stop()
             return service, outcomes
@@ -451,7 +452,7 @@ class TestServiceSeam:
                 system, workers=2, shard_schemes=_bad_schemes()
             )
             await service.start()
-            outcomes = await service.serve_all([{"query": QUERY}])
+            outcomes = await serve_all(service, [{"query": QUERY}])
             await service.stop()
             return outcomes[0]
 
