@@ -40,10 +40,14 @@ loc:
 # (algebra/expression.py), and a second
 # safe-assignment search: core/costplanner.py, health pricing
 # (`penalty_factor` / `quarantine_penalty`), a greedy or scored
-# join-order search, or an enumerate-and-price call in src/, and a
-# second sharded execution path: sharding/shuffle.py or the multi-round
-# rung (`multiround` / `multi-round` / `allow_multiround`, any case)
-# in src/.
+# join-order search, or an enumerate-and-price call in src/, a second
+# sharded execution path: sharding/shuffle.py or the multi-round rung
+# (`multiround` / `multi-round` / `allow_multiround`, any case) in
+# src/, and a second tree builder: a `LeafNode(` built anywhere in src/
+# but algebra/builder.py (one site), `project_intermediate` or
+# `fingerprint_tree` in src/.  Last it runs tests/test_obs.py's census
+# test, which also fails on a guard count beyond GUARD_CEILING or
+# SERVICE_GUARD_CEILING (the ceilings live there only).
 SPINE = src/repro/engine/executor.py src/repro/distributed/pipeline.py src/repro/core/planner.py src/repro/sharding/executor.py
 SERVICE = src/repro/service/service.py src/repro/service/admission.py src/repro/service/flights.py src/repro/service/runner.py
 SERVICE_GUARD = (monitor|journal|chaos|health|faults|trace|profiler|observer|listener) is (not )?None
@@ -76,6 +80,12 @@ census:
 	@echo "-- sharding/shuffle.py or the multi-round rung in src/ (none expected):"
 	@test ! -e src/repro/sharding/shuffle.py || (echo src/repro/sharding/shuffle.py; false)
 	@! grep -rniE --include='*.py' "multi-?round" src/
+	@echo "-- a LeafNode built outside algebra/builder.py's one site, project_intermediate or fingerprint_tree in src/ (none expected):"
+	@test "$$(grep -rn --include='*.py' 'LeafNode(' src/ | grep -v 'class LeafNode(' | cut -d: -f1)" = src/repro/algebra/builder.py || (grep -rn --include='*.py' 'LeafNode(' src/ | grep -v 'class LeafNode('; false)
+	@! grep -rnE --include='*.py' "project_intermediate|fingerprint_tree" src/
+	@echo "-- the census test (guard ceilings):"
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q -p no:cacheprovider \
+		tests/test_obs.py::TestSeamContract::test_census_no_variants_no_rebinding_no_guard_clusters
 
 # Robustness suite: unit + property fault tests, then a seeded
 # fault-matrix smoke run (3 seeds x 2 planning strategies).

@@ -109,6 +109,13 @@ class JoinCondition:
         """Whether ``attribute`` participates in this condition."""
         return attribute == self._first or attribute == self._second
 
+    def bridges(self, left: AttributeSet, right: AttributeSet) -> bool:
+        """Whether the condition equates an attribute of ``left`` with
+        one of ``right`` — the one rule every join of two sides obeys."""
+        return (self._first in left and self._second in right) or (
+            self._second in left and self._first in right
+        )
+
     def other(self, attribute: str) -> str:
         """Return the attribute equated with ``attribute``.
 

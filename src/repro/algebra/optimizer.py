@@ -42,12 +42,7 @@ def _steps_for_order(
     steps: List[JoinPath] = []
     for name in order[1:]:
         right = attrs[name]
-        bridge = [
-            c
-            for c in conditions
-            if (c.first in accumulated and c.second in right)
-            or (c.second in accumulated and c.first in right)
-        ]
+        bridge = [c for c in conditions if c.bridges(accumulated, right)]
         if not bridge:
             return None
         steps.append(JoinPath(bridge))

@@ -217,9 +217,7 @@ class JoinNode(PlanNode):
                 "names must be globally distinct"
             )
         for condition in path:
-            in_left = condition.first in left.schema or condition.second in left.schema
-            in_right = condition.first in right.schema or condition.second in right.schema
-            if not (in_left and in_right):
+            if not condition.bridges(left.schema, right.schema):
                 raise PlanError(f"join condition {condition} does not bridge the operands")
         self._left = left
         self._right = right

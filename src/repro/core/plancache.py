@@ -74,17 +74,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.algebra.tree import (
-    PROJECT,
-    JoinNode,
-    LeafNode,
-    PlanNode,
-    QueryTreePlan,
-    UnaryNode,
-)
 from repro.core.authorization import Policy
 from repro.core.safety import enumerate_assignment_flows
-from repro.exceptions import PlanError
 
 #: The always-present keys of a plan-cache stats snapshot; downstream
 #: JSON consumers (``summary_dict``, ``BENCH_*.json``) rely on every key
@@ -155,37 +146,6 @@ class PlanCacheEntry:
         self.infeasible: Optional[Tuple[str, int]] = None
 
 
-def fingerprint_tree(tree: QueryTreePlan) -> Tuple[object, ...]:
-    """A canonical, hashable identity of an explicitly shaped plan.
-
-    Used for queries that bypass :class:`~repro.algebra.builder.QuerySpec`
-    (parenthesized/bushy SQL FROM clauses bind straight to a tree): the
-    fingerprint is the recursive structure of the tree — operator kinds,
-    relation names, sorted projection sets, sorted predicate atoms and
-    :meth:`~repro.algebra.joins.JoinPath.canonical_key` join paths.
-    """
-
-    def walk(node: PlanNode) -> Tuple[object, ...]:
-        if isinstance(node, LeafNode):
-            return ("leaf", node.relation.name)
-        if isinstance(node, UnaryNode):
-            if node.operator == PROJECT:
-                parameter: Tuple[object, ...] = tuple(sorted(node.parameter))
-            else:
-                parameter = tuple(sorted(str(c) for c in node.parameter.comparisons))
-            return (node.operator, parameter, walk(node.left))
-        if isinstance(node, JoinNode):
-            return (
-                "join",
-                node.path.canonical_key(),
-                walk(node.left),
-                walk(node.right),
-            )
-        raise PlanError(f"unknown node kind: {type(node).__name__}")  # pragma: no cover
-
-    return ("tree", walk(tree.root))
-
-
 class PlanCache:
     """An LRU of epoch-stamped planning outcomes: products, decisions, verdicts.
 
@@ -230,8 +190,8 @@ class PlanCache:
 
         Args:
             fingerprint: a value from
-                :meth:`~repro.algebra.builder.QuerySpec.fingerprint` or
-                :func:`fingerprint_tree` (any hashable works).
+                :meth:`~repro.algebra.builder.QuerySpec.fingerprint`
+                (any hashable works).
             policy: the policy currently in force; its
                 :attr:`~repro.core.authorization.Policy.epoch` decides
                 between a pure hit and a revalidation.

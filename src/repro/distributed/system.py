@@ -33,7 +33,7 @@ from repro.algebra.tree import QueryTreePlan
 from repro.core.assignment import Assignment
 from repro.core.authorization import Authorization, Policy
 from repro.core.closure import close_policy, extend_closure
-from repro.core.plancache import PlanCache, fingerprint_tree
+from repro.core.plancache import PlanCache
 from repro.core.planner import PlannerTrace, SafePlanner
 from repro.core.thirdparty import ThirdPartyPlanner
 from repro.distributed.pipeline import QueryPipeline
@@ -96,9 +96,9 @@ class DistributedSystem:
             self._plan_cache = None
         else:
             self._plan_cache = plan_cache
-        # SQL text -> bound form (see _remember); parsing is
+        # SQL text -> bound spec (see _remember); parsing is
         # policy-independent, so the memo never needs invalidation.
-        self._parse_memo: Dict[str, Tuple[str, object]] = {}
+        self._parse_memo: Dict[str, QuerySpec] = {}
         # Skeleton (a text minus its literals) -> the spec first bound
         # for it: later literals are substituted, not parsed.
         self._skeletons: Dict[Tuple[str, ...], QuerySpec] = {}
@@ -282,15 +282,8 @@ class DistributedSystem:
 
     def parse(self, query: Query) -> QuerySpec:
         """SQL text (or a pre-bound spec, returned as-is) to a QuerySpec,
-        through the parse memo."""
-        kind, payload = self._parsed(query)
-        if kind == "spec":
-            return payload
-        from repro.sql import parse_query  # deferred: sql depends on algebra only
-
-        # A parenthesized FROM binds to a tree; this raises the spec
-        # binder's own error for it.
-        return parse_query(query, self._catalog)
+        through the parse memo (see :meth:`_parsed`)."""
+        return self._parsed(query)
 
     def plan(
         self,
@@ -317,7 +310,8 @@ class DistributedSystem:
         Args:
             query: SQL text or bound spec.
             search_join_orders: when the given order is infeasible, try
-                the other connected left-deep orders before giving up.
+                the other connected left-deep orders before giving up
+                (never for an explicit join tree, planned as written).
             trace: optional :class:`~repro.obs.trace.TraceContext` that
                 this call's planning spans and metrics flow into
                 (overrides the system-wide trace for this call).
@@ -333,25 +327,22 @@ class DistributedSystem:
         else:
             planner = self._make_planner(obs=trace)
         cache = self._plan_cache
-        kind, payload = self._parsed(query)
+        spec = self._parsed(query)
+        # An explicit join tree is planned as written, so the flag is not
+        # part of its identity.
+        search_join_orders = search_join_orders and spec.join_tree is None
         if cache is None:
-            return self._plan_parsed(kind, payload, planner, search_join_orders)
+            return self._plan_parsed(spec, planner, search_join_orders)
         obs = trace if trace is not None else self._trace
-        if kind == "tree":
-            # Explicitly shaped (bushy) queries never order-search, so
-            # the flag is not part of their identity.
-            fingerprint: object = fingerprint_tree(payload)
-        else:
-            fingerprint = (payload.fingerprint(), search_join_orders)
+        fingerprint = (spec.fingerprint(), search_join_orders)
         entry = cache.lookup(fingerprint, self._policy, obs=obs)
         if entry is not None:
             return entry.tree, entry.assignment, entry.planner_trace
-        # A tree's shape is the user's: no tier below the exact one.
-        shape = fingerprint if kind == "tree" else (payload.shape(), search_join_orders)
+        shape = (spec.shape(), search_join_orders)
         decision = cache.lookup_shape(shape, self._policy, obs=obs)
         if decision is None:
             try:
-                product = self._plan_parsed(kind, payload, planner, search_join_orders)
+                product = self._plan_parsed(spec, planner, search_join_orders)
             except InfeasiblePlanError as error:
                 cache.store_infeasible(shape, self._policy, error)
                 raise
@@ -359,7 +350,7 @@ class DistributedSystem:
         elif decision.infeasible is not None:
             raise InfeasiblePlanError(*decision.infeasible)
         else:
-            product = self._bind(payload, decision)
+            product = self._bind(spec, decision)
         cache.store(fingerprint, self._policy, *product)
         return product
 
@@ -373,54 +364,44 @@ class DistributedSystem:
         tree = decision.tree.with_selections(spec.where)
         return tree, decision.assignment.rebound(tree), decision.planner_trace
 
-    def _parsed(self, query: Query) -> Tuple[str, object]:
-        """Bind a query to its planning form, memoizing SQL texts.
+    def _parsed(self, query: Query) -> QuerySpec:
+        """Bind a query to its spec, memoizing SQL texts.
 
-        Returns ``("spec", QuerySpec)`` for bound specs and left-deep
-        SQL, or ``("tree", QueryTreePlan)`` for parenthesized (bushy)
-        FROM clauses, whose shape is the user's explicit choice.
-        Parsing and binding are pure functions of ``(text, catalog)``,
-        so neither memo ever needs invalidation.
+        A bound spec is returned as-is (the service binds a request
+        once, at submit, and hands the spec down).  Parsing and binding
+        are pure functions of ``(text, catalog)``, so neither memo ever
+        needs invalidation.
 
         A text the exact memo misses is split at its literals
         (:func:`~repro.sql.lexer.split_literals`).  A skeleton seen
         before is not parsed: the request's spec is the one first bound
         for that skeleton under this text's constants — what parsing
-        would give, ``fingerprint()`` included.  Any other text (a new
-        skeleton, a bushy FROM, a malformed text) parses and binds, and
+        would give, ``fingerprint()`` and join tree included.  Any other
+        text (a new skeleton, a malformed text) parses and binds, and
         raises what that raises.
         """
         if isinstance(query, QuerySpec):
-            return "spec", query
-        if isinstance(query, tuple):
-            # Already bound (a pair this returned): the service binds a
-            # request once, at submit, and hands the pair down.
             return query
         cached = self._parse_memo.get(query)
         if cached is not None:
             return cached
-        from repro.sql import bind, bind_plan, parse
+        from repro.sql import bind, parse
         from repro.sql.lexer import split_literals
 
         skeleton, values = split_literals(query)
         prepared = self._skeletons.get(skeleton)
         if prepared is not None:
-            result: Tuple[str, object] = ("spec", prepared.with_constants(values))
+            spec = prepared.with_constants(values)
         else:
-            parsed = parse(query)
-            if not parsed.is_left_deep:
-                result = ("tree", bind_plan(parsed, self._catalog))
-            else:
-                spec = bind(parsed, self._catalog)
-                result = ("spec", spec)
-                # Prepared only when the splitter read this text as the
-                # lexer did: the constants that reached the spec are its
-                # values, in value, type and order.
-                constants = spec.constants()
-                if constants == values and [*map(type, constants)] == [*map(type, values)]:
-                    self._remember(self._skeletons, skeleton, spec)
-        self._remember(self._parse_memo, query, result)
-        return result
+            spec = bind(parse(query), self._catalog)
+            # Prepared only when the splitter read this text as the
+            # lexer did: the constants that reached the spec are its
+            # values, in value, type and order.
+            constants = spec.constants()
+            if constants == values and [*map(type, constants)] == [*map(type, values)]:
+                self._remember(self._skeletons, skeleton, spec)
+        self._remember(self._parse_memo, query, spec)
+        return spec
 
     #: Entries the parse memo and the skeleton table each keep; beyond
     #: it the oldest is dropped.
@@ -439,20 +420,9 @@ class DistributedSystem:
         memo[key] = value
 
     def _plan_parsed(
-        self,
-        kind: str,
-        payload: object,
-        planner: SafePlanner,
-        search_join_orders: bool,
+        self, spec: QuerySpec, planner: SafePlanner, search_join_orders: bool
     ) -> Tuple[QueryTreePlan, Assignment, PlannerTrace]:
         """Plan a bound query from scratch (the pre-cache hot path)."""
-        if kind == "tree":
-            # Parenthesized (bushy) FROM: plan it as written (no order
-            # search).
-            tree = payload
-            assignment, planner_trace = planner.plan(tree)
-            return tree, assignment, planner_trace
-        spec = payload
         tree = build_plan(self._catalog, spec)
         try:
             assignment, planner_trace = planner.plan(tree)

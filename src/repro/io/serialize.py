@@ -17,7 +17,10 @@ Schema sketch::
     open policy: {"denials": [... same rule shape ...]}
     spec:    {"relations": [...], "join_steps": [[[a, b], ...], ...],
               "select": [...], "where": [{"attribute", "op", "operand",
-                                          "operand_is_attribute"}]}
+                                          "operand_is_attribute"}],
+              "join_tree": name | [left, right, [[a, b], ...]]}
+             (``join_tree`` only for a parenthesized FROM clause; its
+             relations and post-order join paths are the other two)
 """
 
 from __future__ import annotations
@@ -149,9 +152,23 @@ def open_policy_from_dict(data: Dict[str, Any]) -> OpenPolicy:
 # Query specs
 # ---------------------------------------------------------------------------
 
+def _tree_to_list(shape: Any) -> Any:
+    if isinstance(shape, str):
+        return shape
+    return [_tree_to_list(shape[0]), _tree_to_list(shape[1]), _path_pairs(shape[2])]
+
+
+def _tree_from_list(data: Any) -> Any:
+    if isinstance(data, str):
+        return data
+    if not (isinstance(data, list) and len(data) == 3):
+        raise ReproError(f"join tree node must be a name or a triple, got {data!r}")
+    return (_tree_from_list(data[0]), _tree_from_list(data[1]), _path_from_pairs(data[2]))
+
+
 def spec_to_dict(spec: QuerySpec) -> Dict[str, Any]:
     """Encode a bound query spec."""
-    return {
+    encoded = {
         "relations": list(spec.relations),
         "join_steps": [_path_pairs(path) for path in spec.join_paths],
         "select": sorted(spec.select),
@@ -165,6 +182,9 @@ def spec_to_dict(spec: QuerySpec) -> Dict[str, Any]:
             for comparison in spec.where.comparisons
         ],
     }
+    if spec.join_tree is not None:
+        encoded["join_tree"] = _tree_to_list(spec.join_tree)
+    return encoded
 
 
 def spec_from_dict(data: Dict[str, Any]) -> QuerySpec:
@@ -181,6 +201,12 @@ def spec_from_dict(data: Dict[str, Any]) -> QuerySpec:
         )
         for entry in data.get("where", [])
     ]
+    if "join_tree" in data:
+        return QuerySpec.of_join_tree(
+            _tree_from_list(data["join_tree"]),
+            frozenset(data["select"]),
+            Predicate(comparisons),
+        )
     return QuerySpec(
         data["relations"],
         [_path_from_pairs(step) for step in data["join_steps"]],

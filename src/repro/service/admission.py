@@ -158,16 +158,6 @@ class AdmissionTicket:
         self.degrade_level = degrade_level
 
 
-def _query_relations(system, query) -> list:
-    """The base relations a query reads, from its memoized bound form."""
-    from repro.algebra.tree import LeafNode
-
-    kind, payload = system._parsed(query)
-    if kind == "spec":
-        return list(payload.relations)
-    return [node.relation.name for node in payload if isinstance(node, LeafNode)]
-
-
 def estimate_query_bytes(system, query) -> float:
     """Static pre-planning byte estimate of one query.
 
@@ -187,7 +177,7 @@ def estimate_query_bytes(system, query) -> float:
     return sum(
         (
             float(tables[name].byte_size())
-            for name in _query_relations(system, query)
+            for name in system._parsed(query).relations
             if name in tables
         ),
         0.0,

@@ -5,8 +5,6 @@ result (and its profiles) without running or double-harvesting."""
 
 from __future__ import annotations
 
-from repro.core.plancache import fingerprint_tree
-
 
 class RequestRunner:
     """Runs one service's requests: over its system, reporting to its
@@ -25,7 +23,7 @@ class RequestRunner:
         self.executions = 0
 
     def flight_key(self, bound, recipient, search: bool, tenant) -> tuple:
-        """The one flight key, of a request's bound pair.  Two requests
+        """The one flight key, of a request's bound spec.  Two requests
         share a run only when all four parts agree: the identity the
         plan cache fingerprints on (so "would share a cache entry" and
         "share a run" agree), the recipient (the closing delivery is
@@ -33,11 +31,7 @@ class RequestRunner:
         profiled (only a profiled run carries a profile), and the policy
         epoch (a request admitted after a grant or revoke never shares a
         run, or a refusal, decided under the older policy)."""
-        kind, payload = bound
-        if kind == "tree":
-            fingerprint = fingerprint_tree(payload)
-        else:
-            fingerprint = (payload.fingerprint(), search)
+        fingerprint = (bound.fingerprint(), search and bound.join_tree is None)
         return (fingerprint, recipient, tenant.profile, self._system.policy.epoch)
 
     def run(self, key, query, recipient, tenant, search, **options):

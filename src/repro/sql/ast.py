@@ -7,7 +7,7 @@ the binder's job.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union  # noqa: F401
+from typing import List, Optional, Sequence, Tuple, Union
 
 Literal = Union[str, int, float]
 
@@ -114,43 +114,20 @@ class SelectQuery:
         from_tree: the FROM clause as a binary tree (parenthesization
             preserved).
         relations: relation names in FROM order (flattened tree).
-        join_conditions: for *left-deep* queries, one list of
-            ``(left, right)`` pairs per JOIN step; ``None`` when the
-            tree is bushy (use ``from_tree`` instead).
         where: WHERE atoms (conjunction).
     """
 
-    __slots__ = ("select", "from_tree", "relations", "join_conditions", "where")
+    __slots__ = ("select", "from_tree", "relations", "where")
 
     def __init__(
         self,
         select: Optional[Sequence[str]],
-        relations: Sequence[str] = (),
-        join_conditions: Optional[Sequence[Sequence[Tuple[str, str]]]] = None,
+        from_tree: FromTree,
         where: Sequence[RawCondition] = (),
-        from_tree: Optional[FromTree] = None,
     ) -> None:
         self.select = list(select) if select is not None else None
-        if from_tree is None:
-            # Legacy flat construction: fold relations left-deep.
-            relations = list(relations)
-            join_conditions = [list(s) for s in (join_conditions or [])]
-            tree: FromTree = FromRelation(relations[0])
-            for name, step in zip(relations[1:], join_conditions):
-                tree = FromJoin(tree, FromRelation(name), step)
-            from_tree = tree
         self.from_tree = from_tree
         self.relations = from_tree.relation_names()
-        if from_tree.is_left_deep:
-            steps: List[List[Tuple[str, str]]] = []
-            node = from_tree
-            while isinstance(node, FromJoin):
-                steps.append(list(node.conditions))
-                node = node.left
-            steps.reverse()
-            self.join_conditions: Optional[List[List[Tuple[str, str]]]] = steps
-        else:
-            self.join_conditions = None
         self.where = list(where)
 
     @property

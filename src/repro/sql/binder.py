@@ -1,43 +1,40 @@
 """Name resolution: unbound AST -> bound :class:`QuerySpec`.
 
-The binder checks every name against the catalog:
+The binder checks every name against the catalog, once, for a FROM
+clause of any shape:
 
 * FROM relations must exist and not repeat;
-* every ON equality must bridge the accumulated left side with the newly
-  joined relation (left-deep validity);
+* every ON equality must connect the two sides of its join — for the
+  unparenthesized chain, the relations joined so far with the next one;
 * SELECT and WHERE attributes must belong to the FROM relations
   (``SELECT *`` expands to all of them, in schema order);
 * WHERE atoms comparing two attributes must reference FROM attributes on
   both sides.
+
+A chain binds to a left-deep spec; a parenthesized FROM clause binds to
+a spec carrying its explicit join tree
+(:meth:`~repro.algebra.builder.QuerySpec.of_join_tree`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
-from repro.algebra.builder import QuerySpec
-from repro.algebra.joins import JoinPath
+from repro.algebra.builder import QuerySpec, build_plan
+from repro.algebra.joins import JoinCondition, JoinPath
 from repro.algebra.predicates import Comparison, Predicate
 from repro.algebra.schema import Catalog
 from repro.exceptions import BindingError
-from repro.sql.ast import RawCondition, SelectQuery
+from repro.sql.ast import FromRelation, RawCondition, SelectQuery
 from repro.sql.parser import parse
 
 
 def bind(query: SelectQuery, catalog: Catalog) -> QuerySpec:
-    """Resolve an unbound *left-deep* query against ``catalog``.
+    """Resolve an unbound query of any FROM shape against ``catalog``.
 
     Raises:
-        BindingError: on any unresolved or ill-placed name, or when the
-            FROM clause is parenthesized into a bushy tree —
-            :class:`~repro.algebra.builder.QuerySpec` only models
-            left-deep chains; use :func:`bind_plan` for arbitrary shapes.
+        BindingError: on any unresolved or ill-placed name.
     """
-    if query.join_conditions is None:
-        raise BindingError(
-            "parenthesized (bushy) FROM clauses cannot bind to a QuerySpec; "
-            "use bind_plan / parse_query_plan"
-        )
     seen: Set[str] = set()
     for name in query.relations:
         if name not in catalog:
@@ -51,32 +48,30 @@ def bind(query: SelectQuery, catalog: Catalog) -> QuerySpec:
         for attribute in catalog.relation(name).attributes:
             available[attribute] = name
 
-    # Join steps: each ON equality must bridge the accumulated schema
-    # with the newly joined relation.
-    accumulated: Set[str] = set(catalog.relation(query.relations[0]).attributes)
-    join_paths: List[JoinPath] = []
-    for step_index, step in enumerate(query.join_conditions):
-        next_relation = query.relations[step_index + 1]
-        next_attributes = set(catalog.relation(next_relation).attributes)
-        pairs = []
-        for left, right in step:
+    def resolve(node):
+        """``node``'s join shape and attributes, its ON clauses checked."""
+        if isinstance(node, FromRelation):
+            return node.name, catalog.relation(node.name).attribute_set
+        left_shape, left_attributes = resolve(node.left)
+        right_shape, right_attributes = resolve(node.right)
+        for left, right in node.conditions:
             for attribute in (left, right):
                 if attribute not in available:
                     raise BindingError(
                         f"ON clause references {attribute!r}, which belongs to "
                         "no FROM relation"
                     )
-            bridges = (left in accumulated and right in next_attributes) or (
-                right in accumulated and left in next_attributes
-            )
-            if not bridges:
+            if left == right or not JoinCondition.of(left, right).bridges(
+                left_attributes, right_attributes
+            ):
                 raise BindingError(
                     f"ON condition {left} = {right} does not connect "
-                    f"{next_relation!r} with the relations joined so far"
+                    f"{node.right!r} with {node.left!r}"
                 )
-            pairs.append((left, right))
-        join_paths.append(JoinPath.of(*pairs))
-        accumulated |= next_attributes
+        shape = (left_shape, right_shape, JoinPath.of(*node.conditions))
+        return shape, left_attributes | right_attributes
+
+    join_tree, _ = resolve(query.from_tree)
 
     # SELECT clause.
     if query.is_select_star:
@@ -91,12 +86,8 @@ def bind(query: SelectQuery, catalog: Catalog) -> QuerySpec:
         select = frozenset(query.select or ())
 
     # WHERE clause.
-    comparisons = []
-    for condition in query.where:
-        comparisons.append(_bind_condition(condition, available))
-    where = Predicate(comparisons)
-
-    return QuerySpec(query.relations, join_paths, select, where)
+    where = Predicate([_bind_condition(condition, available) for condition in query.where])
+    return QuerySpec.of_join_tree(join_tree, select, where)
 
 
 def _bind_condition(condition: RawCondition, available: Dict[str, str]) -> Comparison:
@@ -115,77 +106,15 @@ def _bind_condition(condition: RawCondition, available: Dict[str, str]) -> Compa
 
 
 def bind_plan(query: SelectQuery, catalog: Catalog):
-    """Resolve a query of *any* FROM shape into a minimized
-    :class:`~repro.algebra.tree.QueryTreePlan`.
-
-    Parenthesization is preserved: ``(A JOIN B ON ...) JOIN (C JOIN D
-    ON ...) ON ...`` becomes a bushy tree.  Validations mirror
-    :func:`bind`: relations must exist and not repeat, every ON
-    condition must bridge its join's two subtrees, and SELECT/WHERE
-    names must resolve.
-
-    Raises:
-        BindingError: on any unresolved or ill-placed name.
-    """
-    from repro.algebra.builder import build_shaped_plan
-    from repro.sql.ast import FromJoin, FromRelation
-
-    names = query.relations
-    seen: Set[str] = set()
-    for name in names:
-        if name not in catalog:
-            raise BindingError(f"unknown relation in FROM clause: {name!r}")
-        if name in seen:
-            raise BindingError(f"relation {name!r} appears twice in FROM clause")
-        seen.add(name)
-    available: Dict[str, str] = {}
-    for name in names:
-        for attribute in catalog.relation(name).attributes:
-            available[attribute] = name
-
-    def to_shape(node):
-        if isinstance(node, FromRelation):
-            return node.name, set(catalog.relation(node.name).attributes)
-        assert isinstance(node, FromJoin)
-        left_shape, left_attrs = to_shape(node.left)
-        right_shape, right_attrs = to_shape(node.right)
-        pairs = []
-        for left, right in node.conditions:
-            for attribute in (left, right):
-                if attribute not in available:
-                    raise BindingError(
-                        f"ON clause references {attribute!r}, which belongs to "
-                        "no FROM relation"
-                    )
-            bridges = (left in left_attrs and right in right_attrs) or (
-                right in left_attrs and left in right_attrs
-            )
-            if not bridges:
-                raise BindingError(
-                    f"ON condition {left} = {right} does not connect the two "
-                    "sides of its parenthesized join"
-                )
-            pairs.append((left, right))
-        return (left_shape, right_shape, JoinPath.of(*pairs)), left_attrs | right_attrs
-
-    shape, _ = to_shape(query.from_tree)
-
-    if query.is_select_star:
-        select = frozenset(available)
-    else:
-        for attribute in query.select or ():
-            if attribute not in available:
-                raise BindingError(
-                    f"SELECT references {attribute!r}, which belongs to no "
-                    "FROM relation"
-                )
-        select = frozenset(query.select or ())
-    comparisons = [_bind_condition(c, available) for c in query.where]
-    return build_shaped_plan(catalog, shape, select, Predicate(comparisons))
+    """:func:`bind`, then the minimized plan of the bound spec
+    (:func:`~repro.algebra.builder.build_plan`): parenthesization is
+    preserved, so ``(A JOIN B ON ...) JOIN (C JOIN D ON ...) ON ...``
+    becomes a bushy tree."""
+    return build_plan(catalog, bind(query, catalog))
 
 
 def parse_query(text: str, catalog: Catalog) -> QuerySpec:
-    """Parse and bind (left-deep) SQL text in one step."""
+    """Parse and bind SQL text in one step."""
     return bind(parse(text), catalog)
 
 

@@ -7,7 +7,8 @@ Produces a flat token stream from query text.  Token kinds:
 * ``IDENT`` — identifiers, optionally dotted (``Insurance.Holder``);
 * ``NUMBER`` — integer or decimal literals (value converted);
 * ``STRING`` — single-quoted literals with ``''`` escaping;
-* ``SYMBOL`` — ``, ( ) ; * = != < <= > >=``;
+* ``SYMBOL`` — ``, ( ) ; * = != < <= > >=`` (``<>`` is lexed as
+  ``!=``);
 * ``EOF`` — end of input.
 """
 
@@ -34,7 +35,7 @@ _NUMBER = r"\d+(?:\.\d*)?"
 #: test.
 _TOKEN = re.compile(
     rf"""(?:(?P<WORD>[^\W\d][\w.]*)
-    |(?P<SYMBOL>!=|<=|>=|[<>=,();*])
+    |(?P<SYMBOL>!=|<>|<=|>=|[<>=,();*])
     |(?P<STRING>{_STRING})
     |(?P<NUMBER>{_NUMBER})
     )\s*""",
@@ -131,6 +132,8 @@ def tokenize(text: str) -> List[Token]:
             value = _string_value(value)
         elif kind == "NUMBER":
             value = _number_value(value)
+        elif value == "<>":
+            value = "!="
         append(Token(kind, value, index))
         index = found.end()
     append(Token("EOF", "", length))

@@ -142,22 +142,6 @@ class TestBuildPlan:
         assert len(selections) == 1
         assert isinstance(selections[0].left, JoinNode)
 
-    def test_intermediate_projection_optional(self, catalog):
-        spec = QuerySpec(
-            ["Insurance", "Nat_registry", "Hospital"],
-            [JoinPath.of(("Holder", "Citizen")), JoinPath.of(("Citizen", "Patient"))],
-            frozenset({"Plan", "Physician"}),
-        )
-        default = build_plan(catalog, spec)
-        minimized = build_plan(catalog, spec, project_intermediate=True)
-        default_projections = sum(
-            1 for n in default if isinstance(n, UnaryNode) and n.operator == "project"
-        )
-        minimized_projections = sum(
-            1 for n in minimized if isinstance(n, UnaryNode) and n.operator == "project"
-        )
-        assert minimized_projections > default_projections
-
     def test_unknown_select_attribute(self, catalog):
         spec = QuerySpec(["Insurance"], [], frozenset({"Nope"}))
         with pytest.raises(UnknownAttributeError):

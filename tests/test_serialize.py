@@ -106,6 +106,21 @@ class TestSpecRoundTrip:
         restored = spec_from_dict(spec_to_dict(original))
         assert restored.where == original.where
 
+    def test_join_tree_round_trip(self, catalog):
+        from repro.sql import parse_query
+
+        original = parse_query(
+            "SELECT Plan FROM Insurance JOIN (Nat_registry JOIN Hospital "
+            "ON Citizen = Patient) ON Holder = Citizen WHERE Plan = 'gold'",
+            catalog,
+        )
+        encoded = spec_to_dict(original)
+        assert encoded["join_tree"][0] == "Insurance"
+        restored = spec_from_dict(json.loads(json.dumps(encoded)))
+        assert restored.join_tree == original.join_tree
+        assert restored.fingerprint() == original.fingerprint()
+        assert "join_tree" not in spec_to_dict(example_query_spec())
+
     def test_missing_key(self):
         with pytest.raises(ReproError):
             spec_from_dict({"relations": ["R"]})

@@ -807,6 +807,26 @@ def served_rows(outcome) -> list:
     return [dict(zip(table.attributes, row)) for row in table.rows]
 
 
+class TestAngleNotEqual:
+    def test_angle_pair_serves_the_not_equal_rows(self):
+        system = chain_system(BASE_RULES + S0_ROUTE)
+
+        async def scenario():
+            service = QueryService(system)
+            await service.start()
+            outcomes = [
+                await service.submit(f"{PAIR_QUERY} WHERE b1 {op} 3") for op in ("<>", "!=")
+            ]
+            await service.stop()
+            return outcomes
+
+        angle, bang = run(scenario())
+        assert angle.ok, angle.error
+        assert served_rows(angle) == served_rows(bang)
+        assert len(served_rows(angle)) == 7
+        assert {"a0": 3, "b1": 3} not in served_rows(angle)
+
+
 class TestPreparedShapes:
     def test_concurrent_variants_get_their_own_rows_and_only_twins_coalesce(self):
         system = variant_system(BASE_RULES + S0_ROUTE)
@@ -1584,7 +1604,7 @@ class TestOneFlight:
         assert snapshot["executions"] + snapshot["coalesced"] == snapshot["ok"]
         # Only a flight's leader builds a pipeline (and plans: a refused
         # shape builds one and is no execution), and the flight key is
-        # the bound pair submit already holds: one parse-memo probe per
+        # the bound spec submit already holds: one parse-memo probe per
         # request, one more per leader's plan.
         assert len(built) == flights.led
         assert len(probed) == requests + flights.led

@@ -607,3 +607,88 @@ class TestCliShard:
         )
         assert code == 2
         assert "bad --scheme" in text
+
+
+# ---------------------------------------------------------------------------
+# A parenthesized FROM certifies like its chain
+# ---------------------------------------------------------------------------
+
+CHAIN_SERVERS = ("S1", "S2", "S3", "S4", "G1", "G2")
+BUSHY_QUERY = "SELECT a, h FROM (R JOIN T ON a = c) JOIN (U JOIN V ON e = g) ON c = e"
+
+
+def _chain_system():
+    catalog = quick_catalog(
+        "R(a, b) @ S1", "T(c, d) @ S2", "U(e, f) @ S3", "V(g, h) @ S4",
+        edges=["a = c", "c = e", "e = g"],
+    )
+    policy = Policy()
+    for server in CHAIN_SERVERS:
+        for attributes in ("a b", "c d", "e f", "g h"):
+            policy.add(grant(server, attributes))
+        policy.add(grant(server, "a b c d", "a = c"))
+        policy.add(grant(server, "e f g h", "e = g"))
+        policy.add(grant(server, "a b c d e f g h", "a = c, c = e, e = g"))
+    system = DistributedSystem(catalog, policy)
+    system.load_instances(
+        {
+            name: [{key: i % 7, payload: f"{name}{i}"} for i in range(20)]
+            for name, key, payload in (
+                ("R", "a", "b"), ("T", "c", "d"), ("U", "e", "f"), ("V", "g", "h")
+            )
+        }
+    )
+    return system
+
+
+def _chain_schemes(v_key="g"):
+    return {
+        name: HashPartitionScheme(name, [key], 4, GROUP)
+        for name, key in (("R", "a"), ("T", "c"), ("U", "e"), ("V", v_key))
+    }
+
+
+def _assert_served_like_single_copy(result, expected):
+    assert result.table == expected
+    assert not result.audit.violations
+    assert all(unit.audit.all_authorized() for unit in result.unit_results)
+    shipped = [t for unit in result.unit_results for t in unit.transfers]
+    assert shipped
+    assert all(t.authorized_by is not None for t in shipped)
+
+
+class TestParenthesizedQueries:
+    @pytest.mark.parametrize("v_key, mode", [("g", EXEC_PARTITIONED), ("h", EXEC_SINGLE_COPY)])
+    def test_execute_sharded_serves_the_bushy_query(self, v_key, mode):
+        system = _chain_system()
+        expected = system.execute(BUSHY_QUERY).table
+        assert len(expected) > 0
+        result = system.execute_sharded(BUSHY_QUERY, _chain_schemes(v_key), recipient="S1")
+        assert result.mode == mode
+        _assert_served_like_single_copy(result, expected)
+        # Certified as its chain is: the join order is not the query.
+        chain = "SELECT a, h FROM R JOIN T ON a = c JOIN U ON c = e JOIN V ON e = g"
+        schemes = _chain_schemes(v_key)
+        assert (
+            system.certify_sharding(BUSHY_QUERY, schemes).mode
+            == system.certify_sharding(chain, schemes).mode
+        )
+
+    @pytest.mark.parametrize("v_key, mode", [("g", EXEC_PARTITIONED), ("h", EXEC_SINGLE_COPY)])
+    def test_sharded_service_serves_the_bushy_query(self, v_key, mode):
+        system = _chain_system()
+        expected = system.execute(BUSHY_QUERY).table
+
+        async def scenario():
+            service = QueryService(system, workers=2, shard_schemes=_chain_schemes(v_key))
+            await service.start()
+            outcomes = await serve_all(
+                service, [{"query": BUSHY_QUERY, "recipient": "S1"}] * 2
+            )
+            await service.stop()
+            return outcomes
+
+        for outcome in run(scenario()):
+            assert outcome.ok, outcome.error
+            assert outcome.result.mode == mode
+            _assert_served_like_single_copy(outcome.result, expected)

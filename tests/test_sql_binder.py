@@ -27,6 +27,15 @@ class TestBindPaperQuery:
         assert parse_query(text, catalog).join_paths == spec.join_paths
 
 
+class TestAngleNotEqual:
+    def test_binds_to_the_not_equal_spec(self, catalog):
+        angle = parse_query("SELECT Plan FROM Insurance WHERE Plan <> 'gold'", catalog)
+        bang = parse_query("SELECT Plan FROM Insurance WHERE Plan != 'gold'", catalog)
+        assert angle.where == bang.where
+        assert angle.fingerprint() == bang.fingerprint()
+        assert angle.shape() == bang.shape()
+
+
 class TestSelectClause:
     def test_select_star_expands(self, catalog):
         bound = parse_query("SELECT * FROM Insurance", catalog)

@@ -81,6 +81,11 @@ class TestTokenize:
     def test_multi_char_symbols_greedy(self):
         assert values("a<=b")[:-1] == ["a", "<=", "b"]
 
+    def test_angle_pair_is_not_equal(self):
+        assert values("a <> b a<>1 a < > b")[:-1] == [
+            "a", "!=", "b", "a", "!=", 1, "a", "<", ">", "b"
+        ]
+
     def test_unexpected_character(self):
         with pytest.raises(SqlSyntaxError) as excinfo:
             tokenize("a @ b")
@@ -143,10 +148,12 @@ class TestEdges:
 
 
 # ---------------------------------------------------------------------------
-# The replaced implementation, verbatim: the differential's oracle
+# The replaced implementation, verbatim but for one later rule — ``<>``
+# is the standard spelling of ``!=`` and lexes as it: the differential's
+# oracle
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("!=", "<=", ">=", "<", ">", "=", ",", "(", ")", ";", "*")
+_SYMBOLS = ("!=", "<>", "<=", ">=", "<", ">", "=", ",", "(", ")", ";", "*")
 
 
 def reference_tokenize(text):
@@ -201,7 +208,7 @@ def reference_tokenize(text):
             continue
         for symbol in _SYMBOLS:
             if text.startswith(symbol, index):
-                tokens.append(Token("SYMBOL", symbol, index))
+                tokens.append(Token("SYMBOL", "!=" if symbol == "<>" else symbol, index))
                 index += len(symbol)
                 break
         else:

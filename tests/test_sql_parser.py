@@ -18,10 +18,10 @@ class TestParseBasics:
         query = parse(PAPER_QUERY)
         assert query.select == ["Patient", "Physician", "Plan", "HealthAid"]
         assert query.relations == ["Insurance", "Nat_registry", "Hospital"]
-        assert query.join_conditions == [
-            [("Holder", "Citizen")],
-            [("Citizen", "Patient")],
-        ]
+        assert repr(query.from_tree) == (
+            "((Insurance JOIN Nat_registry ON Holder = Citizen) "
+            "JOIN Hospital ON Citizen = Patient)"
+        )
         assert query.where == []
 
     def test_select_star(self):
@@ -32,14 +32,14 @@ class TestParseBasics:
     def test_single_relation(self):
         query = parse("SELECT Plan FROM Insurance")
         assert query.relations == ["Insurance"]
-        assert query.join_conditions == []
+        assert repr(query.from_tree) == "Insurance"
 
     def test_trailing_semicolon(self):
         assert parse("SELECT Plan FROM Insurance;").relations == ["Insurance"]
 
     def test_multi_condition_on_clause(self):
         query = parse("SELECT a FROM R JOIN T ON a = c AND b = d")
-        assert query.join_conditions == [[("a", "c"), ("b", "d")]]
+        assert query.from_tree.conditions == [("a", "c"), ("b", "d")]
 
     def test_case_insensitive_keywords(self):
         query = parse("select Plan from Insurance")
@@ -58,6 +58,14 @@ class TestWhereClause:
     def test_attribute_operand(self):
         query = parse("SELECT a FROM R WHERE a != b")
         assert query.where == [RawCondition("a", "!=", "b", True)]
+
+    def test_angle_pair_parses_as_not_equal(self):
+        query = parse("SELECT a FROM R WHERE a <> 1000 AND a <> b")
+        assert query.where == parse("SELECT a FROM R WHERE a != 1000 AND a != b").where
+        assert query.where == [
+            RawCondition("a", "!=", 1000, False),
+            RawCondition("a", "!=", "b", True),
+        ]
 
     def test_conjunction(self):
         query = parse("SELECT a FROM R WHERE a = 1 AND b < 2.5")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algebra.builder import build_plan
+from repro.algebra.joins import JoinPath
 from repro.algebra.tree import JoinNode, UnaryNode
 from repro.distributed.system import DistributedSystem
 from repro.engine.operators import evaluate_plan
@@ -29,7 +31,7 @@ class TestParsingShapes:
         )
         assert query.is_left_deep
         assert query.relations == ["A", "B", "C"]
-        assert query.join_conditions == [[("a", "b")], [("b", "c")]]
+        assert repr(query.from_tree) == "((A JOIN B ON a = b) JOIN C ON b = c)"
 
     def test_left_parens_keep_left_deep(self):
         query = parse("SELECT x FROM (A JOIN B ON a = b) JOIN C ON b = c")
@@ -38,7 +40,6 @@ class TestParsingShapes:
     def test_right_nesting_is_bushy(self):
         query = parse("SELECT x FROM A JOIN (B JOIN C ON b = c) ON a = b")
         assert not query.is_left_deep
-        assert query.join_conditions is None
         assert isinstance(query.from_tree, FromJoin)
         assert isinstance(query.from_tree.right, FromJoin)
 
@@ -62,9 +63,32 @@ class TestParsingShapes:
 
 
 class TestBindingShapes:
-    def test_bushy_query_rejected_by_spec_binder(self, catalog):
-        with pytest.raises(BindingError):
-            parse_query(RIGHT_NESTED_SQL, catalog)
+    def test_bushy_query_binds_to_a_shaped_spec(self, catalog):
+        spec = parse_query(RIGHT_NESTED_SQL, catalog)
+        assert spec.relations == ("Insurance", "Nat_registry", "Hospital")
+        inner = ("Nat_registry", "Hospital", JoinPath.of(("Citizen", "Patient")))
+        assert spec.join_tree == ("Insurance", inner, JoinPath.of(("Holder", "Citizen")))
+        # Post-order: the nested join first, then the one joining it.
+        assert spec.join_paths == (inner[2], spec.join_tree[2])
+        # The join tree is part of the identity: the chain of the same
+        # relations and conditions is another query plan.
+        chain = parse_query(
+            "SELECT Plan, Physician, HealthAid FROM Nat_registry JOIN Hospital "
+            "ON Citizen = Patient JOIN Insurance ON Holder = Citizen",
+            catalog,
+        )
+        assert chain.full_join_path() == spec.full_join_path()
+        assert chain.fingerprint() != spec.fingerprint()
+        assert parse_query_plan(RIGHT_NESTED_SQL, catalog).render() == (
+            build_plan(catalog, spec).render()
+        )
+
+    def test_left_parens_bind_to_the_chain(self, catalog):
+        spec = parse_query(BUSHY_SQL, catalog)
+        assert spec.join_tree is None
+        assert spec.fingerprint() == parse_query(
+            BUSHY_SQL.replace("(", "").replace(")", ""), catalog
+        ).fingerprint()
 
     def test_left_deep_unchanged(self, catalog, spec):
         sql = (
@@ -135,6 +159,11 @@ class TestBushySqlEndToEnd:
 
         with pytest.raises(InfeasiblePlanError):
             system.plan(RIGHT_NESTED_SQL)
+        # Nor when asked to search: the shape is the query's, and the
+        # verdict cached without the flag answers it.
+        with pytest.raises(InfeasiblePlanError):
+            system.plan(RIGHT_NESTED_SQL, search_join_orders=True)
+        assert system.plan_cache.stats.negative_hits == 1
 
     def test_right_nested_executes_when_policy_allows(self):
         """Under a permissive policy the bushy SQL runs and matches the
